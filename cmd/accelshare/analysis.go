@@ -1,7 +1,7 @@
 package main
 
 // Analysis-layer experiments: everything derivable from the dataflow models
-// and the ILP without running the cycle-level simulator.
+// and Algorithm 1 without running the cycle-level simulator.
 
 import (
 	"flag"
@@ -167,17 +167,14 @@ func runBlockSizes(args []string) error {
 	u, _ := s.Utilization().Float64()
 	fmt.Printf("gateway utilisation demand Σ μs·c0 = %.4f (must stay < 1)\n\n", u)
 
-	var res *core.BlockSizeResult
-	var err error
+	var gr []int64
 	if *granularity > 0 {
-		gr := make([]int64, len(s.Streams))
+		gr = make([]int64, len(s.Streams))
 		for i := range gr {
 			gr[i] = *granularity
 		}
-		res, err = s.ComputeBlockSizesRounded(gr)
-	} else {
-		res, err = s.ComputeBlockSizes()
 	}
+	res, err := s.ComputeBlockSizesRounded(gr)
 	if err != nil {
 		return err
 	}

@@ -140,18 +140,13 @@ func serveShort(seed uint64) serveProfile {
 }
 
 // serveSolver is the sustained-serving solver stack: the exactly-re-verified
-// float fast path for every re-solve, with the exact warm fixed point (no
-// rational tableau) as verification fallback. The production default routes
-// small instances to the exact ILP tier for byte-stable optimality, but at
-// serve's churn rate — thousands of admissions, departures and migrations,
-// each a per-chain Algorithm 1 re-solve — the dense big.Rat tableau is the
-// dominant campaign cost. The fast path keeps every guarantee (no float
-// value reaches the platform without passing exact verification) at a
-// fraction of it, and float64 arithmetic is deterministic, so the transcript
-// stays byte-stable.
+// float fast path for every re-solve, with the exact least fixed point as
+// verification fallback. serve's transcript pins the plans this stack
+// produces. The fast path keeps every guarantee (no float value reaches the
+// platform without passing exact verification), and float64 arithmetic is
+// deterministic, so the transcript stays byte-stable.
 func serveSolver() solve.Solver {
-	exact := &solve.Exact{ILPStreamCap: 1}
-	return &solve.Incremental{Inner: &solve.Fast{Fallback: exact}}
+	return &solve.Incremental{Inner: &solve.Fast{Fallback: &solve.Exact{}}}
 }
 
 // serveConfig mirrors chaosConfig's fleet parameters (one shared fixture

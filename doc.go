@@ -9,7 +9,7 @@
 //	dataflow  SDF/CSDF graphs, repetition vectors, self-timed execution,
 //	          HSDF expansion, max-cycle-ratio analysis
 //	buffer    exact minimum buffer-capacity computation
-//	ilp       exact rational simplex + branch and bound
+//	ilp       exact rational simplex + branch and bound (test oracle)
 //	core      the paper's models: Fig. 5 CSDF, Fig. 7 SDF, Eqs. 2-5,
 //	          Algorithm 1 block sizes, refinement checking
 //	sim       deterministic discrete-event kernel (cycle clock)

@@ -10,8 +10,10 @@ import (
 	"accelshare/internal/core"
 	"accelshare/internal/fault"
 	"accelshare/internal/gateway"
+	"accelshare/internal/ilp"
 	"accelshare/internal/mpsoc"
 	"accelshare/internal/sim"
+	"accelshare/internal/solve"
 )
 
 // The test scenario (ClockHz 1, so samples/second == samples/cycle):
@@ -198,8 +200,24 @@ func TestAddStreamLifecycle(t *testing.T) {
 			t.Fatalf("assignment[%d] = %v, want %v", i, a, want[i])
 		}
 	}
-	if v5.FixedPoint {
-		t.Error("exact ILP should have solved the 5-variable problem")
+	if v5.SolverPath != solve.PathWarm {
+		t.Errorf("s5 solved on path %q, want the exact fixed point (%q)", v5.SolverPath, solve.PathWarm)
+	}
+	// The exact fixed point must be the optimum of the paper's ILP over
+	// the five admitted streams.
+	oracle := b.ctrl.Model()
+	mu := make([]*big.Rat, len(oracle.Streams))
+	for i := range mu {
+		mu[i] = oracle.RatePerCycle(i)
+	}
+	ilpBlocks, err := ilp.BlockSizes(mu, oracle.Chain.C0(), oracle.C1(), nil, 0)
+	if err != nil {
+		t.Fatalf("ILP oracle: %v", err)
+	}
+	for i, a := range v5.Blocks {
+		if a.Block != ilpBlocks[i] {
+			t.Fatalf("assignment %v != ILP oracle %v", v5.Blocks, ilpBlocks)
+		}
 	}
 	if uint64(v5.PauseWait)+v5.BusCycles > v5.BoundCycles {
 		t.Errorf("transition cost %d+%d exceeds its bound %d", v5.PauseWait, v5.BusCycles, v5.BoundCycles)

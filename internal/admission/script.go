@@ -153,14 +153,11 @@ func FormatEvent(e Event) string {
 				}
 				fmt.Fprintf(&b, "%s=%d", a.Name, a.Block)
 			}
-			solver := "ilp"
-			switch {
-			case v.SolverPath == solve.PathFloat:
+			solver := fmt.Sprintf("fixed-point/%d", v.SolveRounds)
+			if v.SolverPath == solve.PathFloat {
 				// Fast-path plans only exist after exact re-verification;
 				// the label records both the path and that it converged.
 				solver = fmt.Sprintf("float-verified/%d", v.SolveRounds)
-			case v.FixedPoint:
-				solver = fmt.Sprintf("fixed-point/%d", v.SolveRounds)
 			}
 			fmt.Fprintf(&b, "] solver=%s bound=%d pause=%d bus=%d", solver, v.BoundCycles, v.PauseWait, v.BusCycles)
 		} else {

@@ -3,12 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
-
-	"accelshare/internal/ilp"
 )
 
-// BlockSizeResult is the outcome of ComputeBlockSizes.
+// BlockSizeResult is the outcome of an Algorithm 1 solve.
 type BlockSizeResult struct {
 	// Blocks[i] is the minimum ηs for stream i.
 	Blocks []int64
@@ -18,349 +17,152 @@ type BlockSizeResult struct {
 	Rounds int
 }
 
-// blockConstraintHolds checks Eq. 6 for stream i at the given assignment:
+// DefaultRounds is LeastFixedPoint's iteration budget when the caller
+// passes 0.
+const DefaultRounds = 10_000
+
+// ErrSolverBudget is returned by LeastFixedPoint when the iteration budget
+// runs out before the fixed point is reached. It is distinct from
+// ErrInfeasible: the utilisation gate has already shown that a least fixed
+// point exists, the solver was just not given enough rounds to reach it —
+// admission control reports the two outcomes with different rejection
+// reasons.
+var ErrSolverBudget = errors.New("core: block-size solver budget exhausted")
+
+// ErrOverflow is returned when an exact block size or bound does not fit in
+// an int64. The platform cannot implement such a value, so the solve fails
+// instead of wrapping.
+var ErrOverflow = errors.New("core: value does not fit in an int64")
+
+// FeasibleBlocks reports whether the assignment satisfies Eq. 6 for every
+// stream:
 //
 //	ηs − c0·μs·Σ_{i∈S}(ηi+2) ≥ μs·c1
 //
-// with μs in samples/cycle and c0, c1 in cycles.
-func (s *System) blockConstraintHolds(blocks []int64, i int) bool {
-	c0 := new(big.Rat).SetInt64(int64(s.Chain.C0()))
-	c1 := new(big.Rat).SetInt64(int64(s.C1()))
-	sum := new(big.Rat)
-	for _, b := range blocks {
-		sum.Add(sum, new(big.Rat).SetInt64(b+2))
-	}
-	mu := s.RatePerCycle(i)
-	rhs := new(big.Rat).Add(c1, new(big.Rat).Mul(c0, sum))
-	rhs.Mul(rhs, mu)
-	return new(big.Rat).SetInt64(blocks[i]).Cmp(rhs) >= 0
-}
-
-// FeasibleBlocks reports whether the assignment satisfies Eq. 6 for every
-// stream.
+// with μs in samples/cycle and c0, c1 in cycles — equivalently η ≥ F(η)
+// componentwise for the operator of ApplyOperator.
 func (s *System) FeasibleBlocks(blocks []int64) bool {
-	for i := range s.Streams {
-		if !s.blockConstraintHolds(blocks, i) {
+	f, err := s.ApplyOperator(nil, blocks)
+	if err != nil {
+		return false
+	}
+	for i := range blocks {
+		if blocks[i] < f[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// ComputeBlockSizesILP implements Algorithm 1 directly: an exact ILP
+// ApplyOperator applies the granularity-rounded Algorithm 1 operator
 //
-//	minimise   Σ ηs
-//	subject to ∀s: ηs − c0·μs·Σ_i(ηi+2) ≥ μs·c1,  ηs ≥ 1 integer
+//	F(η)_s = roundUp(max(1, ⌈μs·(c1 + c0·Σ_i(ηi+2))⌉), g_s)
 //
-// where c0 = max(ε, ρA, δ) and c1 = Σ Ri (see C1 for why the sum).
-func (s *System) ComputeBlockSizesILP() (*BlockSizeResult, error) {
-	return s.ComputeBlockSizesILPBudget(0)
-}
-
-// ComputeBlockSizesILPBudget is ComputeBlockSizesILP under a branch-and-
-// bound node budget (0 = the solver default). When the budget runs out the
-// underlying ilp.ErrBranchBudget is returned; online admission control
-// catches it and falls back to ComputeBlockSizesWarm, so a hard re-solve
-// can never stall the control plane.
-func (s *System) ComputeBlockSizesILPBudget(maxNodes int) (*BlockSizeResult, error) {
-	if err := s.Validate(); err != nil {
+// once, with exact integer arithmetic. An assignment is feasible iff
+// η ≥ F(η) componentwise; the least fixed point is the optimum. granularity
+// nil (or entries < 1) means no rounding. A component that does not fit in
+// an int64 returns ErrOverflow.
+func (s *System) ApplyOperator(granularity, blocks []int64) ([]int64, error) {
+	if len(blocks) != len(s.Streams) || (granularity != nil && len(granularity) != len(blocks)) {
+		return nil, fmt.Errorf("core: %d blocks, %d granularities for %d streams",
+			len(blocks), len(granularity), len(s.Streams))
+	}
+	out := make([]int64, len(blocks))
+	if err := s.newOperator(granularity).step(blocks, out); err != nil {
 		return nil, err
 	}
-	if s.Utilization().Cmp(big.NewRat(1, 1)) >= 0 {
-		return nil, ErrInfeasible
-	}
-	n := len(s.Streams)
-	one := big.NewRat(1, 1)
-	p := ilp.NewMinimize()
-	p.MaxNodes = maxNodes
-	for i := range s.Streams {
-		p.AddVar("eta."+s.Streams[i].Name, one, true)
-	}
-	c0 := new(big.Rat).SetInt64(int64(s.Chain.C0()))
-	c1 := new(big.Rat).SetInt64(int64(s.C1()))
-	for i := range s.Streams {
-		mu := s.RatePerCycle(i)
-		muc0 := new(big.Rat).Mul(mu, c0)
-		coef := make([]*big.Rat, n)
-		for j := range coef {
-			coef[j] = new(big.Rat).Neg(muc0)
-		}
-		coef[i] = new(big.Rat).Sub(one, muc0)
-		// RHS: μs·c1 + μs·c0·2n (moving the constant +2 terms right).
-		rhs := new(big.Rat).Mul(mu, c1)
-		rhs.Add(rhs, new(big.Rat).Mul(muc0, new(big.Rat).SetInt64(int64(2*n))))
-		p.AddConstraint("thr."+s.Streams[i].Name, coef, ilp.GE, rhs)
-	}
-	for i := range s.Streams {
-		coef := make([]*big.Rat, n)
-		for j := range coef {
-			coef[j] = new(big.Rat)
-		}
-		coef[i] = one
-		p.AddConstraint("pos."+s.Streams[i].Name, coef, ilp.GE, one)
-	}
-	sol, err := p.SolveILP()
+	return out, nil
+}
+
+// ComputeBlockSizes runs Algorithm 1 without granularity constraints,
+// stores the minimum block sizes into the streams and returns them.
+func (s *System) ComputeBlockSizes() (*BlockSizeResult, error) {
+	return s.ComputeBlockSizesRounded(nil)
+}
+
+// ComputeBlockSizesRounded runs Algorithm 1 under the extra constraint that
+// ηs is a multiple of granularity[s] (nil = no constraint), stores the
+// result into the streams and returns it. Implementations need this when
+// the chain down-samples: a block must yield an integral number of output
+// samples so the exit gateway can detect the end of the block (the paper's
+// own sizes obey this: 10136 = 8·1267).
+func (s *System) ComputeBlockSizesRounded(granularity []int64) (*BlockSizeResult, error) {
+	res, err := s.LeastFixedPoint(nil, granularity, 0)
 	if err != nil {
 		return nil, err
 	}
-	switch sol.Status {
-	case ilp.Infeasible:
-		return nil, ErrInfeasible
-	case ilp.Unbounded:
-		return nil, fmt.Errorf("core: block-size ILP unbounded (internal error)")
-	}
-	res := &BlockSizeResult{Blocks: make([]int64, n)}
-	for i := range res.Blocks {
-		if !sol.X[i].IsInt() || !sol.X[i].Num().IsInt64() {
-			return nil, fmt.Errorf("core: non-integral ILP solution %v", sol.X[i])
-		}
-		res.Blocks[i] = sol.X[i].Num().Int64()
-		res.Total += res.Blocks[i]
+	for i := range s.Streams {
+		s.Streams[i].Block = res.Blocks[i]
 	}
 	return res, nil
 }
 
-// ComputeBlockSizesFixedPoint computes the same minimum block sizes as the
-// ILP by Kleene iteration of the monotone operator
+// LeastFixedPoint is Algorithm 1: the componentwise least η ≥ start with
+// η ≥ F(η) (see ApplyOperator). By Knaster-Tarski that point is the least
+// fixed point of the monotone F, which simultaneously minimises Σηs — the
+// optimum of the ILP the paper states. It is found by Kleene iteration:
 //
-//	F(η)_s = max(1, ⌈μs·(c1 + c0·Σ_i(ηi+2))⌉)
-//
-// An assignment is feasible iff η ≥ F(η) componentwise, so by Knaster-
-// Tarski the least fixed point is the componentwise-minimal feasible point —
-// which simultaneously minimises Σηs. Divergence of the iteration means the
-// constraints are infeasible.
-func (s *System) ComputeBlockSizesFixedPoint() (*BlockSizeResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if s.Utilization().Cmp(big.NewRat(1, 1)) >= 0 {
-		return nil, ErrInfeasible
-	}
-	n := len(s.Streams)
-	c0 := new(big.Rat).SetInt64(int64(s.Chain.C0()))
-	c1 := new(big.Rat).SetInt64(int64(s.C1()))
-	eta := make([]int64, n)
-	for i := range eta {
-		eta[i] = 1
-	}
-	const maxRounds = 10_000
-	for round := 1; round <= maxRounds; round++ {
-		sum := new(big.Rat)
-		for _, b := range eta {
-			sum.Add(sum, new(big.Rat).SetInt64(b+2))
-		}
-		changed := false
-		next := make([]int64, n)
-		for i := range s.Streams {
-			rhs := new(big.Rat).Add(c1, new(big.Rat).Mul(c0, sum))
-			rhs.Mul(rhs, s.RatePerCycle(i))
-			v := ratCeil(rhs)
-			if v < 1 {
-				v = 1
-			}
-			next[i] = v
-			if v != eta[i] {
-				changed = true
-			}
-		}
-		// Jacobi update: recompute all streams against the previous vector,
-		// preserving the monotone-iteration argument.
-		copy(eta, next)
-		if !changed {
-			res := &BlockSizeResult{Blocks: eta, Rounds: round}
-			for _, b := range eta {
-				res.Total += b
-			}
-			return res, nil
-		}
-	}
-	return nil, fmt.Errorf("core: fixed point did not converge in %d rounds: %w", maxRounds, ErrInfeasible)
-}
-
-// ComputeBlockSizes computes minimum block sizes with the fixed-point
-// solver, cross-checks them against the exact ILP, stores them into the
-// streams and returns the result. The two solvers implement independent
-// algorithms; a mismatch indicates a bug and is reported as an error.
-func (s *System) ComputeBlockSizes() (*BlockSizeResult, error) {
-	fp, err := s.ComputeBlockSizesFixedPoint()
-	if err != nil {
-		return nil, err
-	}
-	il, err := s.ComputeBlockSizesILP()
-	if err != nil {
-		return nil, err
-	}
-	for i := range fp.Blocks {
-		if fp.Blocks[i] != il.Blocks[i] {
-			return nil, fmt.Errorf("core: solver disagreement on %q: fixed point %d vs ILP %d",
-				s.Streams[i].Name, fp.Blocks[i], il.Blocks[i])
-		}
-	}
-	for i := range s.Streams {
-		s.Streams[i].Block = fp.Blocks[i]
-	}
-	return fp, nil
-}
-
-// ComputeBlockSizesRounded computes minimum block sizes under the extra
-// constraint that ηs is a multiple of granularity[s]. Implementations need
-// this when the chain down-samples: a block must yield an integral number
-// of output samples so the exit gateway can detect the end of the block
-// (the paper's own sizes obey this: 10136 = 8·1267). The operator
-// F'(η)_s = roundUp(F(η)_s, g_s) is still monotone, so Kleene iteration
-// yields the least feasible multiple-constrained vector.
-func (s *System) ComputeBlockSizesRounded(granularity []int64) (*BlockSizeResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if len(granularity) != len(s.Streams) {
-		return nil, fmt.Errorf("core: %d granularities for %d streams", len(granularity), len(s.Streams))
-	}
-	if s.Utilization().Cmp(big.NewRat(1, 1)) >= 0 {
-		return nil, ErrInfeasible
-	}
-	n := len(s.Streams)
-	c0 := new(big.Rat).SetInt64(int64(s.Chain.C0()))
-	c1 := new(big.Rat).SetInt64(int64(s.C1()))
-	roundUp := func(v, g int64) int64 {
-		if g <= 1 {
-			return v
-		}
-		if rem := v % g; rem != 0 {
-			v += g - rem
-		}
-		return v
-	}
-	eta := make([]int64, n)
-	for i := range eta {
-		eta[i] = roundUp(1, granularity[i])
-	}
-	const maxRounds = 1_000_000
-	for round := 1; round <= maxRounds; round++ {
-		sum := new(big.Rat)
-		for _, b := range eta {
-			sum.Add(sum, new(big.Rat).SetInt64(b+2))
-		}
-		changed := false
-		next := make([]int64, n)
-		for i := range s.Streams {
-			rhs := new(big.Rat).Add(c1, new(big.Rat).Mul(c0, sum))
-			rhs.Mul(rhs, s.RatePerCycle(i))
-			v := ratCeil(rhs)
-			if v < 1 {
-				v = 1
-			}
-			v = roundUp(v, granularity[i])
-			next[i] = v
-			if v != eta[i] {
-				changed = true
-			}
-		}
-		copy(eta, next)
-		if !changed {
-			res := &BlockSizeResult{Blocks: eta, Rounds: round}
-			for _, b := range eta {
-				res.Total += b
-			}
-			for i := range s.Streams {
-				s.Streams[i].Block = eta[i]
-			}
-			return res, nil
-		}
-	}
-	return nil, fmt.Errorf("core: rounded fixed point did not converge: %w", ErrInfeasible)
-}
-
-// ErrSolverBudget is returned by ComputeBlockSizesWarm when the iteration
-// budget runs out before the fixed point is reached. It is distinct from
-// ErrInfeasible: the constraints may well be satisfiable, the solver was
-// just not given enough rounds to prove it — admission control reports the
-// two outcomes with different rejection reasons.
-var ErrSolverBudget = errors.New("core: block-size solver budget exhausted")
-
-// ComputeBlockSizesWarm is the incremental Algorithm 1: Kleene iteration of
-// the (granularity-rounded) operator F warm-started from a known lower
-// bound instead of from all-ones. Online admission control uses it to
-// re-solve after a stream-set change in a handful of rounds: when streams
-// are only ADDED to the set the operator grows pointwise, so the previous
-// least fixed point is still ≤ the new one and is a sound warm start (after
-// a removal the LFP shrinks, so pass nil and restart from ones).
-//
-//   - start, when non-nil, seeds the iteration (entries are clamped up to 1);
-//     it MUST be ≤ the least fixed point componentwise or the iteration can
-//     land on a non-minimal fixed point.
+//   - The iteration starts from the closed-form least solution of the
+//     rational relaxation. With ρ = c0·Σμs < 1 (checked first; ρ ≥ 1 is
+//     ErrInfeasible), every feasible η satisfies Ση ≥ S = A/(1−ρ) for
+//     A = Σμs·(c1 + 2n·c0), hence ηs ≥ μs·(c1 + c0·(S+2n)) =
+//     μs·(c1 + 2n·c0)/(1−ρ); integrality and granularity then lift that
+//     bound to seed_s = roundUp(max(1, ⌈μs·(c1 + 2n·c0)/(1−ρ)⌉), g_s).
+//     The seed is ≤ the least fixed point, so the iteration lands on it in
+//     a handful of rounds even near saturation.
+//   - start, when non-nil, raises the seed componentwise (entries are
+//     rounded up to the granularity). When start is ≤ the least fixed
+//     point — the old least fixed point after streams were only ADDED,
+//     since the operator then grows pointwise — the result is unchanged
+//     and the iteration shorter. A start above it yields the least
+//     feasible point ≥ start: iterates never shrink below the seed.
 //   - granularity, when non-nil, constrains ηs to multiples of
-//     granularity[s] (cf. ComputeBlockSizesRounded); nil means unconstrained.
-//   - maxRounds bounds the iteration (0 = 10_000); exhausting it returns
-//     ErrSolverBudget.
+//     granularity[s]; entries < 1 mean 1.
+//   - maxRounds bounds the iteration (0 = DefaultRounds); exhausting it
+//     returns ErrSolverBudget.
 //
-// Unlike ComputeBlockSizes*, the result is NOT stored into the streams —
-// the caller decides whether (and when) to apply the new configuration.
-func (s *System) ComputeBlockSizesWarm(start, granularity []int64, maxRounds int) (*BlockSizeResult, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
+// The result is NOT stored into the streams — the caller decides whether
+// (and when) to apply the new configuration.
+func (s *System) LeastFixedPoint(start, granularity []int64, maxRounds int) (*BlockSizeResult, error) {
 	n := len(s.Streams)
 	if start != nil && len(start) != n {
 		return nil, fmt.Errorf("core: %d warm-start entries for %d streams", len(start), n)
 	}
-	if granularity != nil && len(granularity) != n {
-		return nil, fmt.Errorf("core: %d granularities for %d streams", len(granularity), n)
+	op, eta, err := s.seed(granularity)
+	if err != nil {
+		return nil, err
 	}
-	if s.Utilization().Cmp(big.NewRat(1, 1)) >= 0 {
-		return nil, ErrInfeasible
+	for i := range start {
+		if start[i] > eta[i] {
+			if eta[i], err = op.roundUp(i, start[i]); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if maxRounds <= 0 {
-		maxRounds = 10_000
+		maxRounds = DefaultRounds
 	}
-	roundUp := func(v int64, i int) int64 {
-		if granularity == nil || granularity[i] <= 1 {
-			return v
-		}
-		if rem := v % granularity[i]; rem != 0 {
-			v += granularity[i] - rem
-		}
-		return v
-	}
-	c0 := new(big.Rat).SetInt64(int64(s.Chain.C0()))
-	c1 := new(big.Rat).SetInt64(int64(s.C1()))
-	eta := make([]int64, n)
-	for i := range eta {
-		v := int64(1)
-		if start != nil && start[i] > v {
-			v = start[i]
-		}
-		eta[i] = roundUp(v, i)
-	}
+	next := make([]int64, n)
 	for round := 1; round <= maxRounds; round++ {
-		sum := new(big.Rat)
-		for _, b := range eta {
-			sum.Add(sum, new(big.Rat).SetInt64(b+2))
+		if err := op.step(eta, next); err != nil {
+			return nil, err
 		}
+		// Jacobi update against the previous vector. A start above F(start)
+		// must not shrink: the iterate stays an upper set of the seed,
+		// keeping convergence monotone.
 		changed := false
-		next := make([]int64, n)
-		for i := range s.Streams {
-			rhs := new(big.Rat).Add(c1, new(big.Rat).Mul(c0, sum))
-			rhs.Mul(rhs, s.RatePerCycle(i))
-			v := ratCeil(rhs)
-			if v < 1 {
-				v = 1
-			}
-			v = roundUp(v, i)
-			// A warm start above F(start) must not shrink: the iterate stays
-			// an upper set of the seed, keeping convergence monotone.
-			if v < eta[i] {
-				v = eta[i]
-			}
-			next[i] = v
-			if v != eta[i] {
+		for i, v := range next {
+			if v > eta[i] {
+				eta[i] = v
 				changed = true
 			}
 		}
-		copy(eta, next)
 		if !changed {
 			res := &BlockSizeResult{Blocks: eta, Rounds: round}
 			for _, b := range eta {
+				if res.Total > math.MaxInt64-b {
+					return nil, fmt.Errorf("core: total block size: %w", ErrOverflow)
+				}
 				res.Total += b
 			}
 			return res, nil
@@ -369,12 +171,141 @@ func (s *System) ComputeBlockSizesWarm(start, granularity []int64, maxRounds int
 	return nil, fmt.Errorf("core: no fixed point within %d rounds: %w", maxRounds, ErrSolverBudget)
 }
 
-// ratCeil returns ⌈r⌉ as int64. big.Int.Div floors (for the always-positive
-// denominator), so non-integral values are bumped by one.
-func ratCeil(r *big.Rat) int64 {
-	q := new(big.Int).Div(r.Num(), r.Denom())
-	if !r.IsInt() {
-		q.Add(q, big.NewInt(1))
+// RelaxationSeed returns LeastFixedPoint's starting point without a warm
+// start: seed_s = roundUp(max(1, ⌈μs·(c1 + 2n·c0)/(1−ρ)⌉), g_s), the
+// closed-form least solution of the rational relaxation lifted to the
+// integer and granularity grid. It is componentwise ≤ the least fixed
+// point. ρ ≥ 1 returns ErrInfeasible.
+func (s *System) RelaxationSeed(granularity []int64) ([]int64, error) {
+	_, seed, err := s.seed(granularity)
+	return seed, err
+}
+
+// seed validates s, applies the utilisation gate and returns the operator
+// together with the relaxation seed (see RelaxationSeed).
+func (s *System) seed(granularity []int64) (*operator, []int64, error) {
+	if err := s.Validate(); err != nil {
+		return nil, nil, err
 	}
-	return q.Int64()
+	n := len(s.Streams)
+	if granularity != nil && len(granularity) != n {
+		return nil, nil, fmt.Errorf("core: %d granularities for %d streams", len(granularity), n)
+	}
+	slack := new(big.Rat).Sub(big.NewRat(1, 1), s.Utilization())
+	if slack.Sign() <= 0 {
+		return nil, nil, ErrInfeasible
+	}
+	op := s.newOperator(granularity)
+	// K = (c1 + 2n·c0)/(1−ρ) is the value of c1 + c0·Σ(ηi+2) at the
+	// relaxation's optimum, so the seed is F evaluated there.
+	k := new(big.Rat).SetInt(new(big.Int).Mul(&op.c0, &op.twoN))
+	k.Quo(k.Add(k, new(big.Rat).SetInt(&op.c1)), slack)
+	eta := make([]int64, n)
+	for i := range eta {
+		v, err := op.at(i, k.Num(), k.Denom())
+		if err != nil {
+			return nil, nil, err
+		}
+		eta[i] = v
+	}
+	return op, eta, nil
+}
+
+// operator evaluates F for one system with exact integer arithmetic:
+// μs = num[s]/den[s] samples per cycle, unreduced. The scratch integers
+// make repeated steps allocation-free once they have grown.
+type operator struct {
+	sys          *System
+	num, den     []big.Int
+	c0, c1, twoN big.Int
+	gran         []int64
+	sum, x, a, b big.Int
+	quo, rem     big.Int
+}
+
+func (s *System) newOperator(granularity []int64) *operator {
+	n := len(s.Streams)
+	op := &operator{sys: s, num: make([]big.Int, n), den: make([]big.Int, n), gran: granularity}
+	clock := big.NewInt(s.ClockHz)
+	for i := range s.Streams {
+		op.num[i].Set(s.Streams[i].Rate.Num())
+		op.den[i].Mul(s.Streams[i].Rate.Denom(), clock)
+	}
+	op.c0.SetUint64(s.Chain.C0())
+	op.c1.SetUint64(s.C1())
+	op.twoN.SetInt64(int64(2 * n))
+	return op
+}
+
+// step sets out = F(eta).
+func (op *operator) step(eta, out []int64) error {
+	op.sum.Set(&op.twoN)
+	for _, b := range eta {
+		op.sum.Add(&op.sum, op.x.SetInt64(b))
+	}
+	op.sum.Mul(&op.sum, &op.c0)
+	op.sum.Add(&op.sum, &op.c1)
+	for i := range eta {
+		v, err := op.at(i, &op.sum, nil)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
+}
+
+// at returns roundUp(max(1, ⌈μi·xn/xd⌉), g_i); xd nil means 1.
+func (op *operator) at(i int, xn, xd *big.Int) (int64, error) {
+	op.a.Mul(&op.num[i], xn)
+	den := &op.den[i]
+	if xd != nil {
+		den = op.b.Mul(den, xd)
+	}
+	v, ok := ceilQuo(&op.a, den, &op.quo, &op.rem)
+	if !ok {
+		return 0, fmt.Errorf("core: block of stream %q: %w", op.sys.Streams[i].Name, ErrOverflow)
+	}
+	if v < 1 {
+		v = 1
+	}
+	return op.roundUp(i, v)
+}
+
+// roundUp rounds v up to the next multiple of stream i's granularity.
+func (op *operator) roundUp(i int, v int64) (int64, error) {
+	if op.gran == nil || op.gran[i] <= 1 {
+		return v, nil
+	}
+	g := op.gran[i]
+	if rem := v % g; rem != 0 {
+		if v > math.MaxInt64-(g-rem) {
+			return 0, fmt.Errorf("core: block of stream %q: %w", op.sys.Streams[i].Name, ErrOverflow)
+		}
+		v += g - rem
+	}
+	return v, nil
+}
+
+var bigOne = big.NewInt(1)
+
+// ceilQuo returns ⌈a/b⌉ for b > 0, and false when it does not fit in an
+// int64 (big.Int.Int64 is undefined there). quo and rem are scratch.
+func ceilQuo(a, b, quo, rem *big.Int) (int64, bool) {
+	// QuoRem truncates toward zero, which already rounds negative
+	// quotients up; a positive remainder needs the +1.
+	quo.QuoRem(a, b, rem)
+	if rem.Sign() > 0 {
+		quo.Add(quo, bigOne)
+	}
+	if !quo.IsInt64() {
+		return 0, false
+	}
+	return quo.Int64(), true
+}
+
+// ratCeil returns ⌈r⌉, and false when it does not fit in an int64.
+func ratCeil(r *big.Rat) (int64, bool) {
+	var quo, rem big.Int
+	return ceilQuo(r.Num(), r.Denom(), &quo, &rem)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/big"
 	"testing"
 
@@ -29,11 +30,18 @@ func TestRatCeil(t *testing.T) {
 		{7, -2, -3}, // big.Rat normalises the sign into the numerator
 		{1_000_001, 1000, 1001},
 		{-1_000_001, 1000, -1000},
+		{math.MaxInt64, 1, math.MaxInt64},
+		{math.MinInt64, 1, math.MinInt64},
+		{math.MinInt64 + 1, -2, 1 << 62}, // ⌈(2⁶³−1)/2⌉
 	}
 	for _, c := range cases {
-		if got := ratCeil(big.NewRat(c.num, c.den)); got != c.want {
-			t.Errorf("ratCeil(%d/%d) = %d, want %d", c.num, c.den, got, c.want)
+		if got, ok := ratCeil(big.NewRat(c.num, c.den)); !ok || got != c.want {
+			t.Errorf("ratCeil(%d/%d) = %d, %v; want %d, true", c.num, c.den, got, ok, c.want)
 		}
+	}
+	// 2⁶³ does not fit: the helper reports it instead of wrapping.
+	if got, ok := ratCeil(big.NewRat(math.MinInt64, -1)); ok {
+		t.Errorf("ratCeil(2⁶³) = %d, true; want overflow", got)
 	}
 }
 

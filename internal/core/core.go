@@ -12,8 +12,8 @@
 //   - the single-actor SDF abstraction (Fig. 7) with the-earlier-the-better
 //     refinement checking,
 //   - throughput verification (Eq. 5) and minimum block-size computation
-//     (Algorithm 1) by exact ILP and by a cross-checked fixed-point
-//     iteration.
+//     (Algorithm 1) as the least fixed point of its monotone operator,
+//     iterated exactly from the closed-form relaxation optimum.
 //
 // Time is measured in clock cycles; stream rates are given in samples per
 // second and converted through the system clock.
@@ -286,8 +286,11 @@ func (s *System) WorstCaseSampleLatency(i int) (uint64, error) {
 		return 0, err
 	}
 	fill := new(big.Rat).SetInt64(s.Streams[i].Block - 1)
-	fill.Quo(fill, s.RatePerCycle(i))
-	return uint64(ratCeil(fill)) + gamma, nil
+	wait, ok := ratCeil(fill.Quo(fill, s.RatePerCycle(i)))
+	if !ok {
+		return 0, fmt.Errorf("core: stream %q block fill time: %w", s.Streams[i].Name, ErrOverflow)
+	}
+	return uint64(wait) + gamma, nil
 }
 
 // InputBufferBound returns a sufficient capacity for stream i's input
@@ -300,8 +303,11 @@ func (s *System) InputBufferBound(i int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	arrivals := new(big.Rat).Mul(s.RatePerCycle(i), new(big.Rat).SetInt64(int64(gamma)))
-	return s.Streams[i].Block + ratCeil(arrivals), nil
+	arrivals, ok := ratCeil(new(big.Rat).Mul(s.RatePerCycle(i), new(big.Rat).SetInt64(int64(gamma))))
+	if !ok {
+		return 0, fmt.Errorf("core: stream %q arrivals per service interval: %w", s.Streams[i].Name, ErrOverflow)
+	}
+	return s.Streams[i].Block + arrivals, nil
 }
 
 // OutputBufferBound returns a sufficient capacity for stream i's output

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"accelshare/internal/ilp"
 )
 
 // palSystem reproduces the paper's §VI-A configuration: four streams (two
@@ -282,7 +285,7 @@ func TestComputeBlockSizesRoundedPAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := s.ComputeBlockSizesFixedPoint()
+	fp, err := s.LeastFixedPoint(nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,8 +341,8 @@ func TestBlockSizeILPMatchesFixedPoint(t *testing.T) {
 		if s.Utilization().Cmp(big.NewRat(9, 10)) > 0 {
 			continue // too close to saturation; both solvers blow up sizes
 		}
-		fp, errFP := s.ComputeBlockSizesFixedPoint()
-		il, errIL := s.ComputeBlockSizesILP()
+		fp, errFP := s.LeastFixedPoint(nil, nil, 0)
+		il, errIL := ilpOracle(s, nil, 0)
 		if (errFP == nil) != (errIL == nil) {
 			t.Fatalf("trial %d: fixed point err=%v, ILP err=%v", trial, errFP, errIL)
 		}
@@ -347,8 +350,8 @@ func TestBlockSizeILPMatchesFixedPoint(t *testing.T) {
 			continue
 		}
 		for i := range fp.Blocks {
-			if fp.Blocks[i] != il.Blocks[i] {
-				t.Fatalf("trial %d stream %d: fixed point %v vs ILP %v", trial, i, fp.Blocks, il.Blocks)
+			if fp.Blocks[i] != il[i] {
+				t.Fatalf("trial %d stream %d: fixed point %v vs ILP %v", trial, i, fp.Blocks, il)
 			}
 		}
 	}
@@ -364,11 +367,11 @@ func TestComputeBlockSizesInfeasible(t *testing.T) {
 			{Name: "b", Rate: big.NewRat(4_000_000, 1), Reconfig: 100},
 		},
 	}
-	if _, err := s.ComputeBlockSizesFixedPoint(); err == nil {
-		t.Error("fixed point accepted infeasible system")
+	if _, err := s.LeastFixedPoint(nil, nil, 0); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("fixed point err = %v, want ErrInfeasible", err)
 	}
-	if _, err := s.ComputeBlockSizesILP(); err == nil {
-		t.Error("ILP accepted infeasible system")
+	if _, err := ilpOracle(s, nil, 0); !errors.Is(err, ilp.ErrInfeasible) {
+		t.Errorf("ILP oracle err = %v, want ilp.ErrInfeasible", err)
 	}
 }
 

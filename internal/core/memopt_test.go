@@ -25,7 +25,7 @@ func TestTotalMemoryAtRejectsInfeasible(t *testing.T) {
 
 func TestTotalMemoryAtMinimumBlocks(t *testing.T) {
 	s := memSystem()
-	min, err := s.Clone().ComputeBlockSizesFixedPoint()
+	min, err := s.LeastFixedPoint(nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

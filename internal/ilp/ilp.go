@@ -1,9 +1,13 @@
 // Package ilp is an exact integer linear program solver over rational
 // arithmetic: a two-phase tableau simplex with Bland's rule for the LP
-// relaxation and best-first branch and bound for integrality. It exists to
-// solve the paper's Algorithm 1 (minimum block sizes under throughput
-// constraints) without tolerance artifacts; all coefficients, bounds and
-// solutions are big.Rat values.
+// relaxation and best-first branch and bound for integrality. All
+// coefficients, bounds and solutions are big.Rat values.
+//
+// It is a test oracle. BlockSizes states the paper's Algorithm 1 (minimum
+// block sizes under throughput constraints) literally as an ILP, and the
+// production solver — the least fixed point in internal/core — is held to
+// its answers by tests. Only _test.go files import this package; a test in
+// this package enforces that.
 //
 // Problems are tiny (one variable per multiplexed stream), so the solver
 // optimises for exactness and clarity, not scale.
@@ -53,8 +57,7 @@ type Problem struct {
 	Minimize bool
 	// MaxNodes bounds the branch-and-bound tree explored by SolveILP
 	// (0 = the default of 200k nodes). When the budget runs out the solve
-	// returns ErrBranchBudget — callers with a time budget (online admission
-	// control) catch it and fall back to an iterative solver.
+	// returns ErrBranchBudget.
 	MaxNodes int
 	names    []string
 	obj      []*big.Rat

@@ -371,7 +371,7 @@ func (fc *FailoverController) resolve(exports []gateway.StreamExport, decims []i
 	if rounds <= 0 {
 		rounds = 64
 	}
-	res, err := model.ComputeBlockSizesWarm(start, decims, rounds)
+	res, err := model.LeastFixedPoint(start, decims, rounds)
 	if err != nil {
 		return nil, err
 	}

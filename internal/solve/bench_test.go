@@ -3,14 +3,11 @@ package solve
 // Solve-latency benchmarks for the BENCH_*.json trajectory (ROADMAP "solver
 // scale-out"). Each size is measured twice: the float fast path (simplex
 // seed + float Kleene + exact verification — the production default above
-// the tiering threshold) and the exact big.Rat fixed point (the reference
-// the fast path's speedup is quoted against; at these sizes the legacy ILP
-// is not in the running, so Exact routes to the warm fixed point). The fast
-// path's ns/op INCLUDES the exact verification pass — verify-don't-trust is
-// part of the cost being measured, not an overhead excluded from it.
-//
-// The acceptance floor (fast ≥ 5× exact at 1000 streams) is recorded by
-// cmd/benchrecord and compared across PRs with benchrecord -diff.
+// the tiering threshold) and the exact relaxation-seeded fixed point. The
+// fast path's ns/op INCLUDES the exact verification pass —
+// verify-don't-trust is part of the cost being measured, not an overhead
+// excluded from it. cmd/benchrecord records both and benchrecord -diff
+// compares them across changes.
 
 import (
 	"testing"
@@ -45,12 +42,7 @@ func fastBench() Solver {
 	return &Fast{}
 }
 
-func exactBench() Solver {
-	// ILPStreamCap 0 with granularity-free problems would try the ILP; cap
-	// at 1 so the reference is the exact warm fixed point, which is the
-	// production exact path at these sizes.
-	return &Exact{ILPStreamCap: 1}
-}
+func exactBench() Solver { return &Exact{} }
 
 func BenchmarkSolve100Streams(b *testing.B)  { benchSolver(b, fastBench(), 100) }
 func BenchmarkSolve1000Streams(b *testing.B) { benchSolver(b, fastBench(), 1000) }

@@ -1,52 +1,30 @@
 package solve
 
-import (
-	"errors"
-
-	"accelshare/internal/ilp"
-)
-
-// Exact is the existing big.Rat decision procedure moved behind the Solver
-// interface, semantics unchanged: the budgeted exact ILP
-// (core.ComputeBlockSizesILPBudget) first when every granularity is 1, the
-// warm-started exact Kleene fixed point (core.ComputeBlockSizesWarm) when
-// the branch budget runs out or granularity constraints rule the ILP out.
-// Every intermediate value is an exact rational, so its results are
-// verified by construction.
+// Exact is the exact decision procedure: core.System.LeastFixedPoint, the
+// Kleene iteration of the granularity-rounded Algorithm 1 operator seeded
+// from the closed-form least solution of its rational relaxation (raised
+// componentwise by Problem.Start). Its fixed point is the componentwise-
+// minimal feasible assignment, which is also the optimum of the paper's
+// ILP; every intermediate value is an exact integer or rational, so its
+// results are verified by construction.
 type Exact struct {
-	// ILPNodes bounds the branch-and-bound tree (0 = the ilp default).
-	ILPNodes int
-	// WarmRounds bounds the fixed-point iteration (0 = the core default).
+	// WarmRounds bounds the fixed-point iteration (0 = core.DefaultRounds).
 	WarmRounds int
-	// ILPStreamCap, when > 0, skips the ILP entirely above that many
-	// streams and goes straight to the fixed point: the dense rational
-	// tableau is Θ(n³) big.Rat pivots per LP solve, which stops being a
-	// sensible first attempt long before the branch budget would notice.
-	// 0 preserves the legacy always-try-ILP behavior.
+	// ILPStreamCap is ignored. It capped the stream count of a branch-and-
+	// bound first attempt that no longer exists; the field stays only so
+	// existing configurations compile.
 	ILPStreamCap int
 }
 
 // Name identifies the exact solver.
 func (e *Exact) Name() string { return "exact" }
 
-// Solve runs the exact decision procedure. The returned Path records which
-// exact sub-procedure decided the instance (PathILP or PathWarm) so the
-// admission verdict renders identically to the pre-interface code.
+// Solve runs the exact decision procedure; the Result's Path is PathWarm.
 func (e *Exact) Solve(p *Problem) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	if p.plain() && (e.ILPStreamCap <= 0 || len(p.Model.Streams) <= e.ILPStreamCap) {
-		res, err := p.Model.ComputeBlockSizesILPBudget(e.ILPNodes)
-		if err == nil {
-			return &Result{Blocks: res.Blocks, Total: res.Total, Rounds: res.Rounds,
-				Path: PathILP, Verified: true}, nil
-		}
-		if !errors.Is(err, ilp.ErrBranchBudget) {
-			return nil, err
-		}
-	}
-	res, err := p.Model.ComputeBlockSizesWarm(p.Start, p.Granularity, e.WarmRounds)
+	res, err := p.Model.LeastFixedPoint(p.Start, p.Granularity, e.WarmRounds)
 	if err != nil {
 		return nil, err
 	}

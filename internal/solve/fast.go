@@ -5,7 +5,6 @@ import (
 	"math/big"
 
 	"accelshare/internal/core"
-	"accelshare/internal/ilp"
 )
 
 // Fast is the float64 fast path. It decides feasibility with the same
@@ -161,7 +160,7 @@ func (f *Fast) seed(p *Problem, mu []float64, c0, c1 float64) []int64 {
 }
 
 // relaxationLP builds the float LP relaxation of Algorithm 1, mirroring
-// core.ComputeBlockSizesILPBudget's constraint construction:
+// the ILP statement of the test oracle (ilp.BlockSizes):
 //
 //	min Σ ηs  s.t.  ∀s: (1−μs·c0)·ηs − μs·c0·Σ_{i≠s} ηi ≥ μs·c1 + 2n·μs·c0,  ηs ≥ 1
 func relaxationLP(p *Problem, mu []float64, c0, c1 float64) *FloatLP {
@@ -179,12 +178,12 @@ func relaxationLP(p *Problem, mu []float64, c0, c1 float64) *FloatLP {
 			coef[j] = -mu[i] * c0
 		}
 		coef[i] = 1 - mu[i]*c0
-		lp.Cons = append(lp.Cons, FloatCon{Coef: coef, Rel: ilp.GE, RHS: mu[i]*c1 + 2*float64(n)*mu[i]*c0})
+		lp.Cons = append(lp.Cons, FloatCon{Coef: coef, Rel: FloatGE, RHS: mu[i]*c1 + 2*float64(n)*mu[i]*c0})
 	}
 	for i := 0; i < n; i++ {
 		coef := make([]float64, n)
 		coef[i] = 1
-		lp.Cons = append(lp.Cons, FloatCon{Coef: coef, Rel: ilp.GE, RHS: 1})
+		lp.Cons = append(lp.Cons, FloatCon{Coef: coef, Rel: FloatGE, RHS: 1})
 	}
 	return lp
 }
@@ -204,7 +203,11 @@ func (f *Fast) verifyAndTighten(p *Problem, eta []int64, floatRounds, budget int
 		if rounds-floatRounds >= budget {
 			return nil, false
 		}
-		eta = applyOperator(p.Model, p.Granularity, eta)
+		next, err := p.Model.ApplyOperator(p.Granularity, eta)
+		if err != nil {
+			return nil, false
+		}
+		eta = next
 		rounds++
 		v = Verify(p.Model, p.Granularity, eta)
 		if !v.Feasible {

@@ -81,7 +81,7 @@ func AddedUtilization(m *core.System, rate *big.Rat) *big.Rat {
 // Fits reports whether adding one stream of the given rate keeps the
 // chain's exact utilisation strictly below 1 — the necessary and
 // sufficient condition for SOME feasible block assignment to exist, per
-// the divergence argument behind core.ComputeBlockSizesFixedPoint. It is
+// the utilisation gate of core.System.LeastFixedPoint. It is
 // a pure big.Rat computation, O(streams), with no solver involved: the
 // cheap pre-filter for cluster-wide placement.
 func Fits(m *core.System, rate *big.Rat) bool {

@@ -3,8 +3,6 @@ package solve
 import (
 	"fmt"
 	"math"
-
-	"accelshare/internal/ilp"
 )
 
 // This file is the float64 counterpart of internal/ilp's rational tableau:
@@ -15,10 +13,20 @@ import (
 
 const floatEps = 1e-9
 
+// FloatRel is a float constraint relation.
+type FloatRel int
+
+// Float constraint relations.
+const (
+	FloatLE FloatRel = iota // Σ coef·x ≤ rhs
+	FloatGE                 // Σ coef·x ≥ rhs
+	FloatEQ                 // Σ coef·x = rhs
+)
+
 // FloatCon is one float linear constraint Σ coef·x (Rel) rhs.
 type FloatCon struct {
 	Coef []float64
-	Rel  ilp.Rel
+	Rel  FloatRel
 	RHS  float64
 }
 
@@ -72,11 +80,11 @@ func SolveFloatLP(p *FloatLP) (*FloatSolution, error) {
 		copy(r.coef, c.Coef)
 		slackCol[i] = -1
 		switch c.Rel {
-		case ilp.LE:
+		case FloatLE:
 			slackCol[i] = n + nSlack
 			slackSign[i] = 1
 			nSlack++
-		case ilp.GE:
+		case FloatGE:
 			slackCol[i] = n + nSlack
 			slackSign[i] = -1
 			nSlack++

@@ -3,23 +3,25 @@
 // (internal/admission per chain, internal/cluster fleet-wide) can pick a
 // decision procedure by scale without changing their guarantees:
 //
-//   - Exact is the existing big.Rat path (budgeted ILP branch-and-bound with
-//     the warm-started Kleene fixed point as fallback), moved behind the
-//     interface with unchanged semantics. Every number it touches is an
-//     exact rational; it is the reference all other solvers answer to.
+//   - Exact is the exact path: core.System.LeastFixedPoint, the Kleene
+//     iteration of the Algorithm 1 operator seeded from the closed-form
+//     optimum of its rational relaxation. Every number it touches is an
+//     exact integer or rational; it is the reference all other solvers
+//     answer to. (The paper's ILP statement survives only as a test oracle
+//     in internal/ilp.)
 //   - Fast is the float64 path: a revised simplex over the LP relaxation
 //     seeds a rounding heuristic for the integer block-size variables, and a
 //     float Kleene iteration polishes the rounded point to a fixed point.
-//     Its candidate plan is ALWAYS re-verified exactly with big.Rat
+//     Its candidate plan is ALWAYS re-verified with exact integer
 //     arithmetic (Verify) before acceptance — verify-don't-trust: the
 //     real-time guarantee never rests on floating point. On verification
 //     failure it falls back to the exact path.
 //   - Incremental is the warm-start layer promoted out of admission: it
 //     derives a sound warm start from the previously committed assignment
 //     (reuse after additions, cold restart after removals) and delegates.
-//   - Tiered routes small instances to Exact (true ILP optimality, byte-
-//     stable campaign verdicts) and large ones to Fast — the shape that
-//     survives thousands of streams.
+//   - Tiered routes small instances to Exact (byte-stable campaign
+//     verdicts) and large ones to Fast — the shape that survives thousands
+//     of streams.
 //
 // SolveShards solves independent per-chain problems concurrently with a
 // deterministic merge, and Fits/PlanPlacement are the cheap feasibility
@@ -33,7 +35,6 @@ package solve
 import (
 	"errors"
 	"fmt"
-	"math/big"
 
 	"accelshare/internal/core"
 )
@@ -60,7 +61,7 @@ type Problem struct {
 	Prev []Assignment
 	// Start, when non-nil, positionally seeds the fixed-point iteration.
 	// It MUST be componentwise ≤ the least fixed point (see
-	// core.ComputeBlockSizesWarm); most callers leave it nil and set Prev.
+	// core.System.LeastFixedPoint); most callers leave it nil and set Prev.
 	Start []int64
 }
 
@@ -69,9 +70,11 @@ type Path string
 
 // Solver paths.
 const (
-	// PathILP: the exact branch-and-bound over the rational LP relaxation.
+	// PathILP is never produced. It named the branch-and-bound path, which
+	// is now only a test oracle; the name stays for callers that still
+	// count paths by it.
 	PathILP Path = "ilp"
-	// PathWarm: the exact warm-started Kleene fixed point.
+	// PathWarm: the exact seeded Kleene fixed point.
 	PathWarm Path = "warm"
 	// PathFloat: the float64 fast path, exactly re-verified.
 	PathFloat Path = "float"
@@ -83,13 +86,13 @@ type Result struct {
 	Blocks []int64
 	// Total is Σ ηs, Algorithm 1's objective.
 	Total int64
-	// Rounds counts fixed-point iterations (0 for the ILP path).
+	// Rounds counts fixed-point iterations.
 	Rounds int
 	// Path names the procedure that produced the assignment.
 	Path Path
-	// Verified is true when the assignment passed exact big.Rat
-	// verification. The exact paths are verified by construction; the fast
-	// path sets it only after Verify accepted the plan.
+	// Verified is true when the assignment passed exact verification. The
+	// exact path is verified by construction; the fast path sets it only
+	// after Verify accepted the plan.
 	Verified bool
 }
 
@@ -127,17 +130,6 @@ func (p *Problem) granAt(i int) int64 {
 	return p.Granularity[i]
 }
 
-// plain reports whether every granularity is 1 (the ILP handles only the
-// unconstrained integer problem).
-func (p *Problem) plain() bool {
-	for i := range p.Model.Streams {
-		if p.granAt(i) > 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // roundUpTo rounds v up to the next multiple of g (g ≤ 1 is identity).
 func roundUpTo(v, g int64) int64 {
 	if g <= 1 {
@@ -149,46 +141,7 @@ func roundUpTo(v, g int64) int64 {
 	return v
 }
 
-// ratCeilInt64 returns ⌈r⌉ for a non-negative rational.
-func ratCeilInt64(r *big.Rat) int64 {
-	q := new(big.Int).Div(r.Num(), r.Denom())
-	if !r.IsInt() {
-		q.Add(q, big.NewInt(1))
-	}
-	return q.Int64()
-}
-
-// applyOperator applies the granularity-rounded Algorithm 1 operator
-//
-//	F(η)_s = roundUp(max(1, ⌈μs·(c1 + c0·Σ_i(ηi+2))⌉), g_s)
-//
-// once, with exact big.Rat arithmetic. An assignment is feasible iff
-// η ≥ F(η) componentwise; the least fixed point is the optimum.
-func applyOperator(m *core.System, granularity, blocks []int64) []int64 {
-	c0 := new(big.Rat).SetInt64(int64(m.Chain.C0()))
-	c1 := new(big.Rat).SetInt64(int64(m.C1()))
-	sum := new(big.Rat)
-	for _, b := range blocks {
-		sum.Add(sum, new(big.Rat).SetInt64(b+2))
-	}
-	base := new(big.Rat).Add(c1, new(big.Rat).Mul(c0, sum))
-	out := make([]int64, len(blocks))
-	for i := range m.Streams {
-		rhs := new(big.Rat).Mul(base, m.RatePerCycle(i))
-		v := ratCeilInt64(rhs)
-		if v < 1 {
-			v = 1
-		}
-		g := int64(1)
-		if granularity != nil && i < len(granularity) {
-			g = granularity[i]
-		}
-		out[i] = roundUpTo(v, g)
-	}
-	return out
-}
-
-// Verification is the outcome of one exact big.Rat check of a candidate
+// Verification is the outcome of one exact check of a candidate
 // assignment against the Algorithm 1 operator.
 type Verification struct {
 	// Feasible: every stream satisfies Eq. 6 (η ≥ F(η) componentwise) and
@@ -202,7 +155,7 @@ type Verification struct {
 	Detail string
 }
 
-// Verify checks a candidate assignment with exact big.Rat arithmetic. This
+// Verify checks a candidate assignment with exact integer arithmetic. This
 // is the verify-don't-trust step: no float value from the fast path reaches
 // a guarantee without passing through it.
 func Verify(m *core.System, granularity, blocks []int64) Verification {
@@ -219,7 +172,10 @@ func Verify(m *core.System, granularity, blocks []int64) Verification {
 				m.Streams[i].Name, b, g)}
 		}
 	}
-	f := applyOperator(m, granularity, blocks)
+	f, err := m.ApplyOperator(granularity, blocks)
+	if err != nil {
+		return Verification{Detail: err.Error()}
+	}
 	tight := true
 	for i := range blocks {
 		if blocks[i] < f[i] {
@@ -235,20 +191,22 @@ func Verify(m *core.System, granularity, blocks []int64) Verification {
 
 // Default is the production solver stack: the Incremental warm-start layer
 // over a Tiered router — Exact for instances up to DefaultExactMax streams
-// (true ILP optimality, byte-stable campaign verdicts), Fast with an Exact
-// fallback beyond. ilpNodes and warmRounds carry the caller's budgets
-// (0 = the respective defaults).
+// (byte-stable campaign verdicts), Fast with an Exact fallback beyond.
+// warmRounds bounds the fixed-point iterations (0 = the core default).
+// ilpNodes is ignored: no production path runs branch and bound any more,
+// and the parameter stays only so existing callers compile.
 func Default(ilpNodes, warmRounds int) Solver {
-	exact := &Exact{ILPNodes: ilpNodes, WarmRounds: warmRounds, ILPStreamCap: DefaultExactMax}
+	exact := &Exact{WarmRounds: warmRounds}
 	fast := &Fast{Rounds: warmRounds, Fallback: exact}
 	return &Incremental{Inner: &Tiered{ExactMax: DefaultExactMax, Exact: exact, Fast: fast}}
 }
 
 // DefaultExactMax is the stream count up to which the Default stack stays
-// on the exact path. Beyond it the dense rational tableau is the wrong
-// tool: one LP relaxation solve is Θ(n³) big.Rat pivots, while the float
-// fast path plus one O(n) exact verification pass keeps the guarantee at a
-// fraction of the cost.
+// on the exact path; larger instances take the float fast path. The split
+// dates from when the exact path ran a dense rational tableau. Seeded from
+// the relaxation, the exact path matches or beats the fast path at every
+// benchmarked size (EXPERIMENTS E16); whether to keep the split is an open
+// ROADMAP item.
 const DefaultExactMax = 24
 
 // Tiered routes a problem by instance size: Exact below or at ExactMax

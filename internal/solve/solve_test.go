@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"accelshare/internal/core"
+	"accelshare/internal/ilp"
 )
 
 // testSystem builds an n-stream chain whose exact utilisation stays below
@@ -47,20 +48,40 @@ func mustSolve(t *testing.T, s Solver, p *Problem) *Result {
 	return res
 }
 
+// ilpOracle solves sys with the paper's literal ILP statement of
+// Algorithm 1 (internal/ilp), the reference the exact path is held to.
+func ilpOracle(sys *core.System, gran []int64, maxNodes int) ([]int64, error) {
+	mu := make([]*big.Rat, len(sys.Streams))
+	for i := range mu {
+		mu[i] = sys.RatePerCycle(i)
+	}
+	return ilp.BlockSizes(mu, sys.Chain.C0(), sys.C1(), gran, maxNodes)
+}
+
+func mustOracle(t *testing.T, sys *core.System, gran []int64) []int64 {
+	t.Helper()
+	blocks, err := ilpOracle(sys, gran, 0)
+	if err != nil {
+		t.Fatalf("ILP oracle: %v", err)
+	}
+	return blocks
+}
+
 func TestExactMatchesLegacyILP(t *testing.T) {
 	for _, n := range []int{1, 3, 8} {
 		sys := testSystem(n, 1, 8)
-		legacy, err := sys.ComputeBlockSizesILPBudget(0)
-		if err != nil {
-			t.Fatalf("legacy ILP n=%d: %v", n, err)
+		legacy := mustOracle(t, sys, nil)
+		var total int64
+		for _, b := range legacy {
+			total += b
 		}
 		res := mustSolve(t, &Exact{}, &Problem{Model: sys})
-		if res.Path != PathILP {
-			t.Fatalf("n=%d: path %q, want ilp", n, res.Path)
+		if res.Path != PathWarm {
+			t.Fatalf("n=%d: path %q, want warm", n, res.Path)
 		}
-		if !reflect.DeepEqual(res.Blocks, legacy.Blocks) || res.Total != legacy.Total {
-			t.Fatalf("n=%d: exact %v (Σ=%d) != legacy %v (Σ=%d)",
-				n, res.Blocks, res.Total, legacy.Blocks, legacy.Total)
+		if !reflect.DeepEqual(res.Blocks, legacy) || res.Total != total {
+			t.Fatalf("n=%d: exact %v (Σ=%d) != ILP oracle %v (Σ=%d)",
+				n, res.Blocks, res.Total, legacy, total)
 		}
 		if !res.Verified {
 			t.Fatalf("n=%d: exact result not marked verified", n)
@@ -74,12 +95,8 @@ func TestExactStreamCapRoutesToFixedPoint(t *testing.T) {
 	if res.Path != PathWarm {
 		t.Fatalf("path %q, want warm above the ILP stream cap", res.Path)
 	}
-	want, err := sys.ComputeBlockSizesFixedPoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Blocks, want.Blocks) {
-		t.Fatalf("capped exact %v != fixed point %v", res.Blocks, want.Blocks)
+	if want := mustOracle(t, sys, nil); !reflect.DeepEqual(res.Blocks, want) {
+		t.Fatalf("capped exact %v != ILP oracle %v", res.Blocks, want)
 	}
 }
 
@@ -124,7 +141,7 @@ func TestFastGranularity(t *testing.T) {
 	sys := testSystem(9, 1, 6)
 	gran := []int64{1, 2, 4, 8, 1, 3, 5, 1, 2}
 	fast := mustSolve(t, &Fast{}, &Problem{Model: sys, Granularity: gran})
-	want, err := sys.ComputeBlockSizesWarm(nil, gran, 0)
+	want, err := sys.LeastFixedPoint(nil, gran, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,15 +171,14 @@ func TestFastBudgetExhaustionFallsBack(t *testing.T) {
 		t.Fatalf("err = %v, want ErrUnverified with no fallback", err)
 	}
 	res := mustSolve(t, &Fast{Rounds: 1, Fallback: &Exact{}}, &Problem{Model: sys})
-	if res.Path != PathILP && res.Path != PathWarm {
-		t.Fatalf("fallback path %q, want an exact path", res.Path)
+	if res.Path != PathWarm {
+		t.Fatalf("fallback path %q, want the exact path", res.Path)
 	}
 }
 
 func TestIncrementalWarmStart(t *testing.T) {
 	sys := testSystem(8, 1, 6)
-	inner := &Exact{ILPStreamCap: 1} // force the warm fixed-point path
-	w := &Incremental{Inner: inner}
+	w := &Incremental{Inner: &Exact{}}
 
 	cold := mustSolve(t, w, &Problem{Model: sys})
 	prev := make([]Assignment, len(sys.Streams))
@@ -201,8 +217,11 @@ func TestTieredRouting(t *testing.T) {
 	s := Default(0, 0)
 	small := testSystem(4, 1, 8)
 	res := mustSolve(t, s, &Problem{Model: small})
-	if res.Path != PathILP {
-		t.Fatalf("small instance path %q, want ilp", res.Path)
+	if res.Path != PathWarm {
+		t.Fatalf("small instance path %q, want warm", res.Path)
+	}
+	if want := mustOracle(t, small, nil); !reflect.DeepEqual(res.Blocks, want) {
+		t.Fatalf("small instance %v != ILP oracle %v", res.Blocks, want)
 	}
 	large := testSystem(DefaultExactMax+8, 1, 6)
 	res = mustSolve(t, s, &Problem{Model: large})
