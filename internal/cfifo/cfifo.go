@@ -16,6 +16,7 @@ package cfifo
 
 import (
 	"fmt"
+	"slices"
 
 	"accelshare/internal/ring"
 	"accelshare/internal/sim"
@@ -256,6 +257,21 @@ func (f *FIFO) SubscribeSpace(w *sim.Waker) { f.spaceSubs = append(f.spaceSubs, 
 
 // SubscribeData wakes w when a word arrives at the consumer.
 func (f *FIFO) SubscribeData(w *sim.Waker) { f.dataSubs = append(f.dataSubs, w) }
+
+// UnsubscribeSpace undoes one SubscribeSpace(w): a consumer that gives the
+// stream up (a gateway releasing or exporting its slot) stops being woken by
+// its space updates. The other subscribers keep their wake order.
+func (f *FIFO) UnsubscribeSpace(w *sim.Waker) { f.spaceSubs = unsubscribe(f.spaceSubs, w) }
+
+// UnsubscribeData undoes one SubscribeData(w).
+func (f *FIFO) UnsubscribeData(w *sim.Waker) { f.dataSubs = unsubscribe(f.dataSubs, w) }
+
+func unsubscribe(subs []*sim.Waker, w *sim.Waker) []*sim.Waker {
+	if i := slices.Index(subs, w); i >= 0 {
+		return slices.Delete(subs, i, i+1)
+	}
+	return subs
+}
 
 // ---------------------------------------------------------------------------
 // Endpoint re-pointing (chain failover).

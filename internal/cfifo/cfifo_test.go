@@ -167,6 +167,49 @@ func TestSubscriptions(t *testing.T) {
 	}
 }
 
+// TestUnsubscribe: each Unsubscribe removes one earlier subscription of the
+// waker, the remaining subscribers keep their wake order, and removing a
+// waker that is not subscribed is a no-op.
+func TestUnsubscribe(t *testing.T) {
+	k, f := setup(t, 4, 1)
+	var log string
+	wa := sim.NewWaker(k, func() { log += "a" })
+	wb := sim.NewWaker(k, func() { log += "b" })
+	for _, w := range []*sim.Waker{wa, wb, wa} {
+		f.SubscribeData(w)
+		f.SubscribeSpace(w)
+	}
+	steps := []struct {
+		drop *sim.Waker
+		want string
+	}{
+		{nil, "ab"},
+		{wa, "ba"}, // the first wa goes, the second stays after wb
+		{wa, "b"},
+		{wa, "b"}, // no longer subscribed: no-op
+	}
+	for i, st := range steps {
+		if st.drop != nil {
+			f.UnsubscribeData(st.drop)
+			f.UnsubscribeSpace(st.drop)
+		}
+		log = ""
+		mustWrite(t, k, f, sim.Word(i))
+		k.RunAll()
+		if log != st.want {
+			t.Errorf("step %d: data wakes %q, want %q", i, log, st.want)
+		}
+		log = ""
+		if _, ok := f.TryRead(); !ok {
+			t.Fatalf("step %d: nothing to read", i)
+		}
+		k.RunAll()
+		if log != st.want {
+			t.Errorf("step %d: space wakes %q, want %q", i, log, st.want)
+		}
+	}
+}
+
 func TestManySimultaneousFIFOs(t *testing.T) {
 	// The C-FIFO selling point: arbitrary numbers of software FIFOs between
 	// the same pair of tiles, no hardware flow control.

@@ -449,20 +449,28 @@ func (c *Controller) armDoctor(ci *chainInfo) error {
 // rankServing orders the live chains by utilisation (ascending, exact
 // big.Rat compare), name as the tie-break: the placement policy and the
 // shed policy's "least-loaded first" are the same deterministic ranking.
+// Each chain's utilisation is computed once, before the sort.
 func (c *Controller) rankServing() []*chainInfo {
-	var out []*chainInfo
+	type ranked struct {
+		ci   *chainInfo
+		util *big.Rat
+	}
+	var rs []ranked
 	for _, ci := range c.chains {
 		if ci.state == chainServing && ci.ctrl != nil {
-			out = append(out, ci)
+			rs = append(rs, ranked{ci, ci.ctrl.Model().Utilization()})
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		ua, ub := out[a].ctrl.Model().Utilization(), out[b].ctrl.Model().Utilization()
-		if cmp := ua.Cmp(ub); cmp != 0 {
+	sort.SliceStable(rs, func(a, b int) bool {
+		if cmp := rs[a].util.Cmp(rs[b].util); cmp != 0 {
 			return cmp < 0
 		}
-		return out[a].name < out[b].name
+		return rs[a].ci.name < rs[b].ci.name
 	})
+	out := make([]*chainInfo, len(rs))
+	for i, r := range rs {
+		out[i] = r.ci
+	}
 	return out
 }
 

@@ -148,10 +148,11 @@ type FleetStats struct {
 // Stats snapshots the fleet telemetry now (the rebalancer records one per
 // tick; campaigns may sample it on their own schedule too).
 func (c *Controller) Stats() FleetStats {
-	fs := FleetStats{At: c.k.Now(), Spread: new(big.Rat)}
+	fs := FleetStats{At: c.k.Now(), Spread: new(big.Rat), Chains: make([]ChainTelemetry, len(c.chains))}
 	var lo, hi *big.Rat
-	for _, ci := range c.chains {
-		ct := ChainTelemetry{Name: ci.name, State: ci.state.String()}
+	for pos, ci := range c.chains {
+		ct := &fs.Chains[pos]
+		ct.Name, ct.State = ci.name, ci.state.String()
 		if ci.state == chainServing && ci.ctrl != nil {
 			ct.Util = ci.ctrl.Utilization()
 			if lo == nil || ct.Util.Cmp(lo) < 0 {
@@ -161,34 +162,34 @@ func (c *Controller) Stats() FleetStats {
 				hi = ct.Util
 			}
 		}
-		for _, name := range c.order {
-			si := c.streams[name]
-			if si.inflight && si.pendingOn == ci.pos {
-				ct.Pending++
-			}
-			if si.departed || si.shed || si.chain != ci.pos {
-				continue
-			}
-			ct.Streams++
-			if si.st == nil || si.st.In == nil {
-				continue
-			}
-			for _, f := range []*cfifo.FIFO{si.st.In, si.st.Out} {
-				pushed, popped, peak := f.BufferStats()
-				ct.BufferWords += pushed - popped
-				ct.BufferPeak += peak
-			}
-		}
-		fs.Chains = append(fs.Chains, ct)
 	}
+	// One registry pass buckets every stream by the chain its pending
+	// transition targets and by the chain that owns it (chain and pendingOn
+	// are positions in c.chains; -1 is no chain).
 	for _, name := range c.order {
 		si := c.streams[name]
+		if si.inflight && si.pendingOn >= 0 {
+			fs.Chains[si.pendingOn].Pending++
+		}
 		switch {
 		case si.departed || si.rejected:
 		case si.shed:
 			fs.Parked++
 		case si.chain < 0:
 			fs.Placing++
+		}
+		if si.departed || si.shed || si.chain < 0 {
+			continue
+		}
+		ct := &fs.Chains[si.chain]
+		ct.Streams++
+		if si.st == nil || si.st.In == nil {
+			continue
+		}
+		for _, f := range []*cfifo.FIFO{si.st.In, si.st.Out} {
+			pushed, popped, peak := f.BufferStats()
+			ct.BufferWords += pushed - popped
+			ct.BufferPeak += peak
 		}
 	}
 	if lo != nil && hi != nil {

@@ -177,29 +177,85 @@ func TestRebalanceMoveBudget(t *testing.T) {
 	checkConformance(t, c, 140_000)
 }
 
-// TestRankServingNameTieBreak: regression for the serving-chain ranking —
-// equal-utilisation chains must rank by name, independent of configuration
-// order, so placement (and the rebalancer's fallback ladder) stays
-// deterministic across config reorderings.
+// TestRankServingNameTieBreak: the serving-chain ranking orders chains by
+// exact utilisation with the name as the tie-break, independent of
+// configuration order, so placement (and the rebalancer's fallback ladder)
+// stays deterministic across config reorderings. Residents add 1/5 on a
+// c0 = 15 chain and 2/5 on a c0 = 30 one; a period-150 stream adds 1/10 and
+// a period-75 one 1/5. Each submission lands on the head of the ranking at
+// its arrival.
 func TestRankServingNameTieBreak(t *testing.T) {
-	c := mustCluster(t, testConfig([]ChainSpec{
-		{Name: "cb", AccelCost: 1, ReserveSlots: 2},
-		{Name: "ca", AccelCost: 1, ReserveSlots: 2},
-	}))
-	submitAt(c, 12_000, StreamRequest{Name: "s0", Period: 150})
-	c.Run(30_000)
-
-	ranked := c.rankServing()
-	if len(ranked) != 2 {
-		t.Fatalf("serving chains = %d, want 2", len(ranked))
+	type ranked struct {
+		name string
+		util *big.Rat
 	}
-	// After s0 lands the utilisations differ; the tie-break applies to the
-	// residents-only prefix of the run, which routed s0 to "ca".
-	if ss := statusOf(c, "s0"); ss.State != "live" || ss.Chain != "ca" {
-		t.Errorf("s0: state=%s chain=%s, want live on ca (name tie-break)", ss.State, ss.Chain)
+	chain := func(name string, accel sim.Time) ChainSpec {
+		return ChainSpec{Name: name, AccelCost: accel, ReserveSlots: 2}
 	}
-	if ranked[0].name != "cb" { // ca now carries s0: cb is colder
-		t.Errorf("ranked[0] = %s, want cb (ca carries s0)", ranked[0].name)
+	cases := []struct {
+		name    string
+		chains  []ChainSpec
+		submits []StreamRequest
+		landed  []string
+		want    []ranked
+	}{
+		{
+			name:   "residents only, all tied",
+			chains: []ChainSpec{chain("cc", 1), chain("ca", 1), chain("cb", 1)},
+			want:   []ranked{{"ca", big.NewRat(1, 5)}, {"cb", big.NewRat(1, 5)}, {"cc", big.NewRat(1, 5)}},
+		},
+		{
+			name:    "one loaded chain behind three tied",
+			chains:  []ChainSpec{chain("cd", 1), chain("cc", 1), chain("cb", 1), chain("ca", 1)},
+			submits: []StreamRequest{{Name: "s0", Period: 150}},
+			landed:  []string{"ca"},
+			want: []ranked{{"cb", big.NewRat(1, 5)}, {"cc", big.NewRat(1, 5)}, {"cd", big.NewRat(1, 5)},
+				{"ca", big.NewRat(3, 10)}},
+		},
+		{
+			name:    "two tied pairs",
+			chains:  []ChainSpec{chain("cd", 1), chain("cc", 1), chain("cb", 1), chain("ca", 1)},
+			submits: []StreamRequest{{Name: "s0", Period: 150}, {Name: "s1", Period: 150}},
+			landed:  []string{"ca", "cb"},
+			want: []ranked{{"cc", big.NewRat(1, 5)}, {"cd", big.NewRat(1, 5)},
+				{"ca", big.NewRat(3, 10)}, {"cb", big.NewRat(3, 10)}},
+		},
+		{
+			name:    "tie across different c0",
+			chains:  []ChainSpec{chain("cc", 1), chain("cb", 1), chain("ca", 30)},
+			submits: []StreamRequest{{Name: "s0", Period: 150}, {Name: "s1", Period: 75}},
+			landed:  []string{"cb", "cc"},
+			want:    []ranked{{"cb", big.NewRat(3, 10)}, {"ca", big.NewRat(2, 5)}, {"cc", big.NewRat(2, 5)}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mustCluster(t, testConfig(tc.chains))
+			at := sim.Time(12_000)
+			for _, req := range tc.submits {
+				submitAt(c, at, req)
+				at += 10_000
+			}
+			c.Run(at + 10_000)
+			for i, req := range tc.submits {
+				if ss := statusOf(c, req.Name); ss.State != "live" || ss.Chain != tc.landed[i] {
+					t.Errorf("%s: state=%s chain=%s, want live on %s", req.Name, ss.State, ss.Chain, tc.landed[i])
+				}
+			}
+			var got []ranked
+			for _, ci := range c.rankServing() {
+				got = append(got, ranked{ci.name, ci.ctrl.Utilization()})
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("ranked %d chains, want %d", len(got), len(tc.want))
+			}
+			for i, w := range tc.want {
+				if got[i].name != w.name || got[i].util.Cmp(w.util) != 0 {
+					t.Errorf("rank %d = %s at %s, want %s at %s", i, got[i].name, got[i].util.RatString(),
+						w.name, w.util.RatString())
+				}
+			}
+		})
 	}
 }
 

@@ -263,14 +263,18 @@ func (s *System) VerifyThroughput() error {
 // Utilization returns the fraction of gateway time the streams demand:
 // Σ μs · c0 (in samples/cycle · cycles/sample). Feasibility requires the
 // rate-dependent part to stay below 1; the reconfiguration overhead then
-// determines how large blocks must be.
+// determines how large blocks must be. It is computed as (Σ Rate) · c0 /
+// ClockHz, the same exact rational with one scaling instead of one per
+// stream.
 func (s *System) Utilization() *big.Rat {
-	c0 := new(big.Rat).SetInt64(int64(s.Chain.C0()))
 	u := new(big.Rat)
-	for i := range s.Streams {
-		u.Add(u, new(big.Rat).Mul(s.RatePerCycle(i), c0))
+	if len(s.Streams) == 0 {
+		return u
 	}
-	return u
+	for i := range s.Streams {
+		u.Add(u, s.Streams[i].Rate)
+	}
+	return u.Mul(u, big.NewRat(int64(s.Chain.C0()), s.ClockHz))
 }
 
 // WorstCaseSampleLatency bounds the end-to-end latency of one sample of

@@ -418,6 +418,52 @@ func TestUtilizationPAL(t *testing.T) {
 	}
 }
 
+// TestUtilizationMatchesPerStreamSum: Utilization's single c0/ClockHz
+// scaling equals the per-stream reference Σ RatePerCycle(i)·c0 exactly, on
+// random models at the fleet clock (1, rates in samples/cycle) and the PAL
+// clock, with c0 > 1 and fractional rates; an empty model is zero, even
+// with no clock set.
+func TestUtilizationMatchesPerStreamSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, clock := range []int64{1, 100_000_000} {
+		for trial := 0; trial < 50; trial++ {
+			s := &System{
+				Chain: Chain{
+					Name:       "c",
+					AccelCosts: []uint64{uint64(1 + rng.Intn(8)), uint64(1 + rng.Intn(8))},
+					EntryCost:  uint64(2 + rng.Intn(15)),
+					ExitCost:   uint64(1 + rng.Intn(3)),
+					NICapacity: 2,
+				},
+				ClockHz: clock,
+			}
+			maxNum := int64(4)
+			if clock > 1 {
+				maxNum = 5_000_000
+			}
+			for i := 1 + rng.Intn(12); i > 0; i-- {
+				s.Streams = append(s.Streams, Stream{
+					Name: string(rune('a' + i)),
+					Rate: big.NewRat(1+rng.Int63n(maxNum), 1+rng.Int63n(1000)),
+				})
+			}
+			c0 := new(big.Rat).SetInt64(int64(s.Chain.C0()))
+			want := new(big.Rat)
+			for i := range s.Streams {
+				want.Add(want, new(big.Rat).Mul(s.RatePerCycle(i), c0))
+			}
+			got := s.Utilization()
+			if got.Cmp(want) != 0 || got.String() != want.String() {
+				t.Fatalf("clock %d trial %d (c0=%d, %d streams): Utilization = %s, reference %s",
+					clock, trial, s.Chain.C0(), len(s.Streams), got, want)
+			}
+		}
+	}
+	if u := (&System{}).Utilization(); u.Sign() != 0 {
+		t.Errorf("empty model utilisation = %s, want 0", u)
+	}
+}
+
 func TestC1IsSumOfReconfigs(t *testing.T) {
 	s := palSystem()
 	if s.C1() != 4*4100 {

@@ -20,6 +20,7 @@ package gateway
 
 import (
 	"fmt"
+	"slices"
 
 	"accelshare/internal/sim"
 )
@@ -89,8 +90,9 @@ func (p *Pair) FreezeForFailover() error {
 // state — the same scrub a flush performs) and returns every stream's
 // migratable state. The caller must have waited out the interconnect settle
 // delay after FreezeForFailover so no word is still in flight toward this
-// pair's nodes. The pair's stream table is emptied: the streams now belong
-// to whoever imports them.
+// pair's nodes. The pair's stream table is emptied and its entry gateway
+// unsubscribed from their FIFOs: the streams now belong to whoever imports
+// them.
 //
 //accellint:deepcopy
 func (p *Pair) ExportStreams() ([]StreamExport, error) {
@@ -134,8 +136,12 @@ func (p *Pair) ExportStreams() ([]StreamExport, error) {
 			ex.Engines = p.standingState(i, s)
 		}
 		exports[i] = ex
+		if !s.Released {
+			p.unsubscribe(s)
+		}
 	}
 	p.streams = nil
+	p.live = nil
 	return exports, nil
 }
 
@@ -156,6 +162,13 @@ func (p *Pair) standingState(i int, s *Stream) [][]uint64 {
 		return st
 	}
 	return cloneState(s.saved)
+}
+
+// unsubscribe undoes AddStream's wake-up subscriptions: a stream the pair
+// gave up must no longer wake its entry gateway with every word and ack.
+func (p *Pair) unsubscribe(s *Stream) {
+	s.In.UnsubscribeData(p.step)
+	s.Out.UnsubscribeSpace(p.step)
 }
 
 func cloneState(st [][]uint64) [][]uint64 {
@@ -208,7 +221,8 @@ func (p *Pair) ImportStream(e StreamExport) (int, error) {
 // pendingReplay). The slot itself is replaced by a Released tombstone: slot
 // tables never shrink, so every later slot keeps its index and the pending
 // admission-event log stays valid; the tombstone is permanently suspended and
-// owns no FIFOs or engine state.
+// owns no FIFOs or engine state. The pair leaves its live-slot index and
+// stops being woken by the departing stream's FIFOs.
 //
 //accellint:deepcopy
 func (p *Pair) ReleaseSlot(slot int) (StreamExport, error) {
@@ -236,7 +250,11 @@ func (p *Pair) ReleaseSlot(slot int) (StreamExport, error) {
 	// the slot inside its staged transition); the tombstone keeps it, the
 	// departing stream must arrive at its importer ready to arbitrate.
 	s.Suspended = false
+	p.unsubscribe(s)
 	p.streams[slot] = &Stream{Name: s.Name, Suspended: true, Released: true}
+	if j, ok := slices.BinarySearch(p.live, slot); ok {
+		p.live = slices.Delete(p.live, j, j+1)
+	}
 	if p.loadedStream == slot {
 		// The released stream's engine state was the one swapped into the
 		// tiles; the export deep-copied it, so nothing is loaded any more.

@@ -49,6 +49,7 @@ package gateway
 
 import (
 	"fmt"
+	"slices"
 
 	"accelshare/internal/accel"
 	"accelshare/internal/cfifo"
@@ -363,6 +364,11 @@ type Pair struct {
 	link    *accel.Link // entry gateway -> first accelerator
 	exitNI  *sim.Queue  // last accelerator -> exit gateway NI
 	streams []*Stream
+	// live lists the indices of the slots that are not Released tombstones,
+	// ascending. Slot tables never shrink, so arbitration walks this index
+	// instead of the table: a wake costs O(unreleased slots), not O(every
+	// stream the pair ever served).
+	live []int
 
 	// Entry state machine.
 	state    entryState
@@ -512,7 +518,9 @@ func NewPair(k *sim.Kernel, net *ring.Dual, cfg Config, tiles []*accel.Tile, ent
 	return p, nil
 }
 
-// AddStream registers a stream. Must be called before Start.
+// AddStream registers a stream. Must be called before Start. The entry
+// gateway subscribes to the stream's input data and output space;
+// ReleaseSlot and ExportStreams undo both subscriptions.
 func (p *Pair) AddStream(s *Stream) error {
 	if s.Block <= 0 {
 		return fmt.Errorf("gateway: stream %q needs a positive block size", s.Name)
@@ -533,6 +541,7 @@ func (p *Pair) AddStream(s *Stream) error {
 	}
 	s.saved = make([][]uint64, len(s.Engines))
 	p.streams = append(p.streams, s)
+	p.live = append(p.live, len(p.streams)-1)
 	s.In.SubscribeData(p.step)
 	s.Out.SubscribeSpace(p.step)
 	return nil
@@ -573,7 +582,8 @@ func (p *Pair) ready(i int) bool {
 // trackQueued records the instant each stream becomes eligible, for
 // turnaround (γs) measurement against Eq. 4.
 func (p *Pair) trackQueued() {
-	for i, s := range p.streams {
+	for _, i := range p.live {
+		s := p.streams[i]
 		if s.Quarantined || s.Suspended {
 			continue
 		}
@@ -610,17 +620,21 @@ func (p *Pair) entryRun() {
 	}
 }
 
+// tryStart serves the first ready live slot in arbitration order: from the
+// first live slot at or after rr, wrapping (RoundRobin), or from the lowest
+// (FixedPriority). Released slots are never ready, so skipping them keeps
+// the order of a scan over the whole slot table.
 func (p *Pair) tryStart() {
-	n := len(p.streams)
+	n := len(p.live)
 	if n == 0 {
 		return
 	}
-	base := p.rr
-	if p.cfg.Arbiter == FixedPriority {
-		base = 0
+	first := 0
+	if p.cfg.Arbiter != FixedPriority {
+		first, _ = slices.BinarySearch(p.live, p.rr)
 	}
 	for off := 0; off < n; off++ {
-		i := (base + off) % n
+		i := p.live[(first+off)%n]
 		if p.ready(i) {
 			p.beginBlock(i)
 			return
