@@ -14,7 +14,7 @@ func TestPassthroughEngine(t *testing.T) {
 	if len(out) != 1 || out[0] != 42 {
 		t.Fatalf("out = %v", out)
 	}
-	if p.StateWords() != 0 || len(p.SaveState()) != 0 {
+	if p.StateWords() != 0 || len(p.SaveState(nil)) != 0 {
 		t.Error("passthrough should be stateless")
 	}
 	if err := p.LoadState(nil); err != nil {
@@ -33,7 +33,7 @@ func TestGainEngineStateRoundTrip(t *testing.T) {
 		t.Errorf("gain out = (%d,%d)", i, q)
 	}
 	g.Process(0, nil)
-	st := g.SaveState()
+	st := g.SaveState(nil)
 	g2 := &Gain{Shift: 2}
 	if err := g2.LoadState(st); err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestMixerStateRestoresPhaseExactly(t *testing.T) {
 	for n := 0; n < 37; n++ {
 		a.Process(sim.PackIQ(1000, 0), nil)
 	}
-	st := a.SaveState()
+	st := a.SaveState(nil)
 	b := NewMixer(12345, 1<<20)
 	if err := b.LoadState(st); err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestDiscriminatorEngineState(t *testing.T) {
 	a := NewDiscriminator()
 	a.Process(sim.PackIQ(1000, 500), nil)
 	a.Process(sim.PackIQ(500, 1000), nil)
-	st := a.SaveState()
+	st := a.SaveState(nil)
 	b := NewDiscriminator()
 	if err := b.LoadState(st); err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestCICEngineDecimatesOnTile(t *testing.T) {
 	if e.StateWords() != 9 {
 		t.Errorf("state words = %d", e.StateWords())
 	}
-	st := e.SaveState()
+	st := e.SaveState(nil)
 	e2, _ := NewCIC(2, 4)
 	if err := e2.LoadState(st); err != nil {
 		t.Fatal(err)

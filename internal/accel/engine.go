@@ -23,9 +23,12 @@ type Engine interface {
 	// Process consumes one input word and appends 0..n produced words to
 	// out (down-sampling engines produce less than one word per input).
 	Process(w sim.Word, out []sim.Word) []sim.Word
-	// SaveState serialises the mutable per-stream state.
-	SaveState() []uint64
-	// LoadState restores a snapshot produced by SaveState.
+	// SaveState appends the mutable per-stream state to dst and returns the
+	// extended slice, so callers can refill one buffer per slot
+	// (SaveState(buf[:0])) instead of allocating a snapshot per swap.
+	SaveState(dst []uint64) []uint64
+	// LoadState restores a snapshot produced by SaveState. It copies what it
+	// needs: the caller may overwrite the slice afterwards.
 	LoadState([]uint64) error
 	// StateWords is the state footprint in 64-bit words, the amount of
 	// traffic a context switch moves over the configuration bus.
@@ -39,8 +42,8 @@ type Passthrough struct{}
 // Process copies the input to the output.
 func (Passthrough) Process(w sim.Word, out []sim.Word) []sim.Word { return append(out, w) }
 
-// SaveState returns an empty snapshot.
-func (Passthrough) SaveState() []uint64 { return nil }
+// SaveState appends nothing: the engine is stateless.
+func (Passthrough) SaveState(dst []uint64) []uint64 { return dst }
 
 // LoadState accepts only empty snapshots.
 func (Passthrough) LoadState(s []uint64) error {
@@ -68,7 +71,7 @@ func (g *Gain) Process(w sim.Word, out []sim.Word) []sim.Word {
 }
 
 // SaveState stores the sample counter.
-func (g *Gain) SaveState() []uint64 { return []uint64{g.Count} }
+func (g *Gain) SaveState(dst []uint64) []uint64 { return append(dst, g.Count) }
 
 // LoadState restores the counter.
 func (g *Gain) LoadState(s []uint64) error {
@@ -102,8 +105,8 @@ func (m *Mixer) Process(w sim.Word, out []sim.Word) []sim.Word {
 }
 
 // SaveState stores the NCO phase.
-func (m *Mixer) SaveState() []uint64 {
-	return []uint64{uint64(m.M.Osc.Phase)}
+func (m *Mixer) SaveState(dst []uint64) []uint64 {
+	return append(dst, uint64(m.M.Osc.Phase))
 }
 
 // LoadState restores the NCO phase.
@@ -136,12 +139,12 @@ func (d *Discriminator) Process(w sim.Word, out []sim.Word) []sim.Word {
 }
 
 // SaveState stores the previous phase and validity flag.
-func (d *Discriminator) SaveState() []uint64 {
+func (d *Discriminator) SaveState(dst []uint64) []uint64 {
 	var flag uint64
 	if d.D.HavePrev() {
 		flag = 1
 	}
-	return []uint64{uint64(d.D.Prev())<<1 | flag}
+	return append(dst, uint64(d.D.Prev())<<1|flag)
 }
 
 // LoadState restores the phase history.
@@ -181,7 +184,7 @@ func (f *FIR) Process(w sim.Word, out []sim.Word) []sim.Word {
 }
 
 // SaveState delegates to the filter.
-func (f *FIR) SaveState() []uint64 { return f.F.SaveState() }
+func (f *FIR) SaveState(dst []uint64) []uint64 { return f.F.SaveState(dst) }
 
 // LoadState delegates to the filter.
 func (f *FIR) LoadState(s []uint64) error { return f.F.LoadState(s) }
@@ -216,7 +219,7 @@ func (c *CIC) Process(w sim.Word, out []sim.Word) []sim.Word {
 }
 
 // SaveState delegates to the filter.
-func (c *CIC) SaveState() []uint64 { return c.C.SaveState() }
+func (c *CIC) SaveState(dst []uint64) []uint64 { return c.C.SaveState(dst) }
 
 // LoadState delegates to the filter.
 func (c *CIC) LoadState(s []uint64) error { return c.C.LoadState(s) }

@@ -64,6 +64,43 @@ func TestTileAbortDiscardsInFlightWork(t *testing.T) {
 	if g.Count != 1 || sink.Len() != 1 {
 		t.Fatalf("post-abort processing broken: count=%d sink=%d", g.Count, sink.Len())
 	}
+
+	// Stale completion: a new word enters service after Abort and before the
+	// aborted sample's completion fires. The word in service lives on the
+	// tile, so the stale completion must leave it alone — it does nothing,
+	// and the new word is processed exactly once.
+	k, tile, up, sink = wireTile(t, 10)
+	g = &Gain{}
+	if err := tile.SetEngine(g); err != nil {
+		t.Fatal(err)
+	}
+	if !up.TrySend(sim.Word(1)) {
+		t.Fatal("send refused")
+	}
+	for tile.Processed == 0 && k.Step() {
+	}
+	staleAt := k.Now() + 10 // the aborted sample's completion
+	k.Run(k.Now() + 5)
+	tile.Abort()
+	if !up.TrySend(sim.Word(7)) {
+		t.Fatal("post-abort send refused")
+	}
+	for tile.Processed == 1 && k.Step() {
+	}
+	if k.Now() >= staleAt {
+		t.Fatalf("new word entered service at %d, not before the stale completion at %d", k.Now(), staleAt)
+	}
+	k.Run(staleAt)
+	if g.Count != 0 || tile.Idle() {
+		t.Fatalf("stale completion acted: count=%d idle=%v", g.Count, tile.Idle())
+	}
+	k.RunAll()
+	if g.Count != 1 || sink.Len() != 1 {
+		t.Fatalf("new word processed %d times, %d words out, want 1 and 1", g.Count, sink.Len())
+	}
+	if w, _ := sink.TryPop(); w != 7 {
+		t.Fatalf("sink got %d, want 7", w)
+	}
 }
 
 func TestLinkWedgeForBlocksAndRecovers(t *testing.T) {

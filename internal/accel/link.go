@@ -31,6 +31,8 @@ type Link struct {
 	owedCredits  int
 	creditPump   bool
 	lastPopCount uint64
+	// creditRetryFn is retryCredits, bound once in NewLink.
+	creditRetryFn func()
 
 	// wedgedUntil, when in the future, makes TrySend fail — the injected
 	// "wedged link/NI" fault of the fault-campaign subsystem.
@@ -76,6 +78,7 @@ func NewLink(name string, k *sim.Kernel, net *ring.Dual, srcNode, dstNode, dataP
 		l.pumpCredits()
 	})
 	dst.SubscribeSpace(popWatcher)
+	l.creditRetryFn = l.retryCredits
 	return l
 }
 
@@ -86,15 +89,18 @@ func (l *Link) pumpCredits() {
 		if !l.net.Credit.Node(l.dstNode).TrySend(l.srcNode, l.creditPort, 1) {
 			if !l.creditPump {
 				l.creditPump = true
-				l.k.Schedule(2, func() {
-					l.creditPump = false
-					l.pumpCredits()
-				})
+				l.k.Schedule(2, l.creditRetryFn)
 			}
 			return
 		}
 		l.owedCredits--
 	}
+}
+
+// retryCredits resumes the credit pump after a ring-busy rejection.
+func (l *Link) retryCredits() {
+	l.creditPump = false
+	l.pumpCredits()
 }
 
 // Credits returns the sender's available credits.

@@ -22,9 +22,13 @@ type Tile struct {
 	engine Engine
 
 	busy    bool
+	word    sim.Word   // the sample in service while busy
 	pending []sim.Word // produced words awaiting downstream credits
 	step    *sim.Waker
 	epoch   uint64 // bumped by Abort to cancel in-flight completions
+	// serviceDoneFn is serviceDone bound once: every service schedules it
+	// with the epoch as its argument.
+	serviceDoneFn func(uint64)
 
 	// BusyCycles accumulates processing time for utilisation reporting;
 	// Processed counts consumed samples; Aborted counts words discarded by
@@ -41,6 +45,7 @@ func NewTile(name string, k *sim.Kernel, cost sim.Time, niCapacity int) *Tile {
 	t := &Tile{Name: name, Cost: cost, k: k}
 	t.in = sim.NewQueue(name+".ni", niCapacity)
 	t.step = sim.NewWaker(k, t.run)
+	t.serviceDoneFn = t.serviceDone
 	t.in.SubscribeData(t.step)
 	return t
 }
@@ -96,15 +101,19 @@ func (t *Tile) Abort() {
 func (t *Tile) Idle() bool { return !t.busy && len(t.pending) == 0 && t.in.Len() == 0 }
 
 // run is the tile's step function.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocPAL
 func (t *Tile) run() {
-	// Drain pending outputs first; stall while the link refuses.
-	for len(t.pending) > 0 {
-		if !t.out.TrySend(t.pending[0]) {
-			return
-		}
-		t.pending = t.pending[1:]
+	// Drain pending outputs first; stall while the link refuses. Sent words
+	// are removed in place, so the buffer keeps its backing array.
+	n := 0
+	for n < len(t.pending) && t.out.TrySend(t.pending[n]) {
+		n++
 	}
-	if t.busy || t.engine == nil {
+	if n > 0 {
+		t.pending = t.pending[:copy(t.pending, t.pending[n:])]
+	}
+	if len(t.pending) > 0 || t.busy || t.engine == nil {
 		return
 	}
 	w, ok := t.in.TryPop()
@@ -112,17 +121,26 @@ func (t *Tile) run() {
 		return
 	}
 	t.busy = true
+	t.word = w
 	t.BusyCycles += uint64(t.Cost)
 	t.Processed++
-	epoch := t.epoch
-	t.k.Schedule(t.Cost, func() {
-		if t.epoch != epoch {
-			return // aborted mid-sample by a chain flush
-		}
-		t.busy = false
-		t.pending = t.engine.Process(w, t.pending)
-		t.run()
-	})
+	t.k.ScheduleArg(t.Cost, t.serviceDoneFn, t.epoch)
+}
+
+// serviceDone completes the service that began at the given epoch: the
+// engine processes the word and the tile looks for more work. One sample is
+// in service at a time, so the event carries only the epoch and the word
+// waits in t.word; the epoch check keeps a completion that Abort cancelled
+// from processing the word of a later service.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocPAL
+func (t *Tile) serviceDone(epoch uint64) {
+	if t.epoch != epoch {
+		return // aborted mid-sample by a chain flush
+	}
+	t.busy = false
+	t.pending = t.engine.Process(t.word, t.pending)
+	t.run()
 }
 
 // ConfigBus is the dedicated bus the entry gateway uses to save and restore
@@ -156,6 +174,21 @@ func (b *ConfigBus) Transfer(words int, done func()) {
 // TransferCycles occupies the bus for an explicit duration — used by the
 // fixed-Rs reconfiguration model.
 func (b *ConfigBus) TransferCycles(cost sim.Time, done func()) {
+	b.k.ScheduleAt(b.occupy(cost), done)
+}
+
+// TransferCyclesArg is TransferCycles for a handler bound once: done runs
+// with arg when the transfer completes, so a per-block transfer allocates
+// no closure.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocPAL
+func (b *ConfigBus) TransferCyclesArg(cost sim.Time, done func(uint64), arg uint64) {
+	b.k.ScheduleArg(b.occupy(cost)-b.k.Now(), done, arg)
+}
+
+// occupy queues a transfer of cost cycles behind the ones already booked and
+// returns its completion time.
+func (b *ConfigBus) occupy(cost sim.Time) sim.Time {
 	start := b.k.Now()
 	if b.nextFree > start {
 		start = b.nextFree
@@ -163,7 +196,7 @@ func (b *ConfigBus) TransferCycles(cost sim.Time, done func()) {
 	b.nextFree = start + cost
 	b.Cycles += uint64(cost)
 	b.Ops++
-	b.k.ScheduleAt(b.nextFree, done)
+	return b.nextFree
 }
 
 // BusyUntil returns the time the bus frees up.

@@ -58,6 +58,7 @@ type FIFO struct {
 	readCount       uint64 // samples consumed (consumer local)
 	unacked         int
 	ackRetryPending bool
+	ackRetryFn      func() // ackRetry, bound once in New
 	dataSubs        []*sim.Waker
 
 	// Repoint state (chain failover): repointing gates the producer while
@@ -89,6 +90,7 @@ func New(k *sim.Kernel, net *ring.Dual, cfg Config) (*FIFO, error) {
 		dataNodes: map[int]bool{}, ackNodes: map[int]bool{},
 	}
 	f.buf = sim.NewQueue(cfg.Name+".buf", cfg.Capacity)
+	f.ackRetryFn = f.ackRetry
 	f.bindData(cfg.ConsumerNode)
 	f.bindAck(cfg.ProducerNode)
 	return f, nil
@@ -183,12 +185,15 @@ func (f *FIFO) flushAck() {
 	}
 	if !f.ackRetryPending {
 		f.ackRetryPending = true
-		f.k.Schedule(4, func() {
-			f.ackRetryPending = false
-			if f.unacked > 0 {
-				f.flushAck()
-			}
-		})
+		f.k.Schedule(4, f.ackRetryFn)
+	}
+}
+
+// ackRetry re-posts the read counter after a ring-busy rejection.
+func (f *FIFO) ackRetry() {
+	f.ackRetryPending = false
+	if f.unacked > 0 {
+		f.flushAck()
 	}
 }
 

@@ -1,6 +1,9 @@
 package dsp
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CIC is a cascaded integrator-comb decimator — the standard hardware
 // down-converter front-end in SDR systems (multiplier-free, exactly the
@@ -90,14 +93,13 @@ func (c *CIC) Reset() {
 // StateWords reports the context-switch footprint.
 func (c *CIC) StateWords() int { return 4*c.Stages + 1 }
 
-// SaveState serialises the mutable state.
-func (c *CIC) SaveState() []uint64 {
-	out := make([]uint64, 0, c.StateWords())
+// SaveState appends the mutable state (StateWords words) to dst.
+func (c *CIC) SaveState(dst []uint64) []uint64 {
+	dst = slices.Grow(dst, c.StateWords())
 	for s := 0; s < c.Stages; s++ {
-		out = append(out, uint64(c.integr[s]), uint64(c.integQ[s]), uint64(c.combI[s]), uint64(c.combQ[s]))
+		dst = append(dst, uint64(c.integr[s]), uint64(c.integQ[s]), uint64(c.combI[s]), uint64(c.combQ[s]))
 	}
-	out = append(out, uint64(c.phase))
-	return out
+	return append(dst, uint64(c.phase))
 }
 
 // LoadState restores a SaveState snapshot.

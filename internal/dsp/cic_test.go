@@ -108,7 +108,7 @@ func TestCICStateRoundTrip(t *testing.T) {
 	for n := 0; n < 37; n++ {
 		a.Push(int32(rng.Intn(4000)-2000), int32(rng.Intn(4000)-2000))
 	}
-	if err := b.LoadState(a.SaveState()); err != nil {
+	if err := b.LoadState(a.SaveState(nil)); err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < 50; n++ {
@@ -123,7 +123,7 @@ func TestCICStateRoundTrip(t *testing.T) {
 	if err := b.LoadState(make([]uint64, 3)); err == nil {
 		t.Error("wrong-size state accepted")
 	}
-	bad := a.SaveState()
+	bad := a.SaveState(nil)
 	bad[len(bad)-1] = 99
 	if err := b.LoadState(bad); err == nil {
 		t.Error("corrupt phase accepted")

@@ -211,7 +211,7 @@ func TestFIRStateSaveLoadRoundTrip(t *testing.T) {
 		return outs
 	}
 	feed(a, 17)
-	st := a.SaveState()
+	st := a.SaveState(nil)
 	if err := b.LoadState(st); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // DesignLowPass designs a linear-phase low-pass FIR by the windowed-sinc
@@ -122,14 +123,13 @@ func (f *FIR) StateWords() int {
 	return len(f.Coef) + 1 // packed I/Q pairs + control word
 }
 
-// SaveState serialises the mutable state.
-func (f *FIR) SaveState() []uint64 {
-	out := make([]uint64, 0, f.StateWords())
+// SaveState appends the mutable state (StateWords words) to dst.
+func (f *FIR) SaveState(dst []uint64) []uint64 {
+	dst = slices.Grow(dst, f.StateWords())
 	for k := range f.di {
-		out = append(out, uint64(uint32(f.di[k]))<<32|uint64(uint32(f.dq[k])))
+		dst = append(dst, uint64(uint32(f.di[k]))<<32|uint64(uint32(f.dq[k])))
 	}
-	out = append(out, uint64(uint32(f.pos))<<32|uint64(uint32(f.count)))
-	return out
+	return append(dst, uint64(uint32(f.pos))<<32|uint64(uint32(f.count)))
 }
 
 // LoadState restores a SaveState snapshot.

@@ -183,8 +183,8 @@ func (e *Engine) Process(w sim.Word, out []sim.Word) []sim.Word {
 	return e.Inner.Process(w, out)
 }
 
-// SaveState serialises the inner engine only (see type comment).
-func (e *Engine) SaveState() []uint64 { return e.Inner.SaveState() }
+// SaveState appends the inner engine's state only (see type comment).
+func (e *Engine) SaveState(dst []uint64) []uint64 { return e.Inner.SaveState(dst) }
 
 // LoadState restores the inner engine only.
 func (e *Engine) LoadState(s []uint64) error { return e.Inner.LoadState(s) }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"accelshare/internal/accel"
+	"accelshare/internal/accel/enginetest"
 	"accelshare/internal/ring"
 	"accelshare/internal/sim"
 )
@@ -96,7 +97,7 @@ func TestWrapEnginesTargetsOnlyMatchingStreamAndSite(t *testing.T) {
 func TestWrapperCounterSurvivesStateRestore(t *testing.T) {
 	p := &Plan{Faults: []Fault{{Kind: DropSample, Stream: 0, Site: 0, Sample: 2}}}
 	e := p.WrapEngines(0, []accel.Engine{&accel.Gain{}})[0]
-	snap := e.SaveState()
+	snap := e.SaveState(nil)
 	if out := process(e, 4); len(out) != 3 {
 		t.Fatalf("first attempt emitted %d, want 3", len(out))
 	}
@@ -107,6 +108,18 @@ func TestWrapperCounterSurvivesStateRestore(t *testing.T) {
 	if out := process(e, 4); len(out) != 4 {
 		t.Fatalf("replay emitted %d, want 4 (transient fault must not refire)", len(out))
 	}
+}
+
+// TestEngineSnapshotContract holds the fault wrapper to the snapshot
+// contract: it forwards SaveState and LoadState to a stateful inner engine,
+// with its one armed fault past the words the check feeds.
+func TestEngineSnapshotContract(t *testing.T) {
+	p := &Plan{Faults: []Fault{{Kind: CorruptSample, Stream: 0, Site: 0, Sample: 1000}}}
+	e := p.WrapEngines(0, []accel.Engine{accel.NewMixer(12345, 1<<20)})[0]
+	if _, ok := e.(*Engine); !ok {
+		t.Fatalf("WrapEngines returned %T, want the fault wrapper", e)
+	}
+	enginetest.CheckSnapshot(t, e)
 }
 
 func TestIdleDropper(t *testing.T) {

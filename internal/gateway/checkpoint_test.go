@@ -159,9 +159,9 @@ func (e *glitchEngine) Process(w sim.Word, out []sim.Word) []sim.Word {
 	}
 	return append(out, w)
 }
-func (e *glitchEngine) SaveState() []uint64      { return nil }
-func (e *glitchEngine) LoadState([]uint64) error { return nil }
-func (e *glitchEngine) StateWords() int          { return 0 }
+func (e *glitchEngine) SaveState(dst []uint64) []uint64 { return dst }
+func (e *glitchEngine) LoadState([]uint64) error        { return nil }
+func (e *glitchEngine) StateWords() int                 { return 0 }
 
 // TestValueExactRetryBitIdentical is the ROADMAP value-exact regression
 // test: a retried block's downstream BYTE STREAM must be identical to the

@@ -157,7 +157,7 @@ func (p *Pair) standingState(i int, s *Stream) [][]uint64 {
 	if i == p.loadedStream {
 		st := make([][]uint64, len(s.Engines))
 		for t, e := range s.Engines {
-			st[t] = e.SaveState()
+			st[t] = e.SaveState(nil)
 		}
 		return st
 	}

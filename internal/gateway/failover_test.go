@@ -260,7 +260,7 @@ func TestImportReplayDiscardsCommitted(t *testing.T) {
 	}
 	export := StreamExport{
 		Stream:    s,
-		Engines:   [][]uint64{(&accel.Gain{}).SaveState()},
+		Engines:   [][]uint64{(&accel.Gain{}).SaveState(nil)},
 		Replay:    []sim.Word{40, 41, 42, 43},
 		Committed: 2,
 	}

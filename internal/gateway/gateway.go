@@ -370,14 +370,17 @@ type Pair struct {
 	// stream the pair ever served).
 	live []int
 
-	// Entry state machine.
+	// Entry state machine. dmaWord is the entry DMA's word: in service while
+	// dmaBusy, waiting for a credit while holding. swapFrom is the stream
+	// whose engines the pending reconfiguration saves (-1 = none).
 	state    entryState
 	active   int // index into streams
 	rr       int
 	sent     int64
 	dmaBusy  bool
 	holding  bool
-	heldWord sim.Word
+	dmaWord  sim.Word
+	swapFrom int
 	step     *sim.Waker
 
 	// Recovery state. blockEpoch identifies the current block attempt; it
@@ -418,6 +421,12 @@ type Pair struct {
 	stage         []sim.Word
 	blockIssued   int64
 	blockFresh    int64
+	// stageThen is what follows the pending stage drain; wdSnap is the
+	// progress fingerprint the pending watchdog check compares against;
+	// idleStream is the stream the pending idle notification names.
+	stageThen  stageThen
+	wdSnap     wdSnap
+	idleStream int
 
 	// Failover state. failed marks a pair retired by FreezeForFailover
 	// (terminal: both state machines become no-ops); abortedStream is the
@@ -432,12 +441,24 @@ type Pair struct {
 	resumeCommitted int64
 	stallObs        func(stream int)
 
-	// Exit state machine.
+	// Exit state machine. exitWord is the exit DMA's word: in service while
+	// exitBusy, waiting for ring space while exitHolding.
 	exitBusy    bool
 	exitCount   int64
 	exitHolding bool
-	exitHeld    sim.Word
+	exitWord    sim.Word
 	exitStep    *sim.Waker
+
+	// on holds the pair's event handlers, method values bound once in
+	// NewPair. Every data-path event is scheduled with its handler and one
+	// argument word — the block epoch, or the stream a reconfiguration
+	// loads — instead of a closure per event. The entry and exit DMAs each
+	// serve one word at a time, so the in-flight word lives on the pair.
+	on struct {
+		dmaDone, exitDone, stageStep, reconfigDone, retryDone,
+		checkpointDone, watchdog, flushDone, pushIdle func(uint64)
+		exitWake func()
+	}
 
 	// Utilisation accounting (cycles).
 	ReconfigCycles  uint64
@@ -502,6 +523,16 @@ func NewPair(k *sim.Kernel, net *ring.Dual, cfg Config, tiles []*accel.Tile, ent
 	}
 	p.step = sim.NewWaker(k, p.entryRun)
 	p.exitStep = sim.NewWaker(k, p.exitRun)
+	p.on.dmaDone = p.dmaDone
+	p.on.exitDone = p.exitDone
+	p.on.stageStep = p.stageStep
+	p.on.reconfigDone = p.reconfigDone
+	p.on.retryDone = p.retryDone
+	p.on.checkpointDone = p.checkpointDone
+	p.on.watchdog = p.watchdogCheck
+	p.on.flushDone = p.flushDone
+	p.on.pushIdle = p.pushIdle
+	p.on.exitWake = p.exitStep.Wake
 	entryLink.SubscribeCredits(p.step)
 	entryLink.SubscribeRingSpace(p.step)
 	exitNI.SubscribeData(p.exitStep)
@@ -712,40 +743,57 @@ func (p *Pair) beginBlock(i int) {
 	}
 	p.ReconfigCycles += uint64(cost)
 	p.phaseStart = p.k.Now()
-	p.bus.TransferCycles(cost, func() {
-		if p.failed {
-			return // the pair froze for failover while the bus was busy
-		}
-		if err := p.swapEngines(prev, i); err != nil {
-			panic(fmt.Sprintf("gateway %s: %v", p.cfg.Name, err))
-		}
-		if p.cfg.Recovery.Enabled {
-			// Snapshot the engines' state at block start so a retry can
-			// restore it (abort-and-reconfigure) and replay identically.
-			p.retryState = p.retryState[:0]
-			for _, e := range s.Engines {
-				p.retryState = append(p.retryState, e.SaveState())
-			}
-		}
-		p.recordActivity(ActReconfig)
-		// Configure the exit gateway for the new block (its own port on the
-		// configuration bus, per Fig. 4b). A migrated block resumes with
-		// its already-committed output words pre-counted; the ones the
-		// replay will regenerate — positions past the resume point — are
-		// marked for discard (see Stream.pendingReplay). A checkpointed
-		// resume regenerates nothing before its watermark, so its discard
-		// count is zero by construction.
-		p.exitCount = p.resumeCommitted
-		p.exitDelivered = p.blockBase / (s.Block / s.OutBlock)
-		p.exitDiscard = p.resumeCommitted - p.exitDelivered
-		p.resumeCommitted = 0
-		p.ckptNext = p.nextCkptBoundary(s)
-		p.state = stStreaming
-		p.sent = 0
-		p.lastStreamStart = p.k.Now()
-		s.queued = true // ensure turnaround accounting has a reference
-		p.pump()
-	})
+	p.swapFrom = prev
+	p.bus.TransferCyclesArg(cost, p.on.reconfigDone, uint64(i))
+}
+
+// reconfigDone completes beginBlock's reconfiguration: swap stream next's
+// engines in and start streaming its block.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocRecovery
+func (p *Pair) reconfigDone(next uint64) {
+	if p.failed {
+		return // the pair froze for failover while the bus was busy
+	}
+	i := int(next)
+	s := p.streams[i]
+	if err := p.swapEngines(p.swapFrom, i); err != nil {
+		//accellint:alloc unreachable: a failed swap is a modelling bug and panics
+		panic(fmt.Sprintf("gateway %s: %v", p.cfg.Name, err))
+	}
+	if p.cfg.Recovery.Enabled {
+		// Snapshot the engines' state at block start so a retry can
+		// restore it (abort-and-reconfigure) and replay identically.
+		p.retryState = saveEngines(p.retryState, s.Engines)
+	}
+	p.recordActivity(ActReconfig)
+	// Configure the exit gateway for the new block (its own port on the
+	// configuration bus, per Fig. 4b). A migrated block resumes with
+	// its already-committed output words pre-counted; the ones the
+	// replay will regenerate — positions past the resume point — are
+	// marked for discard (see Stream.pendingReplay). A checkpointed
+	// resume regenerates nothing before its watermark, so its discard
+	// count is zero by construction.
+	p.exitCount = p.resumeCommitted
+	p.exitDelivered = p.blockBase / (s.Block / s.OutBlock)
+	p.exitDiscard = p.resumeCommitted - p.exitDelivered
+	p.resumeCommitted = 0
+	p.ckptNext = p.nextCkptBoundary(s)
+	p.state = stStreaming
+	p.sent = 0
+	p.lastStreamStart = p.k.Now()
+	s.queued = true // ensure turnaround accounting has a reference
+	p.pump()
+}
+
+// saveEngines refills dst with one state snapshot per engine, reusing the
+// per-slot buffers dst already holds.
+func saveEngines(dst [][]uint64, engines []accel.Engine) [][]uint64 {
+	dst = slices.Grow(dst[:0], len(engines))[:len(engines)]
+	for t, e := range engines {
+		dst[t] = e.SaveState(dst[t][:0])
+	}
+	return dst
 }
 
 // swapEngines saves the outgoing stream's accelerator state and restores
@@ -756,7 +804,7 @@ func (p *Pair) swapEngines(prev, next int) error {
 	if prev >= 0 {
 		ps := p.streams[prev]
 		for t, e := range ps.Engines {
-			ps.saved[t] = e.SaveState()
+			ps.saved[t] = e.SaveState(ps.saved[t][:0])
 		}
 	}
 	ns := p.streams[next]
@@ -776,12 +824,14 @@ func (p *Pair) swapEngines(prev, next int) error {
 }
 
 // pump advances the DMA copying the active block into the chain.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocRecovery
 func (p *Pair) pump() {
 	if p.state != stStreaming || p.dmaBusy {
 		return
 	}
 	if p.holding {
-		if !p.link.TrySend(p.heldWord) {
+		if !p.link.TrySend(p.dmaWord) {
 			return // woken again by credits/ring space
 		}
 		p.holding = false
@@ -805,31 +855,39 @@ func (p *Pair) pump() {
 		var ok bool
 		w, ok = s.In.TryRead()
 		if !ok {
+			//accellint:alloc unreachable: an underflow is an eligibility bug and panics
 			panic(fmt.Sprintf("gateway %s: input underflow on %s — eligibility check broken", p.cfg.Name, s.Name))
 		}
 		if p.cfg.Recovery.Enabled {
+			//accellint:alloc replay buffer grows to the largest block once, then is reused
 			p.blockBuf = append(p.blockBuf, w)
 		}
 	}
 	p.fetched++
 	p.dmaBusy = true
-	epoch := p.blockEpoch
-	p.k.Schedule(p.cfg.EntryCost, func() {
-		if p.blockEpoch != epoch {
-			return // block aborted mid-DMA by a flush
-		}
-		p.dmaBusy = false
-		p.StreamingCycles += uint64(p.cfg.EntryCost)
-		if !p.link.TrySend(w) {
-			p.holding = true
-			p.heldWord = w
-			return
-		}
-		p.sent++
-		p.afterSample()
-	})
+	p.dmaWord = w
+	p.k.ScheduleArg(p.cfg.EntryCost, p.on.dmaDone, p.blockEpoch)
 }
 
+// dmaDone completes the entry DMA's service of dmaWord: send it into the
+// chain, or hold it until a credit returns.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocRecovery
+func (p *Pair) dmaDone(epoch uint64) {
+	if p.blockEpoch != epoch {
+		return // block aborted mid-DMA by a flush
+	}
+	p.dmaBusy = false
+	p.StreamingCycles += uint64(p.cfg.EntryCost)
+	if !p.link.TrySend(p.dmaWord) {
+		p.holding = true
+		return
+	}
+	p.sent++
+	p.afterSample()
+}
+
+//accellint:noalloc guard=TestDataPathZeroAllocRecovery
 func (p *Pair) afterSample() {
 	s := p.streams[p.active]
 	s.SamplesIn++
@@ -889,25 +947,33 @@ func (p *Pair) snapshot() wdSnap {
 // full DrainTimeout window with zero progress is a stall. Timers are bound
 // to the block epoch, so a timer armed for block N can never fire a
 // spurious stall after block N completed and block N+1 is in flight.
+//
+// The fingerprint the next check compares against is kept in wdSnap: every
+// arm bumps or follows an epoch bump, so at most one check per epoch is
+// pending and a check whose epoch is current owns wdSnap.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocRecovery
 func (p *Pair) armWatchdog() {
 	if p.cfg.DrainTimeout == 0 {
 		return
 	}
-	snap := p.snapshot()
-	p.k.Schedule(p.cfg.DrainTimeout, func() { p.watchdogCheck(snap) })
+	p.wdSnap = p.snapshot()
+	p.k.ScheduleArg(p.cfg.DrainTimeout, p.on.watchdog, p.blockEpoch)
 }
 
-func (p *Pair) watchdogCheck(snap wdSnap) {
-	if p.blockEpoch != snap.epoch || p.state == stIdle || p.state == stFlushing {
+//accellint:noalloc guard=TestDataPathZeroAllocRecovery
+func (p *Pair) watchdogCheck(epoch uint64) {
+	if p.blockEpoch != epoch || p.state == stIdle || p.state == stFlushing {
 		return // block completed, or a flush is already under way
 	}
 	cur := p.snapshot()
 	busPhase := p.state == stReconfig || p.state == stCheckpoint
-	if cur != snap || (busPhase && p.bus.BusyUntil() > p.k.Now()) {
+	if cur != p.wdSnap || (busPhase && p.bus.BusyUntil() > p.k.Now()) {
 		// Progress since the last check (an occupied configuration bus
 		// counts: Rs — or a checkpoint snapshot — may legitimately exceed
 		// the window): re-arm.
-		p.k.Schedule(p.cfg.DrainTimeout, func() { p.watchdogCheck(cur) })
+		p.wdSnap = cur
+		p.k.ScheduleArg(p.cfg.DrainTimeout, p.on.watchdog, epoch)
 		return
 	}
 	p.stallDetected()
@@ -950,13 +1016,15 @@ func (p *Pair) beginFlush() {
 	if delay == 0 {
 		delay = p.cfg.DrainTimeout
 	}
-	epoch := p.blockEpoch
-	p.k.Schedule(delay, func() {
-		if p.blockEpoch != epoch || p.state != stFlushing {
-			return
-		}
-		p.completeFlush()
-	})
+	p.k.ScheduleArg(delay, p.on.flushDone, p.blockEpoch)
+}
+
+// flushDone ends the flush settle delay begun at the given epoch.
+func (p *Pair) flushDone(epoch uint64) {
+	if p.blockEpoch != epoch || p.state != stFlushing {
+		return
+	}
+	p.completeFlush()
 }
 
 // completeFlush clears the chain — tile NI queues, in-process samples,
@@ -1019,26 +1087,30 @@ func (p *Pair) retryBlock() {
 	}
 	p.ReconfigCycles += uint64(cost)
 	p.phaseStart = p.k.Now()
-	epoch := p.blockEpoch
-	p.bus.TransferCycles(cost, func() {
-		if p.blockEpoch != epoch {
-			return
+	p.bus.TransferCyclesArg(cost, p.on.retryDone, p.blockEpoch)
+}
+
+// retryDone completes retryBlock's abort-and-reconfigure: restore the
+// snapshot and replay the block.
+func (p *Pair) retryDone(epoch uint64) {
+	if p.blockEpoch != epoch {
+		return
+	}
+	s := p.streams[p.active]
+	for t, e := range s.Engines {
+		if err := e.LoadState(p.retryState[t]); err != nil {
+			panic(fmt.Sprintf("gateway %s: retry restore %s tile %d: %v", p.cfg.Name, s.Name, t, err))
 		}
-		for t, e := range s.Engines {
-			if err := e.LoadState(p.retryState[t]); err != nil {
-				panic(fmt.Sprintf("gateway %s: retry restore %s tile %d: %v", p.cfg.Name, s.Name, t, err))
-			}
-		}
-		p.recordActivity(ActReconfig)
-		p.state = stStreaming
-		p.sent = 0
-		p.fetched = 0
-		p.exitDelivered = p.blockBase / (s.Block / s.OutBlock)
-		p.exitDiscard = p.exitCount - p.exitDelivered
-		p.lastStreamStart = p.k.Now()
-		p.armWatchdog()
-		p.pump()
-	})
+	}
+	p.recordActivity(ActReconfig)
+	p.state = stStreaming
+	p.sent = 0
+	p.fetched = 0
+	p.exitDelivered = p.blockBase / (s.Block / s.OutBlock)
+	p.exitDiscard = p.exitCount - p.exitDelivered
+	p.lastStreamStart = p.k.Now()
+	p.armWatchdog()
+	p.pump()
 }
 
 // quarantine removes the active stream from arbitration for good: its
@@ -1083,14 +1155,16 @@ func (p *Pair) recordActivity(kind ActivityKind) {
 
 // exitRun is the exit gateway's step function: one sample per δ cycles from
 // the NI to the output C-FIFO.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocRecovery
 func (p *Pair) exitRun() {
 	if p.exitBusy || p.state == stFlushing || p.failed {
 		return
 	}
 	if p.exitHolding {
 		s := p.streams[p.active]
-		if !s.Out.TryWrite(p.exitHeld) {
-			p.k.Schedule(2, func() { p.exitStep.Wake() })
+		if !s.Out.TryWrite(p.exitWord) {
+			p.k.Schedule(2, p.on.exitWake)
 			return
 		}
 		p.exitHolding = false
@@ -1102,40 +1176,46 @@ func (p *Pair) exitRun() {
 		return
 	}
 	p.exitBusy = true
-	epoch := p.blockEpoch
-	p.k.Schedule(p.cfg.ExitCost, func() {
-		if p.blockEpoch != epoch {
-			return // block aborted while this word was in the exit DMA
-		}
-		p.exitBusy = false
-		if p.exitDiscard > 0 {
-			// Replayed word whose original was already committed to the
-			// output C-FIFO before the abort: swallow it so the consumer sees
-			// each block position exactly once.
-			p.exitDiscard--
-			p.afterExitWord(false)
-			return
-		}
-		s := p.streams[p.active]
-		if p.cfg.Recovery.ValueExact {
-			// Hold the word in the staging buffer; it reaches the output
-			// C-FIFO only when the block completes or a checkpoint commits
-			// it, so an abort can roll it back instead of leaking a partial
-			// first attempt downstream.
-			p.stage = append(p.stage, w)
-			p.afterExitWord(true)
-			return
-		}
-		if !s.Out.TryWrite(w) {
-			// The space check reserved room, but the ring injection buffer
-			// can still be momentarily busy.
-			p.exitHolding = true
-			p.exitHeld = w
-			p.k.Schedule(2, func() { p.exitStep.Wake() })
-			return
-		}
+	p.exitWord = w
+	p.k.ScheduleArg(p.cfg.ExitCost, p.on.exitDone, p.blockEpoch)
+}
+
+// exitDone completes the exit DMA's service of exitWord: discard a replayed
+// word, stage it (value-exact), or commit it to the output C-FIFO.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocRecovery
+func (p *Pair) exitDone(epoch uint64) {
+	if p.blockEpoch != epoch {
+		return // block aborted while this word was in the exit DMA
+	}
+	p.exitBusy = false
+	if p.exitDiscard > 0 {
+		// Replayed word whose original was already committed to the
+		// output C-FIFO before the abort: swallow it so the consumer sees
+		// each block position exactly once.
+		p.exitDiscard--
+		p.afterExitWord(false)
+		return
+	}
+	s := p.streams[p.active]
+	if p.cfg.Recovery.ValueExact {
+		// Hold the word in the staging buffer; it reaches the output
+		// C-FIFO only when the block completes or a checkpoint commits
+		// it, so an abort can roll it back instead of leaking a partial
+		// first attempt downstream.
+		//accellint:alloc stage grows to the largest sub-block once, then is reused
+		p.stage = append(p.stage, p.exitWord)
 		p.afterExitWord(true)
-	})
+		return
+	}
+	if !s.Out.TryWrite(p.exitWord) {
+		// The space check reserved room, but the ring injection buffer
+		// can still be momentarily busy.
+		p.exitHolding = true
+		p.k.Schedule(2, p.on.exitWake)
+		return
+	}
+	p.afterExitWord(true)
 }
 
 // afterExitWord closes one exit-DMA service: committed words count toward
@@ -1143,6 +1223,8 @@ func (p *Pair) exitRun() {
 // block completes when a full OutBlock has been committed AND no replay
 // discards remain — on a retry the discards come first, so checking both
 // paths keeps the completion edge firing exactly once per attempt.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocRecovery
 func (p *Pair) afterExitWord(committed bool) {
 	s := p.streams[p.active]
 	p.exitDelivered++
@@ -1155,6 +1237,7 @@ func (p *Pair) afterExitWord(committed bool) {
 		} else {
 			s.SamplesOut++
 			if p.cfg.RecordOutputTimes {
+				//accellint:alloc per-sample timestamps are a measurement option, off in campaigns
 				s.OutTimes = append(s.OutTimes, p.k.Now())
 			}
 			p.exitCount++
@@ -1163,9 +1246,9 @@ func (p *Pair) afterExitWord(committed bool) {
 	if p.exitCount >= s.OutBlock && p.exitDiscard == 0 {
 		// Last sample of the block passed through: commit any staged words,
 		// then notify the entry gateway over the ring.
-		p.drainStage(func() { p.sendIdle(p.active) })
+		p.drainStage(thenIdle)
 	} else if p.checkpointDue(s) {
-		p.beginCheckpoint(s)
+		p.beginCheckpoint()
 	}
 	p.exitStep.Wake()
 }
@@ -1190,85 +1273,97 @@ func (p *Pair) checkpointDue(s *Stream) bool {
 // snapshot the engines' state over the configuration bus, and advance the
 // replay window. Bound to the block epoch, so a stall racing the snapshot
 // aborts it and the retry falls back to the previous checkpoint.
-func (p *Pair) beginCheckpoint(s *Stream) {
+func (p *Pair) beginCheckpoint() {
 	p.state = stCheckpoint
 	p.recordActivity(ActStream) // close the streaming span
-	epoch := p.blockEpoch
-	p.drainStage(func() {
-		cost := p.cfg.Recovery.CheckpointCost
-		p.CheckpointCycles += uint64(cost)
-		p.bus.TransferCycles(cost, func() {
-			if p.failed || p.blockEpoch != epoch {
-				return
-			}
-			p.retryState = p.retryState[:0]
-			for _, e := range s.Engines {
-				p.retryState = append(p.retryState, e.SaveState())
-			}
-			p.blockBase = p.ckptNext
-			p.blockBuf = p.blockBuf[:0]
-			p.fetched = 0
-			p.sent = 0
-			p.ckptNext = p.nextCkptBoundary(s)
-			p.Checkpoints++
-			p.recordActivity(ActCheckpoint)
-			p.state = stStreaming
-			p.pump()
-		})
-	})
+	p.drainStage(thenCheckpoint)
 }
 
-// drainStage commits the staged output words of the active block to its
-// output C-FIFO, then runs done (immediately when nothing is staged). The
-// space check reserved the room at block start, so only transient
-// ring-injection backpressure can delay a write. Bound to the block epoch:
-// an abort discards the remaining stage instead (retryBlock and quarantine
-// roll the watermark back).
-func (p *Pair) drainStage(done func()) {
-	if len(p.stage) == 0 {
-		done()
+// checkpointDone completes the checkpoint snapshot begun at the given epoch.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocRecovery
+func (p *Pair) checkpointDone(epoch uint64) {
+	if p.failed || p.blockEpoch != epoch {
 		return
 	}
 	s := p.streams[p.active]
-	epoch := p.blockEpoch
-	var step func()
-	step = func() {
-		if p.blockEpoch != epoch || p.failed {
-			return
-		}
-		if p.cfg.BatchTransport {
-			// Burst commit: WriteBurst posts the same per-word ring messages
-			// at the same instant as the word-at-a-time loop below; partial
-			// acceptance (ring injection backpressure) retries identically.
-			n := s.Out.WriteBurst(p.stage)
-			for range p.stage[:n] {
-				s.SamplesOut++
-				if p.cfg.RecordOutputTimes {
-					s.OutTimes = append(s.OutTimes, p.k.Now())
-				}
-			}
-			p.stage = p.stage[n:]
-			if len(p.stage) > 0 {
-				p.k.Schedule(2, step)
-				return
-			}
-			done()
-			return
-		}
-		for len(p.stage) > 0 {
-			if !s.Out.TryWrite(p.stage[0]) {
-				p.k.Schedule(2, step)
-				return
-			}
-			p.stage = p.stage[1:]
-			s.SamplesOut++
-			if p.cfg.RecordOutputTimes {
-				s.OutTimes = append(s.OutTimes, p.k.Now())
-			}
-		}
-		done()
+	p.retryState = saveEngines(p.retryState, s.Engines)
+	p.blockBase = p.ckptNext
+	p.blockBuf = p.blockBuf[:0]
+	p.fetched = 0
+	p.sent = 0
+	p.ckptNext = p.nextCkptBoundary(s)
+	p.Checkpoints++
+	p.recordActivity(ActCheckpoint)
+	p.state = stStreaming
+	p.pump()
+}
+
+// stageThen names what follows a stage drain.
+type stageThen int
+
+const (
+	// thenIdle sends the block's pipeline-idle notification.
+	thenIdle stageThen = iota
+	// thenCheckpoint snapshots the engines over the configuration bus.
+	thenCheckpoint
+)
+
+// drainStage commits the staged output words of the active block to its
+// output C-FIFO, then continues with then (immediately when nothing is
+// staged). The space check reserved the room at block start, so only
+// transient ring-injection backpressure can delay a write. Bound to the
+// block epoch: an abort discards the remaining stage instead (retryBlock and
+// quarantine roll the watermark back).
+//
+//accellint:noalloc guard=TestDataPathZeroAllocRecovery
+func (p *Pair) drainStage(then stageThen) {
+	p.stageThen = then
+	p.stageStep(p.blockEpoch)
+}
+
+// stageStep writes staged words until the output C-FIFO refuses one, then
+// retries two cycles later; once the stage is empty it runs stageThen.
+// Committed words leave the stage in place, so its backing array is kept
+// for the next block.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocRecovery
+func (p *Pair) stageStep(epoch uint64) {
+	if p.blockEpoch != epoch || p.failed {
+		return
 	}
-	step()
+	s := p.streams[p.active]
+	var n int
+	if p.cfg.BatchTransport {
+		// Burst commit: WriteBurst posts the same per-word ring messages at
+		// the same instant as the word-at-a-time loop below; partial
+		// acceptance (ring injection backpressure) retries identically.
+		n = s.Out.WriteBurst(p.stage)
+	} else {
+		for n < len(p.stage) && s.Out.TryWrite(p.stage[n]) {
+			n++
+		}
+	}
+	for range p.stage[:n] {
+		s.SamplesOut++
+		if p.cfg.RecordOutputTimes {
+			//accellint:alloc per-sample timestamps are a measurement option, off in campaigns
+			s.OutTimes = append(s.OutTimes, p.k.Now())
+		}
+	}
+	p.stage = p.stage[:copy(p.stage, p.stage[n:])]
+	if len(p.stage) > 0 {
+		p.k.ScheduleArg(2, p.on.stageStep, epoch)
+		return
+	}
+	switch p.stageThen {
+	case thenIdle:
+		p.sendIdle(p.active)
+	case thenCheckpoint:
+		cost := p.cfg.Recovery.CheckpointCost
+		p.CheckpointCycles += uint64(cost)
+		p.bus.TransferCyclesArg(cost, p.on.checkpointDone, p.blockEpoch)
+	}
 }
 
 // sendIdle originates one pipeline-idle notification; the DropIdle fault
@@ -1279,17 +1374,20 @@ func (p *Pair) sendIdle(streamIdx int) {
 		p.IdleDropped++
 		return
 	}
-	p.pushIdle(streamIdx, p.blockEpoch)
+	p.idleStream = streamIdx
+	p.pushIdle(p.blockEpoch)
 }
 
-// pushIdle retries the ring injection until it lands, bound to the block
-// epoch so a flush cancels pending resends.
-func (p *Pair) pushIdle(streamIdx int, epoch uint64) {
+// pushIdle injects the idle notification for idleStream, retrying until it
+// lands; bound to the block epoch so a flush cancels pending resends.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocRecovery
+func (p *Pair) pushIdle(epoch uint64) {
 	if p.blockEpoch != epoch {
 		return
 	}
-	if !p.net.Credit.Node(p.cfg.ExitNode).TrySend(p.cfg.EntryNode, p.cfg.IdlePort, sim.Word(streamIdx)) {
-		p.k.Schedule(2, func() { p.pushIdle(streamIdx, epoch) })
+	if !p.net.Credit.Node(p.cfg.ExitNode).TrySend(p.cfg.EntryNode, p.cfg.IdlePort, sim.Word(p.idleStream)) {
+		p.k.ScheduleArg(2, p.on.pushIdle, epoch)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"accelshare/internal/accel"
+	"accelshare/internal/accel/enginetest"
 	"accelshare/internal/cfifo"
 	"accelshare/internal/ring"
 	"accelshare/internal/sim"
@@ -389,7 +390,7 @@ func (l *lossyEngine) Process(w sim.Word, out []sim.Word) []sim.Word {
 	}
 	return append(out, w)
 }
-func (l *lossyEngine) SaveState() []uint64 { return []uint64{uint64(l.n)} }
+func (l *lossyEngine) SaveState(dst []uint64) []uint64 { return append(dst, uint64(l.n)) }
 func (l *lossyEngine) LoadState(s []uint64) error {
 	if len(s) != 1 {
 		return errBadState
@@ -398,6 +399,22 @@ func (l *lossyEngine) LoadState(s []uint64) error {
 	return nil
 }
 func (l *lossyEngine) StateWords() int { return 1 }
+
+// TestTestEnginesSnapshotContract holds the fault-injecting test engines to
+// the snapshot contract the pair's per-slot state buffers rely on; their
+// drop and glitch positions lie past the words the check feeds.
+func TestTestEnginesSnapshotContract(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		e    accel.Engine
+	}{
+		{"lossy", &lossyEngine{dropEvery: 3}},
+		{"transientDrop", &transientDropEngine{dropAt: 1000}},
+		{"glitch", &glitchEngine{glitchFrom: 1000, glitchTo: 1001, dropAt: 1000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { enginetest.CheckSnapshot(t, tc.e) })
+	}
+}
 
 var errBadState = fmt.Errorf("bad state")
 

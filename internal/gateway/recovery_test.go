@@ -23,9 +23,9 @@ func (e *transientDropEngine) Process(w sim.Word, out []sim.Word) []sim.Word {
 	}
 	return append(out, w)
 }
-func (e *transientDropEngine) SaveState() []uint64      { return nil }
-func (e *transientDropEngine) LoadState([]uint64) error { return nil }
-func (e *transientDropEngine) StateWords() int          { return 0 }
+func (e *transientDropEngine) SaveState(dst []uint64) []uint64 { return dst }
+func (e *transientDropEngine) LoadState([]uint64) error        { return nil }
+func (e *transientDropEngine) StateWords() int                 { return 0 }
 
 // TestWatchdogCoversStreamingPhase wedges the entry link mid-streaming:
 // the fault hits before the last sample of the block is even issued, so a

@@ -323,29 +323,30 @@ func (d *Decoder) forward(src, dst int) {
 	out := d.Sys.Strs[src].Out
 	in := d.Sys.Strs[dst].In
 	k := d.Sys.K
-	var held *sim.Word
-	var w *sim.Waker
-	w = sim.NewWaker(k, func() {
+	var held sim.Word
+	holding := false
+	var retry func() // w.Wake, bound once for the full-FIFO retries
+	w := sim.NewWaker(k, func() {
 		for {
-			if held != nil {
-				if !in.TryWrite(*held) {
-					k.Schedule(8, w.Wake)
+			if holding {
+				if !in.TryWrite(held) {
+					k.Schedule(8, retry)
 					return
 				}
-				held = nil
+				holding = false
 			}
 			v, ok := out.TryRead()
 			if !ok {
 				return
 			}
 			if !in.TryWrite(v) {
-				hv := v
-				held = &hv
-				k.Schedule(8, w.Wake)
+				held, holding = v, true
+				k.Schedule(8, retry)
 				return
 			}
 		}
 	})
+	retry = w.Wake
 	out.SubscribeData(w)
 	in.SubscribeSpace(w)
 }
@@ -381,11 +382,11 @@ func (d *Decoder) reconstruct() {
 				d.stereo.r = append(d.stereo.r, i)
 				moved = true
 			}
-			for len(d.stereo.lr) > 0 && len(d.stereo.r) > 0 {
-				lr := d.stereo.lr[0]
-				r := d.stereo.r[0]
-				d.stereo.lr = d.stereo.lr[1:]
-				d.stereo.r = d.stereo.r[1:]
+			// Paired entries leave the backlogs in place, so both keep
+			// their backing arrays.
+			n := min(len(d.stereo.lr), len(d.stereo.r))
+			for j := 0; j < n; j++ {
+				lr, r := d.stereo.lr[j], d.stereo.r[j]
 				l := 2*lr - r
 				if deL != nil {
 					l = deL.Process(l)
@@ -394,6 +395,8 @@ func (d *Decoder) reconstruct() {
 				d.L = append(d.L, l)
 				d.R = append(d.R, r)
 			}
+			d.stereo.lr = d.stereo.lr[:copy(d.stereo.lr, d.stereo.lr[n:])]
+			d.stereo.r = d.stereo.r[:copy(d.stereo.r, d.stereo.r[n:])]
 			if !moved {
 				return
 			}

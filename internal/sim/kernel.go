@@ -18,12 +18,18 @@ import "math/bits"
 //   - Fired event records are recycled through an intrusive free list; the
 //     steady-state Schedule/Step cycle allocates nothing (proved by
 //     TestKernelZeroAlloc with testing.AllocsPerRun).
+//   - A record carries either a closure (Schedule) or a handler plus one
+//     argument word (ScheduleArg). The argument form lets a component bind
+//     its handler once at construction and pass the per-event datum — a
+//     block or tile epoch — in the record, so per-word events allocate no
+//     closure either.
 //
 // A per-slot occupancy bitmap lets Step find the next nonempty slot with a
 // handful of word scans (math/bits.TrailingZeros64) instead of walking 4096
 // slots. The semantics — including the "scheduling into the past" panic and
 // Run's horizon clamp — are identical to the reference heap implementation in
-// kernel_ref.go; TestKernelDifferential and FuzzKernelSchedule enforce that.
+// kernel_ref_test.go; TestKernelDifferential and FuzzKernelSchedule enforce
+// that.
 
 const (
 	wheelBits  = 12
@@ -33,10 +39,13 @@ const (
 )
 
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	next *event
+	at  Time
+	seq uint64
+	// Exactly one of fn and argFn is set; argFn is invoked with arg.
+	fn    func()
+	argFn func(uint64)
+	arg   uint64
+	next  *event
 }
 
 type slot struct {
@@ -71,7 +80,7 @@ func (k *Kernel) Now() Time { return k.now }
 //
 //accellint:noalloc guard=TestKernelZeroAllocSteadyState
 func (k *Kernel) Schedule(delay Time, fn func()) {
-	k.ScheduleAt(k.now+delay, fn)
+	k.insert(k.now+delay, fn, nil, 0)
 }
 
 // ScheduleAt runs fn at absolute time t (panics when t is in the past —
@@ -79,6 +88,22 @@ func (k *Kernel) Schedule(delay Time, fn func()) {
 //
 //accellint:noalloc guard=TestKernelZeroAllocSteadyState
 func (k *Kernel) ScheduleAt(t Time, fn func()) {
+	k.insert(t, fn, nil, 0)
+}
+
+// ScheduleArg runs fn(arg) after delay cycles, in the same (time, seq) order
+// as Schedule. Components bind fn once (a method value) and pass the
+// per-event datum as arg, so the event costs no closure allocation.
+//
+//accellint:noalloc guard=TestKernelZeroAllocArgEvents
+func (k *Kernel) ScheduleArg(delay Time, fn func(uint64), arg uint64) {
+	k.insert(k.now+delay, nil, fn, arg)
+}
+
+// insert enqueues one event record at absolute time t.
+//
+//accellint:noalloc guard=TestKernelZeroAllocSteadyState
+func (k *Kernel) insert(t Time, fn func(), argFn func(uint64), arg uint64) {
 	if t < k.now {
 		panic("sim: scheduling into the past")
 	}
@@ -94,7 +119,7 @@ func (k *Kernel) ScheduleAt(t Time, fn func()) {
 	k.cascade()
 	k.seq++
 	e := k.alloc()
-	e.at, e.seq, e.fn = t, k.seq, fn
+	e.at, e.seq, e.fn, e.argFn, e.arg = t, k.seq, fn, argFn, arg
 	k.live++
 	if t-k.now < wheelSize {
 		k.pushSlot(e)
@@ -116,12 +141,16 @@ func (k *Kernel) Step() bool {
 	}
 	k.now = e.at
 	k.Processed++
-	fn := e.fn
+	fn, argFn, arg := e.fn, e.argFn, e.arg
 	// Recycle before invoking fn: a callback that reschedules itself (the
 	// dominant pattern — tile service, DMA ticks, source periods) reuses this
 	// record immediately instead of growing the pool.
 	k.recycle(e)
-	fn()
+	if fn != nil {
+		fn()
+	} else {
+		argFn(arg)
+	}
 	return true
 }
 
@@ -196,7 +225,7 @@ func (k *Kernel) alloc() *event {
 //
 //accellint:noalloc guard=TestKernelZeroAllocPooledBurst
 func (k *Kernel) recycle(e *event) {
-	e.fn = nil
+	e.fn, e.argFn = nil, nil
 	e.next = k.free
 	k.free = e
 }

@@ -3,9 +3,10 @@ package sim
 import "testing"
 
 // Differential harness: the timing-wheel Kernel and the reference heapKernel
-// run identical Schedule/ScheduleAt/Step/Run/RunUntil scripts and must agree
-// on the firing order, firing times, clock and queue state at every step —
-// including same-time FIFO-by-seq ordering, delay-0 self-reschedules, wheel
+// run identical Schedule/ScheduleAt/ScheduleArg/Step/Run/RunUntil scripts
+// and must agree on the firing order, firing times, handler arguments, clock
+// and queue state at every step — including same-time FIFO-by-seq ordering
+// across closure and argument events, delay-0 self-reschedules, wheel
 // boundary delays and horizon clamps.
 
 // schedKernel is the scheduling surface shared by Kernel and heapKernel.
@@ -13,6 +14,7 @@ type schedKernel interface {
 	Now() Time
 	Schedule(Time, func())
 	ScheduleAt(Time, func())
+	ScheduleArg(Time, func(uint64), uint64)
 	Pending() bool
 	Step() bool
 	Run(Time) Time
@@ -21,9 +23,12 @@ type schedKernel interface {
 	NextEventTime() (Time, bool)
 }
 
+// firing is one logged event: closure events log their id, argument events
+// the argument their handler received (id 0).
 type firing struct {
-	at Time
-	id int
+	at  Time
+	id  int
+	arg uint64
 }
 
 // diffDriver applies a script to one kernel and logs every firing.
@@ -38,7 +43,7 @@ type diffDriver struct {
 func (d *diffDriver) hook(id, chain int, delay Time) func() {
 	var fn func()
 	fn = func() {
-		d.log = append(d.log, firing{d.k.Now(), id})
+		d.log = append(d.log, firing{at: d.k.Now(), id: id})
 		if chain > 0 {
 			chain--
 			id += 1 << 20
@@ -46,6 +51,34 @@ func (d *diffDriver) hook(id, chain int, delay Time) func() {
 		}
 	}
 	return fn
+}
+
+// argEvent packs an argument event's identity, remaining chain length and
+// re-schedule delay into its one word, so the handler needs no closure.
+func argEvent(id, chain int, delay Time) uint64 {
+	return uint64(id)<<40 | uint64(chain)<<32 | uint64(delay)
+}
+
+// onArg logs the argument it received and, while the argument's chain count
+// is positive, reschedules itself with the count decremented.
+func (d *diffDriver) onArg(arg uint64) {
+	d.log = append(d.log, firing{at: d.k.Now(), arg: arg})
+	if arg>>32&0xff > 0 {
+		d.k.ScheduleArg(Time(uint32(arg)), d.onArg, arg-1<<32)
+	}
+}
+
+// schedule issues the same relative event on both kernels: a closure event
+// (hook) or, with arg set, an argument event carrying argEvent's word.
+func schedule(w, h *diffDriver, arg bool, d Time, id, chain int, delay Time) {
+	if arg {
+		a := argEvent(id, chain, delay)
+		w.k.ScheduleArg(d, w.onArg, a)
+		h.k.ScheduleArg(d, h.onArg, a)
+		return
+	}
+	w.k.Schedule(d, w.hook(id, chain, delay))
+	h.k.Schedule(d, h.hook(id, chain, delay))
 }
 
 // diffRand is a self-contained xorshift64 so scripts are reproducible from a
@@ -95,30 +128,34 @@ func runDiffScript(t *testing.T, seed uint64, ops int) {
 	r := diffRand(seed | 1)
 	id := 0
 	for i := 0; i < ops; i++ {
+		// Every schedule op picks a closure or an argument event, so the two
+		// kinds interleave within slots, cascades and same-time bursts.
+		arg := r.next()&1 == 1
 		switch op := r.next() % 10; {
 		case op < 3: // relative schedule across all delay regimes
 			d := diffDelays[r.next()%uint64(len(diffDelays))]
 			id++
-			w.k.Schedule(d, w.hook(id, 0, 0))
-			h.k.Schedule(d, h.hook(id, 0, 0))
+			schedule(w, h, arg, d, id, 0, 0)
 		case op == 3: // same-time burst: FIFO-by-seq within one slot
 			d := diffDelays[r.next()%uint64(len(diffDelays))]
 			for j := 0; j < 3; j++ {
 				id++
-				w.k.Schedule(d, w.hook(id, 0, 0))
-				h.k.Schedule(d, h.hook(id, 0, 0))
+				schedule(w, h, arg != (j == 1), d, id, 0, 0)
 			}
 		case op == 4: // absolute schedule
 			off := r.next() % (4 * wheelSize)
 			id++
+			if arg {
+				schedule(w, h, true, off, id, 0, 0)
+				break
+			}
 			w.k.ScheduleAt(w.k.Now()+off, w.hook(id, 0, 0))
 			h.k.ScheduleAt(h.k.Now()+off, h.hook(id, 0, 0))
 		case op == 5: // cascading self-reschedule chain
 			d := diffDelays[r.next()%uint64(len(diffDelays))]
 			n := int(r.next() % 4)
 			id++
-			w.k.Schedule(d, w.hook(id, n, d))
-			h.k.Schedule(d, h.hook(id, n, d))
+			schedule(w, h, arg, d, id, n, d)
 		case op == 6:
 			if sw, sh := w.k.Step(), h.k.Step(); sw != sh {
 				t.Fatalf("op %d: Step wheel=%v heap=%v", i, sw, sh)

@@ -5,13 +5,19 @@ import "testing"
 // FuzzKernelSchedule decodes arbitrary bytes into a scheduling script (two
 // bytes per op) and cross-checks the timing-wheel Kernel against the heap
 // reference after every op: clock, pending state, next-event time, firing
-// log — and panic parity for past-time ScheduleAt attempts.
+// log with handler arguments — and panic parity for past-time ScheduleAt
+// attempts. The op byte's high bit turns a relative, delta-cycle or chain
+// schedule into an argument event (ScheduleArg), so both kinds interleave.
 func FuzzKernelSchedule(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 5, 0, 4, 3})                         // delta cycles + step
 	f.Add([]byte{2, 255, 2, 255, 6, 255, 5, 0, 5, 0})             // deep overflow + run
 	f.Add([]byte{0, 16, 4, 3, 5, 0, 3, 0, 3, 200, 6, 64})         // chains + past-time probes
 	f.Add([]byte{1, 0, 1, 0, 1, 0, 5, 0, 5, 0, 5, 0, 5, 0})       // same-cycle FIFO burst
 	f.Add([]byte{0, 250, 6, 250, 0, 1, 5, 0, 7, 2, 6, 255, 5, 0}) // horizon clamps
+
+	// Argument events (high bit set) among closure events.
+	f.Add([]byte{1, 0, 129, 0, 1, 0, 128, 3, 132, 7, 5, 0, 6, 40})
+	f.Add([]byte{128, 200, 0, 200, 132, 9, 4, 9, 6, 255, 5, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
@@ -22,16 +28,15 @@ func FuzzKernelSchedule(f *testing.F) {
 		id := 0
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i]%8, data[i+1]
+			argEv := data[i]&0x80 != 0
 			switch op {
 			case 0: // relative delay, quadratic spread reaches past the wheel window
 				d := Time(arg) * Time(arg)
 				id++
-				w.k.Schedule(d, w.hook(id, 0, 0))
-				h.k.Schedule(d, h.hook(id, 0, 0))
+				schedule(w, h, argEv, d, id, 0, 0)
 			case 1: // delta cycle
 				id++
-				w.k.Schedule(0, w.hook(id, 0, 0))
-				h.k.Schedule(0, h.hook(id, 0, 0))
+				schedule(w, h, argEv, 0, id, 0, 0)
 			case 2: // absolute, far future
 				at := w.k.Now() + Time(arg)<<6
 				id++
@@ -49,8 +54,7 @@ func FuzzKernelSchedule(f *testing.F) {
 				d := Time(arg % 17)
 				n := int(arg % 5)
 				id++
-				w.k.Schedule(d, w.hook(id, n, d))
-				h.k.Schedule(d, h.hook(id, n, d))
+				schedule(w, h, argEv, d, id, n, d)
 			case 5:
 				if sw, sh := w.k.Step(), h.k.Step(); sw != sh {
 					t.Fatalf("op %d: Step wheel=%v heap=%v", i, sw, sh)

@@ -139,3 +139,31 @@ func TestKernelZeroAllocPooledBurst(t *testing.T) {
 		t.Fatalf("pooled burst allocates %v/op, want 0", a)
 	}
 }
+
+func TestKernelZeroAllocArgEvents(t *testing.T) {
+	k := NewKernel()
+	var sum uint64
+	var tick func(uint64)
+	tick = func(n uint64) {
+		sum += n
+		if n > 0 {
+			k.ScheduleArg(n%3, tick, n-1) // delta cycles and short delays
+		}
+	}
+	fn := func() {}
+	k.ScheduleArg(1, tick, 64)
+	k.RunAll() // warm the pool and wheel
+	if a := testing.AllocsPerRun(100, func() {
+		k.ScheduleArg(1, tick, 64)
+		k.Schedule(2, fn) // closure events interleave in the same slots
+		k.ScheduleArg(wheelSize+5, tick, 3)
+		k.RunAll()
+	}); a != 0 {
+		t.Fatalf("argument events allocate %v/op, want 0", a)
+	}
+	// Warm-up run plus AllocsPerRun's own warm-up call and 100 measured ones.
+	const near, far = 64 * 65 / 2, 3 * 4 / 2 // argument sums of the two chains
+	if want := uint64(near + 101*(near+far)); sum != want {
+		t.Fatalf("handlers received argument sum %d, want %d", sum, want)
+	}
+}

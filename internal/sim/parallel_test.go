@@ -15,7 +15,7 @@ func newGroupCell(seed uint64) *groupCell {
 	c := &groupCell{k: NewKernel(), rng: diffRand(seed | 1)}
 	var churn func()
 	churn = func() {
-		c.log = append(c.log, firing{c.k.Now(), 0})
+		c.log = append(c.log, firing{at: c.k.Now()})
 		c.k.Schedule(1+Time(c.rng.next()%97), churn)
 	}
 	c.k.Schedule(1, churn)
@@ -23,7 +23,7 @@ func newGroupCell(seed uint64) *groupCell {
 }
 
 func (c *groupCell) token(id int) func() {
-	return func() { c.log = append(c.log, firing{c.k.Now(), id}) }
+	return func() { c.log = append(c.log, firing{at: c.k.Now(), id: id}) }
 }
 
 // runGroupScenario runs three cells to the horizon with a barrier that

@@ -14,9 +14,9 @@ package sim
 type Time = uint64
 
 // The Kernel (clock + event scheduler) lives in kernel.go: a timing-wheel
-// scheduler with pooled zero-alloc event records. kernel_ref.go keeps the
-// original binary-heap scheduler as the reference implementation for the
-// differential and fuzz harnesses.
+// scheduler with pooled zero-alloc event records. kernel_ref_test.go keeps
+// the original binary-heap scheduler as the reference implementation for
+// the differential and fuzz harnesses.
 
 // Waker coalesces wake-up requests for a component's step function: any
 // number of Wake calls within one delta-cycle collapse into a single
