@@ -3,8 +3,9 @@ package main
 // The -diff mode: compare two recorded baselines mechanically, so an
 // optimisation PR's claim ("re-recorded, nothing regressed") is a command
 // with an exit code instead of a prose assertion. A regression is a ns/op
-// increase beyond the threshold percentage; improvements and new/removed
-// benchmarks are reported but never fail the diff.
+// increase beyond the threshold percentage, or an allocs/op increase of
+// more than allocSlack; improvements and new/removed benchmarks are
+// reported but never fail the diff.
 
 import (
 	"encoding/json"
@@ -13,6 +14,12 @@ import (
 	"os"
 	"sort"
 )
+
+// allocSlack is the allocs/op growth the diff tolerates. Allocation counts
+// are nearly deterministic — repeated records agree within ±1 per op while
+// ns/op moves by tens of percent on a shared host — so the allocation gate
+// is absolute and tight where the timing gate must be loose.
+const allocSlack = 1
 
 // benchKey identifies one benchmark across baselines.
 type benchKey struct {
@@ -35,7 +42,7 @@ func loadBaseline(path string) (*baseline, error) {
 
 // diffBaselines prints a per-benchmark delta table to w and returns the
 // number of regressions: benchmarks whose ns/op grew by more than
-// thresholdPct percent.
+// thresholdPct percent or whose allocs/op grew by more than allocSlack.
 func diffBaselines(w io.Writer, oldB, newB *baseline, thresholdPct float64) int {
 	oldBy := make(map[benchKey]record, len(oldB.Benchmarks))
 	for _, r := range oldB.Benchmarks {
@@ -62,7 +69,7 @@ func diffBaselines(w io.Writer, oldB, newB *baseline, thresholdPct float64) int 
 		return keys[i].Name < keys[j].Name
 	})
 
-	fmt.Fprintf(w, "%-52s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
+	fmt.Fprintf(w, "%-52s %14s %14s %9s %12s %12s\n", "benchmark", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs")
 	regressions := 0
 	for _, k := range keys {
 		label := k.Package + " " + k.Name
@@ -70,9 +77,9 @@ func diffBaselines(w io.Writer, oldB, newB *baseline, thresholdPct float64) int 
 		n, hasNew := newBy[k]
 		switch {
 		case !hasNew:
-			fmt.Fprintf(w, "%-52s %14.1f %14s %9s\n", label, o.NsPerOp, "-", "removed")
+			fmt.Fprintf(w, "%-52s %14.1f %14s %9s %12.0f %12s\n", label, o.NsPerOp, "-", "removed", o.AllocsOp, "-")
 		case !hasOld:
-			fmt.Fprintf(w, "%-52s %14s %14.1f %9s\n", label, "-", n.NsPerOp, "added")
+			fmt.Fprintf(w, "%-52s %14s %14.1f %9s %12s %12.0f\n", label, "-", n.NsPerOp, "added", "-", n.AllocsOp)
 		default:
 			pct := 0.0
 			if o.NsPerOp > 0 {
@@ -80,14 +87,20 @@ func diffBaselines(w io.Writer, oldB, newB *baseline, thresholdPct float64) int 
 			}
 			mark := ""
 			if pct > thresholdPct {
-				mark = "  REGRESSION"
+				mark += "  REGRESSION ns/op"
+			}
+			if n.AllocsOp-o.AllocsOp > allocSlack {
+				mark += "  REGRESSION allocs/op"
+			}
+			if mark != "" {
 				regressions++
 			}
-			fmt.Fprintf(w, "%-52s %14.1f %14.1f %+8.1f%%%s\n", label, o.NsPerOp, n.NsPerOp, pct, mark)
+			fmt.Fprintf(w, "%-52s %14.1f %14.1f %+8.1f%% %12.0f %12.0f%s\n", label, o.NsPerOp, n.NsPerOp, pct, o.AllocsOp, n.AllocsOp, mark)
 		}
 	}
 	if regressions > 0 {
-		fmt.Fprintf(w, "\n%d benchmark(s) regressed beyond %.1f%%\n", regressions, thresholdPct)
+		fmt.Fprintf(w, "\n%d benchmark(s) regressed: ns/op beyond %.1f%% or allocs/op by more than %d\n",
+			regressions, thresholdPct, allocSlack)
 	}
 	return regressions
 }

@@ -83,3 +83,34 @@ func TestDiffOutputIsDeterministic(t *testing.T) {
 		t.Fatalf("rows not sorted by name:\n%s", a.String())
 	}
 }
+
+func TestDiffFlagsAllocGrowthBeyondOnePerOp(t *testing.T) {
+	rec := func(name string, ns, allocs float64) record {
+		return record{Name: name, Package: ".", NsPerOp: ns, AllocsOp: allocs}
+	}
+	oldB := &baseline{Benchmarks: []record{
+		rec("BenchmarkJitter", 100, 10),
+		rec("BenchmarkLeak", 100, 10),
+		rec("BenchmarkFewer", 100, 10),
+		rec("BenchmarkBoth", 100, 0),
+	}}
+	newB := &baseline{Benchmarks: []record{
+		rec("BenchmarkJitter", 100, 11), // +1 alloc/op: within the slack
+		rec("BenchmarkLeak", 90, 12),    // faster, but +2 allocs/op
+		rec("BenchmarkFewer", 100, 3),
+		rec("BenchmarkBoth", 200, 5), // both gates: one regression
+	}}
+	var sb strings.Builder
+	if got := diffBaselines(&sb, oldB, newB, 75); got != 2 {
+		t.Fatalf("regressions = %d, want 2\n%s", got, sb.String())
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		flagged := strings.Contains(line, "REGRESSION")
+		switch {
+		case strings.Contains(line, "BenchmarkLeak") && !strings.Contains(line, "REGRESSION allocs/op"),
+			strings.Contains(line, "BenchmarkBoth") && !(strings.Contains(line, "REGRESSION ns/op") && strings.Contains(line, "REGRESSION allocs/op")),
+			(strings.Contains(line, "BenchmarkJitter") || strings.Contains(line, "BenchmarkFewer")) && flagged:
+			t.Fatalf("wrong verdict: %s", line)
+		}
+	}
+}

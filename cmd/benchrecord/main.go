@@ -19,7 +19,7 @@
 // benches. The output is sorted
 // by benchmark name so re-records diff cleanly; -diff compares two
 // recorded baselines and exits 1 when any benchmark's ns/op grew by more
-// than -threshold percent.
+// than -threshold percent or its allocs/op by more than one.
 package main
 
 import (

@@ -53,12 +53,20 @@ func NewTile(name string, k *sim.Kernel, cost sim.Time, niCapacity int) *Tile {
 // In returns the NI input queue (the destination for the upstream Link).
 func (t *Tile) In() *sim.Queue { return t.in }
 
-// SetDownstream attaches the outgoing link.
+// SetDownstream attaches the outgoing link. The tile takes the link's
+// credit and ring-space wakes only while it holds a refused word: with
+// nothing pending, run's only work is the NI pop, which data arrival,
+// engine installation and service completion already trigger.
 func (t *Tile) SetDownstream(l *Link) {
 	t.out = l
-	l.SubscribeCredits(t.step)
-	l.SubscribeRingSpace(t.step)
+	refused := t.step.When(t.holdsRefused)
+	l.SubscribeCredits(refused)
+	l.SubscribeRingSpace(refused)
 }
+
+// holdsRefused reports whether produced words are waiting for the
+// downstream link to accept them.
+func (t *Tile) holdsRefused() bool { return len(t.pending) > 0 }
 
 // SetEngine installs the active engine (nil detaches — the tile then
 // stalls, which is what happens mid-context-switch). Swaps outside a

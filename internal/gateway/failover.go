@@ -167,8 +167,9 @@ func (p *Pair) standingState(i int, s *Stream) [][]uint64 {
 // unsubscribe undoes AddStream's wake-up subscriptions: a stream the pair
 // gave up must no longer wake its entry gateway with every word and ack.
 func (p *Pair) unsubscribe(s *Stream) {
-	s.In.UnsubscribeData(p.step)
-	s.Out.UnsubscribeSpace(p.step)
+	s.In.UnsubscribeData(s.wake)
+	s.Out.UnsubscribeSpace(s.wake)
+	s.wake = nil
 }
 
 func cloneState(st [][]uint64) [][]uint64 {
@@ -210,6 +211,7 @@ func (p *Pair) ImportStream(e StreamExport) (int, error) {
 	s.pendingReplay = append([]sim.Word(nil), e.Replay...)
 	s.pendingCommitted = e.Committed
 	s.pendingReplayStart = e.ReplayStart
+	p.recheck = true
 	return len(p.streams) - 1, nil
 }
 

@@ -263,6 +263,9 @@ type Stream struct {
 
 	saved  [][]uint64
 	loaded bool
+	// wake is the owning pair's gated subscription to In's data and Out's
+	// space (AddStream), kept so the pair can unsubscribe it.
+	wake *sim.Waker
 
 	// Failover migration state: a stream imported mid-block carries the
 	// input words its aborted attempt consumed on the failed chain
@@ -382,6 +385,10 @@ type Pair struct {
 	dmaWord  sim.Word
 	swapFrom int
 	step     *sim.Waker
+	// recheck opens every stream's wake gate until the next entry step: a
+	// slot-table change (ApplySlots, ImportStream) can make a stream
+	// eligible, or leave its queued flag stale, without a FIFO edge.
+	recheck bool
 
 	// Recovery state. blockEpoch identifies the current block attempt; it
 	// is bumped on every completion, flush, retry and quarantine so stale
@@ -533,8 +540,11 @@ func NewPair(k *sim.Kernel, net *ring.Dual, cfg Config, tiles []*accel.Tile, ent
 	p.on.flushDone = p.flushDone
 	p.on.pushIdle = p.pushIdle
 	p.on.exitWake = p.exitStep.Wake
-	entryLink.SubscribeCredits(p.step)
-	entryLink.SubscribeRingSpace(p.step)
+	// The entry DMA needs a credit or ring space only while it holds a
+	// refused word; every other entry step is triggered elsewhere.
+	holding := p.step.When(func() bool { return p.holding })
+	entryLink.SubscribeCredits(holding)
+	entryLink.SubscribeRingSpace(holding)
 	exitNI.SubscribeData(p.exitStep)
 	// Pipeline-idle notifications arrive on the entry tile's idle port.
 	// They travel the counter-rotating credit ring: the entry gateway sits
@@ -550,8 +560,9 @@ func NewPair(k *sim.Kernel, net *ring.Dual, cfg Config, tiles []*accel.Tile, ent
 }
 
 // AddStream registers a stream. Must be called before Start. The entry
-// gateway subscribes to the stream's input data and output space;
-// ReleaseSlot and ExportStreams undo both subscriptions.
+// gateway subscribes to the stream's input data and output space through
+// one gated alias (see streamCanAct); ReleaseSlot and ExportStreams undo
+// both subscriptions.
 func (p *Pair) AddStream(s *Stream) error {
 	if s.Block <= 0 {
 		return fmt.Errorf("gateway: stream %q needs a positive block size", s.Name)
@@ -573,9 +584,22 @@ func (p *Pair) AddStream(s *Stream) error {
 	s.saved = make([][]uint64, len(s.Engines))
 	p.streams = append(p.streams, s)
 	p.live = append(p.live, len(p.streams)-1)
-	s.In.SubscribeData(p.step)
-	s.Out.SubscribeSpace(p.step)
+	s.wake = p.step.When(func() bool { return p.streamCanAct(s) })
+	s.In.SubscribeData(s.wake)
+	s.Out.SubscribeSpace(s.wake)
 	return nil
+}
+
+// streamCanAct is the gate on stream s's FIFO wakes, read right after its
+// input gained a word or its output gained space. The entry step acts on
+// such an edge only when s is eligible and either trackQueued must stamp
+// its queuedAt now (!queued) or the idle arbiter may start it — a stream
+// whose queued flag survived a slot resize or an import is queued before
+// it is eligible again. Streaming needs no FIFO wake: a block is whole
+// before it starts, and the entry DMA's credit waits have their own gate.
+// recheck covers eligibility that changed without a FIFO edge.
+func (p *Pair) streamCanAct(s *Stream) bool {
+	return p.recheck || p.eligible(s) && (!s.queued || p.state == stIdle)
 }
 
 // Streams returns the registered streams.
@@ -588,12 +612,11 @@ func (p *Pair) Start() {
 	p.step.Wake()
 }
 
-// ready reports whether stream i can be served now: not quarantined or
+// eligible reports whether stream s can be served now: not quarantined or
 // suspended, full input block, reserved output space. A migrated stream's
 // pending replay words count toward its block — they were consumed from
 // the input FIFO on the failed chain and will be replayed locally.
-func (p *Pair) ready(i int) bool {
-	s := p.streams[i]
+func (p *Pair) eligible(s *Stream) bool {
 	if s.Quarantined || s.Suspended {
 		return false
 	}
@@ -618,7 +641,7 @@ func (p *Pair) trackQueued() {
 		if s.Quarantined || s.Suspended {
 			continue
 		}
-		if !s.queued && p.ready(i) && !(p.state != stIdle && i == p.active) {
+		if !s.queued && p.eligible(s) && !(p.state != stIdle && i == p.active) {
 			s.queued = true
 			s.queuedAt = p.k.Now()
 		}
@@ -631,6 +654,7 @@ func (p *Pair) entryRun() {
 		return
 	}
 	p.trackQueued()
+	p.recheck = false
 	switch p.state {
 	case stIdle:
 		// A pending pause wins over arbitration: the pair is at a block
@@ -666,7 +690,7 @@ func (p *Pair) tryStart() {
 	}
 	for off := 0; off < n; off++ {
 		i := p.live[(first+off)%n]
-		if p.ready(i) {
+		if p.eligible(p.streams[i]) {
 			p.beginBlock(i)
 			return
 		}
@@ -1250,7 +1274,11 @@ func (p *Pair) afterExitWord(committed bool) {
 	} else if p.checkpointDue(s) {
 		p.beginCheckpoint()
 	}
-	p.exitStep.Wake()
+	if p.exitNI.Len() > 0 {
+		// The next word is already waiting; an empty NI wakes the exit
+		// DMA itself when one lands.
+		p.exitStep.Wake()
+	}
 }
 
 // checkpointDue reports whether the active block just quiesced at an
@@ -1565,6 +1593,7 @@ func (p *Pair) ApplySlots(updates []SlotUpdate, perSlotCost sim.Time, done func(
 				s.Probation = true
 			}
 		}
+		p.recheck = true
 		if done != nil {
 			done()
 		}

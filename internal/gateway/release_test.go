@@ -144,8 +144,9 @@ func TestRoundRobinAcrossReleasedSlots(t *testing.T) {
 	}
 
 	// A word pushed into a released stream's input costs exactly what it
-	// costs on a FIFO nobody subscribes to; on a live slot it also wakes
-	// the entry gateway (one step event).
+	// costs on a FIFO nobody subscribes to. On a live slot it wakes the
+	// entry gateway only when it completes the slot's block: the wake's
+	// gate drops the edges the entry step cannot act on.
 	control, err := newTestFIFO(r, "ctl.in", 16, 3, 0, 60, 60)
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +164,13 @@ func TestRoundRobinAcrossReleasedSlots(t *testing.T) {
 			t.Errorf("released slot %d: a pushed word cost %d events, want %d (entry gateway still subscribed)", i, got, base)
 		}
 	}
+	// Paused, so the completed block stays queued instead of being served.
+	pauseRig(t, r)
+	if got := push(ins[0]); got != base {
+		t.Errorf("live slot 0: a word short of a block cost %d events, want %d (no entry-gateway wake)", got, base)
+	}
 	if got := push(ins[0]); got != base+1 {
-		t.Errorf("live slot 0: a pushed word cost %d events, want %d (one entry-gateway wake)", got, base+1)
+		t.Errorf("live slot 0: the block-completing word cost %d events, want %d (one entry-gateway wake)", got, base+1)
 	}
 }
 

@@ -165,3 +165,21 @@ func TestDeemphasisOptionWires(t *testing.T) {
 		t.Error("tone separation lost with de-emphasis")
 	}
 }
+
+// TestEventCountPinned pins the events the §VI-A platform fires over a
+// fixed horizon. The count is deterministic, so any change to the event
+// schedule — a wake gated away, an event split in two — shows up here as a
+// reviewed diff of this constant. Before the subscriber-gated wakes the
+// same run fired 1,054,521 events.
+func TestEventCountPinned(t *testing.T) {
+	p := DefaultParams()
+	p.Seconds = 0.01
+	d, err := Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Run(1_000_000)
+	if got, want := d.Sys.K.Processed, uint64(822_695); got != want {
+		t.Errorf("%d events over 1M cycles, want %d", got, want)
+	}
+}

@@ -135,10 +135,18 @@ func (k *Kernel) Pending() bool { return k.live > 0 }
 //
 //accellint:noalloc guard=TestKernelZeroAllocSteadyState
 func (k *Kernel) Step() bool {
-	e := k.popNext()
+	e := k.popUntil(^Time(0))
 	if e == nil {
 		return false
 	}
+	k.fire(e)
+	return true
+}
+
+// fire advances the clock to a popped event and runs it.
+//
+//accellint:noalloc guard=TestKernelZeroAllocSteadyState
+func (k *Kernel) fire(e *event) {
 	k.now = e.at
 	k.Processed++
 	fn, argFn, arg := e.fn, e.argFn, e.arg
@@ -151,19 +159,15 @@ func (k *Kernel) Step() bool {
 	} else {
 		argFn(arg)
 	}
-	return true
 }
 
 // Run processes events until the queue is empty or the next event lies
 // beyond `until`; the clock ends at min(until, last event time). Returns
-// the final time.
+// the final time. Each event is located once: popUntil tests the horizon
+// on the candidate it would remove.
 func (k *Kernel) Run(until Time) Time {
-	for {
-		t, ok := k.peek()
-		if !ok || t > until {
-			break
-		}
-		k.Step()
+	for e := k.popUntil(until); e != nil; e = k.popUntil(until) {
+		k.fire(e)
 	}
 	if k.now < until {
 		k.now = until
@@ -188,22 +192,28 @@ func (k *Kernel) RunUntil(until Time, cond func() bool) bool {
 	if cond() {
 		return true
 	}
-	for {
-		t, ok := k.peek()
-		if !ok || t > until {
-			return false
-		}
-		k.Step()
+	for e := k.popUntil(until); e != nil; e = k.popUntil(until) {
+		k.fire(e)
 		if cond() {
 			return true
 		}
 	}
+	return false
 }
 
 // NextEventTime reports the time of the earliest pending event. It is the
 // lookahead hook the parallel Group runner uses to prove a kernel cannot
 // produce work inside a window.
-func (k *Kernel) NextEventTime() (Time, bool) { return k.peek() }
+func (k *Kernel) NextEventTime() (Time, bool) {
+	if k.live == 0 {
+		return 0, false
+	}
+	k.cascade()
+	if s, ok := k.scanWheel(); ok {
+		return k.slots[s].head.at, true
+	}
+	return k.overflow[0].at, true
+}
 
 // --- wheel internals ---
 
@@ -274,40 +284,39 @@ func (k *Kernel) scanWheel() (int, bool) {
 	return 0, false
 }
 
-// peek returns the earliest pending event time without removing it.
-func (k *Kernel) peek() (Time, bool) {
-	if k.live == 0 {
-		return 0, false
-	}
-	k.cascade()
-	if s, ok := k.scanWheel(); ok {
-		s0 := int(k.now) & wheelMask
-		return k.now + Time((s-s0)&wheelMask), true
-	}
-	return k.overflow[0].at, true
-}
-
-// popNext removes and returns the earliest pending event (nil when empty).
-// After cascade, every overflow event is at least a full wheel revolution
-// away, so any wheel resident beats the overflow top.
-func (k *Kernel) popNext() *event {
+// popUntil removes and returns the earliest pending event when it lies at
+// or before until, and nil otherwise (nothing pending, or the earliest event
+// is beyond the horizon and stays queued). After cascade, every overflow
+// event is at least a full wheel revolution away, so any wheel resident
+// beats the overflow top.
+//
+//accellint:noalloc guard=TestKernelZeroAllocSteadyState
+func (k *Kernel) popUntil(until Time) *event {
 	if k.live == 0 {
 		return nil
 	}
-	k.live--
 	k.cascade()
-	if s, ok := k.scanWheel(); ok {
-		sl := &k.slots[s]
-		e := sl.head
-		sl.head = e.next
-		if sl.head == nil {
-			sl.tail = nil
-			k.occupied[s>>6] &^= 1 << uint(s&63)
+	s, ok := k.scanWheel()
+	if !ok {
+		if k.overflow[0].at > until {
+			return nil
 		}
-		e.next = nil
-		return e
+		k.live--
+		return k.popOverflow()
 	}
-	return k.popOverflow()
+	sl := &k.slots[s]
+	e := sl.head
+	if e.at > until {
+		return nil
+	}
+	k.live--
+	sl.head = e.next
+	if sl.head == nil {
+		sl.tail = nil
+		k.occupied[s>>6] &^= 1 << uint(s&63)
+	}
+	e.next = nil
+	return e
 }
 
 // --- overflow heap (typed, no boxing) ---

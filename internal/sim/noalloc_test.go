@@ -12,6 +12,8 @@ func TestWakerZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	w := NewWaker(k, func() { fired++ })
+	open := false
+	a := w.When(func() bool { return open })
 	w.Wake() // cold start: wheel arrays + first event record
 	k.RunAll()
 	if a := testing.AllocsPerRun(500, func() {
@@ -21,8 +23,23 @@ func TestWakerZeroAlloc(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("steady-state Wake allocates %v/op, want 0", a)
 	}
-	if fired == 0 {
-		t.Fatal("waker never fired")
+	// The alias path: a closed gate drops the wake, an open one forwards it
+	// and coalesces with the target's own.
+	aliasRound := func() {
+		open = false
+		a.Wake()
+		open = true
+		a.Wake()
+		w.Wake()
+		k.RunAll()
+	}
+	if a := testing.AllocsPerRun(500, aliasRound); a != 0 {
+		t.Fatalf("steady-state alias Wake allocates %v/op, want 0", a)
+	}
+	before := fired
+	aliasRound()
+	if fired != before+1 {
+		t.Fatalf("alias round fired %d ticks, want 1", fired-before)
 	}
 }
 

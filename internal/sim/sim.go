@@ -20,9 +20,18 @@ type Time = uint64
 
 // Waker coalesces wake-up requests for a component's step function: any
 // number of Wake calls within one delta-cycle collapse into a single
-// invocation of fn at the current time. Components subscribe their Waker to
-// the queues they depend on and re-examine all state in fn (idempotent
-// step functions), the classic "process network" DES pattern.
+// invocation of fn at the current time. Components subscribe a Waker to the
+// queues they depend on, the classic "process network" DES pattern.
+//
+// Gating rule: a publisher wakes every subscriber on every change, but a
+// component subscribes, for each input, the Waker it must take from that
+// input — w itself when every change can let fn act, or an alias w.When(cond)
+// when fn can act on the change only while cond holds (a tile needs its
+// downstream credits only while it holds a refused word). cond is read at
+// the publisher's change, after its state is updated, so it must be true
+// whenever fn, run at that instant, could do anything: a dropped wake must
+// be one that provably does nothing. Step functions stay idempotent, so a
+// wake that passes a loose gate costs an event, never correctness.
 type Waker struct {
 	k       *Kernel
 	fn      func()
@@ -30,6 +39,10 @@ type Waker struct {
 	// tick is the coalesced wake-up closure, created once at construction:
 	// Wake sits on every queue push/pop and must not allocate per call.
 	tick func()
+	// target and cond are set on an alias (When): Wake forwards to target
+	// while cond holds.
+	target *Waker
+	cond   func() bool
 }
 
 // NewWaker binds a step function to the kernel.
@@ -42,22 +55,30 @@ func NewWaker(k *Kernel, fn func()) *Waker {
 	return w
 }
 
+// When returns an alias of w for one subscription: waking the alias wakes w
+// while cond holds and does nothing otherwise. The alias shares w's pending
+// tick, so wakes through any number of aliases and through w itself still
+// coalesce into one invocation per delta-cycle.
+func (w *Waker) When(cond func() bool) *Waker {
+	return &Waker{target: w, cond: cond}
+}
+
 // Wake schedules the step function at the current time if not already
-// scheduled.
+// scheduled; through an alias, only while the alias's condition holds.
 //
 //accellint:noalloc guard=TestWakerZeroAlloc
 func (w *Waker) Wake() {
+	for w.target != nil {
+		if !w.cond() {
+			return
+		}
+		w = w.target
+	}
 	if w.pending {
 		return
 	}
 	w.pending = true
 	w.k.Schedule(0, w.tick)
-}
-
-// WakeAfter schedules the step function after a delay; unlike Wake it does
-// not coalesce (a dedicated timer tick).
-func (w *Waker) WakeAfter(d Time) {
-	w.k.Schedule(d, w.fn)
 }
 
 // Word is the unit of transport on the interconnect: 64 payload bits.

@@ -78,14 +78,58 @@ func TestWakerCoalesces(t *testing.T) {
 	}
 }
 
-func TestWakerAfter(t *testing.T) {
+func TestWakerWhenGates(t *testing.T) {
 	k := NewKernel()
-	var at Time
-	w := NewWaker(k, func() { at = k.Now() })
-	w.WakeAfter(7)
+	calls := 0
+	w := NewWaker(k, func() { calls++ })
+	open := false
+	a := w.When(func() bool { return open })
+	a.Wake()
 	k.RunAll()
-	if at != 7 {
-		t.Errorf("fired at %d, want 7", at)
+	if calls != 0 || k.Processed != 0 {
+		t.Fatalf("closed alias: calls = %d, events = %d, want 0 and 0", calls, k.Processed)
+	}
+	open = true
+	a.Wake()
+	k.RunAll()
+	if calls != 1 || k.Processed != 1 {
+		t.Fatalf("open alias: calls = %d, events = %d, want 1 and 1", calls, k.Processed)
+	}
+	// The condition is read at the wake, not at the tick: closing the gate
+	// after a forwarded wake does not cancel it.
+	a.Wake()
+	open = false
+	k.RunAll()
+	if calls != 2 {
+		t.Fatalf("calls = %d, want 2 (wake forwarded before the gate closed)", calls)
+	}
+}
+
+func TestWakerWhenCoalescesWithTarget(t *testing.T) {
+	k := NewKernel()
+	var at []Time
+	w := NewWaker(k, func() { at = append(at, k.Now()) })
+	a := w.When(func() bool { return true })
+	b := w.When(func() bool { return true })
+	nested := a.When(func() bool { return true })
+	k.Schedule(3, func() {
+		a.Wake()
+		w.Wake()
+		b.Wake()
+		nested.Wake()
+	})
+	k.Schedule(5, func() { nested.Wake() })
+	k.RunAll()
+	// Two triggers and one tick per delta-cycle.
+	if len(at) != 2 || at[0] != 3 || at[1] != 5 || k.Processed != 4 {
+		t.Fatalf("ticks at %v after %d events, want [3 5] after 4", at, k.Processed)
+	}
+	// A nested alias forwards only while every condition on its path holds.
+	blocked := w.When(func() bool { return false }).When(func() bool { return true })
+	blocked.Wake()
+	k.RunAll()
+	if len(at) != 2 {
+		t.Fatalf("ticks at %v, want no tick through a closed inner alias", at)
 	}
 }
 
