@@ -30,7 +30,6 @@ import (
 	"accelshare/internal/fault"
 	"accelshare/internal/gateway"
 	"accelshare/internal/sim"
-	"accelshare/internal/solve"
 )
 
 func init() {
@@ -139,16 +138,6 @@ func serveShort(seed uint64) serveProfile {
 	}
 }
 
-// serveSolver is the sustained-serving solver stack: the exactly-re-verified
-// float fast path for every re-solve, with the exact least fixed point as
-// verification fallback. serve's transcript pins the plans this stack
-// produces. The fast path keeps every guarantee (no float value reaches the
-// platform without passing exact verification), and float64 arithmetic is
-// deterministic, so the transcript stays byte-stable.
-func serveSolver() solve.Solver {
-	return &solve.Incremental{Inner: &solve.Fast{Fallback: &solve.Exact{}}}
-}
-
 // serveConfig mirrors chaosConfig's fleet parameters (one shared fixture
 // keeps the campaign surface comparable) with the rebalancer armed.
 func serveConfig(p serveProfile) cluster.Config {
@@ -170,7 +159,6 @@ func serveConfig(p serveProfile) cluster.Config {
 		InCapacity:       512,
 		OutCapacity:      256,
 		CollectOutputs:   true,
-		Solver:           serveSolver(),
 		ReclaimSlots:     true,
 		Rebalance:        p.rebalance,
 		Chains:           p.chains,

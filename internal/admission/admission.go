@@ -99,10 +99,8 @@ type Verdict struct {
 	Detail string
 	// Blocks is the applied assignment (accepted requests only).
 	Blocks []BlockAssignment
-	// SolverPath records which solve.Solver decision procedure produced
-	// the assignment (solve.PathWarm or PathFloat); SolveRounds is its
-	// iteration count.
-	SolverPath  solve.Path
+	// SolveRounds is the fixed-point iteration count of the solve that
+	// produced the assignment.
 	SolveRounds int
 	// BoundCycles bounds the transition: max τ̂s over the outgoing
 	// configuration (the drain can wait for one in-flight block, retries
@@ -174,8 +172,8 @@ type Config struct {
 	// WarmRounds bounds the exact fixed-point iteration (0 = 10k).
 	WarmRounds int
 	// Solver is the Algorithm 1 decision procedure (nil = the production
-	// stack solve.Default(0, WarmRounds): warm-start layer over an
-	// exact/fast tier split, every fast-path plan exactly re-verified).
+	// stack solve.Default(0, WarmRounds): the warm-start layer over the
+	// exact least fixed point).
 	// The controller passes its committed assignment as Problem.Prev on
 	// every re-solve, so warm-start soundness (additions reuse, removals
 	// restart cold) is the solver stack's responsibility.
@@ -402,12 +400,6 @@ func (c *Controller) solve(model *core.System, granularity []int64) (*solve.Resu
 	return c.solver.Solve(&solve.Problem{Model: model, Granularity: granularity, Prev: prev})
 }
 
-// verdictSolver fills a verdict's solver-provenance fields from a result.
-func verdictSolver(v *Verdict, res *solve.Result) {
-	v.SolverPath = res.Path
-	v.SolveRounds = res.Rounds
-}
-
 // checkBuffers verifies every candidate stream's C-FIFOs against the
 // bounds its new ηs implies: the input FIFO must hold one claimed block
 // plus a worst-case service interval of arrivals (InputBufferBound), the
@@ -532,8 +524,8 @@ func (c *Controller) AddStream(req AddRequest, done func(Verdict)) {
 		Reason:      ReasonAdmitted,
 		Blocks:      assignment(cand, res.Blocks),
 		BoundCycles: c.transitionBound(len(cand.Streams)),
+		SolveRounds: res.Rounds,
 	}
-	verdictSolver(&v, res)
 	spec := req.Spec
 	spec.Block = res.Blocks[len(res.Blocks)-1]
 	spec.Decimation = decimation
@@ -677,8 +669,8 @@ func (c *Controller) RemoveStream(name string, done func(Verdict)) {
 		Reason:      ReasonAdmitted,
 		Blocks:      assignment(cand, res.Blocks),
 		BoundCycles: c.transitionBound(len(c.model.Streams)),
+		SolveRounds: res.Rounds,
 	}
-	verdictSolver(&v, res)
 	parked := &parkedStream{
 		slot:       slot,
 		rate:       new(big.Rat).Set(c.model.Streams[idx].Rate),
@@ -820,8 +812,8 @@ func (c *Controller) Readmit(name string, done func(Verdict)) {
 		Reason:      ReasonAdmitted,
 		Blocks:      assignment(cand, res.Blocks),
 		BoundCycles: c.transitionBound(len(cand.Streams)),
+		SolveRounds: res.Rounds,
 	}
-	verdictSolver(&v, res)
 	prev := assignment(c.model, blocksOf(c.model))
 	quarantined := p.quarantined
 

@@ -13,7 +13,6 @@ import (
 	"accelshare/internal/ilp"
 	"accelshare/internal/mpsoc"
 	"accelshare/internal/sim"
-	"accelshare/internal/solve"
 )
 
 // The test scenario (ClockHz 1, so samples/second == samples/cycle):
@@ -199,9 +198,6 @@ func TestAddStreamLifecycle(t *testing.T) {
 		if a != want[i] {
 			t.Fatalf("assignment[%d] = %v, want %v", i, a, want[i])
 		}
-	}
-	if v5.SolverPath != solve.PathWarm {
-		t.Errorf("s5 solved on path %q, want the exact fixed point (%q)", v5.SolverPath, solve.PathWarm)
 	}
 	// The exact fixed point must be the optimum of the paper's ILP over
 	// the five admitted streams.

@@ -131,8 +131,8 @@ func (c *Controller) AdmitMigrated(req MigrateRequest, done func(Verdict)) {
 		Reason:      ReasonAdmitted,
 		Blocks:      assignment(cand, blocks),
 		BoundCycles: c.transitionBound(len(cand.Streams)),
+		SolveRounds: res.Rounds,
 	}
-	verdictSolver(&v, res)
 
 	c.busy = true
 	gen := c.gen

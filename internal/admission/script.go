@@ -9,7 +9,6 @@ import (
 
 	"accelshare/internal/mpsoc"
 	"accelshare/internal/sim"
-	"accelshare/internal/solve"
 )
 
 // OpKind is a scripted request kind.
@@ -153,13 +152,8 @@ func FormatEvent(e Event) string {
 				}
 				fmt.Fprintf(&b, "%s=%d", a.Name, a.Block)
 			}
-			solver := fmt.Sprintf("fixed-point/%d", v.SolveRounds)
-			if v.SolverPath == solve.PathFloat {
-				// Fast-path plans only exist after exact re-verification;
-				// the label records both the path and that it converged.
-				solver = fmt.Sprintf("float-verified/%d", v.SolveRounds)
-			}
-			fmt.Fprintf(&b, "] solver=%s bound=%d pause=%d bus=%d", solver, v.BoundCycles, v.PauseWait, v.BusCycles)
+			fmt.Fprintf(&b, "] solver=fixed-point/%d bound=%d pause=%d bus=%d",
+				v.SolveRounds, v.BoundCycles, v.PauseWait, v.BusCycles)
 		} else {
 			fmt.Fprintf(&b, ": rejected (%s) %s", v.Reason, v.Detail)
 		}

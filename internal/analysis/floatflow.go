@@ -1,16 +1,13 @@
-// The floatflow analyzer: verify-don't-trust, enforced by dataflow. The
-// solver's float64 fast path (PR 7) is sound only because every candidate
-// plan is re-verified with exact big.Rat arithmetic (solve.Verify) before
-// it may carry a guarantee — a float value that reaches a bound comparison,
-// a recorded bound field or a byte-deterministic campaign transcript by any
-// other route silently converts rounding error into a "proven" real-time
-// property. boundcheck's PR-7 float rule caught only conversions spelled
-// inside the comparison expression itself; this analyzer replaces it with
-// the dataflow version: TaintFloat marks every value derived from float
-// arithmetic — through locals, helpers, integer rounding and struct fields
-// — TaintBound marks every value derived from a model bound, and the two
+// The floatflow analyzer: verify-don't-trust, enforced by dataflow. Every
+// real-time guarantee rests on exact integer and big.Rat arithmetic. A
+// float value (a report share, a rate estimate) that reaches a bound
+// comparison, a recorded bound field or a byte-deterministic campaign
+// transcript silently converts rounding error into a "proven" real-time
+// property. TaintFloat marks every value derived from float arithmetic —
+// through locals, helpers, integer rounding and struct fields —
+// TaintBound marks every value derived from a model bound, and the two
 // must never meet unless the float-derived candidate passed through
-// solve.Verify.
+// solve.Verify, the exact re-check.
 //
 // Sinks:
 //
@@ -21,10 +18,8 @@
 //     //accellint:transcript (the byte-deterministic campaign emitters)
 //
 // Sanctioned flows are suppressed with //accellint:floatflow <reason> on
-// the finding's line. The defining core package is exempt (its internals
-// implement the bounds), as is the solve package's own float machinery
-// below the Verify boundary (fast.go routes every candidate through it; the
-// analyzer sees those objects as sanitized).
+// the finding's line. The defining core package is exempt: its internals
+// implement the bounds.
 package analysis
 
 import (

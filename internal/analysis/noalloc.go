@@ -1,7 +1,7 @@
-// The noalloc analyzer. The timing wheel's Schedule/Pop (PR 8), the event
-// pool, the cfifo burst operations and the sim queue bursts are the per-
-// cycle hot paths: the benchrecord gate keeps their allocs/op at zero, but
-// a benchmark only samples the code path its loop drives. Functions marked
+// The noalloc analyzer. The timing wheel's Schedule/Pop, the event pool and
+// the per-word C-FIFO and sim queue operations are the per-cycle hot paths:
+// the benchrecord gate keeps their allocs/op at zero, but a benchmark only
+// samples the code path its loop drives. Functions marked
 //
 //	//accellint:noalloc guard=TestName
 //

@@ -145,6 +145,8 @@ func (f *FIFO) Len() int { return f.buf.Len() }
 // TryWrite posts one word from the producer. It reports false when the
 // producer's space view is empty, the ring injection buffer is busy, or a
 // repoint is in progress (BeginRepoint).
+//
+//accellint:noalloc guard=TestCFIFOZeroAlloc
 func (f *FIFO) TryWrite(w sim.Word) bool {
 	if f.repointing {
 		return false
@@ -161,6 +163,8 @@ func (f *FIFO) TryWrite(w sim.Word) bool {
 
 // TryRead pops one word at the consumer, sending a read-counter update
 // every AckBatch words.
+//
+//accellint:noalloc guard=TestCFIFOZeroAlloc
 func (f *FIFO) TryRead() (sim.Word, bool) {
 	w, ok := f.buf.TryPop()
 	if !ok {
@@ -197,51 +201,6 @@ func (f *FIFO) ackRetry() {
 	}
 }
 
-// WriteBurst posts up to len(ws) words from the producer in one call,
-// stopping at the first rejection (space exhausted, ring injection busy, or
-// repoint gate). It returns how many words were posted. Semantically
-// identical to calling TryWrite per word — same counters, same per-word ring
-// messages — but moves a block in one producer step.
-//
-//accellint:noalloc guard=TestCFIFOZeroAllocBursts
-func (f *FIFO) WriteBurst(ws []sim.Word) int {
-	n := 0
-	for _, w := range ws {
-		if !f.TryWrite(w) {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// ReadBurst pops up to len(dst) words at the consumer and sends at most one
-// read-counter update for the whole burst — the batched block transport the
-// C-FIFO algorithm explicitly permits, because the read counter is absolute:
-// the producer sees a single jump to the final count instead of a slot-paced
-// ramp of per-word updates. Word data, buffer counters and the final counter
-// value are identical to per-word TryRead; only the number of ack messages
-// (and the kernel events that carry and retry them) shrinks.
-//
-//accellint:noalloc guard=TestCFIFOZeroAllocBursts
-func (f *FIFO) ReadBurst(dst []sim.Word) int {
-	n := 0
-	for i := range dst {
-		w, ok := f.buf.TryPop()
-		if !ok {
-			break
-		}
-		f.readCount++
-		f.unacked++
-		dst[i] = w
-		n++
-	}
-	if f.unacked >= f.cfg.AckBatch {
-		f.flushAck()
-	}
-	return n
-}
-
 // Ack forces a read-counter update (e.g. at the end of a burst) so space
 // returns without waiting for the batch threshold.
 func (f *FIFO) Ack() {
@@ -251,8 +210,7 @@ func (f *FIFO) Ack() {
 }
 
 // BufferStats reports the consumer-side buffer's traffic counters (total
-// pushed and popped words, occupancy high-water mark) for measurement and
-// the batch-transport equivalence tests.
+// pushed and popped words, occupancy high-water mark) for measurement.
 func (f *FIFO) BufferStats() (pushed, popped uint64, maxOccupancy int) {
 	return f.buf.Pushed, f.buf.Popped, f.buf.MaxOccupancy
 }

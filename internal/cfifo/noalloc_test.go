@@ -7,14 +7,14 @@ import (
 	"accelshare/internal/sim"
 )
 
-// TestCFIFOZeroAllocBursts backs the //accellint:noalloc annotations on
-// WriteBurst and ReadBurst: in the steady state — injection ring sized,
-// flight and event pools at their high-water marks, wakers constructed —
-// moving a block producer→ring→consumer and acking it back allocates
-// nothing. (The flushAck retry closure is the known exception and only
-// fires when the ring refuses an injection, which the kernel drain between
-// bursts prevents here.)
-func TestCFIFOZeroAllocBursts(t *testing.T) {
+// TestCFIFOZeroAlloc backs the //accellint:noalloc annotations on TryWrite
+// and TryRead: in the steady state — injection ring sized, flight and event
+// pools at their high-water marks, wakers constructed — moving a block
+// producer→ring→consumer word by word and acking it back allocates nothing.
+// (The flushAck retry closure is the known exception and only fires when
+// the ring refuses an injection, which the kernel drain between words
+// prevents here.)
+func TestCFIFOZeroAlloc(t *testing.T) {
 	k := sim.NewKernel()
 	net, err := ring.NewDual(k, 4, 1)
 	if err != nil {
@@ -29,26 +29,27 @@ func TestCFIFOZeroAllocBursts(t *testing.T) {
 	}
 	f.SubscribeData(sim.NewWaker(k, func() {}))
 	f.SubscribeSpace(sim.NewWaker(k, func() {}))
-	var block [16]sim.Word
-	for i := range block {
-		block[i] = sim.Word(i)
-	}
+	const block = 16
 	move := func() {
-		sent := 0
-		for sent < len(block) {
-			n := f.WriteBurst(block[sent:])
-			sent += n
+		for sent := 0; sent < block; {
+			if f.TryWrite(sim.Word(sent)) {
+				sent++
+			}
 			k.RunAll() // drain ring + acks so injections never stall
 		}
-		read := 0
-		for read < len(block) {
-			read += f.ReadBurst(block[:])
+		for read := 0; read < block; {
+			if w, ok := f.TryRead(); ok {
+				if w != sim.Word(read) {
+					t.Fatalf("read %d = %d", read, w)
+				}
+				read++
+			}
 			k.RunAll()
 		}
 	}
 	move() // cold start: pools, wakers, lazy buffers
 	move()
 	if a := testing.AllocsPerRun(200, move); a != 0 {
-		t.Fatalf("steady-state Write/ReadBurst allocates %v/op, want 0", a)
+		t.Fatalf("steady-state TryWrite/TryRead allocates %v/op, want 0", a)
 	}
 }

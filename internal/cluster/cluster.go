@@ -89,9 +89,9 @@ type Config struct {
 	CollectOutputs bool
 	// Solver is the per-chain Algorithm 1 decision procedure handed to
 	// every admission controller (nil = the admission default,
-	// solve.Default: exact below the tier split, exactly-verified float
-	// fast path above). One shared instance is fine — solvers are
-	// stateless and safe for concurrent use.
+	// solve.Default: the warm-start layer over the exact least fixed
+	// point). One shared instance is fine — solvers are stateless and safe
+	// for concurrent use.
 	Solver solve.Solver
 	// Rebalance arms the periodic utilisation-spread rebalancing loop
 	// (see RebalanceConfig; zero value = disabled).

@@ -115,13 +115,6 @@ type Config struct {
 	// RecordActivity keeps a per-phase activity trace (reconfiguration,
 	// streaming, draining spans per block) for Gantt rendering.
 	RecordActivity bool
-	// BatchTransport commits staged output words (value-exact replay) to the
-	// output C-FIFO through the burst write path: the whole stage moves in
-	// one component step with identical per-word ring messages, counters and
-	// commit instants. It is a pure event/CPU reduction — the observable
-	// model is unchanged — and campaigns keep it off so goldens pin the
-	// per-word path; TestBatchTransportEquivalence proves the equivalence.
-	BatchTransport bool
 	// DrainTimeout is the watchdog's progress window, covering every phase
 	// of a block (reconfiguration, streaming, draining): if a full window
 	// passes without the block advancing — no sample issued, no sample
@@ -1361,16 +1354,9 @@ func (p *Pair) stageStep(epoch uint64) {
 		return
 	}
 	s := p.streams[p.active]
-	var n int
-	if p.cfg.BatchTransport {
-		// Burst commit: WriteBurst posts the same per-word ring messages at
-		// the same instant as the word-at-a-time loop below; partial
-		// acceptance (ring injection backpressure) retries identically.
-		n = s.Out.WriteBurst(p.stage)
-	} else {
-		for n < len(p.stage) && s.Out.TryWrite(p.stage[n]) {
-			n++
-		}
+	n := 0
+	for n < len(p.stage) && s.Out.TryWrite(p.stage[n]) {
+		n++
 	}
 	for range p.stage[:n] {
 		s.SamplesOut++

@@ -43,32 +43,28 @@ func TestWakerZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestQueueZeroAllocBursts(t *testing.T) {
+func TestQueueZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue("g", 64)
 	q.SubscribeData(NewWaker(k, func() {}))
 	q.SubscribeSpace(NewWaker(k, func() {}))
-	var block [48]Word
-	for i := range block {
-		block[i] = Word(i)
-	}
-	// Cold start: first wake-up events and wheel arrays.
-	q.PushBurst(block[:])
-	q.PopBurst(block[:])
-	k.RunAll()
-	if a := testing.AllocsPerRun(500, func() {
-		if q.PushBurst(block[:]) != len(block) {
-			t.Fatal("push burst rejected")
+	const block = 48
+	move := func() {
+		for i := 0; i < block; i++ {
+			if !q.TryPush(Word(i)) {
+				t.Fatal("push rejected")
+			}
 		}
-		if q.PopBurst(block[:]) != len(block) {
-			t.Fatal("pop burst starved")
+		for i := 0; i < block; i++ {
+			if v, ok := q.TryPop(); !ok || v != Word(i) {
+				t.Fatalf("pop %d = (%d, %v)", i, v, ok)
+			}
 		}
 		k.RunAll()
-	}); a != 0 {
-		t.Fatalf("steady-state Push/PopBurst allocates %v/op, want 0", a)
 	}
-	if q.TryPush(1) != true || func() bool { _, ok := q.TryPop(); return ok }() != true {
-		t.Fatal("single-word path broken")
+	move() // cold start: first wake-up events and wheel arrays
+	if a := testing.AllocsPerRun(500, move); a != 0 {
+		t.Fatalf("steady-state TryPush/TryPop allocates %v/op, want 0", a)
 	}
 }
 

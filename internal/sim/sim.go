@@ -141,7 +141,7 @@ func (q *Queue) SubscribeSpace(w *Waker) { q.onSpace = append(q.onSpace, w) }
 
 // TryPush appends a word, reporting false when full.
 //
-//accellint:noalloc guard=TestQueueZeroAllocBursts
+//accellint:noalloc guard=TestQueueZeroAlloc
 func (q *Queue) TryPush(v Word) bool {
 	if q.n == q.capacity {
 		return false
@@ -160,7 +160,7 @@ func (q *Queue) TryPush(v Word) bool {
 
 // TryPop removes the oldest word, reporting false when empty.
 //
-//accellint:noalloc guard=TestQueueZeroAllocBursts
+//accellint:noalloc guard=TestQueueZeroAlloc
 func (q *Queue) TryPop() (Word, bool) {
 	if q.n == 0 {
 		return 0, false
@@ -173,40 +173,6 @@ func (q *Queue) TryPop() (Word, bool) {
 		w.Wake()
 	}
 	return v, true
-}
-
-// PushBurst appends words until the queue fills, returning how many were
-// accepted. Counters and subscriber wake-ups are identical to calling
-// TryPush per word (wakers coalesce within the delta-cycle); the burst form
-// lets block transport move a whole block in one component step.
-//
-//accellint:noalloc guard=TestQueueZeroAllocBursts
-func (q *Queue) PushBurst(ws []Word) int {
-	n := 0
-	for _, v := range ws {
-		if !q.TryPush(v) {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// PopBurst fills dst with up to len(dst) words, returning the count popped.
-// Identical per-word semantics to TryPop in a loop.
-//
-//accellint:noalloc guard=TestQueueZeroAllocBursts
-func (q *Queue) PopBurst(dst []Word) int {
-	n := 0
-	for i := range dst {
-		v, ok := q.TryPop()
-		if !ok {
-			break
-		}
-		dst[i] = v
-		n++
-	}
-	return n
 }
 
 // Clear discards every buffered word without waking subscribers or touching

@@ -28,6 +28,18 @@ func (e *Exact) Solve(p *Problem) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Blocks: res.Blocks, Total: res.Total, Rounds: res.Rounds,
-		Path: PathWarm, Verified: true}, nil
+	return &Result{Blocks: res.Blocks, Total: res.Total, Rounds: res.Rounds, Path: PathWarm}, nil
 }
+
+// Fast forwards to Fallback. It named the float64 fast path, which is gone;
+// the type stays only so existing configurations compile, and a Fast with a
+// nil Fallback panics on use.
+type Fast struct {
+	Fallback Solver
+}
+
+// Name returns Fallback's name.
+func (f *Fast) Name() string { return f.Fallback.Name() }
+
+// Solve runs Fallback.
+func (f *Fast) Solve(p *Problem) (*Result, error) { return f.Fallback.Solve(p) }

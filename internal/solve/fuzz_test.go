@@ -5,20 +5,19 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"accelshare/internal/core"
 )
 
-// FuzzSolveDifferential cross-checks the float fast path against the exact
-// path on randomly generated problems:
-//
-//   - statuses must agree — the fast path's feasibility gate is the same
-//     exact utilisation comparison, so it must call infeasible exactly when
-//     the exact path does;
-//   - every plan the fast path returns must pass exact big.Rat
-//     verification (feasible AND tight), and its total can never undercut
-//     the exact optimum.
+// FuzzSolveDifferential holds the production stack's warm start to a cold
+// exact solve on randomly generated problems. Default is handed, as
+// Problem.Prev, the committed blocks of either a sub-set of the streams
+// (an addition, which Incremental reuses) or a super-set (a removal, which
+// it must answer by restarting cold). Either way it must reach the same
+// verdict as Exact without Prev: infeasible exactly when Exact is, and
+// otherwise the same blocks, which Verify finds feasible and tight.
 //
 // Exact-side round-budget exhaustion is skipped, not failed: the property
 // under test is agreement on decided instances.
@@ -27,7 +26,8 @@ func FuzzSolveDifferential(f *testing.F) {
 	f.Add(uint8(4), uint8(10), uint64(42))
 	f.Add(uint8(12), uint8(40), uint64(7))
 	f.Add(uint8(31), uint8(200), uint64(123456789))
-	f.Add(uint8(8), uint8(255), uint64(0)) // heavy load: often infeasible
+	f.Add(uint8(8), uint8(255), uint64(0))  // heavy load: often infeasible
+	f.Add(uint8(8), uint8(90), uint64(100)) // super-set prior: cold restart
 	f.Fuzz(func(t *testing.T, nRaw, loadRaw uint8, seed uint64) {
 		n := 1 + int(nRaw)%32
 		// load/128 ≈ target utilisation; loadRaw > 128 drives infeasible
@@ -51,7 +51,8 @@ func FuzzSolveDifferential(f *testing.F) {
 		c0 := sys.Chain.C0()
 		var gran []int64
 		withGran := rng.Intn(2) == 0
-		for i := 0; i < n; i++ {
+		// One stream more than the instance: the super-set's extra member.
+		for i := 0; i <= n; i++ {
 			// Per-stream utilisation share ≈ load/(128·n), jittered ±50%,
 			// so μ·c0 sums to ≈ load/128 across the set. Exact rational
 			// construction: rate = ClockHz·load·jitter / (128·n·c0·100).
@@ -66,35 +67,50 @@ func FuzzSolveDifferential(f *testing.F) {
 				gran = append(gran, int64(1)<<rng.Intn(4))
 			}
 		}
+		// The prior model: the first k streams, or all n+1.
+		k := n + 1
+		if rng.Intn(2) == 0 {
+			k = rng.Intn(n + 1)
+		}
+		prior := sys.Clone()
+		prior.Streams = prior.Streams[:k]
+		var priorGran []int64
+		if gran != nil {
+			priorGran = gran[:k]
+		}
+		sys.Streams = sys.Streams[:n]
+		if gran != nil {
+			gran = gran[:n]
+		}
 
-		exact := &Exact{}
-		fast := &Fast{} // no fallback: disagreements surface as errors
+		var prev []Assignment
+		if pRes, err := (&Exact{}).Solve(&Problem{Model: prior, Granularity: priorGran}); err == nil {
+			for i, st := range prior.Streams {
+				prev = append(prev, Assignment{Name: st.Name, Block: pRes.Blocks[i]})
+			}
+		}
 
-		eRes, eErr := exact.Solve(&Problem{Model: sys, Granularity: gran})
-		if errors.Is(eErr, core.ErrSolverBudget) {
+		cold, cErr := (&Exact{}).Solve(&Problem{Model: sys, Granularity: gran})
+		if errors.Is(cErr, core.ErrSolverBudget) {
 			t.Skip("exact budget exhausted")
 		}
-		fRes, fErr := fast.Solve(&Problem{Model: sys, Granularity: gran})
+		warm, wErr := Default(0, 0).Solve(&Problem{Model: sys, Granularity: gran, Prev: prev})
 
-		if ei, fi := errors.Is(eErr, core.ErrInfeasible), errors.Is(fErr, core.ErrInfeasible); ei != fi {
-			t.Fatalf("status disagreement: exact err=%v fast err=%v", eErr, fErr)
+		if ci, wi := errors.Is(cErr, core.ErrInfeasible), errors.Is(wErr, core.ErrInfeasible); ci != wi {
+			t.Fatalf("status disagreement: cold err=%v warm err=%v", cErr, wErr)
 		}
-		if eErr != nil {
+		if cErr != nil {
 			return // both rejected; nothing further to compare
 		}
-		if fErr != nil {
-			t.Fatalf("exact solved (Σ=%d) but fast failed: %v", eRes.Total, fErr)
+		if wErr != nil {
+			t.Fatalf("cold solved (Σ=%d) but warm failed: %v", cold.Total, wErr)
 		}
-		if !fRes.Verified {
-			t.Fatalf("fast result not marked verified")
+		if !reflect.DeepEqual(warm.Blocks, cold.Blocks) || warm.Total != cold.Total {
+			t.Fatalf("warm %v (Σ=%d) != cold %v (Σ=%d), prior of %d streams",
+				warm.Blocks, warm.Total, cold.Blocks, cold.Total, k)
 		}
-		v := Verify(sys, gran, fRes.Blocks)
-		if !v.Feasible || !v.Tight {
-			t.Fatalf("fast plan rejected by exact verification (%+v): %v", v, fRes.Blocks)
-		}
-		if fRes.Total < eRes.Total {
-			t.Fatalf("fast total %d undercuts exact optimum %d — exact side is not minimal?",
-				fRes.Total, eRes.Total)
+		if v := Verify(sys, gran, warm.Blocks); !v.Feasible || !v.Tight {
+			t.Fatalf("warm plan rejected by exact verification (%+v): %v", v, warm.Blocks)
 		}
 	})
 }

@@ -18,10 +18,12 @@ import (
 // held to the properties that need no oracle. One node is a dense big.Rat
 // LP solve costing about n³ (0.1 s at 24 streams), so instances above
 // oracleFullMax streams get two nodes: the root LP, which is the
-// infeasibility verdict, and one branch.
+// infeasibility verdict, and one branch. Above oracleMax streams the
+// oracle does not run at all.
 const (
 	oracleNodes   = 20
 	oracleFullMax = 12
+	oracleMax     = 24
 )
 
 // saturatedInstance builds an n-stream chain whose exact utilisation
@@ -94,12 +96,14 @@ func checkExact(t *testing.T, sys *core.System, gran []int64) *Result {
 }
 
 // FuzzExactMatchesILPOracle generates plain and granular instances with up
-// to 24 streams and utilisation up to 1.2 (so past saturation too) and
-// holds the exact path to the ILP oracle: the relaxation seed never exceeds
-// the least fixed point, both sides reach the same infeasible verdict, the
-// blocks agree whenever the oracle decides within its node budget, and the
-// seeded iteration never runs out of rounds on an instance the oracle
-// decided (checkExact fails on any exact-path error but infeasibility).
+// to 64 streams and utilisation up to 1.2 (so past saturation too).
+// checkExact holds every instance to the properties that need no oracle:
+// the relaxation seed never exceeds the least fixed point, the plan passes
+// Verify feasible and tight, and the seeded iteration never runs out of
+// rounds (checkExact fails on any exact-path error but infeasibility). Up
+// to oracleMax streams the exact path is also held to the ILP oracle: both
+// sides reach the same infeasible verdict, and the blocks agree whenever
+// the oracle decides within its node budget.
 func FuzzExactMatchesILPOracle(f *testing.F) {
 	f.Add(uint8(0), uint32(500_000), int64(1), false)
 	f.Add(uint8(1), uint32(500_000), int64(1), true)
@@ -109,11 +113,16 @@ func FuzzExactMatchesILPOracle(f *testing.F) {
 	f.Add(uint8(11), uint32(990_000), int64(42), true)  // oracle undecided
 	f.Add(uint8(7), uint32(1_000_000), int64(5), false) // exactly saturated
 	f.Add(uint8(15), uint32(1_150_000), int64(9), true)
+	f.Add(uint8(31), uint32(500_000), int64(3), false) // 32 streams: no oracle
+	f.Add(uint8(63), uint32(999_000), int64(13), true)
 	f.Fuzz(func(t *testing.T, nRaw uint8, ppm uint32, seed int64, granular bool) {
-		n := 1 + int(nRaw)%24
+		n := 1 + int(nRaw)%64
 		rho := big.NewRat(max(int64(ppm%1_200_001), 1), 1_000_000)
 		sys, gran := saturatedInstance(rand.New(rand.NewSource(seed)), n, rho, granular)
 		res := checkExact(t, sys, gran)
+		if n > oracleMax {
+			return
+		}
 		nodes := oracleNodes
 		if n > oracleFullMax {
 			nodes = 2

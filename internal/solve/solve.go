@@ -1,32 +1,25 @@
 // Package solve puts Algorithm 1 — minimum block sizes under the Eq. 6
-// throughput constraints — behind a Solver interface so the control planes
-// (internal/admission per chain, internal/cluster fleet-wide) can pick a
-// decision procedure by scale without changing their guarantees:
+// throughput constraints — behind a Solver interface, so the control planes
+// (internal/admission per chain, internal/cluster fleet-wide) share one
+// decision procedure and one exact acceptance check:
 //
-//   - Exact is the exact path: core.System.LeastFixedPoint, the Kleene
-//     iteration of the Algorithm 1 operator seeded from the closed-form
-//     optimum of its rational relaxation. Every number it touches is an
-//     exact integer or rational; it is the reference all other solvers
-//     answer to. (The paper's ILP statement survives only as a test oracle
-//     in internal/ilp.)
-//   - Fast is the float64 path: a revised simplex over the LP relaxation
-//     seeds a rounding heuristic for the integer block-size variables, and a
-//     float Kleene iteration polishes the rounded point to a fixed point.
-//     Its candidate plan is ALWAYS re-verified with exact integer
-//     arithmetic (Verify) before acceptance — verify-don't-trust: the
-//     real-time guarantee never rests on floating point. On verification
-//     failure it falls back to the exact path.
+//   - Exact is the decision procedure: core.System.LeastFixedPoint, the
+//     Kleene iteration of the Algorithm 1 operator seeded from the
+//     closed-form optimum of its rational relaxation. Every number it
+//     touches is an exact integer or rational. (The paper's ILP statement
+//     survives only as a test oracle in internal/ilp.)
 //   - Incremental is the warm-start layer promoted out of admission: it
 //     derives a sound warm start from the previously committed assignment
 //     (reuse after additions, cold restart after removals) and delegates.
-//   - Tiered routes small instances to Exact (byte-stable campaign
-//     verdicts) and large ones to Fast — the shape that survives thousands
-//     of streams.
+//   - Verify re-checks a plan that did not come from Exact — blocks
+//     imported with a migrating stream, or a placement result — with exact
+//     integer arithmetic before it may be applied.
 //
-// SolveShards solves independent per-chain problems concurrently with a
-// deterministic merge, and Fits/PlanPlacement are the cheap feasibility
-// combination step for cluster-wide placement: exact utilisation headroom
-// decides which chain can possibly take a stream before any full solve runs.
+// Default is the production stack, Incremental over Exact. SolveShards
+// solves independent per-chain problems concurrently with a deterministic
+// merge, and Fits/PlanPlacement are the cheap feasibility combination step
+// for cluster-wide placement: exact utilisation headroom decides which chain
+// can possibly take a stream before any full solve runs.
 //
 // Solvers do not mutate the Problem's model; callers commit Result.Blocks
 // themselves. All implementations are safe for concurrent use.
@@ -76,7 +69,9 @@ const (
 	PathILP Path = "ilp"
 	// PathWarm: the exact seeded Kleene fixed point.
 	PathWarm Path = "warm"
-	// PathFloat: the float64 fast path, exactly re-verified.
+	// PathFloat is never produced either. It named the float64 fast path,
+	// which is gone; the name stays for callers that still count paths by
+	// it.
 	PathFloat Path = "float"
 )
 
@@ -90,10 +85,6 @@ type Result struct {
 	Rounds int
 	// Path names the procedure that produced the assignment.
 	Path Path
-	// Verified is true when the assignment passed exact verification. The
-	// exact path is verified by construction; the fast path sets it only
-	// after Verify accepted the plan.
-	Verified bool
 }
 
 // Solver is one Algorithm 1 decision procedure. Implementations must be
@@ -103,9 +94,9 @@ type Solver interface {
 	Solve(p *Problem) (*Result, error)
 }
 
-// ErrUnverified is returned by Fast (with no fallback configured) when the
-// float candidate fails exact verification.
-var ErrUnverified = errors.New("solve: fast-path plan failed exact verification")
+// ErrUnverified is PlanPlacement's shard error for a solver result that
+// fails its exact re-check (Verify).
+var ErrUnverified = errors.New("solve: plan failed exact verification")
 
 // validate checks the problem shape shared by every solver.
 func (p *Problem) validate() error {
@@ -120,25 +111,6 @@ func (p *Problem) validate() error {
 		return fmt.Errorf("solve: %d warm-start entries for %d streams", len(p.Start), n)
 	}
 	return nil
-}
-
-// granAt returns the effective granularity of stream i.
-func (p *Problem) granAt(i int) int64 {
-	if p.Granularity == nil || p.Granularity[i] < 1 {
-		return 1
-	}
-	return p.Granularity[i]
-}
-
-// roundUpTo rounds v up to the next multiple of g (g ≤ 1 is identity).
-func roundUpTo(v, g int64) int64 {
-	if g <= 1 {
-		return v
-	}
-	if rem := v % g; rem != 0 {
-		v += g - rem
-	}
-	return v
 }
 
 // Verification is the outcome of one exact check of a candidate
@@ -156,8 +128,9 @@ type Verification struct {
 }
 
 // Verify checks a candidate assignment with exact integer arithmetic. This
-// is the verify-don't-trust step: no float value from the fast path reaches
-// a guarantee without passing through it.
+// is the verify-don't-trust step for plans that did not come out of Exact:
+// imported blocks (admission.AdmitMigrated) and placement results
+// (PlanPlacement) reach the platform only after passing it.
 func Verify(m *core.System, granularity, blocks []int64) Verification {
 	if len(blocks) != len(m.Streams) {
 		return Verification{Detail: fmt.Sprintf("%d blocks for %d streams", len(blocks), len(m.Streams))}
@@ -190,47 +163,9 @@ func Verify(m *core.System, granularity, blocks []int64) Verification {
 }
 
 // Default is the production solver stack: the Incremental warm-start layer
-// over a Tiered router — Exact for instances up to DefaultExactMax streams
-// (byte-stable campaign verdicts), Fast with an Exact fallback beyond.
-// warmRounds bounds the fixed-point iterations (0 = the core default).
-// ilpNodes is ignored: no production path runs branch and bound any more,
-// and the parameter stays only so existing callers compile.
+// over Exact. warmRounds bounds the fixed-point iterations (0 = the core
+// default). ilpNodes is ignored: no production path runs branch and bound
+// any more, and the parameter stays only so existing callers compile.
 func Default(ilpNodes, warmRounds int) Solver {
-	exact := &Exact{WarmRounds: warmRounds}
-	fast := &Fast{Rounds: warmRounds, Fallback: exact}
-	return &Incremental{Inner: &Tiered{ExactMax: DefaultExactMax, Exact: exact, Fast: fast}}
-}
-
-// DefaultExactMax is the stream count up to which the Default stack stays
-// on the exact path; larger instances take the float fast path. The split
-// dates from when the exact path ran a dense rational tableau. Seeded from
-// the relaxation, the exact path matches or beats the fast path at every
-// benchmarked size (EXPERIMENTS E16); whether to keep the split is an open
-// ROADMAP item.
-const DefaultExactMax = 24
-
-// Tiered routes a problem by instance size: Exact below or at ExactMax
-// streams, Fast above.
-type Tiered struct {
-	ExactMax int // 0 = DefaultExactMax
-	Exact    Solver
-	Fast     Solver
-}
-
-// Name identifies the router.
-func (t *Tiered) Name() string { return "tiered" }
-
-// Solve routes to the exact or fast solver by stream count.
-func (t *Tiered) Solve(p *Problem) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	max := t.ExactMax
-	if max <= 0 {
-		max = DefaultExactMax
-	}
-	if len(p.Model.Streams) <= max {
-		return t.Exact.Solve(p)
-	}
-	return t.Fast.Solve(p)
+	return &Incremental{Inner: &Exact{WarmRounds: warmRounds}}
 }

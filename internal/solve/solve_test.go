@@ -1,7 +1,6 @@
 package solve
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 	"reflect"
@@ -83,8 +82,8 @@ func TestExactMatchesLegacyILP(t *testing.T) {
 			t.Fatalf("n=%d: exact %v (Σ=%d) != ILP oracle %v (Σ=%d)",
 				n, res.Blocks, res.Total, legacy, total)
 		}
-		if !res.Verified {
-			t.Fatalf("n=%d: exact result not marked verified", n)
+		if v := Verify(sys, nil, res.Blocks); !v.Feasible || !v.Tight {
+			t.Fatalf("n=%d: exact result fails Verify: %+v", n, v)
 		}
 	}
 }
@@ -114,65 +113,6 @@ func TestExactGranularityUsesWarmPath(t *testing.T) {
 	}
 	if v := Verify(sys, gran, res.Blocks); !v.Feasible || !v.Tight {
 		t.Fatalf("exact granular result fails Verify: %+v", v)
-	}
-}
-
-func TestFastMatchesExact(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 12, 40, 120} {
-		sys := testSystem(n, 1, 6)
-		exact := mustSolve(t, &Exact{ILPStreamCap: 16}, &Problem{Model: sys})
-		fast := mustSolve(t, &Fast{}, &Problem{Model: sys})
-		if fast.Path != PathFloat {
-			t.Fatalf("n=%d: path %q, want float", n, fast.Path)
-		}
-		if !fast.Verified {
-			t.Fatalf("n=%d: fast result not verified", n)
-		}
-		if v := Verify(sys, nil, fast.Blocks); !v.Feasible || !v.Tight {
-			t.Fatalf("n=%d: fast plan fails exact verification: %+v", n, v)
-		}
-		if !reflect.DeepEqual(fast.Blocks, exact.Blocks) {
-			t.Fatalf("n=%d: fast %v != exact %v", n, fast.Blocks, exact.Blocks)
-		}
-	}
-}
-
-func TestFastGranularity(t *testing.T) {
-	sys := testSystem(9, 1, 6)
-	gran := []int64{1, 2, 4, 8, 1, 3, 5, 1, 2}
-	fast := mustSolve(t, &Fast{}, &Problem{Model: sys, Granularity: gran})
-	want, err := sys.LeastFixedPoint(nil, gran, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fast.Blocks, want.Blocks) {
-		t.Fatalf("fast granular %v != exact %v", fast.Blocks, want.Blocks)
-	}
-	if v := Verify(sys, gran, fast.Blocks); !v.Feasible || !v.Tight {
-		t.Fatalf("fast granular plan fails verification: %+v", v)
-	}
-}
-
-func TestFastInfeasibleMatchesExact(t *testing.T) {
-	sys := testSystem(4, 2, 1) // utilisation 8 ≥ 1
-	if _, err := (&Exact{}).Solve(&Problem{Model: sys}); !errors.Is(err, core.ErrInfeasible) {
-		t.Fatalf("exact err = %v, want ErrInfeasible", err)
-	}
-	if _, err := (&Fast{}).Solve(&Problem{Model: sys}); !errors.Is(err, core.ErrInfeasible) {
-		t.Fatalf("fast err = %v, want ErrInfeasible", err)
-	}
-}
-
-func TestFastBudgetExhaustionFallsBack(t *testing.T) {
-	sys := testSystem(10, 1, 6)
-	// One round is never enough to reach the fixed point from ones, so the
-	// float iteration reports non-convergence.
-	if _, err := (&Fast{Rounds: 1}).Solve(&Problem{Model: sys}); !errors.Is(err, ErrUnverified) {
-		t.Fatalf("err = %v, want ErrUnverified with no fallback", err)
-	}
-	res := mustSolve(t, &Fast{Rounds: 1, Fallback: &Exact{}}, &Problem{Model: sys})
-	if res.Path != PathWarm {
-		t.Fatalf("fallback path %q, want the exact path", res.Path)
 	}
 }
 
@@ -213,7 +153,11 @@ func TestIncrementalWarmStart(t *testing.T) {
 	}
 }
 
-func TestTieredRouting(t *testing.T) {
+// TestDefaultIsExact: the production stack answers on the exact path at
+// every size, including the 32 streams that used to be routed to a float
+// solver. The ILP oracle checks the small instance only; at 32 streams it
+// takes seconds, so there Verify holds the plan to feasible and tight.
+func TestDefaultIsExact(t *testing.T) {
 	s := Default(0, 0)
 	small := testSystem(4, 1, 8)
 	res := mustSolve(t, s, &Problem{Model: small})
@@ -223,13 +167,13 @@ func TestTieredRouting(t *testing.T) {
 	if want := mustOracle(t, small, nil); !reflect.DeepEqual(res.Blocks, want) {
 		t.Fatalf("small instance %v != ILP oracle %v", res.Blocks, want)
 	}
-	large := testSystem(DefaultExactMax+8, 1, 6)
+	large := testSystem(32, 1, 6)
 	res = mustSolve(t, s, &Problem{Model: large})
-	if res.Path != PathFloat {
-		t.Fatalf("large instance path %q, want float", res.Path)
+	if res.Path != PathWarm {
+		t.Fatalf("large instance path %q, want warm", res.Path)
 	}
-	if v := Verify(large, nil, res.Blocks); !v.Feasible {
-		t.Fatalf("large instance plan infeasible: %+v", v)
+	if v := Verify(large, nil, res.Blocks); !v.Feasible || !v.Tight {
+		t.Fatalf("large instance plan fails Verify: %+v", v)
 	}
 }
 
@@ -354,7 +298,7 @@ func TestPlanPlacement(t *testing.T) {
 func TestSolverDoesNotMutateModel(t *testing.T) {
 	sys := testSystem(5, 1, 8)
 	before := sys.Clone()
-	for _, s := range []Solver{&Exact{}, &Fast{}, Default(0, 0)} {
+	for _, s := range []Solver{&Exact{}, Default(0, 0)} {
 		if _, err := s.Solve(&Problem{Model: sys}); err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
