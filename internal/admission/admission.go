@@ -17,6 +17,16 @@
 //     (mpsoc.AttachStream);
 //  3. resume: arbitration restarts under the new ηs.
 //
+// One routine (Controller.run) applies every transition: AddStream,
+// AdmitMigrated, Readmit, RemoveStream and the rollback after a failed
+// canary differ only in their plan — the platform step run inside the
+// drained pause (attach a reserved slot, import an export, unquarantine,
+// suspend) and what they commit. A quarantine that lands during the drain moves the
+// model under the plan; the routine then aborts untouched as superseded.
+// The three requests that add one stream to the live set share one
+// decision (grow): Algorithm 1 over the live set plus the newcomer, the
+// migrant's replay-residue floor, and the buffer bounds.
+//
 // The transition cost is itself bounded — the drain waits at most one
 // in-flight block turnaround max τ̂s plus the bus transaction — and both
 // the bound and the measured cost are recorded in the decision's Verdict.
@@ -40,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 
 	"accelshare/internal/accel"
@@ -308,31 +319,6 @@ func (c *Controller) Utilization() *big.Rat {
 	return new(big.Rat).Set(c.model.Utilization())
 }
 
-// UtilizationSnapshot is one controller's load picture at an instant — the
-// admission half of the fleet telemetry the rebalancer aggregates (buffer
-// occupancy comes from cfifo.BufferStats, queue depth from the cluster
-// registry).
-type UtilizationSnapshot struct {
-	// Utilization is Σ μs·ρ over the live streams, exact.
-	Utilization *big.Rat
-	// Streams counts the live (model) streams; Parked counts removed or
-	// quarantined streams whose slot is still recoverable via Readmit.
-	Streams, Parked int
-	// Busy mirrors Busy(): the snapshot was taken mid-transition, so the
-	// model may be about to change.
-	Busy bool
-}
-
-// Snapshot captures the controller's current load (see UtilizationSnapshot).
-func (c *Controller) Snapshot() UtilizationSnapshot {
-	return UtilizationSnapshot{
-		Utilization: c.Utilization(),
-		Streams:     len(c.model.Streams),
-		Parked:      len(c.parked),
-		Busy:        c.Busy(),
-	}
-}
-
 // ForgetParked drops a parked stream from the controller's books and returns
 // its gateway slot: the rebalancer's hand-off primitive. RemoveStream parks
 // the victim so its name and slot stay recoverable via Readmit — but a
@@ -365,6 +351,23 @@ func (c *Controller) reject(kind EventKind, stream string, reason Reason, detail
 	}
 }
 
+// gate admits a new transition, or rejects the request busy: one transition
+// drains at a time, and a pending canary outcome may still roll the model
+// back to the assignment it captured at readmission time.
+func (c *Controller) gate(kind EventKind, name string, done func(Verdict)) bool {
+	switch {
+	case c.busy:
+		c.reject(kind, name, ReasonBusy, "another transition is in flight", done)
+	case c.pendingCanary != nil && kind == EvReadmit:
+		c.reject(kind, name, ReasonBusy, "a canary probe is already in flight", done)
+	case c.pendingCanary != nil:
+		c.reject(kind, name, ReasonBusy, "a canary probe is in flight", done)
+	default:
+		return true
+	}
+	return false
+}
+
 // modelIndex returns the model index of the named live stream, or -1.
 func (c *Controller) modelIndex(name string) int {
 	for i := range c.model.Streams {
@@ -373,6 +376,17 @@ func (c *Controller) modelIndex(name string) int {
 		}
 	}
 	return -1
+}
+
+// park records a stream that left the live set, recoverable via Readmit.
+func (c *Controller) park(s core.Stream, slot int, decimation int64, quarantined bool) {
+	c.parked[s.Name] = &parkedStream{
+		slot:        slot,
+		rate:        new(big.Rat).Set(s.Rate),
+		reconfig:    s.Reconfig,
+		decimation:  decimation,
+		quarantined: quarantined,
+	}
 }
 
 // assignment renders the model-ordered blocks as a verdict assignment.
@@ -427,20 +441,26 @@ func checkBuffers(model *core.System, decim []int64, caps [][2]int) (string, err
 	return "", nil
 }
 
-// transitionBound is the drain-plus-bus envelope for one transition over
-// the OUTGOING configuration: the pause can wait for one in-flight block
-// of the slowest stream (τ̂s covers its reconfiguration, streaming and
-// flush — the checkpoint-adjusted τ̂s(K) when the chain checkpoints, since
-// that block also pays its interior quiesces), then the bus transaction
-// reprograms `slots` slots.
-func (c *Controller) transitionBound(slots int) uint64 {
+// MaxTau is the live model's largest τ̂s — the checkpoint-adjusted τ̂s(K)
+// when the chain checkpoints, since a block in flight also pays its
+// interior quiesces. A pause waits for at most one such block, and the
+// fleet clamps a migration's settle to it.
+func (c *Controller) MaxTau() uint64 {
 	var maxTau uint64
 	for i := range c.model.Streams {
 		if t, err := c.model.TauHatCheckpointed(i, c.cfg.Checkpoint, uint64(c.cfg.CheckpointCost)); err == nil && t > maxTau {
 			maxTau = t
 		}
 	}
-	return maxTau + uint64(c.cfg.PerSlotCost)*uint64(slots)
+	return maxTau
+}
+
+// transitionBound is the drain-plus-bus envelope for one transition over
+// the OUTGOING configuration: the pause can wait for one in-flight block
+// of the slowest stream (MaxTau), then the bus transaction reprograms
+// `slots` slots.
+func (c *Controller) transitionBound(slots int) uint64 {
+	return c.MaxTau() + uint64(c.cfg.PerSlotCost)*uint64(slots)
 }
 
 // rejectReason maps a solver error to a verdict reason.
@@ -455,6 +475,211 @@ func rejectReason(err error) (Reason, string) {
 	}
 }
 
+// transition is the request-independent half of a decided staged mode
+// transition (DESIGN §7): what the log records and who hears the verdict.
+type transition struct {
+	// kind is the event a commit records, and a rejection too unless
+	// failKind is set.
+	kind, failKind EventKind
+	name           string
+	// v is the accepted verdict; run measures PauseWait and BusCycles.
+	v    Verdict
+	done func(Verdict)
+}
+
+func (t *transition) header() *transition { return t }
+
+// A plan is one decided transition: its header, and the request-specific
+// steps run calls. The three plans are growth (AddStream, AdmitMigrated,
+// Readmit), removal (RemoveStream) and rollback (a failed canary).
+type plan interface {
+	header() *transition
+	// step runs inside the drained pause: the platform step (attach a
+	// reserved slot, import an export, unquarantine or suspend) and the
+	// slot updates of the new configuration.
+	step(c *Controller) ([]gateway.SlotUpdate, error)
+	// commit moves the controller to the new configuration once the pair
+	// runs it.
+	commit(c *Controller)
+	// undo cleans up after a platform step whose slot reprogramming was
+	// refused and returns a suffix for the rejection detail.
+	undo(c *Controller) string
+}
+
+// run applies p: drain the pair to a block boundary (RequestPause), run the
+// platform step, reprogram the slots in one configuration-bus transaction
+// (ApplySlots), resume and commit. The busy gate is held from the pause
+// request to the commit. A quarantine landing during the drain moves the
+// model under the plan, so a newer generation aborts the transition
+// untouched as superseded.
+func (c *Controller) run(p plan) {
+	t := p.header()
+	c.busy = true
+	gen, requested, pair := c.gen, c.now(), c.chain().Pair
+	err := pair.RequestPause(func() {
+		if c.gen != gen {
+			c.abort(t, pair, ReasonSuperseded, "stream set changed during drain")
+			return
+		}
+		t.v.PauseWait = c.now() - requested
+		updates, err := p.step(c)
+		if err != nil {
+			c.abort(t, pair, ReasonBadRequest, err.Error())
+			return
+		}
+		t.v.BusCycles = uint64(c.cfg.PerSlotCost) * uint64(len(updates))
+		err = pair.ApplySlots(updates, c.cfg.PerSlotCost, func() {
+			pair.Resume()
+			p.commit(c)
+			c.gen++
+			c.busy = false
+			// The log keeps its own verdict, not the plan, which holds the
+			// candidate model.
+			v := t.v
+			c.record(t.kind, t.name, &v)
+			if t.done != nil {
+				t.done(v)
+			}
+		})
+		if err != nil {
+			c.abort(t, pair, ReasonBadRequest, err.Error()+p.undo(c))
+		}
+	})
+	if err != nil {
+		c.busy = false
+		c.fail(t, ReasonBusy, err.Error())
+	}
+}
+
+// abort resumes a pair paused for t, releases the busy gate and rejects t.
+func (c *Controller) abort(t *transition, pair *gateway.Pair, reason Reason, detail string) {
+	pair.Resume()
+	c.busy = false
+	c.fail(t, reason, detail)
+}
+
+// fail rejects t, logged as its failKind when set.
+func (c *Controller) fail(t *transition, reason Reason, detail string) {
+	kind := t.kind
+	if t.failKind != "" {
+		kind = t.failKind
+	}
+	c.reject(kind, t.name, reason, detail, t.done)
+}
+
+// newcomer is the stream a growth adds to the live set.
+type newcomer struct {
+	core.Stream          // Name, Rate and Reconfig
+	decimation, minBlock int64
+	caps                 [2]int // (in, out) C-FIFO capacities
+	// attach runs the platform step inside the drained pause (attach a
+	// reserved slot, import an export, unquarantine) and returns the
+	// newcomer's slot update.
+	attach func(block int64) (gateway.SlotUpdate, error)
+	// silence, when set, stops an attached newcomer whose slot
+	// reprogramming was refused; the growth then parks it.
+	silence func(c *Controller, slot int)
+	// landed, when set, runs after the commit.
+	landed func()
+}
+
+// growth is a plan that adds one stream to the live set.
+type growth struct {
+	transition
+	n           newcomer
+	cand        *core.System
+	granularity []int64
+	blocks      []int64
+	slot        int // the newcomer's gateway slot, once attached
+}
+
+func (g *growth) step(c *Controller) ([]gateway.SlotUpdate, error) {
+	last := len(g.blocks) - 1
+	up, err := g.n.attach(g.blocks[last])
+	if err != nil {
+		return nil, err
+	}
+	g.slot = up.Stream
+	return append(slotUpdates(c.gwSlot, c.decim, g.blocks[:last]), up), nil
+}
+
+func (g *growth) commit(c *Controller) {
+	c.model, c.decim, c.gwSlot = g.cand, g.granularity, append(c.gwSlot, g.slot)
+	if g.n.landed != nil {
+		g.n.landed()
+	}
+}
+
+func (g *growth) undo(c *Controller) string {
+	if g.n.silence == nil {
+		return ""
+	}
+	g.n.silence(c, g.slot)
+	c.park(g.n.Stream, g.slot, g.n.decimation, false)
+	return "; stream parked, recover via readmit"
+}
+
+// grow decides a request that adds one stream to the live set (AddStream,
+// AdmitMigrated, Readmit) and returns its plan, or nil after recording the
+// rejection. Algorithm 1 runs over the live set plus n: adding a stream
+// grows the operator pointwise, so the committed assignment is a sound warm
+// start. A replay-residue floor above the solved ηs bumps n's block to the
+// next decimation multiple and re-verifies the whole assignment exactly
+// against Eq. 6 (solve.Verify): growth above the least fixed point is not
+// automatically feasible. Every stream's C-FIFOs must then hold the new
+// buffer bounds.
+func (c *Controller) grow(kind EventKind, n newcomer, done func(Verdict)) *growth {
+	cand := c.model.Clone()
+	cand.Streams = append(cand.Streams, core.Stream{
+		Name:     n.Name,
+		Rate:     new(big.Rat).Set(n.Rate),
+		Reconfig: n.Reconfig,
+	})
+	granularity := append(make([]int64, 0, len(c.decim)+1), c.decim...)
+	granularity = append(granularity, n.decimation)
+	res, err := c.solve(cand, granularity)
+	if err != nil {
+		reason, detail := rejectReason(err)
+		c.reject(kind, n.Name, reason, detail, done)
+		return nil
+	}
+	blocks, last := res.Blocks, len(res.Blocks)-1
+	floored := blocks[last] < n.minBlock
+	if floored {
+		b := n.minBlock
+		if rem := b % n.decimation; rem != 0 {
+			b += n.decimation - rem
+		}
+		blocks = append([]int64(nil), blocks...)
+		blocks[last] = b
+	}
+	for i, b := range blocks {
+		cand.Streams[i].Block = b
+	}
+	if floored && !solve.Verify(cand, granularity, blocks).Feasible {
+		c.reject(kind, n.Name, ReasonInfeasible,
+			fmt.Sprintf("replay residue floors eta at %d, infeasible alongside the survivors", blocks[last]), done)
+		return nil
+	}
+	if detail, err := checkBuffers(cand, granularity, append(c.liveCaps(), n.caps)); err != nil {
+		c.reject(kind, n.Name, ReasonBadRequest, err.Error(), done)
+		return nil
+	} else if detail != "" {
+		c.reject(kind, n.Name, ReasonBufferBound, detail, done)
+		return nil
+	}
+	return &growth{
+		transition: transition{kind: kind, name: n.Name, done: done, v: Verdict{
+			Accepted:    true,
+			Reason:      ReasonAdmitted,
+			Blocks:      assignment(cand, blocks),
+			BoundCycles: c.transitionBound(len(cand.Streams)),
+			SolveRounds: res.Rounds,
+		}},
+		n: n, cand: cand, granularity: granularity, blocks: blocks,
+	}
+}
+
 // AddStream requests admission of a new stream. The decision is made
 // immediately; when accepted, the staged transition (drain, attach +
 // reconfigure, resume) runs asynchronously and done fires with the final
@@ -462,14 +687,7 @@ func rejectReason(err error) (Reason, string) {
 // done fires immediately on rejection.
 func (c *Controller) AddStream(req AddRequest, done func(Verdict)) {
 	name := req.Spec.Name
-	if c.busy {
-		c.reject(EvAdd, name, ReasonBusy, "another transition is in flight", done)
-		return
-	}
-	if c.pendingCanary != nil {
-		// A canary outcome may roll the model back to the assignment it
-		// captured at readmission time; admitting now would invalidate it.
-		c.reject(EvAdd, name, ReasonBusy, "a canary probe is in flight", done)
+	if !c.gate(EvAdd, name, done) {
 		return
 	}
 	if req.Rate == nil || req.Rate.Sign() <= 0 {
@@ -484,113 +702,28 @@ func (c *Controller) AddStream(req AddRequest, done func(Verdict)) {
 		c.reject(EvAdd, name, ReasonNoSlot, "all reserved ring slots consumed", done)
 		return
 	}
-	decimation := req.Spec.Decimation
-	if decimation < 1 {
-		decimation = 1
-	}
-
-	// Candidate model: the live set plus the applicant.
-	cand := c.model.Clone()
-	cand.Streams = append(cand.Streams, core.Stream{
-		Name:     name,
-		Rate:     new(big.Rat).Set(req.Rate),
-		Reconfig: uint64(req.Spec.Reconfig),
-	})
-	granularity := append(append([]int64(nil), c.decim...), decimation)
-	// Adding a stream grows Algorithm 1's operator pointwise, so the
-	// running assignment (passed as Problem.Prev by solve) is ≤ the new
-	// least fixed point: the solver stack warm-starts from it.
-	res, err := c.solve(cand, granularity)
-	if err != nil {
-		reason, detail := rejectReason(err)
-		c.reject(EvAdd, name, reason, detail, done)
-		return
-	}
-	for i, b := range res.Blocks {
-		cand.Streams[i].Block = b
-	}
-	caps := c.liveCaps()
-	caps = append(caps, [2]int{req.Spec.InCapacity, req.Spec.OutCapacity})
-	if detail, err := checkBuffers(cand, granularity, caps); err != nil {
-		c.reject(EvAdd, name, ReasonBadRequest, err.Error(), done)
-		return
-	} else if detail != "" {
-		c.reject(EvAdd, name, ReasonBufferBound, detail, done)
-		return
-	}
-
-	v := Verdict{
-		Accepted:    true,
-		Reason:      ReasonAdmitted,
-		Blocks:      assignment(cand, res.Blocks),
-		BoundCycles: c.transitionBound(len(cand.Streams)),
-		SolveRounds: res.Rounds,
-	}
 	spec := req.Spec
-	spec.Block = res.Blocks[len(res.Blocks)-1]
-	spec.Decimation = decimation
+	spec.Decimation = max(spec.Decimation, 1)
 	spec.StartSuspended = true
-
-	c.busy = true
-	gen := c.gen
-	requested := c.now()
-	pair := c.chain().Pair
-	err = pair.RequestPause(func() {
-		if c.gen != gen {
-			// A quarantine landed during the drain: cand, the solved
-			// blocks and the slot map are stale. Abort untouched.
-			pair.Resume()
-			c.busy = false
-			c.reject(EvAdd, name, ReasonSuperseded, "stream set changed during drain", done)
-			return
-		}
-		v.PauseWait = c.now() - requested
-		st, err := c.ms.AttachStream(c.ci, spec)
-		if err != nil {
-			pair.Resume()
-			c.busy = false
-			c.reject(EvAdd, name, ReasonBadRequest, err.Error(), done)
-			return
-		}
-		_ = st
-		newSlot := len(c.chain().Strs) - 1
-		updates := c.slotUpdates(cand, res.Blocks[:len(res.Blocks)-1])
-		updates = append(updates, gateway.SlotUpdate{Stream: newSlot, Activate: true})
-		v.BusCycles = uint64(c.cfg.PerSlotCost) * uint64(len(updates))
-		err = pair.ApplySlots(updates, c.cfg.PerSlotCost, func() {
-			pair.Resume()
-			// Commit the model only now: the platform runs the new ηs.
-			c.model = cand
-			c.decim = granularity
-			c.gwSlot = append(c.gwSlot, newSlot)
-			c.gen++
-			c.busy = false
-			c.record(EvAdd, name, &v)
-			if done != nil {
-				done(v)
+	g := c.grow(EvAdd, newcomer{
+		Stream:     core.Stream{Name: name, Rate: req.Rate, Reconfig: uint64(spec.Reconfig)},
+		decimation: spec.Decimation,
+		caps:       [2]int{spec.InCapacity, spec.OutCapacity},
+		attach: func(block int64) (gateway.SlotUpdate, error) {
+			spec.Block = block
+			if _, err := c.ms.AttachStream(c.ci, spec); err != nil {
+				return gateway.SlotUpdate{}, err
 			}
-		})
-		if err != nil {
-			// AttachStream already consumed the reserved ring slot and
-			// started the source; don't leak a producing orphan behind the
-			// rejection. The slot stays suspended (StartSuspended is
-			// forced), the source stops, and the stream is parked so the
-			// name and the consumed slot remain recoverable via Readmit.
-			c.chain().Strs[newSlot].StopSource()
-			c.parked[name] = &parkedStream{
-				slot:       newSlot,
-				rate:       new(big.Rat).Set(req.Rate),
-				reconfig:   uint64(req.Spec.Reconfig),
-				decimation: decimation,
-			}
-			pair.Resume()
-			c.busy = false
-			c.reject(EvAdd, name, ReasonBadRequest, err.Error()+"; stream parked, recover via readmit", done)
-		}
-	})
-	if err != nil {
-		c.busy = false
-		c.reject(EvAdd, name, ReasonBusy, err.Error(), done)
+			return gateway.SlotUpdate{Stream: len(c.chain().Strs) - 1, Activate: true}, nil
+		},
+		// AttachStream already consumed the reserved ring slot and started
+		// the source; don't leak a producing orphan behind the rejection.
+		// The slot stays suspended (StartSuspended is forced) and the
+		// source stops.
+		silence: func(c *Controller, slot int) { c.chain().Strs[slot].StopSource() },
+	}, done)
+	if g != nil {
+		c.run(g)
 	}
 }
 
@@ -598,23 +731,20 @@ func (c *Controller) AddStream(req AddRequest, done func(Verdict)) {
 // model order.
 func (c *Controller) liveCaps() [][2]int {
 	ch := c.chain()
-	caps := make([][2]int, len(c.model.Streams))
+	caps := make([][2]int, len(c.model.Streams), len(c.model.Streams)+1)
 	for i, slot := range c.gwSlot {
 		caps[i] = [2]int{ch.Strs[slot].In.Capacity(), ch.Strs[slot].Out.Capacity()}
 	}
 	return caps
 }
 
-// slotUpdates builds the SetBlock/SetOutBlock updates that move the live
-// streams (model order) to the given blocks.
-func (c *Controller) slotUpdates(model *core.System, blocks []int64) []gateway.SlotUpdate {
-	var ups []gateway.SlotUpdate
+// slotUpdates builds the SetBlock/SetOutBlock updates that move the streams
+// at gateway slots `slots` (granularities decim) to blocks, with room for
+// one more update.
+func slotUpdates(slots []int, decim, blocks []int64) []gateway.SlotUpdate {
+	ups := make([]gateway.SlotUpdate, len(blocks), len(blocks)+1)
 	for i, b := range blocks {
-		ups = append(ups, gateway.SlotUpdate{
-			Stream:      c.gwSlot[i],
-			SetBlock:    b,
-			SetOutBlock: b / c.decim[i],
-		})
+		ups[i] = gateway.SlotUpdate{Stream: slots[i], SetBlock: b, SetOutBlock: b / decim[i]}
 	}
 	return ups
 }
@@ -625,14 +755,7 @@ func (c *Controller) slotUpdates(model *core.System, blocks []int64) []gateway.S
 // minimal — and no longer a sound warm start). The stream is parked and
 // can come back via Readmit.
 func (c *Controller) RemoveStream(name string, done func(Verdict)) {
-	if c.busy {
-		c.reject(EvRemove, name, ReasonBusy, "another transition is in flight", done)
-		return
-	}
-	if c.pendingCanary != nil {
-		// A canary outcome may roll the model back to the assignment it
-		// captured at readmission time; removing now would invalidate it.
-		c.reject(EvRemove, name, ReasonBusy, "a canary probe is in flight", done)
+	if !c.gate(EvRemove, name, done) {
 		return
 	}
 	idx := c.modelIndex(name)
@@ -644,13 +767,10 @@ func (c *Controller) RemoveStream(name string, done func(Verdict)) {
 		c.reject(EvRemove, name, ReasonBadRequest, "cannot remove the last stream", done)
 		return
 	}
-	slot := c.gwSlot[idx]
 	cand := c.model.Clone()
-	cand.Streams = append(cand.Streams[:idx], cand.Streams[idx+1:]...)
-	granularity := append([]int64(nil), c.decim[:idx]...)
-	granularity = append(granularity, c.decim[idx+1:]...)
-	gwSlots := append([]int(nil), c.gwSlot[:idx]...)
-	gwSlots = append(gwSlots, c.gwSlot[idx+1:]...)
+	cand.Streams = slices.Delete(cand.Streams, idx, idx+1)
+	granularity := slices.Delete(slices.Clone(c.decim), idx, idx+1)
+	slots := slices.Delete(slices.Clone(c.gwSlot), idx, idx+1)
 
 	// The removed stream is still in Prev but absent from cand, so the
 	// solver stack restarts cold — the shrunken least fixed point may lie
@@ -664,95 +784,71 @@ func (c *Controller) RemoveStream(name string, done func(Verdict)) {
 	for i, b := range res.Blocks {
 		cand.Streams[i].Block = b
 	}
-	v := Verdict{
-		Accepted:    true,
-		Reason:      ReasonAdmitted,
-		Blocks:      assignment(cand, res.Blocks),
-		BoundCycles: c.transitionBound(len(c.model.Streams)),
-		SolveRounds: res.Rounds,
-	}
-	parked := &parkedStream{
-		slot:       slot,
-		rate:       new(big.Rat).Set(c.model.Streams[idx].Rate),
-		reconfig:   c.model.Streams[idx].Reconfig,
-		decimation: c.decim[idx],
-	}
-
-	c.busy = true
-	gen := c.gen
-	requested := c.now()
-	pair := c.chain().Pair
-	err = pair.RequestPause(func() {
-		if c.gen != gen {
-			// A quarantine landed during the drain: cand, the solved
-			// blocks and the captured slot map are stale. Abort untouched.
-			pair.Resume()
-			c.busy = false
-			c.reject(EvRemove, name, ReasonSuperseded, "stream set changed during drain", done)
-			return
-		}
-		v.PauseWait = c.now() - requested
-		prevSlots := c.gwSlot
-		c.gwSlot = gwSlots // slotUpdates addresses the survivor set
-		prevDecim := c.decim
-		c.decim = granularity
-		updates := c.slotUpdates(cand, res.Blocks)
-		updates = append(updates, gateway.SlotUpdate{Stream: slot, Suspend: true})
-		v.BusCycles = uint64(c.cfg.PerSlotCost) * uint64(len(updates))
-		err := pair.ApplySlots(updates, c.cfg.PerSlotCost, func() {
-			pair.Resume()
-			c.chain().Strs[slot].StopSource()
-			c.model = cand
-			c.parked[name] = parked
-			c.gen++
-			c.busy = false
-			c.record(EvRemove, name, &v)
-			if done != nil {
-				done(v)
-			}
-		})
-		if err != nil {
-			c.gwSlot = prevSlots
-			c.decim = prevDecim
-			pair.Resume()
-			c.busy = false
-			c.reject(EvRemove, name, ReasonBadRequest, err.Error(), done)
-		}
+	c.run(&removal{
+		transition: transition{kind: EvRemove, name: name, done: done, v: Verdict{
+			Accepted:    true,
+			Reason:      ReasonAdmitted,
+			Blocks:      assignment(cand, res.Blocks),
+			BoundCycles: c.transitionBound(len(c.model.Streams)),
+			SolveRounds: res.Rounds,
+		}},
+		s: c.model.Streams[idx], slot: c.gwSlot[idx], decimation: c.decim[idx],
+		cand: cand, granularity: granularity, slots: slots, blocks: res.Blocks,
 	})
-	if err != nil {
-		c.busy = false
-		c.reject(EvRemove, name, ReasonBusy, err.Error(), done)
-	}
+}
+
+// removal is a plan that retires live stream s from its gateway slot; the
+// survivors keep their slots and move to blocks.
+type removal struct {
+	transition
+	s           core.Stream
+	slot        int
+	decimation  int64
+	cand        *core.System
+	granularity []int64
+	slots       []int
+	blocks      []int64
+}
+
+func (r *removal) step(*Controller) ([]gateway.SlotUpdate, error) {
+	return append(slotUpdates(r.slots, r.granularity, r.blocks), gateway.SlotUpdate{Stream: r.slot, Suspend: true}), nil
+}
+
+func (r *removal) commit(c *Controller) {
+	c.chain().Strs[r.slot].StopSource()
+	c.park(r.s, r.slot, r.decimation, false)
+	c.model, c.decim, c.gwSlot = r.cand, r.granularity, r.slots
+}
+
+func (*removal) undo(*Controller) string { return "" }
+
+// quarantine parks live stream i, which the gateway removed from
+// arbitration, and shrinks the model around it. The survivors keep their
+// ηs — with one stream gone every γ̂ only shrinks, so the running
+// assignment stays feasible without a transition — and the generation bump
+// invalidates any transition plan still draining.
+func (c *Controller) quarantine(i int) {
+	c.park(c.model.Streams[i], c.gwSlot[i], c.decim[i], true)
+	c.model.Streams = slices.Delete(c.model.Streams, i, i+1)
+	c.decim = slices.Delete(c.decim, i, i+1)
+	c.gwSlot = slices.Delete(c.gwSlot, i, i+1)
+	c.gen++
 }
 
 // onQuarantine is the gateway's quarantine observer: the platform removed
 // the stream from arbitration on its own (fault recovery exhausted the
-// retry budget), so the controller parks it and shrinks the model. The
-// survivors keep their ηs — with one stream gone every γ̂ only shrinks, so
-// the running assignment stays feasible without a transition.
+// retry budget).
 func (c *Controller) onQuarantine(slot int) {
-	for i, s := range c.gwSlot {
-		if s != slot {
-			continue
-		}
-		name := c.model.Streams[i].Name
-		if c.pendingCanary != nil && c.pendingCanary.name == name {
-			return // canary failure: onCanary handles the rollback
-		}
-		c.parked[name] = &parkedStream{
-			slot:        slot,
-			rate:        new(big.Rat).Set(c.model.Streams[i].Rate),
-			reconfig:    c.model.Streams[i].Reconfig,
-			decimation:  c.decim[i],
-			quarantined: true,
-		}
-		c.model.Streams = append(c.model.Streams[:i], c.model.Streams[i+1:]...)
-		c.decim = append(c.decim[:i], c.decim[i+1:]...)
-		c.gwSlot = append(c.gwSlot[:i], c.gwSlot[i+1:]...)
-		c.gen++ // invalidate any transition plan still draining
-		c.record(EvQuarantine, name, nil)
+	i := slices.Index(c.gwSlot, slot)
+	if i < 0 {
 		return
 	}
+	name := c.model.Streams[i].Name
+	if c.pendingCanary != nil && c.pendingCanary.name == name {
+		return // canary failure: onCanary handles the rollback
+	}
+	c.quarantine(i)
+	c.record(EvQuarantine, name, nil)
 }
 
 // Readmit probes a parked (quarantined or removed) stream back into
@@ -762,12 +858,7 @@ func (c *Controller) onQuarantine(slot int) {
 // readmission, one stall re-quarantines it immediately and the controller
 // rolls the survivors back.
 func (c *Controller) Readmit(name string, done func(Verdict)) {
-	if c.busy {
-		c.reject(EvReadmit, name, ReasonBusy, "another transition is in flight", done)
-		return
-	}
-	if c.pendingCanary != nil {
-		c.reject(EvReadmit, name, ReasonBusy, "a canary probe is already in flight", done)
+	if !c.gate(EvReadmit, name, done) {
 		return
 	}
 	p := c.parked[name]
@@ -779,93 +870,28 @@ func (c *Controller) Readmit(name string, done func(Verdict)) {
 		}
 		return
 	}
-
-	cand := c.model.Clone()
-	cand.Streams = append(cand.Streams, core.Stream{
-		Name:     name,
-		Rate:     new(big.Rat).Set(p.rate),
-		Reconfig: p.reconfig,
-	})
-	granularity := append(append([]int64(nil), c.decim...), p.decimation)
-	res, err := c.solve(cand, granularity)
-	if err != nil {
-		reason, detail := rejectReason(err)
-		c.reject(EvReadmit, name, reason, detail, done)
+	st := c.chain().Strs[p.slot]
+	g := c.grow(EvReadmit, newcomer{
+		Stream:     core.Stream{Name: name, Rate: p.rate, Reconfig: p.reconfig},
+		decimation: p.decimation,
+		caps:       [2]int{st.In.Capacity(), st.Out.Capacity()},
+		attach: func(int64) (gateway.SlotUpdate, error) {
+			return gateway.SlotUpdate{Stream: p.slot, Activate: !p.quarantined, Unquarantine: p.quarantined, Probation: true}, nil
+		},
+	}, done)
+	if g == nil {
 		return
-	}
-	for i, b := range res.Blocks {
-		cand.Streams[i].Block = b
-	}
-	ch := c.chain()
-	caps := c.liveCaps()
-	caps = append(caps, [2]int{ch.Strs[p.slot].In.Capacity(), ch.Strs[p.slot].Out.Capacity()})
-	if detail, err := checkBuffers(cand, granularity, caps); err != nil {
-		c.reject(EvReadmit, name, ReasonBadRequest, err.Error(), done)
-		return
-	} else if detail != "" {
-		c.reject(EvReadmit, name, ReasonBufferBound, detail, done)
-		return
-	}
-
-	v := Verdict{
-		Accepted:    true,
-		Reason:      ReasonAdmitted,
-		Blocks:      assignment(cand, res.Blocks),
-		BoundCycles: c.transitionBound(len(cand.Streams)),
-		SolveRounds: res.Rounds,
 	}
 	prev := assignment(c.model, blocksOf(c.model))
-	quarantined := p.quarantined
-
-	c.busy = true
-	gen := c.gen
-	requested := c.now()
-	pair := ch.Pair
-	err = pair.RequestPause(func() {
-		if c.gen != gen {
-			// A quarantine landed during the drain: cand, the solved
-			// blocks and the slot map are stale. Abort untouched.
-			pair.Resume()
-			c.busy = false
-			c.reject(EvReadmit, name, ReasonSuperseded, "stream set changed during drain", done)
-			return
+	g.n.landed = func() {
+		if !p.quarantined {
+			// A removed stream's source was stopped; restart it.
+			c.ms.StartSource(c.chain().Strs[p.slot])
 		}
-		v.PauseWait = c.now() - requested
-		updates := c.slotUpdates(cand, res.Blocks[:len(res.Blocks)-1])
-		if quarantined {
-			updates = append(updates, gateway.SlotUpdate{Stream: p.slot, Unquarantine: true, Probation: true})
-		} else {
-			updates = append(updates, gateway.SlotUpdate{Stream: p.slot, Activate: true, Probation: true})
-		}
-		v.BusCycles = uint64(c.cfg.PerSlotCost) * uint64(len(updates))
-		err := pair.ApplySlots(updates, c.cfg.PerSlotCost, func() {
-			pair.Resume()
-			if !quarantined {
-				// A removed stream's source was stopped; restart it.
-				c.ms.ResumeSource(c.ci, p.slot)
-			}
-			c.model = cand
-			c.decim = granularity
-			c.gwSlot = append(c.gwSlot, p.slot)
-			c.gen++
-			delete(c.parked, name)
-			c.pendingCanary = &canaryProbe{name: name, slot: p.slot, prev: prev}
-			c.busy = false
-			c.record(EvReadmit, name, &v)
-			if done != nil {
-				done(v)
-			}
-		})
-		if err != nil {
-			pair.Resume()
-			c.busy = false
-			c.reject(EvReadmit, name, ReasonBadRequest, err.Error(), done)
-		}
-	})
-	if err != nil {
-		c.busy = false
-		c.reject(EvReadmit, name, ReasonBusy, err.Error(), done)
+		delete(c.parked, name)
+		c.pendingCanary = &canaryProbe{name: name, slot: p.slot, prev: prev}
 	}
+	c.run(g)
 }
 
 func blocksOf(model *core.System) []int64 {
@@ -891,35 +917,20 @@ func (c *Controller) onCanary(slot int, ok bool) {
 		return
 	}
 	c.record(EvCanaryFail, p.name, nil)
-	// The gateway re-quarantined the slot; shrink the model again.
 	idx := c.modelIndex(p.name)
 	if idx < 0 {
 		return
 	}
-	c.parked[p.name] = &parkedStream{
-		slot:        slot,
-		rate:        new(big.Rat).Set(c.model.Streams[idx].Rate),
-		reconfig:    c.model.Streams[idx].Reconfig,
-		decimation:  c.decim[idx],
-		quarantined: true,
-	}
-	c.model.Streams = append(c.model.Streams[:idx], c.model.Streams[idx+1:]...)
-	c.decim = append(c.decim[:idx], c.decim[idx+1:]...)
-	c.gwSlot = append(c.gwSlot[:idx], c.gwSlot[idx+1:]...)
-	c.gen++
+	c.quarantine(idx)
 	// Roll the survivors back to the assignment that held before the
 	// failed readmission (it was feasible then; with the probed stream
 	// gone again it is feasible now). If the rollback cannot be applied,
 	// the survivors keep the readmission ηs — feasible for the larger set,
 	// hence still safe, just not minimal — and the dropped rollback is
-	// recorded as a rollback-failed event rather than lost silently.
-	rollbackFailed := func(reason Reason, detail string) {
-		c.record(EvRollbackFail, p.name, &Verdict{Accepted: false, Reason: reason, Detail: detail})
-	}
-	if c.busy {
-		// Unreachable while requests are gated on pendingCanary, but never
-		// clobber another transition's busy gate.
-		rollbackFailed(ReasonBusy, "another transition is in flight")
+	// recorded as a rollback-failed event rather than lost silently. The
+	// gate cannot be held while requests wait on the canary, but never
+	// clobber another transition's busy gate.
+	if !c.gate(EvRollbackFail, p.name, nil) {
 		return
 	}
 	// Map prev onto the current model by name: a survivor can itself have
@@ -936,48 +947,34 @@ func (c *Controller) onCanary(slot int, ok bool) {
 			}
 		}
 	}
-	v := Verdict{
-		Accepted:    true,
-		Reason:      ReasonAdmitted,
-		Blocks:      assignment(c.model, blocks),
-		BoundCycles: c.transitionBound(len(blocks)),
-	}
-	c.busy = true
-	gen := c.gen
-	requested := c.now()
-	pair := c.chain().Pair
-	err := pair.RequestPause(func() {
-		if c.gen != gen {
-			// Another quarantine landed during the rollback drain: blocks
-			// no longer line up with the model. Abort untouched.
-			pair.Resume()
-			c.busy = false
-			rollbackFailed(ReasonSuperseded, "stream set changed during drain")
-			return
-		}
-		v.PauseWait = c.now() - requested
-		updates := c.slotUpdates(c.model, blocks)
-		v.BusCycles = uint64(c.cfg.PerSlotCost) * uint64(len(updates))
-		err := pair.ApplySlots(updates, c.cfg.PerSlotCost, func() {
-			pair.Resume()
-			for i := range c.model.Streams {
-				c.model.Streams[i].Block = blocks[i]
-			}
-			c.gen++
-			c.busy = false
-			c.record(EvRollback, p.name, &v)
-		})
-		if err != nil {
-			pair.Resume()
-			c.busy = false
-			rollbackFailed(ReasonBadRequest, err.Error())
-		}
+	c.run(&rollback{
+		transition: transition{kind: EvRollback, failKind: EvRollbackFail, name: p.name, v: Verdict{
+			Accepted:    true,
+			Reason:      ReasonAdmitted,
+			Blocks:      assignment(c.model, blocks),
+			BoundCycles: c.transitionBound(len(blocks)),
+		}},
+		blocks: blocks,
 	})
-	if err != nil {
-		c.busy = false
-		rollbackFailed(ReasonBusy, err.Error())
+}
+
+// rollback is a plan that moves the live streams back to blocks.
+type rollback struct {
+	transition
+	blocks []int64
+}
+
+func (r *rollback) step(c *Controller) ([]gateway.SlotUpdate, error) {
+	return slotUpdates(c.gwSlot, c.decim, r.blocks), nil
+}
+
+func (r *rollback) commit(c *Controller) {
+	for i := range c.model.Streams {
+		c.model.Streams[i].Block = r.blocks[i]
 	}
 }
+
+func (*rollback) undo(*Controller) string { return "" }
 
 // Retarget re-attaches the controller to another chain after a failover
 // migrated its streams there. Slots are re-mapped BY NAME against the new

@@ -394,60 +394,6 @@ func TestCanaryFailRollsBack(t *testing.T) {
 	}
 }
 
-// TestQuarantineDuringDrainAborts: a fault quarantine can land while a
-// transition's pause is still draining — the in-flight block exhausts its
-// retry budget mid-drain and the gateway shrinks the controller's model
-// underneath the pending plan. The pause callback must abort the stale
-// plan (superseded), not index the mutated slot map or resurrect the
-// quarantined stream; a re-issued request decides against the new model.
-func TestQuarantineDuringDrainAborts(t *testing.T) {
-	b := buildBed(t, &fault.Plan{Faults: []fault.Fault{
-		{Kind: fault.LoseIdle, Stream: 1, Block: 8, Count: 3},
-	}}, 1, 128)
-	k := b.ms.K
-
-	// Run to s2's first stall: its faulty block is mid-recovery, so a pause
-	// requested now drains through the remaining retries and the quarantine
-	// lands before the pause callback can fire.
-	pair := b.ms.Chains[0].Pair
-	if !k.RunUntil(200_000, func() bool { return pair.Snapshot()[1].Stalls >= 1 }) {
-		t.Fatal("s2 never stalled")
-	}
-	if b.hasEvent(EvQuarantine, "s2") {
-		t.Fatal("quarantine already landed; the request must fire mid-recovery")
-	}
-	var v *Verdict
-	b.ctrl.AddStream(addReq("s5", 1, 300, 64, 64, 300), func(vv Verdict) { v = &vv })
-	if !k.RunUntil(k.Now()+60_000, func() bool { return v != nil }) {
-		t.Fatal("verdict never arrived")
-	}
-	if !b.hasEvent(EvQuarantine, "s2") {
-		t.Fatal("quarantine did not land during the drain")
-	}
-	if v.Accepted || v.Reason != ReasonSuperseded {
-		t.Fatalf("verdict %+v, want superseded rejection", v)
-	}
-	if got := len(b.ctrl.Model().Streams); got != 3 {
-		t.Fatalf("model has %d streams, want 3 survivors", got)
-	}
-	if b.ms.Chains[0].ReservedSlots() != 1 {
-		t.Error("aborted transition consumed the reserved slot")
-	}
-	// The same request re-issued against the shrunken model succeeds, and
-	// everyone runs inside the re-solved bounds.
-	var v2 *Verdict
-	b.ctrl.AddStream(addReq("s5", 1, 300, 64, 64, 300), func(vv Verdict) { v2 = &vv })
-	if !k.RunUntil(k.Now()+60_000, func() bool { return v2 != nil }) {
-		t.Fatal("re-issued verdict never arrived")
-	}
-	if !v2.Accepted {
-		t.Fatalf("re-issued add rejected: %s %s", v2.Reason, v2.Detail)
-	}
-	settled := k.Now()
-	k.Run(settled + 3*2695)
-	b.checkBounds(t, settled)
-}
-
 // TestRequestsGatedWhileCanaryPending: between a readmission and its
 // canary outcome the controller may still have to roll the survivors back
 // to the assignment captured at readmission time, so adds and removes

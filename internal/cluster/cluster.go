@@ -17,12 +17,17 @@
 //	         deterministic priority/utilisation policy — sources stopped,
 //	         exported state retained — and readmitted when a chain heals.
 //
-// Every control-plane operation that can transiently fail (placement into a
-// busy controller, migration, readmission, a departure whose chain died
-// mid-transition) retries under one bounded deterministic backoff schedule
-// (fault.Backoff) on the simulation clock: the whole plane is a function of
-// the platform's event order, so a chaos campaign is byte-identical across
-// runs.
+// Evacuation and rebalancing place an exported stream through one loop
+// (placeMigrant): the planned target first, then the serving chains
+// coldest-first, each backoff charged to the composed bound, and one shed
+// routine when the retry budget runs out. Every control-plane operation
+// that can transiently fail (placement into a busy controller, migration,
+// readmission, a departure whose chain died mid-transition) retries under
+// one bounded deterministic backoff schedule (fault.Backoff) on the
+// simulation clock: the whole plane is a function of the platform's event
+// order, so a chaos campaign is byte-identical across runs. One helper
+// (offer) turns each admission call into a synchronous rejection or a
+// pending transition.
 package cluster
 
 import (
@@ -250,22 +255,13 @@ type streamInfo struct {
 	hasExport bool
 }
 
-// evacuation tracks one rung-2/3 drain of a failed chain.
+// evacuation tracks one rung-2/3 drain of a failed chain. Its evacuees
+// share one composed bound.
 type evacuation struct {
-	from   *chainInfo
-	reason string
-	at     sim.Time
-	// bound is the composed evacuation bound accumulated so far (cycles).
-	bound    uint64
-	queue    []*evacItem
+	composed
+	queue    []*migrant
 	migrated int
 	shed     int
-}
-
-type evacItem struct {
-	si *streamInfo
-	st *mpsoc.Stream
-	e  gateway.StreamExport
 }
 
 // Controller is the fleet control plane.
@@ -509,18 +505,20 @@ func (c *Controller) place(si *streamInfo, attempt int) {
 	if si.departed || si.rejected {
 		return
 	}
-	targets := c.rankServing()
 	busy := false
 	detail := "no serving chain"
-	for _, tc := range targets {
-		if c.tryPlace(si, tc, attempt, &busy, &detail) {
+	for _, tc := range c.rankServing() {
+		v, pending := c.offer(si, tc, func(done func(admission.Verdict)) {
+			tc.ctrl.AddStream(admission.AddRequest{Spec: c.streamSpec(si), Rate: big.NewRat(1, si.period)}, done)
+		}, func(v admission.Verdict) { c.placed(si, tc, attempt, v) })
+		if pending {
 			return
 		}
+		busy = busy || v.Reason == admission.ReasonBusy
+		detail = fmt.Sprintf("%s: %s", v.Reason, v.Detail)
 	}
 	if busy {
-		if d, ok := c.cfg.Retry.Delay(attempt); ok {
-			c.event(EvRetry, "", si.name, fmt.Sprintf("placement attempt %d backs off %d cycles", attempt+1, d))
-			c.k.Schedule(d, func() { c.place(si, attempt+1) })
+		if _, ok := c.retry(si, attempt, fmt.Sprintf("placement attempt %d", attempt+1), func(next int) { c.place(si, next) }); ok {
 			return
 		}
 		detail = "retry budget exhausted (targets busy)"
@@ -529,55 +527,23 @@ func (c *Controller) place(si *streamInfo, attempt int) {
 	c.event(EvReject, "", si.name, detail)
 }
 
-// tryPlace offers si to one chain. It returns true when the chain accepted
-// (the staged transition is in flight and the done callback completes or
-// re-routes the placement), false on a synchronous rejection.
-func (c *Controller) tryPlace(si *streamInfo, tc *chainInfo, attempt int, busy *bool, detail *string) bool {
-	async := false
-	rejected := false
-	tcPos := tc.pos
-	tc.ctrl.AddStream(admission.AddRequest{
-		Spec: c.streamSpec(si),
-		Rate: big.NewRat(1, si.period),
-	}, func(v admission.Verdict) {
-		if !v.Accepted {
-			if !async {
-				rejected = true
-				if v.Reason == admission.ReasonBusy {
-					*busy = true
-				}
-				*detail = fmt.Sprintf("%s: %s", v.Reason, v.Detail)
-				return
-			}
-			// Asynchronous rejection: the stream set changed during the
-			// drain (superseded). Re-place from scratch under backoff.
-			si.inflight = false
-			if d, ok := c.cfg.Retry.Delay(attempt); ok {
-				c.event(EvRetry, "", si.name, fmt.Sprintf("placement superseded on %s; backs off %d cycles", tc.name, d))
-				c.k.Schedule(d, func() { c.place(si, attempt+1) })
-				return
-			}
+// placed completes an arrival whose staged transition on tc was pending.
+func (c *Controller) placed(si *streamInfo, tc *chainInfo, attempt int, v admission.Verdict) {
+	if !v.Accepted {
+		// The stream set changed during the drain (superseded): re-place
+		// from scratch under backoff.
+		why := fmt.Sprintf("placement superseded on %s;", tc.name)
+		if _, ok := c.retry(si, attempt, why, func(next int) { c.place(si, next) }); !ok {
 			si.rejected = true
 			c.event(EvReject, "", si.name, "retry budget exhausted (superseded)")
-			return
 		}
-		si.inflight = false
-		si.chain = tcPos
-		si.st = c.findStream(tc, si.name)
-		c.event(EvArrive, tc.name, si.name, fmt.Sprintf("eta=%d wait=%d bound=%d",
-			lastBlock(v), v.PauseWait, v.BoundCycles))
-		if si.deferDepart {
-			si.deferDepart = false
-			c.depart(si, 0)
-		}
-	})
-	if rejected {
-		return false
+		return
 	}
-	async = true
-	si.inflight = true
-	si.pendingOn = tcPos
-	return true
+	si.chain = tc.pos
+	si.st = c.findStream(tc, si.name)
+	c.event(EvArrive, tc.name, si.name, fmt.Sprintf("eta=%d wait=%d bound=%d",
+		lastBlock(v), v.PauseWait, v.BoundCycles))
+	c.departIfDeferred(si)
 }
 
 // findStream resolves the mpsoc stream named name on chain tc, scanning
@@ -631,49 +597,51 @@ func (c *Controller) depart(si *streamInfo, attempt int) {
 		si.deferDepart = true
 		return
 	}
-	async := false
-	ciPos := ci.pos
-	ci.ctrl.RemoveStream(si.name, func(v admission.Verdict) {
-		if !v.Accepted {
-			retry := v.Reason == admission.ReasonBusy || v.Reason == admission.ReasonSuperseded
-			if async {
-				si.inflight = false
-				si.departing = false
+	v, pending := c.offer(si, ci, func(done func(admission.Verdict)) { ci.ctrl.RemoveStream(si.name, done) },
+		func(v admission.Verdict) {
+			si.departing = false
+			if v.Accepted {
+				c.departed(si, ci, v)
+			} else {
+				c.departRefused(si, ci, attempt, v)
 			}
-			if retry {
-				if d, ok := c.cfg.Retry.Delay(attempt); ok {
-					c.event(EvRetry, "", si.name, fmt.Sprintf("departure attempt %d backs off %d cycles", attempt+1, d))
-					c.k.Schedule(d, func() { c.depart(si, attempt+1) })
-					return
-				}
-			}
-			c.event(EvReject, ci.name, si.name, fmt.Sprintf("departure failed: %s: %s", v.Reason, v.Detail))
+		})
+	if !pending {
+		c.departRefused(si, ci, attempt, v)
+		// A departure the chain refused at once is marked in flight all the
+		// same, so its scheduled retry finds it in flight and only defers it:
+		// the stream stays live until a migration lands it again. The chaos
+		// transcripts and the chaos benchmark digest record this behaviour.
+		si.inflight, si.pendingOn = true, ci.pos
+	}
+	si.departing = true
+}
+
+// departRefused retries a refused departure under backoff while the chain
+// is busy or its model moved; otherwise the departure fails.
+func (c *Controller) departRefused(si *streamInfo, ci *chainInfo, attempt int, v admission.Verdict) {
+	if v.Reason == admission.ReasonBusy || v.Reason == admission.ReasonSuperseded {
+		if _, ok := c.retry(si, attempt, fmt.Sprintf("departure attempt %d", attempt+1), func(next int) { c.depart(si, next) }); ok {
 			return
 		}
-		si.inflight = false
-		si.departing = false
-		si.departed = true
-		si.chain = -1
-		c.event(EvDepart, ci.name, si.name, fmt.Sprintf("wait=%d bound=%d", v.PauseWait, v.BoundCycles))
-		if c.cfg.ReclaimSlots {
-			// Retire the parked slot for good: forget it on the admission
-			// side first so a later failover Retarget never looks for a
-			// name whose gateway slot is a Released tombstone.
-			if _, ok := ci.ctrl.ForgetParked(si.name); ok {
-				if err := c.ms.ReclaimStream(ci.idx, si.name); err != nil {
-					c.event(EvLost, ci.name, si.name, fmt.Sprintf("slot reclaim failed: %v", err))
-				}
+	}
+	c.event(EvReject, ci.name, si.name, fmt.Sprintf("departure failed: %s: %s", v.Reason, v.Detail))
+}
+
+// departed completes a departure whose removal committed on ci.
+func (c *Controller) departed(si *streamInfo, ci *chainInfo, v admission.Verdict) {
+	si.departed = true
+	si.chain = -1
+	c.event(EvDepart, ci.name, si.name, fmt.Sprintf("wait=%d bound=%d", v.PauseWait, v.BoundCycles))
+	if c.cfg.ReclaimSlots {
+		// Retire the parked slot for good: forget it on the admission
+		// side first so a later failover Retarget never looks for a
+		// name whose gateway slot is a Released tombstone.
+		if _, ok := ci.ctrl.ForgetParked(si.name); ok {
+			if err := c.ms.ReclaimStream(ci.idx, si.name); err != nil {
+				c.event(EvLost, ci.name, si.name, fmt.Sprintf("slot reclaim failed: %v", err))
 			}
 		}
-	})
-	if si.departed {
-		return // synchronous accept cannot happen, but keep the invariant
-	}
-	async = true
-	if !si.inflight && !si.departed {
-		si.inflight = true
-		si.departing = true
-		si.pendingOn = ciPos
 	}
 }
 
@@ -687,7 +655,7 @@ func (c *Controller) onVerdict(ci *chainInfo, v fault.Verdict) {
 		c.failover(ci, sp, v.Reason)
 		return
 	}
-	c.evacuate(ci, v.Reason)
+	c.evacuate(ci)
 }
 
 func (c *Controller) pickSpare() *chainInfo {
@@ -717,7 +685,7 @@ func (c *Controller) failover(ci, sp *chainInfo, reason string) {
 		// The spare cannot take the chain (validation failure): degrade to
 		// rung 2 instead of dying on the ladder.
 		c.event(EvFailover, ci.name, "", fmt.Sprintf("failover to %s refused (%v); evacuating", sp.name, err))
-		c.evacuate(ci, reason)
+		c.evacuate(ci)
 		return
 	}
 	sp.state = chainOffline // claimed: not spare, not yet serving
@@ -820,9 +788,9 @@ func (c *Controller) reissuePending(ci *chainInfo) {
 
 // evacuate is rung 2: freeze the chain, settle, then re-place every live
 // stream individually (rung 3, shed, per stream when no target admits it).
-func (c *Controller) evacuate(ci *chainInfo, reason string) {
+func (c *Controller) evacuate(ci *chainInfo) {
 	msch := c.ms.Chains[ci.idx]
-	maxTau := c.maxTauOf(ci.ctrl.Model())
+	settle := c.settle(ci.ctrl.MaxTau())
 	if err := msch.Pair.FreezeForFailover(); err != nil {
 		c.event(EvEvacuate, ci.name, "", fmt.Sprintf("freeze failed: %v", err))
 		return
@@ -834,20 +802,10 @@ func (c *Controller) evacuate(ci *chainInfo, reason string) {
 		}
 		st.In.BeginRepoint()
 	}
-	settle := c.cfg.Recovery.FlushDelay
-	if settle == 0 {
-		settle = c.cfg.DrainTimeout
-	}
-	if maxTau > 0 && settle > sim.Time(maxTau) {
-		settle = sim.Time(maxTau)
-	}
-	if settle == 0 {
-		settle = 1
-	}
 	ci.state = chainFailed
 	c.reissuePending(ci)
 	ci.ctrl = nil
-	ev := &evacuation{from: ci, reason: reason, at: c.k.Now(), bound: uint64(settle)}
+	ev := &evacuation{composed: composed{from: ci, since: c.k.Now(), bound: uint64(settle)}}
 	c.event(EvEvacuate, ci.name, "", fmt.Sprintf("settle=%d", settle))
 	c.k.Schedule(settle, func() { c.evacExport(ev) })
 }
@@ -871,7 +829,7 @@ func (c *Controller) evacExport(ev *evacuation) {
 			// dropped with the chain.
 			continue
 		}
-		ev.queue = append(ev.queue, &evacItem{si: si, st: moved[i], e: e})
+		ev.queue = append(ev.queue, &migrant{si: si, st: moved[i], e: e, ev: ev})
 	}
 	sort.SliceStable(ev.queue, func(a, b int) bool {
 		if ev.queue[a].si.priority != ev.queue[b].si.priority {
@@ -879,8 +837,8 @@ func (c *Controller) evacExport(ev *evacuation) {
 		}
 		return ev.queue[a].si.name < ev.queue[b].si.name
 	})
-	for _, it := range ev.queue {
-		it.si.chain = -1
+	for _, m := range ev.queue {
+		m.si.chain = -1
 	}
 	c.evacNext(ev)
 }
@@ -888,138 +846,10 @@ func (c *Controller) evacExport(ev *evacuation) {
 func (c *Controller) evacNext(ev *evacuation) {
 	if len(ev.queue) == 0 {
 		c.event(EvEvacuated, ev.from.name, "", fmt.Sprintf("%d migrated %d shed measured=%d bound=%d",
-			ev.migrated, ev.shed, uint64(c.k.Now()-ev.at), ev.bound))
+			ev.migrated, ev.shed, uint64(c.k.Now()-ev.since), ev.bound))
 		return
 	}
-	c.evacPlace(ev, ev.queue[0], 0)
-}
-
-func (c *Controller) evacPlace(ev *evacuation, it *evacItem, attempt int) {
-	if it.si.departed {
-		ev.queue = ev.queue[1:]
-		c.evacNext(ev)
-		return
-	}
-	targets := c.rankServing()
-	busy := false
-	for _, tc := range targets {
-		if c.tryMigrate(ev, it, tc, attempt, &busy) {
-			return
-		}
-	}
-	if busy {
-		if d, ok := c.cfg.Retry.Delay(attempt); ok {
-			// A charged backoff delay extends the composed bound: the wait
-			// is part of the evacuation's measured cost.
-			ev.bound += uint64(d)
-			c.event(EvRetry, "", it.si.name, fmt.Sprintf("migration attempt %d backs off %d cycles", attempt+1, d))
-			c.k.Schedule(d, func() { c.evacPlace(ev, it, attempt+1) })
-			return
-		}
-	}
-	c.shedStream(ev, it)
-}
-
-func minBlockOf(e gateway.StreamExport, decimation int64) int64 {
-	mb := e.ReplayStart + int64(len(e.Replay))
-	if cb := e.Committed * decimation; cb > mb {
-		mb = cb
-	}
-	return mb
-}
-
-func (c *Controller) tryMigrate(ev *evacuation, it *evacItem, tc *chainInfo, attempt int, busy *bool) bool {
-	async := false
-	rejected := false
-	tcPos := tc.pos
-	tc.ctrl.AdmitMigrated(admission.MigrateRequest{
-		Name:        it.si.name,
-		Rate:        big.NewRat(1, it.si.period),
-		Reconfig:    uint64(c.cfg.Reconfig),
-		Decimation:  1,
-		MinBlock:    minBlockOf(it.e, 1),
-		InCapacity:  it.st.In.Capacity(),
-		OutCapacity: it.st.Out.Capacity(),
-		Import:      func() (int, error) { return c.ms.AdoptStream(tc.idx, it.st, it.e) },
-	}, func(v admission.Verdict) {
-		if !v.Accepted {
-			if !async {
-				rejected = true
-				if v.Reason == admission.ReasonBusy {
-					*busy = true
-				}
-				return
-			}
-			// Superseded mid-drain: the export is still ours; retry the
-			// whole placement under backoff.
-			it.si.inflight = false
-			if d, ok := c.cfg.Retry.Delay(attempt); ok {
-				ev.bound += uint64(d)
-				c.event(EvRetry, "", it.si.name, fmt.Sprintf("migration superseded on %s; backs off %d cycles", tc.name, d))
-				c.k.Schedule(d, func() { c.evacPlace(ev, it, attempt+1) })
-				return
-			}
-			c.shedStream(ev, it)
-			return
-		}
-		it.si.inflight = false
-		it.si.chain = tcPos
-		ev.bound += v.BoundCycles
-		ev.migrated++
-		measured := uint64(c.k.Now() - ev.at)
-		c.ladder = append(c.ladder, LadderStep{
-			At: c.k.Now(), Stream: it.si.name, Rung: "evacuate",
-			From: ev.from.name, To: tc.name,
-			Measured: measured, Bound: ev.bound, Replay: len(it.e.Replay),
-		})
-		c.event(EvMigrated, tc.name, it.si.name, fmt.Sprintf("eta=%d measured=%d bound=%d replay=%d",
-			lastBlock(v), measured, ev.bound, len(it.e.Replay)))
-		if it.si.deferDepart {
-			it.si.deferDepart = false
-			c.depart(it.si, 0)
-		}
-		ev.queue = ev.queue[1:]
-		c.evacNext(ev)
-	})
-	if rejected {
-		return false
-	}
-	async = true
-	it.si.inflight = true
-	it.si.pendingOn = tcPos
-	return true
-}
-
-// shedStream is rung 3: park the stream (source stopped, exported state
-// retained) and probe for readmission under the bounded backoff schedule; a
-// heal re-kicks parked streams with a fresh budget.
-func (c *Controller) shedStream(ev *evacuation, it *evacItem) {
-	si := it.si
-	ev.queue = ev.queue[1:]
-	if si.deferDepart {
-		si.deferDepart = false
-		si.departed = true
-		c.event(EvDepart, "", si.name, "departed during evacuation")
-		c.evacNext(ev)
-		return
-	}
-	si.shed = true
-	si.chain = -1
-	si.st = it.st
-	si.export = it.e
-	si.hasExport = true
-	si.st.StopSource()
-	ev.shed++
-	measured := uint64(c.k.Now() - ev.at)
-	c.ladder = append(c.ladder, LadderStep{
-		At: c.k.Now(), Stream: si.name, Rung: "shed",
-		From: ev.from.name, To: "",
-		Measured: measured, Bound: ev.bound, Replay: len(it.e.Replay),
-	})
-	c.event(EvShed, "", si.name, fmt.Sprintf("no capacity on any serving chain; parked (measured=%d bound=%d)",
-		measured, ev.bound))
-	c.scheduleReadmit(si, 0)
-	c.evacNext(ev)
+	c.placeMigrant(ev.queue[0], 0)
 }
 
 func (c *Controller) scheduleReadmit(si *streamInfo, attempt int) {
@@ -1036,61 +866,34 @@ func (c *Controller) tryReadmit(si *streamInfo, attempt int) {
 		return
 	}
 	for _, tc := range c.rankServing() {
-		if c.tryReadmitOn(si, tc, attempt) {
+		if _, pending := c.offerMigrant(si, si.st, si.export, tc, func(v admission.Verdict) {
+			c.readmitted(si, tc, attempt, v)
+		}); pending {
 			return
 		}
 	}
 	c.scheduleReadmit(si, attempt+1)
 }
 
-func (c *Controller) tryReadmitOn(si *streamInfo, tc *chainInfo, attempt int) bool {
-	async := false
-	rejected := false
-	tcPos := tc.pos
-	tc.ctrl.AdmitMigrated(admission.MigrateRequest{
-		Name:        si.name,
-		Rate:        big.NewRat(1, si.period),
-		Reconfig:    uint64(c.cfg.Reconfig),
-		Decimation:  1,
-		MinBlock:    minBlockOf(si.export, 1),
-		InCapacity:  si.st.In.Capacity(),
-		OutCapacity: si.st.Out.Capacity(),
-		Import:      func() (int, error) { return c.ms.AdoptStream(tc.idx, si.st, si.export) },
-	}, func(v admission.Verdict) {
-		if !v.Accepted {
-			if !async {
-				rejected = true
-				return
-			}
-			si.inflight = false
-			c.scheduleReadmit(si, attempt+1)
-			return
-		}
-		si.inflight = false
-		si.shed = false
-		si.hasExport = false
-		si.chain = tcPos
-		c.ms.StartSource(si.st)
-		c.ladder = append(c.ladder, LadderStep{
-			At: c.k.Now(), Stream: si.name, Rung: "readmit",
-			From: "", To: tc.name,
-			Measured: uint64(v.PauseWait) + v.BusCycles, Bound: v.BoundCycles,
-			Replay: len(si.export.Replay),
-		})
-		c.event(EvReadmit, tc.name, si.name, fmt.Sprintf("eta=%d wait=%d bound=%d",
-			lastBlock(v), v.PauseWait, v.BoundCycles))
-		if si.deferDepart {
-			si.deferDepart = false
-			c.depart(si, 0)
-		}
-	})
-	if rejected {
-		return false
+// readmitted completes a parked stream's pending readmission on tc.
+func (c *Controller) readmitted(si *streamInfo, tc *chainInfo, attempt int, v admission.Verdict) {
+	if !v.Accepted {
+		c.scheduleReadmit(si, attempt+1)
+		return
 	}
-	async = true
-	si.inflight = true
-	si.pendingOn = tcPos
-	return true
+	si.shed = false
+	si.hasExport = false
+	si.chain = tc.pos
+	c.ms.StartSource(si.st)
+	c.ladder = append(c.ladder, LadderStep{
+		At: c.k.Now(), Stream: si.name, Rung: "readmit",
+		From: "", To: tc.name,
+		Measured: uint64(v.PauseWait) + v.BusCycles, Bound: v.BoundCycles,
+		Replay: len(si.export.Replay),
+	})
+	c.event(EvReadmit, tc.name, si.name, fmt.Sprintf("eta=%d wait=%d bound=%d",
+		lastBlock(v), v.PauseWait, v.BoundCycles))
+	c.departIfDeferred(si)
 }
 
 // onHeal brings a deferred spare online. With shed streams waiting, the

@@ -29,7 +29,8 @@ package cluster
 //	           model's max τ̂s(K) (bound: the settle itself);
 //	admit    — the target's AdmitMigrated re-solves with the replay-residue
 //	           floor and imports inside its paused transition (bound: its
-//	           envelope, plus every charged backoff while targets are busy).
+//	           envelope, plus every charged backoff while targets are busy),
+//	           through the migrant placement loop evacuation uses too.
 //
 // The measured trigger→resume cost of every move is recorded against that
 // composed bound as a LadderStep with rung "rebalance".
@@ -203,11 +204,9 @@ func (c *Controller) FleetLog() []FleetStats { return c.fleet }
 
 // moveOp is one in-flight rebalance move.
 type moveOp struct {
-	si       *streamInfo
-	from, to *chainInfo
-	started  sim.Time
-	// bound is the composed move bound accumulated so far (cycles).
-	bound uint64
+	composed
+	si *streamInfo
+	to *chainInfo
 }
 
 func (c *Controller) scheduleRebalance() {
@@ -295,7 +294,8 @@ func (c *Controller) rebalanceTick() {
 		stats.Spread.RatString(), rc.highWater().RatString(), len(moves)))
 	for _, mv := range moves {
 		c.moveQueue = append(c.moveQueue, &moveOp{
-			si: c.streams[mv.Name], from: serving[mv.From], to: serving[mv.To],
+			composed: composed{from: serving[mv.From]},
+			si:       c.streams[mv.Name], to: serving[mv.To],
 		})
 	}
 	c.nextMove()
@@ -322,30 +322,23 @@ func (c *Controller) startMove(op *moveOp) bool {
 		op.to.state != chainServing || op.to.ctrl == nil {
 		return false
 	}
-	op.started = c.k.Now()
+	op.since = c.k.Now()
 	// The settle clamp uses the source model max τ̂s(K) captured BEFORE the
 	// removal commits: the departing victim's own block attempt is part of
 	// what the settle must cover.
-	maxTau := c.maxTauOf(op.from.ctrl.Model())
+	settle := c.settle(op.from.ctrl.MaxTau())
 	si.moving = true
 	si.inflight = true
 	si.pendingOn = op.from.pos
 	c.moving = true
 	op.from.ctrl.RemoveStream(si.name, func(v admission.Verdict) {
 		if !v.Accepted {
-			// Busy, superseded or refused: abandon this tick's whole plan —
-			// the models it ranked are stale — and let the next tick
-			// re-plan from fresh telemetry. Nothing moved, nothing to park.
-			si.moving = false
-			si.inflight = false
-			c.event(EvRebalance, op.from.name, si.name,
-				fmt.Sprintf("move aborted: %s: %s", v.Reason, v.Detail))
-			c.moveQueue = nil
-			c.moving = false
+			// Busy, superseded or refused: nothing moved, nothing to park.
+			c.abortMove(op, fmt.Sprintf("%s: %s", v.Reason, v.Detail))
 			return
 		}
 		op.bound += v.BoundCycles
-		c.releaseAndSettle(op, maxTau)
+		c.releaseAndSettle(op, settle)
 	})
 	return true
 }
@@ -353,24 +346,16 @@ func (c *Controller) startMove(op *moveOp) bool {
 // releaseAndSettle runs at the removal commit: the victim's slot is drained
 // and suspended on the source pair. Export it, gate its producer, and wait
 // out the interconnect settle before offering it to the target.
-func (c *Controller) releaseAndSettle(op *moveOp, maxTau uint64) {
+func (c *Controller) releaseAndSettle(op *moveOp, settle sim.Time) {
 	si := op.si
 	if _, ok := op.from.ctrl.ForgetParked(si.name); !ok {
 		// Cannot happen (RemoveStream just parked it); fail loudly if it does.
-		si.moving = false
-		si.inflight = false
-		c.event(EvRebalance, op.from.name, si.name, "move aborted: removed stream not parked")
-		c.moveQueue = nil
-		c.moving = false
+		c.abortMove(op, "removed stream not parked")
 		return
 	}
 	st, ex, err := c.ms.ReleaseStream(op.from.idx, si.name)
 	if err != nil {
-		si.moving = false
-		si.inflight = false
-		c.event(EvRebalance, op.from.name, si.name, fmt.Sprintf("move aborted: release: %v", err))
-		c.moveQueue = nil
-		c.moving = false
+		c.abortMove(op, fmt.Sprintf("release: %v", err))
 		return
 	}
 	st.In.BeginRepoint()
@@ -379,135 +364,19 @@ func (c *Controller) releaseAndSettle(op *moveOp, maxTau uint64) {
 	si.st = st
 	si.export = ex
 	si.hasExport = true
-	settle := c.cfg.Recovery.FlushDelay
-	if settle == 0 {
-		settle = c.cfg.DrainTimeout
-	}
-	if maxTau > 0 && settle > sim.Time(maxTau) {
-		settle = sim.Time(maxTau)
-	}
-	if settle == 0 {
-		settle = 1
-	}
 	op.bound += uint64(settle)
-	c.k.Schedule(settle, func() { c.moveAdmit(op, 0) })
+	m := &migrant{si: si, st: st, e: ex, op: op}
+	c.k.Schedule(settle, func() { c.placeMigrant(m, 0) })
 }
 
-// moveAdmit offers the released stream to the planned target first, then any
-// other serving chain coldest-first — the same fallback ladder evacuation
-// walks, with every backoff delay charged to the composed bound. A stream no
-// target admits parks (shed) with its export retained.
-func (c *Controller) moveAdmit(op *moveOp, attempt int) {
-	si := op.si
-	if si.departed {
-		c.finishMoveAborted(op, "departed in transit")
-		return
-	}
-	targets := []*chainInfo{}
-	if op.to.state == chainServing && op.to.ctrl != nil {
-		targets = append(targets, op.to)
-	}
-	for _, tc := range c.rankServing() {
-		if tc != op.to {
-			targets = append(targets, tc)
-		}
-	}
-	busy := false
-	for _, tc := range targets {
-		if c.tryMoveAdmit(op, tc, attempt, &busy) {
-			return
-		}
-	}
-	if busy {
-		if d, ok := c.cfg.Retry.Delay(attempt); ok {
-			op.bound += uint64(d)
-			c.event(EvRetry, "", si.name, fmt.Sprintf("rebalance admit attempt %d backs off %d cycles", attempt+1, d))
-			c.k.Schedule(d, func() { c.moveAdmit(op, attempt+1) })
-			return
-		}
-	}
-	// No target admits the victim: park it exactly like a shed stream so the
-	// readmission/heal machinery gets it back onto the fleet.
-	si.moving = false
-	si.inflight = false
-	si.shed = true
-	si.st.StopSource()
-	c.ladder = append(c.ladder, LadderStep{
-		At: c.k.Now(), Stream: si.name, Rung: "shed",
-		From: op.from.name, To: "",
-		Measured: uint64(c.k.Now() - op.started), Bound: op.bound, Replay: len(op.si.export.Replay),
-	})
-	c.event(EvShed, "", si.name, fmt.Sprintf("rebalance found no target; parked (measured=%d bound=%d)",
-		uint64(c.k.Now()-op.started), op.bound))
-	c.scheduleReadmit(si, 0)
-	c.nextMove()
-}
-
-func (c *Controller) tryMoveAdmit(op *moveOp, tc *chainInfo, attempt int, busy *bool) bool {
-	si := op.si
-	async := false
-	rejected := false
-	tcPos := tc.pos
-	tc.ctrl.AdmitMigrated(admission.MigrateRequest{
-		Name:        si.name,
-		Rate:        big.NewRat(1, si.period),
-		Reconfig:    uint64(c.cfg.Reconfig),
-		Decimation:  1,
-		MinBlock:    minBlockOf(si.export, 1),
-		InCapacity:  si.st.In.Capacity(),
-		OutCapacity: si.st.Out.Capacity(),
-		Import:      func() (int, error) { return c.ms.AdoptStream(tc.idx, si.st, si.export) },
-	}, func(v admission.Verdict) {
-		if !v.Accepted {
-			if !async {
-				rejected = true
-				if v.Reason == admission.ReasonBusy {
-					*busy = true
-				}
-				return
-			}
-			// Superseded mid-drain: the export is still ours; retry the
-			// admit leg under the charged backoff.
-			si.inflight = false
-			if d, ok := c.cfg.Retry.Delay(attempt); ok {
-				op.bound += uint64(d)
-				c.event(EvRetry, "", si.name, fmt.Sprintf("rebalance admit superseded on %s; backs off %d cycles", tc.name, d))
-				c.k.Schedule(d, func() { c.moveAdmit(op, attempt+1) })
-				return
-			}
-			c.moveAdmit(op, attempt+1) // budget gone: falls through to shed
-			return
-		}
-		si.moving = false
-		si.inflight = false
-		si.shed = false
-		si.hasExport = false
-		si.chain = tcPos
-		si.moves++
-		si.movedAt = c.k.Now()
-		c.ms.StartSource(si.st)
-		op.bound += v.BoundCycles
-		measured := uint64(c.k.Now() - op.started)
-		c.ladder = append(c.ladder, LadderStep{
-			At: c.k.Now(), Stream: si.name, Rung: "rebalance",
-			From: op.from.name, To: tc.name,
-			Measured: measured, Bound: op.bound, Replay: len(op.si.export.Replay),
-		})
-		c.event(EvRebalanced, tc.name, si.name, fmt.Sprintf("from %s eta=%d measured=%d bound=%d replay=%d",
-			op.from.name, lastBlock(v), measured, op.bound, len(op.si.export.Replay)))
-		if si.deferDepart {
-			si.deferDepart = false
-			c.depart(si, 0)
-		}
-		c.nextMove()
-	})
-	if rejected {
-		return false
-	}
-	async = true
-	si.inflight = true
-	si.pendingOn = tcPos
-	return true
+// abortMove abandons op and the rest of this tick's plan, whose models are
+// stale; the next tick re-plans from fresh telemetry.
+func (c *Controller) abortMove(op *moveOp, detail string) {
+	op.si.moving = false
+	op.si.inflight = false
+	c.event(EvRebalance, op.from.name, op.si.name, "move aborted: "+detail)
+	c.moveQueue = nil
+	c.moving = false
 }
 
 func (c *Controller) finishMoveAborted(op *moveOp, why string) {
@@ -515,16 +384,4 @@ func (c *Controller) finishMoveAborted(op *moveOp, why string) {
 	op.si.inflight = false
 	c.event(EvRebalance, "", op.si.name, "move ended: "+why)
 	c.nextMove()
-}
-
-// maxTauOf returns the model's max τ̂s(K) over its streams (the settle clamp
-// shared by evacuation and rebalancing).
-func (c *Controller) maxTauOf(model *core.System) uint64 {
-	var maxTau uint64
-	for i := range model.Streams {
-		if t, err := model.TauHatCheckpointed(i, c.cfg.Recovery.Checkpoint, uint64(c.cfg.Recovery.CheckpointCost)); err == nil && t > maxTau {
-			maxTau = t
-		}
-	}
-	return maxTau
 }

@@ -142,7 +142,7 @@ type Stream struct {
 }
 
 // StopSource makes the stream's built-in source task exit at its next tick,
-// so a removed stream stops feeding its input C-FIFO. ResumeSource on the
+// so a removed stream stops feeding its input C-FIFO. StartSource on the
 // owning MultiSystem restarts it.
 func (st *Stream) StopSource() { st.sourceGen++ }
 

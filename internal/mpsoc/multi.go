@@ -382,7 +382,7 @@ func (m *MultiSystem) ReleaseStream(chainIdx int, name string) (*Stream, gateway
 		// ReleaseSlot left a gateway tombstone at the slot; mirror it here so
 		// ch.Strs stays index-parallel with the pair's slot table. The
 		// tombstone's spec claims an external source/sink so a stray
-		// ResumeSource on this index can never start a task against nil FIFOs.
+		// StartSource on it can never start a task against nil FIFOs.
 		tomb := st.Spec
 		tomb.ExternalSource, tomb.ExternalSink = true, true
 		ch.Strs[slot] = &Stream{Spec: tomb, GW: ch.Pair.Streams()[slot]}
@@ -414,25 +414,11 @@ func (m *MultiSystem) ReclaimStream(chainIdx int, name string) error {
 	return nil
 }
 
-// StartSource (re)starts a stream's built-in source task by reference.
-// Evacuation moves Stream objects between chains, so the (chain, index)
-// addressing of ResumeSource does not survive a migration; the control plane
-// holds the *Stream and restarts it directly (a shed stream resuming after
-// readmission onto a healed chain).
-func (m *MultiSystem) StartSource(st *Stream) {
-	if st.Spec.ExternalSource {
-		return
-	}
-	st.sourceGen++
-	startSourceTask(m.K, st)
-}
-
-// ResumeSource (re)starts a stream's built-in source task after StopSource
-// (a readmitted stream starts producing again). Any still-running loop is
+// StartSource (re)starts a stream's built-in source task after StopSource:
+// a readmitted stream starts producing again, and a shed or rebalanced
+// stream resumes once it lands on its new chain. Any still-running loop is
 // superseded, so calling it repeatedly leaves exactly one task.
-func (m *MultiSystem) ResumeSource(chainIdx, streamIdx int) {
-	ch := m.Chains[chainIdx]
-	st := ch.Strs[streamIdx]
+func (m *MultiSystem) StartSource(st *Stream) {
 	if st.Spec.ExternalSource {
 		return
 	}
