@@ -232,9 +232,34 @@ type Controller struct {
 	// pause callback compares gen against its snapshot and aborts its
 	// stale plan instead of applying it over the mutated model.
 	gen uint64
+	// load is the live model's utilisation at generation loadGen: only a
+	// commit, a quarantine or a retarget changes it, and each moves gen.
+	load    core.Load
+	loadGen uint64
+
+	// next is the scratch every decision is built in (see decision).
+	next decision
 
 	busy   bool
 	events []Event
+}
+
+// decision is the scratch grow and RemoveStream decide in: the candidate
+// configuration of the live set — its model, granularities and gateway
+// slots, with the solved blocks stored in the model — and the solver's
+// problem, warm start and working storage. A commit copies the candidate
+// into the live configuration, so every buffer serves the next decision
+// too. The busy gate keeps a decision from rebuilding it while an accepted
+// transition drains; a transition stranded on a failed pair never commits.
+type decision struct {
+	model   core.System
+	decim   []int64
+	slots   []int
+	caps    [][2]int
+	rate    big.Rat // the newcomer's rate while a growth is decided
+	prev    []solve.Assignment
+	prob    solve.Problem
+	scratch core.Scratch
 }
 
 type parkedStream struct {
@@ -291,6 +316,7 @@ func New(ms *mpsoc.MultiSystem, cfg Config) (*Controller, error) {
 	c := &Controller{
 		ms: ms, ci: cfg.Chain, cfg: cfg, solver: solver,
 		model:  cfg.Model,
+		load:   cfg.Model.Load(),
 		decim:  append([]int64(nil), decim...),
 		parked: map[string]*parkedStream{},
 	}
@@ -313,11 +339,18 @@ func (c *Controller) Model() *core.System { return c.model }
 // outcome may invalidate the plan.
 func (c *Controller) Busy() bool { return c.busy || c.pendingCanary != nil }
 
-// Utilization returns the live model's exact utilisation Σ μs·ρ (a defensive
-// copy: callers compare and aggregate fleet-wide, the model keeps its own).
-func (c *Controller) Utilization() *big.Rat {
-	return new(big.Rat).Set(c.model.Utilization())
+// Load returns the live model's exact utilisation Σ μs·ρ, computed once per
+// model generation.
+func (c *Controller) Load() core.Load {
+	if c.loadGen != c.gen {
+		c.load, c.loadGen = c.model.Load(), c.gen
+	}
+	return c.load
 }
+
+// Utilization returns the live model's exact utilisation as a new big.Rat
+// (callers compare and aggregate fleet-wide).
+func (c *Controller) Utilization() *big.Rat { return c.Load().Rat() }
 
 // ForgetParked drops a parked stream from the controller's books and returns
 // its gateway slot: the rebalancer's hand-off primitive. RemoveStream parks
@@ -406,26 +439,59 @@ func assignment(model *core.System, blocks []int64) []BlockAssignment {
 // least fixed point shrank). Rejections keep their error identities:
 // core.ErrInfeasible and core.ErrSolverBudget surface unchanged through the
 // interface.
-func (c *Controller) solve(model *core.System, granularity []int64) (*solve.Result, error) {
-	prev := make([]solve.Assignment, len(c.model.Streams))
+func (c *Controller) solve(d *decision) (*solve.Result, error) {
+	d.prev = d.prev[:0]
 	for i := range c.model.Streams {
-		prev[i] = solve.Assignment{Name: c.model.Streams[i].Name, Block: c.model.Streams[i].Block}
+		d.prev = append(d.prev, solve.Assignment{Name: c.model.Streams[i].Name, Block: c.model.Streams[i].Block})
 	}
-	return c.solver.Solve(&solve.Problem{Model: model, Granularity: granularity, Prev: prev})
+	d.prob = solve.Problem{Model: &d.model, Granularity: d.decim, Prev: d.prev, Scratch: &d.scratch}
+	return c.solver.Solve(&d.prob)
+}
+
+// decide resets the decision scratch to a copy of the live configuration
+// and returns it. The copy shares the live streams' rates, which nothing
+// mutates.
+func (c *Controller) decide() *decision {
+	d := &c.next
+	d.model.Chain, d.model.ClockHz = c.model.Chain, c.model.ClockHz
+	d.model.Streams = append(d.model.Streams[:0], c.model.Streams...)
+	d.decim = append(d.decim[:0], c.decim...)
+	d.slots = append(d.slots[:0], c.gwSlot...)
+	return d
+}
+
+// adopt makes the decided candidate the live configuration, copying it in
+// place: the model's identity, which Model hands out, never changes.
+func (c *Controller) adopt(d *decision) {
+	c.model.Streams = append(c.model.Streams[:0], d.model.Streams...)
+	c.decim = append(c.decim[:0], d.decim...)
+	c.gwSlot = append(c.gwSlot[:0], d.slots...)
 }
 
 // checkBuffers verifies every candidate stream's C-FIFOs against the
 // bounds its new ηs implies: the input FIFO must hold one claimed block
 // plus a worst-case service interval of arrivals (InputBufferBound), the
 // output FIFO one output block in flight plus one draining
-// (OutputBufferBound). caps[i] is the (in, out) capacity pair.
+// (OutputBufferBound). caps[i] is the (in, out) capacity pair. The service
+// interval γ̂s = Σ τ̂ is the same for every stream (Eq. 4), so it is
+// computed once and the check costs O(n).
+//
+//accellint:noalloc guard=TestCheckBuffersZeroAlloc
 func checkBuffers(model *core.System, decim []int64, caps [][2]int) (string, error) {
+	if len(model.Streams) == 0 {
+		return "", nil
+	}
+	gamma, err := model.RoundDuration()
+	if err != nil {
+		return "", err
+	}
 	for i := range model.Streams {
-		inB, err := model.InputBufferBound(i)
+		inB, err := model.InputBufferBoundOver(i, gamma)
 		if err != nil {
 			return "", err
 		}
 		if int64(caps[i][0]) < inB {
+			//accellint:alloc a rejection names the stream and its bound
 			return fmt.Sprintf("stream %q input FIFO %d < bound %d",
 				model.Streams[i].Name, caps[i][0], inB), nil
 		}
@@ -434,6 +500,7 @@ func checkBuffers(model *core.System, decim []int64, caps [][2]int) (string, err
 			return "", err
 		}
 		if int64(caps[i][1]) < outB {
+			//accellint:alloc a rejection names the stream and its bound
 			return fmt.Sprintf("stream %q output FIFO %d < bound %d",
 				model.Streams[i].Name, caps[i][1], outB), nil
 		}
@@ -572,6 +639,16 @@ type newcomer struct {
 	core.Stream          // Name, Rate and Reconfig
 	decimation, minBlock int64
 	caps                 [2]int // (in, out) C-FIFO capacities
+}
+
+// growth is a plan that adds one stream to the live set. Its candidate is
+// the controller's decision scratch. The request sets the platform hooks
+// once the decision is accepted.
+type growth struct {
+	transition
+	n      newcomer
+	d      *decision
+	blocks []int64
 	// attach runs the platform step inside the drained pause (attach a
 	// reserved slot, import an export, unquarantine) and returns the
 	// newcomer's slot update.
@@ -581,21 +658,12 @@ type newcomer struct {
 	silence func(c *Controller, slot int)
 	// landed, when set, runs after the commit.
 	landed func()
-}
-
-// growth is a plan that adds one stream to the live set.
-type growth struct {
-	transition
-	n           newcomer
-	cand        *core.System
-	granularity []int64
-	blocks      []int64
-	slot        int // the newcomer's gateway slot, once attached
+	slot   int // the newcomer's gateway slot, once attached
 }
 
 func (g *growth) step(c *Controller) ([]gateway.SlotUpdate, error) {
 	last := len(g.blocks) - 1
-	up, err := g.n.attach(g.blocks[last])
+	up, err := g.attach(g.blocks[last])
 	if err != nil {
 		return nil, err
 	}
@@ -604,17 +672,18 @@ func (g *growth) step(c *Controller) ([]gateway.SlotUpdate, error) {
 }
 
 func (g *growth) commit(c *Controller) {
-	c.model, c.decim, c.gwSlot = g.cand, g.granularity, append(c.gwSlot, g.slot)
-	if g.n.landed != nil {
-		g.n.landed()
+	g.d.slots = append(g.d.slots, g.slot)
+	c.adopt(g.d)
+	if g.landed != nil {
+		g.landed()
 	}
 }
 
 func (g *growth) undo(c *Controller) string {
-	if g.n.silence == nil {
+	if g.silence == nil {
 		return ""
 	}
-	g.n.silence(c, g.slot)
+	g.silence(c, g.slot)
 	c.park(g.n.Stream, g.slot, g.n.decimation, false)
 	return "; stream parked, recover via readmit"
 }
@@ -627,17 +696,14 @@ func (g *growth) undo(c *Controller) string {
 // next decimation multiple and re-verifies the whole assignment exactly
 // against Eq. 6 (solve.Verify): growth above the least fixed point is not
 // automatically feasible. Every stream's C-FIFOs must then hold the new
-// buffer bounds.
+// buffer bounds. The decision is built in the controller's scratch, so its
+// allocations do not grow with the live set.
 func (c *Controller) grow(kind EventKind, n newcomer, done func(Verdict)) *growth {
-	cand := c.model.Clone()
-	cand.Streams = append(cand.Streams, core.Stream{
-		Name:     n.Name,
-		Rate:     new(big.Rat).Set(n.Rate),
-		Reconfig: n.Reconfig,
-	})
-	granularity := append(make([]int64, 0, len(c.decim)+1), c.decim...)
-	granularity = append(granularity, n.decimation)
-	res, err := c.solve(cand, granularity)
+	d := c.decide()
+	d.rate.Set(n.Rate)
+	d.model.Streams = append(d.model.Streams, core.Stream{Name: n.Name, Rate: &d.rate, Reconfig: n.Reconfig})
+	d.decim = append(d.decim, n.decimation)
+	res, err := c.solve(d)
 	if err != nil {
 		reason, detail := rejectReason(err)
 		c.reject(kind, n.Name, reason, detail, done)
@@ -654,29 +720,32 @@ func (c *Controller) grow(kind EventKind, n newcomer, done func(Verdict)) *growt
 		blocks[last] = b
 	}
 	for i, b := range blocks {
-		cand.Streams[i].Block = b
+		d.model.Streams[i].Block = b
 	}
-	if floored && !solve.Verify(cand, granularity, blocks).Feasible {
+	if floored && !solve.Verify(&d.model, d.decim, blocks).Feasible {
 		c.reject(kind, n.Name, ReasonInfeasible,
 			fmt.Sprintf("replay residue floors eta at %d, infeasible alongside the survivors", blocks[last]), done)
 		return nil
 	}
-	if detail, err := checkBuffers(cand, granularity, append(c.liveCaps(), n.caps)); err != nil {
+	d.caps = append(c.liveCaps(d.caps), n.caps)
+	if detail, err := checkBuffers(&d.model, d.decim, d.caps); err != nil {
 		c.reject(kind, n.Name, ReasonBadRequest, err.Error(), done)
 		return nil
 	} else if detail != "" {
 		c.reject(kind, n.Name, ReasonBufferBound, detail, done)
 		return nil
 	}
+	// The live model keeps a rate of its own.
+	d.model.Streams[last].Rate = new(big.Rat).Set(n.Rate)
 	return &growth{
 		transition: transition{kind: kind, name: n.Name, done: done, v: Verdict{
 			Accepted:    true,
 			Reason:      ReasonAdmitted,
-			Blocks:      assignment(cand, blocks),
-			BoundCycles: c.transitionBound(len(cand.Streams)),
+			Blocks:      assignment(&d.model, blocks),
+			BoundCycles: c.transitionBound(len(d.model.Streams)),
 			SolveRounds: res.Rounds,
 		}},
-		n: n, cand: cand, granularity: granularity, blocks: blocks,
+		n: n, d: d, blocks: blocks,
 	}
 }
 
@@ -702,38 +771,39 @@ func (c *Controller) AddStream(req AddRequest, done func(Verdict)) {
 		c.reject(EvAdd, name, ReasonNoSlot, "all reserved ring slots consumed", done)
 		return
 	}
-	spec := req.Spec
-	spec.Decimation = max(spec.Decimation, 1)
-	spec.StartSuspended = true
+	decimation := max(req.Spec.Decimation, 1)
 	g := c.grow(EvAdd, newcomer{
-		Stream:     core.Stream{Name: name, Rate: req.Rate, Reconfig: uint64(spec.Reconfig)},
-		decimation: spec.Decimation,
-		caps:       [2]int{spec.InCapacity, spec.OutCapacity},
-		attach: func(block int64) (gateway.SlotUpdate, error) {
-			spec.Block = block
-			if _, err := c.ms.AttachStream(c.ci, spec); err != nil {
-				return gateway.SlotUpdate{}, err
-			}
-			return gateway.SlotUpdate{Stream: len(c.chain().Strs) - 1, Activate: true}, nil
-		},
-		// AttachStream already consumed the reserved ring slot and started
-		// the source; don't leak a producing orphan behind the rejection.
-		// The slot stays suspended (StartSuspended is forced) and the
-		// source stops.
-		silence: func(c *Controller, slot int) { c.chain().Strs[slot].StopSource() },
+		Stream:     core.Stream{Name: name, Rate: req.Rate, Reconfig: uint64(req.Spec.Reconfig)},
+		decimation: decimation,
+		caps:       [2]int{req.Spec.InCapacity, req.Spec.OutCapacity},
 	}, done)
-	if g != nil {
-		c.run(g)
+	if g == nil {
+		return
 	}
+	spec := req.Spec
+	spec.Decimation = decimation
+	spec.StartSuspended = true
+	g.attach = func(block int64) (gateway.SlotUpdate, error) {
+		spec.Block = block
+		if _, err := c.ms.AttachStream(c.ci, spec); err != nil {
+			return gateway.SlotUpdate{}, err
+		}
+		return gateway.SlotUpdate{Stream: len(c.chain().Strs) - 1, Activate: true}, nil
+	}
+	// AttachStream already consumed the reserved ring slot and started the
+	// source; don't leak a producing orphan behind the rejection. The slot
+	// stays suspended (StartSuspended is forced) and the source stops.
+	g.silence = func(c *Controller, slot int) { c.chain().Strs[slot].StopSource() }
+	c.run(g)
 }
 
-// liveCaps collects the (in, out) FIFO capacities of the live streams in
-// model order.
-func (c *Controller) liveCaps() [][2]int {
+// liveCaps sets caps to the (in, out) FIFO capacities of the live streams
+// in model order.
+func (c *Controller) liveCaps(caps [][2]int) [][2]int {
 	ch := c.chain()
-	caps := make([][2]int, len(c.model.Streams), len(c.model.Streams)+1)
-	for i, slot := range c.gwSlot {
-		caps[i] = [2]int{ch.Strs[slot].In.Capacity(), ch.Strs[slot].Out.Capacity()}
+	caps = caps[:0]
+	for _, slot := range c.gwSlot {
+		caps = append(caps, [2]int{ch.Strs[slot].In.Capacity(), ch.Strs[slot].Out.Capacity()})
 	}
 	return caps
 }
@@ -767,57 +837,56 @@ func (c *Controller) RemoveStream(name string, done func(Verdict)) {
 		c.reject(EvRemove, name, ReasonBadRequest, "cannot remove the last stream", done)
 		return
 	}
-	cand := c.model.Clone()
-	cand.Streams = slices.Delete(cand.Streams, idx, idx+1)
-	granularity := slices.Delete(slices.Clone(c.decim), idx, idx+1)
-	slots := slices.Delete(slices.Clone(c.gwSlot), idx, idx+1)
+	d := c.decide()
+	d.model.Streams = slices.Delete(d.model.Streams, idx, idx+1)
+	d.decim = slices.Delete(d.decim, idx, idx+1)
+	d.slots = slices.Delete(d.slots, idx, idx+1)
 
-	// The removed stream is still in Prev but absent from cand, so the
-	// solver stack restarts cold — the shrunken least fixed point may lie
-	// below every warm seed the old assignment could provide.
-	res, err := c.solve(cand, granularity)
+	// The removed stream is still in Prev but absent from the candidate, so
+	// the solver stack restarts cold — the shrunken least fixed point may
+	// lie below every warm seed the old assignment could provide.
+	res, err := c.solve(d)
 	if err != nil {
 		reason, detail := rejectReason(err)
 		c.reject(EvRemove, name, reason, detail, done)
 		return
 	}
 	for i, b := range res.Blocks {
-		cand.Streams[i].Block = b
+		d.model.Streams[i].Block = b
 	}
 	c.run(&removal{
 		transition: transition{kind: EvRemove, name: name, done: done, v: Verdict{
 			Accepted:    true,
 			Reason:      ReasonAdmitted,
-			Blocks:      assignment(cand, res.Blocks),
+			Blocks:      assignment(&d.model, res.Blocks),
 			BoundCycles: c.transitionBound(len(c.model.Streams)),
 			SolveRounds: res.Rounds,
 		}},
 		s: c.model.Streams[idx], slot: c.gwSlot[idx], decimation: c.decim[idx],
-		cand: cand, granularity: granularity, slots: slots, blocks: res.Blocks,
+		d: d, blocks: res.Blocks,
 	})
 }
 
 // removal is a plan that retires live stream s from its gateway slot; the
-// survivors keep their slots and move to blocks.
+// survivors keep their slots and move to blocks. Its candidate is the
+// controller's decision scratch.
 type removal struct {
 	transition
-	s           core.Stream
-	slot        int
-	decimation  int64
-	cand        *core.System
-	granularity []int64
-	slots       []int
-	blocks      []int64
+	s          core.Stream
+	slot       int
+	decimation int64
+	d          *decision
+	blocks     []int64
 }
 
 func (r *removal) step(*Controller) ([]gateway.SlotUpdate, error) {
-	return append(slotUpdates(r.slots, r.granularity, r.blocks), gateway.SlotUpdate{Stream: r.slot, Suspend: true}), nil
+	return append(slotUpdates(r.d.slots, r.d.decim, r.blocks), gateway.SlotUpdate{Stream: r.slot, Suspend: true}), nil
 }
 
 func (r *removal) commit(c *Controller) {
 	c.chain().Strs[r.slot].StopSource()
 	c.park(r.s, r.slot, r.decimation, false)
-	c.model, c.decim, c.gwSlot = r.cand, r.granularity, r.slots
+	c.adopt(r.d)
 }
 
 func (*removal) undo(*Controller) string { return "" }
@@ -875,15 +944,17 @@ func (c *Controller) Readmit(name string, done func(Verdict)) {
 		Stream:     core.Stream{Name: name, Rate: p.rate, Reconfig: p.reconfig},
 		decimation: p.decimation,
 		caps:       [2]int{st.In.Capacity(), st.Out.Capacity()},
-		attach: func(int64) (gateway.SlotUpdate, error) {
-			return gateway.SlotUpdate{Stream: p.slot, Activate: !p.quarantined, Unquarantine: p.quarantined, Probation: true}, nil
-		},
 	}, done)
 	if g == nil {
 		return
 	}
+	// The slot returns at the re-solved ηs, not the one it left with.
+	g.attach = func(block int64) (gateway.SlotUpdate, error) {
+		return gateway.SlotUpdate{Stream: p.slot, SetBlock: block, SetOutBlock: block / p.decimation,
+			Activate: !p.quarantined, Unquarantine: p.quarantined, Probation: true}, nil
+	}
 	prev := assignment(c.model, blocksOf(c.model))
-	g.n.landed = func() {
+	g.landed = func() {
 		if !p.quarantined {
 			// A removed stream's source was stopped; restart it.
 			c.ms.StartSource(c.chain().Strs[p.slot])

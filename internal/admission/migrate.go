@@ -75,18 +75,20 @@ func (c *Controller) AdmitMigrated(req MigrateRequest, done func(Verdict)) {
 		decimation: decimation,
 		minBlock:   req.MinBlock,
 		caps:       [2]int{req.InCapacity, req.OutCapacity},
-		attach: func(block int64) (gateway.SlotUpdate, error) {
-			slot, err := req.Import()
-			return gateway.SlotUpdate{Stream: slot, SetBlock: block, SetOutBlock: block / decimation}, err
-		},
-		// The stream is already imported (validation makes this path
-		// unreachable, but never leave an unaccounted live slot behind):
-		// suspend it best-effort.
-		silence: func(c *Controller, slot int) {
-			_ = c.chain().Pair.ApplySlots([]gateway.SlotUpdate{{Stream: slot, Suspend: true}}, c.cfg.PerSlotCost, nil)
-		},
 	}, done)
-	if g != nil {
-		c.run(g)
+	if g == nil {
+		return
 	}
+	imp := req.Import
+	g.attach = func(block int64) (gateway.SlotUpdate, error) {
+		slot, err := imp()
+		return gateway.SlotUpdate{Stream: slot, SetBlock: block, SetOutBlock: block / decimation}, err
+	}
+	// The stream is already imported (validation makes this path
+	// unreachable, but never leave an unaccounted live slot behind):
+	// suspend it best-effort.
+	g.silence = func(c *Controller, slot int) {
+		_ = c.chain().Pair.ApplySlots([]gateway.SlotUpdate{{Stream: slot, Suspend: true}}, c.cfg.PerSlotCost, nil)
+	}
+	c.run(g)
 }

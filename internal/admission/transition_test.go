@@ -206,11 +206,15 @@ func TestQuarantineDuringDrainAborts(t *testing.T) {
 			if got := namesOf(v2); !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("re-issued assignment %v, want %v", got, tc.want)
 			}
-			if tc.name == "readmit" {
-				// Readmit re-sizes the survivors but not the readmitted slot,
-				// which keeps the ηs it had before its removal (22, not the
-				// re-solved 8), so its Eq. 2 bound does not hold here.
-				return
+			// Every slot runs the verdict's ηs. The readmitted s4 left with
+			// the four-stream 22 and returns at the three-stream 8.
+			snaps := b.ms.Chains[0].Pair.Snapshot()
+			for _, a := range v2.Blocks {
+				for _, sn := range snaps {
+					if sn.Name == a.Name && sn.Block != a.Block {
+						t.Errorf("slot %s runs eta %d, verdict %d", a.Name, sn.Block, a.Block)
+					}
+				}
 			}
 			// Everyone runs inside the re-solved bounds.
 			settled := k.Now()

@@ -33,7 +33,9 @@ package cluster
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
+	"strings"
 
 	"accelshare/internal/accel"
 	"accelshare/internal/admission"
@@ -282,6 +284,10 @@ type Controller struct {
 	fleet     []FleetStats
 	moveQueue []*moveOp
 	moving    bool
+
+	// ranked is rankServing's result, reused from one placement to the
+	// next.
+	ranked []*chainInfo
 }
 
 // New builds the fleet platform and attaches the control plane. Serving
@@ -442,32 +448,32 @@ func (c *Controller) armDoctor(ci *chainInfo) error {
 	return nil
 }
 
-// rankServing orders the live chains by utilisation (ascending, exact
-// big.Rat compare), name as the tie-break: the placement policy and the
-// shed policy's "least-loaded first" are the same deterministic ranking.
-// Each chain's utilisation is computed once, before the sort.
+// rankServing orders the live chains by utilisation (ascending, exact),
+// name as the tie-break: the placement policy and the shed policy's
+// "least-loaded first" are the same deterministic ranking. Each chain's
+// admission controller keeps its utilisation per model generation, so a
+// ranking recomputes only what a commit moved. The result is valid until
+// the next call; callers iterate it without ranking again.
+//
+//accellint:noalloc guard=TestRankServingZeroAlloc
 func (c *Controller) rankServing() []*chainInfo {
-	type ranked struct {
-		ci   *chainInfo
-		util *big.Rat
-	}
-	var rs []ranked
+	c.ranked = c.ranked[:0]
 	for _, ci := range c.chains {
 		if ci.state == chainServing && ci.ctrl != nil {
-			rs = append(rs, ranked{ci, ci.ctrl.Model().Utilization()})
+			//accellint:alloc grows to the chain count once
+			c.ranked = append(c.ranked, ci)
 		}
 	}
-	sort.SliceStable(rs, func(a, b int) bool {
-		if cmp := rs[a].util.Cmp(rs[b].util); cmp != 0 {
-			return cmp < 0
-		}
-		return rs[a].ci.name < rs[b].ci.name
-	})
-	out := make([]*chainInfo, len(rs))
-	for i, r := range rs {
-		out[i] = r.ci
+	slices.SortStableFunc(c.ranked, byLoad)
+	return c.ranked
+}
+
+// byLoad orders serving chains by utilisation, then by name.
+func byLoad(a, b *chainInfo) int {
+	if by := a.ctrl.Load().Cmp(b.ctrl.Load()); by != 0 {
+		return by
 	}
-	return out
+	return strings.Compare(a.name, b.name)
 }
 
 func (c *Controller) streamSpec(si *streamInfo) mpsoc.StreamSpec {
@@ -507,9 +513,12 @@ func (c *Controller) place(si *streamInfo, attempt int) {
 	}
 	busy := false
 	detail := "no serving chain"
+	// One request serves every chain: a rejection attaches nothing, and the
+	// loop ends at the first chain that takes it.
+	req := admission.AddRequest{Spec: c.streamSpec(si), Rate: big.NewRat(1, si.period)}
 	for _, tc := range c.rankServing() {
 		v, pending := c.offer(si, tc, func(done func(admission.Verdict)) {
-			tc.ctrl.AddStream(admission.AddRequest{Spec: c.streamSpec(si), Rate: big.NewRat(1, si.period)}, done)
+			tc.ctrl.AddStream(req, done)
 		}, func(v admission.Verdict) { c.placed(si, tc, attempt, v) })
 		if pending {
 			return

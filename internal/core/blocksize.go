@@ -67,8 +67,10 @@ func (s *System) ApplyOperator(granularity, blocks []int64) ([]int64, error) {
 		return nil, fmt.Errorf("core: %d blocks, %d granularities for %d streams",
 			len(blocks), len(granularity), len(s.Streams))
 	}
+	var op operator
+	op.reset(s, granularity)
 	out := make([]int64, len(blocks))
-	if err := s.newOperator(granularity).step(blocks, out); err != nil {
+	if err := op.step(blocks, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -124,25 +126,48 @@ func (s *System) ComputeBlockSizesRounded(granularity []int64) (*BlockSizeResult
 // The result is NOT stored into the streams — the caller decides whether
 // (and when) to apply the new configuration.
 func (s *System) LeastFixedPoint(start, granularity []int64, maxRounds int) (*BlockSizeResult, error) {
+	return s.LeastFixedPointIn(nil, start, granularity, maxRounds)
+}
+
+// Scratch is reusable working storage for LeastFixedPointIn: the operator's
+// fixed-width rates, its big.Int fallback and the iterate vectors. The zero
+// value is ready to use. A Scratch serves one solve at a time.
+type Scratch struct {
+	op        operator
+	eta, next []int64
+	res       BlockSizeResult
+}
+
+// LeastFixedPointIn is LeastFixedPoint with its working storage in sc, so a
+// caller that solves again and again allocates nothing once sc has grown to
+// its largest stream count. The result and its Blocks then live in sc and
+// stay valid until sc's next solve. A nil sc means fresh storage.
+func (s *System) LeastFixedPointIn(sc *Scratch, start, granularity []int64, maxRounds int) (*BlockSizeResult, error) {
 	n := len(s.Streams)
 	if start != nil && len(start) != n {
 		return nil, fmt.Errorf("core: %d warm-start entries for %d streams", len(start), n)
 	}
-	op, eta, err := s.seed(granularity)
-	if err != nil {
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	if err := s.seed(sc, granularity); err != nil {
 		return nil, err
 	}
+	op, eta := &sc.op, sc.eta
 	for i := range start {
 		if start[i] > eta[i] {
-			if eta[i], err = op.roundUp(i, start[i]); err != nil {
+			v, err := op.roundUp(i, start[i])
+			if err != nil {
 				return nil, err
 			}
+			eta[i] = v
 		}
 	}
 	if maxRounds <= 0 {
 		maxRounds = DefaultRounds
 	}
-	next := make([]int64, n)
+	sc.next = resize(sc.next, n)
+	next := sc.next
 	for round := 1; round <= maxRounds; round++ {
 		if err := op.step(eta, next); err != nil {
 			return nil, err
@@ -158,14 +183,14 @@ func (s *System) LeastFixedPoint(start, granularity []int64, maxRounds int) (*Bl
 			}
 		}
 		if !changed {
-			res := &BlockSizeResult{Blocks: eta, Rounds: round}
+			sc.res = BlockSizeResult{Blocks: eta, Rounds: round}
 			for _, b := range eta {
-				if res.Total > math.MaxInt64-b {
+				if sc.res.Total > math.MaxInt64-b {
 					return nil, fmt.Errorf("core: total block size: %w", ErrOverflow)
 				}
-				res.Total += b
+				sc.res.Total += b
 			}
-			return res, nil
+			return &sc.res, nil
 		}
 	}
 	return nil, fmt.Errorf("core: no fixed point within %d rounds: %w", maxRounds, ErrSolverBudget)
@@ -177,76 +202,140 @@ func (s *System) LeastFixedPoint(start, granularity []int64, maxRounds int) (*Bl
 // integer and granularity grid. It is componentwise ≤ the least fixed
 // point. ρ ≥ 1 returns ErrInfeasible.
 func (s *System) RelaxationSeed(granularity []int64) ([]int64, error) {
-	_, seed, err := s.seed(granularity)
-	return seed, err
+	sc := new(Scratch)
+	if err := s.seed(sc, granularity); err != nil {
+		return nil, err
+	}
+	return sc.eta, nil
 }
 
-// seed validates s, applies the utilisation gate and returns the operator
-// together with the relaxation seed (see RelaxationSeed).
-func (s *System) seed(granularity []int64) (*operator, []int64, error) {
+// seed validates s, applies the utilisation gate and sets sc.op to the
+// operator and sc.eta to the relaxation seed (see RelaxationSeed). The seed
+// is F evaluated at K = (c1 + 2n·c0)/(1−ρ), the value of c1 + c0·Σ(ηi+2)
+// at the relaxation's optimum. With ρ = N/D in lowest terms that is
+// K = (c1 + 2n·c0)·D/(D − N), which the fixed-width path evaluates without
+// Utilization or a big.Rat quotient.
+func (s *System) seed(sc *Scratch, granularity []int64) error {
 	if err := s.Validate(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	n := len(s.Streams)
 	if granularity != nil && len(granularity) != n {
-		return nil, nil, fmt.Errorf("core: %d granularities for %d streams", len(granularity), n)
+		return fmt.Errorf("core: %d granularities for %d streams", len(granularity), n)
+	}
+	op := &sc.op
+	op.reset(s, granularity)
+	sc.eta = resize(sc.eta, n)
+	if num, den, ok := s.utilization64(); ok {
+		if num >= den {
+			return ErrInfeasible
+		}
+		if op.seed64(den-num, den, sc.eta) {
+			return nil
+		}
 	}
 	slack := new(big.Rat).Sub(big.NewRat(1, 1), s.Utilization())
 	if slack.Sign() <= 0 {
-		return nil, nil, ErrInfeasible
+		return ErrInfeasible
 	}
-	op := s.newOperator(granularity)
-	// K = (c1 + 2n·c0)/(1−ρ) is the value of c1 + c0·Σ(ηi+2) at the
-	// relaxation's optimum, so the seed is F evaluated there.
-	k := new(big.Rat).SetInt(new(big.Int).Mul(&op.c0, &op.twoN))
-	k.Quo(k.Add(k, new(big.Rat).SetInt(&op.c1)), slack)
-	eta := make([]int64, n)
-	for i := range eta {
-		v, err := op.at(i, k.Num(), k.Denom())
+	w := op.wideForm()
+	k := new(big.Rat).SetInt(new(big.Int).Mul(&w.c0, &w.twoN))
+	k.Quo(k.Add(k, new(big.Rat).SetInt(&w.c1)), slack)
+	for i := range sc.eta {
+		v, err := op.atWide(i, k.Num(), k.Denom())
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		eta[i] = v
+		sc.eta[i] = v
 	}
-	return op, eta, nil
+	return nil
 }
 
-// operator evaluates F for one system with exact integer arithmetic:
-// μs = num[s]/den[s] samples per cycle, unreduced. The scratch integers
-// make repeated steps allocation-free once they have grown.
+// resize returns buf resliced to n entries, or a new slice when it is too
+// small.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// operator evaluates F for one system with exact integer arithmetic. The
+// fixed-width form holds μs = num[s]/den[s] samples per cycle (unreduced:
+// den is the rate's denominator times ClockHz) and runs every step whose
+// values fit in 64 bits, with 128-bit products; the big.Int form (wide) is
+// built on the first step that does not, and computes the same values, or
+// the same ErrOverflow, without a width limit. Both forms keep their
+// storage across reset, so repeated solves in one Scratch are
+// allocation-free once it has grown.
 type operator struct {
-	sys          *System
+	sys      *System
+	gran     []int64
+	num, den []uint64
+	c0, c1   uint64
+	fits     bool // every rate fits the fixed-width form
+	wide     wideOperator
+	wideOK   bool // wide holds sys's rates
+}
+
+// wideOperator is the big.Int form of the operator.
+type wideOperator struct {
 	num, den     []big.Int
 	c0, c1, twoN big.Int
-	gran         []int64
 	sum, x, a, b big.Int
 	quo, rem     big.Int
 }
 
-func (s *System) newOperator(granularity []int64) *operator {
+// reset points op at s and granularity.
+func (op *operator) reset(s *System, granularity []int64) {
 	n := len(s.Streams)
-	op := &operator{sys: s, num: make([]big.Int, n), den: make([]big.Int, n), gran: granularity}
+	op.sys, op.gran, op.wideOK = s, granularity, false
+	op.c0, op.c1 = s.Chain.C0(), s.C1()
+	op.num, op.den = resize(op.num, n), resize(op.den, n)
+	op.fits = s.ClockHz > 0
+	for i := 0; i < n && op.fits; i++ {
+		num, den, ok := rat64(s.Streams[i].Rate)
+		if ok {
+			den, ok = mul64(den, uint64(s.ClockHz))
+		}
+		op.num[i], op.den[i], op.fits = num, den, ok
+	}
+}
+
+// wideForm returns the big.Int form of op, building it on first use.
+func (op *operator) wideForm() *wideOperator {
+	w := &op.wide
+	if op.wideOK {
+		return w
+	}
+	s, n := op.sys, len(op.sys.Streams)
+	w.num, w.den = resize(w.num, n), resize(w.den, n)
 	clock := big.NewInt(s.ClockHz)
 	for i := range s.Streams {
-		op.num[i].Set(s.Streams[i].Rate.Num())
-		op.den[i].Mul(s.Streams[i].Rate.Denom(), clock)
+		w.num[i].Set(s.Streams[i].Rate.Num())
+		w.den[i].Mul(s.Streams[i].Rate.Denom(), clock)
 	}
-	op.c0.SetUint64(s.Chain.C0())
-	op.c1.SetUint64(s.C1())
-	op.twoN.SetInt64(int64(2 * n))
-	return op
+	w.c0.SetUint64(op.c0)
+	w.c1.SetUint64(op.c1)
+	w.twoN.SetInt64(int64(2 * n))
+	op.wideOK = true
+	return w
 }
 
 // step sets out = F(eta).
 func (op *operator) step(eta, out []int64) error {
-	op.sum.Set(&op.twoN)
-	for _, b := range eta {
-		op.sum.Add(&op.sum, op.x.SetInt64(b))
+	if op.fits && op.step64(eta, out) {
+		return nil
 	}
-	op.sum.Mul(&op.sum, &op.c0)
-	op.sum.Add(&op.sum, &op.c1)
+	w := op.wideForm()
+	w.sum.Set(&w.twoN)
+	for _, b := range eta {
+		w.sum.Add(&w.sum, w.x.SetInt64(b))
+	}
+	w.sum.Mul(&w.sum, &w.c0)
+	w.sum.Add(&w.sum, &w.c1)
 	for i := range eta {
-		v, err := op.at(i, &op.sum, nil)
+		v, err := op.atWide(i, &w.sum, nil)
 		if err != nil {
 			return err
 		}
@@ -255,14 +344,104 @@ func (op *operator) step(eta, out []int64) error {
 	return nil
 }
 
-// at returns roundUp(max(1, ⌈μi·xn/xd⌉), g_i); xd nil means 1.
-func (op *operator) at(i int, xn, xd *big.Int) (int64, error) {
-	op.a.Mul(&op.num[i], xn)
-	den := &op.den[i]
-	if xd != nil {
-		den = op.b.Mul(den, xd)
+// step64 sets out = F(eta) in fixed width, and reports false when a value
+// does not fit (out is then partly written).
+//
+//accellint:noalloc guard=TestOperatorZeroAlloc
+func (op *operator) step64(eta, out []int64) bool {
+	// x = c1 + c0·Σ(ηi+2)
+	sum := uint64(2 * len(eta))
+	for _, b := range eta {
+		if b < 0 {
+			return false
+		}
+		var ok bool
+		if sum, ok = add64(sum, uint64(b)); !ok {
+			return false
+		}
 	}
-	v, ok := ceilQuo(&op.a, den, &op.quo, &op.rem)
+	x, ok := mul64(sum, op.c0)
+	if ok {
+		x, ok = add64(x, op.c1)
+	}
+	if !ok {
+		return false
+	}
+	for i := range eta {
+		v, ok := op.at64(i, x, 1)
+		if !ok {
+			return false
+		}
+		out[i] = v
+	}
+	return true
+}
+
+// seed64 sets eta to the relaxation seed for the slack 1 − ρ = sn/sd (in
+// lowest terms) in fixed width, and reports false when a value does not
+// fit.
+//
+//accellint:noalloc guard=TestSeedZeroAlloc
+func (op *operator) seed64(sn, sd uint64, eta []int64) bool {
+	if !op.fits {
+		return false
+	}
+	// K = A/(sn/sd) for A = c1 + 2n·c0, as kn/kd in lowest terms (sd and
+	// sn are coprime).
+	a, ok := mul64(op.c0, uint64(2*len(eta)))
+	if ok {
+		a, ok = add64(a, op.c1)
+	}
+	if !ok {
+		return false
+	}
+	g := gcd64(a, sn)
+	kn, ok := mul64(a/g, sd)
+	if !ok {
+		return false
+	}
+	for i := range eta {
+		v, ok := op.at64(i, kn, sn/g)
+		if !ok {
+			return false
+		}
+		eta[i] = v
+	}
+	return true
+}
+
+// at64 returns roundUp(max(1, ⌈μi·xn/xd⌉), g_i) for xd ≥ 1, and false when
+// a value does not fit. ⌈μi·xn/xd⌉ = ⌈⌈μi·xn⌉/xd⌉ for an integer xd, so the
+// product needs one 128-bit division.
+func (op *operator) at64(i int, xn, xd uint64) (int64, bool) {
+	q, ok := mulDivCeil(op.num[i], xn, op.den[i])
+	if !ok {
+		return 0, false
+	}
+	if xd > 1 {
+		rem := q % xd
+		q /= xd
+		if rem != 0 {
+			q++
+		}
+	}
+	if q > math.MaxInt64 {
+		return 0, false
+	}
+	v, err := op.roundUp(i, max(int64(q), 1))
+	return v, err == nil
+}
+
+// atWide returns roundUp(max(1, ⌈μi·xn/xd⌉), g_i) in big.Int arithmetic;
+// xd nil means 1.
+func (op *operator) atWide(i int, xn, xd *big.Int) (int64, error) {
+	w := &op.wide
+	w.a.Mul(&w.num[i], xn)
+	den := &w.den[i]
+	if xd != nil {
+		den = w.b.Mul(den, xd)
+	}
+	v, ok := ceilQuo(&w.a, den, &w.quo, &w.rem)
 	if !ok {
 		return 0, fmt.Errorf("core: block of stream %q: %w", op.sys.Streams[i].Name, ErrOverflow)
 	}

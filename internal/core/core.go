@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 )
 
@@ -307,11 +308,31 @@ func (s *System) InputBufferBound(i int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return s.InputBufferBoundOver(i, gamma)
+}
+
+// InputBufferBoundOver is InputBufferBound for a caller that already holds
+// the service interval γ̂s. By Eq. 4 it is the same for every stream
+// (RoundDuration), so a pass over all streams costs O(n) instead of O(n²).
+// The arrivals ⌈μs·γ̂s⌉ are computed in fixed width when they fit.
+//
+//accellint:noalloc guard=TestInputBufferBoundZeroAlloc
+func (s *System) InputBufferBoundOver(i int, gamma uint64) (int64, error) {
+	st := &s.Streams[i]
+	if num, den, ok := rat64(st.Rate); ok && s.ClockHz > 0 && gamma <= math.MaxInt64 {
+		if den, ok = mul64(den, uint64(s.ClockHz)); ok {
+			if arrivals, ok := mulDivCeil(num, gamma, den); ok && arrivals <= math.MaxInt64 {
+				return st.Block + int64(arrivals), nil
+			}
+		}
+	}
+	//accellint:alloc arrivals beyond 64 bits are computed as big.Rat
 	arrivals, ok := ratCeil(new(big.Rat).Mul(s.RatePerCycle(i), new(big.Rat).SetInt64(int64(gamma))))
 	if !ok {
-		return 0, fmt.Errorf("core: stream %q arrivals per service interval: %w", s.Streams[i].Name, ErrOverflow)
+		//accellint:alloc the overflow error names the stream
+		return 0, fmt.Errorf("core: stream %q arrivals per service interval: %w", st.Name, ErrOverflow)
 	}
-	return s.Streams[i].Block + arrivals, nil
+	return st.Block + arrivals, nil
 }
 
 // OutputBufferBound returns a sufficient capacity for stream i's output

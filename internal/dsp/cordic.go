@@ -61,13 +61,13 @@ func Rotate(i, q int32, angle Phase) (int32, int32) {
 	for k := 0; k < cordicIters; k++ {
 		xs := x >> uint(k)
 		ys := y >> uint(k)
-		if z >= 0 {
-			x, y = x-ys, y+xs
-			z -= atanTable[k]
-		} else {
-			x, y = x+ys, y-xs
-			z += atanTable[k]
-		}
+		// The rotation direction follows the sign of z. s is 0 for z ≥ 0
+		// and −1 otherwise, and (v^s)−s is v or −v: the same two's-
+		// complement arithmetic as a branch on the sign, without the
+		// branch, which mispredicts about half the time.
+		s := z >> 63
+		x, y = x-((ys^s)-s), y+((xs^s)-s)
+		z -= (atanTable[k] ^ s) - s
 	}
 	return clamp32(x), clamp32(y)
 }

@@ -24,7 +24,7 @@ func (e *Exact) Solve(p *Problem) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	res, err := p.Model.LeastFixedPoint(p.Start, p.Granularity, e.WarmRounds)
+	res, err := p.Model.LeastFixedPointIn(p.Scratch, p.Start, p.Granularity, e.WarmRounds)
 	if err != nil {
 		return nil, err
 	}

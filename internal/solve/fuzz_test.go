@@ -13,9 +13,9 @@ import (
 
 // FuzzSolveDifferential holds the production stack's warm start to a cold
 // exact solve on randomly generated problems. Default is handed, as
-// Problem.Prev, the committed blocks of either a sub-set of the streams
-// (an addition, which Incremental reuses) or a super-set (a removal, which
-// it must answer by restarting cold). Either way it must reach the same
+// Problem.Prev, the committed blocks of either the leading streams (an
+// addition, which Incremental reuses) or a super-set (a removal, which it
+// must answer by restarting cold). Either way it must reach the same
 // verdict as Exact without Prev: infeasible exactly when Exact is, and
 // otherwise the same blocks, which Verify finds feasible and tight.
 //

@@ -48,14 +48,21 @@ type Problem struct {
 	// Granularity constrains ηs to multiples of Granularity[s] (nil = all
 	// ones; entries < 1 are treated as 1).
 	Granularity []int64
-	// Prev is the previously committed assignment, keyed by stream name.
-	// The Incremental layer turns it into a sound warm start when the new
-	// stream set only adds streams; other solvers ignore it.
+	// Prev is the previously committed assignment. The Incremental layer
+	// turns it into a sound warm start when it names the model's leading
+	// streams in order, as after a growth that appends newcomers, and
+	// restarts cold on any other Prev; other solvers ignore it.
 	Prev []Assignment
 	// Start, when non-nil, positionally seeds the fixed-point iteration.
 	// It MUST be componentwise ≤ the least fixed point (see
 	// core.System.LeastFixedPoint); most callers leave it nil and set Prev.
 	Start []int64
+	// Scratch, when non-nil, is the caller's working storage for the
+	// solve (core.System.LeastFixedPointIn), so a caller that decides again
+	// and again reuses it instead of allocating per solve. It serves one
+	// solve at a time, and Result.Blocks then lives in it until its next
+	// solve. The results are the same either way.
+	Scratch *core.Scratch
 }
 
 // Path identifies which decision procedure produced a Result.

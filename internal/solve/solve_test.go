@@ -141,15 +141,25 @@ func TestIncrementalWarmStart(t *testing.T) {
 		t.Fatalf("warm start took %d rounds, cold took %d", warm.Rounds, coldGrown.Rounds)
 	}
 
-	// Removal: a Prev name missing from the model must trigger a cold
-	// restart — the result must be the shrunken model's true least fixed
-	// point, not a stale reuse of the larger one.
+	// Removal: a Prev longer than the model must trigger a cold restart —
+	// the result must be the shrunken model's true least fixed point, not
+	// a stale reuse of the larger one.
 	shrunk := sys.Clone()
 	shrunk.Streams = shrunk.Streams[:len(shrunk.Streams)-1]
 	after := mustSolve(t, w, &Problem{Model: shrunk, Prev: prev})
 	coldShrunk := mustSolve(t, w, &Problem{Model: shrunk})
 	if !reflect.DeepEqual(after.Blocks, coldShrunk.Blocks) {
 		t.Fatalf("post-removal %v != cold %v", after.Blocks, coldShrunk.Blocks)
+	}
+
+	// A Prev that does not name the model's leading streams in order is
+	// not read at all: the solve is the cold one, round for round.
+	swapped := append([]Assignment(nil), prev...)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	reordered := mustSolve(t, w, &Problem{Model: grown, Prev: swapped})
+	if !reflect.DeepEqual(reordered.Blocks, coldGrown.Blocks) || reordered.Rounds != coldGrown.Rounds {
+		t.Fatalf("out-of-order Prev: %v in %d rounds, cold %v in %d rounds",
+			reordered.Blocks, reordered.Rounds, coldGrown.Blocks, coldGrown.Rounds)
 	}
 }
 

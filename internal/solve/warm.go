@@ -1,5 +1,7 @@
 package solve
 
+import "accelshare/internal/core"
+
 // Incremental is the warm-start layer promoted out of internal/admission:
 // it derives a sound Start vector from the previously committed assignment
 // (Problem.Prev) and delegates to Inner. Soundness follows the argument
@@ -8,8 +10,10 @@ package solve
 // fixed point is still ≤ the new one componentwise and each surviving
 // stream's old block seeds the iteration correctly (newcomers start at 1).
 // After a removal the least fixed point SHRINKS, so any reuse of old blocks
-// could overshoot it and land on a non-minimal fixed point — the layer
-// detects this (a Prev name absent from the model) and restarts cold.
+// could overshoot it and land on a non-minimal fixed point. The layer
+// therefore warm-starts only when Prev names the model's leading streams
+// in order — the shape of a growth, whose newcomers are appended — and
+// restarts cold on any other Prev, a removal's included.
 type Incremental struct {
 	Inner Solver
 }
@@ -23,29 +27,30 @@ func (w *Incremental) Solve(p *Problem) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	if p.Start != nil || len(p.Prev) == 0 {
+	if p.Start != nil || len(p.Prev) == 0 || !leading(p.Model.Streams, p.Prev) {
 		return w.Inner.Solve(p)
-	}
-	prev := make(map[string]int64, len(p.Prev))
-	for _, a := range p.Prev {
-		prev[a.Name] = a.Block
 	}
 	start := make([]int64, len(p.Model.Streams))
-	live := 0
-	for i := range p.Model.Streams {
-		if b, ok := prev[p.Model.Streams[i].Name]; ok {
-			start[i] = b
-			live++
-		} else {
-			start[i] = 1
-		}
+	for i := range start {
+		start[i] = 1
 	}
-	if live < len(prev) {
-		// A previously committed stream is gone: the operator shrank, the
-		// old fixed point may exceed the new least one. Cold restart.
-		return w.Inner.Solve(p)
+	for i, a := range p.Prev {
+		start[i] = a.Block
 	}
 	warmed := *p
 	warmed.Start = start
 	return w.Inner.Solve(&warmed)
+}
+
+// leading reports whether prev names streams[:len(prev)] in order.
+func leading(streams []core.Stream, prev []Assignment) bool {
+	if len(prev) > len(streams) {
+		return false
+	}
+	for i, a := range prev {
+		if streams[i].Name != a.Name {
+			return false
+		}
+	}
+	return true
 }
