@@ -28,9 +28,8 @@ type Link struct {
 
 	// owedCredits counts consumer pops not yet converted into credit
 	// messages (e.g. because the credit-ring injection buffer was full).
-	owedCredits  int
-	creditPump   bool
-	lastPopCount uint64
+	owedCredits int
+	creditPump  bool
 	// creditRetryFn is retryCredits, bound once in NewLink.
 	creditRetryFn func()
 
@@ -68,22 +67,26 @@ func NewLink(name string, k *sim.Kernel, net *ring.Dual, srcNode, dstNode, dataP
 			w.Wake()
 		}
 	})
-	// Every pop from the NI queue owes one credit upstream.
-	popWatcher := sim.NewWaker(k, func() {
-		pops := l.dst.Popped
-		if pops > l.lastPopCount {
-			l.owedCredits += int(pops - l.lastPopCount)
-			l.lastPopCount = pops
-		}
-		l.pumpCredits()
-	})
-	dst.SubscribeSpace(popWatcher)
+	// Every pop from the NI queue owes one credit upstream, sent inside the
+	// pop.
+	dst.OnPop(l.returnCredit)
 	l.creditRetryFn = l.retryCredits
 	return l
 }
 
+// returnCredit owes the upstream sender one credit for the word the
+// consumer just removed, and sends what is owed.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocPAL
+func (l *Link) returnCredit() {
+	l.owedCredits++
+	l.pumpCredits()
+}
+
 // pumpCredits sends owed credits over the credit ring, retrying while the
 // injection buffer is busy.
+//
+//accellint:noalloc guard=TestDataPathZeroAllocPAL
 func (l *Link) pumpCredits() {
 	for l.owedCredits > 0 {
 		if !l.net.Credit.Node(l.dstNode).TrySend(l.srcNode, l.creditPort, 1) {
@@ -136,7 +139,6 @@ func (l *Link) Wedged() bool { return l.wedgedUntil > l.k.Now() }
 func (l *Link) Reset() {
 	l.credits = l.dst.Cap()
 	l.owedCredits = 0
-	l.lastPopCount = l.dst.Popped
 }
 
 // TrySend injects one word if a credit is held and the ring accepts; the

@@ -512,7 +512,10 @@ func (c *Controller) place(si *streamInfo, attempt int) {
 		return
 	}
 	busy := false
-	detail := "no serving chain"
+	// The last chain's refusal becomes the rejection detail, formatted only
+	// if the stream is rejected.
+	var last admission.Verdict
+	refused := false
 	// One request serves every chain: a rejection attaches nothing, and the
 	// loop ends at the first chain that takes it.
 	req := admission.AddRequest{Spec: c.streamSpec(si), Rate: big.NewRat(1, si.period)}
@@ -524,13 +527,16 @@ func (c *Controller) place(si *streamInfo, attempt int) {
 			return
 		}
 		busy = busy || v.Reason == admission.ReasonBusy
-		detail = fmt.Sprintf("%s: %s", v.Reason, v.Detail)
+		last, refused = v, true
 	}
+	detail := "no serving chain"
 	if busy {
 		if _, ok := c.retry(si, attempt, fmt.Sprintf("placement attempt %d", attempt+1), func(next int) { c.place(si, next) }); ok {
 			return
 		}
 		detail = "retry budget exhausted (targets busy)"
+	} else if refused {
+		detail = fmt.Sprintf("%s: %s", last.Reason, last.Detail)
 	}
 	si.rejected = true
 	c.event(EvReject, "", si.name, detail)

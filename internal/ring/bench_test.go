@@ -50,3 +50,29 @@ func BenchmarkDualRingCreditLoop(b *testing.B) {
 		b.Fatal("no credits returned")
 	}
 }
+
+// BenchmarkRingUncontendedSend sends one word per cycle from an idle node,
+// the path on which a word leaves inside TrySend and its pump step is
+// skipped: one event (the delivery) per word.
+func BenchmarkRingUncontendedSend(b *testing.B) {
+	k := sim.NewKernel()
+	r, err := New(k, Config{Nodes: 8, HopLatency: 1, Direction: Clockwise, InjectionDepth: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	received := 0
+	r.Node(4).Bind(0, func(Message) { received++ })
+	n := r.Node(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !n.TrySend(4, 0, sim.Word(i)) {
+			b.Fatal("uncontended send refused")
+		}
+		k.Run(k.Now() + 1)
+	}
+	k.RunAll()
+	if received != b.N {
+		b.Fatalf("received %d of %d", received, b.N)
+	}
+}

@@ -108,6 +108,14 @@ type Node struct {
 	// closure instead of allocating a new one per pumped word.
 	pumpFn func()
 
+	// sent is the word that left inside TrySend without a pump step, and
+	// step the place that step would have fired at. Until step passes, the
+	// word still occupies the injection buffer (held); prevSlot is the slot
+	// time before it left, restored when a wedge takes the word back.
+	sent     *flight
+	step     sim.Place
+	prevSlot sim.Time
+
 	// wedgedUntil, when in the future, freezes the node's injection side:
 	// TrySend refuses and buffered messages stop advancing — the injected
 	// "wedged NI" fault of the fault-campaign subsystem.
@@ -177,8 +185,18 @@ func (n *Node) Bind(port int, fn func(Message)) {
 // SubscribeSpace wakes w whenever injection space frees up.
 func (n *Node) SubscribeSpace(w *sim.Waker) { n.space = append(n.space, w) }
 
-// Free returns the available injection-buffer slots.
-func (n *Node) Free() int { return n.r.cfg.InjectionDepth - n.injLen }
+// Free returns the available injection-buffer slots. A reading that counts
+// a held word puts its step back, as a refused send does: the caller may
+// wait for space on it, and the step's wake must reach it.
+//
+//accellint:noalloc guard=TestRingZeroAllocSteadyState
+func (n *Node) Free() int {
+	held := n.held()
+	if held == 1 {
+		n.restep()
+	}
+	return n.r.cfg.InjectionDepth - n.injLen - held
+}
 
 // WedgeNode freezes node i's injection side for d cycles (d == 0 =
 // permanently): sends are refused and already-buffered messages stop
@@ -187,6 +205,9 @@ func (n *Node) Free() int { return n.r.cfg.InjectionDepth - n.injLen }
 // the injection buffer resumes draining.
 func (r *Ring) WedgeNode(i int, d sim.Time) {
 	n := r.nodes[i]
+	if n.held() == 1 {
+		n.takeBack()
+	}
 	if d == 0 {
 		n.wedgedUntil = ^sim.Time(0)
 		return
@@ -208,13 +229,25 @@ func (n *Node) wedged() bool { return n.wedgedUntil > n.r.k.Now() }
 // successful TrySend is a completed posted write from the producer's
 // perspective.
 //
+// A word sent while the buffer is empty and the slot free leaves at once:
+// its delivery is scheduled here and its pump step is skipped. The node
+// reserves the step's place and the word keeps its buffer slot until that
+// place passes (held). Anything that would have seen the step before its
+// turn puts it back there (restep): a second word buffered behind it, or a
+// refused send or a Free reading, whose caller the step's space wake must
+// reach.
+//
 //accellint:noalloc guard=TestRingZeroAllocSteadyState
 func (n *Node) TrySend(dst, port int, w sim.Word) bool {
 	if n.wedged() {
 		n.WedgeRejects++
 		return false
 	}
-	if n.injLen >= n.r.cfg.InjectionDepth {
+	held := n.held()
+	if n.injLen+held >= n.r.cfg.InjectionDepth {
+		if held == 1 {
+			n.restep()
+		}
 		return false
 	}
 	if n.inj == nil {
@@ -223,10 +256,64 @@ func (n *Node) TrySend(dst, port int, w sim.Word) bool {
 		//accellint:alloc method value bound once, reused every slot
 		n.pumpFn = n.pumpStep
 	}
-	n.inj[(n.injHead+n.injLen)%len(n.inj)] = Message{Src: n.idx, Dst: dst, Port: port, W: w}
+	k := n.r.k
+	m := Message{Src: n.idx, Dst: dst, Port: port, W: w}
+	if n.injLen == 0 && !n.pumping && n.nextSlot <= k.Now() {
+		// No word is held here: a held word's slot runs past now.
+		n.step = k.Reserve()
+		n.prevSlot = n.nextSlot
+		n.sent = n.emit(m)
+		return true
+	}
+	n.inj[(n.injHead+n.injLen)%len(n.inj)] = m
 	n.injLen++
+	if held == 1 {
+		n.restep()
+	}
 	n.pump()
 	return true
+}
+
+// held reports 1 while the word that left inside TrySend still occupies
+// the injection buffer — its skipped step's place is ahead — and 0 after.
+//
+//accellint:noalloc guard=TestRingZeroAllocSteadyState
+func (n *Node) held() int {
+	if n.sent == nil {
+		return 0
+	}
+	if !n.r.k.Ahead(n.step) {
+		n.sent = nil
+		return 0
+	}
+	return 1
+}
+
+// restep puts the skipped pump step back at its reserved place; pumpStep
+// then finds sent set and only wakes and re-pumps, as the skipped step
+// would have after emitting the word.
+//
+//accellint:noalloc guard=TestRingZeroAllocSteadyState
+func (n *Node) restep() {
+	if !n.pumping {
+		n.pumping = true
+		n.r.k.ScheduleAtPlace(n.step, n.pumpFn)
+	}
+}
+
+// takeBack returns a held word to the head of the injection buffer and
+// cancels its delivery: a wedge landing before the skipped step's place
+// freezes the word, as it froze it in the buffer before the step.
+func (n *Node) takeBack() {
+	fl := n.sent
+	n.sent = nil
+	fl.cancelled = true
+	n.injHead = (n.injHead + len(n.inj) - 1) % len(n.inj)
+	n.inj[n.injHead] = fl.m
+	n.injLen++
+	n.nextSlot = n.prevSlot
+	n.r.Words--
+	n.r.HopCycles -= uint64(n.r.latency(fl.m))
 }
 
 // pump drains the injection buffer at the slot rate.
@@ -245,34 +332,53 @@ func (n *Node) pump() {
 	k.ScheduleAt(start, n.pumpFn)
 }
 
-// pumpStep emits one buffered message onto the ring: it leaves the
-// injection buffer, a pooled flight record carries it to its destination
-// after the hop latency, and space subscribers learn of the freed slot.
+// pumpStep emits one buffered message onto the ring — or, put back at the
+// place of a word that already left, finishes that word's step — and space
+// subscribers learn of the freed slot.
 //
 //accellint:noalloc guard=TestRingZeroAllocSteadyState
 func (n *Node) pumpStep() {
 	n.pumping = false
-	if n.injLen == 0 || n.wedged() {
-		// A wedged node's buffered messages stay frozen; the wedge-lift
-		// event restarts the pump.
-		return
+	if n.sent != nil {
+		n.sent = nil
+	} else {
+		if n.injLen == 0 || n.wedged() {
+			// A wedged node's buffered messages stay frozen; the wedge-lift
+			// event restarts the pump.
+			return
+		}
+		m := n.inj[n.injHead]
+		n.injHead = (n.injHead + 1) % len(n.inj)
+		n.injLen--
+		n.emit(m)
 	}
+	for _, w := range n.space {
+		w.Wake()
+	}
+	n.pump()
+}
+
+// emit puts m on the ring now: it takes the node's slot, and a pooled
+// flight record carries it to its destination after the hop latency.
+//
+//accellint:noalloc guard=TestRingZeroAllocSteadyState
+func (n *Node) emit(m Message) *flight {
 	k := n.r.k
-	m := n.inj[n.injHead]
-	n.injHead = (n.injHead + 1) % len(n.inj)
-	n.injLen--
 	n.nextSlot = k.Now() + n.r.cfg.SlotPeriod
-	hops := n.r.Distance(m.Src, m.Dst)
-	lat := sim.Time(hops) * n.r.cfg.HopLatency
+	lat := n.r.latency(m)
 	n.r.Words++
 	n.r.HopCycles += uint64(lat)
 	fl := n.r.newFlight()
 	fl.m = m
 	k.Schedule(lat, fl.fn)
-	for _, w := range n.space {
-		w.Wake()
-	}
-	n.pump()
+	return fl
+}
+
+// latency is the cycles m spends on the ring.
+//
+//accellint:noalloc guard=TestRingZeroAllocSteadyState
+func (r *Ring) latency(m Message) sim.Time {
+	return sim.Time(r.Distance(m.Src, m.Dst)) * r.cfg.HopLatency
 }
 
 // flight is one in-flight message record. Records are pooled on the ring
@@ -280,10 +386,13 @@ func (n *Node) pumpStep() {
 // at pool-entry time — so the per-message delivery path allocates nothing
 // in steady state, matching the pooled event records of the sim kernel.
 type flight struct {
-	r    *Ring
-	m    Message
-	fn   func()
-	next *flight
+	r  *Ring
+	m  Message
+	fn func()
+	// cancelled marks a word a wedge took back: its delivery event only
+	// returns the record to the pool.
+	cancelled bool
+	next      *flight
 }
 
 // newFlight takes a flight record from the pool, growing it only at the
@@ -307,9 +416,13 @@ func (r *Ring) newFlight() *flight {
 // to the pool. Recycling happens before the handler runs so a handler that
 // immediately sends again can reuse this record.
 func (fl *flight) deliver() {
-	r, m := fl.r, fl.m
+	r, m, cancelled := fl.r, fl.m, fl.cancelled
+	fl.cancelled = false
 	fl.next = r.freeFlight
 	r.freeFlight = fl
+	if cancelled {
+		return
+	}
 	dst := r.nodes[m.Dst]
 	h, ok := dst.ports[m.Port]
 	if !ok {

@@ -166,3 +166,51 @@ func TestStatsAccounting(t *testing.T) {
 		t.Errorf("hop cycles = %d", r.HopCycles)
 	}
 }
+
+// TestUncontendedWordOneEvent: a word sent into an empty buffer with its
+// slot free costs one event, its delivery, yet keeps its buffer slot until
+// the place of the skipped pump step passes — a same-cycle sender that
+// would have run before the step still sees it.
+func TestUncontendedWordOneEvent(t *testing.T) {
+	k := sim.NewKernel()
+	r, _ := New(k, Config{Nodes: 3, HopLatency: 2, InjectionDepth: 1})
+	var at []sim.Time
+	r.Node(2).Bind(0, func(Message) { at = append(at, k.Now()) })
+	n := r.Node(0)
+	k.Schedule(4, func() {
+		// Scheduled before the send below, so it fires ahead of the step's
+		// place: the word still holds the only slot.
+		k.Schedule(0, func() {
+			if n.Free() != 0 || n.TrySend(2, 0, 2) {
+				t.Error("same-cycle sender ahead of the step saw a free slot")
+			}
+		})
+		if !n.TrySend(2, 0, 1) {
+			t.Error("uncontended send refused")
+		}
+		// Scheduled after the send: fires after the step's place.
+		k.Schedule(0, func() {
+			if n.Free() != 1 {
+				t.Errorf("Free = %d after the step's place, want 1", n.Free())
+			}
+		})
+	})
+	k.RunAll()
+	if len(at) != 1 || at[0] != 8 {
+		t.Fatalf("deliveries at %v, want [8]", at)
+	}
+	// The two probes, the sender, the step the refusal put back and the
+	// delivery; the reference ring fires the same five.
+	if k.Processed != 5 {
+		t.Errorf("%d events, want 5", k.Processed)
+	}
+
+	k2 := sim.NewKernel()
+	r2, _ := New(k2, Config{Nodes: 3, InjectionDepth: 1})
+	r2.Node(1).Bind(0, func(Message) {})
+	r2.Node(0).TrySend(1, 0, 1)
+	k2.RunAll()
+	if k2.Processed != 1 {
+		t.Errorf("an unobserved uncontended word fired %d events, want 1 (its delivery)", k2.Processed)
+	}
+}

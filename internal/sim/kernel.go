@@ -23,6 +23,11 @@ import "math/bits"
 //     its handler once at construction and pass the per-event datum — a
 //     block or tile epoch — in the record, so per-word events allocate no
 //     closure either.
+//   - Reserve claims the place of a delay-0 event without scheduling it; a
+//     component that skips an event it would have scheduled can still put it
+//     back at exactly that place (ScheduleAtPlace) while the place is Ahead.
+//     That one insert is older than the events scheduled since, so it walks
+//     its slot to its seq position instead of tail-appending.
 //
 // A per-slot occupancy bitmap lets Step find the next nonempty slot with a
 // handful of word scans (math/bits.TrailingZeros64) instead of walking 4096
@@ -37,6 +42,13 @@ const (
 	wheelMask  = wheelSize - 1
 	wheelWords = wheelSize / 64 // occupancy bitmap words
 )
+
+// Place is a position in the (time, seq) firing order that Reserve claimed
+// for an event not (yet) scheduled.
+type Place struct {
+	at  Time
+	seq uint64
+}
 
 type event struct {
 	at  Time
@@ -66,6 +78,9 @@ type Kernel struct {
 	overflow []*event
 	// free is the recycled-event list (intrusive via event.next).
 	free *event
+	// fired is the seq of the last event fired: a place at now is Ahead
+	// while its seq is larger.
+	fired uint64
 	// Processed counts executed events (for budget checks in tests).
 	Processed uint64
 }
@@ -100,6 +115,41 @@ func (k *Kernel) ScheduleArg(delay Time, fn func(uint64), arg uint64) {
 	k.insert(k.now+delay, nil, fn, arg)
 }
 
+// Reserve claims the place a delay-0 Schedule issued now would take — the
+// next seq at the current time — and schedules nothing.
+//
+//accellint:noalloc guard=TestKernelZeroAllocReservedPlace
+func (k *Kernel) Reserve() Place {
+	k.seq++
+	return Place{at: k.now, seq: k.seq}
+}
+
+// Ahead reports whether p is still ahead of the firing event: the clock is
+// at p's time and no event ordered after p has fired. An event put at p now
+// would fire where the event it stands for would have.
+//
+//accellint:noalloc guard=TestKernelZeroAllocReservedPlace
+func (k *Kernel) Ahead(p Place) bool {
+	return p.at == k.now && p.seq > k.fired
+}
+
+// ScheduleAtPlace runs fn at the reserved place p, which must still be
+// Ahead (panics otherwise: the place has passed). Put at most one event at
+// a place.
+//
+//accellint:noalloc guard=TestKernelZeroAllocReservedPlace
+func (k *Kernel) ScheduleAtPlace(p Place, fn func()) {
+	if !k.Ahead(p) {
+		panic("sim: scheduling at a passed place")
+	}
+	k.prepare()
+	e := k.alloc()
+	e.at, e.seq, e.fn = p.at, p.seq, fn
+	k.live++
+	// p.at == now, so the event belongs in the wheel.
+	k.pushSlotOrdered(e)
+}
+
 // insert enqueues one event record at absolute time t.
 //
 //accellint:noalloc guard=TestKernelZeroAllocSteadyState
@@ -107,16 +157,7 @@ func (k *Kernel) insert(t Time, fn func(), argFn func(uint64), arg uint64) {
 	if t < k.now {
 		panic("sim: scheduling into the past")
 	}
-	if k.slots == nil {
-		//accellint:alloc first-schedule lazy sizing of the wheel
-		k.slots = make([]slot, wheelSize)
-		//accellint:alloc first-schedule lazy sizing of the occupancy bitmap
-		k.occupied = make([]uint64, wheelWords)
-	}
-	// Migrate matured overflow events first so that a same-time event already
-	// waiting in the overflow heap (necessarily older, hence smaller seq)
-	// lands in the slot ahead of the one being scheduled now.
-	k.cascade()
+	k.prepare()
 	k.seq++
 	e := k.alloc()
 	e.at, e.seq, e.fn, e.argFn, e.arg = t, k.seq, fn, argFn, arg
@@ -148,6 +189,7 @@ func (k *Kernel) Step() bool {
 //accellint:noalloc guard=TestKernelZeroAllocSteadyState
 func (k *Kernel) fire(e *event) {
 	k.now = e.at
+	k.fired = e.seq
 	k.Processed++
 	fn, argFn, arg := e.fn, e.argFn, e.arg
 	// Recycle before invoking fn: a callback that reschedules itself (the
@@ -217,6 +259,22 @@ func (k *Kernel) NextEventTime() (Time, bool) {
 
 // --- wheel internals ---
 
+// prepare readies the wheel for an insert: it sizes the wheel on first use
+// and migrates matured overflow events, so that a same-time event already
+// waiting in the overflow heap (necessarily older, hence smaller seq) lands
+// in the slot ahead of the one being scheduled now.
+//
+//accellint:noalloc guard=TestKernelZeroAllocSteadyState
+func (k *Kernel) prepare() {
+	if k.slots == nil {
+		//accellint:alloc first-schedule lazy sizing of the wheel
+		k.slots = make([]slot, wheelSize)
+		//accellint:alloc first-schedule lazy sizing of the occupancy bitmap
+		k.occupied = make([]uint64, wheelWords)
+	}
+	k.cascade()
+}
+
 // alloc takes an event record from the free list, or allocates one when the
 // pool is empty (cold start / high-water growth only).
 //
@@ -262,6 +320,31 @@ func (k *Kernel) pushSlot(e *event) {
 		sl.tail.next = e
 	}
 	sl.tail = e
+}
+
+// pushSlotOrdered inserts e at its seq position in its slot. Every other
+// insert carries the newest seq and appends (pushSlot); an event put at a
+// reserved place is older than the ones scheduled since, so it passes the
+// older residents and stops before the first newer one.
+//
+//accellint:noalloc guard=TestKernelZeroAllocReservedPlace
+func (k *Kernel) pushSlotOrdered(e *event) {
+	sl := &k.slots[int(e.at)&wheelMask]
+	if sl.head == nil || sl.tail.seq < e.seq {
+		k.pushSlot(e)
+		return
+	}
+	if sl.head.seq > e.seq {
+		e.next = sl.head
+		sl.head = e
+		return
+	}
+	prev := sl.head
+	for prev.next.seq < e.seq {
+		prev = prev.next
+	}
+	e.next = prev.next
+	prev.next = e
 }
 
 // scanWheel finds the slot of the earliest wheel event, scanning the

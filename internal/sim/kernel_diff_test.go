@@ -21,6 +21,9 @@ type schedKernel interface {
 	RunAll() Time
 	RunUntil(Time, func() bool) bool
 	NextEventTime() (Time, bool)
+	Reserve() Place
+	Ahead(Place) bool
+	ScheduleAtPlace(Place, func())
 }
 
 // firing is one logged event: closure events log their id, argument events
@@ -81,6 +84,46 @@ func schedule(w, h *diffDriver, arg bool, d Time, id, chain int, delay Time) {
 	h.k.Schedule(d, h.hook(id, chain, delay))
 }
 
+// reserve claims a place on both kernels, which must hand out the same one,
+// and appends it to places.
+func reserve(t *testing.T, op int, w, h *diffDriver, places []Place) []Place {
+	t.Helper()
+	pw, ph := w.k.Reserve(), h.k.Reserve()
+	if pw != ph {
+		t.Fatalf("op %d: Reserve wheel=%+v heap=%+v", op, pw, ph)
+	}
+	return append(places, pw)
+}
+
+// atPlace puts closure event id at places[i] on both kernels and removes
+// the place (one event per place). The kernels must agree on whether the
+// place is still Ahead, and a passed place must panic on both.
+func atPlace(t *testing.T, op int, w, h *diffDriver, places []Place, i, id int) []Place {
+	t.Helper()
+	p := places[i]
+	if aw, ah := w.k.Ahead(p), h.k.Ahead(p); aw != ah {
+		t.Fatalf("op %d: Ahead(%+v) wheel=%v heap=%v", op, p, aw, ah)
+	}
+	pw := placePanic(w.k, p, w.hook(id, 0, 0))
+	ph := placePanic(h.k, p, h.hook(id, 0, 0))
+	if pw != ph {
+		t.Fatalf("op %d: ScheduleAtPlace(%+v) panic wheel=%q heap=%q", op, p, pw, ph)
+	}
+	return append(places[:i], places[i+1:]...)
+}
+
+// placePanic invokes ScheduleAtPlace and returns the recovered panic message
+// ("" when no panic occurred).
+func placePanic(k schedKernel, p Place, fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg, _ = r.(string)
+		}
+	}()
+	k.ScheduleAtPlace(p, fn)
+	return ""
+}
+
 // diffRand is a self-contained xorshift64 so scripts are reproducible from a
 // seed without importing math/rand.
 type diffRand uint64
@@ -127,11 +170,12 @@ func runDiffScript(t *testing.T, seed uint64, ops int) {
 	h := &diffDriver{k: newHeapKernel()}
 	r := diffRand(seed | 1)
 	id := 0
+	var places []Place
 	for i := 0; i < ops; i++ {
 		// Every schedule op picks a closure or an argument event, so the two
 		// kinds interleave within slots, cascades and same-time bursts.
 		arg := r.next()&1 == 1
-		switch op := r.next() % 10; {
+		switch op := r.next() % 13; {
 		case op < 3: // relative schedule across all delay regimes
 			d := diffDelays[r.next()%uint64(len(diffDelays))]
 			id++
@@ -172,6 +216,23 @@ func runDiffScript(t *testing.T, seed uint64, ops int) {
 			ch := h.k.RunUntil(hor, func() bool { return len(h.log) >= target })
 			if cw != ch {
 				t.Fatalf("op %d: RunUntil wheel=%v heap=%v", i, cw, ch)
+			}
+		case op == 10: // reserve a place at the current time
+			places = reserve(t, i, w, h, places)
+		case op == 11: // put an event at a reserved place, passed or not
+			if len(places) > 0 {
+				id++
+				places = atPlace(t, i, w, h, places, int(r.next()%uint64(len(places))), id)
+			}
+		case op == 12: // a place between same-time events, filled at once or later
+			id++
+			schedule(w, h, arg, 0, id, 0, 0)
+			places = reserve(t, i, w, h, places)
+			id++
+			schedule(w, h, !arg, 0, id, 0, 0)
+			if r.next()&1 == 1 {
+				id++
+				places = atPlace(t, i, w, h, places, len(places)-1, id)
 			}
 		default: // drain a few
 			for j := 0; j < 8; j++ {

@@ -8,6 +8,9 @@ import "testing"
 // log with handler arguments — and panic parity for past-time ScheduleAt
 // attempts. The op byte's high bit turns a relative, delta-cycle or chain
 // schedule into an argument event (ScheduleArg), so both kinds interleave.
+// An op byte with bit 0x40 set reserves a place (even) or puts an event at
+// a reserved one (odd), the Ahead verdict and the passed-place panic
+// compared too.
 func FuzzKernelSchedule(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 5, 0, 4, 3})                         // delta cycles + step
 	f.Add([]byte{2, 255, 2, 255, 6, 255, 5, 0, 5, 0})             // deep overflow + run
@@ -19,6 +22,11 @@ func FuzzKernelSchedule(f *testing.F) {
 	f.Add([]byte{1, 0, 129, 0, 1, 0, 128, 3, 132, 7, 5, 0, 6, 40})
 	f.Add([]byte{128, 200, 0, 200, 132, 9, 4, 9, 6, 255, 5, 0})
 
+	// Places: reserved behind a pending same-time event and filled after a
+	// newer one, filled after a step passed it, and one filled at once.
+	f.Add([]byte{1, 0, 64, 0, 1, 0, 65, 0, 5, 0, 5, 0, 5, 0})
+	f.Add([]byte{0, 2, 64, 0, 1, 0, 5, 0, 5, 0, 65, 0, 64, 0, 65, 1, 6, 9})
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2048 {
 			data = data[:2048]
@@ -26,9 +34,20 @@ func FuzzKernelSchedule(f *testing.F) {
 		w := &diffDriver{k: NewKernel()}
 		h := &diffDriver{k: newHeapKernel()}
 		id := 0
+		var places []Place
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i]%8, data[i+1]
 			argEv := data[i]&0x80 != 0
+			if data[i]&0x40 != 0 {
+				if op%2 == 0 {
+					places = reserve(t, i, w, h, places)
+				} else if len(places) > 0 {
+					id++
+					places = atPlace(t, i, w, h, places, int(arg)%len(places), id)
+				}
+				diffCompare(t, i, w, h)
+				continue
+			}
 			switch op {
 			case 0: // relative delay, quadratic spread reaches past the wheel window
 				d := Time(arg) * Time(arg)

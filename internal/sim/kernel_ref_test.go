@@ -12,6 +12,9 @@ type heapKernel struct {
 	seq       uint64
 	events    refEventHeap
 	Processed uint64
+	// firedAt and firedSeq are the (time, seq) key of the last event fired.
+	firedAt  Time
+	firedSeq uint64
 }
 
 type refEvent struct {
@@ -66,6 +69,28 @@ func (k *heapKernel) push(e refEvent) {
 	heap.Push(&k.events, e)
 }
 
+// Reserve takes the next seq at the current time and schedules nothing.
+func (k *heapKernel) Reserve() Place {
+	k.seq++
+	return Place{at: k.now, seq: k.seq}
+}
+
+// Ahead compares whole keys: p is ahead while the clock has not run past
+// its time and the last event fired is ordered before it.
+func (k *heapKernel) Ahead(p Place) bool {
+	if k.now > p.at {
+		return false
+	}
+	return k.firedAt < p.at || k.firedAt == p.at && k.firedSeq < p.seq
+}
+
+func (k *heapKernel) ScheduleAtPlace(p Place, fn func()) {
+	if !k.Ahead(p) {
+		panic("sim: scheduling at a passed place")
+	}
+	heap.Push(&k.events, refEvent{at: p.at, seq: p.seq, fn: fn})
+}
+
 func (k *heapKernel) Pending() bool { return len(k.events) > 0 }
 
 func (k *heapKernel) Step() bool {
@@ -74,6 +99,7 @@ func (k *heapKernel) Step() bool {
 	}
 	e := heap.Pop(&k.events).(refEvent)
 	k.now = e.at
+	k.firedAt, k.firedSeq = e.at, e.seq
 	k.Processed++
 	if e.fn != nil {
 		e.fn()

@@ -167,3 +167,73 @@ func TestKernelZeroAllocArgEvents(t *testing.T) {
 		t.Fatalf("handlers received argument sum %d, want %d", sum, want)
 	}
 }
+
+func TestKernelReservedPlaceOrder(t *testing.T) {
+	// A place reserved mid-cycle sits behind the same-time events scheduled
+	// before it and ahead of those scheduled after it, and stops being Ahead
+	// once an event after it fires.
+	k := NewKernel()
+	var ids []int
+	rec := func(id int) func() { return func() { ids = append(ids, id) } }
+	var p Place
+	k.Schedule(1, func() {
+		k.Schedule(0, rec(1))
+		p = k.Reserve()
+		k.Schedule(0, rec(3))
+		k.Schedule(0, func() {
+			if k.Ahead(p) {
+				t.Error("place still Ahead after a later event fired")
+			}
+		})
+	})
+	k.Step()
+	if !k.Ahead(p) {
+		t.Fatal("fresh place not Ahead")
+	}
+	k.Step() // fires 1, still before p
+	if !k.Ahead(p) {
+		t.Fatal("place not Ahead after an earlier event fired")
+	}
+	k.ScheduleAtPlace(p, rec(2))
+	k.RunAll()
+	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
+		t.Fatalf("ids = %v, want [1 2 3]", ids)
+	}
+	if k.Ahead(p) {
+		t.Fatal("place Ahead after it fired")
+	}
+	// A horizon clamp past the place passes it too.
+	q := k.Reserve()
+	k.Run(k.Now() + 5)
+	if k.Ahead(q) {
+		t.Fatal("place Ahead after the clock moved past it")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ScheduleAtPlace at a passed place did not panic")
+		}
+	}()
+	k.ScheduleAtPlace(q, rec(4))
+}
+
+func TestKernelZeroAllocReservedPlace(t *testing.T) {
+	k := NewKernel()
+	fn := func() {}
+	round := func() {
+		k.Schedule(0, fn)
+		p := k.Reserve()
+		k.Schedule(0, fn)
+		k.Schedule(0, fn)
+		if k.Ahead(p) {
+			k.ScheduleAtPlace(p, fn) // walks past the older resident
+		}
+		q := k.Reserve()
+		k.ScheduleAtPlace(q, fn) // the newest seq: appends
+		k.Schedule(1, fn)
+		k.RunAll()
+	}
+	round() // cold start: wheel arrays and the pool's high-water mark
+	if a := testing.AllocsPerRun(500, round); a != 0 {
+		t.Fatalf("steady-state Reserve/Ahead/ScheduleAtPlace allocates %v/op, want 0", a)
+	}
+}

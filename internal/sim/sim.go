@@ -106,6 +106,8 @@ type Queue struct {
 	n        int
 	onData   []*Waker
 	onSpace  []*Waker
+	// onPop, when set, runs inside every successful TryPop (OnPop).
+	onPop func()
 
 	// Pushed and Popped count total traffic for measurement.
 	Pushed, Popped uint64
@@ -139,6 +141,12 @@ func (q *Queue) SubscribeData(w *Waker) { q.onData = append(q.onData, w) }
 // SubscribeSpace registers a waker invoked whenever a word is popped.
 func (q *Queue) SubscribeSpace(w *Waker) { q.onSpace = append(q.onSpace, w) }
 
+// OnPop makes fn run inside every successful TryPop, after the word is
+// removed and before space subscribers wake: the hook a credit-controlled
+// link returns the consumer's credit through, with no wake of its own. A
+// queue has one hook; a later call replaces it.
+func (q *Queue) OnPop(fn func()) { q.onPop = fn }
+
 // TryPush appends a word, reporting false when full.
 //
 //accellint:noalloc guard=TestQueueZeroAlloc
@@ -169,6 +177,9 @@ func (q *Queue) TryPop() (Word, bool) {
 	q.head = (q.head + 1) % q.capacity
 	q.n--
 	q.Popped++
+	if q.onPop != nil {
+		q.onPop()
+	}
 	for _, w := range q.onSpace {
 		w.Wake()
 	}
