@@ -222,9 +222,6 @@ func (f *Flow) ObjTaint(obj types.Object) Taint {
 	return f.obj[obj]
 }
 
-// Sanitized reports whether obj was named in a sanitizing call.
-func (f *Flow) Sanitized(obj types.Object) bool { return f.san[obj] }
-
 // ExprTaint computes the taint an expression's value can carry under the
 // current fixpoint: object taints at identifiers, union over operands,
 // container taint through field/index reads, Source everywhere, Transfer

@@ -83,28 +83,6 @@ func BenchmarkClusterEvacuation(b *testing.B) {
 	}
 }
 
-// benchCells measures the multi-cell fleet wall clock; the parallel/serial
-// pair quantifies the speedup from running independent cells on goroutines
-// (tentpole item "deterministic parallel simulation of independent chains").
-func benchCells(b *testing.B, parallel bool) {
-	for i := 0; i < b.N; i++ {
-		cs, err := NewCells(2_000, cellSpecs(4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		cs.SetParallel(parallel)
-		cs.Feed(cellsProfile.Ops())
-		cs.Run(120_000)
-		if len(cs.Dispatches) == 0 {
-			b.Fatal("no dispatches")
-		}
-	}
-}
-
-func BenchmarkCellsSequential(b *testing.B) { benchCells(b, false) }
-
-func BenchmarkCellsParallel(b *testing.B) { benchCells(b, true) }
-
 // BenchmarkRebalance measures one full hot-migration cycle: the periodic
 // tick snapshots fleet telemetry, the spread trips the high-water mark, and
 // the 4-step move (remove, release, settle, admit) relocates the victim —

@@ -97,8 +97,8 @@ type Config struct {
 	// Solver is the per-chain Algorithm 1 decision procedure handed to
 	// every admission controller (nil = the admission default,
 	// solve.Default: the warm-start layer over the exact least fixed
-	// point). One shared instance is fine — solvers are stateless and safe
-	// for concurrent use.
+	// point). One shared instance serves every chain: solvers are
+	// stateless and never mutate the Problem.
 	Solver solve.Solver
 	// Rebalance arms the periodic utilisation-spread rebalancing loop
 	// (see RebalanceConfig; zero value = disabled).

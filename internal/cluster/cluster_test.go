@@ -350,6 +350,64 @@ func TestTrafficDeterminism(t *testing.T) {
 	}
 }
 
+// TestControllerRunResumes: a run split across two Run calls continues the
+// same schedule as one call to the same horizon, so segmented runs of a
+// fleet observe exactly what one long run does.
+func TestControllerRunResumes(t *testing.T) {
+	// Steady background churn plus a flash crowd: placement, rejection and
+	// departures on both chains.
+	traffic := Profile{
+		Seed:          0x5eed,
+		Start:         1_000,
+		End:           60_000,
+		MeanSpacing:   2_500,
+		MinLifetime:   15_000,
+		MeanLifetime:  30_000,
+		Periods:       []int64{75, 150, 300},
+		Priorities:    []int{0, 1, 2},
+		FlashAt:       25_000,
+		FlashCount:    6,
+		FlashSpacing:  40,
+		FlashPeriod:   150,
+		FlashLifetime: 20_000,
+	}
+	fleet := func() *Controller {
+		c := mustCluster(t, testConfig([]ChainSpec{
+			{Name: "c0", AccelCost: 1, ReserveSlots: 4},
+			{Name: "c1", AccelCost: 1, ReserveSlots: 4},
+		}))
+		Schedule(c, traffic.Ops())
+		return c
+	}
+	one := fleet()
+	one.Run(80_000)
+	two := fleet()
+	two.Run(30_000)
+	two.Run(80_000)
+
+	if len(one.Events()) == 0 || len(one.StreamStatuses()) == 0 {
+		t.Fatal("profile exercised nothing")
+	}
+	oe, te := one.Events(), two.Events()
+	if len(oe) != len(te) {
+		t.Fatalf("split run diverged: %d vs %d events", len(oe), len(te))
+	}
+	for i := range oe {
+		if oe[i] != te[i] {
+			t.Fatalf("event %d:\n  one-shot: %s\n  split:    %s", i, FormatEvent(oe[i]), FormatEvent(te[i]))
+		}
+	}
+	if a, b := one.StreamStatuses(), two.StreamStatuses(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("stream statuses differ:\n  one-shot: %+v\n  split:    %+v", a, b)
+	}
+	if a, b := one.ChainStatuses(), two.ChainStatuses(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("chain statuses differ:\n  one-shot: %+v\n  split:    %+v", a, b)
+	}
+	if a, b := one.System().K.Now(), two.System().K.Now(); a != b {
+		t.Fatalf("clock: one-shot %d, split %d", a, b)
+	}
+}
+
 func renderEvents(c *Controller) string {
 	out := ""
 	for _, e := range c.Events() {

@@ -243,20 +243,6 @@ func (k *Kernel) RunUntil(until Time, cond func() bool) bool {
 	return false
 }
 
-// NextEventTime reports the time of the earliest pending event. It is the
-// lookahead hook the parallel Group runner uses to prove a kernel cannot
-// produce work inside a window.
-func (k *Kernel) NextEventTime() (Time, bool) {
-	if k.live == 0 {
-		return 0, false
-	}
-	k.cascade()
-	if s, ok := k.scanWheel(); ok {
-		return k.slots[s].head.at, true
-	}
-	return k.overflow[0].at, true
-}
-
 // --- wheel internals ---
 
 // prepare readies the wheel for an insert: it sizes the wheel on first use

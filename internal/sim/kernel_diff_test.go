@@ -20,7 +20,6 @@ type schedKernel interface {
 	Run(Time) Time
 	RunAll() Time
 	RunUntil(Time, func() bool) bool
-	NextEventTime() (Time, bool)
 	Reserve() Place
 	Ahead(Place) bool
 	ScheduleAtPlace(Place, func())
@@ -148,11 +147,6 @@ func diffCompare(t *testing.T, op int, w, h *diffDriver) {
 	}
 	if w.k.Pending() != h.k.Pending() {
 		t.Fatalf("op %d: pending wheel=%v heap=%v", op, w.k.Pending(), h.k.Pending())
-	}
-	tw, okw := w.k.NextEventTime()
-	th, okh := h.k.NextEventTime()
-	if okw != okh || tw != th {
-		t.Fatalf("op %d: next event wheel=(%d,%v) heap=(%d,%v)", op, tw, okw, th, okh)
 	}
 	if len(w.log) != len(h.log) {
 		t.Fatalf("op %d: fired wheel=%d heap=%d events", op, len(w.log), len(h.log))

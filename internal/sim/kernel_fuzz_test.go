@@ -4,10 +4,10 @@ import "testing"
 
 // FuzzKernelSchedule decodes arbitrary bytes into a scheduling script (two
 // bytes per op) and cross-checks the timing-wheel Kernel against the heap
-// reference after every op: clock, pending state, next-event time, firing
-// log with handler arguments — and panic parity for past-time ScheduleAt
-// attempts. The op byte's high bit turns a relative, delta-cycle or chain
-// schedule into an argument event (ScheduleArg), so both kinds interleave.
+// reference after every op: clock, pending state, firing log with handler
+// arguments — and panic parity for past-time ScheduleAt attempts. The op
+// byte's high bit turns a relative, delta-cycle or chain schedule into an
+// argument event (ScheduleArg), so both kinds interleave.
 // An op byte with bit 0x40 set reserves a place (even) or puts an event at
 // a reserved one (odd), the Ahead verdict and the passed-place panic
 // compared too.

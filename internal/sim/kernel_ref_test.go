@@ -137,10 +137,3 @@ func (k *heapKernel) RunUntil(until Time, cond func() bool) bool {
 	}
 	return false
 }
-
-func (k *heapKernel) NextEventTime() (Time, bool) {
-	if len(k.events) == 0 {
-		return 0, false
-	}
-	return k.events[0].at, true
-}

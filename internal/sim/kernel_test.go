@@ -58,21 +58,6 @@ func TestKernelHorizonClampThenShortDelay(t *testing.T) {
 	}
 }
 
-func TestKernelNextEventTime(t *testing.T) {
-	k := NewKernel()
-	if _, ok := k.NextEventTime(); ok {
-		t.Fatal("empty kernel reported a next event")
-	}
-	k.Schedule(2*wheelSize, func() {})
-	if at, ok := k.NextEventTime(); !ok || at != 2*wheelSize {
-		t.Fatalf("next = %d,%v want %d,true", at, ok, 2*wheelSize)
-	}
-	k.Schedule(7, func() {})
-	if at, ok := k.NextEventTime(); !ok || at != 7 {
-		t.Fatalf("next = %d,%v want 7,true", at, ok)
-	}
-}
-
 func TestKernelZeroAllocSteadyState(t *testing.T) {
 	k := NewKernel()
 	fn := func() {}

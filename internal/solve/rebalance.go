@@ -7,15 +7,24 @@ import (
 	"accelshare/internal/core"
 )
 
-// Cross-chain rebalance search on top of PlanPlacement's feasibility
-// algebra (the solver headroom noted in ROADMAP). PlanRebalance answers
-// WHICH streams should move WHERE to shrink the fleet's utilisation spread;
-// it is a pure big.Rat computation with no solver run — per-chain
+// Cross-chain rebalance search over exact utilisation. PlanRebalance
+// answers WHICH streams should move WHERE to shrink the fleet's utilisation
+// spread; it is a pure big.Rat computation with no solver run — per-chain
 // feasibility of every move is re-proven later by the target controller's
 // own AdmitMigrated solve + Verify (verify, don't trust). Keeping the
 // search exact matters: a float ranking could order two chains differently
 // than the admission model's big.Rat compare and plan a move the target
 // then rejects.
+
+// one is the feasibility threshold Σ μs·c0 < 1.
+var one = big.NewRat(1, 1)
+
+// AddedUtilization returns the exact utilisation a stream of the given
+// rate (samples/second) would add to the chain: (rate/ClockHz)·c0.
+func AddedUtilization(m *core.System, rate *big.Rat) *big.Rat {
+	mu := new(big.Rat).Quo(rate, new(big.Rat).SetInt64(m.ClockHz))
+	return mu.Mul(mu, new(big.Rat).SetInt64(int64(m.Chain.C0())))
+}
 
 // MoveCandidate is one movable stream offered to PlanRebalance.
 type MoveCandidate struct {

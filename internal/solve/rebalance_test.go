@@ -101,6 +101,32 @@ func TestPlanRebalanceRespectsBudgetAndFit(t *testing.T) {
 	if moves := PlanRebalance(fleet, cands, 8, nil); len(moves) != 0 {
 		t.Fatalf("planned %d moves onto a 9/10-loaded chain (3/10 each cannot fit)", len(moves))
 	}
+	// The fit gate is strict (Σ μs·c0 < 1). C's c0 is 10× A's, so a0 (1/20
+	// on A) would add 1/2 on C. The move shrinks the spread either way, so
+	// only the gate decides: landing C at exactly 1 is refused, at 99/100
+	// it is planned.
+	for _, tc := range []struct {
+		cNum, cDen int64
+		want       int
+	}{{1, 2, 0}, {49, 100, 1}} {
+		fleet3 := rebalanceFleet(3)
+		fleet3[2].Chain.AccelCosts = []uint64{40}
+		addLoad(fleet3[0], "a0", 1, 20)
+		addLoad(fleet3[0], "a1", 18, 20)
+		addLoad(fleet3[1], "b0", 18, 20)
+		addLoad(fleet3[2], "c0", tc.cNum, tc.cDen)
+		cands3 := []MoveCandidate{
+			{Name: "a0", Chain: 0, Rate: fleet3[0].Streams[0].Rate},
+			{Name: "a1", Chain: 0, Rate: fleet3[0].Streams[1].Rate},
+		}
+		moves := PlanRebalance(fleet3, cands3, 8, nil)
+		if len(moves) != tc.want {
+			t.Fatalf("C at %d/%d: planned %+v, want %d move(s)", tc.cNum, tc.cDen, moves, tc.want)
+		}
+		if tc.want == 1 && moves[0] != (Move{Name: "a0", From: 0, To: 2}) {
+			t.Fatalf("C at %d/%d: planned %+v, want a0 from 0 to 2", tc.cNum, tc.cDen, moves[0])
+		}
+	}
 	// maxMoves caps the plan even when more improvement is available.
 	fleet2 := rebalanceFleet(2)
 	for i, name := range []string{"x0", "x1", "x2", "x3", "x4", "x5"} {

@@ -12,21 +12,17 @@
 //     derives a sound warm start from the previously committed assignment
 //     (reuse after additions, cold restart after removals) and delegates.
 //   - Verify re-checks a plan that did not come from Exact — blocks
-//     imported with a migrating stream, or a placement result — with exact
-//     integer arithmetic before it may be applied.
+//     imported with a migrating stream — with exact integer arithmetic
+//     before it may be applied.
+//   - PlanRebalance plans cross-chain migrations that shrink the fleet's
+//     exact utilisation spread, with no solver run.
 //
-// Default is the production stack, Incremental over Exact. SolveShards
-// solves independent per-chain problems concurrently with a deterministic
-// merge, and Fits/PlanPlacement are the cheap feasibility combination step
-// for cluster-wide placement: exact utilisation headroom decides which chain
-// can possibly take a stream before any full solve runs.
-//
-// Solvers do not mutate the Problem's model; callers commit Result.Blocks
-// themselves. All implementations are safe for concurrent use.
+// Default is the production stack, Incremental over Exact. Solvers are
+// stateless: they never mutate the Problem, and callers commit
+// Result.Blocks themselves.
 package solve
 
 import (
-	"errors"
 	"fmt"
 
 	"accelshare/internal/core"
@@ -94,16 +90,12 @@ type Result struct {
 	Path Path
 }
 
-// Solver is one Algorithm 1 decision procedure. Implementations must be
-// safe for concurrent use and must not mutate the Problem.
+// Solver is one Algorithm 1 decision procedure. Implementations are
+// stateless and never mutate the Problem.
 type Solver interface {
 	Name() string
 	Solve(p *Problem) (*Result, error)
 }
-
-// ErrUnverified is PlanPlacement's shard error for a solver result that
-// fails its exact re-check (Verify).
-var ErrUnverified = errors.New("solve: plan failed exact verification")
 
 // validate checks the problem shape shared by every solver.
 func (p *Problem) validate() error {
@@ -136,8 +128,8 @@ type Verification struct {
 
 // Verify checks a candidate assignment with exact integer arithmetic. This
 // is the verify-don't-trust step for plans that did not come out of Exact:
-// imported blocks (admission.AdmitMigrated) and placement results
-// (PlanPlacement) reach the platform only after passing it.
+// blocks imported with a migrating stream (admission.AdmitMigrated) reach
+// the platform only after passing it.
 func Verify(m *core.System, granularity, blocks []int64) Verification {
 	if len(blocks) != len(m.Streams) {
 		return Verification{Detail: fmt.Sprintf("%d blocks for %d streams", len(blocks), len(m.Streams))}

@@ -226,85 +226,6 @@ func TestVerifyRejects(t *testing.T) {
 	}
 }
 
-func TestSolveShardsDeterministicMerge(t *testing.T) {
-	var shards []Shard
-	for i := 0; i < 12; i++ {
-		shards = append(shards, Shard{
-			Key:     fmt.Sprintf("chain%02d", i),
-			Problem: &Problem{Model: testSystem(3+i%4, 1, 8)},
-		})
-	}
-	serial := SolveShards(&Exact{}, shards, 1)
-	concurrent := SolveShards(&Exact{}, shards, 8)
-	if len(serial) != len(shards) || len(concurrent) != len(shards) {
-		t.Fatalf("result length mismatch")
-	}
-	for i := range shards {
-		if serial[i].Key != shards[i].Key || concurrent[i].Key != shards[i].Key {
-			t.Fatalf("shard %d: key moved: %q / %q", i, serial[i].Key, concurrent[i].Key)
-		}
-		if serial[i].Err != nil || concurrent[i].Err != nil {
-			t.Fatalf("shard %d: %v / %v", i, serial[i].Err, concurrent[i].Err)
-		}
-		if !reflect.DeepEqual(serial[i].Result.Blocks, concurrent[i].Result.Blocks) {
-			t.Fatalf("shard %d: serial %v != concurrent %v",
-				i, serial[i].Result.Blocks, concurrent[i].Result.Blocks)
-		}
-	}
-}
-
-func TestFitsAndHeadroom(t *testing.T) {
-	sys := testSystem(4, 1, 8) // utilisation 1/2
-	h := Headroom(sys)
-	if h.Sign() <= 0 {
-		t.Fatalf("headroom %v, want positive", h)
-	}
-	tiny := big.NewRat(1, 1) // 1 sample/s: negligible utilisation
-	if !Fits(sys, tiny) {
-		t.Fatal("tiny stream rejected despite headroom")
-	}
-	// A stream consuming the whole clock would push utilisation past 1.
-	huge := new(big.Rat).SetInt64(sys.ClockHz)
-	if Fits(sys, huge) {
-		t.Fatal("full-clock stream accepted")
-	}
-}
-
-func TestPlanPlacement(t *testing.T) {
-	chainA := testSystem(2, 1, 8)
-	chainA.Chain.Name = "A"
-	chainB := testSystem(6, 1, 4) // more loaded: less headroom
-	chainB.Chain.Name = "B"
-
-	streams := []core.Stream{
-		{Name: "p0", Rate: big.NewRat(1_000_000, 400), Reconfig: 40},
-		{Name: "p1", Rate: big.NewRat(1_000_000, 500), Reconfig: 40},
-		{Name: "p2", Rate: big.NewRat(2_000_000, 1), Reconfig: 40}, // fits nowhere
-	}
-	plan := PlanPlacement(Default(0, 0), []*core.System{chainA, chainB}, streams, 2)
-	if plan.ChainOf[2] != -1 {
-		t.Fatalf("oversized stream placed on chain %d", plan.ChainOf[2])
-	}
-	if plan.ChainOf[0] != 0 {
-		t.Fatalf("p0 placed on chain %d, want best-fit chain 0 (most headroom)", plan.ChainOf[0])
-	}
-	for c, r := range plan.Results {
-		if r.Result == nil && r.Err == nil {
-			continue // untouched chain
-		}
-		if r.Err != nil {
-			t.Fatalf("chain %d: %v", c, r.Err)
-		}
-		if v := Verify(plan.Models[c], nil, r.Result.Blocks); !v.Feasible {
-			t.Fatalf("chain %d: placement plan infeasible: %+v", c, v)
-		}
-	}
-	// Source models must be untouched (placement clones).
-	if len(chainA.Streams) != 2 || len(chainB.Streams) != 6 {
-		t.Fatal("PlanPlacement mutated its input models")
-	}
-}
-
 func TestSolverDoesNotMutateModel(t *testing.T) {
 	sys := testSystem(5, 1, 8)
 	before := sys.Clone()
