@@ -90,7 +90,7 @@ func runFlowControlAblation(args []string) error {
 			panic(err)
 		}
 		dst := sim.NewQueue("dst", 2)
-		l := accel.NewLink("l", k, net, 0, 2, 1, 1, dst)
+		l := accel.NewLink("l", k, net, 0, 2, dst)
 		sent, recv := 0, 0
 		var pump *sim.Waker
 		pump = sim.NewWaker(k, func() {
@@ -124,8 +124,7 @@ func runFlowControlAblation(args []string) error {
 		}
 		f, err := cfifo.New(k, net, cfifo.Config{
 			Name: "c", Capacity: 2, // same buffering as the NI FIFO
-			ProducerNode: 0, ConsumerNode: 2,
-			DataPort: 1, AckPort: 1, AckBatch: 1,
+			ProducerNode: 0, ConsumerNode: 2, AckBatch: 1,
 		})
 		if err != nil {
 			panic(err)

@@ -50,9 +50,10 @@ func runRingVsCrossbar(args []string) error {
 		}
 		res := &trafficResult{}
 		sendTimes := map[int][]sim.Time{}
+		handles := make([]ring.Handle, len(flows))
 		for fi, f := range flows {
 			fi, f := fi, f
-			r.Node(f.dst).Bind(10+fi, func(m ring.Message) {
+			handles[fi] = r.Node(f.dst).Bind(func(m ring.Message) {
 				lat := uint64(k.Now() - sendTimes[fi][0])
 				sendTimes[fi] = sendTimes[fi][1:]
 				res.delivered++
@@ -70,7 +71,7 @@ func runRingVsCrossbar(args []string) error {
 				if n >= *words {
 					return
 				}
-				if r.Node(f.src).TrySend(f.dst, 10+fi, sim.Word(n)) {
+				if r.Node(f.src).TrySend(handles[fi], sim.Word(n)) {
 					sendTimes[fi] = append(sendTimes[fi], k.Now())
 					n++
 				}

@@ -63,7 +63,8 @@ func main() {
 		})
 	}
 	// ReserveSlots pre-allocates gateway stream slots (and their ring
-	// ports) at build time, so a stream admitted later needs no rewiring.
+	// attachment points) at build time, so a stream admitted later needs no
+	// rewiring.
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
 		Name: "admission-demo",
 		Chains: []mpsoc.ChainSpec{{

@@ -127,7 +127,7 @@ func buildLinkPair(t *testing.T) (*sim.Kernel, *Link, *sim.Queue) {
 		t.Fatal(err)
 	}
 	q := sim.NewQueue("dst", 2)
-	l := NewLink("l", k, net, 0, 1, 1, 1, q)
+	l := NewLink("l", k, net, 0, 1, q)
 	return k, l, q
 }
 
@@ -186,9 +186,9 @@ func TestTileProcessesAtCost(t *testing.T) {
 	k := sim.NewKernel()
 	net, _ := ring.NewDual(k, 3, 1)
 	tile := NewTile("acc", k, 5, 2)
-	inLink := NewLink("in", k, net, 0, 1, 1, 1, tile.In())
+	inLink := NewLink("in", k, net, 0, 1, tile.In())
 	outQ := sim.NewQueue("out", 4)
-	outLink := NewLink("out", k, net, 1, 2, 1, 1, outQ)
+	outLink := NewLink("out", k, net, 1, 2, outQ)
 	tile.SetDownstream(outLink)
 	if err := tile.SetEngine(Passthrough{}); err != nil {
 		t.Fatal(err)
@@ -238,9 +238,9 @@ func TestTileStallsWithoutEngine(t *testing.T) {
 	k := sim.NewKernel()
 	net, _ := ring.NewDual(k, 3, 1)
 	tile := NewTile("acc", k, 1, 2)
-	inLink := NewLink("in", k, net, 0, 1, 1, 1, tile.In())
+	inLink := NewLink("in", k, net, 0, 1, tile.In())
 	outQ := sim.NewQueue("out", 4)
-	tile.SetDownstream(NewLink("out", k, net, 1, 2, 1, 1, outQ))
+	tile.SetDownstream(NewLink("out", k, net, 1, 2, outQ))
 	inLink.TrySend(1)
 	k.RunAll()
 	if outQ.Len() != 0 {
@@ -260,9 +260,9 @@ func TestTileBackpressureFromDownstream(t *testing.T) {
 	k := sim.NewKernel()
 	net, _ := ring.NewDual(k, 3, 1)
 	tile := NewTile("acc", k, 1, 4)
-	inLink := NewLink("in", k, net, 0, 1, 1, 1, tile.In())
+	inLink := NewLink("in", k, net, 0, 1, tile.In())
 	outQ := sim.NewQueue("out", 1)
-	tile.SetDownstream(NewLink("out", k, net, 1, 2, 1, 1, outQ))
+	tile.SetDownstream(NewLink("out", k, net, 1, 2, outQ))
 	if err := tile.SetEngine(Passthrough{}); err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,9 @@ func wireTile(t *testing.T, cost sim.Time) (*sim.Kernel, *Tile, *Link, *sim.Queu
 		t.Fatal(err)
 	}
 	tile := NewTile("acc", k, cost, 4)
-	up := NewLink("up", k, net, 0, 1, 1, 1, tile.In())
+	up := NewLink("up", k, net, 0, 1, tile.In())
 	sink := sim.NewQueue("sink", 16)
-	down := NewLink("down", k, net, 1, 2, 1, 1, sink)
+	down := NewLink("down", k, net, 1, 2, sink)
 	tile.SetDownstream(down)
 	return k, tile, up, sink
 }

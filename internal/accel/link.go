@@ -14,13 +14,14 @@ import (
 // consumer removes. The sender may only inject while it holds credits, so
 // the downstream queue can never overflow.
 type Link struct {
-	name       string
-	k          *sim.Kernel
-	net        *ring.Dual
-	srcNode    int
-	dstNode    int
-	dataPort   int
-	creditPort int
+	name    string
+	k       *sim.Kernel
+	net     *ring.Dual
+	srcNode int
+	dstNode int
+	// dataH is the downstream NI's data-ring binding, creditH the sender's
+	// credit-ring binding.
+	dataH, creditH ring.Handle
 
 	credits    int
 	dst        *sim.Queue
@@ -43,25 +44,24 @@ type Link struct {
 	WedgeRejects uint64
 }
 
-// NewLink wires a credit-controlled connection and binds its ring ports.
-// The downstream queue's capacity determines the initial credit count (the
-// paper's NI FIFOs hold two tokens).
-func NewLink(name string, k *sim.Kernel, net *ring.Dual, srcNode, dstNode, dataPort, creditPort int, dst *sim.Queue) *Link {
+// NewLink wires a credit-controlled connection and binds its two ring
+// endpoints. The downstream queue's capacity determines the initial credit
+// count (the paper's NI FIFOs hold two tokens).
+func NewLink(name string, k *sim.Kernel, net *ring.Dual, srcNode, dstNode int, dst *sim.Queue) *Link {
 	l := &Link{
 		name: name, k: k, net: net,
 		srcNode: srcNode, dstNode: dstNode,
-		dataPort: dataPort, creditPort: creditPort,
 		credits: dst.Cap(), dst: dst,
 	}
 	// Data arriving at the downstream NI: guaranteed to fit because the
 	// sender spent a credit.
-	net.Data.Node(dstNode).Bind(dataPort, func(m ring.Message) {
+	l.dataH = net.Data.Node(dstNode).Bind(func(m ring.Message) {
 		if !l.dst.TryPush(m.W) {
 			panic(fmt.Sprintf("accel: link %q overflowed NI queue — credit protocol violated", l.name))
 		}
 	})
 	// Credits arriving back at the sender.
-	net.Credit.Node(srcNode).Bind(creditPort, func(m ring.Message) {
+	l.creditH = net.Credit.Node(srcNode).Bind(func(m ring.Message) {
 		l.credits += int(m.W)
 		for _, w := range l.creditSubs {
 			w.Wake()
@@ -89,7 +89,7 @@ func (l *Link) returnCredit() {
 //accellint:noalloc guard=TestDataPathZeroAllocPAL
 func (l *Link) pumpCredits() {
 	for l.owedCredits > 0 {
-		if !l.net.Credit.Node(l.dstNode).TrySend(l.srcNode, l.creditPort, 1) {
+		if !l.net.Credit.Node(l.dstNode).TrySend(l.creditH, 1) {
 			if !l.creditPump {
 				l.creditPump = true
 				l.k.Schedule(2, l.creditRetryFn)
@@ -151,7 +151,7 @@ func (l *Link) TrySend(w sim.Word) bool {
 	if l.credits <= 0 {
 		return false
 	}
-	if !l.net.Data.Node(l.srcNode).TrySend(l.dstNode, l.dataPort, w) {
+	if !l.net.Data.Node(l.srcNode).TrySend(l.dataH, w) {
 		return false
 	}
 	l.credits--

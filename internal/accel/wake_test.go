@@ -25,8 +25,8 @@ func idleWakeCosts(t *testing.T, attach bool) (credit, space uint64) {
 	}
 	tile := NewTile("acc", k, 1, 4)
 	sink := sim.NewQueue("sink", 4)
-	down := NewLink("down", k, net, 1, 2, 1, 1, sink)
-	other := NewLink("other", k, net, 1, 2, 2, 2, sim.NewQueue("other", 4))
+	down := NewLink("down", k, net, 1, 2, sink)
+	other := NewLink("other", k, net, 1, 2, sim.NewQueue("other", 4))
 	if attach {
 		tile.SetDownstream(down)
 		if err := tile.SetEngine(Passthrough{}); err != nil {
@@ -84,9 +84,9 @@ func TestRefusedWordResumesOnCredit(t *testing.T) {
 		t.Fatal(err)
 	}
 	tile := NewTile("acc", k, 3, 4)
-	up := NewLink("up", k, net, 0, 1, 1, 1, tile.In())
+	up := NewLink("up", k, net, 0, 1, tile.In())
 	sink := sim.NewQueue("sink", 1)
-	tile.SetDownstream(NewLink("down", k, net, 1, 2, 1, 1, sink))
+	tile.SetDownstream(NewLink("down", k, net, 1, 2, sink))
 	if err := tile.SetEngine(Passthrough{}); err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func BenchmarkWordThroughput(b *testing.B) {
 	f, err := New(k, net, Config{
 		Name: "b", Capacity: 64,
 		ProducerNode: 0, ConsumerNode: 2,
-		DataPort: 1, AckPort: 1, AckBatch: 8,
+		AckBatch: 8,
 	})
 	if err != nil {
 		b.Fatal(err)

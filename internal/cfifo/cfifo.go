@@ -29,10 +29,6 @@ type Config struct {
 	Capacity int
 	// ProducerNode and ConsumerNode are ring attachment indices.
 	ProducerNode, ConsumerNode int
-	// DataPort is the consumer-side ring port for data+write-counter
-	// deliveries; AckPort is the producer-side port for read-counter
-	// updates. Ports must be unique per node.
-	DataPort, AckPort int
 	// AckBatch is how many words the consumer reads between read-counter
 	// updates (1 = update after every word; larger batches reduce ring
 	// traffic at the cost of later space release). Default 1.
@@ -48,6 +44,10 @@ type FIFO struct {
 	k   *sim.Kernel
 	net *ring.Dual
 
+	// dataH is the consumer-side binding data and write-counter updates
+	// are sent to; ackH the producer-side binding for read-counter updates.
+	dataH, ackH ring.Handle
+
 	// Producer-side state.
 	writeCount uint64 // samples sent (producer local)
 	readCopy   uint64 // producer's copy of the consumer's read counter
@@ -61,13 +61,9 @@ type FIFO struct {
 	ackRetryFn      func() // ackRetry, bound once in New
 	dataSubs        []*sim.Waker
 
-	// Repoint state (chain failover): repointing gates the producer while
-	// an endpoint moves; dataNodes/ackNodes remember which ring nodes
-	// already carry this FIFO's bindings, so failing back to a previously
-	// used node does not bind the port twice.
+	// repointing gates the producer while an endpoint moves (chain
+	// failover).
 	repointing bool
-	dataNodes  map[int]bool
-	ackNodes   map[int]bool
 
 	// Stats.
 	AckMessages uint64
@@ -85,10 +81,7 @@ func New(k *sim.Kernel, net *ring.Dual, cfg Config) (*FIFO, error) {
 		return nil, fmt.Errorf("cfifo %q: ack batch %d exceeds capacity %d (space would never return)",
 			cfg.Name, cfg.AckBatch, cfg.Capacity)
 	}
-	f := &FIFO{
-		cfg: cfg, k: k, net: net,
-		dataNodes: map[int]bool{}, ackNodes: map[int]bool{},
-	}
+	f := &FIFO{cfg: cfg, k: k, net: net}
 	f.buf = sim.NewQueue(cfg.Name+".buf", cfg.Capacity)
 	f.ackRetryFn = f.ackRetry
 	f.bindData(cfg.ConsumerNode)
@@ -96,16 +89,12 @@ func New(k *sim.Kernel, net *ring.Dual, cfg Config) (*FIFO, error) {
 	return f, nil
 }
 
-// bindData installs the consumer-side delivery handler on a ring node.
-// Data arriving at the consumer tile is guaranteed acceptance — the
-// producer never sends beyond the space it observed, so the local buffer
-// cannot overflow.
+// bindData installs the consumer-side delivery handler on a ring node and
+// makes it the target of future data. Data arriving at the consumer tile is
+// guaranteed acceptance — the producer never sends beyond the space it
+// observed, so the local buffer cannot overflow.
 func (f *FIFO) bindData(node int) {
-	if f.dataNodes[node] {
-		return
-	}
-	f.dataNodes[node] = true
-	f.net.Data.Node(node).Bind(f.cfg.DataPort, func(m ring.Message) {
+	f.dataH = f.net.Data.Node(node).Bind(func(m ring.Message) {
 		if !f.buf.TryPush(m.W) {
 			panic(fmt.Sprintf("cfifo %q: buffer overflow — flow-control algorithm violated", f.cfg.Name))
 		}
@@ -115,15 +104,12 @@ func (f *FIFO) bindData(node int) {
 	})
 }
 
-// bindAck installs the producer-side read-counter handler on a ring node.
-// The counter is absolute and the update monotonic-guarded, so an ack
-// arriving at a superseded node (after a repoint) is still applied safely.
+// bindAck installs the producer-side read-counter handler on a ring node
+// and makes it the target of future acks. The counter is absolute and the
+// update monotonic-guarded, so an ack arriving at a superseded node (after
+// a repoint) is still applied safely.
 func (f *FIFO) bindAck(node int) {
-	if f.ackNodes[node] {
-		return
-	}
-	f.ackNodes[node] = true
-	f.net.Data.Node(node).Bind(f.cfg.AckPort, func(m ring.Message) {
+	f.ackH = f.net.Data.Node(node).Bind(func(m ring.Message) {
 		if uint64(m.W) > f.readCopy {
 			f.readCopy = uint64(m.W)
 			for _, w := range f.spaceSubs {
@@ -154,7 +140,7 @@ func (f *FIFO) TryWrite(w sim.Word) bool {
 	if f.Space() <= 0 {
 		return false
 	}
-	if !f.net.Data.Node(f.cfg.ProducerNode).TrySend(f.cfg.ConsumerNode, f.cfg.DataPort, w) {
+	if !f.net.Data.Node(f.cfg.ProducerNode).TrySend(f.dataH, w) {
 		return false
 	}
 	f.writeCount++
@@ -182,7 +168,7 @@ func (f *FIFO) TryRead() (sim.Word, bool) {
 // rejects the injection a retry is scheduled; space release is therefore
 // delayed, never lost (the counter is absolute, not a delta).
 func (f *FIFO) flushAck() {
-	if f.net.Data.Node(f.cfg.ConsumerNode).TrySend(f.cfg.ProducerNode, f.cfg.AckPort, sim.Word(f.readCount)) {
+	if f.net.Data.Node(f.cfg.ConsumerNode).TrySend(f.ackH, sim.Word(f.readCount)) {
 		f.unacked = 0
 		f.AckMessages++
 		return
@@ -243,9 +229,11 @@ func unsubscribe(subs []*sim.Waker, w *sim.Waker) []*sim.Waker {
 // same ring: the input FIFO's consumer endpoint and the output FIFO's
 // producer endpoint move to the standby's ring nodes. The FIFO object — its
 // buffered words and counters — survives unchanged; only the ring routing
-// changes. The old node's bindings stay installed (the interconnect offers
-// no unbind) and keep delivering into the same buffer, so words that were
-// in flight toward the old node when the endpoint moved are never lost.
+// changes. A re-point binds afresh at the new node, failing back to an
+// earlier node included. The old binding stays installed (the interconnect
+// offers no unbind) and keeps delivering into the same buffer, so words
+// that were in flight toward the old node when the endpoint moved are
+// never lost.
 //
 // Ordering is the caller's responsibility: between BeginRepoint (which
 // gates the producer) and RepointConsumer, every data word in flight on

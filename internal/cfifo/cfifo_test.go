@@ -17,7 +17,6 @@ func setup(t *testing.T, capacity, ackBatch int) (*sim.Kernel, *FIFO) {
 	f, err := New(k, net, Config{
 		Name: "t", Capacity: capacity,
 		ProducerNode: 0, ConsumerNode: 2,
-		DataPort: 1, AckPort: 1,
 		AckBatch: ackBatch,
 	})
 	if err != nil {
@@ -220,7 +219,6 @@ func TestManySimultaneousFIFOs(t *testing.T) {
 		f, err := New(k, net, Config{
 			Name: "m", Capacity: 4,
 			ProducerNode: 0, ConsumerNode: 2,
-			DataPort: 10 + i, AckPort: 10 + i,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -276,5 +274,108 @@ func TestThroughputOverRing(t *testing.T) {
 	// under 10 cycles/word.
 	if k.Now() > total*10 {
 		t.Errorf("took %d cycles for %d words", k.Now(), total)
+	}
+}
+
+// TestRepointRoundTrip moves the consumer A→B→A and the producer P→Q→P, so
+// each fail-back lands on a node that still holds one of the FIFO's earlier
+// bindings. Every move starts with a full space view of data in flight on
+// the old route, which lands in the settle gap BeginRepoint requires; a
+// producer move also leaves the consumer's read-counter updates in flight
+// to the old producer binding. Every word is read exactly once and in
+// order, space keeps returning, and after each move a probe word and its
+// ack take the new route's transit.
+func TestRepointRoundTrip(t *testing.T) {
+	const hop, nodes, capacity = 3, 6, 4
+	const settle = 2 * nodes * hop // longer than any word's injection wait and transit
+	const P, Q, A, B = 0, 1, 3, 5
+	k := sim.NewKernel()
+	net, err := ring.NewDual(k, nodes, hop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(k, net, Config{Name: "rp", Capacity: capacity, ProducerNode: P, ConsumerNode: A})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived, spaced sim.Time
+	f.SubscribeData(sim.NewWaker(k, func() { arrived = k.Now() }))
+	f.SubscribeSpace(sim.NewWaker(k, func() { spaced = k.Now() }))
+	prod, cons := P, A
+	transit := func(from, to int) sim.Time {
+		return sim.Time(net.Data.(*ring.Ring).Distance(from, to) * hop)
+	}
+	var next sim.Word
+	var read []sim.Word
+	write := func() {
+		if !f.TryWrite(next) {
+			t.Fatalf("write %d refused with space %d", next, f.Space())
+		}
+		next++
+	}
+	readAll := func() {
+		for w, ok := f.TryRead(); ok; w, ok = f.TryRead() {
+			read = append(read, w)
+		}
+	}
+	// probe writes one word into the drained FIFO, reads it on arrival, and
+	// times both legs of the current route.
+	probe := func() {
+		t.Helper()
+		k.RunAll()
+		if f.Space() != capacity || f.Len() != 0 {
+			t.Fatalf("%d→%d: space %d and %d words buffered, want %d and 0", prod, cons, f.Space(), f.Len(), capacity)
+		}
+		sent := k.Now()
+		write()
+		k.RunAll()
+		if want := sent + transit(prod, cons); arrived != want {
+			t.Errorf("%d→%d: word arrived at %d, want %d", prod, cons, arrived, want)
+		}
+		acked := k.Now()
+		readAll()
+		k.RunAll()
+		if want := acked + transit(cons, prod); spaced != want {
+			t.Errorf("%d→%d: ack returned space at %d, want %d", prod, cons, spaced, want)
+		}
+	}
+	// move gates the producer with a full space view in flight, waits out
+	// the settle gap and re-points one endpoint.
+	move := func(consumer bool, to int) {
+		t.Helper()
+		for f.Space() > 0 {
+			write()
+		}
+		f.BeginRepoint()
+		if f.TryWrite(next) {
+			t.Fatal("write accepted while repointing")
+		}
+		k.Run(k.Now() + settle)
+		if f.Len() != capacity {
+			t.Fatalf("%d of %d words landed in the settle gap", f.Len(), capacity)
+		}
+		if consumer {
+			f.RepointConsumer(to)
+			cons = to
+			readAll()
+		} else {
+			readAll() // the acks travel to the old producer binding
+			f.RepointProducer(to)
+			prod = to
+		}
+		probe()
+	}
+	probe()
+	move(true, B)
+	move(false, Q)
+	move(true, A)
+	move(false, P)
+	if len(read) != int(next) {
+		t.Fatalf("read %d words, wrote %d", len(read), next)
+	}
+	for i, w := range read {
+		if w != sim.Word(i) {
+			t.Fatalf("read %v, want 0…%d in order", read, next-1)
+		}
 	}
 }

@@ -22,7 +22,7 @@ func TestCFIFOZeroAlloc(t *testing.T) {
 	}
 	f, err := New(k, net, Config{
 		Name: "z", Capacity: 64, ProducerNode: 0, ConsumerNode: 2,
-		DataPort: 1, AckPort: 2, AckBatch: 16,
+		AckBatch: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

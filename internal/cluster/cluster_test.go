@@ -406,6 +406,9 @@ func TestControllerRunResumes(t *testing.T) {
 	if a, b := one.System().K.Now(), two.System().K.Now(); a != b {
 		t.Fatalf("clock: one-shot %d, split %d", a, b)
 	}
+	if a, b := one.System().Report(), two.System().Report(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("reports differ:\n  one-shot: %+v\n  split:    %+v", a, b)
+	}
 }
 
 func renderEvents(c *Controller) string {

@@ -149,7 +149,7 @@ func TestArmWedgesLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := sim.NewQueue("dst", 4)
-	l := accel.NewLink("l", k, net, 0, 1, 1, 1, dst)
+	l := accel.NewLink("l", k, net, 0, 1, dst)
 	p := &Plan{Faults: []Fault{{Kind: WedgeLink, Site: 0, At: 10, Duration: 20}}}
 	if err := p.ArmWedges(k, []*accel.Link{l}, nil); err != nil {
 		t.Fatal(err)
@@ -170,17 +170,17 @@ func TestArmWedgesNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Node(1).Bind(1, func(ring.Message) {})
+	h := r.Node(1).Bind(func(ring.Message) {})
 	p := &Plan{Faults: []Fault{{Kind: WedgeNode, Site: 0, At: 5, Duration: 10}}}
 	if err := p.ArmWedges(k, nil, r); err != nil {
 		t.Fatal(err)
 	}
 	k.Run(8)
-	if r.Node(0).TrySend(1, 1, 1) {
+	if r.Node(0).TrySend(h, 1) {
 		t.Error("wedged node accepted a send at t=8")
 	}
 	k.Run(30)
-	if !r.Node(0).TrySend(1, 1, 2) {
+	if !r.Node(0).TrySend(h, 2) {
 		t.Error("node still refusing at t=30")
 	}
 }

@@ -8,11 +8,10 @@ import (
 )
 
 // newTestFIFO builds a C-FIFO on the rig's ring for live-attach tests.
-func newTestFIFO(r *rig, name string, capacity, prod, cons, dataPort, ackPort int) (*cfifo.FIFO, error) {
+func newTestFIFO(r *rig, name string, capacity, prod, cons int) (*cfifo.FIFO, error) {
 	return cfifo.New(r.k, r.net, cfifo.Config{
 		Name: name, Capacity: capacity,
 		ProducerNode: prod, ConsumerNode: cons,
-		DataPort: dataPort, AckPort: ackPort,
 	})
 }
 
@@ -21,7 +20,7 @@ func newTestFIFO(r *rig, name string, capacity, prod, cons, dataPort, ackPort in
 // hold arbitration; Resume picks the next block up where it left off.
 func TestPauseDrainsToBlockBoundary(t *testing.T) {
 	r := newRig(t, Config{Name: "pd", EntryCost: 2, ExitCost: 1, Mode: ReconfigFixed})
-	s, in, _ := r.addStream(t, "s", 4, 16, 16, 20)
+	s, in, _ := r.addStream(t, "s", 4, 16, 16)
 	r.fill(t, in, 8) // two blocks
 	r.pair.Start()
 	// Step until block 0 is mid-streaming, so the pause races an in-flight
@@ -60,7 +59,7 @@ func TestPauseDrainsToBlockBoundary(t *testing.T) {
 
 func TestRequestPauseValidation(t *testing.T) {
 	r := newRig(t, Config{Name: "pv", EntryCost: 1, ExitCost: 1})
-	r.addStream(t, "s", 4, 16, 16, 20)
+	r.addStream(t, "s", 4, 16, 16)
 	r.pair.Start()
 	if err := r.pair.RequestPause(nil); err == nil {
 		t.Error("nil pause callback accepted")
@@ -84,7 +83,7 @@ func TestRequestPauseValidation(t *testing.T) {
 // reject any invalid update up front, leaving every slot untouched.
 func TestApplySlotsValidation(t *testing.T) {
 	r := newRig(t, Config{Name: "av", EntryCost: 1, ExitCost: 1})
-	s, _, _ := r.addStream(t, "s", 4, 8, 8, 20)
+	s, _, _ := r.addStream(t, "s", 4, 8, 8)
 	r.pair.Start()
 	if err := r.pair.ApplySlots([]SlotUpdate{{Stream: 0, SetBlock: 8}}, 1, nil); err == nil {
 		t.Error("ApplySlots accepted on an unpaused pair")
@@ -112,7 +111,7 @@ func TestApplySlotsValidation(t *testing.T) {
 // stream then runs with its new block size.
 func TestApplySlotsReprogramsAndCharges(t *testing.T) {
 	r := newRig(t, Config{Name: "ar", EntryCost: 1, ExitCost: 1, Mode: ReconfigFixed})
-	s, in, _ := r.addStream(t, "s", 4, 16, 16, 20)
+	s, in, _ := r.addStream(t, "s", 4, 16, 16)
 	r.fill(t, in, 8)
 	r.pair.Start()
 	if err := r.pair.RequestPause(func() {}); err != nil {
@@ -148,7 +147,7 @@ func TestApplySlotsReprogramsAndCharges(t *testing.T) {
 // activates it.
 func TestSuspendedSlotNotServed(t *testing.T) {
 	r := newRig(t, Config{Name: "su", EntryCost: 1, ExitCost: 1})
-	s, in, _ := r.addStream(t, "s", 4, 16, 16, 20)
+	s, in, _ := r.addStream(t, "s", 4, 16, 16)
 	s.Suspended = true
 	r.fill(t, in, 8)
 	r.pair.Start()
@@ -174,7 +173,7 @@ func TestSuspendedSlotNotServed(t *testing.T) {
 // served alongside the incumbent.
 func TestAddStreamLiveRequiresPause(t *testing.T) {
 	r := newRig(t, Config{Name: "al", EntryCost: 1, ExitCost: 1})
-	sa, ina, _ := r.addStream(t, "a", 4, 32, 32, 20)
+	sa, ina, _ := r.addStream(t, "a", 4, 32, 32)
 	r.fill(t, ina, 8)
 	r.pair.Start()
 	r.k.RunAll()
@@ -183,11 +182,11 @@ func TestAddStreamLiveRequiresPause(t *testing.T) {
 	}
 
 	mk := func() *Stream {
-		in, err := newTestFIFO(r, "b.in", 32, 3, 0, 24, 24)
+		in, err := newTestFIFO(r, "b.in", 32, 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := newTestFIFO(r, "b.out", 32, 2, 4, 24, 74)
+		out, err := newTestFIFO(r, "b.out", 32, 2, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +232,7 @@ func TestCanaryPassClearsProbation(t *testing.T) {
 		Recovery:     Recovery{Enabled: true, RetryLimit: 2},
 	}
 	r := newRig(t, cfg)
-	s, in, _ := r.addStream(t, "s", 4, 32, 32, 20)
+	s, in, _ := r.addStream(t, "s", 4, 32, 32)
 	s.Engines = []accel.Engine{&lossyEngine{dropEvery: 3}} // permanent fault
 	var canary []bool
 	var quarantines []int
@@ -288,7 +287,7 @@ func TestCanaryFailRequarantinesImmediately(t *testing.T) {
 		Recovery:     Recovery{Enabled: true, RetryLimit: 2},
 	}
 	r := newRig(t, cfg)
-	s, in, _ := r.addStream(t, "s", 4, 32, 32, 20)
+	s, in, _ := r.addStream(t, "s", 4, 32, 32)
 	s.Engines = []accel.Engine{&lossyEngine{dropEvery: 3}}
 	var canary []bool
 	r.pair.SetCanaryHook(func(_ int, ok bool) { canary = append(canary, ok) })
@@ -329,7 +328,7 @@ func TestCanaryFailRequarantinesImmediately(t *testing.T) {
 // per-stream fields it replaces.
 func TestSnapshotMirrorsCounters(t *testing.T) {
 	r := newRig(t, Config{Name: "sn", EntryCost: 1, ExitCost: 1})
-	s, in, _ := r.addStream(t, "s", 4, 16, 16, 20)
+	s, in, _ := r.addStream(t, "s", 4, 16, 16)
 	r.fill(t, in, 8)
 	r.pair.Start()
 	r.k.RunAll()

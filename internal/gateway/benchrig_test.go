@@ -20,24 +20,24 @@ func benchRig(b *testing.B, k *sim.Kernel) *benchParts {
 		b.Fatal(err)
 	}
 	tile := accel.NewTile("acc", k, 1, 2)
-	entryLink := accel.NewLink("e->a", k, net, 0, 1, 1, 1, tile.In())
+	entryLink := accel.NewLink("e->a", k, net, 0, 1, tile.In())
 	exitNI := sim.NewQueue("exit.ni", 2)
-	tile.SetDownstream(accel.NewLink("a->x", k, net, 1, 2, 1, 1, exitNI))
+	tile.SetDownstream(accel.NewLink("a->x", k, net, 1, 2, exitNI))
 	pair, err := NewPair(k, net, Config{
-		Name: "bench", EntryNode: 0, ExitNode: 2, IdlePort: 7,
+		Name: "bench", EntryNode: 0, ExitNode: 2,
 		EntryCost: 2, ExitCost: 1,
 	}, []*accel.Tile{tile}, entryLink, exitNI)
 	if err != nil {
 		b.Fatal(err)
 	}
 	in, err := cfifo.New(k, net, cfifo.Config{
-		Name: "in", Capacity: 32, ProducerNode: 3, ConsumerNode: 0, DataPort: 20, AckPort: 20,
+		Name: "in", Capacity: 32, ProducerNode: 3, ConsumerNode: 0,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	out, err := cfifo.New(k, net, cfifo.Config{
-		Name: "out", Capacity: 32, ProducerNode: 2, ConsumerNode: 4, DataPort: 20, AckPort: 70,
+		Name: "out", Capacity: 32, ProducerNode: 2, ConsumerNode: 4,
 	})
 	if err != nil {
 		b.Fatal(err)

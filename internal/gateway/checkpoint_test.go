@@ -65,7 +65,7 @@ func ckptCfg(name string, k int64, valueExact bool) Config {
 // committing an engine snapshot at every interior K boundary.
 func TestCheckpointCleanRun(t *testing.T) {
 	r := newRig(t, ckptCfg("ck", 4, true))
-	s, in, out := r.addStream(t, "s", 16, 32, 32, 20)
+	s, in, out := r.addStream(t, "s", 16, 32, 32)
 	r.feedRaw(t, in, 0, 16)
 	r.pair.Start()
 	r.k.RunAll()
@@ -100,7 +100,7 @@ func TestCheckpointCleanRun(t *testing.T) {
 // measured replay work is exactly one sub-block (≤ K), not the whole η.
 func TestCheckpointRetryReplayBounded(t *testing.T) {
 	r := newRig(t, ckptCfg("ckr", 4, true))
-	s, in, out := r.addStream(t, "s", 16, 32, 32, 20)
+	s, in, out := r.addStream(t, "s", 16, 32, 32)
 	// Drop the sample at absolute position 13: inside the final sub-block
 	// [12,16), after three checkpoints have committed.
 	s.Engines = []accel.Engine{&transientDropEngine{dropAt: 13}}
@@ -173,7 +173,7 @@ func (e *glitchEngine) StateWords() int                 { return 0 }
 func TestValueExactRetryBitIdentical(t *testing.T) {
 	run := func(valueExact bool) []sim.Word {
 		r := newRig(t, ckptCfg("vx", 4, valueExact))
-		s, in, out := r.addStream(t, "s", 16, 32, 32, 20)
+		s, in, out := r.addStream(t, "s", 16, 32, 32)
 		s.Engines = []accel.Engine{&glitchEngine{glitchFrom: 12, glitchTo: 14, dropAt: 14}}
 		r.feedRaw(t, in, 0, 16)
 		r.pair.Start()
@@ -188,7 +188,7 @@ func TestValueExactRetryBitIdentical(t *testing.T) {
 	}
 	// Fault-free twin: identity engine, same config.
 	r := newRig(t, ckptCfg("ff", 4, true))
-	_, in, out := r.addStream(t, "s", 16, 32, 32, 20)
+	_, in, out := r.addStream(t, "s", 16, 32, 32)
 	r.feedRaw(t, in, 0, 16)
 	r.pair.Start()
 	r.k.RunAll()
@@ -231,7 +231,7 @@ func TestCheckpointFailoverResidue(t *testing.T) {
 	cfgA := ckptCfg("A", 4, true)
 	cfgB := ckptCfg("B", 4, true)
 	r := newFailoverRig(t, cfgA, cfgB)
-	s, in, out := r.addStreamA(t, "m", 16, 20)
+	s, in, out := r.addStreamA(t, "m", 16)
 	r.feed(t, in, 0, 16)
 	r.pairA.Start()
 
@@ -313,14 +313,12 @@ func TestCheckpointRoundsToDecimation(t *testing.T) {
 	r := newRig(t, ckptCfg("ckd", 3, true))
 	in, err := cfifo.New(r.k, r.net, cfifo.Config{
 		Name: "d.in", Capacity: 32, ProducerNode: 3, ConsumerNode: 0,
-		DataPort: 20, AckPort: 20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out, err := cfifo.New(r.k, r.net, cfifo.Config{
 		Name: "d.out", Capacity: 32, ProducerNode: 2, ConsumerNode: 4,
-		DataPort: 20, AckPort: 70,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,11 +32,10 @@ func newFailoverRig(t *testing.T, cfgA, cfgB Config) *frig {
 	}
 	build := func(cfg Config, entryN, accN, exitN int) *Pair {
 		tile := accel.NewTile(cfg.Name+".acc", k, 1, 2)
-		entry := accel.NewLink(cfg.Name+".e->a", k, net, entryN, accN, 1, 1, tile.In())
+		entry := accel.NewLink(cfg.Name+".e->a", k, net, entryN, accN, tile.In())
 		exitNI := sim.NewQueue(cfg.Name+".exit.ni", 2)
-		tile.SetDownstream(accel.NewLink(cfg.Name+".a->x", k, net, accN, exitN, 1, 1, exitNI))
+		tile.SetDownstream(accel.NewLink(cfg.Name+".a->x", k, net, accN, exitN, exitNI))
 		cfg.EntryNode, cfg.ExitNode = entryN, exitN
-		cfg.IdlePort = 7
 		pair, err := NewPair(k, net, cfg, []*accel.Tile{tile}, entry, exitNI)
 		if err != nil {
 			t.Fatal(err)
@@ -50,12 +49,11 @@ func newFailoverRig(t *testing.T, cfgA, cfgB Config) *frig {
 	}
 }
 
-func (r *frig) addStreamA(t *testing.T, name string, block int64, portBase int) (*Stream, *cfifo.FIFO, *cfifo.FIFO) {
+func (r *frig) addStreamA(t *testing.T, name string, block int64) (*Stream, *cfifo.FIFO, *cfifo.FIFO) {
 	t.Helper()
 	in, err := cfifo.New(r.k, r.net, cfifo.Config{
 		Name: name + ".in", Capacity: 32,
 		ProducerNode: 6, ConsumerNode: 0,
-		DataPort: portBase, AckPort: portBase,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +61,6 @@ func (r *frig) addStreamA(t *testing.T, name string, block int64, portBase int) 
 	out, err := cfifo.New(r.k, r.net, cfifo.Config{
 		Name: name + ".out", Capacity: 32,
 		ProducerNode: 2, ConsumerNode: 7,
-		DataPort: portBase, AckPort: portBase + 50,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +106,7 @@ func TestFreezeGuards(t *testing.T) {
 	// Mid-block without recovery: no replay snapshot exists, freeze must
 	// refuse rather than silently lose the in-flight block.
 	r := newFailoverRig(t, Config{Name: "A", EntryCost: 2, ExitCost: 1, Mode: ReconfigFixed}, recoveryCfg("B"))
-	s, in, _ := r.addStreamA(t, "s", 4, 20)
+	s, in, _ := r.addStreamA(t, "s", 4)
 	r.feed(t, in, 0, 4)
 	r.pairA.Start()
 	if !r.k.RunUntil(10_000, func() bool { return r.pairA.state != stIdle }) {
@@ -155,7 +152,7 @@ func TestFreezeGuards(t *testing.T) {
 // aborted attempt consumed are replayed, nothing is lost or duplicated.
 func TestFailoverMigrationRoundTrip(t *testing.T) {
 	r := newFailoverRig(t, recoveryCfg("A"), recoveryCfg("B"))
-	s, in, out := r.addStreamA(t, "m", 4, 20)
+	s, in, out := r.addStreamA(t, "m", 4)
 	r.feed(t, in, 0, 10) // 2.5 blocks
 	r.pairA.Start()
 
@@ -242,14 +239,12 @@ func TestImportReplayDiscardsCommitted(t *testing.T) {
 	r := newFailoverRig(t, recoveryCfg("A"), recoveryCfg("B"))
 	in, err := cfifo.New(r.k, r.net, cfifo.Config{
 		Name: "r.in", Capacity: 32, ProducerNode: 6, ConsumerNode: 3,
-		DataPort: 24, AckPort: 24,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out, err := cfifo.New(r.k, r.net, cfifo.Config{
 		Name: "r.out", Capacity: 32, ProducerNode: 5, ConsumerNode: 7,
-		DataPort: 24, AckPort: 74,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +290,7 @@ func TestImportReplayDiscardsCommitted(t *testing.T) {
 // the export (the standby owns that state now).
 func TestExportDeepCopies(t *testing.T) {
 	r := newFailoverRig(t, recoveryCfg("A"), recoveryCfg("B"))
-	_, in, _ := r.addStreamA(t, "d", 4, 20)
+	_, in, _ := r.addStreamA(t, "d", 4)
 	r.feed(t, in, 0, 10)
 	r.pairA.Start()
 	if !r.k.RunUntil(50_000, func() bool {

@@ -101,8 +101,6 @@ type Config struct {
 	Arbiter Arbitration
 	// BusBase/BusPerWord parameterise ReconfigPerWord.
 	BusBase, BusPerWord sim.Time
-	// IdlePort is the entry-gateway ring port for pipeline-idle messages.
-	IdlePort int
 	// RecordOutputTimes keeps per-sample output timestamps on every stream
 	// (memory-heavy; enable in tests and measurements only).
 	RecordOutputTimes bool
@@ -423,10 +421,12 @@ type Pair struct {
 	blockFresh    int64
 	// stageThen is what follows the pending stage drain; wdSnap is the
 	// progress fingerprint the pending watchdog check compares against;
-	// idleStream is the stream the pending idle notification names.
+	// idleStream is the stream the pending idle notification names, and
+	// idleH the entry tile's credit-ring binding that receives it.
 	stageThen  stageThen
 	wdSnap     wdSnap
 	idleStream int
+	idleH      ring.Handle
 
 	// Failover state. failed marks a pair retired by FreezeForFailover
 	// (terminal: both state machines become no-ops); abortedStream is the
@@ -539,14 +539,14 @@ func NewPair(k *sim.Kernel, net *ring.Dual, cfg Config, tiles []*accel.Tile, ent
 	entryLink.SubscribeCredits(holding)
 	entryLink.SubscribeRingSpace(holding)
 	exitNI.SubscribeData(p.exitStep)
-	// Pipeline-idle notifications arrive on the entry tile's idle port.
+	// Pipeline-idle notifications arrive on the entry tile's idle binding.
 	// They travel the counter-rotating credit ring: the entry gateway sits
 	// UPSTREAM of the exit gateway, so the data-ring path would be almost a
 	// full rotation — and would grow with every chain added to the platform,
 	// leaking an O(ring-size) term into measured service latency that the
 	// temporal model (Eq. 2) has no business covering. On the credit ring
 	// the hop count is the chain length, a per-chain constant.
-	net.Credit.Node(cfg.EntryNode).Bind(cfg.IdlePort, func(m ring.Message) {
+	p.idleH = net.Credit.Node(cfg.EntryNode).Bind(func(m ring.Message) {
 		p.onPipelineIdle(int(m.W))
 	})
 	return p, nil
@@ -598,10 +598,14 @@ func (p *Pair) streamCanAct(s *Stream) bool {
 // Streams returns the registered streams.
 func (p *Pair) Streams() []*Stream { return p.streams }
 
-// Start arms the gateway pair; wake-ups arriving earlier are ignored.
+// Start arms the gateway pair; wake-ups arriving earlier are ignored. The
+// first call starts Busy's observed time, so a run split over several
+// Start calls reports its whole span.
 func (p *Pair) Start() {
+	if !p.started {
+		p.startTime = p.k.Now()
+	}
 	p.started = true
-	p.startTime = p.k.Now()
 	p.step.Wake()
 }
 
@@ -1400,7 +1404,7 @@ func (p *Pair) pushIdle(epoch uint64) {
 	if p.blockEpoch != epoch {
 		return
 	}
-	if !p.net.Credit.Node(p.cfg.ExitNode).TrySend(p.cfg.EntryNode, p.cfg.IdlePort, sim.Word(p.idleStream)) {
+	if !p.net.Credit.Node(p.cfg.ExitNode).TrySend(p.idleH, sim.Word(p.idleStream)) {
 		p.k.ScheduleArg(2, p.on.pushIdle, epoch)
 	}
 }

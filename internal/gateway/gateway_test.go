@@ -29,11 +29,10 @@ func newRig(t *testing.T, cfg Config) *rig {
 		t.Fatal(err)
 	}
 	tile := accel.NewTile("acc", k, 1, 2)
-	entryLink := accel.NewLink("e->a", k, net, 0, 1, 1, 1, tile.In())
+	entryLink := accel.NewLink("e->a", k, net, 0, 1, tile.In())
 	exitNI := sim.NewQueue("exit.ni", 2)
-	tile.SetDownstream(accel.NewLink("a->x", k, net, 1, 2, 1, 1, exitNI))
+	tile.SetDownstream(accel.NewLink("a->x", k, net, 1, 2, exitNI))
 	cfg.EntryNode, cfg.ExitNode = 0, 2
-	cfg.IdlePort = 7
 	pair, err := NewPair(k, net, cfg, []*accel.Tile{tile}, entryLink, exitNI)
 	if err != nil {
 		t.Fatal(err)
@@ -41,12 +40,11 @@ func newRig(t *testing.T, cfg Config) *rig {
 	return &rig{k: k, net: net, tile: tile, entry: entryLink, pair: pair}
 }
 
-func (r *rig) addStream(t *testing.T, name string, block int64, inCap, outCap int, portBase int) (*Stream, *cfifo.FIFO, *cfifo.FIFO) {
+func (r *rig) addStream(t *testing.T, name string, block int64, inCap, outCap int) (*Stream, *cfifo.FIFO, *cfifo.FIFO) {
 	t.Helper()
 	in, err := cfifo.New(r.k, r.net, cfifo.Config{
 		Name: name + ".in", Capacity: inCap,
 		ProducerNode: 3, ConsumerNode: 0,
-		DataPort: portBase, AckPort: portBase,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +52,6 @@ func (r *rig) addStream(t *testing.T, name string, block int64, inCap, outCap in
 	out, err := cfifo.New(r.k, r.net, cfifo.Config{
 		Name: name + ".out", Capacity: outCap,
 		ProducerNode: 2, ConsumerNode: 4,
-		DataPort: portBase, AckPort: portBase + 50,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,8 +85,8 @@ func (r *rig) fill(t *testing.T, f *cfifo.FIFO, n int) {
 
 func TestAddStreamValidation(t *testing.T) {
 	r := newRig(t, Config{Name: "v", EntryCost: 1, ExitCost: 1})
-	in, _ := cfifo.New(r.k, r.net, cfifo.Config{Name: "i", Capacity: 4, ProducerNode: 3, ConsumerNode: 0, DataPort: 30, AckPort: 30})
-	out, _ := cfifo.New(r.k, r.net, cfifo.Config{Name: "o", Capacity: 4, ProducerNode: 2, ConsumerNode: 4, DataPort: 30, AckPort: 31})
+	in, _ := cfifo.New(r.k, r.net, cfifo.Config{Name: "i", Capacity: 4, ProducerNode: 3, ConsumerNode: 0})
+	out, _ := cfifo.New(r.k, r.net, cfifo.Config{Name: "o", Capacity: 4, ProducerNode: 2, ConsumerNode: 4})
 	base := Stream{Name: "s", Block: 4, OutBlock: 4, In: in, Out: out, Engines: []accel.Engine{&accel.Gain{}}}
 
 	s := base
@@ -130,7 +127,7 @@ func TestPairRequiresTiles(t *testing.T) {
 
 func TestSingleBlockFlow(t *testing.T) {
 	r := newRig(t, Config{Name: "f", EntryCost: 2, ExitCost: 1, Mode: ReconfigFixed})
-	s, in, out := r.addStream(t, "s", 4, 8, 8, 20)
+	s, in, out := r.addStream(t, "s", 4, 8, 8)
 	r.fill(t, in, 4)
 	r.pair.Start()
 	r.k.RunAll()
@@ -147,7 +144,7 @@ func TestSingleBlockFlow(t *testing.T) {
 
 func TestGatewayWaitsForFullBlock(t *testing.T) {
 	r := newRig(t, Config{Name: "w", EntryCost: 1, ExitCost: 1})
-	s, in, _ := r.addStream(t, "s", 4, 8, 8, 20)
+	s, in, _ := r.addStream(t, "s", 4, 8, 8)
 	r.fill(t, in, 3) // one short of a block
 	r.pair.Start()
 	r.k.RunAll()
@@ -163,7 +160,7 @@ func TestGatewayWaitsForFullBlock(t *testing.T) {
 
 func TestGatewayWaitsForOutputSpace(t *testing.T) {
 	r := newRig(t, Config{Name: "sp", EntryCost: 1, ExitCost: 1})
-	s, in, out := r.addStream(t, "s", 4, 16, 4, 20)
+	s, in, out := r.addStream(t, "s", 4, 16, 4)
 	// Occupy the output FIFO so only 3 spaces remain.
 	// The producer side is the exit gateway; simulate prior occupancy by a
 	// first block that the sink does not drain.
@@ -194,8 +191,8 @@ func TestGatewayWaitsForOutputSpace(t *testing.T) {
 
 func TestRoundRobinFairness(t *testing.T) {
 	r := newRig(t, Config{Name: "rr", EntryCost: 1, ExitCost: 1})
-	sa, ina, outa := r.addStream(t, "a", 2, 32, 32, 20)
-	sb, inb, outb := r.addStream(t, "b", 2, 32, 32, 22)
+	sa, ina, outa := r.addStream(t, "a", 2, 32, 32)
+	sb, inb, outb := r.addStream(t, "b", 2, 32, 32)
 	r.fill(t, ina, 16)
 	r.fill(t, inb, 16)
 	r.pair.Start()
@@ -215,8 +212,8 @@ func TestRoundRobinFairness(t *testing.T) {
 
 func TestStateIsolationBetweenStreams(t *testing.T) {
 	r := newRig(t, Config{Name: "iso", EntryCost: 1, ExitCost: 1})
-	sa, ina, _ := r.addStream(t, "a", 2, 8, 32, 20)
-	sb, inb, _ := r.addStream(t, "b", 2, 8, 32, 22)
+	sa, ina, _ := r.addStream(t, "a", 2, 8, 32)
+	sb, inb, _ := r.addStream(t, "b", 2, 8, 32)
 	r.fill(t, ina, 8)
 	r.fill(t, inb, 4)
 	r.pair.Start()
@@ -230,7 +227,7 @@ func TestStateIsolationBetweenStreams(t *testing.T) {
 
 func TestReconfigChargedPerBlock(t *testing.T) {
 	r := newRig(t, Config{Name: "rc", EntryCost: 1, ExitCost: 1, Mode: ReconfigFixed})
-	s, in, _ := r.addStream(t, "s", 2, 16, 32, 20)
+	s, in, _ := r.addStream(t, "s", 2, 16, 32)
 	s.Reconfig = 100
 	r.fill(t, in, 8) // 4 blocks
 	r.pair.Start()
@@ -249,7 +246,7 @@ func TestReconfigChargedPerBlock(t *testing.T) {
 
 func TestBusyAccounting(t *testing.T) {
 	r := newRig(t, Config{Name: "b", EntryCost: 3, ExitCost: 1, Mode: ReconfigFixed})
-	s, in, _ := r.addStream(t, "s", 4, 16, 32, 20)
+	s, in, _ := r.addStream(t, "s", 4, 16, 32)
 	s.Reconfig = 50
 	r.fill(t, in, 8)
 	r.pair.Start()
@@ -265,7 +262,7 @@ func TestBusyAccounting(t *testing.T) {
 
 func TestOutputTimestampRecording(t *testing.T) {
 	r := newRig(t, Config{Name: "ts", EntryCost: 1, ExitCost: 1, RecordOutputTimes: true})
-	s, in, _ := r.addStream(t, "s", 4, 8, 32, 20)
+	s, in, _ := r.addStream(t, "s", 4, 8, 32)
 	r.fill(t, in, 4)
 	r.pair.Start()
 	r.k.RunAll()
@@ -281,7 +278,7 @@ func TestOutputTimestampRecording(t *testing.T) {
 
 func TestDisableSpaceCheckDirect(t *testing.T) {
 	r := newRig(t, Config{Name: "nsc", EntryCost: 1, ExitCost: 1, DisableSpaceCheck: true})
-	s, in, _ := r.addStream(t, "s", 4, 16, 4, 20)
+	s, in, _ := r.addStream(t, "s", 4, 16, 4)
 	// Without the check, the gateway starts a second block even though the
 	// output FIFO (capacity 4) is still full from the first.
 	r.fill(t, in, 8)
@@ -298,8 +295,8 @@ func TestDisableSpaceCheckDirect(t *testing.T) {
 
 func TestFixedPriorityArbiterDirect(t *testing.T) {
 	r := newRig(t, Config{Name: "fp", EntryCost: 1, ExitCost: 1, Arbiter: FixedPriority})
-	sa, ina, _ := r.addStream(t, "hi", 2, 32, 64, 20)
-	sb, inb, _ := r.addStream(t, "lo", 2, 32, 64, 22)
+	sa, ina, _ := r.addStream(t, "hi", 2, 32, 64)
+	sb, inb, _ := r.addStream(t, "lo", 2, 32, 64)
 	r.fill(t, ina, 32)
 	r.fill(t, inb, 8)
 	r.pair.Start()
@@ -316,8 +313,8 @@ func TestFixedPriorityArbiterDirect(t *testing.T) {
 
 func TestPendingWaitWhileStarved(t *testing.T) {
 	r := newRig(t, Config{Name: "pw", EntryCost: 4, ExitCost: 1, Arbiter: FixedPriority})
-	_, ina, outa := r.addStream(t, "hi", 2, 64, 4, 20)
-	sb, inb, _ := r.addStream(t, "lo", 2, 32, 64, 22)
+	_, ina, outa := r.addStream(t, "hi", 2, 64, 4)
+	sb, inb, _ := r.addStream(t, "lo", 2, 32, 64)
 	_ = outa
 	r.fill(t, ina, 64) // saturate hi
 	r.fill(t, inb, 2)
@@ -335,7 +332,7 @@ func TestPendingWaitWhileStarved(t *testing.T) {
 
 func TestReconfigPerWordDirect(t *testing.T) {
 	r := newRig(t, Config{Name: "pword", EntryCost: 1, ExitCost: 1, Mode: ReconfigPerWord, BusBase: 10, BusPerWord: 7})
-	s, in, _ := r.addStream(t, "s", 2, 16, 32, 20)
+	s, in, _ := r.addStream(t, "s", 2, 16, 32)
 	r.fill(t, in, 4) // two blocks
 	r.pair.Start()
 	r.k.RunAll()
@@ -352,7 +349,7 @@ func TestReconfigPerWordDirect(t *testing.T) {
 
 func TestStartIgnoresEarlyWakeups(t *testing.T) {
 	r := newRig(t, Config{Name: "sw", EntryCost: 1, ExitCost: 1})
-	s, in, _ := r.addStream(t, "s", 2, 16, 32, 20)
+	s, in, _ := r.addStream(t, "s", 2, 16, 32)
 	r.fill(t, in, 4)
 	r.k.RunAll() // wakeups delivered before Start
 	if s.Blocks != 0 {
@@ -367,7 +364,7 @@ func TestStartIgnoresEarlyWakeups(t *testing.T) {
 
 func TestStreamsAccessor(t *testing.T) {
 	r := newRig(t, Config{Name: "acc", EntryCost: 1, ExitCost: 1})
-	r.addStream(t, "x", 2, 8, 8, 20)
+	r.addStream(t, "x", 2, 8, 8)
 	if len(r.pair.Streams()) != 1 || r.pair.Streams()[0].Name != "x" {
 		t.Fatalf("Streams() = %+v", r.pair.Streams())
 	}
@@ -426,7 +423,7 @@ func TestDrainWatchdogDetectsSampleLoss(t *testing.T) {
 		OnStall:      func(s int) { stalled = append(stalled, s) },
 	}
 	r := newRig(t, cfg)
-	s, in, _ := r.addStream(t, "s", 4, 16, 16, 20)
+	s, in, _ := r.addStream(t, "s", 4, 16, 16)
 	s.Engines = []accel.Engine{&lossyEngine{dropEvery: 3}}
 	s.Block, s.OutBlock = 4, 4 // but the engine will deliver only 3
 	r.fill(t, in, 4)
@@ -451,7 +448,7 @@ func TestDrainWatchdogQuietOnHealthyChain(t *testing.T) {
 		OnStall:      func(int) { stalls++ },
 	}
 	r := newRig(t, cfg)
-	s, in, out := r.addStream(t, "s", 4, 32, 32, 20)
+	s, in, out := r.addStream(t, "s", 4, 32, 32)
 	r.fill(t, in, 16) // 4 healthy blocks
 	r.pair.Start()
 	drain := sim.NewWaker(r.k, func() {
@@ -473,7 +470,7 @@ func TestDrainWatchdogQuietOnHealthyChain(t *testing.T) {
 
 func TestDrainWatchdogDisabledByDefault(t *testing.T) {
 	r := newRig(t, Config{Name: "wd3", EntryCost: 2, ExitCost: 1})
-	s, in, _ := r.addStream(t, "s", 4, 16, 16, 20)
+	s, in, _ := r.addStream(t, "s", 4, 16, 16)
 	s.Engines = []accel.Engine{&lossyEngine{dropEvery: 3}}
 	r.fill(t, in, 4)
 	r.pair.Start()

@@ -33,7 +33,7 @@ func TestDataPathZeroAllocRecovery(t *testing.T) {
 	}
 	lanes := make([]*lane, 2)
 	for i := range lanes {
-		_, in, out := r.addStream(t, "s", 32, 64, 64, 20+10*i)
+		_, in, out := r.addStream(t, "s", 32, 64, 64)
 		l := &lane{in: in, out: out}
 		lanes[i] = l
 		var tick func()

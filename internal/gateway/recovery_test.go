@@ -38,7 +38,7 @@ func TestWatchdogCoversStreamingPhase(t *testing.T) {
 		OnStall:      func(s int) { stalled = append(stalled, s) },
 	}
 	r := newRig(t, cfg)
-	s, in, _ := r.addStream(t, "s", 8, 16, 16, 20)
+	s, in, _ := r.addStream(t, "s", 8, 16, 16)
 	r.fill(t, in, 8)
 	// Wedge the entry link permanently after the block has started
 	// streaming but well before its last sample.
@@ -70,7 +70,7 @@ func TestWatchdogReconfigExceedsWindow(t *testing.T) {
 		OnStall:      func(int) { t.Error("stall declared during a healthy long reconfiguration") },
 	}
 	r := newRig(t, cfg)
-	s, in, _ := r.addStream(t, "s", 4, 16, 16, 20)
+	s, in, _ := r.addStream(t, "s", 4, 16, 16)
 	s.Reconfig = 2000 // 20x the watchdog window
 	r.fill(t, in, 4)
 	r.pair.Start()
@@ -94,7 +94,7 @@ func TestWatchdogDisarmedAcrossBlocks(t *testing.T) {
 		OnStall:      func(s int) { t.Errorf("spurious stall on stream %d", s) },
 	}
 	r := newRig(t, cfg)
-	s, in, _ := r.addStream(t, "s", 4, 64, 64, 20)
+	s, in, _ := r.addStream(t, "s", 4, 64, 64)
 	r.fill(t, in, 32) // 8 back-to-back blocks
 	r.pair.Start()
 	r.k.RunAll()
@@ -122,8 +122,8 @@ func TestWatchdogBlamesCloggedStream(t *testing.T) {
 	r := newRig(t, cfg)
 	// Stream "clog": tiny output FIFO that nobody drains. Stream "ok":
 	// ample output space.
-	sClog, inClog, _ := r.addStream(t, "clog", 4, 16, 4, 20)
-	sOK, inOK, _ := r.addStream(t, "ok", 4, 16, 32, 22)
+	sClog, inClog, _ := r.addStream(t, "clog", 4, 16, 4)
+	sOK, inOK, _ := r.addStream(t, "ok", 4, 16, 32)
 	r.fill(t, inClog, 8) // two blocks; the second wedges at the exit
 	r.fill(t, inOK, 8)
 	r.pair.Start()
@@ -154,7 +154,7 @@ func TestRecoveryRetriesTransientFault(t *testing.T) {
 		RecordActivity: true,
 	}
 	r := newRig(t, cfg)
-	s, in, out := r.addStream(t, "s", 4, 16, 16, 20)
+	s, in, out := r.addStream(t, "s", 4, 16, 16)
 	s.Engines = []accel.Engine{&transientDropEngine{dropAt: 2}}
 	r.fill(t, in, 4)
 	r.pair.Start()
@@ -200,11 +200,11 @@ func TestRecoveryQuarantinesPermanentFault(t *testing.T) {
 		},
 	}
 	r := newRig(t, cfg)
-	sBad, inBad, _ := r.addStream(t, "bad", 4, 16, 16, 20)
+	sBad, inBad, _ := r.addStream(t, "bad", 4, 16, 16)
 	// lossyEngine keeps its loss counter in SaveState, so the retry's state
 	// restore replays the identical loss: a permanent fault.
 	sBad.Engines = []accel.Engine{&lossyEngine{dropEvery: 3}}
-	sOK, inOK, _ := r.addStream(t, "ok", 4, 64, 64, 20+2)
+	sOK, inOK, _ := r.addStream(t, "ok", 4, 64, 64)
 	r.fill(t, inBad, 4)
 	r.fill(t, inOK, 16) // 4 blocks
 	r.pair.Start()
@@ -254,7 +254,7 @@ func TestRecoveryLostIdleNotification(t *testing.T) {
 		},
 	}
 	r := newRig(t, cfg)
-	s, in, out := r.addStream(t, "s", 4, 16, 16, 20)
+	s, in, out := r.addStream(t, "s", 4, 16, 16)
 	r.fill(t, in, 4)
 	r.pair.Start()
 	r.k.Run(20_000)
@@ -285,7 +285,7 @@ func TestRecoveryTurnaroundRecords(t *testing.T) {
 		RecordTurnarounds: true,
 	}
 	r := newRig(t, cfg)
-	s, in, _ := r.addStream(t, "s", 4, 32, 32, 20)
+	s, in, _ := r.addStream(t, "s", 4, 32, 32)
 	s.Engines = []accel.Engine{&transientDropEngine{dropAt: 2}}
 	r.fill(t, in, 12) // 3 blocks; the first needs one retry
 	r.pair.Start()

@@ -76,7 +76,7 @@ func TestRoundRobinAcrossReleasedSlots(t *testing.T) {
 	r := newRig(t, Config{Name: "rel", EntryCost: 1, ExitCost: 1, RecordActivity: true})
 	var ins []*cfifo.FIFO
 	for i := 0; i < 6; i++ {
-		_, in, _ := r.addStream(t, string(rune('a'+i)), 2, 16, 32, 20+2*i)
+		_, in, _ := r.addStream(t, string(rune('a'+i)), 2, 16, 32)
 		ins = append(ins, in)
 	}
 	r.pair.Start()
@@ -110,11 +110,11 @@ func TestRoundRobinAcrossReleasedSlots(t *testing.T) {
 	var acts []SlotUpdate
 	for i := 6; i < 8; i++ {
 		name := string(rune('a' + i))
-		in, err := newTestFIFO(r, name+".in", 16, 3, 0, 20+2*i, 20+2*i)
+		in, err := newTestFIFO(r, name+".in", 16, 3, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := newTestFIFO(r, name+".out", 32, 2, 4, 20+2*i, 70+2*i)
+		out, err := newTestFIFO(r, name+".out", 32, 2, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestRoundRobinAcrossReleasedSlots(t *testing.T) {
 	// costs on a FIFO nobody subscribes to. On a live slot it wakes the
 	// entry gateway only when it completes the slot's block: the wake's
 	// gate drops the edges the entry step cannot act on.
-	control, err := newTestFIFO(r, "ctl.in", 16, 3, 0, 60, 60)
+	control, err := newTestFIFO(r, "ctl.in", 16, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestFixedPriorityAcrossReleasedSlots(t *testing.T) {
 	r := newRig(t, Config{Name: "relfp", EntryCost: 1, ExitCost: 1, RecordActivity: true, Arbiter: FixedPriority})
 	var ins []*cfifo.FIFO
 	for i := 0; i < 4; i++ {
-		_, in, _ := r.addStream(t, string(rune('a'+i)), 2, 16, 32, 20+2*i)
+		_, in, _ := r.addStream(t, string(rune('a'+i)), 2, 16, 32)
 		ins = append(ins, in)
 	}
 	r.pair.Start()
@@ -202,8 +202,8 @@ func TestFixedPriorityAcrossReleasedSlots(t *testing.T) {
 // pushed word costs exactly what it costs on a FIFO nobody subscribes to.
 func TestExportStreamsUnsubscribes(t *testing.T) {
 	r := newFailoverRig(t, recoveryCfg("A"), recoveryCfg("B"))
-	_, inGone, _ := r.addStreamA(t, "gone", 4, 20)
-	_, inKept, _ := r.addStreamA(t, "kept", 4, 22)
+	_, inGone, _ := r.addStreamA(t, "gone", 4)
+	_, inKept, _ := r.addStreamA(t, "kept", 4)
 	r.pairA.Start()
 	if err := r.pairA.RequestPause(func() {}); err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestExportStreamsUnsubscribes(t *testing.T) {
 		t.Fatalf("exports = %+v", exports)
 	}
 	control, err := cfifo.New(r.k, r.net, cfifo.Config{
-		Name: "ctl.in", Capacity: 32, ProducerNode: 6, ConsumerNode: 0, DataPort: 24, AckPort: 24,
+		Name: "ctl.in", Capacity: 32, ProducerNode: 6, ConsumerNode: 0,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ import (
 func replayCell(t *testing.T, eta, k int64, faulty bool) (replayed int64, latency sim.Time) {
 	t.Helper()
 	r := newRig(t, ckptCfg("rc", k, true))
-	s, in, out := r.addStream(t, "s", eta, int(eta)+8, int(eta)+8, 20)
+	s, in, out := r.addStream(t, "s", eta, int(eta)+8, int(eta)+8)
 	if faulty {
 		s.Engines = []accel.Engine{&transientDropEngine{dropAt: int(eta) - 3}}
 	}

@@ -26,8 +26,8 @@ func arrivals(k *sim.Kernel, f *cfifo.FIFO) *[]sim.Time {
 // recheck keeps that stamp.
 func TestActivatedStreamQueuedAtFirstWake(t *testing.T) {
 	r := newRig(t, Config{Name: "rc", EntryCost: 1, ExitCost: 1, RecordTurnarounds: true})
-	x, inX, _ := r.addStream(t, "x", 2, 16, 32, 20)
-	_, inY, _ := r.addStream(t, "y", 4, 16, 32, 22)
+	x, inX, _ := r.addStream(t, "x", 2, 16, 32)
+	_, inY, _ := r.addStream(t, "y", 4, 16, 32)
 	r.pair.Start()
 	pauseRig(t, r)
 	if err := r.pair.ApplySlots([]SlotUpdate{{Stream: 0, Suspend: true}}, 1, nil); err != nil {
@@ -62,7 +62,7 @@ func TestActivatedStreamQueuedAtFirstWake(t *testing.T) {
 // start it, although the stream is already queued.
 func TestGrownBlockStartsOnCompletingWord(t *testing.T) {
 	r := newRig(t, Config{Name: "gb", EntryCost: 1, ExitCost: 1, RecordTurnarounds: true})
-	x, inX, _ := r.addStream(t, "x", 2, 16, 32, 20)
+	x, inX, _ := r.addStream(t, "x", 2, 16, 32)
 	r.pair.Start()
 	pauseRig(t, r)
 	r.fill(t, inX, 2)
@@ -93,13 +93,13 @@ func TestGrownBlockStartsOnCompletingWord(t *testing.T) {
 func TestImportedQueuedStreamStartsOnOutputSpace(t *testing.T) {
 	r := newFailoverRig(t, recoveryCfg("A"), recoveryCfg("B"))
 	in, err := cfifo.New(r.k, r.net, cfifo.Config{
-		Name: "m.in", Capacity: 32, ProducerNode: 6, ConsumerNode: 0, DataPort: 20, AckPort: 20,
+		Name: "m.in", Capacity: 32, ProducerNode: 6, ConsumerNode: 0,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out, err := cfifo.New(r.k, r.net, cfifo.Config{
-		Name: "m.out", Capacity: 4, ProducerNode: 2, ConsumerNode: 7, DataPort: 20, AckPort: 70,
+		Name: "m.out", Capacity: 4, ProducerNode: 2, ConsumerNode: 7,
 	})
 	if err != nil {
 		t.Fatal(err)

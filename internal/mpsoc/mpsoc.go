@@ -131,11 +131,11 @@ type Stream struct {
 
 	// ringHome/ringNodes remember the reserved (source, sink) ring-node
 	// pair AttachStream consumed, so ReclaimStream can return it to the
-	// home chain's pool when the stream departs for good. C-FIFO transport
-	// is addressed by (node, port) with a globally unique port per stream,
-	// so a recycled node pair never collides with the departed stream's
-	// idle sink. reclaimable is false for streams built with the platform
-	// (their attachment points were never in the reserved pool).
+	// home chain's pool when the stream departs for good. Every C-FIFO
+	// binding gets a fresh ring handle, so a recycled node pair never
+	// collides with the departed stream's idle sink. reclaimable is false
+	// for streams built with the platform (their attachment points were
+	// never in the reserved pool).
 	ringHome    int
 	ringNodes   [2]int
 	reclaimable bool

@@ -88,12 +88,6 @@ type MultiSystem struct {
 	K      *sim.Kernel
 	Net    *ring.Dual
 	Chains []*Chain
-	// portSeq numbers every stream's C-FIFO ports uniquely across the whole
-	// platform. Ring ports are handler keys on nodes, so uniqueness must
-	// hold per node — and evacuation re-points a stream's gateway-side
-	// endpoints onto ANOTHER chain's entry/exit nodes, where a chain-local
-	// numbering would collide with the host's own streams.
-	portSeq int
 }
 
 // BuildMulti assembles the multi-chain platform. Ring node layout per
@@ -128,7 +122,7 @@ func BuildMulti(cfg MultiConfig) (*MultiSystem, error) {
 	ms := &MultiSystem{K: k, Net: net}
 	next := 0
 	for ci := range cfg.Chains {
-		ch, err := assembleChain(k, net, cfg, cfg.Chains[ci], &next, &ms.portSeq)
+		ch, err := assembleChain(k, net, cfg, cfg.Chains[ci], &next)
 		if err != nil {
 			return nil, fmt.Errorf("chain %q: %w", cfg.Chains[ci].Name, err)
 		}
@@ -137,15 +131,9 @@ func BuildMulti(cfg MultiConfig) (*MultiSystem, error) {
 	return ms, nil
 }
 
-const (
-	portData   = 1
-	portCredit = 1
-	portIdle   = 7
-)
-
 // assembleChain wires one gateway pair and its streams, consuming ring
 // nodes from *next.
-func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpec, next, portSeq *int) (*Chain, error) {
+func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpec, next *int) (*Chain, error) {
 	take := func() int { n := *next; *next++; return n }
 	entryN := take()
 	var accelN []int
@@ -163,17 +151,17 @@ func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpe
 		ch.Tiles = append(ch.Tiles, accel.NewTile(as.Name, k, as.Cost, ni))
 	}
 	entryLink := accel.NewLink("entry->"+spec.Accels[0].Name, k, net,
-		entryN, accelN[0], portData, portCredit, ch.Tiles[0].In())
+		entryN, accelN[0], ch.Tiles[0].In())
 	ch.Links = append(ch.Links, entryLink)
 	for i := 0; i+1 < len(ch.Tiles); i++ {
 		l := accel.NewLink(fmt.Sprintf("%s->%s", spec.Accels[i].Name, spec.Accels[i+1].Name), k, net,
-			accelN[i], accelN[i+1], portData, portCredit, ch.Tiles[i+1].In())
+			accelN[i], accelN[i+1], ch.Tiles[i+1].In())
 		ch.Tiles[i].SetDownstream(l)
 		ch.Links = append(ch.Links, l)
 	}
 	exitNI := sim.NewQueue(spec.Name+".exit.ni", 2)
 	lastLink := accel.NewLink(spec.Accels[len(spec.Accels)-1].Name+"->exit", k, net,
-		accelN[len(accelN)-1], exitN, portData, portCredit, exitNI)
+		accelN[len(accelN)-1], exitN, exitNI)
 	ch.Tiles[len(ch.Tiles)-1].SetDownstream(lastLink)
 	ch.Links = append(ch.Links, lastLink)
 
@@ -187,7 +175,6 @@ func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpe
 		Arbiter:           spec.Arbiter,
 		BusBase:           spec.BusBase,
 		BusPerWord:        spec.BusPerWord,
-		IdlePort:          portIdle,
 		RecordOutputTimes: top.RecordOutputTimes,
 		RecordActivity:    top.RecordActivity,
 		DisableSpaceCheck: spec.DisableSpaceCheck,
@@ -215,9 +202,7 @@ func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpe
 	for i := range spec.Streams {
 		srcN := take()
 		sinkN := take()
-		port := *portSeq
-		*portSeq++
-		st, err := buildStream(k, net, ch, spec.Streams[i], i, port, srcN, sinkN)
+		st, err := buildStream(k, net, ch, spec.Streams[i], i, srcN, sinkN)
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +223,7 @@ func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpe
 // buildStream wires one stream's C-FIFOs and gateway slot (without
 // registering it with the pair or starting its tasks): shared between
 // build-time assembly and runtime AttachStream.
-func buildStream(k *sim.Kernel, net *ring.Dual, ch *Chain, ss StreamSpec, idx, port, srcN, sinkN int) (*Stream, error) {
+func buildStream(k *sim.Kernel, net *ring.Dual, ch *Chain, ss StreamSpec, idx, srcN, sinkN int) (*Stream, error) {
 	if ss.Decimation < 1 {
 		ss.Decimation = 1
 	}
@@ -249,7 +234,6 @@ func buildStream(k *sim.Kernel, net *ring.Dual, ch *Chain, ss StreamSpec, idx, p
 	in, err := cfifo.New(k, net, cfifo.Config{
 		Name: ss.Name + ".in", Capacity: ss.InCapacity,
 		ProducerNode: srcN, ConsumerNode: ch.EntryNode,
-		DataPort: 100 + port, AckPort: 100 + port,
 		AckBatch: ackBatch(ss.InCapacity),
 	})
 	if err != nil {
@@ -260,7 +244,6 @@ func buildStream(k *sim.Kernel, net *ring.Dual, ch *Chain, ss StreamSpec, idx, p
 	out, err := cfifo.New(k, net, cfifo.Config{
 		Name: ss.Name + ".out", Capacity: ss.OutCapacity,
 		ProducerNode: ch.ExitNode, ConsumerNode: sinkN,
-		DataPort: 100 + port, AckPort: 200 + port,
 		AckBatch: 1,
 	})
 	if err != nil {
@@ -312,9 +295,7 @@ func (m *MultiSystem) AttachStream(chainIdx int, ss StreamSpec) (*Stream, error)
 	}
 	nodes := ch.reserved[0]
 	idx := len(ch.Strs)
-	port := m.portSeq
-	m.portSeq++
-	st, err := buildStream(m.K, m.Net, ch, ss, idx, port, nodes[0], nodes[1])
+	st, err := buildStream(m.K, m.Net, ch, ss, idx, nodes[0], nodes[1])
 	if err != nil {
 		return nil, err
 	}
@@ -398,8 +379,8 @@ func (m *MultiSystem) ReleaseStream(chainIdx int, name string) (*Stream, gateway
 // (drained, suspended, survivors re-solved) — ReclaimStream then releases
 // the slot exactly like a rebalance export (gateway tombstone, indices
 // stable) but discards the export: the stream is gone, not migrating. The
-// departed stream's sink task idles harmlessly; transport is port-addressed
-// so the recycled nodes never deliver to it again.
+// departed stream's sink task idles harmlessly: every binding gets a fresh
+// handle, so the recycled nodes never deliver to it again.
 func (m *MultiSystem) ReclaimStream(chainIdx int, name string) error {
 	st, _, err := m.ReleaseStream(chainIdx, name)
 	if err != nil {

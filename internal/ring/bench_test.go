@@ -13,11 +13,11 @@ func BenchmarkRingWordThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	received := 0
-	r.Node(4).Bind(0, func(Message) { received++ })
+	h := r.Node(4).Bind(func(Message) { received++ })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for !r.Node(0).TrySend(4, 0, sim.Word(i)) {
+		for !r.Node(0).TrySend(h, sim.Word(i)) {
 			k.RunAll()
 		}
 	}
@@ -33,15 +33,15 @@ func BenchmarkDualRingCreditLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d.Data.Node(1).Bind(0, func(m Message) {
-		// bounce a credit back
-		d.Credit.Node(1).TrySend(0, 0, 1)
-	})
 	credits := 0
-	d.Credit.Node(0).Bind(0, func(Message) { credits++ })
+	ch := d.Credit.Node(0).Bind(func(Message) { credits++ })
+	dh := d.Data.Node(1).Bind(func(m Message) {
+		// bounce a credit back
+		d.Credit.Node(1).TrySend(ch, 1)
+	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for !d.Data.Node(0).TrySend(1, 0, 0) {
+		for !d.Data.Node(0).TrySend(dh, 0) {
 			k.RunAll()
 		}
 	}
@@ -61,12 +61,12 @@ func BenchmarkRingUncontendedSend(b *testing.B) {
 		b.Fatal(err)
 	}
 	received := 0
-	r.Node(4).Bind(0, func(Message) { received++ })
+	h := r.Node(4).Bind(func(Message) { received++ })
 	n := r.Node(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !n.TrySend(4, 0, sim.Word(i)) {
+		if !n.TrySend(h, sim.Word(i)) {
 			b.Fatal("uncontended send refused")
 		}
 		k.Run(k.Now() + 1)

@@ -7,7 +7,8 @@ import (
 )
 
 // TestRingZeroAllocSteadyState backs the //accellint:noalloc annotations on
-// TrySend, Free, held, restep, pump, pumpStep, emit, latency and newFlight:
+// TrySend, Free, held, restep, pump, pumpStep, emit, latency, newFlight and
+// deliver:
 // after the cold start (lazy injection ring, pump method value, flight-pool
 // growth to the in-flight high-water mark), moving words across the ring
 // allocates nothing — the same pooled-record discipline as the sim kernel's
@@ -26,11 +27,11 @@ func TestRingZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	r.Node(2).Bind(7, func(m Message) { got++ })
-	tight.Node(3).Bind(7, func(m Message) { got++ })
+	h := r.Node(2).Bind(func(m Message) { got++ })
+	th := tight.Node(3).Bind(func(m Message) { got++ })
 	burst := func() {
 		for i := 0; i < 16; i++ {
-			for !r.nodes[0].TrySend(2, 7, sim.Word(i)) {
+			for !r.nodes[0].TrySend(h, sim.Word(i)) {
 				k.Step()
 			}
 		}
@@ -38,7 +39,7 @@ func TestRingZeroAllocSteadyState(t *testing.T) {
 	}
 	uncontended := func() {
 		for i := 0; i < 16; i++ {
-			if !r.nodes[1].TrySend(2, 7, sim.Word(i)) {
+			if !r.nodes[1].TrySend(h, sim.Word(i)) {
 				t.Fatal("uncontended send refused")
 			}
 			k.Run(k.Now() + 1)
@@ -47,14 +48,14 @@ func TestRingZeroAllocSteadyState(t *testing.T) {
 	}
 	refused := func() {
 		n := tight.nodes[0]
-		if !n.TrySend(3, 7, 1) {
+		if !n.TrySend(th, 1) {
 			t.Fatal("send into an empty buffer refused")
 		}
-		if n.TrySend(3, 7, 2) {
+		if n.TrySend(th, 2) {
 			t.Fatal("send accepted while the held word fills the buffer")
 		}
 		k.RunAll()
-		if !n.TrySend(3, 7, 3) {
+		if !n.TrySend(th, 3) {
 			t.Fatal("send into an empty buffer refused")
 		}
 		if n.Free() != 0 {

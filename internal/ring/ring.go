@@ -44,27 +44,53 @@ type Config struct {
 	Direction      Direction
 }
 
-// Message is one word addressed to a port on a destination node.
+// Message is one word on its way from node Src to the binding H on node
+// Dst.
 type Message struct {
 	Src, Dst int
-	Port     int
+	H        Handle
 	W        sim.Word
 }
+
+// Handle names one delivery binding: a destination node and its handler,
+// fixed when the binding's C-FIFO, link or gateway is wired. Bind issues
+// handles 1, 2, … per transport, and a handle is valid only on the
+// transport that issued it. The zero Handle is never issued.
+type Handle int
 
 // Port is one tile attachment point of an interconnect, the interface the
 // platform components (links, C-FIFOs, gateways) are written against.
 type Port interface {
-	// TrySend posts a word to (dst, port); false = injection buffer full.
-	TrySend(dst, port int, w sim.Word) bool
-	// Bind registers the delivery handler for a local port id.
-	Bind(port int, fn func(Message))
+	// TrySend posts a word to the binding h; false = injection buffer full.
+	// It panics on a handle the transport never issued.
+	TrySend(h Handle, w sim.Word) bool
+	// Bind registers a delivery handler on this node and returns the handle
+	// senders address it by.
+	Bind(fn func(Message)) Handle
 	// SubscribeSpace wakes w when injection space frees.
 	SubscribeSpace(w *sim.Waker)
 	// Free reports available injection-buffer slots.
 	Free() int
 }
 
-// Transport is an interconnect with addressable ports: implemented by the
+// binding is one slab entry: the node a handle's words go to and the
+// handler that takes them there.
+type binding struct {
+	dst int
+	fn  func(Message)
+}
+
+// bindings is a transport's slab. Handle h names entry h-1, so Go's bounds
+// check rejects the zero Handle and every handle the slab never issued.
+type bindings []binding
+
+// add appends a binding and returns its handle.
+func (b *bindings) add(dst int, fn func(Message)) Handle {
+	*b = append(*b, binding{dst: dst, fn: fn})
+	return Handle(len(*b))
+}
+
+// Transport is an interconnect of attachment points: implemented by the
 // transaction-level Ring and by the cycle-true Slotted ring, so the whole
 // platform can run on either.
 type Transport interface {
@@ -85,12 +111,13 @@ type Ring struct {
 	Words     uint64
 	HopCycles uint64
 
-	// freeFlight is the pool of recycled in-flight message records.
+	// freeFlight is the pool of recycled in-flight message records; binds
+	// is the slab Bind fills and TrySend and deliver index.
 	freeFlight *flight
+	binds      bindings
 }
 
-// Node is one attachment point with an injection buffer and registered
-// delivery ports.
+// Node is one attachment point with an injection buffer.
 type Node struct {
 	r   *Ring
 	idx int
@@ -101,7 +128,6 @@ type Node struct {
 	injHead  int
 	injLen   int
 	nextSlot sim.Time
-	ports    map[int]func(Message)
 	space    []*sim.Waker
 	pumping  bool
 	// pumpFn is the pump step bound once, so per-slot scheduling reuses one
@@ -140,7 +166,7 @@ func New(k *sim.Kernel, cfg Config) (*Ring, error) {
 	}
 	r := &Ring{cfg: cfg, k: k}
 	for i := 0; i < cfg.Nodes; i++ {
-		r.nodes = append(r.nodes, &Node{r: r, idx: i, ports: map[int]func(Message){}})
+		r.nodes = append(r.nodes, &Node{r: r, idx: i})
 	}
 	return r, nil
 }
@@ -173,14 +199,9 @@ func (r *Ring) Distance(src, dst int) int {
 	return d
 }
 
-// Bind registers the delivery handler for a port on this node. Handlers
-// must always accept (guaranteed acceptance).
-func (n *Node) Bind(port int, fn func(Message)) {
-	if _, dup := n.ports[port]; dup {
-		panic(fmt.Sprintf("ring: node %d port %d bound twice", n.idx, port))
-	}
-	n.ports[port] = fn
-}
+// Bind registers a delivery handler on this node and returns its handle.
+// Handlers must always accept (guaranteed acceptance).
+func (n *Node) Bind(fn func(Message)) Handle { return n.r.binds.add(n.idx, fn) }
 
 // SubscribeSpace wakes w whenever injection space frees up.
 func (n *Node) SubscribeSpace(w *sim.Waker) { n.space = append(n.space, w) }
@@ -224,8 +245,8 @@ func (r *Ring) WedgeNode(i int, d sim.Time) {
 // wedged reports whether the node's injection side is frozen.
 func (n *Node) wedged() bool { return n.wedgedUntil > n.r.k.Now() }
 
-// TrySend posts a write of word w to (dst, port). It reports false when the
-// injection buffer is full — the caller retries on a space wake-up. A
+// TrySend posts a write of word w to the binding h. It reports false when
+// the injection buffer is full — the caller retries on a space wake-up. A
 // successful TrySend is a completed posted write from the producer's
 // perspective.
 //
@@ -238,7 +259,8 @@ func (n *Node) wedged() bool { return n.wedgedUntil > n.r.k.Now() }
 // reach.
 //
 //accellint:noalloc guard=TestRingZeroAllocSteadyState
-func (n *Node) TrySend(dst, port int, w sim.Word) bool {
+func (n *Node) TrySend(h Handle, w sim.Word) bool {
+	dst := n.r.binds[h-1].dst
 	if n.wedged() {
 		n.WedgeRejects++
 		return false
@@ -257,7 +279,7 @@ func (n *Node) TrySend(dst, port int, w sim.Word) bool {
 		n.pumpFn = n.pumpStep
 	}
 	k := n.r.k
-	m := Message{Src: n.idx, Dst: dst, Port: port, W: w}
+	m := Message{Src: n.idx, Dst: dst, H: h, W: w}
 	if n.injLen == 0 && !n.pumping && n.nextSlot <= k.Now() {
 		// No word is held here: a held word's slot runs past now.
 		n.step = k.Reserve()
@@ -412,9 +434,11 @@ func (r *Ring) newFlight() *flight {
 	return fl
 }
 
-// deliver hands the message to its destination port and returns the record
-// to the pool. Recycling happens before the handler runs so a handler that
-// immediately sends again can reuse this record.
+// deliver hands the message to its binding's handler and returns the
+// record to the pool. Recycling happens before the handler runs so a
+// handler that immediately sends again can reuse this record.
+//
+//accellint:noalloc guard=TestRingZeroAllocSteadyState
 func (fl *flight) deliver() {
 	r, m, cancelled := fl.r, fl.m, fl.cancelled
 	fl.cancelled = false
@@ -423,12 +447,7 @@ func (fl *flight) deliver() {
 	if cancelled {
 		return
 	}
-	dst := r.nodes[m.Dst]
-	h, ok := dst.ports[m.Port]
-	if !ok {
-		panic(fmt.Sprintf("ring: node %d has no port %d (from node %d)", m.Dst, m.Port, m.Src))
-	}
-	h(m)
+	r.binds[m.H-1].fn(m)
 }
 
 // Dual couples a clockwise data ring with a counter-clockwise credit ring,

@@ -8,7 +8,7 @@ import (
 
 // Differential harness: Ring and the pump-every-word reference (refRing)
 // run the same script on kernels of their own and must show the same
-// accept/refuse results, Free readings, space wakes, per-(node, port)
+// accept/refuse results, Free readings, space wakes, per-handle
 // deliveries, Words, HopCycles and wedge rejects. A script is a chain of
 // ops, each firing delay cycles after the previous one. An "early" op
 // schedules its successor before acting, so a delay-0 successor fires
@@ -19,7 +19,10 @@ import (
 // platform's senders do. A polite sender reads Free before each word and
 // waits for a space wake when it reads 0 instead of sending. Only the order
 // of same-cycle events of different kinds may differ between the rings, so
-// deliveries are compared per port.
+// deliveries are compared per handle. Each harness binds ringBindings handlers
+// on every node in the same order and keeps the handles its ring issued, so
+// a delivery is matched to the binding it reached through each ring's own
+// lookup.
 
 // ringUnderTest is the surface the harness drives on both rings.
 type ringUnderTest interface {
@@ -36,7 +39,7 @@ const (
 type ringOp struct {
 	kind      int
 	node, dst int
-	port      int
+	binding   int
 	words     int
 	polite    bool
 	delay     sim.Time
@@ -72,8 +75,12 @@ type ringHarness struct {
 	i          int
 	word       sim.Word
 	log        []ringRecord
-	deliveries map[[2]int][]ringDelivery
-	senders    []*ringSender
+	handles    [][ringBindings]Handle
+	deliveries map[Handle][]ringDelivery
+	// misrouted counts deliveries whose message names another handle or
+	// node than the binding that received it.
+	misrouted int
+	senders   []*ringSender
 }
 
 type ringSender struct {
@@ -84,16 +91,21 @@ type ringSender struct {
 	waiting bool
 }
 
-const ringPorts = 2
+const ringBindings = 2
 
 func newRingHarness(k *sim.Kernel, r ringUnderTest, sc ringScript) *ringHarness {
-	d := &ringHarness{k: k, r: r, ops: sc.ops, deliveries: map[[2]int][]ringDelivery{}}
+	d := &ringHarness{k: k, r: r, ops: sc.ops, deliveries: map[Handle][]ringDelivery{}}
+	d.handles = make([][ringBindings]Handle, sc.cfg.Nodes)
 	for n := 0; n < sc.cfg.Nodes; n++ {
-		for p := 0; p < ringPorts; p++ {
-			key := [2]int{n, p}
-			r.Node(n).Bind(p, func(m Message) {
-				d.deliveries[key] = append(d.deliveries[key], ringDelivery{k.Now(), m.Src, m.W})
+		for p := 0; p < ringBindings; p++ {
+			var h Handle
+			h = r.Node(n).Bind(func(m Message) {
+				if m.H != h || m.Dst != n {
+					d.misrouted++
+				}
+				d.deliveries[h] = append(d.deliveries[h], ringDelivery{k.Now(), m.Src, m.W})
 			})
+			d.handles[n][p] = h
 		}
 		s := &ringSender{d: d, node: n}
 		w := sim.NewWaker(k, func() {
@@ -124,7 +136,7 @@ func (s *ringSender) try() {
 			}
 		}
 		m := s.backlog[0]
-		ok := p.TrySend(m.Dst, m.Port, m.W)
+		ok := p.TrySend(m.H, m.W)
 		if !ok {
 			s.d.record('s', s.node, 0)
 			s.waiting = true
@@ -149,7 +161,7 @@ func (d *ringHarness) step() {
 		s.polite = op.polite
 		for j := 0; j < op.words; j++ {
 			d.word++
-			s.backlog = append(s.backlog, Message{Dst: op.dst, Port: op.port, W: d.word})
+			s.backlog = append(s.backlog, Message{H: d.handles[op.dst][op.binding], W: d.word})
 		}
 		s.try()
 	case opFree:
@@ -189,11 +201,11 @@ func decodeRingScript(data []byte) (ringScript, bool) {
 	for i := 1; i+2 < len(data) && len(sc.ops) < 400; i += 3 {
 		b0, b1, b2 := data[i], data[i+1], data[i+2]
 		op := ringOp{
-			node:  int(b1) % cfg.Nodes,
-			dst:   int(b1>>4) % cfg.Nodes,
-			port:  int(b2) % ringPorts,
-			delay: ringDelays[b0>>3&7],
-			early: b0&0x80 != 0,
+			node:    int(b1) % cfg.Nodes,
+			dst:     int(b1>>4) % cfg.Nodes,
+			binding: int(b2) % ringBindings,
+			delay:   ringDelays[b0>>3&7],
+			early:   b0&0x80 != 0,
 		}
 		switch b0 % 8 {
 		case 0, 1, 2:
@@ -238,16 +250,18 @@ func runRingScript(t *testing.T, sc ringScript) {
 	if len(got.log) != len(want.log) {
 		t.Fatalf("%+v: %d observations, reference %d", sc.cfg, len(got.log), len(want.log))
 	}
+	if got.misrouted != 0 || want.misrouted != 0 {
+		t.Fatalf("%+v: %d misrouted deliveries, reference %d", sc.cfg, got.misrouted, want.misrouted)
+	}
 	for n := 0; n < sc.cfg.Nodes; n++ {
-		for p := 0; p < ringPorts; p++ {
-			key := [2]int{n, p}
-			g, w := got.deliveries[key], want.deliveries[key]
+		for p := 0; p < ringBindings; p++ {
+			g, w := got.deliveries[got.handles[n][p]], want.deliveries[want.handles[n][p]]
 			if len(g) != len(w) {
-				t.Fatalf("%+v: port %v: %d deliveries, reference %d", sc.cfg, key, len(g), len(w))
+				t.Fatalf("%+v: node %d binding %d: %d deliveries, reference %d", sc.cfg, n, p, len(g), len(w))
 			}
 			for i := range g {
 				if g[i] != w[i] {
-					t.Fatalf("%+v: port %v delivery %d: ring %+v, reference %+v", sc.cfg, key, i, g[i], w[i])
+					t.Fatalf("%+v: node %d binding %d delivery %d: ring %+v, reference %+v", sc.cfg, n, p, i, g[i], w[i])
 				}
 			}
 		}

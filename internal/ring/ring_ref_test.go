@@ -11,11 +11,13 @@ import (
 // which emits it, schedules its delivery and wakes space subscribers. It is
 // kept as the test-only reference for FuzzRingMatchesReference and
 // TestRingDifferential, which require Ring to show the same accept/refuse
-// results, Free readings, per-port deliveries and space wakes.
+// results, Free readings, per-handle deliveries and space wakes. It
+// resolves handles through a map of its own, not through Ring's slab.
 type refRing struct {
 	cfg   Config
 	k     *sim.Kernel
 	nodes []*refNode
+	binds map[Handle]binding
 
 	Words     uint64
 	HopCycles uint64
@@ -26,7 +28,6 @@ type refNode struct {
 	idx      int
 	inj      []Message
 	nextSlot sim.Time
-	ports    map[int]func(Message)
 	space    []*sim.Waker
 	pumping  bool
 
@@ -45,9 +46,9 @@ func newRefRing(k *sim.Kernel, cfg Config) *refRing {
 	if cfg.InjectionDepth == 0 {
 		cfg.InjectionDepth = 4
 	}
-	r := &refRing{cfg: cfg, k: k}
+	r := &refRing{cfg: cfg, k: k, binds: map[Handle]binding{}}
 	for i := 0; i < cfg.Nodes; i++ {
-		r.nodes = append(r.nodes, &refNode{r: r, idx: i, ports: map[int]func(Message){}})
+		r.nodes = append(r.nodes, &refNode{r: r, idx: i})
 	}
 	return r
 }
@@ -71,7 +72,11 @@ func (r *refRing) distance(src, dst int) int {
 	return d
 }
 
-func (n *refNode) Bind(port int, fn func(Message)) { n.ports[port] = fn }
+func (n *refNode) Bind(fn func(Message)) Handle {
+	h := Handle(len(n.r.binds) + 1)
+	n.r.binds[h] = binding{dst: n.idx, fn: fn}
+	return h
+}
 
 func (n *refNode) SubscribeSpace(w *sim.Waker) { n.space = append(n.space, w) }
 
@@ -94,7 +99,11 @@ func (r *refRing) WedgeNode(i int, d sim.Time) {
 
 func (n *refNode) wedged() bool { return n.wedgedUntil > n.r.k.Now() }
 
-func (n *refNode) TrySend(dst, port int, w sim.Word) bool {
+func (n *refNode) TrySend(h Handle, w sim.Word) bool {
+	b, ok := n.r.binds[h]
+	if !ok {
+		panic(fmt.Sprintf("ring: node %d sent to unknown handle %d", n.idx, h))
+	}
 	if n.wedged() {
 		n.WedgeRejects++
 		return false
@@ -102,7 +111,7 @@ func (n *refNode) TrySend(dst, port int, w sim.Word) bool {
 	if len(n.inj) >= n.r.cfg.InjectionDepth {
 		return false
 	}
-	n.inj = append(n.inj, Message{Src: n.idx, Dst: dst, Port: port, W: w})
+	n.inj = append(n.inj, Message{Src: n.idx, Dst: b.dst, H: h, W: w})
 	n.pump()
 	return true
 }
@@ -131,13 +140,7 @@ func (n *refNode) pumpStep() {
 	lat := sim.Time(n.r.distance(m.Src, m.Dst)) * n.r.cfg.HopLatency
 	n.r.Words++
 	n.r.HopCycles += uint64(lat)
-	k.Schedule(lat, func() {
-		h, ok := n.r.nodes[m.Dst].ports[m.Port]
-		if !ok {
-			panic(fmt.Sprintf("ring: node %d has no port %d (from node %d)", m.Dst, m.Port, m.Src))
-		}
-		h(m)
-	})
+	k.Schedule(lat, func() { n.r.binds[m.H].fn(m) })
 	for _, w := range n.space {
 		w.Wake()
 	}

@@ -34,8 +34,8 @@ func TestDeliveryLatency(t *testing.T) {
 	k := sim.NewKernel()
 	r, _ := New(k, Config{Nodes: 4, HopLatency: 3, Direction: Clockwise})
 	var got []sim.Time
-	r.Node(2).Bind(1, func(m Message) { got = append(got, k.Now()) })
-	if !r.Node(0).TrySend(2, 1, 7) {
+	h := r.Node(2).Bind(func(m Message) { got = append(got, k.Now()) })
+	if !r.Node(0).TrySend(h, 7) {
 		t.Fatal("send rejected")
 	}
 	k.RunAll()
@@ -49,9 +49,9 @@ func TestInOrderDelivery(t *testing.T) {
 	k := sim.NewKernel()
 	r, _ := New(k, Config{Nodes: 4, HopLatency: 1, Direction: Clockwise, InjectionDepth: 8})
 	var words []sim.Word
-	r.Node(1).Bind(0, func(m Message) { words = append(words, m.W) })
+	h := r.Node(1).Bind(func(m Message) { words = append(words, m.W) })
 	for i := 0; i < 5; i++ {
-		if !r.Node(0).TrySend(1, 0, sim.Word(i)) {
+		if !r.Node(0).TrySend(h, sim.Word(i)) {
 			t.Fatal("send rejected")
 		}
 	}
@@ -70,9 +70,9 @@ func TestSlotRateLimiting(t *testing.T) {
 	k := sim.NewKernel()
 	r, _ := New(k, Config{Nodes: 2, HopLatency: 1, SlotPeriod: 4, Direction: Clockwise, InjectionDepth: 8})
 	var times []sim.Time
-	r.Node(1).Bind(0, func(m Message) { times = append(times, k.Now()) })
+	h := r.Node(1).Bind(func(m Message) { times = append(times, k.Now()) })
 	for i := 0; i < 3; i++ {
-		r.Node(0).TrySend(1, 0, 0)
+		r.Node(0).TrySend(h, 0)
 	}
 	k.RunAll()
 	// Injections at 0, 4, 8; +1 hop => deliveries at 1, 5, 9.
@@ -87,11 +87,11 @@ func TestSlotRateLimiting(t *testing.T) {
 func TestInjectionBackpressure(t *testing.T) {
 	k := sim.NewKernel()
 	r, _ := New(k, Config{Nodes: 2, SlotPeriod: 10, Direction: Clockwise, InjectionDepth: 2})
-	r.Node(1).Bind(0, func(Message) {})
+	h := r.Node(1).Bind(func(Message) {})
 	n := r.Node(0)
 	accepted := 0
 	for i := 0; i < 5; i++ {
-		if n.TrySend(1, 0, 0) {
+		if n.TrySend(h, 0) {
 			accepted++
 		}
 	}
@@ -108,28 +108,32 @@ func TestInjectionBackpressure(t *testing.T) {
 	}
 }
 
-func TestUnboundPortPanics(t *testing.T) {
+// TestInvalidHandlePanics: on both transports, TrySend panics on the zero
+// Handle and on handles the transport never issued, and sends nothing.
+func TestInvalidHandlePanics(t *testing.T) {
 	k := sim.NewKernel()
-	r, _ := New(k, Config{Nodes: 2, Direction: Clockwise})
-	r.Node(0).TrySend(1, 9, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unbound port")
+	r, _ := New(k, Config{Nodes: 3, Direction: Clockwise})
+	s, _ := NewSlotted(k, SlottedConfig{Nodes: 3})
+	for _, tr := range []Transport{r, s} {
+		h := tr.Node(1).Bind(func(Message) {})
+		if h == 0 {
+			t.Fatalf("%T issued the zero Handle", tr)
 		}
-	}()
+		for _, bad := range []Handle{0, h + 1, -1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%T: TrySend(%d) did not panic", tr, bad)
+					}
+				}()
+				tr.Node(0).TrySend(bad, 0)
+			}()
+		}
+	}
 	k.RunAll()
-}
-
-func TestDoubleBindPanics(t *testing.T) {
-	k := sim.NewKernel()
-	r, _ := New(k, Config{Nodes: 2, Direction: Clockwise})
-	r.Node(0).Bind(1, func(Message) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for double bind")
-		}
-	}()
-	r.Node(0).Bind(1, func(Message) {})
+	if r.Words != 0 || s.Delivered != 0 {
+		t.Errorf("invalid handles carried %d and %d words", r.Words, s.Delivered)
+	}
 }
 
 func TestDualRingDirections(t *testing.T) {
@@ -156,8 +160,8 @@ func TestDualRingDirections(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	k := sim.NewKernel()
 	r, _ := New(k, Config{Nodes: 4, HopLatency: 2, Direction: Clockwise})
-	r.Node(3).Bind(0, func(Message) {})
-	r.Node(0).TrySend(3, 0, 0)
+	h := r.Node(3).Bind(func(Message) {})
+	r.Node(0).TrySend(h, 0)
 	k.RunAll()
 	if r.Words != 1 {
 		t.Errorf("words = %d", r.Words)
@@ -175,17 +179,17 @@ func TestUncontendedWordOneEvent(t *testing.T) {
 	k := sim.NewKernel()
 	r, _ := New(k, Config{Nodes: 3, HopLatency: 2, InjectionDepth: 1})
 	var at []sim.Time
-	r.Node(2).Bind(0, func(Message) { at = append(at, k.Now()) })
+	h := r.Node(2).Bind(func(Message) { at = append(at, k.Now()) })
 	n := r.Node(0)
 	k.Schedule(4, func() {
 		// Scheduled before the send below, so it fires ahead of the step's
 		// place: the word still holds the only slot.
 		k.Schedule(0, func() {
-			if n.Free() != 0 || n.TrySend(2, 0, 2) {
+			if n.Free() != 0 || n.TrySend(h, 2) {
 				t.Error("same-cycle sender ahead of the step saw a free slot")
 			}
 		})
-		if !n.TrySend(2, 0, 1) {
+		if !n.TrySend(h, 1) {
 			t.Error("uncontended send refused")
 		}
 		// Scheduled after the send: fires after the step's place.
@@ -207,8 +211,8 @@ func TestUncontendedWordOneEvent(t *testing.T) {
 
 	k2 := sim.NewKernel()
 	r2, _ := New(k2, Config{Nodes: 3, InjectionDepth: 1})
-	r2.Node(1).Bind(0, func(Message) {})
-	r2.Node(0).TrySend(1, 0, 1)
+	h2 := r2.Node(1).Bind(func(Message) {})
+	r2.Node(0).TrySend(h2, 1)
 	k2.RunAll()
 	if k2.Processed != 1 {
 		t.Errorf("an unobserved uncontended word fired %d events, want 1 (its delivery)", k2.Processed)

@@ -43,6 +43,7 @@ type Slotted struct {
 	payload  []Message
 
 	running bool
+	binds   bindings
 
 	// Delivered counts words; MaxWait tracks the worst injection wait.
 	Delivered uint64
@@ -54,7 +55,6 @@ type SlottedNode struct {
 	r     *Slotted
 	idx   int
 	inj   []slottedMsg
-	ports map[int]func(Message)
 	space []*sim.Waker
 }
 
@@ -80,7 +80,7 @@ func NewSlotted(k *sim.Kernel, cfg SlottedConfig) (*Slotted, error) {
 	r.cfg.InjectionDepth = cfg.InjectionDepth
 	r.cfg.Direction = cfg.Direction
 	for i := 0; i < cfg.Nodes; i++ {
-		r.nodes = append(r.nodes, &SlottedNode{r: r, idx: i, ports: map[int]func(Message){}})
+		r.nodes = append(r.nodes, &SlottedNode{r: r, idx: i})
 	}
 	return r, nil
 }
@@ -94,13 +94,8 @@ func (r *Slotted) Nodes() int { return r.cfg.Nodes }
 // DeliveredWords counts carried words (Transport interface).
 func (r *Slotted) DeliveredWords() uint64 { return r.Delivered }
 
-// Bind registers a delivery handler.
-func (n *SlottedNode) Bind(port int, fn func(Message)) {
-	if _, dup := n.ports[port]; dup {
-		panic(fmt.Sprintf("ring: slotted node %d port %d bound twice", n.idx, port))
-	}
-	n.ports[port] = fn
-}
+// Bind registers a delivery handler on this node and returns its handle.
+func (n *SlottedNode) Bind(fn func(Message)) Handle { return n.r.binds.add(n.idx, fn) }
 
 // SubscribeSpace wakes w when injection space frees.
 func (n *SlottedNode) SubscribeSpace(w *sim.Waker) { n.space = append(n.space, w) }
@@ -108,8 +103,9 @@ func (n *SlottedNode) SubscribeSpace(w *sim.Waker) { n.space = append(n.space, w
 // Free reports available injection-buffer slots.
 func (n *SlottedNode) Free() int { return n.r.cfg.InjectionDepth - len(n.inj) }
 
-// TrySend queues a word for injection; false when the buffer is full.
-func (n *SlottedNode) TrySend(dst, port int, w sim.Word) bool {
+// TrySend queues a word for the binding h; false when the buffer is full.
+func (n *SlottedNode) TrySend(h Handle, w sim.Word) bool {
+	dst := n.r.binds[h-1].dst
 	if dst == n.idx {
 		panic("ring: slotted self-send")
 	}
@@ -117,7 +113,7 @@ func (n *SlottedNode) TrySend(dst, port int, w sim.Word) bool {
 		return false
 	}
 	n.inj = append(n.inj, slottedMsg{
-		m:      Message{Src: n.idx, Dst: dst, Port: port, W: w},
+		m:      Message{Src: n.idx, Dst: dst, H: h, W: w},
 		queued: n.r.k.Now(),
 	})
 	n.r.start()
@@ -185,14 +181,10 @@ func (r *Slotted) step() {
 			m := r.payload[i]
 			r.occupied[i] = false
 			r.Delivered++
-			h, ok := r.nodes[i].ports[m.Port]
-			if !ok {
-				panic(fmt.Sprintf("ring: slotted node %d has no port %d", i, m.Port))
-			}
+			h := r.binds[m.H-1].fn
 			// Deliver as a zero-delay event to keep handler re-entrancy out
 			// of the rotation loop.
-			mm := m
-			r.k.Schedule(0, func() { h(mm) })
+			r.k.Schedule(0, func() { h(m) })
 		}
 		// Inject: node i grabs its passing slot when free.
 		if !r.occupied[i] && len(r.nodes[i].inj) > 0 {

@@ -21,11 +21,11 @@ func TestSlottedDelivery(t *testing.T) {
 	}
 	var got []sim.Word
 	var at []sim.Time
-	r.Node(2).Bind(1, func(m Message) {
+	h := r.Node(2).Bind(func(m Message) {
 		got = append(got, m.W)
 		at = append(at, k.Now())
 	})
-	if !r.Node(0).TrySend(2, 1, 42) {
+	if !r.Node(0).TrySend(h, 42) {
 		t.Fatal("send rejected")
 	}
 	k.RunAll()
@@ -43,9 +43,9 @@ func TestSlottedInOrderPerPair(t *testing.T) {
 	k := sim.NewKernel()
 	r, _ := NewSlotted(k, SlottedConfig{Nodes: 5, InjectionDepth: 16})
 	var got []sim.Word
-	r.Node(3).Bind(0, func(m Message) { got = append(got, m.W) })
+	h := r.Node(3).Bind(func(m Message) { got = append(got, m.W) })
 	for i := 0; i < 10; i++ {
-		for !r.Node(1).TrySend(3, 0, sim.Word(i)) {
+		for !r.Node(1).TrySend(h, sim.Word(i)) {
 			k.RunAll()
 		}
 	}
@@ -66,8 +66,9 @@ func TestSlottedInjectionWaitBounded(t *testing.T) {
 	k := sim.NewKernel()
 	const nodes = 6
 	r, _ := NewSlotted(k, SlottedConfig{Nodes: nodes, InjectionDepth: 2})
+	var hs [nodes]Handle
 	for i := 0; i < nodes; i++ {
-		r.Node(i).Bind(0, func(Message) {})
+		hs[i] = r.Node(i).Bind(func(Message) {})
 	}
 	// All nodes flood their successor+2.
 	sent := make([]int, nodes)
@@ -76,7 +77,7 @@ func TestSlottedInjectionWaitBounded(t *testing.T) {
 	pump = func() {
 		progress := false
 		for i := 0; i < nodes; i++ {
-			if sent[i] < perNode && r.Node(i).TrySend((i+2)%nodes, 0, sim.Word(sent[i])) {
+			if sent[i] < perNode && r.Node(i).TrySend(hs[(i+2)%nodes], sim.Word(sent[i])) {
 				sent[i]++
 				progress = true
 			}
@@ -111,13 +112,13 @@ func TestSlottedParksWhenIdle(t *testing.T) {
 	k := sim.NewKernel()
 	r, _ := NewSlotted(k, SlottedConfig{Nodes: 3})
 	n := 0
-	r.Node(1).Bind(0, func(Message) { n++ })
-	r.Node(0).TrySend(1, 0, 1)
+	h := r.Node(1).Bind(func(Message) { n++ })
+	r.Node(0).TrySend(h, 1)
 	k.RunAll() // must terminate: ring parks after drain
 	if n != 1 {
 		t.Fatalf("delivered %d", n)
 	}
-	r.Node(0).TrySend(1, 0, 2)
+	r.Node(0).TrySend(h, 2)
 	k.RunAll()
 	if n != 2 {
 		t.Fatalf("restart failed: %d", n)
@@ -135,21 +136,16 @@ func TestSlottedMatchesAbstraction(t *testing.T) {
 		k := sim.NewKernel()
 		var times []sim.Time
 		record := func(Message) { times = append(times, k.Now()) }
+		var tr Transport
 		if useSlotted {
-			r, _ := NewSlotted(k, SlottedConfig{Nodes: nodes, InjectionDepth: 64})
-			r.Node(3).Bind(0, record)
-			for i := 0; i < words; i++ {
-				if !r.Node(0).TrySend(3, 0, sim.Word(i)) {
-					t.Fatal("send rejected")
-				}
-			}
+			tr, _ = NewSlotted(k, SlottedConfig{Nodes: nodes, InjectionDepth: 64})
 		} else {
-			r, _ := New(k, Config{Nodes: nodes, HopLatency: 1, Direction: Clockwise, InjectionDepth: 64})
-			r.Node(3).Bind(0, record)
-			for i := 0; i < words; i++ {
-				if !r.Node(0).TrySend(3, 0, sim.Word(i)) {
-					t.Fatal("send rejected")
-				}
+			tr, _ = New(k, Config{Nodes: nodes, HopLatency: 1, Direction: Clockwise, InjectionDepth: 64})
+		}
+		h := tr.Node(3).Bind(record)
+		for i := 0; i < words; i++ {
+			if !tr.Node(0).TrySend(h, sim.Word(i)) {
+				t.Fatal("send rejected")
 			}
 		}
 		k.RunAll()
@@ -199,10 +195,10 @@ func TestTransportInterfaceSurface(t *testing.T) {
 		}
 	}
 	// Carry one word on each and recheck the counters.
-	r.Node(1).Bind(0, func(Message) {})
-	s.Node(1).Bind(0, func(Message) {})
-	r.Node(0).TrySend(1, 0, 1)
-	s.Node(0).TrySend(1, 0, 1)
+	rh := r.Node(1).Bind(func(Message) {})
+	sh := s.Node(1).Bind(func(Message) {})
+	r.Node(0).TrySend(rh, 1)
+	s.Node(0).TrySend(sh, 1)
 	k.RunAll()
 	if r.DeliveredWords() != 1 || s.DeliveredWords() != 1 {
 		t.Errorf("delivered = %d / %d", r.DeliveredWords(), s.DeliveredWords())
@@ -217,10 +213,10 @@ func TestNewDualSlottedCreditDirection(t *testing.T) {
 	}
 	// Credits travel counter-clockwise: a 1-position-back hop is fast.
 	var dataAt, creditAt sim.Time
-	d.Data.Node(1).Bind(0, func(Message) { dataAt = k.Now() })
-	d.Credit.Node(0).Bind(0, func(Message) { creditAt = k.Now() })
-	d.Data.Node(0).TrySend(1, 0, 1)   // 1 hop clockwise
-	d.Credit.Node(1).TrySend(0, 0, 1) // 1 hop counter-clockwise
+	dh := d.Data.Node(1).Bind(func(Message) { dataAt = k.Now() })
+	ch := d.Credit.Node(0).Bind(func(Message) { creditAt = k.Now() })
+	d.Data.Node(0).TrySend(dh, 1)   // 1 hop clockwise
+	d.Credit.Node(1).TrySend(ch, 1) // 1 hop counter-clockwise
 	k.RunAll()
 	if dataAt == 0 || creditAt == 0 {
 		t.Fatalf("deliveries missing: data %d credit %d", dataAt, creditAt)
@@ -230,9 +226,7 @@ func TestNewDualSlottedCreditDirection(t *testing.T) {
 	}
 	subWakes := 0
 	d.Data.Node(2).SubscribeSpace(sim.NewWaker(k, func() { subWakes++ }))
-	d.Data.Node(2).TrySend(3, 9, 0)
-	// Unbound port panics on delivery: bind first for a clean run.
-	d.Data.Node(3).Bind(9, func(Message) {})
+	d.Data.Node(2).TrySend(d.Data.Node(3).Bind(func(Message) {}), 0)
 	k.RunAll()
 	if subWakes == 0 {
 		t.Error("no space wake after injection drained")

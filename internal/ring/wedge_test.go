@@ -13,15 +13,15 @@ func TestWedgeNodeRefusesAndDefersInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var arrivals []sim.Time
-	r.Node(2).Bind(3, func(m Message) { arrivals = append(arrivals, k.Now()) })
+	h := r.Node(2).Bind(func(m Message) { arrivals = append(arrivals, k.Now()) })
 
 	// Two messages: the first departs immediately, the second waits one slot
 	// period in the injection buffer.
-	if !r.Node(0).TrySend(2, 3, 1) || !r.Node(0).TrySend(2, 3, 2) {
+	if !r.Node(0).TrySend(h, 1) || !r.Node(0).TrySend(h, 2) {
 		t.Fatal("sends refused")
 	}
 	r.WedgeNode(0, 100)
-	if r.Node(0).TrySend(2, 3, 3) {
+	if r.Node(0).TrySend(h, 3) {
 		t.Fatal("wedged node accepted a send")
 	}
 	if r.nodes[0].WedgeRejects != 1 {
@@ -38,7 +38,7 @@ func TestWedgeNodeRefusesAndDefersInjection(t *testing.T) {
 		t.Errorf("deliveries at t=%v, want both >= 100 (frozen during wedge)", arrivals)
 	}
 	// Post-wedge traffic flows normally.
-	if !r.Node(0).TrySend(2, 3, 4) {
+	if !r.Node(0).TrySend(h, 4) {
 		t.Fatal("send refused after wedge lifted")
 	}
 	k.RunAll()
@@ -53,8 +53,9 @@ func TestWedgeNodePermanent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := r.Node(1).Bind(func(Message) {})
 	r.WedgeNode(0, 0)
-	if r.Node(0).TrySend(1, 1, 7) {
+	if r.Node(0).TrySend(h, 7) {
 		t.Fatal("permanently wedged node accepted a send")
 	}
 	k.RunAll() // must terminate: no wake event for a permanent wedge
@@ -66,7 +67,6 @@ func TestWedgeNodeWakesSpaceSubscribers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Node(1).Bind(1, func(Message) {})
 	woken := 0
 	r.Node(0).SubscribeSpace(sim.NewWaker(k, func() { woken++ }))
 	r.WedgeNode(0, 20)

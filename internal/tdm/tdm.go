@@ -8,8 +8,8 @@
 // crossbar area grows with the square of the port count, which is exactly
 // the argument for the paper's dual ring.
 //
-// The package exposes the same TrySend/Bind surface as internal/ring so the
-// two interconnects can be compared under identical traffic.
+// Words are addressed by (destination node, port); the ring-vs-crossbar
+// experiment drives this crossbar and internal/ring with identical traffic.
 package tdm
 
 import (
