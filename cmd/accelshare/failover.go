@@ -72,9 +72,9 @@ type failoverScenario struct {
 	doctor *fault.DoctorConfig
 	// manualAt, when positive, triggers an operator-initiated failover.
 	manualAt sim.Time
-	// resolve re-runs Algorithm 1 for the migrated set; standbyCost is the
-	// standby accelerator's per-sample cost (default 1 = identical chain).
-	resolve     bool
+	// standbyCost is the standby accelerator's per-sample cost (default 1 =
+	// identical chain); a different cost makes the failover re-solve
+	// Algorithm 1 for the migrated set.
 	standbyCost uint64
 	// ckpt enables checkpointed recovery (interval in input samples) on
 	// both chains: the migrated residue shrinks to ≤ ckpt words and the
@@ -139,7 +139,6 @@ func failoverScenarios(override *fault.Plan) []failoverScenario {
 			name:        "operator migration to slower standby",
 			plan:        &fault.Plan{},
 			manualAt:    20_000,
-			resolve:     true,
 			standbyCost: 20,
 		},
 		{
@@ -212,21 +211,11 @@ func failoverPlatform(sc failoverScenario) (*mpsoc.MultiSystem, *mpsoc.FailoverC
 	if err != nil {
 		return nil, nil, err
 	}
-	fcfg := mpsoc.FailoverConfig{
+	fc, err := mpsoc.NewFailover(ms, mpsoc.FailoverConfig{
 		Primary: 0, Standby: 1,
-		Model:          failoverModel(),
-		PerSlotCost:    10,
-		Resolve:        sc.resolve,
-		Checkpoint:     sc.ckpt,
-		CheckpointCost: sc.ckptCost,
-	}
-	if standbyCost != 1 {
-		fcfg.StandbyChain = &core.Chain{
-			Name: "standby", AccelCosts: []uint64{standbyCost},
-			EntryCost: 15, ExitCost: 1, NICapacity: 2,
-		}
-	}
-	fc, err := mpsoc.NewFailover(ms, fcfg)
+		Model:       failoverModel(),
+		PerSlotCost: 10,
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -297,11 +286,9 @@ func failoverCampaign(w io.Writer, horizon sim.Time, override *fault.Plan) error
 			fmt.Fprintf(w, "failover: reason=%q triggered=%d resumed=%d\n", rec.Reason, rec.TriggeredAt, rec.ResumedAt)
 			fmt.Fprintf(w, "  settle=%d bus=%d measured=%d bound=%d within-bound=%v replay=%d words\n",
 				rec.SettleCycles, rec.BusCycles, rec.MeasuredCycles, rec.BoundCycles, within, rec.ReplayWords)
-			if sc.resolve {
-				detail := "kept outgoing sizes"
-				if rec.Resolved {
-					detail = "re-solved for the standby chain"
-				} else if rec.ResolveErr != "" {
+			if rec.Resolved || rec.ResolveErr != "" {
+				detail := "re-solved for the standby chain"
+				if !rec.Resolved {
 					detail = "kept outgoing sizes (" + rec.ResolveErr + ")"
 				}
 				fmt.Fprintf(w, "  re-solve: %s → blocks", detail)
@@ -342,8 +329,7 @@ func failoverCampaign(w io.Writer, horizon sim.Time, override *fault.Plan) error
 		// blocks exempt), γ̂ per block, μs long-run, for the live streams
 		// against the ACTIVE chain's parameters and block sizes.
 		model := failoverModel()
-		model.Chain.Name = active.Spec.Name
-		model.Chain.AccelCosts = []uint64{uint64(active.Spec.Accels[0].Cost)}
+		model.Chain = active.Timing()
 		var bounds []conformance.StreamBounds
 		var streams []*gateway.Stream
 		for i, snap := range snaps {

@@ -1,8 +1,9 @@
 package main
 
 // Golden-file harness shared by every campaign command whose output is an
-// acceptance artifact (faults, admit, failover, chaos). Each campaign must
-// be byte-identical run-to-run AND byte-identical to the checked-in golden.
+// acceptance artifact (faults, admit, failover, chaos, serve). Each campaign
+// must be byte-identical run-to-run AND byte-identical to the checked-in
+// golden.
 // After verifying a behavioural change that legitimately moves the output,
 // regenerate every golden with
 //

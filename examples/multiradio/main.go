@@ -129,6 +129,7 @@ func main() {
 
 	rep := sys.Report()
 	fmt.Println("\nsimulated hardware:")
+	violated := false
 	for i, sr := range rep.PerStream {
 		gamma, err := model.GammaHat(i)
 		if err != nil {
@@ -137,6 +138,7 @@ func main() {
 		status := "isolated (within γ̂)"
 		if sr.MaxTurnaround > gamma {
 			status = "INTERFERENCE BOUND VIOLATED"
+			violated = true
 		}
 		fmt.Printf("  %-7s %3d blocks, %6d samples out, %d drops, worst turnaround %d vs γ̂ %d — %s\n",
 			sr.Name, sr.Blocks, sr.SamplesOut, sr.Overflows, sr.MaxTurnaround, gamma, status)
@@ -155,6 +157,9 @@ func main() {
 			is = append(is, v)
 		}
 		fmt.Printf("  %-7s channelised output RMS %.0f over %d samples\n", name, pal.RMS(is), len(is))
+	}
+	if violated {
+		log.Fatal("a stream's worst turnaround exceeded its γ̂")
 	}
 	fmt.Println("\nsharing one accelerator set between two concurrent applications kept both")
 	fmt.Println("within their real-time bounds — the cross-application case of §I.")

@@ -30,11 +30,12 @@
 // The transition cost is itself bounded — the drain waits at most one
 // in-flight block turnaround max τ̂s plus the bus transaction — and both
 // the bound and the measured cost are recorded in the decision's Verdict.
-// On a checkpointing chain (Config.Checkpoint = K) that in-flight block
-// additionally pays the interior quiesce/save overhead, so the guard uses
-// the adjusted Eq. 2 term τ̂s(K) = Rs + (ηs + 2·⌈ηs/K⌉)·c0 +
-// (⌈ηs/K⌉−1)·Csave (core.TauHatCheckpointed) — leaving Checkpoint zero on
-// such a chain would under-estimate the drain bound.
+// On a checkpointing chain (its gateway.Recovery sets Checkpoint = K) that
+// in-flight block additionally pays the interior quiesce/save overhead, so
+// the guard uses the adjusted Eq. 2 term τ̂s(K) = Rs + (ηs + 2·⌈ηs/K⌉)·c0 +
+// (⌈ηs/K⌉−1)·Csave (core.TauHatCheckpointed), with K and Csave read from
+// the controlled chain. Each stream's block granularity is its decimation
+// (mpsoc.StreamSpec.Decimation), read from the chain too.
 //
 // Readmission of a quarantined stream is probational: the stream re-enters
 // arbitration with a canary block; one clean completion clears probation,
@@ -175,16 +176,11 @@ type Config struct {
 	// gateway-slot order; its Block fields must match the running
 	// configuration. The controller owns the model from here on.
 	Model *core.System
-	// Decimations holds each admitted stream's decimation factor (block
-	// granularity); nil means all 1.
-	Decimations []int64
 	// PerSlotCost is the configuration-bus cost per reprogrammed slot.
 	PerSlotCost sim.Time
-	// WarmRounds bounds the exact fixed-point iteration (0 = 10k).
-	WarmRounds int
 	// Solver is the Algorithm 1 decision procedure (nil = the production
-	// stack solve.Default(0, WarmRounds): the warm-start layer over the
-	// exact least fixed point).
+	// stack solve.Default(0, 0): the warm-start layer over the exact least
+	// fixed point).
 	// The controller passes its committed assignment as Problem.Prev on
 	// every re-solve, so warm-start soundness (additions reuse, removals
 	// restart cold) is the solver stack's responsibility.
@@ -193,18 +189,6 @@ type Config struct {
 	// from a script (Play); direct AddStream callers supply engines in the
 	// request spec instead.
 	Engines func(name string) []accel.Engine
-	// Checkpoint and CheckpointCost mirror the controlled chain's
-	// gateway.Recovery.Checkpoint / CheckpointCost. When Checkpoint > 0 the
-	// re-solve guard's transition envelope uses the adjusted Eq. 2 term
-	// τ̂s(K) (core.TauHatCheckpointed): a pause can still only wait for one
-	// in-flight block, but that block now pays its interior checkpoint
-	// quiesces and snapshot transfers — the residue a retry replays shrinks
-	// to K, while the clean-block envelope the guard charges grows by the
-	// checkpoint overhead. Leaving these zero on a checkpointed chain makes
-	// the guard optimistic: a transition overlapping a checkpoint could
-	// measure above its bound.
-	Checkpoint     int64
-	CheckpointCost sim.Time
 }
 
 // Controller is the admission control plane for one chain.
@@ -280,7 +264,7 @@ type canaryProbe struct {
 
 // New attaches a controller to one chain of a running platform. The model
 // must list the chain's current streams in slot order with their running
-// block sizes.
+// block sizes; each stream's decimation comes from the chain.
 func New(ms *mpsoc.MultiSystem, cfg Config) (*Controller, error) {
 	if cfg.Chain < 0 || cfg.Chain >= len(ms.Chains) {
 		return nil, fmt.Errorf("admission: chain %d out of range", cfg.Chain)
@@ -293,16 +277,6 @@ func New(ms *mpsoc.MultiSystem, cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("admission: model has %d streams, chain has %d",
 			len(cfg.Model.Streams), len(ch.Strs))
 	}
-	decim := cfg.Decimations
-	if decim == nil {
-		decim = make([]int64, len(ch.Strs))
-		for i := range decim {
-			decim[i] = 1
-		}
-	}
-	if len(decim) != len(ch.Strs) {
-		return nil, fmt.Errorf("admission: %d decimations for %d streams", len(decim), len(ch.Strs))
-	}
 	for i := range cfg.Model.Streams {
 		if cfg.Model.Streams[i].Block != ch.Strs[i].GW.Block {
 			return nil, fmt.Errorf("admission: model stream %q block %d != running %d",
@@ -311,17 +285,17 @@ func New(ms *mpsoc.MultiSystem, cfg Config) (*Controller, error) {
 	}
 	solver := cfg.Solver
 	if solver == nil {
-		solver = solve.Default(0, cfg.WarmRounds)
+		solver = solve.Default(0, 0)
 	}
 	c := &Controller{
 		ms: ms, ci: cfg.Chain, cfg: cfg, solver: solver,
 		model:  cfg.Model,
 		load:   cfg.Model.Load(),
-		decim:  append([]int64(nil), decim...),
 		parked: map[string]*parkedStream{},
 	}
-	for i := range cfg.Model.Streams {
+	for i, st := range ch.Strs {
 		c.gwSlot = append(c.gwSlot, i)
+		c.decim = append(c.decim, st.Spec.Decimation)
 	}
 	ch.Pair.SetQuarantineObserver(c.onQuarantine)
 	ch.Pair.SetCanaryHook(c.onCanary)
@@ -509,13 +483,18 @@ func checkBuffers(model *core.System, decim []int64, caps [][2]int) (string, err
 }
 
 // MaxTau is the live model's largest τ̂s — the checkpoint-adjusted τ̂s(K)
-// when the chain checkpoints, since a block in flight also pays its
-// interior quiesces. A pause waits for at most one such block, and the
-// fleet clamps a migration's settle to it.
+// when the controlled chain checkpoints (its recovery enabled with
+// Checkpoint = K), since a block in flight also pays its interior quiesces.
+// A pause waits for at most one such block, and the fleet clamps a
+// migration's settle to it.
 func (c *Controller) MaxTau() uint64 {
+	rec := c.chain().Spec.Recovery
+	if !rec.Enabled {
+		rec.Checkpoint = 0
+	}
 	var maxTau uint64
 	for i := range c.model.Streams {
-		if t, err := c.model.TauHatCheckpointed(i, c.cfg.Checkpoint, uint64(c.cfg.CheckpointCost)); err == nil && t > maxTau {
+		if t, err := c.model.TauHatCheckpointed(i, rec.Checkpoint, uint64(rec.CheckpointCost)); err == nil && t > maxTau {
 			maxTau = t
 		}
 	}
@@ -1051,12 +1030,12 @@ func (*rollback) undo(*Controller) string { return "" }
 // migrated its streams there. Slots are re-mapped BY NAME against the new
 // pair's table (failover preserves order, but the controller should not
 // depend on that), the model's block sizes refresh from the live table (the
-// failover may have re-solved them), and standbyChain — when the standby's
-// engine set differs — replaces the model's chain parameters. A transition
-// that was pending on the dead pair is aborted: its pause callback died
-// with the pair, so the busy gate is released and the generation bump turns
-// any still-scheduled completion into a no-op.
-func (c *Controller) Retarget(chain int, standbyChain *core.Chain) error {
+// failover re-solves them for a standby of different timing), and the
+// model's chain parameters become the new chain's (mpsoc.Chain.Timing). A
+// transition that was pending on the dead pair is aborted: its pause
+// callback died with the pair, so the busy gate is released and the
+// generation bump turns any still-scheduled completion into a no-op.
+func (c *Controller) Retarget(chain int) error {
 	if chain < 0 || chain >= len(c.ms.Chains) {
 		return fmt.Errorf("admission: retarget chain %d out of range", chain)
 	}
@@ -1103,10 +1082,7 @@ func (c *Controller) Retarget(chain int, standbyChain *core.Chain) error {
 	for _, name := range parkedNames {
 		c.parked[name].slot = slotByName[name]
 	}
-	if standbyChain != nil {
-		c.model.Chain = *standbyChain
-		c.model.Chain.AccelCosts = append([]uint64(nil), standbyChain.AccelCosts...)
-	}
+	c.model.Chain = ch.Timing()
 	c.gwSlot = newSlots
 	c.ci = chain
 	c.pendingCanary = nil // a probe cannot survive its pair

@@ -89,14 +89,14 @@ func buildFailoverBed(t *testing.T) (*bed, *mpsoc.FailoverController) {
 
 func TestRetargetValidation(t *testing.T) {
 	b, _ := buildFailoverBed(t)
-	if err := b.ctrl.Retarget(0, nil); err == nil {
+	if err := b.ctrl.Retarget(0); err == nil {
 		t.Error("retarget onto the current chain accepted")
 	}
-	if err := b.ctrl.Retarget(7, nil); err == nil {
+	if err := b.ctrl.Retarget(7); err == nil {
 		t.Error("retarget out of range accepted")
 	}
 	// The standby carries no streams yet: every admitted slot is unmappable.
-	if err := b.ctrl.Retarget(1, nil); err == nil {
+	if err := b.ctrl.Retarget(1); err == nil {
 		t.Error("retarget onto a chain missing the admitted streams accepted")
 	}
 }
@@ -117,7 +117,7 @@ func TestRetargetAfterFailover(t *testing.T) {
 	if rec.MeasuredCycles > rec.BoundCycles {
 		t.Fatalf("failover cost %d > bound %d", rec.MeasuredCycles, rec.BoundCycles)
 	}
-	if err := b.ctrl.Retarget(1, nil); err != nil {
+	if err := b.ctrl.Retarget(1); err != nil {
 		t.Fatal(err)
 	}
 	if !b.hasEvent(EvRetarget, "demo-b") {
@@ -175,7 +175,7 @@ func TestRetargetReleasesStaleTransition(t *testing.T) {
 	if fc.Record() == nil {
 		t.Fatal("failover never completed")
 	}
-	if err := b.ctrl.Retarget(1, nil); err != nil {
+	if err := b.ctrl.Retarget(1); err != nil {
 		t.Fatalf("retarget after a stale transition: %v", err)
 	}
 	_ = verdict // the interrupted add may or may not have completed; either is fine

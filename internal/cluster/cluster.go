@@ -247,11 +247,9 @@ type streamInfo struct {
 	deferDepart bool
 
 	// moving marks an in-flight rebalance move; moves counts completed
-	// rebalance moves against RebalanceConfig.MoveBudget and movedAt
-	// timestamps the last one (RebalanceConfig.Cooldown).
-	moving  bool
-	moves   int
-	movedAt sim.Time
+	// rebalance moves against RebalanceConfig.MoveBudget.
+	moving bool
+	moves  int
 
 	export    gateway.StreamExport
 	hasExport bool
@@ -339,8 +337,17 @@ func New(cfg Config) (*Controller, error) {
 		if cs.Spare {
 			ms.Standby = true
 		} else {
+			// The platform is not built yet, so the resident's model spells
+			// out the chain it will have (mpsoc.Chain.Timing).
 			rname := "r-" + cs.Name
-			model := &core.System{Chain: c.coreChain(cs), ClockHz: 1, Streams: []core.Stream{{
+			chain := core.Chain{
+				Name:       cs.Name,
+				AccelCosts: []uint64{uint64(cs.AccelCost)},
+				EntryCost:  uint64(cfg.EntryCost),
+				ExitCost:   uint64(cfg.ExitCost),
+				NICapacity: 2,
+			}
+			model := &core.System{Chain: chain, ClockHz: 1, Streams: []core.Stream{{
 				Name:     rname,
 				Rate:     big.NewRat(1, cfg.ResidentPeriod),
 				Reconfig: uint64(cfg.Reconfig),
@@ -387,12 +394,10 @@ func New(cfg Config) (*Controller, error) {
 		}
 		ci.state = chainServing
 		ctrl, err := admission.New(plat, admission.Config{
-			Chain:          pos,
-			Model:          models[pos],
-			PerSlotCost:    cfg.PerSlotCost,
-			Solver:         cfg.Solver,
-			Checkpoint:     cfg.Recovery.Checkpoint,
-			CheckpointCost: cfg.Recovery.CheckpointCost,
+			Chain:       pos,
+			Model:       models[pos],
+			PerSlotCost: cfg.PerSlotCost,
+			Solver:      cfg.Solver,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: chain %q: %w", cs.Name, err)
@@ -411,16 +416,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c.scheduleRebalance()
 	return c, nil
-}
-
-func (c *Controller) coreChain(cs ChainSpec) core.Chain {
-	return core.Chain{
-		Name:       cs.Name,
-		AccelCosts: []uint64{uint64(cs.AccelCost)},
-		EntryCost:  uint64(c.cfg.EntryCost),
-		ExitCost:   uint64(c.cfg.ExitCost),
-		NICapacity: 2,
-	}
 }
 
 // System exposes the underlying platform (conformance, reports).
@@ -685,13 +680,11 @@ func (c *Controller) pickSpare() *chainInfo {
 // failover is rung 1: migrate the whole chain to a standby pair.
 func (c *Controller) failover(ci, sp *chainInfo, reason string) {
 	fc, err := mpsoc.NewFailover(c.ms, mpsoc.FailoverConfig{
-		Primary:        ci.idx,
-		Standby:        sp.idx,
-		Model:          ci.ctrl.Model(),
-		PerSlotCost:    c.cfg.PerSlotCost,
-		Checkpoint:     c.cfg.Recovery.Checkpoint,
-		CheckpointCost: c.cfg.Recovery.CheckpointCost,
-		OnComplete:     func(rec mpsoc.Record) { c.onFailoverDone(ci, sp, rec) },
+		Primary:     ci.idx,
+		Standby:     sp.idx,
+		Model:       ci.ctrl.Model(),
+		PerSlotCost: c.cfg.PerSlotCost,
+		OnComplete:  func(rec mpsoc.Record) { c.onFailoverDone(ci, sp, rec) },
 	})
 	if err == nil {
 		err = fc.Trigger(reason)
@@ -709,12 +702,7 @@ func (c *Controller) failover(ci, sp *chainInfo, reason string) {
 }
 
 func (c *Controller) onFailoverDone(ci, sp *chainInfo, rec mpsoc.Record) {
-	var stdChain *core.Chain
-	if sp.spec.AccelCost != ci.spec.AccelCost {
-		std := c.coreChain(sp.spec)
-		stdChain = &std
-	}
-	if err := ci.ctrl.Retarget(sp.idx, stdChain); err != nil {
+	if err := ci.ctrl.Retarget(sp.idx); err != nil {
 		// Leaves the fleet without a controller for these streams; record
 		// loudly rather than guessing.
 		c.event(EvFailover, sp.name, "", fmt.Sprintf("retarget failed: %v", err))
@@ -931,14 +919,12 @@ func (c *Controller) onHeal(ci *chainInfo) {
 		c.event(EvHeal, ci.name, "", "online as spare")
 		return
 	}
-	model := &core.System{Chain: c.coreChain(ci.spec), ClockHz: 1}
+	model := &core.System{Chain: c.ms.Chains[ci.idx].Timing(), ClockHz: 1}
 	ctrl, err := admission.New(c.ms, admission.Config{
-		Chain:          ci.idx,
-		Model:          model,
-		PerSlotCost:    c.cfg.PerSlotCost,
-		Solver:         c.cfg.Solver,
-		Checkpoint:     c.cfg.Recovery.Checkpoint,
-		CheckpointCost: c.cfg.Recovery.CheckpointCost,
+		Chain:       ci.idx,
+		Model:       model,
+		PerSlotCost: c.cfg.PerSlotCost,
+		Solver:      c.cfg.Solver,
 	})
 	if err != nil {
 		ci.state = chainSpare

@@ -8,6 +8,7 @@ import (
 	"accelshare/internal/fault"
 	"accelshare/internal/gateway"
 	"accelshare/internal/sim"
+	"accelshare/internal/solve"
 )
 
 // testConfig is the shared fleet fixture: ε=15, δ=1, Rs=50, checkpointed
@@ -187,6 +188,54 @@ func TestFailoverRung(t *testing.T) {
 		}
 	}
 	checkConformance(t, c, 60_000)
+}
+
+// TestFailoverOntoSlowerSpare: the spare's accelerator is 30 times slower
+// than the wedged chain's, so the outgoing blocks violate Eq. 6 there. The
+// failover must re-solve Algorithm 1 against the spare's own timing and the
+// retargeted admission model must carry the spare's chain: no stream drops
+// a sample, outputs stay contiguous, and the spare conforms.
+func TestFailoverOntoSlowerSpare(t *testing.T) {
+	wedge := &fault.Plan{Faults: []fault.Fault{{Kind: fault.WedgeLink, Site: 0, At: 20_000}}}
+	c := mustCluster(t, testConfig([]ChainSpec{
+		{Name: "c0", AccelCost: 1, ReserveSlots: 4, Faults: wedge},
+		{Name: "sp", AccelCost: 30, ReserveSlots: 4, Spare: true},
+	}))
+	submitAt(c, 1_000, StreamRequest{Name: "s0", Period: 150})
+	submitAt(c, 5_000, StreamRequest{Name: "s1", Period: 300})
+	c.Run(120_000)
+
+	if n := len(ladderOf(c, "failover")); n != 3 { // resident + s0 + s1
+		t.Fatalf("failover steps = %d, want 3:\n%s", n, renderEvents(c))
+	}
+	sp := c.chains[1]
+	if sp.state != chainServing || sp.ctrl == nil {
+		t.Fatalf("spare state %s after the failover:\n%s", sp.state, renderEvents(c))
+	}
+	model := sp.ctrl.Model()
+	if got := model.Chain.AccelCosts; len(got) != 1 || got[0] != 30 {
+		t.Fatalf("spare's admission model has accelerator costs %v, want [30]", got)
+	}
+	blocks := make([]int64, len(model.Streams))
+	for i := range model.Streams {
+		blocks[i] = model.Streams[i].Block
+	}
+	if v := solve.Verify(model, nil, blocks); !v.Feasible {
+		t.Errorf("blocks %v infeasible on the spare: %s", blocks, v.Detail)
+	}
+	for _, name := range []string{"r-c0", "s0", "s1"} {
+		ss := statusOf(c, name)
+		if ss.State != "live" || ss.Chain != "sp" {
+			t.Errorf("%s: state=%s chain=%s, want live on sp", name, ss.State, ss.Chain)
+		}
+		if ss.Overflow != 0 {
+			t.Errorf("%s: %d samples dropped", name, ss.Overflow)
+		}
+		if !ss.ContiguousOutputs {
+			t.Errorf("%s: outputs not contiguous across the migration", name)
+		}
+	}
+	checkConformance(t, c, 80_000)
 }
 
 // TestEvacuateRung: no spare — the wedged chain's streams are exported and

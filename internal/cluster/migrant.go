@@ -108,14 +108,11 @@ func (c *Controller) retry(si *streamInfo, attempt int, why string, again func(n
 }
 
 // settle is the interconnect settle before a migrant is exported: the
-// recovery flush delay (the drain timeout when unset), clamped to the
-// source model's max τ̂s(K) — one worst-case block attempt bounds what is
-// in flight — and at least one cycle.
+// chains' flush settle, their drain timeout, clamped to the source model's
+// max τ̂s(K) — one worst-case block attempt bounds what is in flight — and
+// at least one cycle.
 func (c *Controller) settle(maxTau uint64) sim.Time {
-	settle := c.cfg.Recovery.FlushDelay
-	if settle == 0 {
-		settle = c.cfg.DrainTimeout
-	}
+	settle := c.cfg.DrainTimeout
 	if maxTau > 0 && settle > sim.Time(maxTau) {
 		settle = sim.Time(maxTau)
 	}
@@ -192,7 +189,6 @@ func (c *Controller) migrated(m *migrant, tc *chainInfo, v admission.Verdict) {
 		// RemoveStream stopped the victim's source on the old chain.
 		si.moving, si.shed, si.hasExport = false, false, false
 		si.moves++
-		si.movedAt = c.k.Now()
 		c.ms.StartSource(si.st)
 	}
 	leg.bound += v.BoundCycles

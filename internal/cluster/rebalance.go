@@ -13,9 +13,10 @@ package cluster
 // registry) and compares the utilisation spread (max − min over serving
 // chains) against a high-water mark. Above it, solve.PlanRebalance picks
 // victims smallest-residue-first (replay stays ≤ K and the cheapest moves
-// land first) and plans moves down toward a LOW-water mark — the hysteresis
-// gap, plus per-stream move budgets and cooldowns, is what prevents two
-// near-balanced chains from trading the same stream forever.
+// land first) and plans moves down toward a low-water mark of half the
+// high-water mark — the hysteresis gap, plus a per-stream move budget, is
+// what prevents two near-balanced chains from trading the same stream
+// forever.
 //
 // One move is a composed, individually bounded sequence on the live fleet:
 //
@@ -56,19 +57,16 @@ type RebalanceConfig struct {
 	// inside the measured window.
 	Start, Stop sim.Time
 	// HighWater triggers a rebalance when the serving chains' exact
-	// utilisation spread exceeds it (nil = 1/4); LowWater is the planning
-	// target the spread is driven down to (nil = HighWater/2). The gap is
-	// the hysteresis band.
-	HighWater, LowWater *big.Rat
+	// utilisation spread exceeds it (nil = 1/4). A plan drives the spread
+	// down to half of it: the gap is the hysteresis band.
+	HighWater *big.Rat
 	// MaxMovesPerTick caps one tick's plan (0 = 1).
 	MaxMovesPerTick int
 	// MoveBudget caps how many times one stream may be rebalanced over its
-	// lifetime (0 = 2); Cooldown is the minimum time between two moves of
-	// the same stream (0 = none). Both stop oscillation that the hysteresis
-	// band alone cannot: a stream whose rate dominates the spread could
-	// otherwise bounce between two chains on alternating ticks.
+	// lifetime (0 = 2). It stops oscillation that the hysteresis band alone
+	// cannot: a stream whose rate dominates the spread could otherwise
+	// bounce between two chains on alternating ticks.
 	MoveBudget int
-	Cooldown   sim.Time
 }
 
 func (rc *RebalanceConfig) validate() error {
@@ -77,9 +75,6 @@ func (rc *RebalanceConfig) validate() error {
 	}
 	if rc.HighWater != nil && rc.HighWater.Sign() <= 0 {
 		return fmt.Errorf("cluster: rebalance high water must be positive")
-	}
-	if rc.LowWater != nil && rc.HighWater != nil && rc.LowWater.Cmp(rc.HighWater) > 0 {
-		return fmt.Errorf("cluster: rebalance low water above high water")
 	}
 	if rc.Stop != 0 && rc.Stop < rc.Start {
 		return fmt.Errorf("cluster: rebalance stop before start")
@@ -95,9 +90,6 @@ func (rc *RebalanceConfig) highWater() *big.Rat {
 }
 
 func (rc *RebalanceConfig) lowWater() *big.Rat {
-	if rc.LowWater != nil {
-		return rc.LowWater
-	}
 	return new(big.Rat).Mul(rc.highWater(), big.NewRat(1, 2))
 }
 
@@ -269,9 +261,6 @@ func (c *Controller) rebalanceTick() {
 				continue
 			}
 			if si.moves >= rc.moveBudget() {
-				continue
-			}
-			if rc.Cooldown > 0 && si.movedAt > 0 && c.k.Now()-si.movedAt < rc.Cooldown {
 				continue
 			}
 			residue := 0

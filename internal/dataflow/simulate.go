@@ -42,12 +42,11 @@ type SimOptions struct {
 	StopAfterFirings map[ActorID]int64
 	// DetectPeriod enables steady-state recurrence detection for exact
 	// throughput extraction. The simulation stops as soon as a state repeats.
-	DetectPeriod bool
-	// MaxStates bounds the recurrence-detection map (0 = default). When the
-	// bound is hit the simulation stops with Periodic == false, which
+	// The recurrence-detection map holds at most one million states; when
+	// the bound is hit the simulation stops with Periodic == false, which
 	// typically means token counts grow without bound (inconsistent or
 	// unbounded graph).
-	MaxStates int
+	DetectPeriod bool
 }
 
 // SimResult is the outcome of a self-timed execution.
@@ -100,7 +99,11 @@ var (
 	ErrNotPeriodic = errors.New("dataflow: no periodic steady state found within budget")
 )
 
-const defaultMaxEvents = 50_000_000
+const (
+	defaultMaxEvents = 50_000_000
+	// maxStates bounds the DetectPeriod recurrence map.
+	maxStates = 1_000_000
+)
 
 // completion is a pending end-of-firing event.
 type completion struct {
@@ -344,10 +347,6 @@ func (s *simulator) run() error {
 		}
 		if s.opts.DetectPeriod {
 			key := s.stateKey()
-			maxStates := s.opts.MaxStates
-			if maxStates == 0 {
-				maxStates = 1_000_000
-			}
 			if len(s.seen) >= maxStates {
 				return nil // give up on periodicity; res.Periodic stays false
 			}

@@ -47,10 +47,11 @@ type StreamExport struct {
 // Failed reports whether the pair was retired by FreezeForFailover.
 func (p *Pair) Failed() bool { return p.failed }
 
-// SetStallObserver installs fn to observe watchdog stalls in addition to
-// Config.OnStall — the failover controller's tap, parallel to the admission
-// controller's quarantine observer. fn runs before the recovery decision, so
-// a verdict that triggers FreezeForFailover pre-empts the flush/retry path.
+// SetStallObserver installs fn, called once per watchdog stall with the
+// stalled stream's slot index: the fault doctor's tap, parallel to the
+// admission controller's quarantine observer. A later call replaces the
+// observer. fn runs before the recovery decision, so a verdict that
+// triggers FreezeForFailover pre-empts the flush/retry path.
 func (p *Pair) SetStallObserver(fn func(stream int)) { p.stallObs = fn }
 
 // FreezeForFailover retires the pair: both state machines become no-ops and

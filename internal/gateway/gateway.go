@@ -118,7 +118,8 @@ type Config struct {
 	// passes without the block advancing — no sample issued, no sample
 	// drained, no phase transition — the gateway declares the chain stalled
 	// (a fault: sample loss inside an accelerator, a wedged link or NI, a
-	// lost pipeline-idle notification) and invokes OnStall. The model gives
+	// lost pipeline-idle notification) and notifies the stall observer
+	// (SetStallObserver). The model gives
 	// the natural setting: between two progress events the hardware can
 	// never legitimately need more than ~2·c0 plus interconnect transit, so
 	// a small multiple of c0 is safe. (Reconfiguration bus transfers count
@@ -126,8 +127,6 @@ type Config struct {
 	// window.) 0 disables the watchdog. Historical name: the first version
 	// only armed the drain phase.
 	DrainTimeout sim.Time
-	// OnStall is called once per detected stall with the stream index.
-	OnStall func(stream int)
 	// Recovery configures what happens after a stall is detected. The zero
 	// value keeps the historical detect-only behaviour (the pair stays
 	// wedged).
@@ -154,14 +153,6 @@ type Recovery struct {
 	// RetryLimit is how many times one block may be retried before its
 	// stream is quarantined (0 = quarantine on the first stall).
 	RetryLimit int
-	// FlushDelay is the settle time between aborting a block and clearing
-	// the chain, so every in-flight word and credit on the interconnect has
-	// landed. It must exceed the worst-case interconnect transit plus one
-	// sample service; defaults to DrainTimeout, which satisfies that by
-	// construction.
-	FlushDelay sim.Time
-	// OnQuarantine is called once per quarantined stream.
-	OnQuarantine func(stream int)
 	// Checkpoint is the checkpoint interval K in input samples: every K
 	// samples the entry gateway quiesces the sub-block (stops issuing and
 	// waits for the exit side to deliver every output of the samples issued
@@ -433,8 +424,7 @@ type Pair struct {
 	// stream whose block the freeze aborted (-1 = none); loadedStream is
 	// the stream whose engine objects hold live (not saved) state;
 	// resumeCommitted seeds the exit counters when a migrated block
-	// resumes; stallObs is the failover controller's stall observer,
-	// parallel to Config.OnStall (which belongs to the platform builder).
+	// resumes; stallObs is the stall observer (SetStallObserver).
 	failed          bool
 	abortedStream   int
 	loadedStream    int
@@ -1006,9 +996,6 @@ func (p *Pair) stallDetected() {
 	stream := p.active
 	p.Stalls++
 	p.streams[stream].StallCount++
-	if p.cfg.OnStall != nil {
-		p.cfg.OnStall(stream)
-	}
 	if p.stallObs != nil {
 		p.stallObs(stream)
 	}
@@ -1024,7 +1011,9 @@ func (p *Pair) stallDetected() {
 // beginFlush aborts the in-flight block: freeze the entry and exit state
 // machines (the epoch bump turns their in-flight completions into no-ops),
 // then wait out the settle delay so every word and credit still travelling
-// the interconnect has landed before the chain is cleared.
+// the interconnect has landed before the chain is cleared. The settle delay
+// is DrainTimeout: a full progress window exceeds the worst-case
+// interconnect transit plus one sample service by construction.
 func (p *Pair) beginFlush() {
 	p.state = stFlushing
 	p.blockEpoch++
@@ -1033,11 +1022,7 @@ func (p *Pair) beginFlush() {
 	p.exitBusy = false
 	p.exitHolding = false
 	p.phaseStart = p.k.Now()
-	delay := p.cfg.Recovery.FlushDelay
-	if delay == 0 {
-		delay = p.cfg.DrainTimeout
-	}
-	p.k.ScheduleArg(delay, p.on.flushDone, p.blockEpoch)
+	p.k.ScheduleArg(p.cfg.DrainTimeout, p.on.flushDone, p.blockEpoch)
 }
 
 // flushDone ends the flush settle delay begun at the given epoch.
@@ -1151,9 +1136,6 @@ func (p *Pair) quarantine() {
 	p.stage = p.stage[:0] // staged words belong to the discarded block
 	p.blockBase = 0
 	p.state = stIdle
-	if p.cfg.Recovery.OnQuarantine != nil {
-		p.cfg.Recovery.OnQuarantine(p.active)
-	}
 	if p.onQuarantine != nil {
 		p.onQuarantine(p.active)
 	}
@@ -1611,9 +1593,9 @@ func (p *Pair) AddStreamLive(s *Stream) (int, error) {
 // the stream went back to quarantine.
 func (p *Pair) SetCanaryHook(fn func(stream int, ok bool)) { p.onCanary = fn }
 
-// SetQuarantineObserver installs fn to observe quarantine events in
-// addition to Config.Recovery.OnQuarantine (which belongs to the platform
-// builder, not to the admission controller).
+// SetQuarantineObserver installs fn, called once per quarantined stream
+// with its slot index: the admission controller's tap. A later call
+// replaces the observer.
 func (p *Pair) SetQuarantineObserver(fn func(stream int)) { p.onQuarantine = fn }
 
 // StreamSnapshot is the externally consumable per-stream counter set: one

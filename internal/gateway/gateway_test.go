@@ -420,9 +420,9 @@ func TestDrainWatchdogDetectsSampleLoss(t *testing.T) {
 	cfg := Config{
 		Name: "wd", EntryCost: 2, ExitCost: 1,
 		DrainTimeout: 200,
-		OnStall:      func(s int) { stalled = append(stalled, s) },
 	}
 	r := newRig(t, cfg)
+	r.pair.SetStallObserver(func(s int) { stalled = append(stalled, s) })
 	s, in, _ := r.addStream(t, "s", 4, 16, 16)
 	s.Engines = []accel.Engine{&lossyEngine{dropEvery: 3}}
 	s.Block, s.OutBlock = 4, 4 // but the engine will deliver only 3
@@ -433,7 +433,7 @@ func TestDrainWatchdogDetectsSampleLoss(t *testing.T) {
 		t.Fatalf("stalls = %d, want 1", r.pair.Stalls)
 	}
 	if len(stalled) != 1 || stalled[0] != 0 {
-		t.Fatalf("OnStall calls = %v", stalled)
+		t.Fatalf("stall observer calls = %v", stalled)
 	}
 	if s.Blocks != 0 {
 		t.Errorf("lossy block counted as complete")
@@ -445,9 +445,9 @@ func TestDrainWatchdogQuietOnHealthyChain(t *testing.T) {
 	cfg := Config{
 		Name: "wd2", EntryCost: 2, ExitCost: 1,
 		DrainTimeout: 200,
-		OnStall:      func(int) { stalls++ },
 	}
 	r := newRig(t, cfg)
+	r.pair.SetStallObserver(func(int) { stalls++ })
 	s, in, out := r.addStream(t, "s", 4, 32, 32)
 	r.fill(t, in, 16) // 4 healthy blocks
 	r.pair.Start()

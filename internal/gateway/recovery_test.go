@@ -35,9 +35,9 @@ func TestWatchdogCoversStreamingPhase(t *testing.T) {
 	cfg := Config{
 		Name: "wds", EntryCost: 2, ExitCost: 1,
 		DrainTimeout: 200,
-		OnStall:      func(s int) { stalled = append(stalled, s) },
 	}
 	r := newRig(t, cfg)
+	r.pair.SetStallObserver(func(s int) { stalled = append(stalled, s) })
 	s, in, _ := r.addStream(t, "s", 8, 16, 16)
 	r.fill(t, in, 8)
 	// Wedge the entry link permanently after the block has started
@@ -49,7 +49,7 @@ func TestWatchdogCoversStreamingPhase(t *testing.T) {
 		t.Fatalf("stalls = %d, want 1", r.pair.Stalls)
 	}
 	if len(stalled) != 1 || stalled[0] != 0 {
-		t.Fatalf("OnStall calls = %v", stalled)
+		t.Fatalf("stall observer calls = %v", stalled)
 	}
 	if s.Blocks != 0 {
 		t.Errorf("wedged block counted as complete")
@@ -67,9 +67,9 @@ func TestWatchdogReconfigExceedsWindow(t *testing.T) {
 	cfg := Config{
 		Name: "wdr", EntryCost: 2, ExitCost: 1, Mode: ReconfigFixed,
 		DrainTimeout: 100,
-		OnStall:      func(int) { t.Error("stall declared during a healthy long reconfiguration") },
 	}
 	r := newRig(t, cfg)
+	r.pair.SetStallObserver(func(int) { t.Error("stall declared during a healthy long reconfiguration") })
 	s, in, _ := r.addStream(t, "s", 4, 16, 16)
 	s.Reconfig = 2000 // 20x the watchdog window
 	r.fill(t, in, 4)
@@ -91,9 +91,9 @@ func TestWatchdogDisarmedAcrossBlocks(t *testing.T) {
 	cfg := Config{
 		Name: "wdd", EntryCost: 2, ExitCost: 1, Mode: ReconfigFixed,
 		DrainTimeout: 30, // ≈ one block: 10 reconfig + 8 streaming + drain/notify
-		OnStall:      func(s int) { t.Errorf("spurious stall on stream %d", s) },
 	}
 	r := newRig(t, cfg)
+	r.pair.SetStallObserver(func(s int) { t.Errorf("spurious stall on stream %d", s) })
 	s, in, _ := r.addStream(t, "s", 4, 64, 64)
 	r.fill(t, in, 32) // 8 back-to-back blocks
 	r.pair.Start()
@@ -117,9 +117,9 @@ func TestWatchdogBlamesCloggedStream(t *testing.T) {
 		Name: "wdc", EntryCost: 1, ExitCost: 1,
 		DisableSpaceCheck: true,
 		DrainTimeout:      200,
-		OnStall:           func(s int) { stalled = append(stalled, s) },
 	}
 	r := newRig(t, cfg)
+	r.pair.SetStallObserver(func(s int) { stalled = append(stalled, s) })
 	// Stream "clog": tiny output FIFO that nobody drains. Stream "ok":
 	// ample output space.
 	sClog, inClog, _ := r.addStream(t, "clog", 4, 16, 4)
@@ -132,7 +132,7 @@ func TestWatchdogBlamesCloggedStream(t *testing.T) {
 		t.Fatalf("stalls = %d, want 1", r.pair.Stalls)
 	}
 	if len(stalled) != 1 || stalled[0] != 0 {
-		t.Fatalf("OnStall blamed %v, want the clogged stream (0)", stalled)
+		t.Fatalf("stall observer blamed %v, want the clogged stream (0)", stalled)
 	}
 	if sClog.StallCount != 1 || sOK.StallCount != 0 {
 		t.Fatalf("per-stream stalls clog=%d ok=%d, want 1/0", sClog.StallCount, sOK.StallCount)
@@ -194,12 +194,10 @@ func TestRecoveryQuarantinesPermanentFault(t *testing.T) {
 	cfg := Config{
 		Name: "rq", EntryCost: 2, ExitCost: 1, Mode: ReconfigFixed,
 		DrainTimeout: 200,
-		Recovery: Recovery{
-			Enabled: true, RetryLimit: 2,
-			OnQuarantine: func(s int) { quarantined = append(quarantined, s) },
-		},
+		Recovery:     Recovery{Enabled: true, RetryLimit: 2},
 	}
 	r := newRig(t, cfg)
+	r.pair.SetQuarantineObserver(func(s int) { quarantined = append(quarantined, s) })
 	sBad, inBad, _ := r.addStream(t, "bad", 4, 16, 16)
 	// lossyEngine keeps its loss counter in SaveState, so the retry's state
 	// restore replays the identical loss: a permanent fault.

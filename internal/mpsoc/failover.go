@@ -9,14 +9,16 @@ package mpsoc
 //
 //	freeze    — retire the sick pair (gateway.FreezeForFailover), gate the
 //	            source-side C-FIFO producers (cfifo.BeginRepoint)
-//	settle    — wait out the worst-case in-flight residue, clamped to the
-//	            outgoing configuration's max τ̂s (one block attempt is the
-//	            longest anything can remain in flight)
+//	settle    — wait out the worst-case in-flight residue: the primary's
+//	            DrainTimeout, clamped to the outgoing configuration's max τ̂s
+//	            (one block attempt is the longest anything can remain in
+//	            flight)
 //	migrate   — export stream state from the dead pair, re-point the C-FIFO
 //	            endpoints to the standby's ring nodes, import every stream
 //	            onto the paused standby
-//	reprogram — one validated ApplySlots transaction sizes (optionally
-//	            re-solves) every migrated slot over the configuration bus
+//	reprogram — one validated ApplySlots transaction sizes every migrated
+//	            slot over the configuration bus, re-solved by Algorithm 1
+//	            when the standby's timing differs from the primary's
 //	resume    — the standby starts arbitration; the aborted block replays
 //
 // The measured cost (trigger → resume) is recorded against the derived
@@ -27,6 +29,7 @@ package mpsoc
 
 import (
 	"fmt"
+	"slices"
 
 	"accelshare/internal/core"
 	"accelshare/internal/fault"
@@ -42,32 +45,16 @@ type FailoverConfig struct {
 	Primary, Standby int
 	// Model is the primary's temporal model (Eq. 2/4); its per-stream block
 	// sizes are refreshed from the live gateway at trigger time, then it
-	// yields the failover bound and, with Resolve, the survivor re-solve.
+	// yields the failover bound and the rates of the survivor re-solve. The
+	// bound reads the checkpoint interval K and its snapshot cost from the
+	// primary's Recovery: with K set it uses the adjusted Eq. 2 term τ̂s(K)
+	// (core.TauHatCheckpointed), since checkpoint quiesces stretch each
+	// clean block while the migrated block's replay residue shrinks from
+	// O(ηs) to O(K).
 	Model *core.System
 	// PerSlotCost is the configuration-bus cost per reprogrammed slot, the
 	// same constant the admission controller charges.
 	PerSlotCost sim.Time
-	// SettleDelay overrides the freeze settle time (0 = the primary's
-	// FlushDelay, else its DrainTimeout). Whatever the source, it is clamped
-	// to the model's max τ̂s so the measured cost stays within the bound.
-	SettleDelay sim.Time
-	// Resolve re-runs Algorithm 1 (warm-started) for the migrated streams
-	// before reprogramming, against StandbyChain when the standby's engine
-	// slots differ from the primary's. Without it the outgoing block sizes
-	// are kept verbatim.
-	Resolve      bool
-	StandbyChain *core.Chain
-	// WarmRounds budgets the warm-started re-solve (0 = default 64).
-	WarmRounds int
-	// Checkpoint and CheckpointCost mirror the primary's
-	// gateway.Recovery.Checkpoint / CheckpointCost. When Checkpoint > 0 the
-	// cost bound uses the adjusted Eq. 2 term τ̂s(K)
-	// (core.TauHatCheckpointed) instead of the plain τ̂s: checkpoint
-	// quiesces stretch each clean block, so the settle clamp and the
-	// failover bound must absorb them, while the migrated block's replay
-	// residue shrinks from O(ηs) to O(K).
-	Checkpoint     int64
-	CheckpointCost sim.Time
 	// OnComplete observes the finished failover.
 	OnComplete func(Record)
 }
@@ -171,6 +158,16 @@ func (fc *FailoverController) Trigger(reason string) error {
 	snaps := fc.pri.Pair.Snapshot()
 	maxTau := fc.refreshModel(snaps)
 
+	// The settle is the primary's flush settle, its DrainTimeout. One block
+	// attempt bounds how long anything stays in flight; a longer settle
+	// would push the measured cost past the bound for no extra safety.
+	settle := fc.pri.Spec.DrainTimeout
+	if maxTau > 0 && settle > sim.Time(maxTau) {
+		settle = sim.Time(maxTau)
+	}
+	if settle <= 0 {
+		return fmt.Errorf("failover: primary chain %q has no drain timeout to settle by", fc.pri.Spec.Name)
+	}
 	if err := fc.pri.Pair.FreezeForFailover(); err != nil {
 		return err
 	}
@@ -182,34 +179,20 @@ func (fc *FailoverController) Trigger(reason string) error {
 		}
 		st.In.BeginRepoint()
 	}
-	settle := fc.cfg.SettleDelay
-	if settle == 0 {
-		settle = fc.pri.Spec.Recovery.FlushDelay
-	}
-	if settle == 0 {
-		settle = fc.pri.Spec.DrainTimeout
-	}
-	if maxTau > 0 && settle > sim.Time(maxTau) {
-		// One block attempt bounds how long anything stays in flight; a
-		// longer settle would push the measured cost past the bound for no
-		// extra safety.
-		settle = sim.Time(maxTau)
-	}
-	if settle <= 0 {
-		return fmt.Errorf("failover: no usable settle delay (set SettleDelay)")
-	}
 	fc.ms.K.Schedule(settle, func() { fc.migrate(reason, now, settle, maxTau) })
 	return nil
 }
 
 // refreshModel re-syncs the temporal model's per-stream ηs with the live
 // slot table (matched by name) and returns the outgoing configuration's
-// max τ̂s over the non-quarantined streams.
+// max τ̂s(K) over the non-quarantined streams, K being the primary's
+// checkpoint interval (NewFailover requires its recovery enabled).
 func (fc *FailoverController) refreshModel(snaps []gateway.StreamSnapshot) uint64 {
 	byName := make(map[string]gateway.StreamSnapshot, len(snaps))
 	for _, sn := range snaps {
 		byName[sn.Name] = sn
 	}
+	rec := fc.pri.Spec.Recovery
 	var maxTau uint64
 	for i := range fc.cfg.Model.Streams {
 		ms := &fc.cfg.Model.Streams[i]
@@ -221,7 +204,7 @@ func (fc *FailoverController) refreshModel(snaps []gateway.StreamSnapshot) uint6
 		if sn.Quarantined || sn.Suspended {
 			continue
 		}
-		if tau, err := fc.cfg.Model.TauHatCheckpointed(i, fc.cfg.Checkpoint, uint64(fc.cfg.CheckpointCost)); err == nil && tau > maxTau {
+		if tau, err := fc.cfg.Model.TauHatCheckpointed(i, rec.Checkpoint, uint64(rec.CheckpointCost)); err == nil && tau > maxTau {
 			maxTau = tau
 		}
 	}
@@ -285,8 +268,8 @@ func (fc *FailoverController) migrate(reason string, triggeredAt, settle sim.Tim
 			rec.Names = append(rec.Names, e.Stream.Name)
 			blocks[i] = e.Stream.Block
 		}
-		if fc.cfg.Resolve {
-			solved, rerr := fc.resolve(exports, decims)
+		if standby := fc.stb.Timing(); !sameTiming(fc.pri.Timing(), standby) {
+			solved, rerr := fc.resolve(standby, exports, decims)
 			if rerr == nil {
 				// A slot whose aborted block must replay cannot shrink below
 				// its resume point plus residue: the standby resumes the new
@@ -341,15 +324,19 @@ func (fc *FailoverController) migrate(reason string, triggeredAt, settle sim.Tim
 	}
 }
 
-// resolve re-runs Algorithm 1 warm-started from the outgoing block sizes,
-// against the standby's chain parameters when they differ. Granularity is
-// each stream's decimation so the exit-gateway OutBlock stays exact.
-func (fc *FailoverController) resolve(exports []gateway.StreamExport, decims []int64) ([]int64, error) {
+// sameTiming reports whether two chains have the same temporal model:
+// outgoing block sizes stay feasible on a standby of the same timing.
+func sameTiming(a, b core.Chain) bool {
+	return slices.Equal(a.AccelCosts, b.AccelCosts) && a.EntryCost == b.EntryCost &&
+		a.ExitCost == b.ExitCost && a.NICapacity == b.NICapacity
+}
+
+// resolve re-runs Algorithm 1 against the standby's chain, warm-started from
+// the outgoing block sizes. Granularity is each stream's decimation so the
+// exit-gateway OutBlock stays exact.
+func (fc *FailoverController) resolve(standby core.Chain, exports []gateway.StreamExport, decims []int64) ([]int64, error) {
 	model := fc.cfg.Model.Clone()
-	if fc.cfg.StandbyChain != nil {
-		model.Chain = *fc.cfg.StandbyChain
-		model.Chain.AccelCosts = append([]uint64(nil), fc.cfg.StandbyChain.AccelCosts...)
-	}
+	model.Chain = standby
 	// The model must cover exactly the migrated slots, in slot order.
 	byName := make(map[string]int, len(model.Streams))
 	for i := range model.Streams {
@@ -367,11 +354,7 @@ func (fc *FailoverController) resolve(exports []gateway.StreamExport, decims []i
 		start[i] = e.Stream.Block
 	}
 	model.Streams = streams
-	rounds := fc.cfg.WarmRounds
-	if rounds <= 0 {
-		rounds = 64
-	}
-	res, err := model.LeastFixedPoint(start, decims, rounds)
+	res, err := model.LeastFixedPoint(start, decims, core.DefaultRounds)
 	if err != nil {
 		return nil, err
 	}

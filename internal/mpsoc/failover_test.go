@@ -204,9 +204,9 @@ func TestChainFailoverCheckpointed(t *testing.T) {
 		Checkpoint: K, CheckpointCost: 5, ValueExact: true,
 	}
 	ms, model := failoverPlatformRec(t, plan, 3, []int64{75, 75, 75}, 1, rec)
+	// The bound reads K and the snapshot cost from the primary's Recovery.
 	fc, err := NewFailover(ms, FailoverConfig{
 		Primary: 0, Standby: 1, Model: model, PerSlotCost: 10,
-		Checkpoint: K, CheckpointCost: 5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,9 +14,9 @@
 // output watermark of a checkpointed in-flight block — re-points the
 // C-FIFOs and resumes on a standby pair. The measured freeze→resume cost is
 // checked against the bound max τ̂s + slots·bus-cost, where τ̂s is the
-// adjusted Eq. 2 term τ̂s(K) when FailoverConfig.Checkpoint is set, and the
-// survivor re-solve (Algorithm 1, warm-started) must never shrink a block
-// below its migrated residue's resume point.
+// adjusted Eq. 2 term τ̂s(K) when the primary checkpoints, and the survivor
+// re-solve (Algorithm 1, warm-started) onto a standby of different timing
+// must never shrink a block below its migrated residue's resume point.
 package mpsoc
 
 import (
@@ -94,11 +94,10 @@ type Config struct {
 	RecordActivity      bool
 	UseSlottedRing      bool
 	DisableSpaceCheck   bool
-	// DrainTimeout/Recovery/OnStall/Faults/RecordTurnarounds configure the
+	// DrainTimeout/Recovery/Faults/RecordTurnarounds configure the
 	// watchdog and fault subsystem; see ChainSpec.
 	DrainTimeout      sim.Time
 	Recovery          gateway.Recovery
-	OnStall           func(stream int)
 	Faults            *fault.Plan
 	RecordTurnarounds bool
 	Accels            []AccelSpec
@@ -177,7 +176,6 @@ func Build(cfg Config) (*System, error) {
 			DisableSpaceCheck: cfg.DisableSpaceCheck,
 			DrainTimeout:      cfg.DrainTimeout,
 			Recovery:          cfg.Recovery,
-			OnStall:           cfg.OnStall,
 			Faults:            cfg.Faults,
 			RecordTurnarounds: cfg.RecordTurnarounds,
 			Accels:            cfg.Accels,

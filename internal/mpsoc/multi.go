@@ -10,6 +10,7 @@ import (
 
 	"accelshare/internal/accel"
 	"accelshare/internal/cfifo"
+	"accelshare/internal/core"
 	"accelshare/internal/fault"
 	"accelshare/internal/gateway"
 	"accelshare/internal/ring"
@@ -28,8 +29,6 @@ type ChainSpec struct {
 	// Recovery configures flush/retry/quarantine on expiry.
 	DrainTimeout sim.Time
 	Recovery     gateway.Recovery
-	// OnStall is forwarded to the gateway (called per detected stall).
-	OnStall func(stream int)
 	// Faults, when non-nil, is armed against this chain: engine-level
 	// faults wrap the streams' engines, wedge faults are scheduled on the
 	// chain's links / the data ring, and lost-idle faults install the
@@ -82,6 +81,23 @@ type Chain struct {
 
 // ReservedSlots reports how many runtime stream slots remain unclaimed.
 func (ch *Chain) ReservedSlots() int { return len(ch.reserved) }
+
+// Timing is the chain's temporal model (Eq. 2) as built: the gateway costs
+// ε and δ, each accelerator tile's ρA in chain order, and the NI FIFO depth
+// of the shallowest tile (the model has one α for every hop).
+func (ch *Chain) Timing() core.Chain {
+	c := core.Chain{
+		Name:       ch.Spec.Name,
+		EntryCost:  uint64(ch.Spec.EntryCost),
+		ExitCost:   uint64(ch.Spec.ExitCost),
+		NICapacity: int64(ch.Tiles[0].In().Cap()),
+	}
+	for _, t := range ch.Tiles {
+		c.AccelCosts = append(c.AccelCosts, uint64(t.Cost))
+		c.NICapacity = min(c.NICapacity, int64(t.In().Cap()))
+	}
+	return c
+}
 
 // MultiSystem is a platform with several gateway pairs.
 type MultiSystem struct {
@@ -180,7 +196,6 @@ func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpe
 		DisableSpaceCheck: spec.DisableSpaceCheck,
 		DrainTimeout:      spec.DrainTimeout,
 		Recovery:          spec.Recovery,
-		OnStall:           spec.OnStall,
 		RecordTurnarounds: spec.RecordTurnarounds,
 	}
 	if spec.Faults != nil {

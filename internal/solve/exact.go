@@ -1,15 +1,16 @@
 package solve
 
+import "accelshare/internal/core"
+
 // Exact is the exact decision procedure: core.System.LeastFixedPoint, the
 // Kleene iteration of the granularity-rounded Algorithm 1 operator seeded
 // from the closed-form least solution of its rational relaxation (raised
 // componentwise by Problem.Start). Its fixed point is the componentwise-
 // minimal feasible assignment, which is also the optimum of the paper's
 // ILP; every intermediate value is an exact integer or rational, so its
-// results are verified by construction.
+// results are verified by construction. The iteration runs at most
+// core.DefaultRounds rounds.
 type Exact struct {
-	// WarmRounds bounds the fixed-point iteration (0 = core.DefaultRounds).
-	WarmRounds int
 	// ILPStreamCap is ignored. It capped the stream count of a branch-and-
 	// bound first attempt that no longer exists; the field stays only so
 	// existing configurations compile.
@@ -24,7 +25,7 @@ func (e *Exact) Solve(p *Problem) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	res, err := p.Model.LeastFixedPointIn(p.Scratch, p.Start, p.Granularity, e.WarmRounds)
+	res, err := p.Model.LeastFixedPointIn(p.Scratch, p.Start, p.Granularity, core.DefaultRounds)
 	if err != nil {
 		return nil, err
 	}

@@ -162,9 +162,9 @@ func Verify(m *core.System, granularity, blocks []int64) Verification {
 }
 
 // Default is the production solver stack: the Incremental warm-start layer
-// over Exact. warmRounds bounds the fixed-point iterations (0 = the core
-// default). ilpNodes is ignored: no production path runs branch and bound
-// any more, and the parameter stays only so existing callers compile.
+// over Exact. Both parameters are ignored and stay only so existing callers
+// compile: no production path runs branch and bound any more, and Exact
+// iterates at most core.DefaultRounds rounds.
 func Default(ilpNodes, warmRounds int) Solver {
-	return &Incremental{Inner: &Exact{WarmRounds: warmRounds}}
+	return &Incremental{Inner: &Exact{}}
 }
