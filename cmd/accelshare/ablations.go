@@ -77,6 +77,9 @@ func runFlowControlAblation(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *words < 1 {
+		return fmt.Errorf("ablation-flowcontrol: -words must be positive, got %d", *words)
+	}
 	fmt.Println("Flow-control ablation — hardware credits vs the C-FIFO algorithm on the")
 	fmt.Println("accelerator path (§II: Eclipse used C-FIFO in a hardware shell; the paper")
 	fmt.Println("argues credits are cheaper and lighter on the interconnect)")

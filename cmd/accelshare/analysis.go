@@ -108,6 +108,9 @@ func runFig8(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *maxEta < 5 { // the closing claim compares α(5) with α(2)
+		return fmt.Errorf("fig8: -max must be at least 5, got %d", *maxEta)
+	}
 	fmt.Println("Fig. 8 — minimum buffer capacities are non-monotone in the block size")
 	fmt.Println("model: producer emits 5 tokens/firing, consumer takes ηs/firing (Fig. 8a)")
 	fmt.Printf("\n%8s %12s %18s %18s\n", "ηs", "min αs", "paper Fig. 8b", "p+c-gcd(p,c)")
@@ -159,6 +162,9 @@ func runBlockSizes(args []string) error {
 	granularity := fs.Int64("granularity", 0, "round blocks up to this multiple (0 = exact minimum; 8 = implementable with ÷8 chain)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *clock <= 0 {
+		return fmt.Errorf("blocksizes: -clock must be positive, got %d", *clock)
 	}
 	s := palModel(*clock)
 	fmt.Printf("§VI-A — minimum block sizes for the PAL decoder (Algorithm 1)\n")
@@ -225,6 +231,9 @@ func runRefinement(args []string) error {
 	tokens := fs.Int64("tokens", 64, "output tokens to compare")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *tokens < 1 {
+		return fmt.Errorf("refinement: -tokens must be positive, got %d", *tokens)
 	}
 	s := &core.System{
 		Chain:   core.Chain{Name: "demo", AccelCosts: []uint64{3}, EntryCost: 2, ExitCost: 1, NICapacity: 2},

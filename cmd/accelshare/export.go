@@ -22,6 +22,9 @@ func runDot(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *accels < 1 {
+		return fmt.Errorf("dot: -accels must be positive, got %d", *accels)
+	}
 	costs := make([]uint64, *accels)
 	for i := range costs {
 		costs[i] = 1

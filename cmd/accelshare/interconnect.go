@@ -35,6 +35,14 @@ func runRingVsCrossbar(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case *nodes < 3: // each node sends two nodes on, which below 3 is itself
+		return fmt.Errorf("ring-vs-crossbar: -nodes must be at least 3, got %d", *nodes)
+	case *words < 1:
+		return fmt.Errorf("ring-vs-crossbar: -words must be positive, got %d", *words)
+	case *period < 1:
+		return fmt.Errorf("ring-vs-crossbar: -period must be positive, got %d", *period)
+	}
 	// Traffic: every node i streams to node (i+2) mod N.
 	type flow struct{ src, dst int }
 	var flows []flow
@@ -158,11 +166,4 @@ func runRingVsCrossbar(args []string) error {
 	fmt.Printf("\nring is cheaper from %d tiles up — the §II cost argument for the ring.\n",
 		p.InterconnectBreakEven(64))
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -25,17 +25,22 @@ func TestCommandRegistry(t *testing.T) {
 	}
 }
 
-func runCmd(t *testing.T, name string, args ...string) {
+func lookupCmd(t *testing.T, name string) command {
 	t.Helper()
 	for _, c := range commands {
 		if c.name == name {
-			if err := c.run(args); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			return
+			return c
 		}
 	}
 	t.Fatalf("command %q not registered", name)
+	return command{}
+}
+
+func runCmd(t *testing.T, name string, args ...string) {
+	t.Helper()
+	if err := lookupCmd(t, name).run(args); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
 }
 
 func TestAnalysisCommands(t *testing.T) {
@@ -168,12 +173,31 @@ func TestFailoverGolden(t *testing.T) {
 	}
 }
 
+// TestBadFlagsRejected: besides an unknown flag, each of these values would
+// hang (an endless source or a zero injection period), panic, or print a
+// meaningless result (self-sends, zero words, a NaN mean, 0-sample packets,
+// a claim about α(5) without α(5)) if it reached the simulation.
 func TestBadFlagsRejected(t *testing.T) {
-	for _, c := range commands {
-		if c.name == "fig6" {
-			if err := c.run([]string{"-definitely-not-a-flag"}); err == nil {
-				t.Error("bad flag accepted")
-			}
+	for _, args := range [][]string{
+		{"fig6", "-definitely-not-a-flag"},
+		{"ring-vs-crossbar", "-period", "0"},
+		{"ring-vs-crossbar", "-nodes", "2"},
+		{"ring-vs-crossbar", "-words", "0"},
+		{"ablation-flowcontrol", "-words", "0"},
+		{"blocksizes", "-clock", "0"},
+		{"sharing-sweep", "-clock", "0"},
+		{"refinement", "-tokens", "0"},
+		{"paldemo", "-seconds", "-1"},
+		{"utilization", "-seconds", "-1"},
+		{"rotation", "-seconds", "-1"},
+		{"admit", "-reserve", "-1"},
+		{"fig8", "-max", "4"},
+		{"dot", "-accels", "-1"},
+		{"rotation", "-width", "0"},
+		{"memopt", "-burst", "0"},
+	} {
+		if err := lookupCmd(t, args[0]).run(args[1:]); err == nil {
+			t.Errorf("%v accepted", args)
 		}
 	}
 }

@@ -22,6 +22,9 @@ func runMemOpt(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *burst < 1 {
+		return fmt.Errorf("memopt: -burst must be positive, got %d", *burst)
+	}
 	s := &core.System{
 		Chain:   core.Chain{Name: "memopt", AccelCosts: []uint64{2}, EntryCost: 3, ExitCost: 1, NICapacity: 2},
 		ClockHz: 1_000_000,

@@ -25,6 +25,9 @@ func runRotation(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *width < 1 {
+		return fmt.Errorf("rotation: -width must be positive, got %d", *width)
+	}
 	p := pal.DefaultParams()
 	p.Seconds = *rounds
 	p.RecordActivity = true

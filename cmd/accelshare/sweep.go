@@ -48,6 +48,9 @@ func runSharingSweep(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *clock <= 0 {
+		return fmt.Errorf("sharing-sweep: -clock must be positive, got %d", *clock)
+	}
 	const (
 		fast = 44100 * 64
 		slow = 44100 * 8

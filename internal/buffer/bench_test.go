@@ -23,22 +23,3 @@ func BenchmarkMinCapacitySingleChannel(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkOptimalCapacitiesTwoChannels(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		g := dataflow.NewGraph("bench2")
-		a := g.AddActor("a", 2)
-		c := g.AddActor("b", 4)
-		d := g.AddActor("c", 2)
-		f1, b1 := g.AddBuffer("ab", a, c, dataflow.Const(2), dataflow.Const(1), 1)
-		f2, b2 := g.AddBuffer("bc", c, d, dataflow.Const(1), dataflow.Const(2), 1)
-		s := &Sizer{G: g, Channels: []Channel{{f1, b1}, {f2, b2}}, Monitor: d}
-		maxTh, err := s.MaxThroughput()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.OptimalCapacities(maxTh); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

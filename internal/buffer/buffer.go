@@ -3,7 +3,8 @@
 // modelled as initial tokens on back edges; throughput is monotonically
 // non-decreasing in every capacity (a classical property of self-timed
 // dataflow execution), which makes per-channel binary search sound. The
-// exact minimum-total-capacity assignment is found by branch and bound.
+// sizer finds capacities no single channel can shrink below; with one
+// channel, as in Fig. 8, that is the exact minimum.
 //
 // The paper's Fig. 8 uses this machinery to demonstrate that minimum buffer
 // capacities are NOT monotone in the block size ηs, which is why block sizes
@@ -12,7 +13,6 @@ package buffer
 
 import (
 	"errors"
-	"fmt"
 	"math/big"
 
 	"accelshare/internal/dataflow"
@@ -32,20 +32,13 @@ type Sizer struct {
 	G        *dataflow.Graph
 	Channels []Channel
 	Monitor  dataflow.ActorID
-
-	// MaxEvents bounds each underlying simulation (0 = package default).
-	MaxEvents uint64
 }
+
+// maxEvents bounds each underlying simulation.
+const maxEvents = 20_000_000
 
 // ErrInfeasible is returned when no capacity assignment reaches the target.
 var ErrInfeasible = errors.New("buffer: throughput target infeasible at any capacity")
-
-func (s *Sizer) maxEvents() uint64 {
-	if s.MaxEvents == 0 {
-		return 20_000_000
-	}
-	return s.MaxEvents
-}
 
 // relaxed returns per-channel capacities large enough not to constrain any
 // schedule: several iterations' worth of tokens plus slack. Keeping the
@@ -79,18 +72,7 @@ func (s *Sizer) withCapacities(caps []int64) *dataflow.Graph {
 // throughputAt simulates with the given capacities and returns the monitor
 // actor's exact rate (zero when deadlocked).
 func (s *Sizer) throughputAt(caps []int64) (*big.Rat, error) {
-	g := s.withCapacities(caps)
-	res, err := g.Simulate(dataflow.SimOptions{DetectPeriod: true, MaxEvents: s.maxEvents()})
-	if err != nil {
-		return nil, err
-	}
-	if res.Deadlocked {
-		return new(big.Rat), nil
-	}
-	if !res.Periodic {
-		return nil, dataflow.ErrNotPeriodic
-	}
-	return res.Throughput(s.Monitor), nil
+	return s.withCapacities(caps).ThroughputOf(s.Monitor, maxEvents)
 }
 
 // feasible reports whether the capacities reach at least the target rate.
@@ -124,7 +106,7 @@ func (s *Sizer) occupancyBounds() ([]int64, error) {
 		return nil, err
 	}
 	g := s.withCapacities(relaxedCaps)
-	res, err := g.Simulate(dataflow.SimOptions{DetectPeriod: true, MaxEvents: s.maxEvents()})
+	res, err := g.Simulate(dataflow.SimOptions{DetectPeriod: true, MaxEvents: maxEvents})
 	if err != nil {
 		return nil, err
 	}
@@ -168,9 +150,10 @@ func (s *Sizer) minForChannel(i int, others []int64, ub int64, target *big.Rat) 
 }
 
 // MinCapacitiesForThroughput finds a capacity vector meeting the target
-// using iterated per-channel minimisation (a fast greedy fixpoint). The
-// result is component-wise locally minimal: no single channel can shrink
-// further. For the guaranteed minimum total capacity use OptimalCapacities.
+// using iterated per-channel minimisation (a greedy fixpoint). The result
+// is component-wise locally minimal: no single channel can shrink further.
+// With one channel that is the minimum capacity; with several, a smaller
+// total may exist that trades capacity between channels.
 func (s *Sizer) MinCapacitiesForThroughput(target *big.Rat) ([]int64, error) {
 	ub, err := s.occupancyBounds()
 	if err != nil {
@@ -201,117 +184,6 @@ func (s *Sizer) MinCapacitiesForThroughput(target *big.Rat) ([]int64, error) {
 	return caps, nil
 }
 
-// OptimalCapacities finds the capacity vector with minimum total capacity
-// meeting the target rate, by branch and bound over [lb_i, ub_i] per
-// channel. lb_i is the per-channel minimum with all other channels relaxed
-// to their upper bound; pruning uses monotonicity of throughput in every
-// capacity. Exponential in the number of channels — matching the paper's
-// remark that the optimal computation is "computationally intensive".
-func (s *Sizer) OptimalCapacities(target *big.Rat) ([]int64, error) {
-	ub, err := s.occupancyBounds()
-	if err != nil {
-		return nil, err
-	}
-	if ok, err := s.feasible(ub, target); err != nil {
-		return nil, err
-	} else if !ok {
-		return nil, ErrInfeasible
-	}
-	n := len(s.Channels)
-	lb := make([]int64, n)
-	for i := 0; i < n; i++ {
-		m, err := s.minForChannel(i, ub, ub[i], target)
-		if err != nil {
-			return nil, err
-		}
-		lb[i] = m
-	}
-	best := append([]int64(nil), ub...)
-	bestSum := sum(ub)
-	// Seed with the greedy solution for a tight initial bound.
-	if greedy, err := s.MinCapacitiesForThroughput(target); err == nil {
-		if gs := sum(greedy); gs < bestSum {
-			best, bestSum = greedy, gs
-		}
-	}
-	cur := make([]int64, n)
-	var dfs func(i int, partial int64) error
-	dfs = func(i int, partial int64) error {
-		if i == n {
-			ok, err := s.feasible(cur, target)
-			if err != nil {
-				return err
-			}
-			if ok && partial < bestSum {
-				bestSum = partial
-				best = append([]int64(nil), cur...)
-			}
-			return nil
-		}
-		restLB := int64(0)
-		for j := i + 1; j < n; j++ {
-			restLB += lb[j]
-		}
-		for v := lb[i]; v <= ub[i]; v++ {
-			if partial+v+restLB >= bestSum {
-				break
-			}
-			cur[i] = v
-			// Monotonicity prune: if even relaxing all later channels fails,
-			// no extension of this prefix works — and neither does any
-			// smaller v, but we iterate upward so just skip.
-			probe := append([]int64(nil), cur[:i+1]...)
-			probe = append(probe, ub[i+1:]...)
-			ok, err := s.feasible(probe, target)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := dfs(i+1, partial+v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := dfs(0, 0); err != nil {
-		return nil, err
-	}
-	return best, nil
-}
-
-// MinCapacityDeadlockFree binary-searches the smallest capacity of a single
-// channel for which the graph does not deadlock, all other channels fixed.
-func (s *Sizer) MinCapacityDeadlockFree(i int, others []int64, ub int64) (int64, error) {
-	lo, hi := int64(1), ub
-	caps := append([]int64(nil), others...)
-	check := func(v int64) (bool, error) {
-		caps[i] = v
-		g := s.withCapacities(caps)
-		dl, err := g.Deadlocks(s.maxEvents())
-		return !dl, err
-	}
-	if ok, err := check(hi); err != nil {
-		return 0, err
-	} else if !ok {
-		return 0, fmt.Errorf("buffer: channel %d deadlocks even at capacity %d", i, ub)
-	}
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		ok, err := check(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo, nil
-}
-
 // ClassicalMinCapacity is the textbook single-edge bound: a producer with
 // quantum p and a consumer with quantum c need a FIFO of p+c-gcd(p,c)
 // tokens for deadlock-free rate-optimal execution. The paper's Fig. 8 table
@@ -325,50 +197,4 @@ func gcd(a, b int64) int64 {
 		a, b = b, a%b
 	}
 	return a
-}
-
-func sum(v []int64) int64 {
-	var s int64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// ParetoPoint relates one throughput target to its minimum buffer sizing.
-type ParetoPoint struct {
-	// Throughput is the target rate of the monitor actor.
-	Throughput *big.Rat
-	// Capacities is the (greedy-minimal) per-channel sizing reaching it.
-	Capacities []int64
-	// Total is the summed capacity.
-	Total int64
-}
-
-// ParetoSweep traces the throughput/buffer trade-off: minimum capacities
-// for k/steps of the maximum throughput, k = 1..steps. The result is a
-// staircase — throughput is monotone in capacity, so totals never decrease
-// along the sweep — useful for picking an operating point below the
-// maximum rate (the paper's Eq. 5 only needs μs, not the maximum).
-func (s *Sizer) ParetoSweep(steps int) ([]ParetoPoint, error) {
-	if steps < 1 {
-		return nil, fmt.Errorf("buffer: sweep needs >= 1 step")
-	}
-	maxTh, err := s.MaxThroughput()
-	if err != nil {
-		return nil, err
-	}
-	if maxTh.Sign() == 0 {
-		return nil, fmt.Errorf("buffer: graph has zero maximum throughput")
-	}
-	var out []ParetoPoint
-	for k := 1; k <= steps; k++ {
-		target := new(big.Rat).Mul(maxTh, big.NewRat(int64(k), int64(steps)))
-		caps, err := s.MinCapacitiesForThroughput(target)
-		if err != nil {
-			return nil, fmt.Errorf("step %d/%d: %w", k, steps, err)
-		}
-		out = append(out, ParetoPoint{Throughput: target, Capacities: caps, Total: sum(caps)})
-	}
-	return out, nil
 }

@@ -109,23 +109,6 @@ func TestFig8NonMonotonicityStatement(t *testing.T) {
 	}
 }
 
-func TestMinCapacityDeadlockFreeMatchesClassical(t *testing.T) {
-	for _, pc := range [][2]int64{{5, 1}, {5, 2}, {5, 3}, {5, 4}, {5, 5}, {5, 6}, {3, 2}, {4, 6}, {7, 3}} {
-		g := dataflow.NewGraph("dl")
-		a := g.AddActor("a", 1)
-		b := g.AddActor("b", 1)
-		fwd, back := g.AddBuffer("ab", a, b, dataflow.Const(pc[0]), dataflow.Const(pc[1]), 1)
-		s := &Sizer{G: g, Channels: []Channel{{Fwd: fwd, Back: back}}, Monitor: a}
-		got, err := s.MinCapacityDeadlockFree(0, []int64{1}, 64)
-		if err != nil {
-			t.Fatalf("p=%d c=%d: %v", pc[0], pc[1], err)
-		}
-		if want := ClassicalMinCapacity(pc[0], pc[1]); got != want {
-			t.Errorf("p=%d c=%d: deadlock-free min = %d, want %d", pc[0], pc[1], got, want)
-		}
-	}
-}
-
 func TestMaxThroughputSimplePipeline(t *testing.T) {
 	g := dataflow.NewGraph("p")
 	a := g.AddActor("a", 2)
@@ -175,86 +158,5 @@ func TestInfeasibleTarget(t *testing.T) {
 	// 1 token per cycle is impossible with duration-4 actors.
 	if _, err := s.MinCapacitiesForThroughput(big.NewRat(1, 1)); err != ErrInfeasible {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
-	}
-}
-
-func TestOptimalCapacitiesTwoChannels(t *testing.T) {
-	// Three-stage pipeline; optimal total capacity should not exceed the
-	// greedy result and must meet max throughput.
-	g := dataflow.NewGraph("p3")
-	a := g.AddActor("a", 2)
-	b := g.AddActor("b", 4)
-	c := g.AddActor("c", 2)
-	f1, b1 := g.AddBuffer("ab", a, b, dataflow.Const(2), dataflow.Const(1), 1)
-	f2, b2 := g.AddBuffer("bc", b, c, dataflow.Const(1), dataflow.Const(2), 1)
-	s := &Sizer{G: g, Channels: []Channel{{f1, b1}, {f2, b2}}, Monitor: c}
-	maxTh, err := s.MaxThroughput()
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, err := s.MinCapacitiesForThroughput(maxTh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := s.OptimalCapacities(maxTh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum(opt) > sum(greedy) {
-		t.Errorf("optimal %v (sum %d) worse than greedy %v (sum %d)", opt, sum(opt), greedy, sum(greedy))
-	}
-	if ok, err := s.feasible(opt, maxTh); err != nil || !ok {
-		t.Errorf("optimal assignment infeasible: %v %v", ok, err)
-	}
-}
-
-func TestOptimalCapacitiesMatchGreedySingleChannel(t *testing.T) {
-	g, ch, mon := fig8Model(3)
-	s := &Sizer{G: g, Channels: []Channel{ch}, Monitor: mon}
-	maxTh, err := s.MaxThroughput()
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, err := s.MinCapacitiesForThroughput(maxTh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := s.OptimalCapacities(maxTh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if greedy[0] != opt[0] {
-		t.Errorf("single channel: greedy %v != optimal %v", greedy, opt)
-	}
-}
-
-func TestParetoSweepStaircase(t *testing.T) {
-	g := dataflow.NewGraph("pareto")
-	a := g.AddActor("a", 2)
-	b := g.AddActor("b", 3)
-	fwd, back := g.AddBuffer("ab", a, b, dataflow.Const(2), dataflow.Const(3), 1)
-	s := &Sizer{G: g, Channels: []Channel{{fwd, back}}, Monitor: b}
-	pts, err := s.ParetoSweep(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 5 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Total < pts[i-1].Total {
-			t.Fatalf("totals decrease along the sweep: %v", pts)
-		}
-		if pts[i].Throughput.Cmp(pts[i-1].Throughput) <= 0 {
-			t.Fatal("targets not increasing")
-		}
-	}
-	// The last point is the max-throughput sizing.
-	maxTh, _ := s.MaxThroughput()
-	if pts[len(pts)-1].Throughput.Cmp(maxTh) != 0 {
-		t.Error("final point is not the maximum throughput")
-	}
-	if _, err := s.ParetoSweep(0); err == nil {
-		t.Error("zero steps accepted")
 	}
 }

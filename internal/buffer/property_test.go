@@ -88,31 +88,9 @@ func TestMinCapacityMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestOptimalCapacitiesInfeasible(t *testing.T) {
-	g := dataflow.NewGraph("inf")
-	a := g.AddActor("a", 4)
-	b := g.AddActor("b", 4)
-	fwd, back := g.AddBuffer("ab", a, b, dataflow.Const(1), dataflow.Const(1), 1)
-	s := &Sizer{G: g, Channels: []Channel{{fwd, back}}, Monitor: b}
-	if _, err := s.OptimalCapacities(big.NewRat(1, 1)); err != ErrInfeasible {
-		t.Fatalf("err = %v, want ErrInfeasible", err)
-	}
-}
-
-func TestSizerCustomMaxEvents(t *testing.T) {
-	g := dataflow.NewGraph("me")
-	a := g.AddActor("a", 1)
-	b := g.AddActor("b", 1)
-	fwd, back := g.AddBuffer("ab", a, b, dataflow.Const(1), dataflow.Const(1), 1)
-	s := &Sizer{G: g, Channels: []Channel{{fwd, back}}, Monitor: b, MaxEvents: 1_000}
-	if _, err := s.MaxThroughput(); err != nil {
-		t.Fatalf("small budget should still suffice here: %v", err)
-	}
-}
-
-func TestOptimalBeatsOrMatchesGreedyThreeChannels(t *testing.T) {
-	// A three-stage pipeline with multirate hops: branch and bound must
-	// never be worse than greedy, and both must meet the target.
+func TestGreedyMeetsTargetThreeChannels(t *testing.T) {
+	// A three-stage pipeline with multirate hops: the greedy sizing must
+	// meet three quarters of the maximum throughput.
 	g := dataflow.NewGraph("p3")
 	a := g.AddActor("a", 1)
 	b := g.AddActor("b", 2)
@@ -131,17 +109,7 @@ func TestOptimalBeatsOrMatchesGreedyThreeChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := s.OptimalCapacities(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum(opt) > sum(greedy) {
-		t.Errorf("optimal %v worse than greedy %v", opt, greedy)
-	}
-	for _, caps := range [][]int64{greedy, opt} {
-		ok, err := s.feasible(caps, target)
-		if err != nil || !ok {
-			t.Errorf("assignment %v infeasible (%v)", caps, err)
-		}
+	if ok, err := s.feasible(greedy, target); err != nil || !ok {
+		t.Errorf("assignment %v infeasible (%v)", greedy, err)
 	}
 }

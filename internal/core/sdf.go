@@ -124,15 +124,7 @@ func (s *System) CheckRefinement(i int, p ModelParams, n int64) (*RefinementRepo
 	if err != nil {
 		return nil, fmt.Errorf("sdf arrivals: %w", err)
 	}
-	rep := &RefinementReport{Refines: true, FirstViolation: -1, RefinedTimes: ct, AbstractTimes: at}
-	for k := range ct {
-		if ct[k] > at[k] {
-			rep.Refines = false
-			rep.FirstViolation = k
-			break
-		}
-	}
-	return rep, nil
+	return CompareArrivals(ct, at), nil
 }
 
 // CompareArrivals checks the-earlier-the-better between two arbitrary

@@ -285,3 +285,23 @@ func (g *Graph) String() string {
 	}
 	return b.String()
 }
+
+// DOT renders the graph in Graphviz dot syntax for inspection.
+func (g *Graph) DOT() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n", g.Name)
+	for i, a := range g.Actors {
+		fmt.Fprintf(&b, "  n%d [label=\"%s\\nρ=%v\" shape=circle];\n", i, a.Name, a.Duration)
+	}
+	for _, e := range g.Edges {
+		style := ""
+		if e.Initial > 0 {
+			style = fmt.Sprintf(" label=\"%s/%s (%d)\"", e.Prod, e.Cons, e.Initial)
+		} else {
+			style = fmt.Sprintf(" label=\"%s/%s\"", e.Prod, e.Cons)
+		}
+		fmt.Fprintf(&b, "  n%d -> n%d [%s];\n", e.Src, e.Dst, strings.TrimSpace(style))
+	}
+	b.WriteString("}\n")
+	return b.String()
+}

@@ -120,10 +120,3 @@ func (g *Graph) TokensPerIteration(rv *RepetitionVector, e EdgeID) int64 {
 	ed := &g.Edges[e]
 	return totalPerCycle(ed.Prod, g.Actors[ed.Src].Phases()) * rv.Cycles[ed.Src]
 }
-
-// IsConsistent reports whether the balance equations have a positive
-// solution.
-func (g *Graph) IsConsistent() bool {
-	_, err := g.Repetitions()
-	return err == nil
-}

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/big"
 	"sort"
 )
@@ -403,14 +402,4 @@ func (g *Graph) ThroughputOf(a ActorID, maxEvents uint64) (*big.Rat, error) {
 		return nil, ErrNotPeriodic
 	}
 	return res.Throughput(a), nil
-}
-
-// Deadlocks reports whether self-timed execution of the graph reaches a
-// state where no actor can ever fire again.
-func (g *Graph) Deadlocks(maxEvents uint64) (bool, error) {
-	res, err := g.Simulate(SimOptions{DetectPeriod: true, MaxEvents: maxEvents})
-	if err != nil {
-		return false, fmt.Errorf("deadlock check: %w", err)
-	}
-	return res.Deadlocked, nil
 }

@@ -116,6 +116,22 @@ func TestDesignLowPassResponse(t *testing.T) {
 	if g := Response(h, 0.45); g > 0.05 {
 		t.Errorf("stopband gain at 0.45 = %v", g)
 	}
+	// Symmetric (linear phase).
+	for i := 0; i < len(h)/2; i++ {
+		if math.Abs(h[i]-h[len(h)-1-i]) > 1e-12 {
+			t.Errorf("asymmetric at %d", i)
+		}
+	}
+	// The Hamming window holds a 63-tap stopband below -40 dB.
+	h, err = DesignLowPass(63, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f := 0.2; f < 0.5; f += 0.002 {
+		if g := Response(h, f); g > 0.01 {
+			t.Fatalf("63-tap stopband gain at %.3f = %v, above -40 dB", f, g)
+		}
+	}
 }
 
 func TestDesignLowPassValidation(t *testing.T) {

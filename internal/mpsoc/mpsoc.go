@@ -152,8 +152,6 @@ type System struct {
 	Pair  *gateway.Pair
 	Tiles []*accel.Tile
 	Strs  []*Stream
-
-	cfg Config
 }
 
 // Build assembles a single-chain platform (the common case); it delegates
@@ -186,7 +184,7 @@ func Build(cfg Config) (*System, error) {
 		return nil, err
 	}
 	ch := ms.Chains[0]
-	return &System{K: ms.K, Net: ms.Net, Pair: ch.Pair, Tiles: ch.Tiles, Strs: ch.Strs, cfg: cfg}, nil
+	return &System{K: ms.K, Net: ms.Net, Pair: ch.Pair, Tiles: ch.Tiles, Strs: ch.Strs}, nil
 }
 
 // ackBatch picks a read-counter update granularity for the gateway input

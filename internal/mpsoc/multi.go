@@ -122,6 +122,9 @@ func BuildMulti(cfg MultiConfig) (*MultiSystem, error) {
 		if len(ch.Streams) == 0 && !ch.Standby {
 			return nil, fmt.Errorf("mpsoc: chain %q has no streams", ch.Name)
 		}
+		if ch.ReserveSlots < 0 {
+			return nil, fmt.Errorf("mpsoc: chain %q: ReserveSlots must not be negative, got %d", ch.Name, ch.ReserveSlots)
+		}
 		total += 2 + len(ch.Accels) + 2*(len(ch.Streams)+ch.ReserveSlots)
 	}
 	k := sim.NewKernel()

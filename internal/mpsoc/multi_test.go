@@ -58,6 +58,11 @@ func TestBuildMultiValidation(t *testing.T) {
 	if _, err := BuildMulti(cfg); err == nil {
 		t.Error("chain without streams accepted")
 	}
+	cfg = twoChainConfig()
+	cfg.Chains[0].ReserveSlots = -1
+	if _, err := BuildMulti(cfg); err == nil {
+		t.Error("negative reserved slots accepted")
+	}
 }
 
 func TestTwoChainsOnOneRing(t *testing.T) {

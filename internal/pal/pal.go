@@ -60,15 +60,12 @@ type Params struct {
 	// FilterTaps is the FIR length (33 in the paper).
 	FilterTaps int
 	// Audio seconds to synthesise (sources stop after the corresponding
-	// sample count; 0 = endless).
+	// sample count; 0 = endless). Build rejects a negative or non-finite
+	// value.
 	Seconds float64
 	// RecordActivity keeps the gateway's per-block activity trace for
 	// rotation Gantt rendering.
 	RecordActivity bool
-	// Deemphasis applies the PAL 50 µs de-emphasis network to the
-	// reconstructed audio (a software post-processing step on the
-	// processor tile).
-	Deemphasis bool
 }
 
 // DefaultParams mirrors the paper's numbers with carriers scaled into the
@@ -159,6 +156,9 @@ var streamNames = [4]string{"ch1.stage1", "ch2.stage1", "ch1.stage2", "ch2.stage
 
 // Build assembles the decoder on the simulated platform.
 func Build(p Params) (*Decoder, error) {
+	if p.Seconds < 0 || math.IsNaN(p.Seconds) || math.IsInf(p.Seconds, 0) {
+		return nil, fmt.Errorf("pal: seconds must be finite and non-negative, got %v", p.Seconds)
+	}
 	for i, b := range p.Blocks {
 		if b <= 0 || b%int64(p.Decimation) != 0 {
 			return nil, fmt.Errorf("pal: block[%d] = %d must be a positive multiple of %d", i, b, p.Decimation)
@@ -352,21 +352,11 @@ func (d *Decoder) forward(src, dst int) {
 }
 
 // reconstruct pairs the two stage-2 audio streams into L and R, the
-// paper's software task on a processor tile. With Params.Deemphasis it
-// also applies the PAL 50 µs de-emphasis per channel.
+// paper's software task on a processor tile.
 func (d *Decoder) reconstruct() {
 	k := d.Sys.K
 	s1 := d.Sys.Strs[2].Out // (L+R)/2 path
 	s2 := d.Sys.Strs[3].Out // R path
-	var deL, deR *dsp.Deemphasis
-	if d.P.Deemphasis {
-		var err error
-		deL, err = dsp.NewDeemphasis(50e-6, d.P.AudioRate)
-		if err != nil {
-			panic(err)
-		}
-		deR, _ = dsp.NewDeemphasis(50e-6, d.P.AudioRate)
-	}
 	var w *sim.Waker
 	w = sim.NewWaker(k, func() {
 		for {
@@ -387,12 +377,7 @@ func (d *Decoder) reconstruct() {
 			n := min(len(d.stereo.lr), len(d.stereo.r))
 			for j := 0; j < n; j++ {
 				lr, r := d.stereo.lr[j], d.stereo.r[j]
-				l := 2*lr - r
-				if deL != nil {
-					l = deL.Process(l)
-					r = deR.Process(r)
-				}
-				d.L = append(d.L, l)
+				d.L = append(d.L, 2*lr-r)
 				d.R = append(d.R, r)
 			}
 			d.stereo.lr = d.stereo.lr[:copy(d.stereo.lr, d.stereo.lr[n:])]

@@ -18,6 +18,15 @@ func TestParamsValidation(t *testing.T) {
 	if _, err := Build(p); err == nil {
 		t.Fatal("zero block accepted")
 	}
+	// A negative or non-finite length would make the source endless and
+	// the callers' horizon conversion wrap to ~2^64 cycles.
+	for _, secs := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p = DefaultParams()
+		p.Seconds = secs
+		if _, err := Build(p); err == nil {
+			t.Errorf("seconds %v accepted", secs)
+		}
+	}
 }
 
 func TestRates(t *testing.T) {
@@ -141,28 +150,6 @@ func TestAnalysisModelVerifies(t *testing.T) {
 	}
 	if int64(out[0]) != 2*p.Blocks[0]/int64(p.Decimation) {
 		t.Errorf("stage-1 output bound %d", out[0])
-	}
-}
-
-func TestDeemphasisOptionWires(t *testing.T) {
-	if testing.Short() {
-		t.Skip("decode is expensive")
-	}
-	p := DefaultParams()
-	p.Seconds = 0.015
-	p.Deemphasis = true
-	d, err := Build(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Run(3_500_000)
-	if len(d.L) < 300 {
-		t.Fatalf("only %d samples", len(d.L))
-	}
-	// The 1 kHz tone survives de-emphasis (corner ~3.2 kHz).
-	l := d.L[200:]
-	if GoertzelPower(l, p.ToneL, p.AudioRate) < 100*GoertzelPower(l, p.ToneR, p.AudioRate) {
-		t.Error("tone separation lost with de-emphasis")
 	}
 }
 

@@ -114,29 +114,6 @@ func (x *Crossbar) Reserve(slot, src, dst int) error {
 	return nil
 }
 
-// ReserveEvenly spreads n slots for (src → dst) as evenly as the free slots
-// allow, returning how many were granted.
-func (x *Crossbar) ReserveEvenly(n, src, dst int) int {
-	granted := 0
-	if n <= 0 {
-		return 0
-	}
-	stride := x.cfg.WheelSlots / n
-	if stride == 0 {
-		stride = 1
-	}
-	for off := 0; off < stride && granted < n; off++ {
-		for s := off; s < x.cfg.WheelSlots && granted < n; s += stride {
-			if x.slotSrc[s] == -1 {
-				if x.Reserve(s, src, dst) == nil {
-					granted++
-				}
-			}
-		}
-	}
-	return granted
-}
-
 // Node returns port i.
 func (x *Crossbar) Node(i int) *Node { return x.nodes[i] }
 

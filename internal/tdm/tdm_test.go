@@ -51,21 +51,6 @@ func TestSlotScheduledDelivery(t *testing.T) {
 	}
 }
 
-func TestReserveEvenly(t *testing.T) {
-	k := sim.NewKernel()
-	x, _ := New(k, Config{Nodes: 2, WheelSlots: 8})
-	if got := x.ReserveEvenly(4, 0, 1); got != 4 {
-		t.Fatalf("granted %d of 4", got)
-	}
-	// Remaining slots: 4. Over-asking grants only what exists.
-	if got := x.ReserveEvenly(8, 1, 0); got != 4 {
-		t.Fatalf("granted %d of remaining 4", got)
-	}
-	if got := x.ReserveEvenly(1, 0, 1); got != 0 {
-		t.Fatalf("granted %d from a full wheel", got)
-	}
-}
-
 func TestUnusedSlotsAreWasted(t *testing.T) {
 	k := sim.NewKernel()
 	x, _ := New(k, Config{Nodes: 2, WheelSlots: 2, TraversalLatency: 1})

@@ -73,16 +73,3 @@ var xmlEscaper = strings.NewReplacer(
 )
 
 func escape(s string) string { return xmlEscaper.Replace(s) }
-
-// CSV renders the Gantt as "actor,phase,start,end" rows for external
-// tooling (spreadsheets, waveform viewers).
-func (ga *Gantt) CSV() string {
-	var b strings.Builder
-	b.WriteString("actor,phase,start,end\n")
-	for _, row := range ga.Rows {
-		for _, s := range row.Spans {
-			fmt.Fprintf(&b, "%s,%d,%d,%d\n", row.Name, s.Phase, s.Start, s.End)
-		}
-	}
-	return b.String()
-}

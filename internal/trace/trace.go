@@ -132,10 +132,3 @@ func (ga *Gantt) Summary() string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -168,18 +168,3 @@ func TestSVGEscapesStreamStyleNames(t *testing.T) {
 		t.Errorf("SVG not well-formed: %v", err)
 	}
 }
-
-func TestCSVExport(t *testing.T) {
-	g, tr := sampleTrace(t)
-	csv := FromFirings(g, tr).CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if lines[0] != "actor,phase,start,end" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if len(lines) < 5 {
-		t.Fatalf("rows = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[1], "alpha,0,0,") {
-		t.Errorf("first row = %q", lines[1])
-	}
-}
