@@ -241,18 +241,25 @@ func BenchmarkStateSwitchModes(b *testing.B) {
 	run := func(b *testing.B, mode gateway.ReconfigMode) mpsoc.Report {
 		fir1, _ := accel.NewFIR(make([]int32, 33), 1)
 		fir2, _ := accel.NewFIR(make([]int32, 33), 1)
-		cfg := mpsoc.Config{
-			Name: "a3", HopLatency: 1, EntryCost: 15, ExitCost: 1,
-			Mode: mode, BusBase: 200, BusPerWord: 500,
-			Accels: []mpsoc.AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
-			Streams: []mpsoc.StreamSpec{
-				{Name: "x", Block: 64, Decimation: 1, Reconfig: 4100,
-					InCapacity: 256, OutCapacity: 256,
-					Engines: []accel.Engine{fir1}, TotalInputs: 2048},
-				{Name: "y", Block: 64, Decimation: 1, Reconfig: 4100,
-					InCapacity: 256, OutCapacity: 256,
-					Engines: []accel.Engine{fir2}, TotalInputs: 2048},
-			},
+		cfg := mpsoc.MultiConfig{
+			HopLatency: 1,
+			Chains: []mpsoc.ChainSpec{{
+				Name:       "a3",
+				EntryCost:  15,
+				ExitCost:   1,
+				Mode:       mode,
+				BusBase:    200,
+				BusPerWord: 500,
+				Accels:     []mpsoc.AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
+				Streams: []mpsoc.StreamSpec{
+					{Name: "x", Block: 64, Decimation: 1, Reconfig: 4100,
+						InCapacity: 256, OutCapacity: 256,
+						Engines: []accel.Engine{fir1}, TotalInputs: 2048},
+					{Name: "y", Block: 64, Decimation: 1, Reconfig: 4100,
+						InCapacity: 256, OutCapacity: 256,
+						Engines: []accel.Engine{fir2}, TotalInputs: 2048},
+				},
+			}},
 		}
 		sys, err := mpsoc.Build(cfg)
 		if err != nil {
@@ -283,18 +290,24 @@ func BenchmarkStateSwitchModes(b *testing.B) {
 // disabled (the head-of-line-blocking regime).
 func BenchmarkSpaceCheckAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := mpsoc.Config{
-			Name: "a1", HopLatency: 1, EntryCost: 15, ExitCost: 1,
-			Mode: gateway.ReconfigFixed, DisableSpaceCheck: true,
-			Accels: []mpsoc.AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
-			Streams: []mpsoc.StreamSpec{
-				{Name: "clogged", Block: 16, Decimation: 1, Reconfig: 50,
-					InCapacity: 64, OutCapacity: 20,
-					Engines: []accel.Engine{accel.Passthrough{}}, SinkPeriod: 5000, TotalInputs: 256},
-				{Name: "victim", Block: 16, Decimation: 1, Reconfig: 50,
-					InCapacity: 64, OutCapacity: 64,
-					Engines: []accel.Engine{accel.Passthrough{}}, TotalInputs: 1024},
-			},
+		cfg := mpsoc.MultiConfig{
+			HopLatency: 1,
+			Chains: []mpsoc.ChainSpec{{
+				Name:              "a1",
+				EntryCost:         15,
+				ExitCost:          1,
+				Mode:              gateway.ReconfigFixed,
+				DisableSpaceCheck: true,
+				Accels:            []mpsoc.AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+				Streams: []mpsoc.StreamSpec{
+					{Name: "clogged", Block: 16, Decimation: 1, Reconfig: 50,
+						InCapacity: 64, OutCapacity: 20,
+						Engines: []accel.Engine{accel.Passthrough{}}, SinkPeriod: 5000, TotalInputs: 256},
+					{Name: "victim", Block: 16, Decimation: 1, Reconfig: 50,
+						InCapacity: 64, OutCapacity: 64,
+						Engines: []accel.Engine{accel.Passthrough{}}, TotalInputs: 1024},
+				},
+			}},
 		}
 		sys, err := mpsoc.Build(cfg)
 		if err != nil {

@@ -25,9 +25,9 @@ func init() {
 
 func runArbiterAblation(args []string) error {
 	fmt.Println("Arbitration ablation — the paper's RR bound (Eq. 3 via [19]) vs fixed priority")
-	build := func(arb gateway.Arbitration) mpsoc.Report {
-		cfg := mpsoc.Config{
-			Name: "arb", HopLatency: 1, EntryCost: 15, ExitCost: 1,
+	chain := func(arb gateway.Arbitration) mpsoc.ChainSpec {
+		return mpsoc.ChainSpec{
+			Name: "arb", EntryCost: 15, ExitCost: 1,
 			Mode: gateway.ReconfigFixed, Arbiter: arb,
 			Accels: []mpsoc.AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
 			Streams: []mpsoc.StreamSpec{
@@ -39,7 +39,9 @@ func runArbiterAblation(args []string) error {
 					Engines: []accel.Engine{accel.Passthrough{}}},
 			},
 		}
-		sys, err := mpsoc.Build(cfg)
+	}
+	build := func(arb gateway.Arbitration) mpsoc.Report {
+		sys, err := mpsoc.Build(mpsoc.MultiConfig{HopLatency: 1, Chains: []mpsoc.ChainSpec{chain(arb)}})
 		if err != nil {
 			panic(err)
 		}
@@ -47,7 +49,7 @@ func runArbiterAblation(args []string) error {
 		return sys.Report()
 	}
 	model := &core.System{
-		Chain:   core.Chain{Name: "arb", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1, NICapacity: 2},
+		Chain:   chain(gateway.RoundRobin).Timing(),
 		ClockHz: 100_000_000,
 		Streams: []core.Stream{
 			{Name: "greedy", Rate: big.NewRat(1, 1), Reconfig: 50, Block: 16},
@@ -78,7 +80,7 @@ func runFlowControlAblation(args []string) error {
 		return err
 	}
 	if *words < 1 {
-		return fmt.Errorf("ablation-flowcontrol: -words must be positive, got %d", *words)
+		return fmt.Errorf("-words must be positive, got %d", *words)
 	}
 	fmt.Println("Flow-control ablation — hardware credits vs the C-FIFO algorithm on the")
 	fmt.Println("accelerator path (§II: Eclipse used C-FIFO in a hardware shell; the paper")

@@ -13,31 +13,9 @@ import (
 	"accelshare/internal/core"
 	"accelshare/internal/cost"
 	"accelshare/internal/dataflow"
+	"accelshare/internal/pal"
 	"accelshare/internal/trace"
 )
-
-// palModel is the paper's §VI-A analysis configuration.
-func palModel(clockHz int64) *core.System {
-	mk := func(name string, rate int64) core.Stream {
-		return core.Stream{Name: name, Rate: big.NewRat(rate, 1), Reconfig: 4100}
-	}
-	return &core.System{
-		Chain: core.Chain{
-			Name:       "cordic+fir",
-			AccelCosts: []uint64{1, 1},
-			EntryCost:  15,
-			ExitCost:   1,
-			NICapacity: 2,
-		},
-		Streams: []core.Stream{
-			mk("ch1.stage1", 44100*64),
-			mk("ch2.stage1", 44100*64),
-			mk("ch1.stage2", 44100*8),
-			mk("ch2.stage2", 44100*8),
-		},
-		ClockHz: clockHz,
-	}
-}
 
 func init() {
 	register("fig6", "execution schedule of one block (Fig. 6) and the τ̂s bound (Eq. 2)", runFig6)
@@ -56,6 +34,9 @@ func runFig6(args []string) error {
 	svgPath := fs.String("svg", "", "also write the schedule as an SVG file")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *eta < 1 {
+		return fmt.Errorf("-eta must be positive, got %d", *eta)
 	}
 	s := &core.System{
 		Chain:   core.Chain{Name: "demo", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1, NICapacity: 2},
@@ -109,7 +90,7 @@ func runFig8(args []string) error {
 		return err
 	}
 	if *maxEta < 5 { // the closing claim compares α(5) with α(2)
-		return fmt.Errorf("fig8: -max must be at least 5, got %d", *maxEta)
+		return fmt.Errorf("-max must be at least 5, got %d", *maxEta)
 	}
 	fmt.Println("Fig. 8 — minimum buffer capacities are non-monotone in the block size")
 	fmt.Println("model: producer emits 5 tokens/firing, consumer takes ηs/firing (Fig. 8a)")
@@ -164,9 +145,14 @@ func runBlockSizes(args []string) error {
 		return err
 	}
 	if *clock <= 0 {
-		return fmt.Errorf("blocksizes: -clock must be positive, got %d", *clock)
+		return fmt.Errorf("-clock must be positive, got %d", *clock)
 	}
-	s := palModel(*clock)
+	if *granularity < 0 {
+		return fmt.Errorf("-granularity must not be negative, got %d", *granularity)
+	}
+	p := pal.DefaultParams()
+	p.ClockHz = float64(*clock)
+	s := pal.AnalysisModel(p)
 	fmt.Printf("§VI-A — minimum block sizes for the PAL decoder (Algorithm 1)\n")
 	fmt.Printf("streams: 2 × %.4g S/s (stage 1) and 2 × %.4g S/s (stage 2) share one\n", 44100*64.0, 44100*8.0)
 	fmt.Printf("CORDIC + FIR chain; ε = 15, ρA = δ = 1, Rs = 4100 cycles, clock %.4g Hz\n", float64(*clock))
@@ -232,8 +218,11 @@ func runRefinement(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *eta < 1 {
+		return fmt.Errorf("-eta must be positive, got %d", *eta)
+	}
 	if *tokens < 1 {
-		return fmt.Errorf("refinement: -tokens must be positive, got %d", *tokens)
+		return fmt.Errorf("-tokens must be positive, got %d", *tokens)
 	}
 	s := &core.System{
 		Chain:   core.Chain{Name: "demo", AccelCosts: []uint64{3}, EntryCost: 2, ExitCost: 1, NICapacity: 2},

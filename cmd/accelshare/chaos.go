@@ -43,7 +43,7 @@ func runChaos(args []string) error {
 		return err
 	}
 	if *seed == 0 {
-		return fmt.Errorf("chaos: -seed must be non-zero")
+		return fmt.Errorf("-seed must be non-zero")
 	}
 	return chaosCampaign(os.Stdout, *short, *seed)
 }
@@ -247,13 +247,13 @@ func chaosCampaign(w io.Writer, short bool, seed uint64) error {
 	fmt.Fprintf(w, "fleet conformance violations: %d\n", violations)
 
 	if !allWithin {
-		return fmt.Errorf("chaos: a degradation-ladder step exceeded its composed bound")
+		return fmt.Errorf("a degradation-ladder step exceeded its composed bound")
 	}
 	if !contiguityOK {
-		return fmt.Errorf("chaos: a surviving stream lost or duplicated samples")
+		return fmt.Errorf("a surviving stream lost or duplicated samples")
 	}
 	if violations > 0 {
-		return fmt.Errorf("chaos: %d fleet conformance violations", violations)
+		return fmt.Errorf("%d fleet conformance violations", violations)
 	}
 	return nil
 }

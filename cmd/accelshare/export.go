@@ -22,8 +22,11 @@ func runDot(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *eta < 1 {
+		return fmt.Errorf("-eta must be positive, got %d", *eta)
+	}
 	if *accels < 1 {
-		return fmt.Errorf("dot: -accels must be positive, got %d", *accels)
+		return fmt.Errorf("-accels must be positive, got %d", *accels)
 	}
 	costs := make([]uint64, *accels)
 	for i := range costs {

@@ -48,7 +48,7 @@ func runFailover(args []string) error {
 		return err
 	}
 	if *horizon <= 0 {
-		return fmt.Errorf("failover: -horizon must be positive, got %d", *horizon)
+		return fmt.Errorf("-horizon must be positive, got %d", *horizon)
 	}
 	var plan *fault.Plan
 	if *script != "" {
@@ -83,17 +83,12 @@ type failoverScenario struct {
 	ckptCost sim.Time
 }
 
-// failoverModel is the primary's temporal model: three streams, ε=15, ρA=1,
-// δ=1, Rs=50, η=16 → τ̂=320, γ̂=960 (Eq. 2/4); μs=1/75 needs 1200 cycles per
-// block, so the bounds hold with slack.
-func failoverModel() *core.System {
-	m := &core.System{
-		Chain: core.Chain{
-			Name: "primary", AccelCosts: []uint64{1},
-			EntryCost: 15, ExitCost: 1, NICapacity: 2,
-		},
-		ClockHz: 1,
-	}
+// failoverModel is the temporal model of the three streams on a chain: on
+// the primary (ε=15, ρA=1, δ=1), Rs=50 and η=16 give τ̂=320 and γ̂=960
+// (Eq. 2/4); μs=1/75 needs 1200 cycles per block, so the bounds hold with
+// slack.
+func failoverModel(chain core.Chain) *core.System {
+	m := &core.System{Chain: chain, ClockHz: 1}
 	for _, name := range []string{"s0", "s1", "s2"} {
 		m.Streams = append(m.Streams, core.Stream{
 			Name: name, Rate: big.NewRat(1, 75), Reconfig: 50, Block: 16,
@@ -213,7 +208,7 @@ func failoverPlatform(sc failoverScenario) (*mpsoc.MultiSystem, *mpsoc.FailoverC
 	}
 	fc, err := mpsoc.NewFailover(ms, mpsoc.FailoverConfig{
 		Primary: 0, Standby: 1,
-		Model:       failoverModel(),
+		Model:       failoverModel(ms.Chains[0].Spec.Timing()),
 		PerSlotCost: 10,
 	})
 	if err != nil {
@@ -328,8 +323,7 @@ func failoverCampaign(w io.Writer, horizon sim.Time, override *fault.Plan) error
 		// Conformance over the post-transient trace: τ̂ per block (retried
 		// blocks exempt), γ̂ per block, μs long-run, for the live streams
 		// against the ACTIVE chain's parameters and block sizes.
-		model := failoverModel()
-		model.Chain = active.Timing()
+		model := failoverModel(active.Spec.Timing())
 		var bounds []conformance.StreamBounds
 		var streams []*gateway.Stream
 		for i, snap := range snaps {

@@ -36,7 +36,7 @@ func runFaults(args []string) error {
 	if *horizon <= 0 {
 		// sim.Time is unsigned: a negative horizon would wrap to ~2^64 and
 		// run the endless-source campaign effectively forever.
-		return fmt.Errorf("faults: -horizon must be positive, got %d", *horizon)
+		return fmt.Errorf("-horizon must be positive, got %d", *horizon)
 	}
 	return faultCampaign(os.Stdout, sim.Time(*horizon))
 }
@@ -48,7 +48,7 @@ func runFaults(args []string) error {
 // system meets every constraint with slack. Checkpointed scenarios override
 // the recovery config (K=4, value-exact) and pay the adjusted Eq. 2 term
 // τ̂(K) = 50 + (16+2·4)·15 + 3·5 = 425 instead.
-func campaignConfig(plan *fault.Plan, rec gateway.Recovery) mpsoc.Config {
+func campaignConfig(plan *fault.Plan, rec gateway.Recovery) mpsoc.MultiConfig {
 	stream := func(name string) mpsoc.StreamSpec {
 		return mpsoc.StreamSpec{
 			Name: name, Block: 16, Decimation: 1, Reconfig: 50,
@@ -57,18 +57,20 @@ func campaignConfig(plan *fault.Plan, rec gateway.Recovery) mpsoc.Config {
 			Engines:      []accel.Engine{&accel.Gain{}},
 		}
 	}
-	return mpsoc.Config{
-		Name:              "campaign",
-		EntryCost:         15,
-		ExitCost:          1,
-		Mode:              gateway.ReconfigFixed,
-		HopLatency:        1,
-		Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
-		Streams:           []mpsoc.StreamSpec{stream("s0"), stream("s1"), stream("s2")},
-		DrainTimeout:      600,
-		Recovery:          rec,
-		Faults:            plan,
-		RecordTurnarounds: true,
+	return mpsoc.MultiConfig{
+		HopLatency: 1,
+		Chains: []mpsoc.ChainSpec{{
+			Name:              "campaign",
+			EntryCost:         15,
+			ExitCost:          1,
+			Mode:              gateway.ReconfigFixed,
+			Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+			Streams:           []mpsoc.StreamSpec{stream("s0"), stream("s1"), stream("s2")},
+			DrainTimeout:      600,
+			Recovery:          rec,
+			Faults:            plan,
+			RecordTurnarounds: true,
+		}},
 	}
 }
 

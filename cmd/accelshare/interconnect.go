@@ -37,11 +37,11 @@ func runRingVsCrossbar(args []string) error {
 	}
 	switch {
 	case *nodes < 3: // each node sends two nodes on, which below 3 is itself
-		return fmt.Errorf("ring-vs-crossbar: -nodes must be at least 3, got %d", *nodes)
+		return fmt.Errorf("-nodes must be at least 3, got %d", *nodes)
 	case *words < 1:
-		return fmt.Errorf("ring-vs-crossbar: -words must be positive, got %d", *words)
+		return fmt.Errorf("-words must be positive, got %d", *words)
 	case *period < 1:
-		return fmt.Errorf("ring-vs-crossbar: -period must be positive, got %d", *period)
+		return fmt.Errorf("-period must be positive, got %d", *period)
 	}
 	// Traffic: every node i streams to node (i+2) mod N.
 	type flow struct{ src, dst int }

@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -176,7 +177,10 @@ func TestFailoverGolden(t *testing.T) {
 // TestBadFlagsRejected: besides an unknown flag, each of these values would
 // hang (an endless source or a zero injection period), panic, or print a
 // meaningless result (self-sends, zero words, a NaN mean, 0-sample packets,
-// a claim about α(5) without α(5)) if it reached the simulation.
+// a claim about α(5) without α(5), an unset block size, a decode of no
+// signal, a negative search window or rounding step) if it reached the
+// simulation. main prefixes every error with the command's name, so no
+// error text starts with it.
 func TestBadFlagsRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"fig6", "-definitely-not-a-flag"},
@@ -185,19 +189,37 @@ func TestBadFlagsRejected(t *testing.T) {
 		{"ring-vs-crossbar", "-words", "0"},
 		{"ablation-flowcontrol", "-words", "0"},
 		{"blocksizes", "-clock", "0"},
+		{"blocksizes", "-granularity", "-1"},
 		{"sharing-sweep", "-clock", "0"},
 		{"refinement", "-tokens", "0"},
+		{"refinement", "-eta", "0"},
+		{"fig6", "-eta", "0"},
+		{"dot", "-eta", "0"},
 		{"paldemo", "-seconds", "-1"},
+		{"paldemo", "-seconds", "0"},
 		{"utilization", "-seconds", "-1"},
+		{"utilization", "-seconds", "0"},
 		{"rotation", "-seconds", "-1"},
+		{"rotation", "-seconds", "0"},
 		{"admit", "-reserve", "-1"},
+		{"admit", "-horizon", "-1"},
+		{"faults", "-horizon", "-1"},
+		{"failover", "-horizon", "-1"},
+		{"chaos", "-seed", "0"},
+		{"serve", "-seed", "0"},
 		{"fig8", "-max", "4"},
 		{"dot", "-accels", "-1"},
 		{"rotation", "-width", "0"},
 		{"memopt", "-burst", "0"},
+		{"memopt", "-window", "-1"},
 	} {
-		if err := lookupCmd(t, args[0]).run(args[1:]); err == nil {
+		err := lookupCmd(t, args[0]).run(args[1:])
+		if err == nil {
 			t.Errorf("%v accepted", args)
+			continue
+		}
+		if strings.HasPrefix(err.Error(), args[0]+":") {
+			t.Errorf("%v: error %q names its command, which main already prefixes", args, err)
 		}
 	}
 }

@@ -22,8 +22,11 @@ func runMemOpt(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *window < 0 {
+		return fmt.Errorf("-window must not be negative, got %d", *window)
+	}
 	if *burst < 1 {
-		return fmt.Errorf("memopt: -burst must be positive, got %d", *burst)
+		return fmt.Errorf("-burst must be positive, got %d", *burst)
 	}
 	s := &core.System{
 		Chain:   core.Chain{Name: "memopt", AccelCosts: []uint64{2}, EntryCost: 3, ExitCost: 1, NICapacity: 2},

@@ -25,8 +25,11 @@ func runRotation(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if !(*rounds > 0) {
+		return fmt.Errorf("-seconds must be positive, got %v", *rounds)
+	}
 	if *width < 1 {
-		return fmt.Errorf("rotation: -width must be positive, got %d", *width)
+		return fmt.Errorf("-width must be positive, got %d", *width)
 	}
 	p := pal.DefaultParams()
 	p.Seconds = *rounds

@@ -44,7 +44,7 @@ func runServe(args []string) error {
 		return err
 	}
 	if *seed == 0 {
-		return fmt.Errorf("serve: -seed must be non-zero")
+		return fmt.Errorf("-seed must be non-zero")
 	}
 	return serveCampaign(os.Stdout, *short, *seed)
 }
@@ -314,16 +314,16 @@ func serveCampaign(w io.Writer, short bool, seed uint64) error {
 	fmt.Fprintf(w, "fleet conformance violations: %d\n", violations)
 
 	if admitted := counts[cluster.EvArrive]; admitted < p.minAdmitted {
-		return fmt.Errorf("serve: %d admitted background lifetimes, want >= %d", admitted, p.minAdmitted)
+		return fmt.Errorf("%d admitted background lifetimes, want >= %d", admitted, p.minAdmitted)
 	}
 	if !allWithin {
-		return fmt.Errorf("serve: a rebalance move exceeded its composed bound")
+		return fmt.Errorf("a rebalance move exceeded its composed bound")
 	}
 	if !contiguityOK {
-		return fmt.Errorf("serve: a live stream lost or duplicated samples")
+		return fmt.Errorf("a live stream lost or duplicated samples")
 	}
 	if violations > 0 {
-		return fmt.Errorf("serve: %d fleet conformance violations", violations)
+		return fmt.Errorf("%d fleet conformance violations", violations)
 	}
 	return nil
 }

@@ -30,6 +30,9 @@ func runPALDemo(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if !(*seconds > 0) {
+		return fmt.Errorf("-seconds must be positive, got %v", *seconds)
+	}
 	p := pal.DefaultParams()
 	p.Seconds = *seconds
 	d, err := pal.Build(p)
@@ -89,6 +92,9 @@ func runUtilization(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if !(*seconds > 0) {
+		return fmt.Errorf("-seconds must be positive, got %v", *seconds)
+	}
 	p := pal.DefaultParams()
 	p.Seconds = *seconds
 	d, err := pal.Build(p)
@@ -115,8 +121,10 @@ func runUtilization(args []string) error {
 		fmt.Printf("  %-8s %8s    utilisation of a private-per-stream design)\n", "", "")
 	}
 
-	// γ bound check against the analysis model.
-	model := palAnalysisModelRounded()
+	// γ bound check against the analysis model at the implementable
+	// (multiple-of-8) block sizes the simulator runs: the default
+	// parameters, of which -seconds does not enter the model.
+	model := pal.AnalysisModel(pal.DefaultParams())
 	fmt.Printf("\nworst-case block turnaround vs γ̂s (Eq. 4):\n")
 	fmt.Printf("%-12s %14s %14s\n", "stream", "measured", "bound")
 	for i, sr := range rep.PerStream {
@@ -131,17 +139,6 @@ func runUtilization(args []string) error {
 		fmt.Printf("%-12s %14d %14d%s\n", sr.Name, sr.MaxTurnaround, gamma, flag)
 	}
 	return nil
-}
-
-// palAnalysisModelRounded is the analysis model at the implementable
-// (multiple-of-8) block sizes actually run by the simulator.
-func palAnalysisModelRounded() *core.System {
-	s := palModel(100_000_000)
-	blocks := []int64{9848, 9848, 1232, 1232}
-	for i := range s.Streams {
-		s.Streams[i].Block = blocks[i]
-	}
-	return s
 }
 
 // runUtilizationSW reproduces the paper's prototype regime: state switched
@@ -160,31 +157,32 @@ func runUtilizationSW(p pal.Params, perWord uint64) error {
 	if err != nil {
 		return err
 	}
-	cfg := mpsoc.Config{
-		Name:       "sw-state",
+	sys, err := mpsoc.Build(mpsoc.MultiConfig{
 		HopLatency: 1,
-		EntryCost:  15,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigPerWord,
-		BusBase:    200,
-		BusPerWord: sim.Time(perWord),
-		Accels:     []mpsoc.AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
-		Streams: []mpsoc.StreamSpec{
-			{
-				Name: "s0", Block: 64, Decimation: 1, Reconfig: 0,
-				InCapacity: 256, OutCapacity: 256,
-				Engines:     []accel.Engine{fir1},
-				TotalInputs: 8192,
+		Chains: []mpsoc.ChainSpec{{
+			Name:       "sw-state",
+			EntryCost:  15,
+			ExitCost:   1,
+			Mode:       gateway.ReconfigPerWord,
+			BusBase:    200,
+			BusPerWord: sim.Time(perWord),
+			Accels:     []mpsoc.AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
+			Streams: []mpsoc.StreamSpec{
+				{
+					Name: "s0", Block: 64, Decimation: 1, Reconfig: 0,
+					InCapacity: 256, OutCapacity: 256,
+					Engines:     []accel.Engine{fir1},
+					TotalInputs: 8192,
+				},
+				{
+					Name: "s1", Block: 64, Decimation: 1, Reconfig: 0,
+					InCapacity: 256, OutCapacity: 256,
+					Engines:     []accel.Engine{fir2},
+					TotalInputs: 8192,
+				},
 			},
-			{
-				Name: "s1", Block: 64, Decimation: 1, Reconfig: 0,
-				InCapacity: 256, OutCapacity: 256,
-				Engines:     []accel.Engine{fir2},
-				TotalInputs: 8192,
-			},
-		},
-	}
-	sys, err := mpsoc.Build(cfg)
+		}},
+	})
 	if err != nil {
 		return err
 	}
@@ -203,10 +201,9 @@ func runSpaceCheckAblation(args []string) error {
 	fmt.Println("scenario: stream `clogged` has a very slow consumer; stream `victim` shares")
 	fmt.Println("the accelerator. Without the space check the clogged block stalls inside the")
 	fmt.Println("chain and head-of-line blocks the victim past its γ̂ bound.")
-	run := func(disable bool) (mpsoc.Report, error) {
-		cfg := mpsoc.Config{
+	chain := func(disable bool) mpsoc.ChainSpec {
+		return mpsoc.ChainSpec{
 			Name:              "ablate",
-			HopLatency:        1,
 			EntryCost:         15,
 			ExitCost:          1,
 			Mode:              gateway.ReconfigFixed,
@@ -228,7 +225,9 @@ func runSpaceCheckAblation(args []string) error {
 				},
 			},
 		}
-		sys, err := mpsoc.Build(cfg)
+	}
+	run := func(disable bool) (mpsoc.Report, error) {
+		sys, err := mpsoc.Build(mpsoc.MultiConfig{HopLatency: 1, Chains: []mpsoc.ChainSpec{chain(disable)}})
 		if err != nil {
 			return mpsoc.Report{}, err
 		}
@@ -236,7 +235,7 @@ func runSpaceCheckAblation(args []string) error {
 		return sys.Report(), nil
 	}
 	model := &core.System{
-		Chain:   core.Chain{Name: "ablate", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1, NICapacity: 2},
+		Chain:   chain(false).Timing(),
 		ClockHz: 100_000_000,
 		Streams: []core.Stream{
 			{Name: "clogged", Rate: big.NewRat(1, 1), Reconfig: 50, Block: 16},

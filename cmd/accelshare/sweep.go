@@ -49,7 +49,7 @@ func runSharingSweep(args []string) error {
 		return err
 	}
 	if *clock <= 0 {
-		return fmt.Errorf("sharing-sweep: -clock must be positive, got %d", *clock)
+		return fmt.Errorf("-clock must be positive, got %d", *clock)
 	}
 	const (
 		fast = 44100 * 64

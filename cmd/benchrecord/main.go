@@ -14,6 +14,19 @@
 // — a 3-iteration sample of a bursty microbench can be off by several x,
 // which would make the -diff gate flaky.
 //
+// A shared host also runs the same code up to about twice as slowly for
+// seconds at a time (its memory system is busy with other tenants), so
+// raw ns/op of untouched benchmarks moved past any useful threshold
+// between recordings. Each package's test binary is therefore built once
+// and each top-level benchmark runs alone, bracketed by reference jobs in
+// benchrecord's own process (perfbench's method: allocate one binary tree
+// and walk it, which slows with the host as the benchmarks do; here each
+// job walks refTrees trees). The recorded figure is
+//
+//	ns/op × refNominal / (mean CPU time per tree of the two reference jobs),
+//
+// the benchmark's time at reference speed.
+//
 // Default packages are the repo root (paper tables/figures), the
 // fleet-scale cluster benches, the DSP kernels the PAL accelerators run
 // (CORDIC, FIR), the ring transport's per-word benches, the event-kernel
@@ -29,12 +42,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 )
 
@@ -116,14 +133,114 @@ func main() {
 	fmt.Printf("recorded %d benchmarks to %s\n", len(b.Benchmarks), *out)
 }
 
+// refNominal is the reference job's CPU time on the machine perfbench
+// calibrates against (a 2-vCPU Intel Xeon virtual machine) in its fast
+// state, so a recorded ns/op reads as that machine's fast-state time.
+const refNominal = 300 * time.Microsecond
+
+// refDepth sizes the reference job's tree: 2^(refDepth+1)-1 nodes of 16
+// bytes, 128 KiB at depth 12.
+const refDepth = 12
+
+// refTrees is how many trees one reference job builds and walks. One tree
+// (0.3-0.8 ms) is too short a sample of the host: scaled by single trees,
+// the default set's ns/op varied twice as much between recordings as
+// unscaled, and scaled by 32 trees' mean a little less (EXPERIMENTS E28).
+const refTrees = 32
+
+type refNode struct{ l, r *refNode }
+
+func refTree(d int) *refNode {
+	if d == 0 {
+		return &refNode{}
+	}
+	return &refNode{refTree(d - 1), refTree(d - 1)}
+}
+
+func (n *refNode) count() int {
+	if n.l == nil {
+		return 1
+	}
+	return 1 + n.l.count() + n.r.count()
+}
+
+// refJob builds and walks refTrees reference trees and returns the mean
+// CPU time per tree. It collects first, so no collection of earlier trees
+// lands inside it.
+func refJob() time.Duration {
+	runtime.GC()
+	c0 := cpuTime()
+	for range refTrees {
+		if refTree(refDepth).count() != 1<<(refDepth+1)-1 {
+			panic("benchrecord: reference job miscounted its tree")
+		}
+	}
+	return (cpuTime() - c0) / refTrees
+}
+
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(fmt.Sprintf("benchrecord: getrusage: %v", err))
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// runPackage builds pkg's test binary once and runs each of its top-level
+// benchmarks alone, in the package directory as go test does, scaling
+// the benchmark's ns/op (and its sub-benchmarks') by the reference jobs
+// on either side.
 func runPackage(pkg, benchtime string) ([]record, [3]string, error) {
 	var meta [3]string
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", ".", "-benchmem",
-		"-benchtime", benchtime, pkg)
-	out, err := cmd.CombinedOutput()
+	golist := exec.Command("go", "list", "-f", "{{.Dir}}", pkg)
+	golist.Stderr = os.Stderr
+	dirOut, err := golist.Output()
 	if err != nil {
+		return nil, meta, fmt.Errorf("go list: %w", err)
+	}
+	tmp, err := os.MkdirTemp("", "benchrecord")
+	if err != nil {
+		return nil, meta, err
+	}
+	defer os.RemoveAll(tmp)
+	bin := filepath.Join(tmp, "pkg.test")
+	if out, err := exec.Command("go", "test", "-c", "-o", bin, pkg).CombinedOutput(); err != nil {
 		return nil, meta, fmt.Errorf("%v\n%s", err, out)
 	}
+	run := func(args ...string) ([]byte, error) {
+		cmd := exec.Command(bin, args...)
+		cmd.Dir = strings.TrimSpace(string(dirOut))
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			return nil, fmt.Errorf("%v\n%s", err, out)
+		}
+		return out, nil
+	}
+	list, err := run("-test.list", "^Benchmark")
+	if err != nil {
+		return nil, meta, err
+	}
+	refJob() // the first tree also pays for growing the heap
+	var recs []record
+	for _, name := range strings.Fields(string(list)) {
+		before := refJob()
+		out, err := run("-test.run", "^$", "-test.bench", "^"+regexp.QuoteMeta(name)+"$",
+			"-test.benchmem", "-test.benchtime", benchtime)
+		if err != nil {
+			return nil, meta, err
+		}
+		scale := float64(refNominal) / (float64(before+refJob()) / 2)
+		rs, err := parseBench(out, pkg, scale, &meta)
+		if err != nil {
+			return nil, meta, err
+		}
+		recs = append(recs, rs...)
+	}
+	return recs, meta, nil
+}
+
+// parseBench reads one benchmark run's output, scaling each ns/op.
+func parseBench(out []byte, pkg string, scale float64, meta *[3]string) ([]record, error) {
 	var recs []record
 	sc := bufio.NewScanner(bytes.NewReader(out))
 	for sc.Scan() {
@@ -142,12 +259,12 @@ func runPackage(pkg, benchtime string) ([]record, [3]string, error) {
 		}
 		iters, _ := strconv.ParseInt(m[2], 10, 64)
 		ns, _ := strconv.ParseFloat(m[3], 64)
-		r := record{Name: m[1], Package: pkg, Iters: iters, NsPerOp: ns}
+		r := record{Name: m[1], Package: pkg, Iters: iters, NsPerOp: math.Round(ns*scale*100) / 100}
 		if m[4] != "" {
 			r.BytesOp, _ = strconv.ParseFloat(m[4], 64)
 			r.AllocsOp, _ = strconv.ParseFloat(m[5], 64)
 		}
 		recs = append(recs, r)
 	}
-	return recs, meta, sc.Err()
+	return recs, sc.Err()
 }

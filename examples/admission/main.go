@@ -30,16 +30,21 @@ func main() {
 	// The running configuration: one accelerator (ρA = 1), entry DMA ε = 15,
 	// exit δ = 1, Rs = 50, four streams at one sample per 75 cycles each.
 	// Algorithm 1 gives η = 22 per stream (τ̂ = 410, γ̂ = 1640).
-	model := &core.System{
-		Chain: core.Chain{
-			Name:       "chain",
-			AccelCosts: []uint64{1},
-			EntryCost:  15,
-			ExitCost:   1,
-			NICapacity: 2,
-		},
-		ClockHz: 1,
+	// ReserveSlots pre-allocates gateway stream slots (and their ring
+	// attachment points) at build time, so a stream admitted later needs no
+	// rewiring.
+	chain := mpsoc.ChainSpec{
+		Name:              "chain",
+		EntryCost:         15,
+		ExitCost:          1,
+		Mode:              gateway.ReconfigFixed,
+		Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+		DrainTimeout:      200,
+		Recovery:          gateway.Recovery{Enabled: true, RetryLimit: 2},
+		RecordTurnarounds: true,
+		ReserveSlots:      2,
 	}
+	model := &core.System{Chain: chain.Timing(), ClockHz: 1}
 	for _, name := range []string{"s1", "s2", "s3", "s4"} {
 		model.Streams = append(model.Streams, core.Stream{
 			Name: name, Rate: big.NewRat(1, 75), Reconfig: 50,
@@ -49,9 +54,8 @@ func main() {
 		log.Fatal(err)
 	}
 	engines := func(string) []accel.Engine { return []accel.Engine{&accel.Gain{}} }
-	var specs []mpsoc.StreamSpec
 	for i := range model.Streams {
-		specs = append(specs, mpsoc.StreamSpec{
+		chain.Streams = append(chain.Streams, mpsoc.StreamSpec{
 			Name:         model.Streams[i].Name,
 			Block:        model.Streams[i].Block,
 			Decimation:   1,
@@ -62,24 +66,7 @@ func main() {
 			Engines:      engines(""),
 		})
 	}
-	// ReserveSlots pre-allocates gateway stream slots (and their ring
-	// attachment points) at build time, so a stream admitted later needs no
-	// rewiring.
-	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
-		Name: "admission-demo",
-		Chains: []mpsoc.ChainSpec{{
-			Name:              "chain",
-			EntryCost:         15,
-			ExitCost:          1,
-			Mode:              gateway.ReconfigFixed,
-			Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
-			Streams:           specs,
-			DrainTimeout:      200,
-			Recovery:          gateway.Recovery{Enabled: true, RetryLimit: 2},
-			RecordTurnarounds: true,
-			ReserveSlots:      2,
-		}},
-	})
+	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{Name: "admission-demo", Chains: []mpsoc.ChainSpec{chain}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,14 +36,19 @@ func main() {
 	const rateA = 44100.0 * 32
 	const rateB = 44100.0 * 8
 
-	model := &core.System{
-		Chain: core.Chain{
-			Name:       "channelizer",
-			AccelCosts: []uint64{1, 1}, // CORDIC, FIR+D
-			EntryCost:  15,
-			ExitCost:   1,
-			NICapacity: 2,
+	// One CORDIC + FIR+D chain; the model reads its timing from the chain.
+	chain := mpsoc.ChainSpec{
+		Name:      "multiradio",
+		EntryCost: 15,
+		ExitCost:  1,
+		Mode:      gateway.ReconfigFixed,
+		Accels: []mpsoc.AccelSpec{
+			{Name: "cordic", Cost: 1, NICapacity: 2},
+			{Name: "fir+d", Cost: 1, NICapacity: 2},
 		},
+	}
+	model := &core.System{
+		Chain:   chain.Timing(),
 		ClockHz: int64(clock),
 		Streams: []core.Stream{
 			{Name: "radioA", Rate: big.NewRat(int64(rateA), 1), Reconfig: 4100},
@@ -90,38 +95,31 @@ func main() {
 	}
 
 	const seconds = 0.02
-	cfg := mpsoc.Config{
-		Name:       "multiradio",
-		HopLatency: 1,
-		EntryCost:  15,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigFixed,
-		Accels: []mpsoc.AccelSpec{
-			{Name: "cordic", Cost: 1, NICapacity: 2},
-			{Name: "fir+d", Cost: 1, NICapacity: 2},
+	// The streams carry float-derived source settings, so they go on a copy
+	// of the chain: accellint's floatflow would otherwise taint the model
+	// read from chain and flag its γ̂ comparison below.
+	hw := chain
+	hw.Streams = []mpsoc.StreamSpec{
+		{
+			Name: "radioA", Block: res.Blocks[0], Decimation: 8, Reconfig: 4100,
+			InCapacity: int(3 * res.Blocks[0]), OutCapacity: int(res.Blocks[0]),
+			Engines:         []accel.Engine{accel.NewMixer(-300_000, rateA), firA},
+			SourcePeriodNum: uint64(clock), SourcePeriodDen: uint64(rateA),
+			Source:         mkSource(modA, toneA, rateA),
+			TotalInputs:    uint64(seconds * rateA),
+			CollectOutputs: true,
 		},
-		Streams: []mpsoc.StreamSpec{
-			{
-				Name: "radioA", Block: res.Blocks[0], Decimation: 8, Reconfig: 4100,
-				InCapacity: int(3 * res.Blocks[0]), OutCapacity: int(res.Blocks[0]),
-				Engines:         []accel.Engine{accel.NewMixer(-300_000, rateA), firA},
-				SourcePeriodNum: uint64(clock), SourcePeriodDen: uint64(rateA),
-				Source:         mkSource(modA, toneA, rateA),
-				TotalInputs:    uint64(seconds * rateA),
-				CollectOutputs: true,
-			},
-			{
-				Name: "radioB", Block: res.Blocks[1], Decimation: 8, Reconfig: 4100,
-				InCapacity: int(3 * res.Blocks[1]), OutCapacity: int(res.Blocks[1]),
-				Engines:         []accel.Engine{accel.NewMixer(80_000, rateB), firB},
-				SourcePeriodNum: uint64(clock), SourcePeriodDen: uint64(rateB),
-				Source:         mkSource(modB, toneB, rateB),
-				TotalInputs:    uint64(seconds * rateB),
-				CollectOutputs: true,
-			},
+		{
+			Name: "radioB", Block: res.Blocks[1], Decimation: 8, Reconfig: 4100,
+			InCapacity: int(3 * res.Blocks[1]), OutCapacity: int(res.Blocks[1]),
+			Engines:         []accel.Engine{accel.NewMixer(80_000, rateB), firB},
+			SourcePeriodNum: uint64(clock), SourcePeriodDen: uint64(rateB),
+			Source:         mkSource(modB, toneB, rateB),
+			TotalInputs:    uint64(seconds * rateB),
+			CollectOutputs: true,
 		},
 	}
-	sys, err := mpsoc.Build(cfg)
+	sys, err := mpsoc.Build(mpsoc.MultiConfig{HopLatency: 1, Chains: []mpsoc.ChainSpec{hw}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,15 +26,17 @@ import (
 func main() {
 	// Step 1: one accelerator (ρA = 4 cycles/sample) shared by two streams
 	// through a gateway pair with a 2-cycle DMA and 1-cycle exit gateway on
-	// a 100 MHz platform.
+	// a 100 MHz platform. The chain is described once, as hardware; its
+	// temporal model is read from that description.
+	chain := mpsoc.ChainSpec{
+		Name:      "quickstart",
+		EntryCost: 2,
+		ExitCost:  1,
+		Mode:      gateway.ReconfigFixed,
+		Accels:    []mpsoc.AccelSpec{{Name: "sharpen", Cost: 4, NICapacity: 2}},
+	}
 	sys := &core.System{
-		Chain: core.Chain{
-			Name:       "sharpen",
-			AccelCosts: []uint64{4},
-			EntryCost:  2,
-			ExitCost:   1,
-			NICapacity: 2,
-		},
+		Chain:   chain.Timing(),
 		ClockHz: 100_000_000,
 		Streams: []core.Stream{
 			{Name: "camera", Rate: big.NewRat(2_000_000, 1), Reconfig: 800},
@@ -88,20 +90,12 @@ func main() {
 
 	// Step 5: run the same configuration as simulated hardware and compare
 	// the measured worst-case turnaround against γ̂.
-	cfg := mpsoc.Config{
-		Name:       "quickstart",
-		HopLatency: 1,
-		EntryCost:  2,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigFixed,
-		Accels:     []mpsoc.AccelSpec{{Name: "sharpen", Cost: 4, NICapacity: 2}},
-	}
 	for i, st := range sys.Streams {
 		// Drive each source at exactly its required rate: the period in
 		// cycles is ClockHz / rate, kept exact as a rational.
 		num := uint64(sys.ClockHz)
 		den := uint64(st.Rate.Num().Int64())
-		cfg.Streams = append(cfg.Streams, mpsoc.StreamSpec{
+		chain.Streams = append(chain.Streams, mpsoc.StreamSpec{
 			Name:            st.Name,
 			Block:           res.Blocks[i],
 			Decimation:      1,
@@ -114,7 +108,7 @@ func main() {
 			TotalInputs:     uint64(res.Blocks[i]) * 40,
 		})
 	}
-	hw, err := mpsoc.Build(cfg)
+	hw, err := mpsoc.Build(mpsoc.MultiConfig{HopLatency: 1, Chains: []mpsoc.ChainSpec{chain}})
 	if err != nil {
 		log.Fatal(err)
 	}

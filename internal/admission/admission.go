@@ -1031,7 +1031,7 @@ func (*rollback) undo(*Controller) string { return "" }
 // pair's table (failover preserves order, but the controller should not
 // depend on that), the model's block sizes refresh from the live table (the
 // failover re-solves them for a standby of different timing), and the
-// model's chain parameters become the new chain's (mpsoc.Chain.Timing). A
+// model's chain parameters become the new chain's (mpsoc.ChainSpec.Timing). A
 // transition that was pending on the dead pair is aborted: its pause
 // callback died with the pair, so the busy gate is released and the
 // generation bump turns any still-scheduled completion into a no-op.
@@ -1082,7 +1082,7 @@ func (c *Controller) Retarget(chain int) error {
 	for _, name := range parkedNames {
 		c.parked[name].slot = slotByName[name]
 	}
-	c.model.Chain = ch.Timing()
+	c.model.Chain = ch.Spec.Timing()
 	c.gwSlot = newSlots
 	c.ci = chain
 	c.pendingCanary = nil // a probe cannot survive its pair

@@ -337,17 +337,8 @@ func New(cfg Config) (*Controller, error) {
 		if cs.Spare {
 			ms.Standby = true
 		} else {
-			// The platform is not built yet, so the resident's model spells
-			// out the chain it will have (mpsoc.Chain.Timing).
 			rname := "r-" + cs.Name
-			chain := core.Chain{
-				Name:       cs.Name,
-				AccelCosts: []uint64{uint64(cs.AccelCost)},
-				EntryCost:  uint64(cfg.EntryCost),
-				ExitCost:   uint64(cfg.ExitCost),
-				NICapacity: 2,
-			}
-			model := &core.System{Chain: chain, ClockHz: 1, Streams: []core.Stream{{
+			model := &core.System{Chain: ms.Timing(), ClockHz: 1, Streams: []core.Stream{{
 				Name:     rname,
 				Rate:     big.NewRat(1, cfg.ResidentPeriod),
 				Reconfig: uint64(cfg.Reconfig),
@@ -919,7 +910,7 @@ func (c *Controller) onHeal(ci *chainInfo) {
 		c.event(EvHeal, ci.name, "", "online as spare")
 		return
 	}
-	model := &core.System{Chain: c.ms.Chains[ci.idx].Timing(), ClockHz: 1}
+	model := &core.System{Chain: c.ms.Chains[ci.idx].Spec.Timing(), ClockHz: 1}
 	ctrl, err := admission.New(c.ms, admission.Config{
 		Chain:       ci.idx,
 		Model:       model,

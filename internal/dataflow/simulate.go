@@ -51,8 +51,7 @@ type SimOptions struct {
 // SimResult is the outcome of a self-timed execution.
 type SimResult struct {
 	// Deadlocked is set when no actor can ever fire again.
-	Deadlocked   bool
-	DeadlockTime uint64
+	Deadlocked bool
 
 	// Time is the clock value when the simulation stopped.
 	Time uint64
@@ -72,7 +71,6 @@ type SimResult struct {
 
 	// Periodic results (only when SimOptions.DetectPeriod found a cycle):
 	Periodic      bool
-	TransientEnd  uint64  // time of the first occurrence of the repeated state
 	Period        uint64  // steady-state period length in time units
 	PeriodFirings []int64 // firings per actor within one period
 }
@@ -351,7 +349,6 @@ func (s *simulator) run() error {
 			}
 			if prev, ok := s.seen[key]; ok {
 				s.res.Periodic = true
-				s.res.TransientEnd = prev.time
 				s.res.Period = s.now - prev.time
 				s.res.PeriodFirings = make([]int64, len(s.firings))
 				for i := range s.firings {
@@ -366,7 +363,6 @@ func (s *simulator) run() error {
 		}
 		if len(s.events) == 0 {
 			s.res.Deadlocked = true
-			s.res.DeadlockTime = s.now
 			return nil
 		}
 		next := s.events[0].time

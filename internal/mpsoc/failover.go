@@ -268,7 +268,7 @@ func (fc *FailoverController) migrate(reason string, triggeredAt, settle sim.Tim
 			rec.Names = append(rec.Names, e.Stream.Name)
 			blocks[i] = e.Stream.Block
 		}
-		if standby := fc.stb.Timing(); !sameTiming(fc.pri.Timing(), standby) {
+		if standby := fc.stb.Spec.Timing(); !sameTiming(fc.pri.Spec.Timing(), standby) {
 			solved, rerr := fc.resolve(standby, exports, decims)
 			if rerr == nil {
 				// A slot whose aborted block must replay cannot shrink below

@@ -17,7 +17,7 @@ import (
 // Eq. 4 over the full set: γ̂ = 3·τ̂ = 960. At one sample per 75 cycles a
 // stream fills a block every 1200 cycles > γ̂, so the healthy system meets
 // every throughput constraint with slack.
-func faultPlatform(plan *fault.Plan, rec gateway.Recovery) Config {
+func faultPlatform(plan *fault.Plan, rec gateway.Recovery) MultiConfig {
 	stream := func(name string) StreamSpec {
 		return StreamSpec{
 			Name: name, Block: 16, Decimation: 1, Reconfig: 50,
@@ -26,20 +26,22 @@ func faultPlatform(plan *fault.Plan, rec gateway.Recovery) Config {
 			Engines:      []accel.Engine{&accel.Gain{}},
 		}
 	}
-	return Config{
-		Name:       "faulty",
-		EntryCost:  15,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigFixed,
+	return MultiConfig{
 		HopLatency: 1,
-		Accels:     []AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
-		Streams: []StreamSpec{
-			stream("s0"), stream("s1"), stream("s2"),
-		},
-		DrainTimeout:      600,
-		Recovery:          rec,
-		Faults:            plan,
-		RecordTurnarounds: true,
+		Chains: []ChainSpec{{
+			Name:      "faulty",
+			EntryCost: 15,
+			ExitCost:  1,
+			Mode:      gateway.ReconfigFixed,
+			Accels:    []AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+			Streams: []StreamSpec{
+				stream("s0"), stream("s1"), stream("s2"),
+			},
+			DrainTimeout:      600,
+			Recovery:          rec,
+			Faults:            plan,
+			RecordTurnarounds: true,
+		}},
 	}
 }
 
@@ -280,9 +282,9 @@ func TestTransientLinkWedgeRecovers(t *testing.T) {
 		{Kind: fault.WedgeLink, Site: 0, At: 500, Duration: 1500},
 	}}
 	cfg := faultPlatform(plan, gateway.Recovery{Enabled: true, RetryLimit: 3})
-	for i := range cfg.Streams {
-		cfg.Streams[i].SourcePeriod = 20
-		cfg.Streams[i].TotalInputs = 64 // 4 blocks each, finite run
+	for i := range cfg.Chains[0].Streams {
+		cfg.Chains[0].Streams[i].SourcePeriod = 20
+		cfg.Chains[0].Streams[i].TotalInputs = 64 // 4 blocks each, finite run
 	}
 	sys, err := Build(cfg)
 	if err != nil {

@@ -6,7 +6,7 @@
 // versus the γs bound, gateway duty cycle and accelerator utilisation.
 //
 // It is also where the recovery ladder becomes a platform property.
-// Config.Recovery/DrainTimeout wire per-stream watchdog retry, checkpointed
+// ChainSpec.Recovery/DrainTimeout wire per-stream watchdog retry, checkpointed
 // resume and quarantine into every assembled chain, and BuildMulti +
 // FailoverController (failover.go) add the top rung: a fault doctor's
 // wedged-chain verdict freezes the sick gateway pair, exports every
@@ -20,11 +20,11 @@
 package mpsoc
 
 import (
+	"fmt"
+
 	"accelshare/internal/accel"
 	"accelshare/internal/cfifo"
-	"accelshare/internal/fault"
 	"accelshare/internal/gateway"
-	"accelshare/internal/ring"
 	"accelshare/internal/sim"
 )
 
@@ -33,8 +33,16 @@ type AccelSpec struct {
 	Name string
 	// Cost is ρA in cycles per sample.
 	Cost sim.Time
-	// NICapacity is the NI FIFO depth (the paper's α1/α2 = 2).
+	// NICapacity is the NI FIFO depth (the paper's α1/α2 = 2; 0 means 2).
 	NICapacity int
+}
+
+// niDepth is the tile's NI FIFO depth as built.
+func (as AccelSpec) niDepth() int {
+	if as.NICapacity == 0 {
+		return 2
+	}
+	return as.NICapacity
 }
 
 // StreamSpec describes one stream multiplexed over the chain.
@@ -80,30 +88,6 @@ type StreamSpec struct {
 	StartSuspended bool
 }
 
-// Config assembles a platform.
-type Config struct {
-	Name string
-	// HopLatency is the ring's per-hop latency in cycles.
-	HopLatency sim.Time
-	// Gateway costs and reconfiguration model.
-	EntryCost, ExitCost sim.Time
-	Mode                gateway.ReconfigMode
-	Arbiter             gateway.Arbitration
-	BusBase, BusPerWord sim.Time
-	RecordOutputTimes   bool
-	RecordActivity      bool
-	UseSlottedRing      bool
-	DisableSpaceCheck   bool
-	// DrainTimeout/Recovery/Faults/RecordTurnarounds configure the
-	// watchdog and fault subsystem; see ChainSpec.
-	DrainTimeout      sim.Time
-	Recovery          gateway.Recovery
-	Faults            *fault.Plan
-	RecordTurnarounds bool
-	Accels            []AccelSpec
-	Streams           []StreamSpec
-}
-
 // Stream is the runtime state of one stream.
 type Stream struct {
 	Spec StreamSpec
@@ -145,46 +129,24 @@ type Stream struct {
 // owning MultiSystem restarts it.
 func (st *Stream) StopSource() { st.sourceGen++ }
 
-// System is the assembled platform.
+// System is the single-chain view of a platform that Build assembled: the
+// kernel and ring of the MultiSystem and its one Chain.
 type System struct {
-	K     *sim.Kernel
-	Net   *ring.Dual
-	Pair  *gateway.Pair
-	Tiles []*accel.Tile
-	Strs  []*Stream
+	*MultiSystem
+	*Chain
 }
 
-// Build assembles a single-chain platform (the common case); it delegates
-// to BuildMulti, which supports several gateway pairs on one ring (Fig. 1).
-func Build(cfg Config) (*System, error) {
-	ms, err := BuildMulti(MultiConfig{
-		Name:              cfg.Name,
-		HopLatency:        cfg.HopLatency,
-		RecordOutputTimes: cfg.RecordOutputTimes,
-		RecordActivity:    cfg.RecordActivity,
-		UseSlottedRing:    cfg.UseSlottedRing,
-		Chains: []ChainSpec{{
-			Name:              cfg.Name,
-			EntryCost:         cfg.EntryCost,
-			ExitCost:          cfg.ExitCost,
-			Mode:              cfg.Mode,
-			Arbiter:           cfg.Arbiter,
-			BusBase:           cfg.BusBase,
-			BusPerWord:        cfg.BusPerWord,
-			DisableSpaceCheck: cfg.DisableSpaceCheck,
-			DrainTimeout:      cfg.DrainTimeout,
-			Recovery:          cfg.Recovery,
-			Faults:            cfg.Faults,
-			RecordTurnarounds: cfg.RecordTurnarounds,
-			Accels:            cfg.Accels,
-			Streams:           cfg.Streams,
-		}},
-	})
+// Build assembles a platform of exactly one chain (BuildMulti assembles
+// several gateway pairs on one ring, Fig. 1).
+func Build(cfg MultiConfig) (*System, error) {
+	if len(cfg.Chains) != 1 {
+		return nil, fmt.Errorf("mpsoc: Build takes exactly one chain, got %d", len(cfg.Chains))
+	}
+	ms, err := BuildMulti(cfg)
 	if err != nil {
 		return nil, err
 	}
-	ch := ms.Chains[0]
-	return &System{K: ms.K, Net: ms.Net, Pair: ch.Pair, Tiles: ch.Tiles, Strs: ch.Strs}, nil
+	return &System{MultiSystem: ms, Chain: ms.Chains[0]}, nil
 }
 
 // ackBatch picks a read-counter update granularity for the gateway input
@@ -277,15 +239,6 @@ func startSinkTask(k *sim.Kernel, st *Stream) {
 	}
 }
 
-// Run starts the gateways and advances the simulation to the horizon.
-func (s *System) Run(horizon sim.Time) {
-	s.Pair.Start()
-	s.K.Run(horizon)
-}
-
-// Collected returns how many output samples the sink of stream i consumed.
-func (s *System) Collected(i int) uint64 { return s.Strs[i].collected }
-
 // Report summarises the measurements the evaluation needs.
 type Report struct {
 	Cycles          uint64
@@ -320,7 +273,5 @@ type StreamReport struct {
 	QuarantinedAt sim.Time
 }
 
-// Report collects the measurements after Run.
-func (s *System) Report() Report {
-	return chainReport(s.K, &Chain{Pair: s.Pair, Tiles: s.Tiles, Strs: s.Strs})
-}
+// Report collects the chain's measurements after Run.
+func (s *System) Report() Report { return chainReport(s.K, s.Chain) }

@@ -11,24 +11,26 @@ import (
 )
 
 // onePassthroughConfig: a single stream over one passthrough accelerator.
-func onePassthroughConfig(block int64, total uint64) Config {
-	return Config{
-		Name:       "t",
+func onePassthroughConfig(block int64, total uint64) MultiConfig {
+	return MultiConfig{
 		HopLatency: 1,
-		EntryCost:  15,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigFixed,
-		Accels:     []AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
-		Streams: []StreamSpec{{
-			Name:           "s0",
-			Block:          block,
-			Decimation:     1,
-			Reconfig:       100,
-			InCapacity:     int(3 * block),
-			OutCapacity:    int(3 * block),
-			Engines:        []accel.Engine{accel.Passthrough{}},
-			TotalInputs:    total,
-			CollectOutputs: true,
+		Chains: []ChainSpec{{
+			Name:      "t",
+			EntryCost: 15,
+			ExitCost:  1,
+			Mode:      gateway.ReconfigFixed,
+			Accels:    []AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+			Streams: []StreamSpec{{
+				Name:           "s0",
+				Block:          block,
+				Decimation:     1,
+				Reconfig:       100,
+				InCapacity:     int(3 * block),
+				OutCapacity:    int(3 * block),
+				Engines:        []accel.Engine{accel.Passthrough{}},
+				TotalInputs:    total,
+				CollectOutputs: true,
+			}},
 		}},
 	}
 }
@@ -39,7 +41,7 @@ func TestSingleStreamEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run(1_000_000)
-	if got := sys.Collected(0); got != 64 {
+	if got := sys.Strs[0].collected; got != 64 {
 		t.Fatalf("collected %d of 64", got)
 	}
 	for i, w := range sys.Strs[0].Outputs {
@@ -72,14 +74,16 @@ func TestTwoStreamsSharingChainKeepSeparateState(t *testing.T) {
 			CollectOutputs: true,
 		}
 	}
-	cfg := Config{
-		Name:       "share",
+	cfg := MultiConfig{
 		HopLatency: 1,
-		EntryCost:  3,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigFixed,
-		Accels:     []AccelSpec{{Name: "gain", Cost: 1, NICapacity: 2}},
-		Streams:    []StreamSpec{mk("a"), mk("b")},
+		Chains: []ChainSpec{{
+			Name:      "share",
+			EntryCost: 3,
+			ExitCost:  1,
+			Mode:      gateway.ReconfigFixed,
+			Accels:    []AccelSpec{{Name: "gain", Cost: 1, NICapacity: 2}},
+			Streams:   []StreamSpec{mk("a"), mk("b")},
+		}},
 	}
 	sys, err := Build(cfg)
 	if err != nil {
@@ -87,7 +91,7 @@ func TestTwoStreamsSharingChainKeepSeparateState(t *testing.T) {
 	}
 	sys.Run(1_000_000)
 	for i := 0; i < 2; i++ {
-		if got := sys.Collected(i); got != 32 {
+		if got := sys.Strs[i].collected; got != 32 {
 			t.Fatalf("stream %d collected %d of 32", i, got)
 		}
 		for n, w := range sys.Strs[i].Outputs {
@@ -119,23 +123,25 @@ func TestDecimatingChainOutBlockAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Name:       "dec",
+	cfg := MultiConfig{
 		HopLatency: 1,
-		EntryCost:  2,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigFixed,
-		Accels:     []AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
-		Streams: []StreamSpec{{
-			Name:           "s",
-			Block:          16,
-			Decimation:     4,
-			Reconfig:       10,
-			InCapacity:     64,
-			OutCapacity:    64,
-			Engines:        []accel.Engine{fir},
-			TotalInputs:    64,
-			CollectOutputs: true,
+		Chains: []ChainSpec{{
+			Name:      "dec",
+			EntryCost: 2,
+			ExitCost:  1,
+			Mode:      gateway.ReconfigFixed,
+			Accels:    []AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
+			Streams: []StreamSpec{{
+				Name:           "s",
+				Block:          16,
+				Decimation:     4,
+				Reconfig:       10,
+				InCapacity:     64,
+				OutCapacity:    64,
+				Engines:        []accel.Engine{fir},
+				TotalInputs:    64,
+				CollectOutputs: true,
+			}},
 		}},
 	}
 	sys, err := Build(cfg)
@@ -143,7 +149,7 @@ func TestDecimatingChainOutBlockAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run(1_000_000)
-	if got := sys.Collected(0); got != 16 {
+	if got := sys.Strs[0].collected; got != 16 {
 		t.Fatalf("collected %d outputs, want 64/4 = 16", got)
 	}
 	rep := sys.Report()
@@ -154,14 +160,17 @@ func TestDecimatingChainOutBlockAccounting(t *testing.T) {
 
 func TestBlockNotMultipleOfDecimationRejected(t *testing.T) {
 	fir, _ := accel.NewFIR([]int32{32767}, 4)
-	cfg := Config{
-		Name:      "bad",
-		EntryCost: 1, ExitCost: 1,
-		Accels: []AccelSpec{{Name: "fir", Cost: 1}},
-		Streams: []StreamSpec{{
-			Name: "s", Block: 10, Decimation: 4,
-			InCapacity: 64, OutCapacity: 64,
-			Engines: []accel.Engine{fir},
+	cfg := MultiConfig{
+		Chains: []ChainSpec{{
+			Name:      "bad",
+			EntryCost: 1,
+			ExitCost:  1,
+			Accels:    []AccelSpec{{Name: "fir", Cost: 1}},
+			Streams: []StreamSpec{{
+				Name: "s", Block: 10, Decimation: 4,
+				InCapacity: 64, OutCapacity: 64,
+				Engines: []accel.Engine{fir},
+			}},
 		}},
 	}
 	if _, err := Build(cfg); err == nil {
@@ -175,30 +184,32 @@ func TestBlockNotMultipleOfDecimationRejected(t *testing.T) {
 // against the γs bound (Eq. 4) and the measured throughput against Eq. 5.
 func TestHardwareRefinesModel(t *testing.T) {
 	// Two streams, distinct block sizes, a 2-accelerator chain.
-	cfg := Config{
-		Name:       "refine",
+	cfg := MultiConfig{
 		HopLatency: 1,
-		EntryCost:  15,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigFixed,
-		Accels: []AccelSpec{
-			{Name: "a0", Cost: 1, NICapacity: 2},
-			{Name: "a1", Cost: 1, NICapacity: 2},
-		},
-		Streams: []StreamSpec{
-			{
-				Name: "fast", Block: 64, Decimation: 1, Reconfig: 500,
-				InCapacity: 256, OutCapacity: 256,
-				Engines:     []accel.Engine{accel.Passthrough{}, accel.Passthrough{}},
-				TotalInputs: 4096,
+		Chains: []ChainSpec{{
+			Name:      "refine",
+			EntryCost: 15,
+			ExitCost:  1,
+			Mode:      gateway.ReconfigFixed,
+			Accels: []AccelSpec{
+				{Name: "a0", Cost: 1, NICapacity: 2},
+				{Name: "a1", Cost: 1, NICapacity: 2},
 			},
-			{
-				Name: "slow", Block: 16, Decimation: 1, Reconfig: 500,
-				InCapacity: 64, OutCapacity: 64,
-				Engines:     []accel.Engine{accel.Passthrough{}, accel.Passthrough{}},
-				TotalInputs: 1024,
+			Streams: []StreamSpec{
+				{
+					Name: "fast", Block: 64, Decimation: 1, Reconfig: 500,
+					InCapacity: 256, OutCapacity: 256,
+					Engines:     []accel.Engine{accel.Passthrough{}, accel.Passthrough{}},
+					TotalInputs: 4096,
+				},
+				{
+					Name: "slow", Block: 16, Decimation: 1, Reconfig: 500,
+					InCapacity: 64, OutCapacity: 64,
+					Engines:     []accel.Engine{accel.Passthrough{}, accel.Passthrough{}},
+					TotalInputs: 1024,
+				},
 			},
-		},
+		}},
 	}
 	sys, err := Build(cfg)
 	if err != nil {
@@ -247,31 +258,33 @@ func TestSpaceCheckAblation(t *testing.T) {
 	// check, the slow stream simply never becomes eligible and the fast
 	// stream stays within its bound.
 	build := func(disable bool) Report {
-		cfg := Config{
-			Name:              "ablate",
-			HopLatency:        1,
-			EntryCost:         15,
-			ExitCost:          1,
-			Mode:              gateway.ReconfigFixed,
-			Accels:            []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
-			DisableSpaceCheck: disable,
-			Streams: []StreamSpec{
-				{
-					// Stream whose consumer is extremely slow and whose
-					// output FIFO is smaller than two blocks.
-					Name: "clogged", Block: 16, Decimation: 1, Reconfig: 50,
-					InCapacity: 64, OutCapacity: 20,
-					Engines:     []accel.Engine{accel.Passthrough{}},
-					SinkPeriod:  5_000,
-					TotalInputs: 512,
+		cfg := MultiConfig{
+			HopLatency: 1,
+			Chains: []ChainSpec{{
+				Name:              "ablate",
+				EntryCost:         15,
+				ExitCost:          1,
+				Mode:              gateway.ReconfigFixed,
+				Accels:            []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+				DisableSpaceCheck: disable,
+				Streams: []StreamSpec{
+					{
+						// Stream whose consumer is extremely slow and whose
+						// output FIFO is smaller than two blocks.
+						Name: "clogged", Block: 16, Decimation: 1, Reconfig: 50,
+						InCapacity: 64, OutCapacity: 20,
+						Engines:     []accel.Engine{accel.Passthrough{}},
+						SinkPeriod:  5_000,
+						TotalInputs: 512,
+					},
+					{
+						Name: "victim", Block: 16, Decimation: 1, Reconfig: 50,
+						InCapacity: 64, OutCapacity: 64,
+						Engines:     []accel.Engine{accel.Passthrough{}},
+						TotalInputs: 2048,
+					},
 				},
-				{
-					Name: "victim", Block: 16, Decimation: 1, Reconfig: 50,
-					InCapacity: 64, OutCapacity: 64,
-					Engines:     []accel.Engine{accel.Passthrough{}},
-					TotalInputs: 2048,
-				},
-			},
+			}},
 		}
 		sys, err := Build(cfg)
 		if err != nil {
@@ -313,29 +326,31 @@ func TestReconfigPerWordMode(t *testing.T) {
 	// line makes reconfiguration dominate.
 	fir1, _ := accel.NewFIR(make([]int32, 33), 1)
 	fir2, _ := accel.NewFIR(make([]int32, 33), 1)
-	cfg := Config{
-		Name:       "sw",
+	cfg := MultiConfig{
 		HopLatency: 1,
-		EntryCost:  2,
-		ExitCost:   1,
-		Mode:       gateway.ReconfigPerWord,
-		BusBase:    50,
-		BusPerWord: 20,
-		Accels:     []AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
-		Streams: []StreamSpec{
-			{
-				Name: "x", Block: 8, Decimation: 1, Reconfig: 0,
-				InCapacity: 32, OutCapacity: 32,
-				Engines:     []accel.Engine{fir1},
-				TotalInputs: 64,
+		Chains: []ChainSpec{{
+			Name:       "sw",
+			EntryCost:  2,
+			ExitCost:   1,
+			Mode:       gateway.ReconfigPerWord,
+			BusBase:    50,
+			BusPerWord: 20,
+			Accels:     []AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
+			Streams: []StreamSpec{
+				{
+					Name: "x", Block: 8, Decimation: 1, Reconfig: 0,
+					InCapacity: 32, OutCapacity: 32,
+					Engines:     []accel.Engine{fir1},
+					TotalInputs: 64,
+				},
+				{
+					Name: "y", Block: 8, Decimation: 1, Reconfig: 0,
+					InCapacity: 32, OutCapacity: 32,
+					Engines:     []accel.Engine{fir2},
+					TotalInputs: 64,
+				},
 			},
-			{
-				Name: "y", Block: 8, Decimation: 1, Reconfig: 0,
-				InCapacity: 32, OutCapacity: 32,
-				Engines:     []accel.Engine{fir2},
-				TotalInputs: 64,
-			},
-		},
+		}},
 	}
 	sys, err := Build(cfg)
 	if err != nil {
@@ -343,8 +358,8 @@ func TestReconfigPerWordMode(t *testing.T) {
 	}
 	sys.Run(3_000_000)
 	rep := sys.Report()
-	if sys.Collected(0) != 64 || sys.Collected(1) != 64 {
-		t.Fatalf("collected %d/%d", sys.Collected(0), sys.Collected(1))
+	if sys.Strs[0].collected != 64 || sys.Strs[1].collected != 64 {
+		t.Fatalf("collected %d/%d", sys.Strs[0].collected, sys.Strs[1].collected)
 	}
 	if rep.ReconfigShare < rep.StreamingShare {
 		t.Errorf("per-word state switch should dominate: reconfig %.2f vs streaming %.2f",
@@ -356,27 +371,29 @@ func TestArbiterAblationPriorityStarves(t *testing.T) {
 	// A saturated high-priority stream under FixedPriority starves the
 	// other stream; RoundRobin bounds both (the reason §IV-C uses RR).
 	build := func(arb gateway.Arbitration) Report {
-		cfg := Config{
-			Name:       "arb",
+		cfg := MultiConfig{
 			HopLatency: 1,
-			EntryCost:  15,
-			ExitCost:   1,
-			Mode:       gateway.ReconfigFixed,
-			Arbiter:    arb,
-			Accels:     []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
-			Streams: []StreamSpec{
-				{
-					// Saturating high-priority stream: always has a block.
-					Name: "greedy", Block: 16, Decimation: 1, Reconfig: 50,
-					InCapacity: 64, OutCapacity: 64,
-					Engines: []accel.Engine{accel.Passthrough{}},
+			Chains: []ChainSpec{{
+				Name:      "arb",
+				EntryCost: 15,
+				ExitCost:  1,
+				Mode:      gateway.ReconfigFixed,
+				Arbiter:   arb,
+				Accels:    []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+				Streams: []StreamSpec{
+					{
+						// Saturating high-priority stream: always has a block.
+						Name: "greedy", Block: 16, Decimation: 1, Reconfig: 50,
+						InCapacity: 64, OutCapacity: 64,
+						Engines: []accel.Engine{accel.Passthrough{}},
+					},
+					{
+						Name: "meek", Block: 16, Decimation: 1, Reconfig: 50,
+						InCapacity: 64, OutCapacity: 64,
+						Engines: []accel.Engine{accel.Passthrough{}},
+					},
 				},
-				{
-					Name: "meek", Block: 16, Decimation: 1, Reconfig: 50,
-					InCapacity: 64, OutCapacity: 64,
-					Engines: []accel.Engine{accel.Passthrough{}},
-				},
-			},
+			}},
 		}
 		sys, err := Build(cfg)
 		if err != nil {

@@ -3,7 +3,7 @@ package mpsoc
 // Multi-chain assembly: the paper's Fig. 1 shows TWO entry/exit-gateway
 // pairs (G0/G1 and G2/G3), each managing its own set of accelerator tiles
 // on the shared dual ring. BuildMulti constructs any number of such chains
-// on one interconnect; Build (single chain) delegates here.
+// on one interconnect; Build is BuildMulti for exactly one chain.
 
 import (
 	"fmt"
@@ -49,6 +49,27 @@ type ChainSpec struct {
 	Streams []StreamSpec
 }
 
+// Timing is the chain's temporal model (Eq. 2): the gateway costs ε and
+// δ, each accelerator's ρA in chain order, and the NI FIFO depth of the
+// shallowest tile (the model has one α for every hop). It reads the spec
+// alone, so a model can be made before the platform is built, and it
+// describes the built chain exactly.
+func (cs ChainSpec) Timing() core.Chain {
+	c := core.Chain{
+		Name:       cs.Name,
+		EntryCost:  uint64(cs.EntryCost),
+		ExitCost:   uint64(cs.ExitCost),
+		AccelCosts: make([]uint64, len(cs.Accels)),
+	}
+	for i, as := range cs.Accels {
+		c.AccelCosts[i] = uint64(as.Cost)
+		if ni := int64(as.niDepth()); i == 0 || ni < c.NICapacity {
+			c.NICapacity = ni
+		}
+	}
+	return c
+}
+
 // MultiConfig assembles a platform with several shared chains on one ring.
 type MultiConfig struct {
 	Name              string
@@ -81,23 +102,6 @@ type Chain struct {
 
 // ReservedSlots reports how many runtime stream slots remain unclaimed.
 func (ch *Chain) ReservedSlots() int { return len(ch.reserved) }
-
-// Timing is the chain's temporal model (Eq. 2) as built: the gateway costs
-// ε and δ, each accelerator tile's ρA in chain order, and the NI FIFO depth
-// of the shallowest tile (the model has one α for every hop).
-func (ch *Chain) Timing() core.Chain {
-	c := core.Chain{
-		Name:       ch.Spec.Name,
-		EntryCost:  uint64(ch.Spec.EntryCost),
-		ExitCost:   uint64(ch.Spec.ExitCost),
-		NICapacity: int64(ch.Tiles[0].In().Cap()),
-	}
-	for _, t := range ch.Tiles {
-		c.AccelCosts = append(c.AccelCosts, uint64(t.Cost))
-		c.NICapacity = min(c.NICapacity, int64(t.In().Cap()))
-	}
-	return c
-}
 
 // MultiSystem is a platform with several gateway pairs.
 type MultiSystem struct {
@@ -163,11 +167,7 @@ func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpe
 
 	ch := &Chain{Spec: spec, EntryNode: entryN, ExitNode: exitN}
 	for _, as := range spec.Accels {
-		ni := as.NICapacity
-		if ni == 0 {
-			ni = 2
-		}
-		ch.Tiles = append(ch.Tiles, accel.NewTile(as.Name, k, as.Cost, ni))
+		ch.Tiles = append(ch.Tiles, accel.NewTile(as.Name, k, as.Cost, as.niDepth()))
 	}
 	entryLink := accel.NewLink("entry->"+spec.Accels[0].Name, k, net,
 		entryN, accelN[0], ch.Tiles[0].In())

@@ -1,9 +1,11 @@
 package mpsoc
 
 import (
+	"reflect"
 	"testing"
 
 	"accelshare/internal/accel"
+	"accelshare/internal/core"
 	"accelshare/internal/gateway"
 	"accelshare/internal/sim"
 )
@@ -62,6 +64,89 @@ func TestBuildMultiValidation(t *testing.T) {
 	cfg.Chains[0].ReserveSlots = -1
 	if _, err := BuildMulti(cfg); err == nil {
 		t.Error("negative reserved slots accepted")
+	}
+}
+
+// TestBuildTakesOneChain: Build is BuildMulti for exactly one chain.
+func TestBuildTakesOneChain(t *testing.T) {
+	if _, err := Build(MultiConfig{HopLatency: 1}); err == nil {
+		t.Error("Build accepted zero chains")
+	}
+	if _, err := Build(twoChainConfig()); err == nil {
+		t.Error("Build accepted two chains")
+	}
+	cfg := twoChainConfig()
+	cfg.Chains = cfg.Chains[1:]
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Chain != sys.Chains[0] || sys.Spec.Name != "g2g3" {
+		t.Errorf("System views chain %q, want the platform's only chain g2g3", sys.Spec.Name)
+	}
+}
+
+// TestChainSpecTimingMatchesBuiltChain: the temporal model read from a
+// spec before the build is the chain the build assembles: ε and δ from
+// the gateway pair, ρA from each tile in chain order, and α the NI depth
+// of the shallowest tile, an unset depth counting as the tile's default.
+func TestChainSpecTimingMatchesBuiltChain(t *testing.T) {
+	engines := func(n int) []accel.Engine {
+		e := make([]accel.Engine, n)
+		for i := range e {
+			e[i] = accel.Passthrough{}
+		}
+		return e
+	}
+	for _, tc := range []struct {
+		name   string
+		accels []AccelSpec
+		want   core.Chain
+	}{
+		{"explicit-depth", []AccelSpec{{Name: "a", Cost: 3, NICapacity: 4}},
+			core.Chain{AccelCosts: []uint64{3}, NICapacity: 4}},
+		{"default-depth", []AccelSpec{{Name: "a", Cost: 2}},
+			core.Chain{AccelCosts: []uint64{2}, NICapacity: 2}},
+		{"several-accels", []AccelSpec{
+			{Name: "a", Cost: 1, NICapacity: 5},
+			{Name: "b", Cost: 4, NICapacity: 3},
+			{Name: "c", Cost: 2, NICapacity: 6},
+		}, core.Chain{AccelCosts: []uint64{1, 4, 2}, NICapacity: 3}},
+		{"default-is-shallowest", []AccelSpec{
+			{Name: "a", Cost: 1, NICapacity: 4},
+			{Name: "b", Cost: 1},
+		}, core.Chain{AccelCosts: []uint64{1, 1}, NICapacity: 2}},
+	} {
+		for _, standby := range []bool{false, true} {
+			spec := ChainSpec{
+				Name: tc.name, EntryCost: 7, ExitCost: 2, Mode: gateway.ReconfigFixed,
+				Accels: tc.accels, Standby: standby,
+			}
+			if !standby {
+				spec.Streams = []StreamSpec{{
+					Name: "s", Block: 4, Decimation: 1, InCapacity: 16, OutCapacity: 16,
+					Engines: engines(len(tc.accels)),
+				}}
+			}
+			want := tc.want
+			want.Name, want.EntryCost, want.ExitCost = tc.name, 7, 2
+			got := spec.Timing()
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (standby %v): Timing() = %+v, want %+v", tc.name, standby, got, want)
+			}
+			sys, err := Build(MultiConfig{HopLatency: 1, Chains: []ChainSpec{spec}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			built := core.Chain{Name: tc.name, EntryCost: 7, ExitCost: 2, NICapacity: int64(sys.Tiles[0].In().Cap())}
+			for _, tile := range sys.Tiles {
+				built.AccelCosts = append(built.AccelCosts, uint64(tile.Cost))
+				built.NICapacity = min(built.NICapacity, int64(tile.In().Cap()))
+			}
+			if !reflect.DeepEqual(got, built) {
+				t.Errorf("%s (standby %v): Timing() = %+v, built chain %+v", tc.name, standby, got, built)
+			}
+		}
 	}
 }
 

@@ -22,23 +22,25 @@ func TestPerTokenRefinement(t *testing.T) {
 		eps   = 15
 		total = eta
 	)
-	cfg := Config{
-		Name:              "tok",
+	cfg := MultiConfig{
 		HopLatency:        1,
-		EntryCost:         eps,
-		ExitCost:          1,
-		Mode:              gateway.ReconfigFixed,
 		RecordOutputTimes: true,
 		RecordActivity:    true,
-		Accels: []AccelSpec{
-			{Name: "a0", Cost: 1, NICapacity: 2},
-			{Name: "a1", Cost: 1, NICapacity: 2},
-		},
-		Streams: []StreamSpec{{
-			Name: "s", Block: eta, Decimation: 1, Reconfig: rs,
-			InCapacity: 4 * eta, OutCapacity: 4 * eta,
-			Engines:     []accel.Engine{accel.Passthrough{}, accel.Passthrough{}},
-			TotalInputs: total,
+		Chains: []ChainSpec{{
+			Name:      "tok",
+			EntryCost: eps,
+			ExitCost:  1,
+			Mode:      gateway.ReconfigFixed,
+			Accels: []AccelSpec{
+				{Name: "a0", Cost: 1, NICapacity: 2},
+				{Name: "a1", Cost: 1, NICapacity: 2},
+			},
+			Streams: []StreamSpec{{
+				Name: "s", Block: eta, Decimation: 1, Reconfig: rs,
+				InCapacity: 4 * eta, OutCapacity: 4 * eta,
+				Engines:     []accel.Engine{accel.Passthrough{}, accel.Passthrough{}},
+				TotalInputs: total,
+			}},
 		}},
 	}
 	sys, err := Build(cfg)
@@ -78,30 +80,32 @@ func TestPerTokenRefinement(t *testing.T) {
 // and the cycle-true ring's timing must stay within the model bound.
 func TestSlottedRingSystemEquivalence(t *testing.T) {
 	build := func(slotted bool) *System {
-		cfg := Config{
-			Name:           "slotcmp",
+		cfg := MultiConfig{
 			HopLatency:     1,
-			EntryCost:      15,
-			ExitCost:       1,
-			Mode:           gateway.ReconfigFixed,
 			UseSlottedRing: slotted,
-			Accels:         []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
-			Streams: []StreamSpec{
-				{
-					Name: "x", Block: 16, Decimation: 1, Reconfig: 100,
-					InCapacity: 64, OutCapacity: 64,
-					Engines:        []accel.Engine{&accel.Gain{Shift: 1}},
-					TotalInputs:    256,
-					CollectOutputs: true,
+			Chains: []ChainSpec{{
+				Name:      "slotcmp",
+				EntryCost: 15,
+				ExitCost:  1,
+				Mode:      gateway.ReconfigFixed,
+				Accels:    []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+				Streams: []StreamSpec{
+					{
+						Name: "x", Block: 16, Decimation: 1, Reconfig: 100,
+						InCapacity: 64, OutCapacity: 64,
+						Engines:        []accel.Engine{&accel.Gain{Shift: 1}},
+						TotalInputs:    256,
+						CollectOutputs: true,
+					},
+					{
+						Name: "y", Block: 8, Decimation: 1, Reconfig: 100,
+						InCapacity: 32, OutCapacity: 32,
+						Engines:        []accel.Engine{&accel.Gain{Shift: 2}},
+						TotalInputs:    128,
+						CollectOutputs: true,
+					},
 				},
-				{
-					Name: "y", Block: 8, Decimation: 1, Reconfig: 100,
-					InCapacity: 32, OutCapacity: 32,
-					Engines:        []accel.Engine{&accel.Gain{Shift: 2}},
-					TotalInputs:    128,
-					CollectOutputs: true,
-				},
-			},
+			}},
 		}
 		sys, err := Build(cfg)
 		if err != nil {
@@ -158,21 +162,23 @@ func TestPerSampleLatencyBound(t *testing.T) {
 		period = 64 // cycles per sample: μ = 1/64 samples/cycle
 		total  = 256
 	)
-	cfg := Config{
-		Name:              "lat",
+	cfg := MultiConfig{
 		HopLatency:        1,
-		EntryCost:         eps,
-		ExitCost:          1,
-		Mode:              gateway.ReconfigFixed,
 		RecordOutputTimes: true,
-		Accels:            []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
-		Streams: []StreamSpec{{
-			Name: "s", Block: eta, Decimation: 1, Reconfig: rs,
-			InCapacity: 4 * eta, OutCapacity: 4 * eta,
-			Engines:          []accel.Engine{accel.Passthrough{}},
-			SourcePeriod:     period,
-			TotalInputs:      total,
-			RecordInputTimes: true,
+		Chains: []ChainSpec{{
+			Name:      "lat",
+			EntryCost: eps,
+			ExitCost:  1,
+			Mode:      gateway.ReconfigFixed,
+			Accels:    []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+			Streams: []StreamSpec{{
+				Name: "s", Block: eta, Decimation: 1, Reconfig: rs,
+				InCapacity: 4 * eta, OutCapacity: 4 * eta,
+				Engines:          []accel.Engine{accel.Passthrough{}},
+				SourcePeriod:     period,
+				TotalInputs:      total,
+				RecordInputTimes: true,
+			}},
 		}},
 	}
 	sys, err := Build(cfg)

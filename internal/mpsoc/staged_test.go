@@ -30,20 +30,22 @@ func TestStagedExitPinned(t *testing.T) {
 			CollectOutputs: true,
 		}
 	}
-	sys, err := Build(Config{
-		Name:              "staged",
+	sys, err := Build(MultiConfig{
 		HopLatency:        1,
-		EntryCost:         4,
-		ExitCost:          1,
-		Mode:              gateway.ReconfigFixed,
 		RecordOutputTimes: true,
-		RecordTurnarounds: true,
-		Recovery:          gateway.Recovery{ValueExact: true},
-		Accels: []AccelSpec{
-			{Name: "g0", Cost: 2, NICapacity: 2},
-			{Name: "g1", Cost: 3, NICapacity: 2},
-		},
-		Streams: []StreamSpec{mk("a"), mk("b")},
+		Chains: []ChainSpec{{
+			Name:              "staged",
+			EntryCost:         4,
+			ExitCost:          1,
+			Mode:              gateway.ReconfigFixed,
+			RecordTurnarounds: true,
+			Recovery:          gateway.Recovery{ValueExact: true},
+			Accels: []AccelSpec{
+				{Name: "g0", Cost: 2, NICapacity: 2},
+				{Name: "g1", Cost: 3, NICapacity: 2},
+			},
+			Streams: []StreamSpec{mk("a"), mk("b")},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -234,18 +234,12 @@ func Build(p Params) (*Decoder, error) {
 	specs[2].Engines[1] = mustFIR(q2, p.Decimation)
 	specs[3].Engines[1] = mustFIR(q2, p.Decimation)
 
-	sys, err := mpsoc.Build(mpsoc.Config{
-		Name:           "pal",
+	chain := chainSpec(p)
+	chain.Streams = specs
+	sys, err := mpsoc.Build(mpsoc.MultiConfig{
 		HopLatency:     1,
-		EntryCost:      p.EntryCost,
-		ExitCost:       p.ExitCost,
 		RecordActivity: p.RecordActivity,
-		Mode:           gateway.ReconfigFixed,
-		Accels: []mpsoc.AccelSpec{
-			{Name: "cordic", Cost: 1, NICapacity: 2},
-			{Name: "fir+d", Cost: 1, NICapacity: 2},
-		},
-		Streams: specs,
+		Chains:         []mpsoc.ChainSpec{chain},
 	})
 	if err != nil {
 		return nil, err
@@ -283,6 +277,21 @@ func analysisBufferBounds(p Params) (in []int, out []int, err error) {
 	return in, out, nil
 }
 
+// chainSpec is the decoder's platform chain without its streams: one
+// gateway pair with the CORDIC and the FIR+D accelerators.
+func chainSpec(p Params) mpsoc.ChainSpec {
+	return mpsoc.ChainSpec{
+		Name:      "pal",
+		EntryCost: p.EntryCost,
+		ExitCost:  p.ExitCost,
+		Mode:      gateway.ReconfigFixed,
+		Accels: []mpsoc.AccelSpec{
+			{Name: "cordic", Cost: 1, NICapacity: 2},
+			{Name: "fir+d", Cost: 1, NICapacity: 2},
+		},
+	}
+}
+
 // AnalysisModel returns the paper's §VI-A temporal model for the given
 // parameters: the four streams sharing the CORDIC + FIR chain.
 func AnalysisModel(p Params) *core.System {
@@ -292,13 +301,7 @@ func AnalysisModel(p Params) *core.System {
 		return core.Stream{Name: name, Rate: big.NewRat(rate, 1), Reconfig: uint64(p.Reconfig), Block: block}
 	}
 	return &core.System{
-		Chain: core.Chain{
-			Name:       "cordic+fir",
-			AccelCosts: []uint64{1, 1},
-			EntryCost:  uint64(p.EntryCost),
-			ExitCost:   uint64(p.ExitCost),
-			NICapacity: 2,
-		},
+		Chain:   chainSpec(p).Timing(),
 		ClockHz: int64(p.ClockHz),
 		Streams: []core.Stream{
 			mk(streamNames[0], fsIn, p.Blocks[0]),
