@@ -95,14 +95,14 @@ func runUtilization(args []string) error {
 	if !(*seconds > 0) {
 		return fmt.Errorf("-seconds must be positive, got %v", *seconds)
 	}
+	if *swState {
+		return runUtilizationSW(*perWord)
+	}
 	p := pal.DefaultParams()
 	p.Seconds = *seconds
 	d, err := pal.Build(p)
 	if err != nil {
 		return err
-	}
-	if *swState {
-		return runUtilizationSW(p, *perWord)
 	}
 	d.Run(sim.Time(*seconds*p.ClockHz) * 2)
 	rep := d.Sys.Report()
@@ -145,7 +145,7 @@ func runUtilization(args []string) error {
 // from software, charged per state word. With 33-tap FIR delay lines the
 // reconfiguration dominates the gateway — the paper's "95% of the time is
 // spent to save and restore state".
-func runUtilizationSW(p pal.Params, perWord uint64) error {
+func runUtilizationSW(perWord uint64) error {
 	fmt.Println("A3 — software state switching (the paper's prototype regime)")
 	// An equivalent two-stream synthetic workload keeps the run short while
 	// exercising the per-word reconfiguration path.

@@ -84,7 +84,6 @@ func buildBed(t *testing.T, faults *fault.Plan, reserve, inCap int) *bed {
 		})
 	}
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
-		Name: "admission-bed",
 		Chains: []mpsoc.ChainSpec{{
 			Name:              "demo",
 			EntryCost:         entryCost,

@@ -20,7 +20,6 @@ import (
 func buildChain(t *testing.T, model *core.System, specs []mpsoc.StreamSpec, rec gateway.Recovery) (*mpsoc.MultiSystem, *Controller) {
 	t.Helper()
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
-		Name: "chain-facts",
 		Chains: []mpsoc.ChainSpec{{
 			Name: "demo", EntryCost: entryCost, ExitCost: 1,
 			Mode:    gateway.ReconfigFixed,

@@ -40,7 +40,6 @@ func buildFailoverBed(t *testing.T) (*bed, *mpsoc.FailoverController) {
 		})
 	}
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
-		Name: "retarget-bed",
 		Chains: []mpsoc.ChainSpec{
 			{
 				Name: "demo", EntryCost: entryCost, ExitCost: 1,

@@ -161,29 +161,35 @@ func TestGatewayWaitsForFullBlock(t *testing.T) {
 func TestGatewayWaitsForOutputSpace(t *testing.T) {
 	r := newRig(t, Config{Name: "sp", EntryCost: 1, ExitCost: 1})
 	s, in, out := r.addStream(t, "s", 4, 16, 4)
-	// Occupy the output FIFO so only 3 spaces remain.
-	// The producer side is the exit gateway; simulate prior occupancy by a
-	// first block that the sink does not drain.
+	// The first block fills the 4-word output FIFO, which the sink does not
+	// drain; the second block's input waits in the input FIFO. Each run is
+	// bounded: a gateway that starts a block without room for its output
+	// stalls inside the chain and never lets the kernel drain.
+	const h = 10_000 // cycles, far longer than one block's service here
 	r.fill(t, in, 8)
 	r.pair.Start()
-	r.k.RunAll()
+	r.k.Run(r.k.Now() + h)
 	if s.Blocks != 1 {
 		t.Fatalf("first block should run, got %d", s.Blocks)
 	}
-	// Output FIFO now holds 4 words, zero space: second block must wait.
-	if s.Blocks > 1 {
-		t.Fatal("second block ran without space")
-	}
-	// Drain one word: still insufficient (3 < 4).
-	out.TryRead()
-	r.k.RunAll()
-	if s.Blocks != 1 {
-		t.Fatal("block ran with partial space")
-	}
+	// Drain 3 of the 4 words: OutBlock−1 free words must not start the
+	// second block (§V-G: the whole output block must fit).
 	for i := 0; i < 3; i++ {
-		out.TryRead()
+		if _, ok := out.TryRead(); !ok {
+			t.Fatalf("output word %d missing", i)
+		}
 	}
-	r.k.RunAll()
+	r.k.Run(r.k.Now() + h)
+	if s.SamplesIn != 4 || in.Len() != 4 || s.Blocks != 1 {
+		t.Fatalf("second block started with OutBlock−1 free output words: %d samples in, %d left, %d blocks",
+			s.SamplesIn, in.Len(), s.Blocks)
+	}
+	if got := out.Space(); got != int(s.OutBlock)-1 {
+		t.Fatalf("exit gateway sees %d free words, want %d", got, s.OutBlock-1)
+	}
+	// The fourth word makes room for the whole block.
+	out.TryRead()
+	r.k.Run(r.k.Now() + h)
 	if s.Blocks != 2 {
 		t.Fatalf("blocks = %d after space freed", s.Blocks)
 	}

@@ -49,7 +49,6 @@ func failoverPlatformRec(t *testing.T, plan *fault.Plan, nStreams int, periods [
 		})
 	}
 	ms, err := BuildMulti(MultiConfig{
-		Name:           "fo",
 		HopLatency:     1,
 		RecordActivity: true,
 		Chains: []ChainSpec{

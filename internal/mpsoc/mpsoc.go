@@ -107,10 +107,17 @@ type Stream struct {
 	// InTimes records source-sample entry instants (RecordInputTimes).
 	InTimes []sim.Time
 
-	// sourceGen invalidates the running source task's tick loop: each
-	// StopSource/restart bumps it, so a pending tick of a superseded loop
-	// exits instead of racing a freshly started one.
-	sourceGen int
+	// held is the word generated for index produced that the input FIFO
+	// refused (holding): the next tick offers it again, so the source
+	// generates each index once. sourceGen invalidates the running source
+	// task's tick loop: each StopSource/restart bumps it, so a pending
+	// tick of a superseded loop exits instead of racing a freshly started
+	// one. (sourceGen's width and the order of the fields from here on
+	// keep a Stream at 288 bytes, a malloc size class; a fleet allocates
+	// one per admitted stream.)
+	held      sim.Word
+	sourceGen uint32
+	holding   bool
 
 	// ringHome/ringNodes remember the reserved (source, sink) ring-node
 	// pair AttachStream consumed, so ReclaimStream can return it to the
@@ -119,9 +126,9 @@ type Stream struct {
 	// collides with the departed stream's idle sink. reclaimable is false
 	// for streams built with the platform (their attachment points were
 	// never in the reserved pool).
+	reclaimable bool
 	ringHome    int
 	ringNodes   [2]int
-	reclaimable bool
 }
 
 // StopSource makes the stream's built-in source task exit at its next tick,
@@ -189,15 +196,20 @@ func startSourceTask(k *sim.Kernel, st *Stream) {
 		if st.Spec.TotalInputs > 0 && st.produced >= st.Spec.TotalInputs {
 			return
 		}
-		if st.In.TryWrite(gen(st.produced)) {
+		if !st.holding {
+			st.held, st.holding = gen(st.produced), true
+		}
+		if st.In.TryWrite(st.held) {
 			if st.Spec.RecordInputTimes {
 				st.InTimes = append(st.InTimes, k.Now())
 			}
+			st.holding = false
 			st.produced++
 		} else if st.In.Space() <= 0 && periodic {
 			// A periodic front-end cannot stall: a full FIFO means a missed
 			// real-time deadline. Drop the sample and count it.
 			st.Overflows++
+			st.holding = false
 			st.produced++
 		}
 		k.Schedule(nextDelay(), tick)

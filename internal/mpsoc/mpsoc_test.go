@@ -58,6 +58,56 @@ func TestSingleStreamEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSourceGeneratesEachIndexOnce: while the input FIFO refuses writes
+// although it has room (here a re-point gate; a busy or wedged ring node
+// refuses the same way), the source task offers the word it already
+// generated again instead of generating its index anew. A stateful source
+// (a modulator that steps on every call) therefore steps once per index.
+func TestSourceGeneratesEachIndexOnce(t *testing.T) {
+	const total = 64
+	cfg := onePassthroughConfig(8, total)
+	var calls []uint64 // the index of every gen call, in order
+	cfg.Chains[0].Streams[0].SourcePeriod = 50
+	cfg.Chains[0].Streams[0].Source = func(n uint64) sim.Word {
+		calls = append(calls, n)
+		return sim.Word(len(calls) - 1) // counts calls, not indices
+	}
+	sys, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sys.Strs[0]
+	var gated uint64
+	sys.K.ScheduleAt(175, func() {
+		st.In.BeginRepoint()
+		gated = st.produced
+	})
+	sys.K.ScheduleAt(475, func() {
+		if st.produced != gated || st.In.Space() <= 0 {
+			t.Errorf("the gate did not hold back a source with room: produced %d → %d, space %d",
+				gated, st.produced, st.In.Space())
+		}
+		st.In.RepointConsumer(sys.EntryNode)
+	})
+	sys.Run(1_000_000)
+	if st.Overflows != 0 || st.collected != total {
+		t.Fatalf("collected %d of %d, %d overflows", st.collected, total, st.Overflows)
+	}
+	for i, w := range st.Outputs {
+		if w != sim.Word(i) {
+			t.Fatalf("input word %d = %d: the source generated an index again", i, w)
+		}
+	}
+	if len(calls) != total {
+		t.Fatalf("%d source calls for %d indices", len(calls), total)
+	}
+	for i, n := range calls {
+		if n != uint64(i) {
+			t.Fatalf("source call %d generated index %d", i, n)
+		}
+	}
+}
+
 func TestTwoStreamsSharingChainKeepSeparateState(t *testing.T) {
 	// Two streams over one Gain accelerator with per-stream counters: the
 	// context switches must preserve each stream's count exactly.

@@ -72,7 +72,6 @@ func (cs ChainSpec) Timing() core.Chain {
 
 // MultiConfig assembles a platform with several shared chains on one ring.
 type MultiConfig struct {
-	Name              string
 	HopLatency        sim.Time
 	RecordOutputTimes bool
 	RecordActivity    bool

@@ -21,7 +21,6 @@ func twoChainConfig() MultiConfig {
 		}
 	}
 	return MultiConfig{
-		Name:       "fig1",
 		HopLatency: 1,
 		Chains: []ChainSpec{
 			{
@@ -187,7 +186,6 @@ func TestChainsAreTemporallyIndependent(t *testing.T) {
 	// (separate gateways, separate accelerators; the ring is dimensioned
 	// for both). This is the paper's multi-application deployment story.
 	solo := MultiConfig{
-		Name:       "solo",
 		HopLatency: 1,
 		Chains:     []ChainSpec{twoChainConfig().Chains[1]},
 	}

@@ -102,12 +102,25 @@ func (p *Params) IntermediateRate() float64 {
 	return p.AudioRate * float64(p.Decimation)
 }
 
+// frontendWindow is how many of the most recent baseband words a Frontend
+// keeps. Both stage-1 sources read the same index in the same cycle; the
+// window (about 9,000 cycles of samples at the paper's rates) leaves room
+// for one whose writes the ring refuses for a while.
+const frontendWindow = 256
+
 // Frontend is the synthetic PAL baseband generator: tone L and tone R are
-// FM-modulated onto the two sound carriers and summed.
+// FM-modulated onto the two sound carriers and summed. Like the paper's one
+// RF front end, one Frontend feeds both stage-1 streams: it synthesises each
+// index once, in order, and keeps the last frontendWindow words, so every
+// reader of index n gets the same word.
 type Frontend struct {
 	p    Params
 	mod1 *dsp.Modulator
 	mod2 *dsp.Modulator
+	// next is the first index not yet synthesised; word n is held at
+	// recent[n%frontendWindow] while next-n ≤ frontendWindow.
+	next   uint64
+	recent [frontendWindow]sim.Word
 }
 
 // NewFrontend builds the generator.
@@ -129,8 +142,25 @@ func (f *Frontend) Audio(n uint64, rate float64) (l, r int32) {
 	return l, r
 }
 
-// Sample produces baseband sample n (at the front-end rate).
+// Sample returns baseband sample n (at the front-end rate), synthesising
+// every index up to n first. It panics if n has left the window: a reader
+// that far behind would otherwise get another index's word.
+//
+//accellint:noalloc guard=TestFrontendZeroAlloc
 func (f *Frontend) Sample(n uint64) sim.Word {
+	for f.next <= n {
+		f.recent[f.next%frontendWindow] = f.synthesise(f.next)
+		f.next++
+	}
+	if f.next-n > frontendWindow {
+		//accellint:alloc unreachable: a reader outside the window is a modelling bug and panics
+		panic(fmt.Sprintf("pal: front-end sample %d is no longer held (next %d, window %d)", n, f.next, frontendWindow))
+	}
+	return f.recent[n%frontendWindow]
+}
+
+// synthesise modulates sample n; the modulators step once per call.
+func (f *Frontend) synthesise(n uint64) sim.Word {
 	l, r := f.Audio(n, f.p.FrontendRate())
 	mix := (int32(l) + int32(r)) / 2 // FM1 carries (L+R)/2
 	i1, q1 := f.mod1.Modulate(mix)
@@ -142,9 +172,7 @@ func (f *Frontend) Sample(n uint64) sim.Word {
 type Decoder struct {
 	P      Params
 	Sys    *mpsoc.System
-	fe     *Frontend
-	fe2    *Frontend // second front-end instance for the second stage-1 stream
-	L, R   []int32   // reconstructed audio
+	L, R   []int32 // reconstructed audio
 	stereo struct {
 		lr []int32 // (L+R)/2 path output backlog
 		r  []int32 // R path output backlog
@@ -177,8 +205,9 @@ func Build(p Params) (*Decoder, error) {
 	q2 := q1
 
 	d := &Decoder{P: p}
-	d.fe = NewFrontend(p)
-	d.fe2 = NewFrontend(p)
+	// One front end feeds both stage-1 streams, which read it in step: Build
+	// gives them one period, start cycle and length.
+	fe := NewFrontend(p)
 
 	// Buffer capacities from the analysis model (core.InputBufferBound /
 	// OutputBufferBound), not guesswork: with these the periodic front-end
@@ -196,7 +225,7 @@ func Build(p Params) (*Decoder, error) {
 	num := uint64(p.ClockHz)
 	denIn := uint64(fsIn)
 
-	mkStage1 := func(idx int, name string, carrier float64, fe *Frontend, block int64) mpsoc.StreamSpec {
+	mkStage1 := func(idx int, name string, carrier float64, block int64) mpsoc.StreamSpec {
 		return mpsoc.StreamSpec{
 			Name:            name,
 			Block:           block,
@@ -226,8 +255,8 @@ func Build(p Params) (*Decoder, error) {
 		}
 	}
 	specs := []mpsoc.StreamSpec{
-		mkStage1(0, streamNames[0], p.Carrier1, d.fe, p.Blocks[0]),
-		mkStage1(1, streamNames[1], p.Carrier2, d.fe2, p.Blocks[1]),
+		mkStage1(0, streamNames[0], p.Carrier1, p.Blocks[0]),
+		mkStage1(1, streamNames[1], p.Carrier2, p.Blocks[1]),
 		mkStage2(2, streamNames[2], p.Blocks[2]),
 		mkStage2(3, streamNames[3], p.Blocks[3]),
 	}

@@ -59,6 +59,94 @@ func TestFrontendSignalStructure(t *testing.T) {
 	}
 }
 
+// privateWords is what a front end of its own, read once in order, yields
+// for indices 0..n-1.
+func privateWords(n int) []sim.Word {
+	fe := NewFrontend(DefaultParams())
+	out := make([]sim.Word, n)
+	for i := range out {
+		out[i] = fe.Sample(uint64(i))
+	}
+	return out
+}
+
+// TestFrontendSampleOncePerIndex: reading an index again returns the word
+// already synthesised, and the modulators do not step for it.
+func TestFrontendSampleOncePerIndex(t *testing.T) {
+	want := privateWords(3)
+	fe := NewFrontend(DefaultParams())
+	for n, w := range want {
+		for read := 0; read < 2; read++ {
+			if got := fe.Sample(uint64(n)); got != w {
+				t.Fatalf("read %d of index %d = %#x, want %#x", read, n, got, w)
+			}
+		}
+	}
+}
+
+// TestFrontendSharedByLaggingReaders: two readers of one front end, the
+// second reading every lag from 1 to the full window behind the first, each
+// get exactly the words a private front end yields, across several window
+// wraps.
+func TestFrontendSharedByLaggingReaders(t *testing.T) {
+	const n = 5*frontendWindow + 17
+	want := privateWords(n)
+	fe := NewFrontend(DefaultParams())
+	read := func(who string, i int) {
+		t.Helper()
+		if got := fe.Sample(uint64(i)); got != want[i] {
+			t.Fatalf("%s read index %d = %#x, want %#x", who, i, got, want[i])
+		}
+	}
+	lead, lag := 0, 0
+	for round := 0; lag < n; round++ {
+		// The leader runs ahead by a lag that cycles through window..1; the
+		// laggard then catches up part of the way, or all of it.
+		ahead := frontendWindow - (round*37)%frontendWindow
+		for lead < n && lead-lag < ahead {
+			read("leader", lead)
+			lead++
+		}
+		stop := lead - (round%3)*(lead-lag)/3
+		for lag < stop {
+			read("laggard", lag)
+			lag++
+		}
+	}
+}
+
+// TestFrontendEvictedIndexPanics: a reader further behind than the window
+// fails loudly instead of reading another index's word.
+func TestFrontendEvictedIndexPanics(t *testing.T) {
+	fe := NewFrontend(DefaultParams())
+	fe.Sample(frontendWindow) // synthesises 0..window
+	fe.Sample(1)              // the oldest index still held
+	defer func() {
+		if recover() == nil {
+			t.Fatal("index 0 read back after it left the window")
+		}
+	}()
+	fe.Sample(0)
+}
+
+// TestFrontendZeroAlloc is the testing.AllocsPerRun guard behind
+// Frontend.Sample's //accellint:noalloc annotation: two readers, one a
+// sample behind, read the shared front end without a heap allocation.
+func TestFrontendZeroAlloc(t *testing.T) {
+	fe := NewFrontend(DefaultParams())
+	var n uint64
+	if a := testing.AllocsPerRun(4, func() {
+		for end := n + 3*frontendWindow; n < end; n++ {
+			fe.Sample(n)
+			if n > 0 {
+				fe.Sample(n - 1)
+			}
+		}
+	}); a != 0 {
+		t.Fatalf("Frontend.Sample allocates %v per %d samples, want 0", a, 3*frontendWindow)
+	}
+}
+
 func TestGoertzelAndRMS(t *testing.T) {
 	// Pure tone: Goertzel at the tone >> elsewhere; RMS = amp/sqrt(2).
 	const fs = 8000.0
