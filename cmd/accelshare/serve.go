@@ -27,6 +27,7 @@ import (
 
 	"accelshare/internal/cluster"
 	"accelshare/internal/conformance"
+	"accelshare/internal/core"
 	"accelshare/internal/fault"
 	"accelshare/internal/gateway"
 	"accelshare/internal/sim"
@@ -224,23 +225,25 @@ func serveCampaign(w io.Writer, short bool, seed uint64) error {
 	fmt.Fprintf(w, "%9s %12s %12s %12s %7s %7s\n", "at", "spread", "min-util", "max-util", "parked", "placing")
 	for _, fs := range fleet {
 		lo, hi := "-", "-"
-		var min, max *big.Rat
+		var min, max core.Load
+		serving := false
 		for _, ct := range fs.Chains {
-			if ct.Util == nil {
+			if ct.State != "serving" {
 				continue
 			}
-			if min == nil || ct.Util.Cmp(min) < 0 {
+			if !serving || ct.Util.Cmp(min) < 0 {
 				min = ct.Util
 			}
-			if max == nil || ct.Util.Cmp(max) > 0 {
+			if !serving || ct.Util.Cmp(max) > 0 {
 				max = ct.Util
 			}
+			serving = true
 		}
-		if min != nil {
-			lo, hi = min.RatString(), max.RatString()
+		if serving {
+			lo, hi = min.Rat().RatString(), max.Rat().RatString()
 		}
 		fmt.Fprintf(w, "%9d %12s %12s %12s %7d %7d\n",
-			fs.At, fs.Spread.RatString(), lo, hi, fs.Parked, fs.Placing)
+			fs.At, fs.Spread.Rat().RatString(), lo, hi, fs.Parked, fs.Placing)
 	}
 
 	moves := 0
@@ -268,8 +271,8 @@ func serveCampaign(w io.Writer, short bool, seed uint64) error {
 	fmt.Fprintf(w, "\n=== chains (final telemetry) ===\n")
 	for _, ct := range final.Chains {
 		util := "-"
-		if ct.Util != nil {
-			util = ct.Util.RatString()
+		if ct.State == "serving" {
+			util = ct.Util.Rat().RatString()
 		}
 		fmt.Fprintf(w, "  %-4s %-8s %2d streams  util=%-8s bufpeak=%d\n",
 			ct.Name, ct.State, ct.Streams, util, ct.BufferPeak)

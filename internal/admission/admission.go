@@ -322,10 +322,6 @@ func (c *Controller) Load() core.Load {
 	return c.load
 }
 
-// Utilization returns the live model's exact utilisation as a new big.Rat
-// (callers compare and aggregate fleet-wide).
-func (c *Controller) Utilization() *big.Rat { return c.Load().Rat() }
-
 // ForgetParked drops a parked stream from the controller's books and returns
 // its gateway slot: the rebalancer's hand-off primitive. RemoveStream parks
 // the victim so its name and slot stay recoverable via Readmit — but a

@@ -25,9 +25,10 @@
 // readmission, a departure whose chain died mid-transition) retries under
 // one bounded deterministic backoff schedule (fault.Backoff) on the
 // simulation clock: the whole plane is a function of the platform's event
-// order, so a chaos campaign is byte-identical across runs. One helper
-// (offer) turns each admission call into a synchronous rejection or a
-// pending transition.
+// order, so a chaos campaign is byte-identical across runs. Every
+// admission call is an attempt record pooled on the controller: a
+// synchronous rejection recycles it at once, and a pending transition's
+// verdict recycles it and continues that attempt.
 package cluster
 
 import (
@@ -278,14 +279,21 @@ type Controller struct {
 	ladder []LadderStep
 
 	// Rebalancer state: per-tick telemetry history, the pending move queue,
-	// and the one-move-at-a-time gate.
-	fleet     []FleetStats
-	moveQueue []*moveOp
-	moving    bool
+	// the one-move-at-a-time gate, and the hysteresis marks
+	// (RebalanceConfig.HighWater and half of it).
+	fleet               []FleetStats
+	moveQueue           []*moveOp
+	moving              bool
+	highWater, lowWater core.Load
 
 	// ranked is rankServing's result, reused from one placement to the
 	// next.
 	ranked []*chainInfo
+
+	// attempts is the pool of recycled attempt records; refusal holds the
+	// last synchronous refusal until offered hands it back.
+	attempts *attempt
+	refusal  admission.Verdict
 }
 
 // New builds the fleet platform and attaches the control plane. Serving
@@ -505,9 +513,9 @@ func (c *Controller) place(si *streamInfo, attempt int) {
 	// loop ends at the first chain that takes it.
 	req := admission.AddRequest{Spec: c.streamSpec(si), Rate: big.NewRat(1, si.period)}
 	for _, tc := range c.rankServing() {
-		v, pending := c.offer(si, tc, func(done func(admission.Verdict)) {
-			tc.ctrl.AddStream(req, done)
-		}, func(v admission.Verdict) { c.placed(si, tc, attempt, v) })
+		a := c.newAttempt(placing, si, tc, attempt)
+		tc.ctrl.AddStream(req, a.done)
+		v, pending := c.offered(a)
 		if pending {
 			return
 		}
@@ -597,15 +605,9 @@ func (c *Controller) depart(si *streamInfo, attempt int) {
 		si.deferDepart = true
 		return
 	}
-	v, pending := c.offer(si, ci, func(done func(admission.Verdict)) { ci.ctrl.RemoveStream(si.name, done) },
-		func(v admission.Verdict) {
-			si.departing = false
-			if v.Accepted {
-				c.departed(si, ci, v)
-			} else {
-				c.departRefused(si, ci, attempt, v)
-			}
-		})
+	a := c.newAttempt(departing, si, ci, attempt)
+	ci.ctrl.RemoveStream(si.name, a.done)
+	v, pending := c.offered(a)
 	if !pending {
 		c.departRefused(si, ci, attempt, v)
 		// A departure the chain refused at once is marked in flight all the
@@ -858,10 +860,9 @@ func (c *Controller) tryReadmit(si *streamInfo, attempt int) {
 	if !si.shed || si.departed || si.inflight {
 		return
 	}
+	req := c.migrateRequest(si, si.st, si.export)
 	for _, tc := range c.rankServing() {
-		if _, pending := c.offerMigrant(si, si.st, si.export, tc, func(v admission.Verdict) {
-			c.readmitted(si, tc, attempt, v)
-		}); pending {
+		if _, pending := c.offerMigrant(c.newAttempt(readmitting, si, tc, attempt), req); pending {
 			return
 		}
 	}

@@ -5,7 +5,7 @@ package cluster
 // re-solves with the replay-residue floor and imports inside its paused
 // transition, every busy round backs off on the simulation clock with the
 // delay charged to the composed bound, and a stream no target admits sheds
-// (rung 3). The admission helpers below are shared with arrivals,
+// (rung 3). The admission attempts below are shared with arrivals,
 // departures and readmission, which keep their own retry policies.
 
 import (
@@ -46,35 +46,140 @@ func (m *migrant) leg() *composed {
 	return &m.ev.composed
 }
 
-// offer runs one admission request for si on chain tc; call issues it with
-// the verdict callback. A synchronous rejection comes back as (verdict,
-// false). Otherwise the staged transition is pending: si is in flight on tc
-// until the final verdict (accepted, or rejected superseded) reaches done.
-func (c *Controller) offer(si *streamInfo, tc *chainInfo, call func(func(admission.Verdict)), done func(admission.Verdict)) (admission.Verdict, bool) {
-	var o struct {
-		v              admission.Verdict
-		fired, pending bool
+// label names m's placement in retry logs.
+func (m *migrant) label() string {
+	if m.op != nil {
+		return "rebalance admit"
 	}
-	call(func(v admission.Verdict) {
-		if o.pending {
-			si.inflight = false
-			done(v)
-			return
-		}
-		o.v, o.fired = v, true
-	})
-	if o.fired {
-		return o.v, false
+	return "migration"
+}
+
+// attemptKind names what an attempt's verdict continues.
+type attemptKind uint8
+
+const (
+	placing     attemptKind = iota // an arrival's placement: placed
+	departing                      // a departure: departed or departRefused
+	migrating                      // a migrant's admission: migrated or a backoff
+	readmitting                    // a parked stream's readmission: readmitted
+)
+
+// attempt is one admission request for a stream on one chain: a
+// placement, departure, migration or readmission. Attempts are pooled on
+// the controller (an intrusive free list), as the kernel pools its events
+// and the ring its flights, and each record's verdict and import callbacks
+// are bound once, when it is made. A synchronous refusal recycles the
+// record at once. Otherwise the staged transition is pending, and its
+// verdict recycles the record and continues the attempt it belongs to,
+// even when it lands late from a chain that died.
+type attempt struct {
+	c    *Controller
+	kind attemptKind
+	si   *streamInfo
+	tc   *chainInfo
+	n    int      // the retry attempt
+	m    *migrant // set for migrating
+	// done is a.verdict and adopt is a.adoptStream.
+	done  func(admission.Verdict)
+	adopt func() (int, error)
+	// refused marks a synchronous refusal (in Controller.refusal); pending
+	// marks a request the chain took.
+	refused, pending bool
+	next             *attempt
+}
+
+// newAttempt takes an attempt record from the pool, growing it only at the
+// high-water mark of attempts in flight.
+//
+//accellint:noalloc guard=TestRefusedAttemptZeroAlloc
+func (c *Controller) newAttempt(kind attemptKind, si *streamInfo, tc *chainInfo, n int) *attempt {
+	a := c.attempts
+	if a != nil {
+		c.attempts = a.next
+	} else {
+		//accellint:alloc pool growth to the attempts-in-flight high-water mark
+		a = &attempt{c: c}
+		//accellint:alloc method value bound once per pooled record
+		a.done = a.verdict
+		//accellint:alloc method value bound once per pooled record
+		a.adopt = a.adoptStream
 	}
-	o.pending = true
-	si.inflight, si.pendingOn = true, tc.pos
+	a.kind, a.si, a.tc, a.n = kind, si, tc, n
+	return a
+}
+
+// recycle clears a and returns it to the pool.
+//
+//accellint:noalloc guard=TestRefusedAttemptZeroAlloc
+func (c *Controller) recycle(a *attempt) {
+	*a = attempt{c: c, done: a.done, adopt: a.adopt, next: c.attempts}
+	c.attempts = a
+}
+
+// offered resolves attempt a once its chain has been handed the request,
+// with a.done as the verdict callback. A synchronous refusal comes back as
+// (verdict, false) and a is recycled. Otherwise the staged transition is
+// pending: a.si is in flight on a.tc until the verdict reaches a.
+//
+//accellint:noalloc guard=TestRefusedAttemptZeroAlloc
+func (c *Controller) offered(a *attempt) (admission.Verdict, bool) {
+	if a.refused {
+		c.recycle(a)
+		return c.refusal, false
+	}
+	a.pending = true
+	a.si.inflight, a.si.pendingOn = true, a.tc.pos
 	return admission.Verdict{}, true
 }
 
-// offerMigrant offers si's exported stream st to chain tc through the
-// target's migration admission (see offer).
-func (c *Controller) offerMigrant(si *streamInfo, st *mpsoc.Stream, e gateway.StreamExport, tc *chainInfo, done func(admission.Verdict)) (admission.Verdict, bool) {
-	req := admission.MigrateRequest{
+// verdict is every attempt's verdict callback. Before the request is
+// pending a verdict is a synchronous refusal, which offered hands back;
+// after, it recycles the record and continues the attempt.
+func (a *attempt) verdict(v admission.Verdict) {
+	c := a.c
+	if !a.pending {
+		c.refusal, a.refused = v, true
+		return
+	}
+	kind, si, tc, n, m := a.kind, a.si, a.tc, a.n, a.m
+	c.recycle(a)
+	si.inflight = false
+	switch kind {
+	case placing:
+		c.placed(si, tc, n, v)
+	case departing:
+		si.departing = false
+		if v.Accepted {
+			c.departed(si, tc, v)
+		} else {
+			c.departRefused(si, tc, n, v)
+		}
+	case migrating:
+		if v.Accepted {
+			c.migrated(m, tc, v)
+			return
+		}
+		// Superseded mid-drain: the export is still ours.
+		c.backOffMigrant(m, n, fmt.Sprintf("%s superseded on %s;", m.label(), tc.name))
+	case readmitting:
+		c.readmitted(si, tc, n, v)
+	}
+}
+
+// adoptStream imports the attempt's exported stream onto its chain, the
+// Import step of a migration (the migrant's export) or a readmission (the
+// parked stream's).
+func (a *attempt) adoptStream() (int, error) {
+	if a.m != nil {
+		return a.c.ms.AdoptStream(a.tc.idx, a.m.st, a.m.e)
+	}
+	return a.c.ms.AdoptStream(a.tc.idx, a.si.st, a.si.export)
+}
+
+// migrateRequest is the migration admission request for si's exported
+// stream st; each attempt supplies its Import step (see offerMigrant).
+func (c *Controller) migrateRequest(si *streamInfo, st *mpsoc.Stream, e gateway.StreamExport) admission.MigrateRequest {
+	return admission.MigrateRequest{
 		Name:        si.name,
 		Rate:        big.NewRat(1, si.period),
 		Reconfig:    uint64(c.cfg.Reconfig),
@@ -82,9 +187,17 @@ func (c *Controller) offerMigrant(si *streamInfo, st *mpsoc.Stream, e gateway.St
 		MinBlock:    minBlockOf(e, 1),
 		InCapacity:  st.In.Capacity(),
 		OutCapacity: st.Out.Capacity(),
-		Import:      func() (int, error) { return c.ms.AdoptStream(tc.idx, st, e) },
 	}
-	return c.offer(si, tc, func(done func(admission.Verdict)) { tc.ctrl.AdmitMigrated(req, done) }, done)
+}
+
+// offerMigrant offers a migrating or readmitting attempt's stream to its
+// chain through the target's migration admission (see offered).
+//
+//accellint:noalloc guard=TestRefusedAttemptZeroAlloc
+func (c *Controller) offerMigrant(a *attempt, req admission.MigrateRequest) (admission.Verdict, bool) {
+	req.Import = a.adopt
+	a.tc.ctrl.AdmitMigrated(req, a.done)
+	return c.offered(a)
 }
 
 func minBlockOf(e gateway.StreamExport, decimation int64) int64 {
@@ -133,13 +246,9 @@ func (c *Controller) placeMigrant(m *migrant, attempt int) {
 		}
 		return
 	}
-	label := "migration"
 	var targets []*chainInfo
-	if m.op != nil {
-		label = "rebalance admit"
-		if m.op.to.state == chainServing && m.op.to.ctrl != nil {
-			targets = append(targets, m.op.to)
-		}
+	if m.op != nil && m.op.to.state == chainServing && m.op.to.ctrl != nil {
+		targets = append(targets, m.op.to)
 	}
 	for _, tc := range c.rankServing() {
 		if m.op == nil || tc != m.op.to {
@@ -147,22 +256,18 @@ func (c *Controller) placeMigrant(m *migrant, attempt int) {
 		}
 	}
 	busy := false
+	req := c.migrateRequest(m.si, m.st, m.e)
 	for _, tc := range targets {
-		v, pending := c.offerMigrant(m.si, m.st, m.e, tc, func(v admission.Verdict) {
-			if v.Accepted {
-				c.migrated(m, tc, v)
-				return
-			}
-			// Superseded mid-drain: the export is still ours.
-			c.backOffMigrant(m, attempt, fmt.Sprintf("%s superseded on %s;", label, tc.name))
-		})
+		a := c.newAttempt(migrating, m.si, tc, attempt)
+		a.m = m
+		v, pending := c.offerMigrant(a, req)
 		if pending {
 			return
 		}
 		busy = busy || v.Reason == admission.ReasonBusy
 	}
 	if busy {
-		c.backOffMigrant(m, attempt, fmt.Sprintf("%s attempt %d", label, attempt+1))
+		c.backOffMigrant(m, attempt, fmt.Sprintf("%s attempt %d", m.label(), attempt+1))
 		return
 	}
 	c.shedMigrant(m)

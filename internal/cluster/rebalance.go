@@ -8,15 +8,16 @@ package cluster
 // feasibility).
 //
 // Every tick the loop snapshots per-chain telemetry into a FleetStats
-// (exact big.Rat slot utilisation from the admission model, buffer-memory
-// occupancy via cfifo.BufferStats, pending/parked queue depth from the
-// registry) and compares the utilisation spread (max − min over serving
-// chains) against a high-water mark. Above it, solve.PlanRebalance picks
-// victims smallest-residue-first (replay stays ≤ K and the cheapest moves
-// land first) and plans moves down toward a low-water mark of half the
-// high-water mark — the hysteresis gap, plus a per-stream move budget, is
-// what prevents two near-balanced chains from trading the same stream
-// forever.
+// (each serving chain's exact utilisation, the core.Load its admission
+// controller caches per model generation; buffer-memory occupancy via
+// cfifo.BufferStats; pending/parked queue depth from the registry) and
+// compares the utilisation spread (max − min over serving chains) against
+// a high-water mark. Above it, solve.PlanRebalance ranks the chains on the
+// same cached loads, picks victims smallest-residue-first (replay stays
+// ≤ K and the cheapest moves land first) and plans moves down toward a
+// low-water mark of half the high-water mark — the hysteresis gap, plus a
+// per-stream move budget, is what prevents two near-balanced chains from
+// trading the same stream forever. Both marks are loads, converted once.
 //
 // One move is a composed, individually bounded sequence on the live fleet:
 //
@@ -39,7 +40,6 @@ package cluster
 import (
 	"fmt"
 	"math/big"
-	"sort"
 
 	"accelshare/internal/admission"
 	"accelshare/internal/cfifo"
@@ -82,15 +82,13 @@ func (rc *RebalanceConfig) validate() error {
 	return nil
 }
 
-func (rc *RebalanceConfig) highWater() *big.Rat {
-	if rc.HighWater != nil {
-		return rc.HighWater
+// marks returns the high-water mark and the low-water mark, half of it.
+func (rc *RebalanceConfig) marks() (high, low core.Load) {
+	hw := rc.HighWater
+	if hw == nil {
+		hw = big.NewRat(1, 4)
 	}
-	return big.NewRat(1, 4)
-}
-
-func (rc *RebalanceConfig) lowWater() *big.Rat {
-	return new(big.Rat).Mul(rc.highWater(), big.NewRat(1, 2))
+	return core.LoadOf(hw), core.LoadOf(new(big.Rat).Mul(hw, big.NewRat(1, 2)))
 }
 
 func (rc *RebalanceConfig) maxMoves() int {
@@ -113,9 +111,9 @@ type ChainTelemetry struct {
 	State string
 	// Streams counts the live registry streams the chain owns.
 	Streams int
-	// Util is the admission model's exact utilisation Σ μs·ρ (nil for
-	// non-serving chains).
-	Util *big.Rat
+	// Util is the admission model's exact utilisation Σ μs·ρ (zero for
+	// chains that are not serving).
+	Util core.Load
 	// BufferWords is the words currently buffered across the owned streams'
 	// input and output C-FIFOs (pushed − popped); BufferPeak sums their
 	// high-water occupancies — the buffer-memory half of the load picture.
@@ -135,25 +133,32 @@ type FleetStats struct {
 	Parked, Placing int
 	// Spread is max − min utilisation over the serving chains (zero with
 	// fewer than two serving chains).
-	Spread *big.Rat
+	Spread core.Load
 }
 
 // Stats snapshots the fleet telemetry now (the rebalancer records one per
-// tick; campaigns may sample it on their own schedule too).
+// tick; campaigns may sample it on their own schedule too). It reads each
+// serving chain's cached load, so the snapshot allocates only the Chains
+// slice it keeps.
+//
+//accellint:noalloc guard=TestStatsZeroAlloc
 func (c *Controller) Stats() FleetStats {
-	fs := FleetStats{At: c.k.Now(), Spread: new(big.Rat), Chains: make([]ChainTelemetry, len(c.chains))}
-	var lo, hi *big.Rat
+	//accellint:alloc the snapshot's Chains slice, which the fleet log keeps
+	fs := FleetStats{At: c.k.Now(), Chains: make([]ChainTelemetry, len(c.chains))}
+	var lo, hi core.Load
+	serving := false
 	for pos, ci := range c.chains {
 		ct := &fs.Chains[pos]
 		ct.Name, ct.State = ci.name, ci.state.String()
 		if ci.state == chainServing && ci.ctrl != nil {
-			ct.Util = ci.ctrl.Utilization()
-			if lo == nil || ct.Util.Cmp(lo) < 0 {
+			ct.Util = ci.ctrl.Load()
+			if !serving || ct.Util.Cmp(lo) < 0 {
 				lo = ct.Util
 			}
-			if hi == nil || ct.Util.Cmp(hi) > 0 {
+			if !serving || ct.Util.Cmp(hi) > 0 {
 				hi = ct.Util
 			}
+			serving = true
 		}
 	}
 	// One registry pass buckets every stream by the chain its pending
@@ -179,15 +184,13 @@ func (c *Controller) Stats() FleetStats {
 		if si.st == nil || si.st.In == nil {
 			continue
 		}
-		for _, f := range []*cfifo.FIFO{si.st.In, si.st.Out} {
+		for _, f := range [2]*cfifo.FIFO{si.st.In, si.st.Out} {
 			pushed, popped, peak := f.BufferStats()
 			ct.BufferWords += pushed - popped
 			ct.BufferPeak += peak
 		}
 	}
-	if lo != nil && hi != nil {
-		fs.Spread.Sub(hi, lo)
-	}
+	fs.Spread = hi.Sub(lo)
 	return fs
 }
 
@@ -213,6 +216,7 @@ func (c *Controller) scheduleRebalance() {
 	if rc.Stop != 0 && first > rc.Stop {
 		return
 	}
+	c.highWater, c.lowWater = rc.marks()
 	c.k.ScheduleAt(first, c.rebalanceTick)
 }
 
@@ -234,18 +238,21 @@ func (c *Controller) rebalanceTick() {
 			return
 		}
 	}
-	if stats.Spread.Cmp(rc.highWater()) <= 0 {
+	if stats.Spread.Cmp(c.highWater) <= 0 {
 		return
 	}
 
-	// Index-parallel (serving chains ↔ models) in configuration order, so
-	// solve.PlanRebalance's chain indices map back deterministically.
+	// Index-parallel (serving chains ↔ models ↔ loads) in configuration
+	// order, so solve.PlanRebalance's chain indices map back
+	// deterministically.
 	var serving []*chainInfo
 	var models []*core.System
+	var loads []core.Load
 	for _, ci := range c.chains {
 		if ci.state == chainServing && ci.ctrl != nil {
 			serving = append(serving, ci)
 			models = append(models, ci.ctrl.Model())
+			loads = append(loads, ci.ctrl.Load())
 		}
 	}
 	if len(serving) < 2 {
@@ -269,18 +276,17 @@ func (c *Controller) rebalanceTick() {
 			}
 			cands = append(cands, solve.MoveCandidate{
 				Name: si.name, Chain: local,
-				Rate:    new(big.Rat).Set(model.Streams[i].Rate),
+				Rate:    model.Streams[i].Rate,
 				Residue: residue,
 			})
 		}
 	}
-	sort.SliceStable(cands, func(a, b int) bool { return cands[a].Name < cands[b].Name })
-	moves := solve.PlanRebalance(models, cands, rc.maxMoves(), rc.lowWater())
+	moves := solve.PlanRebalance(models, loads, cands, rc.maxMoves(), c.lowWater)
 	if len(moves) == 0 {
 		return
 	}
 	c.event(EvRebalance, "", "", fmt.Sprintf("spread=%s over high water %s; %d move(s) planned",
-		stats.Spread.RatString(), rc.highWater().RatString(), len(moves)))
+		stats.Spread.Rat().RatString(), c.highWater.Rat().RatString(), len(moves)))
 	for _, mv := range moves {
 		c.moveQueue = append(c.moveQueue, &moveOp{
 			composed: composed{from: serving[mv.From]},

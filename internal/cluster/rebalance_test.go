@@ -80,10 +80,10 @@ func TestRebalanceMovesHotStream(t *testing.T) {
 	if len(fleet) != 5 {
 		t.Fatalf("fleet snapshots = %d, want 5", len(fleet))
 	}
-	if got := fleet[0].Spread; got.Cmp(big.NewRat(3, 10)) != 0 {
+	if got := fleet[0].Spread.Rat(); got.Cmp(big.NewRat(3, 10)) != 0 {
 		t.Errorf("spread at first tick = %s, want 3/10", got.RatString())
 	}
-	if got := fleet[len(fleet)-1].Spread; got.Cmp(big.NewRat(1, 10)) != 0 {
+	if got := fleet[len(fleet)-1].Spread.Rat(); got.Cmp(big.NewRat(1, 10)) != 0 {
 		t.Errorf("spread at last tick = %s, want 1/10", got.RatString())
 	}
 	checkConformance(t, c, 100_000)
@@ -112,8 +112,8 @@ func TestRebalanceIdleBelowHighWater(t *testing.T) {
 		t.Fatalf("fleet snapshots = %d, want 7", len(fleet))
 	}
 	fs := fleet[0]
-	if fs.Spread.Cmp(big.NewRat(1, 10)) != 0 {
-		t.Errorf("spread = %s, want 1/10", fs.Spread.RatString())
+	if got := fs.Spread.Rat(); got.Cmp(big.NewRat(1, 10)) != 0 {
+		t.Errorf("spread = %s, want 1/10", got.RatString())
 	}
 	if len(fs.Chains) != 2 || fs.Chains[0].Name != "c0" || fs.Chains[1].Name != "c1" {
 		t.Fatalf("telemetry chains = %+v, want c0,c1 in config order", fs.Chains)
@@ -122,11 +122,11 @@ func TestRebalanceIdleBelowHighWater(t *testing.T) {
 		t.Errorf("stream counts = %d,%d, want 3,2 (residents included)",
 			fs.Chains[0].Streams, fs.Chains[1].Streams)
 	}
-	if u := fs.Chains[0].Util; u == nil || u.Cmp(big.NewRat(1, 2)) != 0 {
-		t.Errorf("c0 util = %v, want 1/2", u)
+	if ct := fs.Chains[0]; ct.State != "serving" || ct.Util.Rat().Cmp(big.NewRat(1, 2)) != 0 {
+		t.Errorf("c0 %s at util %s, want serving at 1/2", ct.State, ct.Util.Rat().RatString())
 	}
-	if u := fs.Chains[1].Util; u == nil || u.Cmp(big.NewRat(2, 5)) != 0 {
-		t.Errorf("c1 util = %v, want 2/5", u)
+	if ct := fs.Chains[1]; ct.State != "serving" || ct.Util.Rat().Cmp(big.NewRat(2, 5)) != 0 {
+		t.Errorf("c1 %s at util %s, want serving at 2/5", ct.State, ct.Util.Rat().RatString())
 	}
 	if fs.Parked != 0 || fs.Placing != 0 {
 		t.Errorf("parked=%d placing=%d, want 0,0", fs.Parked, fs.Placing)
@@ -171,7 +171,7 @@ func TestRebalanceMoveBudget(t *testing.T) {
 	if len(fleet) == 0 {
 		t.Fatal("no fleet snapshots")
 	}
-	if got := fleet[len(fleet)-1].Spread; got.Cmp(big.NewRat(1, 5)) != 0 {
+	if got := fleet[len(fleet)-1].Spread.Rat(); got.Cmp(big.NewRat(1, 5)) != 0 {
 		t.Errorf("final spread = %s, want the persistent 1/5 imbalance", got.RatString())
 	}
 	checkConformance(t, c, 140_000)
@@ -244,7 +244,7 @@ func TestRankServingNameTieBreak(t *testing.T) {
 			}
 			var got []ranked
 			for _, ci := range c.rankServing() {
-				got = append(got, ranked{ci.name, ci.ctrl.Utilization()})
+				got = append(got, ranked{ci.name, ci.ctrl.Load().Rat()})
 			}
 			if len(got) != len(tc.want) {
 				t.Fatalf("ranked %d chains, want %d", len(got), len(tc.want))

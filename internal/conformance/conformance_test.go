@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"math/big"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -258,6 +259,65 @@ func TestThroughputFloor(t *testing.T) {
 	res = Check(oneBound(), jitter, Options{SkipGamma: true, SkipRetried: true})
 	if len(res.Violations) != 0 {
 		t.Fatalf("γ̂-jittered completions flagged: %v", res.Violations)
+	}
+}
+
+// TestTauBoundary: a service latency of exactly τ̂ passes and one cycle
+// more is a tau violation; with retry slack the limit is τ̂ + retries ×
+// slack, exactly.
+func TestTauBoundary(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		lat     int64
+		retries int
+		opt     Options
+		want    []string
+	}{
+		{"at tau-hat", 100, 0, Options{}, nil},
+		{"one past tau-hat", 101, 0, Options{}, []string{"tau"}},
+		{"at the retry-slack limit", 150, 1, Options{RetrySlack: 50}, nil},
+		{"one past the retry-slack limit", 151, 1, Options{RetrySlack: 50}, []string{"tau"}},
+		{"at two retries' limit", 200, 2, Options{RetrySlack: 50}, nil},
+		{"one past two retries' limit", 201, 2, Options{RetrySlack: 50}, []string{"tau"}},
+	} {
+		res := Check(oneBound(), [][]gateway.BlockRecord{{rec(0, 10, 10+c.lat, c.retries)}}, c.opt)
+		if got := kinds(res); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s (latency %d): violations %v, want %v", c.name, c.lat, got, c.want)
+		}
+	}
+}
+
+// TestGammaBoundary: a turnaround of exactly γ̂ passes and γ̂ + 1 is a
+// gamma violation.
+func TestGammaBoundary(t *testing.T) {
+	for _, c := range []struct {
+		turn int64
+		want []string
+	}{{300, nil}, {301, []string{"gamma"}}} {
+		// Started late, so the service latency (50) stays within τ̂.
+		res := Check(oneBound(), [][]gateway.BlockRecord{{rec(0, c.turn-50, c.turn, 0)}}, Options{})
+		if got := kinds(res); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("turnaround %d: violations %v, want %v", c.turn, got, c.want)
+		}
+	}
+}
+
+// TestThroughputWindowBoundary: the throughput floor applies to every span
+// past γ̂, including spans in (γ̂, 2γ̂]. One block (16 samples) over a span
+// of 2γ̂ = 600 cycles falls short of μ·(span − γ̂) = 30; the same block over
+// γ̂ + 160 cycles meets its 16 exactly, and a span of exactly γ̂ is not
+// checked.
+func TestThroughputWindowBoundary(t *testing.T) {
+	for _, c := range []struct {
+		span int64
+		want []string
+	}{{600, []string{"throughput"}}, {460, nil}, {461, []string{"throughput"}}, {300, nil}} {
+		end := 10 + c.span
+		records := [][]gateway.BlockRecord{{rec(10, 10, 10, 0), rec(end, end, end, 0)}}
+		res := Check(oneBound(), records, Options{})
+		if got := kinds(res); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("span %d: violations %v, want %v", c.span, got, c.want)
+		}
 	}
 }
 

@@ -170,6 +170,49 @@ func TestResumeBound(t *testing.T) {
 	}
 }
 
+// TestResumeBoundClampsPastBlock: a checkpoint interval past the block is
+// no checkpointing at all, so K = ηs + 1 replays the whole block, as K = ηs
+// does.
+func TestResumeBoundClampsPastBlock(t *testing.T) {
+	s := palSystem()
+	s.Streams[0].Block = 100
+	at, err := s.ResumeBound(0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	past, err := s.ResumeBound(0, 101)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(4100 + (100+2)*15); at != want || past != want {
+		t.Errorf("ResumeBound(ηs) = %d, ResumeBound(ηs+1) = %d, want %d (full-block replay)", at, past, want)
+	}
+}
+
+// TestWorstCaseSampleLatencyPAL pins L̂ = ⌈(η−1)/μ⌉ + γ̂s on the §VI-A
+// model at its granularity-8 blocks (9848, 9848, 1232, 1232; γ̂ = 348,920):
+// stage 1 (μ = 2,822,400/10⁸) waits ⌈9847/μ⌉ = 348,888 cycles, stage 2
+// (μ = 352,800/10⁸) ⌈1231/μ⌉ = 348,923.
+func TestWorstCaseSampleLatencyPAL(t *testing.T) {
+	s := palSystem()
+	res, err := s.ComputeBlockSizesRounded([]int64{8, 8, 8, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s.Streams {
+		s.Streams[i].Block = res.Blocks[i]
+	}
+	for i, want := range []uint64{697_808, 697_808, 697_843, 697_843} {
+		got, err := s.WorstCaseSampleLatency(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: WorstCaseSampleLatency = %d, want %d", s.Streams[i].Name, got, want)
+		}
+	}
+}
+
 func TestGammaIsSumOfTaus(t *testing.T) {
 	s := palSystem()
 	for i := range s.Streams {

@@ -59,19 +59,39 @@ func rat64(r *big.Rat) (num, den uint64, ok bool) {
 	return r.Num().Uint64(), r.Denom().Uint64(), true
 }
 
-// addFrac returns the reduced sum a/b + c/d of two reduced fractions, and
-// false when a step does not fit in 64 bits.
-func addFrac(a, b, c, d uint64) (uint64, uint64, bool) {
+// common returns the reduced fractions a/b and c/d over their least common
+// denominator as x/den and y/den, and false when a step does not fit in 64
+// bits.
+func common(a, b, c, d uint64) (x, y, den uint64, ok bool) {
 	g := gcd64(b, d)
 	x, ok1 := mul64(a, d/g)
 	y, ok2 := mul64(c, b/g)
 	den, ok3 := mul64(b, d/g)
-	num, ok4 := add64(x, y)
-	if !ok1 || !ok2 || !ok3 || !ok4 {
+	return x, y, den, ok1 && ok2 && ok3
+}
+
+// addFrac returns the reduced sum a/b + c/d of two reduced fractions, and
+// false when a step does not fit in 64 bits.
+func addFrac(a, b, c, d uint64) (uint64, uint64, bool) {
+	x, y, den, ok := common(a, b, c, d)
+	num, ok2 := add64(x, y)
+	if !ok || !ok2 {
 		return 0, 0, false
 	}
 	r := gcd64(num, den)
 	return num / r, den / r, true
+}
+
+// subFrac returns the reduced difference a/b − c/d of two reduced
+// fractions, and false when it is negative or a step does not fit in 64
+// bits.
+func subFrac(a, b, c, d uint64) (uint64, uint64, bool) {
+	x, y, den, ok := common(a, b, c, d)
+	if !ok || x < y {
+		return 0, 0, false
+	}
+	r := gcd64(x-y, den)
+	return (x - y) / r, den / r, true
 }
 
 // mulFrac returns the reduced product of the reduced fraction a/b and c/d,
@@ -109,12 +129,14 @@ func (s *System) utilization64() (num, den uint64, ok bool) {
 	return mulFrac(num, den, c0, uint64(s.ClockHz))
 }
 
-// Load is a system's exact utilisation ρ (see Utilization). It holds a
-// reduced fraction of two 64-bit words when ρ fits, so comparing two loads
-// allocates nothing, and a big.Rat otherwise.
+// Load is an exact utilisation: a system's ρ (see Utilization), one
+// stream's share of a chain (StreamLoad), or a sum or difference of such.
+// It holds a reduced fraction of two 64-bit words when the value fits, so
+// comparing, adding and subtracting loads allocates nothing, and a big.Rat
+// otherwise. The zero Load is 0.
 type Load struct {
-	num, den uint64
-	wide     *big.Rat // non-nil when num/den do not hold ρ
+	num, den uint64   // den is 0 only in the zero Load, which reads 0/1
+	wide     *big.Rat // non-nil when num/den do not hold the value
 }
 
 // Load returns the system's utilisation.
@@ -125,6 +147,41 @@ func (s *System) Load() Load {
 	return Load{wide: s.Utilization()}
 }
 
+// StreamLoad returns the load a stream of the given rate (samples per
+// second) puts on the system's chain, rate·c0/ClockHz: its term of
+// Utilization, so a system's Load is the sum of its streams' loads.
+//
+//accellint:noalloc guard=TestLoadArithmeticZeroAlloc
+func (s *System) StreamLoad(rate *big.Rat) Load {
+	// Utilization scales by c0 as an int64.
+	c0 := s.Chain.C0()
+	if s.ClockHz > 0 && c0 <= math.MaxInt64 {
+		if rn, rd, ok := rat64(rate); ok {
+			if num, den, ok := mulFrac(rn, rd, c0, uint64(s.ClockHz)); ok {
+				return Load{num: num, den: den}
+			}
+		}
+	}
+	//accellint:alloc a load that does not fit in 64 bits is a big.Rat
+	return LoadOf(new(big.Rat).Mul(rate, big.NewRat(int64(c0), s.ClockHz)))
+}
+
+// LoadOf returns r as a load.
+func LoadOf(r *big.Rat) Load {
+	if num, den, ok := rat64(r); ok {
+		return Load{num: num, den: den}
+	}
+	return Load{wide: new(big.Rat).Set(r)}
+}
+
+// frac returns a load that fits in 64 bits as num/den.
+func (a Load) frac() (num, den uint64) {
+	if a.den == 0 {
+		return 0, 1
+	}
+	return a.num, a.den
+}
+
 // Cmp compares a and b exactly and returns -1, 0 or +1.
 //
 //accellint:noalloc guard=TestLoadCmpZeroAlloc
@@ -132,12 +189,44 @@ func (a Load) Cmp(b Load) int {
 	if a.wide != nil || b.wide != nil {
 		return a.Rat().Cmp(b.Rat())
 	}
-	ah, al := bits.Mul64(a.num, b.den)
-	bh, bl := bits.Mul64(b.num, a.den)
+	an, ad := a.frac()
+	bn, bd := b.frac()
+	ah, al := bits.Mul64(an, bd)
+	bh, bl := bits.Mul64(bn, ad)
 	if ah != bh {
 		return cmp.Compare(ah, bh)
 	}
 	return cmp.Compare(al, bl)
+}
+
+// Add returns a + b exactly.
+//
+//accellint:noalloc guard=TestLoadArithmeticZeroAlloc
+func (a Load) Add(b Load) Load {
+	if a.wide == nil && b.wide == nil {
+		an, ad := a.frac()
+		bn, bd := b.frac()
+		if num, den, ok := addFrac(an, ad, bn, bd); ok {
+			return Load{num: num, den: den}
+		}
+	}
+	//accellint:alloc a sum that does not fit in 64 bits is a big.Rat
+	return LoadOf(new(big.Rat).Add(a.Rat(), b.Rat()))
+}
+
+// Sub returns a − b exactly. A negative difference is a big.Rat.
+//
+//accellint:noalloc guard=TestLoadArithmeticZeroAlloc
+func (a Load) Sub(b Load) Load {
+	if a.wide == nil && b.wide == nil {
+		an, ad := a.frac()
+		bn, bd := b.frac()
+		if num, den, ok := subFrac(an, ad, bn, bd); ok {
+			return Load{num: num, den: den}
+		}
+	}
+	//accellint:alloc a difference that does not fit in 64 bits is a big.Rat
+	return LoadOf(new(big.Rat).Sub(a.Rat(), b.Rat()))
 }
 
 // Rat returns the load as a new big.Rat.
@@ -145,5 +234,6 @@ func (a Load) Rat() *big.Rat {
 	if a.wide != nil {
 		return new(big.Rat).Set(a.wide)
 	}
-	return new(big.Rat).SetFrac(new(big.Int).SetUint64(a.num), new(big.Int).SetUint64(a.den))
+	num, den := a.frac()
+	return new(big.Rat).SetFrac(new(big.Int).SetUint64(num), new(big.Int).SetUint64(den))
 }

@@ -227,9 +227,10 @@ func wideSystem(rng *rand.Rand, n int, widthRaw uint8) (*System, []int64) {
 // FuzzFixedWidthMatchesBig holds the fixed-width kernel, with its big.Int
 // fallback, to the big.Int reference on random systems whose rates,
 // reconfiguration costs, clocks and granularities reach near 2^63: the
-// utilisation, the relaxation seed, operator steps at the seed and at
-// random points, the least fixed point and the input buffer bounds must
-// equal the reference, errors included.
+// utilisation, each stream's load and their sum, the sum and differences
+// of two systems' loads, the relaxation seed, operator steps at the seed
+// and at random points, the least fixed point and the input buffer bounds
+// must equal the reference, errors included.
 func FuzzFixedWidthMatchesBig(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(0))
 	f.Add(uint64(7), uint8(1), uint8(20))
@@ -248,6 +249,7 @@ func FuzzFixedWidthMatchesBig(f *testing.F) {
 		if got, want := s.Load().Cmp(other.Load()), s.Utilization().Cmp(other.Utilization()); got != want {
 			t.Fatalf("Load.Cmp %d, Utilization.Cmp %d", got, want)
 		}
+		sameLoadArithmetic(t, s, other)
 
 		seed64, err := s.RelaxationSeed(gran)
 		_, want, wantErr := refSeed(s, gran)
@@ -288,6 +290,78 @@ func FuzzFixedWidthMatchesBig(f *testing.F) {
 			sameOutcome(t, fmt.Sprintf("input buffer bound %d", i), got, want, err, wantErr)
 		}
 	})
+}
+
+// sameLoadArithmetic fails t unless each stream's load is its term of
+// Utilization, the loads sum to the system's, and the sum and both
+// differences of the two systems' loads equal big.Rat's.
+func sameLoadArithmetic(t *testing.T, s, other *System) {
+	t.Helper()
+	scale := big.NewRat(int64(s.Chain.C0()), s.ClockHz)
+	var sum Load
+	for i := range s.Streams {
+		got, want := s.StreamLoad(s.Streams[i].Rate), new(big.Rat).Mul(s.Streams[i].Rate, scale)
+		if got.Rat().Cmp(want) != 0 {
+			t.Fatalf("StreamLoad(%s) = %s, want %s", s.Streams[i].Rate.RatString(), got.Rat().RatString(), want.RatString())
+		}
+		sum = sum.Add(got)
+	}
+	if sum.Cmp(s.Load()) != 0 {
+		t.Fatalf("streams' loads sum to %s, Load %s", sum.Rat().RatString(), s.Load().Rat().RatString())
+	}
+	a, b := s.Load(), other.Load()
+	ua, ub := s.Utilization(), other.Utilization()
+	for _, c := range []struct {
+		op        string
+		got, want *big.Rat
+	}{
+		{"a+b", a.Add(b).Rat(), new(big.Rat).Add(ua, ub)},
+		{"a-b", a.Sub(b).Rat(), new(big.Rat).Sub(ua, ub)},
+		{"b-a", b.Sub(a).Rat(), new(big.Rat).Sub(ub, ua)},
+	} {
+		if c.got.Cmp(c.want) != 0 {
+			t.Fatalf("%s = %s, big.Rat %s", c.op, c.got.RatString(), c.want.RatString())
+		}
+	}
+}
+
+// TestLoadArithmeticPaths pins both paths of Load arithmetic to big.Rat:
+// values that fit in 64 bits, a sum whose denominator does not, a
+// negative difference, a wide operand, and a wide difference that fits
+// again. The zero Load is 0.
+func TestLoadArithmeticPaths(t *testing.T) {
+	rat := func(a, b uint64) *big.Rat {
+		return new(big.Rat).SetFrac(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+	}
+	p, q := rat(1, 1<<63-25), rat(1, 1<<63-259) // their sum needs 126 bits
+	wide := LoadOf(p).Add(LoadOf(q))
+	for _, c := range []struct {
+		name     string
+		got      Load
+		want     *big.Rat
+		fits     bool
+		zeroLoad bool
+	}{
+		{"sum", LoadOf(big.NewRat(1, 4)).Add(LoadOf(big.NewRat(1, 6))), big.NewRat(5, 12), true, false},
+		{"difference", LoadOf(big.NewRat(1, 4)).Sub(LoadOf(big.NewRat(1, 6))), big.NewRat(1, 12), true, false},
+		{"zero plus", Load{}.Add(LoadOf(big.NewRat(2, 3))), big.NewRat(2, 3), true, false},
+		{"equal difference", LoadOf(big.NewRat(2, 3)).Sub(LoadOf(big.NewRat(2, 3))), new(big.Rat), true, true},
+		{"wide sum", wide, new(big.Rat).Add(p, q), false, false},
+		{"negative", LoadOf(big.NewRat(1, 6)).Sub(LoadOf(big.NewRat(1, 4))), big.NewRat(-1, 12), false, false},
+		{"wide operand", wide.Sub(LoadOf(q)), p, true, false},
+		{"wide difference", wide.Sub(wide), new(big.Rat), true, true},
+		{"overflowing sum", LoadOf(rat(1<<63, 1)).Add(LoadOf(rat(1<<63, 1))), rat(1<<63, 1).Add(rat(1<<63, 1), rat(1<<63, 1)), false, false},
+	} {
+		if c.got.Rat().Cmp(c.want) != 0 {
+			t.Errorf("%s = %s, want %s", c.name, c.got.Rat().RatString(), c.want.RatString())
+		}
+		if fits := c.got.wide == nil; fits != c.fits {
+			t.Errorf("%s fits in 64 bits = %v, want %v", c.name, fits, c.fits)
+		}
+		if z := c.got.Cmp(Load{}) == 0; z != c.zeroLoad {
+			t.Errorf("%s equals the zero Load = %v, want %v", c.name, z, c.zeroLoad)
+		}
+	}
 }
 
 // TestFixedWidthFallback: steps whose values need more than 64 bits run on
@@ -415,4 +489,25 @@ func TestLoadCmpZeroAlloc(t *testing.T) {
 		t.Fatalf("Cmp of %s and %s", la.Rat().RatString(), lb.Rat().RatString())
 	}
 	zeroAllocs(t, "Load.Cmp", func() { la.Cmp(lb) })
+}
+
+// loadSink keeps the guarded load arithmetic from being optimised away.
+var loadSink Load
+
+// TestLoadArithmeticZeroAlloc backs the annotations on StreamLoad,
+// Load.Add and Load.Sub: on the §VI-A model every stream's load, the sum
+// of the loads and a difference fit in 64 bits and allocate nothing.
+func TestLoadArithmeticZeroAlloc(t *testing.T) {
+	s := palSystem()
+	load, rate := s.Load(), s.Streams[2].Rate
+	one := s.StreamLoad(rate)
+	if one.wide != nil || load.wide != nil {
+		t.Fatal("the §VI-A loads do not fit in 64 bits")
+	}
+	if got := load.Sub(one).Add(one); got.Cmp(load) != 0 {
+		t.Fatalf("load - one + one = %s, want %s", got.Rat().RatString(), load.Rat().RatString())
+	}
+	zeroAllocs(t, "StreamLoad", func() { loadSink = s.StreamLoad(rate) })
+	zeroAllocs(t, "Load.Add", func() { loadSink = load.Add(one) })
+	zeroAllocs(t, "Load.Sub", func() { loadSink = load.Sub(one) })
 }

@@ -1,30 +1,26 @@
 package solve
 
 import (
+	"cmp"
 	"math/big"
-	"sort"
+	"slices"
+	"strings"
 
 	"accelshare/internal/core"
 )
 
 // Cross-chain rebalance search over exact utilisation. PlanRebalance
 // answers WHICH streams should move WHERE to shrink the fleet's utilisation
-// spread; it is a pure big.Rat computation with no solver run — per-chain
+// spread; it ranks, sums and compares core.Load values (exact fractions in
+// 64-bit words, with a big.Rat fallback) and runs no solver — per-chain
 // feasibility of every move is re-proven later by the target controller's
 // own AdmitMigrated solve + Verify (verify, don't trust). Keeping the
 // search exact matters: a float ranking could order two chains differently
-// than the admission model's big.Rat compare and plan a move the target
-// then rejects.
+// than the admission model's exact compare and plan a move the target then
+// rejects.
 
 // one is the feasibility threshold Σ μs·c0 < 1.
-var one = big.NewRat(1, 1)
-
-// AddedUtilization returns the exact utilisation a stream of the given
-// rate (samples/second) would add to the chain: (rate/ClockHz)·c0.
-func AddedUtilization(m *core.System, rate *big.Rat) *big.Rat {
-	mu := new(big.Rat).Quo(rate, new(big.Rat).SetInt64(m.ClockHz))
-	return mu.Mul(mu, new(big.Rat).SetInt64(int64(m.Chain.C0())))
-}
+var one = core.LoadOf(big.NewRat(1, 1))
 
 // MoveCandidate is one movable stream offered to PlanRebalance.
 type MoveCandidate struct {
@@ -33,6 +29,7 @@ type MoveCandidate struct {
 	// Chain indexes chains: where the stream currently runs.
 	Chain int
 	// Rate is the stream's throughput constraint μs in samples per second.
+	// PlanRebalance only reads it, so it may be the model's own rate.
 	Rate *big.Rat
 	// Residue is the stream's pending replay residue in words. Victims are
 	// picked smallest-residue-first: a checkpointing fleet bounds residue by
@@ -49,49 +46,35 @@ type Move struct {
 }
 
 // PlanRebalance plans at most maxMoves migrations that each strictly shrink
-// the fleet's exact utilisation spread (max − min over chains). Greedy:
+// the fleet's exact utilisation spread (max − min over chains). loads[c] is
+// chains[c]'s utilisation, as its admission controller caches it. Greedy:
 // take the hottest and coldest chains (ties broken by chain index), move
 // the cheapest candidate (smallest residue, then name) that fits the
 // coldest chain and strictly improves the spread, re-rank, repeat. Planning
-// stops early when the spread reaches stopSpread (nil = keep going while
-// moves improve) — the hysteresis low-water mark, so a triggered rebalance
-// drives the fleet well below the trigger threshold instead of oscillating
-// around it. The chains models are not mutated.
-func PlanRebalance(chains []*core.System, cands []MoveCandidate, maxMoves int, stopSpread *big.Rat) []Move {
+// stops early when the spread reaches stopSpread (the zero Load = keep
+// going while moves improve) — the hysteresis low-water mark, so a
+// triggered rebalance drives the fleet well below the trigger threshold
+// instead of oscillating around it. Neither the chains' models nor the
+// caller's slices are mutated, and the allocations do not grow with the
+// number of candidates.
+//
+//accellint:noalloc guard=TestPlanRebalanceZeroAllocPerCandidate
+func PlanRebalance(chains []*core.System, loads []core.Load, cands []MoveCandidate, maxMoves int, stopSpread core.Load) []Move {
 	if len(chains) < 2 || len(cands) == 0 || maxMoves <= 0 {
 		return nil
 	}
-	util := make([]*big.Rat, len(chains))
-	for c := range chains {
-		util[c] = new(big.Rat).Set(chains[c].Utilization())
-	}
+	//accellint:alloc the plan's working loads, one per chain
+	util := append([]core.Load(nil), loads...)
 	// Work on a private copy ordered (residue, name): the victim-selection
 	// policy is baked into the scan order.
+	//accellint:alloc the plan's working candidates, one copy per plan
 	cs := append([]MoveCandidate(nil), cands...)
-	sort.SliceStable(cs, func(a, b int) bool {
-		if cs[a].Residue != cs[b].Residue {
-			return cs[a].Residue < cs[b].Residue
-		}
-		return cs[a].Name < cs[b].Name
-	})
-
-	spreadOf := func() *big.Rat {
-		lo, hi := util[0], util[0]
-		for _, u := range util[1:] {
-			if u.Cmp(lo) < 0 {
-				lo = u
-			}
-			if u.Cmp(hi) > 0 {
-				hi = u
-			}
-		}
-		return new(big.Rat).Sub(hi, lo)
-	}
+	slices.SortStableFunc(cs, byResidue)
 
 	var moves []Move
 	for len(moves) < maxMoves {
-		spread := spreadOf()
-		if stopSpread != nil && spread.Cmp(stopSpread) <= 0 {
+		spread := spreadOf(util)
+		if spread.Cmp(stopSpread) <= 0 {
 			break
 		}
 		hot, cold := 0, 0
@@ -111,21 +94,21 @@ func PlanRebalance(chains []*core.System, cands []MoveCandidate, maxMoves int, s
 			if cs[i].Chain != hot {
 				continue
 			}
-			addTo := AddedUtilization(chains[cold], cs[i].Rate)
-			if new(big.Rat).Add(util[cold], addTo).Cmp(one) >= 0 {
+			addTo := chains[cold].StreamLoad(cs[i].Rate)
+			if util[cold].Add(addTo).Cmp(one) >= 0 {
 				continue // would overload the coldest chain
 			}
-			sub := AddedUtilization(chains[hot], cs[i].Rate)
-			util[hot].Sub(util[hot], sub)
-			util[cold].Add(util[cold], addTo)
-			if spreadOf().Cmp(spread) >= 0 {
+			hotWas, coldWas := util[hot], util[cold]
+			util[hot] = hotWas.Sub(chains[hot].StreamLoad(cs[i].Rate))
+			util[cold] = coldWas.Add(addTo)
+			if spreadOf(util).Cmp(spread) >= 0 {
 				// No strict improvement (the move overshoots, inverting the
 				// imbalance, or c0 asymmetry eats the gain): undo and try the
 				// next candidate.
-				util[hot].Add(util[hot], sub)
-				util[cold].Sub(util[cold], addTo)
+				util[hot], util[cold] = hotWas, coldWas
 				continue
 			}
+			//accellint:alloc the plan itself, at most maxMoves entries
 			moves = append(moves, Move{Name: cs[i].Name, From: hot, To: cold})
 			cs[i].Chain = cold
 			moved = true
@@ -136,4 +119,26 @@ func PlanRebalance(chains []*core.System, cands []MoveCandidate, maxMoves int, s
 		}
 	}
 	return moves
+}
+
+// byResidue orders candidates smallest residue first, then by name.
+func byResidue(a, b MoveCandidate) int {
+	if by := cmp.Compare(a.Residue, b.Residue); by != 0 {
+		return by
+	}
+	return strings.Compare(a.Name, b.Name)
+}
+
+// spreadOf is max − min over the chains' loads.
+func spreadOf(util []core.Load) core.Load {
+	lo, hi := util[0], util[0]
+	for _, u := range util[1:] {
+		if u.Cmp(lo) < 0 {
+			lo = u
+		}
+		if u.Cmp(hi) > 0 {
+			hi = u
+		}
+	}
+	return hi.Sub(lo)
 }

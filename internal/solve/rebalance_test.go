@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -22,6 +23,16 @@ func rebalanceFleet(n int) []*core.System {
 			},
 			ClockHz: 1_000_000,
 		}
+	}
+	return out
+}
+
+// loadsOf returns each chain's utilisation, as the admission controllers
+// hand it to PlanRebalance.
+func loadsOf(fleet []*core.System) []core.Load {
+	out := make([]core.Load, len(fleet))
+	for i, m := range fleet {
+		out[i] = m.Load()
 	}
 	return out
 }
@@ -48,7 +59,7 @@ func TestPlanRebalanceMovesHotToCold(t *testing.T) {
 		{Name: "a1", Chain: 0, Rate: fleet[0].Streams[1].Rate, Residue: 0},
 		{Name: "a2", Chain: 0, Rate: fleet[0].Streams[2].Rate, Residue: 0},
 	}
-	moves := PlanRebalance(fleet, cands, 8, nil)
+	moves := PlanRebalance(fleet, loadsOf(fleet), cands, 8, core.Load{})
 	if len(moves) == 0 {
 		t.Fatal("no moves planned for a 5:1 hot/cold spread")
 	}
@@ -63,8 +74,38 @@ func TestPlanRebalanceMovesHotToCold(t *testing.T) {
 		}
 	}
 	// Models must not be mutated by planning.
-	if got := fleet[0].Utilization(); got.Cmp(big.NewRat(6, 10)) != 0 {
+	if got := fleet[0].Load().Rat(); got.Cmp(big.NewRat(6, 10)) != 0 {
 		t.Fatalf("planning mutated chain A utilisation: %v", got)
+	}
+}
+
+// TestPlanRebalanceZeroAllocPerCandidate backs the //accellint:noalloc
+// annotation on PlanRebalance: the plan allocates its working copies and
+// its moves, nothing per candidate. A at 9/10 and B at 1/2; every
+// residue-0 candidate (6/10 on B) would overload B, so the scan weighs
+// each of them before the residue-1 one (1/10) moves. The plan is the same
+// single move at 4 and at 64 rejected candidates, and so is the count.
+func TestPlanRebalanceZeroAllocPerCandidate(t *testing.T) {
+	fleet := rebalanceFleet(2)
+	addLoad(fleet[0], "a", 9, 10)
+	addLoad(fleet[1], "b", 1, 2)
+	loads := loadsOf(fleet)
+	c0 := int64(fleet[1].Chain.C0())
+	big6, small := big.NewRat(6*fleet[1].ClockHz, 10*c0), big.NewRat(fleet[0].ClockHz, 10*c0)
+	allocs := map[int]float64{}
+	for _, n := range []int{4, 64} {
+		cands := []MoveCandidate{{Name: "last", Chain: 0, Rate: small, Residue: 1}}
+		for i := 0; i < n; i++ {
+			cands = append(cands, MoveCandidate{Name: fmt.Sprintf("x%03d", i), Chain: 0, Rate: big6})
+		}
+		moves := PlanRebalance(fleet, loads, cands, 1, core.Load{})
+		if len(moves) != 1 || moves[0] != (Move{Name: "last", From: 0, To: 1}) {
+			t.Fatalf("%d rejected candidates: planned %+v, want last from 0 to 1", n, moves)
+		}
+		allocs[n] = testing.AllocsPerRun(100, func() { PlanRebalance(fleet, loads, cands, 1, core.Load{}) })
+	}
+	if allocs[4] != allocs[64] {
+		t.Fatalf("PlanRebalance allocs: %v at 4 candidates, %v at 64; want no per-candidate allocation", allocs[4], allocs[64])
 	}
 }
 
@@ -80,7 +121,7 @@ func TestPlanRebalanceStopsAtLowWater(t *testing.T) {
 	}
 	// Spread starts at 4/10; low water 2/10 should allow exactly one move
 	// (4/10 → 2/10), not balance all the way to 0.
-	moves := PlanRebalance(fleet, cands, 8, big.NewRat(2, 10))
+	moves := PlanRebalance(fleet, loadsOf(fleet), cands, 8, core.LoadOf(big.NewRat(2, 10)))
 	if len(moves) != 1 {
 		t.Fatalf("planned %d moves, want 1 (stop at low water)", len(moves))
 	}
@@ -98,7 +139,7 @@ func TestPlanRebalanceRespectsBudgetAndFit(t *testing.T) {
 		{Name: "a1", Chain: 0, Rate: fleet[0].Streams[1].Rate},
 		{Name: "a2", Chain: 0, Rate: fleet[0].Streams[2].Rate},
 	}
-	if moves := PlanRebalance(fleet, cands, 8, nil); len(moves) != 0 {
+	if moves := PlanRebalance(fleet, loadsOf(fleet), cands, 8, core.Load{}); len(moves) != 0 {
 		t.Fatalf("planned %d moves onto a 9/10-loaded chain (3/10 each cannot fit)", len(moves))
 	}
 	// The fit gate is strict (Σ μs·c0 < 1). C's c0 is 10× A's, so a0 (1/20
@@ -119,7 +160,7 @@ func TestPlanRebalanceRespectsBudgetAndFit(t *testing.T) {
 			{Name: "a0", Chain: 0, Rate: fleet3[0].Streams[0].Rate},
 			{Name: "a1", Chain: 0, Rate: fleet3[0].Streams[1].Rate},
 		}
-		moves := PlanRebalance(fleet3, cands3, 8, nil)
+		moves := PlanRebalance(fleet3, loadsOf(fleet3), cands3, 8, core.Load{})
 		if len(moves) != tc.want {
 			t.Fatalf("C at %d/%d: planned %+v, want %d move(s)", tc.cNum, tc.cDen, moves, tc.want)
 		}
@@ -137,7 +178,7 @@ func TestPlanRebalanceRespectsBudgetAndFit(t *testing.T) {
 	for i := range cands2 {
 		cands2[i] = MoveCandidate{Name: fleet2[0].Streams[i].Name, Chain: 0, Rate: fleet2[0].Streams[i].Rate}
 	}
-	if moves := PlanRebalance(fleet2, cands2, 2, nil); len(moves) != 2 {
+	if moves := PlanRebalance(fleet2, loadsOf(fleet2), cands2, 2, core.Load{}); len(moves) != 2 {
 		t.Fatalf("planned %d moves, want the maxMoves cap of 2", len(moves))
 	}
 }
@@ -149,7 +190,7 @@ func TestPlanRebalanceNoOscillation(t *testing.T) {
 	fleet := rebalanceFleet(2)
 	addLoad(fleet[0], "a0", 1, 10)
 	cands := []MoveCandidate{{Name: "a0", Chain: 0, Rate: fleet[0].Streams[0].Rate}}
-	if moves := PlanRebalance(fleet, cands, 8, nil); len(moves) != 0 {
+	if moves := PlanRebalance(fleet, loadsOf(fleet), cands, 8, core.Load{}); len(moves) != 0 {
 		t.Fatalf("planned %d moves that cannot strictly improve the spread", len(moves))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"reflect"
+	"strings"
 	"testing"
 
 	"accelshare/internal/core"
@@ -113,6 +114,61 @@ func TestExactGranularityUsesWarmPath(t *testing.T) {
 	}
 	if v := Verify(sys, gran, res.Blocks); !v.Feasible || !v.Tight {
 		t.Fatalf("exact granular result fails Verify: %+v", v)
+	}
+}
+
+// TestVerifyTightBoundary: a feasible plan with one block exactly one above
+// its operator value F(η) is feasible but not tight. Raising one block of
+// the least fixed point by one raises Σ η by one, which moves no F when
+// every μs·c0 is small, so that block ends exactly F + 1.
+func TestVerifyTightBoundary(t *testing.T) {
+	sys := testSystem(4, 1, 64)
+	res := mustSolve(t, &Exact{}, &Problem{Model: sys})
+	found := false
+	for i := range res.Blocks {
+		blocks := append([]int64(nil), res.Blocks...)
+		blocks[i]++
+		f, err := sys.ApplyOperator(nil, blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(f, res.Blocks) {
+			continue // the extra sample moved F; try another stream
+		}
+		found = true
+		if v := Verify(sys, nil, blocks); !v.Feasible || v.Tight {
+			t.Fatalf("stream %d at F+1: %+v, want feasible and not tight", i, v)
+		}
+	}
+	if !found {
+		t.Fatal("no stream's block can rise by one without moving F")
+	}
+	if v := Verify(sys, nil, res.Blocks); !v.Feasible || !v.Tight {
+		t.Fatalf("least fixed point: %+v, want feasible and tight", v)
+	}
+}
+
+// TestVerifyRefusesOffGranularityBlock: a positive block that is not a
+// multiple of its granularity is refused, and Detail names the stream,
+// although every block lies above its operator value.
+func TestVerifyRefusesOffGranularityBlock(t *testing.T) {
+	sys := testSystem(4, 1, 64)
+	gran := []int64{4, 1, 8, 2}
+	res := mustSolve(t, &Exact{}, &Problem{Model: sys, Granularity: gran})
+	blocks := append([]int64(nil), res.Blocks...)
+	blocks[2] += 4 // 8 ∤ blocks[2]
+	f, err := sys.ApplyOperator(gran, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range blocks {
+		if blocks[i] < f[i] {
+			t.Fatalf("stream %d: block %d below F = %d; the plan must fail on granularity alone", i, blocks[i], f[i])
+		}
+	}
+	v := Verify(sys, gran, blocks)
+	if v.Feasible || !strings.Contains(v.Detail, sys.Streams[2].Name) {
+		t.Fatalf("off-granularity plan: %+v, want refused naming %q", v, sys.Streams[2].Name)
 	}
 }
 
