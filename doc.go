@@ -6,8 +6,8 @@
 //
 // The library lives in internal/ packages layered bottom-up:
 //
-//	dataflow  SDF/CSDF graphs, repetition vectors, self-timed execution,
-//	          HSDF expansion, max-cycle-ratio analysis
+//	dataflow  SDF/CSDF graphs, repetition vectors, self-timed execution
+//	          (HSDF expansion and max cycle ratio as test oracles)
 //	buffer    exact minimum buffer-capacity computation
 //	ilp       exact rational simplex + branch and bound (test oracle)
 //	core      the paper's models: Fig. 5 CSDF, Fig. 7 SDF, Eqs. 2-5,

@@ -46,6 +46,7 @@ type FIFO struct {
 
 	// dataH is the consumer-side binding data and write-counter updates
 	// are sent to; ackH the producer-side binding for read-counter updates.
+	// They are the only bindings the FIFO installs: a re-point moves them.
 	dataH, ackH ring.Handle
 
 	// Producer-side state.
@@ -89,10 +90,10 @@ func New(k *sim.Kernel, net *ring.Dual, cfg Config) (*FIFO, error) {
 	return f, nil
 }
 
-// bindData installs the consumer-side delivery handler on a ring node and
-// makes it the target of future data. Data arriving at the consumer tile is
-// guaranteed acceptance — the producer never sends beyond the space it
-// observed, so the local buffer cannot overflow.
+// bindData installs the consumer-side delivery handler on a ring node. Data
+// arriving at the consumer tile is guaranteed acceptance — the producer
+// never sends beyond the space it observed, so the local buffer cannot
+// overflow.
 func (f *FIFO) bindData(node int) {
 	f.dataH = f.net.Data.Node(node).Bind(func(m ring.Message) {
 		if !f.buf.TryPush(m.W) {
@@ -104,10 +105,9 @@ func (f *FIFO) bindData(node int) {
 	})
 }
 
-// bindAck installs the producer-side read-counter handler on a ring node
-// and makes it the target of future acks. The counter is absolute and the
-// update monotonic-guarded, so an ack arriving at a superseded node (after
-// a repoint) is still applied safely.
+// bindAck installs the producer-side read-counter handler on a ring node.
+// The counter is absolute and the update monotonic-guarded, so an ack
+// arriving at a superseded node (after a repoint) is still applied safely.
 func (f *FIFO) bindAck(node int) {
 	f.ackH = f.net.Data.Node(node).Bind(func(m ring.Message) {
 		if uint64(m.W) > f.readCopy {
@@ -223,17 +223,17 @@ func unsubscribe(subs []*sim.Waker, w *sim.Waker) []*sim.Waker {
 }
 
 // ---------------------------------------------------------------------------
-// Endpoint re-pointing (chain failover).
+// Endpoint re-pointing (chain failover) and release.
 //
 // When a gateway pair fails, its streams migrate to the standby pair on the
 // same ring: the input FIFO's consumer endpoint and the output FIFO's
 // producer endpoint move to the standby's ring nodes. The FIFO object — its
 // buffered words and counters — survives unchanged; only the ring routing
-// changes. A re-point binds afresh at the new node, failing back to an
-// earlier node included. The old binding stays installed (the interconnect
-// offers no unbind) and keeps delivering into the same buffer, so words
-// that were in flight toward the old node when the endpoint moved are
-// never lost.
+// changes. A re-point moves the endpoint's binding to the new node
+// (ring.Transport.Move), failing back to an earlier node included. A word
+// carries its destination from the send, so words that were in flight
+// toward the old node when the endpoint moved still land there, in the
+// same handler and the same buffer: they are never lost.
 //
 // Ordering is the caller's responsibility: between BeginRepoint (which
 // gates the producer) and RepointConsumer, every data word in flight on
@@ -242,6 +242,12 @@ func unsubscribe(subs []*sim.Waker, w *sim.Waker) []*sim.Waker {
 // new (closer) node could overtake one still travelling to the old node.
 // The ack path needs no gate: read counters are absolute and applied under
 // a monotonic guard, so stale-route acks are harmless.
+//
+// An endpoint that retires for good releases its binding
+// (ring.Transport.Release): a word still in flight to it is carried and
+// discarded, and the interconnect no longer refers to the FIFO. The
+// consumer endpoint retires once every word written has been read
+// (Drained), or the words still on the ring are lost with it.
 // ---------------------------------------------------------------------------
 
 // BeginRepoint gates the producer: TryWrite reports false until a
@@ -254,7 +260,7 @@ func (f *FIFO) BeginRepoint() { f.repointing = true }
 // producer data targets it, and read-counter updates originate from it.
 // Clears the BeginRepoint gate and wakes producer-side subscribers.
 func (f *FIFO) RepointConsumer(node int) {
-	f.bindData(node)
+	f.net.Data.Move(f.dataH, node)
 	f.cfg.ConsumerNode = node
 	f.repointing = false
 	for _, w := range f.spaceSubs {
@@ -266,13 +272,26 @@ func (f *FIFO) RepointConsumer(node int) {
 // TryWrite injections originate from it, and the consumer's read-counter
 // updates target it.
 func (f *FIFO) RepointProducer(node int) {
-	f.bindAck(node)
+	f.net.Data.Move(f.ackH, node)
 	f.cfg.ProducerNode = node
 	f.repointing = false
 	for _, w := range f.dataSubs {
 		w.Wake()
 	}
 }
+
+// Drained reports whether every word written has been read: none is left
+// on the interconnect or in the buffer.
+func (f *FIFO) Drained() bool { return f.readCount == f.writeCount }
+
+// ReleaseConsumer retires the consumer endpoint's binding, which data and
+// write-counter updates arrive through.
+func (f *FIFO) ReleaseConsumer() { f.net.Data.Release(f.dataH) }
+
+// ReleaseProducer retires the producer endpoint's binding, which
+// read-counter updates arrive through: the producer's space view stops
+// growing.
+func (f *FIFO) ReleaseProducer() { f.net.Data.Release(f.ackH) }
 
 // Name returns the channel name.
 func (f *FIFO) Name() string { return f.cfg.Name }

@@ -278,8 +278,8 @@ func TestThroughputOverRing(t *testing.T) {
 }
 
 // TestRepointRoundTrip moves the consumer A→B→A and the producer P→Q→P, so
-// each fail-back lands on a node that still holds one of the FIFO's earlier
-// bindings. Every move starts with a full space view of data in flight on
+// each fail-back moves a binding back to a node it served before. Every
+// move starts with a full space view of data in flight on
 // the old route, which lands in the settle gap BeginRepoint requires; a
 // producer move also leaves the consumer's read-counter updates in flight
 // to the old producer binding. Every word is read exactly once and in
@@ -377,5 +377,84 @@ func TestRepointRoundTrip(t *testing.T) {
 		if w != sim.Word(i) {
 			t.Fatalf("read %v, want 0…%d in order", read, next-1)
 		}
+	}
+}
+
+// TestRepointAllocatesNothing: a re-point moves the endpoint's binding
+// rather than installing a new one, so moving both endpoints back and forth
+// grows nothing, on the FIFO or in the interconnect's binding slab.
+func TestRepointAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	net, err := ring.NewDual(k, 6, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(k, net, Config{Name: "rp", Capacity: 4, ProducerNode: 0, ConsumerNode: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	move := func() {
+		f.BeginRepoint()
+		f.RepointConsumer(4)
+		f.RepointProducer(1)
+		f.BeginRepoint()
+		f.RepointConsumer(2)
+		f.RepointProducer(0)
+	}
+	if a := testing.AllocsPerRun(100, move); a != 0 {
+		t.Fatalf("a round trip of both endpoints allocates %v/op, want 0", a)
+	}
+}
+
+// TestReleaseEndpoints: Drained holds exactly while no word written is on
+// the ring or in the buffer. After ReleaseProducer the consumer's
+// read-counter updates still travel the ring but no longer grow the
+// producer's space view; after ReleaseConsumer a word still in flight is
+// carried and discarded.
+func TestReleaseEndpoints(t *testing.T) {
+	k := sim.NewKernel()
+	net, err := ring.NewDual(k, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(k, net, Config{Name: "rel", Capacity: 4, ProducerNode: 0, ConsumerNode: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Drained() {
+		t.Fatal("a fresh FIFO is not drained")
+	}
+	for w := sim.Word(0); w < 2; w++ {
+		if !f.TryWrite(w) {
+			t.Fatalf("write %d refused", w)
+		}
+	}
+	if f.Drained() {
+		t.Error("drained with two words on the ring")
+	}
+	k.RunAll()
+	if f.Drained() || f.Len() != 2 {
+		t.Errorf("drained %v with %d words buffered, want false and 2", f.Drained(), f.Len())
+	}
+	f.ReleaseProducer()
+	for w := sim.Word(0); w < 2; w++ {
+		if got, ok := f.TryRead(); !ok || got != w {
+			t.Fatalf("read %d, %v; want %d", got, ok, w)
+		}
+	}
+	if !f.Drained() {
+		t.Error("not drained with every word read")
+	}
+	k.RunAll()
+	if f.AckMessages != 2 || f.Space() != 2 {
+		t.Errorf("%d acks sent, space view %d; want 2 acks that leave the view at 2", f.AckMessages, f.Space())
+	}
+	if !f.TryWrite(2) {
+		t.Fatal("write refused with space 2")
+	}
+	f.ReleaseConsumer()
+	k.RunAll()
+	if got := net.Data.DeliveredWords(); got != 5 || f.Len() != 0 {
+		t.Errorf("%d words carried, %d buffered; want 5 (three data, two acks) and 0", got, f.Len())
 	}
 }

@@ -231,29 +231,27 @@ type streamInfo struct {
 	name     string
 	period   int64
 	priority int
-	resident bool
-
 	chain    int // owning chainInfo index, -1 when unplaced/parked
 	st       *mpsoc.Stream
-	shed     bool
-	departed bool
-	rejected bool
+	export   gateway.StreamExport
+
+	// blocks, samples, overflow and contiguous are what StreamStatuses
+	// reports for a reclaimed stream once it has retired: retired folds
+	// them in and drops st and export.
+	blocks, samples, overflow uint64
+
+	resident, shed, departed, rejected bool
+	hasExport, contiguous              bool
 
 	// inflight marks an uncommitted transition (placement, migration or
 	// removal) pending on chain pendingOn; deferDepart re-issues a departure
-	// that died with its chain once the stream lands somewhere.
-	inflight    bool
-	pendingOn   int
-	departing   bool
-	deferDepart bool
-
-	// moving marks an in-flight rebalance move; moves counts completed
-	// rebalance moves against RebalanceConfig.MoveBudget.
-	moving bool
-	moves  int
-
-	export    gateway.StreamExport
-	hasExport bool
+	// that died with its chain once the stream lands somewhere. moving marks
+	// an in-flight rebalance move; moves counts completed rebalance moves
+	// against RebalanceConfig.MoveBudget. (The flags sit together, ahead of
+	// the two ints, which keeps a streamInfo at 176 bytes, a malloc size
+	// class; a fleet allocates one per submitted stream.)
+	inflight, departing, deferDepart, moving bool
+	pendingOn, moves                         int
 }
 
 // evacuation tracks one rung-2/3 drain of a failed chain. Its evacuees
@@ -376,6 +374,7 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c.ms = plat
 	c.k = plat.K
+	plat.SetRetireObserver(c.retired)
 
 	for pos, cs := range cfg.Chains {
 		ci := &chainInfo{name: cs.Name, pos: pos, idx: pos, spec: cs}
@@ -645,6 +644,19 @@ func (c *Controller) departed(si *streamInfo, ci *chainInfo, v admission.Verdict
 			}
 		}
 	}
+}
+
+// retired folds a reclaimed stream into its registry entry once its last
+// output word has been read: the entry keeps the counters StreamStatuses
+// reports and drops the stream and its export, so that nothing keeps the
+// departed stream's C-FIFOs, block records and outputs reachable.
+func (c *Controller) retired(st *mpsoc.Stream) {
+	si := c.streams[st.GW.Name]
+	if si == nil || si.st != st {
+		return
+	}
+	si.blocks, si.samples, si.overflow, si.contiguous = streamCounters(st)
+	si.st, si.export = nil, gateway.StreamExport{}
 }
 
 // onVerdict is the doctor's wedged-chain conviction: enter the ladder.
@@ -999,14 +1011,18 @@ func (c *Controller) StreamStatuses() []StreamStatus {
 			ss.State = "placing"
 		}
 		if si.st != nil {
-			ss.Blocks = si.st.GW.Blocks
-			ss.Samples = si.st.GW.SamplesOut
-			ss.Overflow = si.st.Overflows
-			ss.ContiguousOutputs = contiguous(si.st.Outputs)
+			ss.Blocks, ss.Samples, ss.Overflow, ss.ContiguousOutputs = streamCounters(si.st)
+		} else {
+			ss.Blocks, ss.Samples, ss.Overflow, ss.ContiguousOutputs = si.blocks, si.samples, si.overflow, si.contiguous
 		}
 		out = append(out, ss)
 	}
 	return out
+}
+
+// streamCounters reads the counters a StreamStatus reports from st.
+func streamCounters(st *mpsoc.Stream) (blocks, samples, overflow uint64, contiguousOutputs bool) {
+	return st.GW.Blocks, st.GW.SamplesOut, st.Overflows, contiguous(st.Outputs)
 }
 
 func contiguous(words []sim.Word) bool {

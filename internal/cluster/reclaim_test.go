@@ -2,8 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"weak"
 
+	"accelshare/internal/cfifo"
+	"accelshare/internal/gateway"
+	"accelshare/internal/mpsoc"
 	"accelshare/internal/sim"
 )
 
@@ -56,4 +61,98 @@ func TestReclaimSlotsReusesCapacity(t *testing.T) {
 		t.Errorf("with reclaim: s3 state=%s chain=%s, want live on c0", ss.State, ss.Chain)
 	}
 	checkConformance(t, c, 100_000)
+}
+
+// departedRefs holds weak pointers to what a departed stream must not keep
+// reachable once it has retired.
+type departedRefs struct {
+	st      weak.Pointer[mpsoc.Stream]
+	in, out weak.Pointer[cfifo.FIFO]
+	gw      weak.Pointer[gateway.Stream]
+}
+
+// TestDepartedStreamsAreCollected: with ReclaimSlots, a departed stream's
+// *mpsoc.Stream, both its C-FIFOs and its *gateway.Stream become garbage
+// once it has retired, and StreamStatuses reports the values the stream
+// held at the end of the run, as if it had stayed reachable. s1 departs
+// from the chain it was placed on; the stream the rebalancer moves from c0
+// to c1 departs after the move re-pointed its input's consumer and its
+// output's producer.
+func TestDepartedStreamsAreCollected(t *testing.T) {
+	// run plays the scenario of TestRebalanceMovesHotStream with slot
+	// reclamation and two departures. It returns the fleet, weak pointers
+	// into both departed streams and, with keep set, the streams
+	// themselves, held so that they stay reachable.
+	run := func(keep bool) (*Controller, map[string]departedRefs, map[string]*mpsoc.Stream) {
+		cfg := testConfig([]ChainSpec{
+			{Name: "c0", AccelCost: 1, ReserveSlots: 4},
+			{Name: "c1", AccelCost: 1, ReserveSlots: 4},
+		})
+		cfg.Rebalance = rebalanceConfig(40_000, 60_000)
+		cfg.ReclaimSlots = true
+		c := mustCluster(t, cfg)
+		refs := map[string]departedRefs{}
+		kept := map[string]*mpsoc.Stream{}
+		grab := func(name string) {
+			st := c.streams[name].st
+			refs[name] = departedRefs{weak.Make(st), weak.Make(st.In), weak.Make(st.Out), weak.Make(st.GW)}
+			if keep {
+				kept[name] = st
+			}
+		}
+		submitAt(c, 1_000, StreamRequest{Name: "s0", Period: 75})
+		submitAt(c, 5_000, StreamRequest{Name: "s1", Period: 75})
+		submitAt(c, 9_000, StreamRequest{Name: "s2", Period: 150})
+		c.k.ScheduleAt(20_000, func() { grab("s1") })
+		departAt(c, 25_000, "s1")
+		c.k.ScheduleAt(70_000, func() {
+			moved := ladderOf(c, "rebalance")
+			if len(moved) != 1 || moved[0].To != "c1" {
+				t.Fatalf("rebalance steps %+v, want one move to c1:\n%s", moved, renderEvents(c))
+			}
+			grab(moved[0].Stream)
+			c.Depart(moved[0].Stream)
+		})
+		c.Run(120_000)
+		return c, refs, kept
+	}
+
+	c, refs, _ := run(false)
+	if len(refs) != 2 {
+		t.Fatalf("%d departed streams tracked, want 2", len(refs))
+	}
+	runtime.GC()
+	for name, r := range refs {
+		if si := c.streams[name]; !si.departed || si.st != nil {
+			t.Errorf("%s: departed %v, registry still holds its stream %v", name, si.departed, si.st != nil)
+		}
+		for what, live := range map[string]bool{
+			"*mpsoc.Stream":      r.st.Value() != nil,
+			"input *cfifo.FIFO":  r.in.Value() != nil,
+			"output *cfifo.FIFO": r.out.Value() != nil,
+			"*gateway.Stream":    r.gw.Value() != nil,
+		} {
+			if live {
+				t.Errorf("%s: its %s is still reachable after the stream retired", name, what)
+			}
+		}
+	}
+
+	held, _, kept := run(true)
+	for name, st := range kept {
+		want := StreamStatus{
+			Name: name, State: "departed", Priority: c.streams[name].priority,
+			Blocks: st.GW.Blocks, Samples: st.GW.SamplesOut, Overflow: st.Overflows,
+			ContiguousOutputs: contiguous(st.Outputs),
+		}
+		if want.Blocks == 0 || want.Samples == 0 || !want.ContiguousOutputs {
+			t.Errorf("%s: %d blocks, %d samples, contiguous %v: the stream never ran cleanly", name, want.Blocks, want.Samples, want.ContiguousOutputs)
+		}
+		if got := statusOf(held, name); got != want {
+			t.Errorf("%s: status %+v, want the stream's own final values %+v", name, got, want)
+		}
+		if got := statusOf(c, name); got != want {
+			t.Errorf("%s: status once collected %+v, want %+v", name, got, want)
+		}
+	}
 }

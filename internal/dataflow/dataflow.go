@@ -1,8 +1,9 @@
 // Package dataflow implements Synchronous Data Flow (SDF) and Cyclo-Static
 // Data Flow (CSDF) graphs together with the temporal analyses the paper's
-// accelerator-sharing models are built on: repetition vectors, self-timed
-// execution with exact throughput extraction, HSDF expansion and maximum
-// cycle ratio analysis.
+// accelerator-sharing models are built on: repetition vectors and
+// self-timed execution with exact throughput extraction. The package's
+// tests hold HSDF expansion and maximum cycle ratio analysis as an
+// independent oracle for that throughput.
 //
 // Conventions (paper §V-A):
 //

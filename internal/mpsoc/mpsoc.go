@@ -123,10 +123,13 @@ type Stream struct {
 	// pair AttachStream consumed, so ReclaimStream can return it to the
 	// home chain's pool when the stream departs for good. Every C-FIFO
 	// binding gets a fresh ring handle, so a recycled node pair never
-	// collides with the departed stream's idle sink. reclaimable is false
+	// collides with the departed stream's endpoints. reclaimable is false
 	// for streams built with the platform (their attachment points were
-	// never in the reserved pool).
+	// never in the reserved pool). retiring marks a reclaimed stream whose
+	// output C-FIFO still has words to read: its sink task retires it after
+	// the last one.
 	reclaimable bool
+	retiring    bool
 	ringHome    int
 	ringNodes   [2]int
 }
@@ -217,8 +220,11 @@ func startSourceTask(k *sim.Kernel, st *Stream) {
 	k.Schedule(0, tick)
 }
 
-// startSinkTask runs the consumer task for a stream.
-func startSinkTask(k *sim.Kernel, st *Stream) {
+// startSinkTask runs the consumer task for a stream. It retires a stream
+// that ReclaimStream left retiring right after reading its last output
+// word.
+func (m *MultiSystem) startSinkTask(st *Stream) {
+	k := m.K
 	period := st.Spec.SinkPeriod
 	var tick func()
 	tick = func() {
@@ -238,6 +244,9 @@ func startSinkTask(k *sim.Kernel, st *Stream) {
 			if period > 0 {
 				break // one sample per period
 			}
+		}
+		if st.retiring && st.Out.Drained() {
+			m.retire(st)
 		}
 		if period > 0 {
 			k.Schedule(period, tick)

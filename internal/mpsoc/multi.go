@@ -107,6 +107,10 @@ type MultiSystem struct {
 	K      *sim.Kernel
 	Net    *ring.Dual
 	Chains []*Chain
+
+	// retired observes each stream ReclaimStream retires
+	// (SetRetireObserver).
+	retired func(*Stream)
 }
 
 // BuildMulti assembles the multi-chain platform. Ring node layout per
@@ -144,7 +148,7 @@ func BuildMulti(cfg MultiConfig) (*MultiSystem, error) {
 	ms := &MultiSystem{K: k, Net: net}
 	next := 0
 	for ci := range cfg.Chains {
-		ch, err := assembleChain(k, net, cfg, cfg.Chains[ci], &next)
+		ch, err := ms.assembleChain(cfg, cfg.Chains[ci], &next)
 		if err != nil {
 			return nil, fmt.Errorf("chain %q: %w", cfg.Chains[ci].Name, err)
 		}
@@ -155,7 +159,8 @@ func BuildMulti(cfg MultiConfig) (*MultiSystem, error) {
 
 // assembleChain wires one gateway pair and its streams, consuming ring
 // nodes from *next.
-func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpec, next *int) (*Chain, error) {
+func (m *MultiSystem) assembleChain(top MultiConfig, spec ChainSpec, next *int) (*Chain, error) {
+	k, net := m.K, m.Net
 	take := func() int { n := *next; *next++; return n }
 	entryN := take()
 	var accelN []int
@@ -227,7 +232,7 @@ func assembleChain(k *sim.Kernel, net *ring.Dual, top MultiConfig, spec ChainSpe
 			return nil, err
 		}
 		ch.Strs = append(ch.Strs, st)
-		startStreamTasks(k, st)
+		m.startStreamTasks(st)
 	}
 	for r := 0; r < spec.ReserveSlots; r++ {
 		srcN := take()
@@ -286,12 +291,12 @@ func buildStream(k *sim.Kernel, net *ring.Dual, ch *Chain, ss StreamSpec, idx, s
 
 // startStreamTasks launches the stream's source and sink tasks unless the
 // spec marks them external.
-func startStreamTasks(k *sim.Kernel, st *Stream) {
+func (m *MultiSystem) startStreamTasks(st *Stream) {
 	if !st.Spec.ExternalSource {
-		startSourceTask(k, st)
+		startSourceTask(m.K, st)
 	}
 	if !st.Spec.ExternalSink {
-		startSinkTask(k, st)
+		m.startSinkTask(st)
 	}
 }
 
@@ -324,7 +329,7 @@ func (m *MultiSystem) AttachStream(chainIdx int, ss StreamSpec) (*Stream, error)
 	st.ringNodes = nodes
 	st.reclaimable = true
 	ch.Strs = append(ch.Strs, st)
-	startStreamTasks(m.K, st)
+	m.startStreamTasks(st)
 	return st, nil
 }
 
@@ -395,9 +400,18 @@ func (m *MultiSystem) ReleaseStream(chainIdx int, name string) (*Stream, gateway
 // ring slots. The admission controller must have removed the stream first
 // (drained, suspended, survivors re-solved) — ReclaimStream then releases
 // the slot exactly like a rebalance export (gateway tombstone, indices
-// stable) but discards the export: the stream is gone, not migrating. The
-// departed stream's sink task idles harmlessly: every binding gets a fresh
-// handle, so the recycled nodes never deliver to it again.
+// stable) but discards the export: the stream is gone, not migrating.
+//
+// The stream's C-FIFOs release their ring bindings, so that nothing on the
+// platform keeps the stream reachable: the input's two and the output's
+// producer binding at once, the output's consumer binding once every word
+// written to it has been read. Output words still on the ring at the reclaim
+// are read and acknowledged as before; the sink task retires the stream
+// right after the last one. The retire observer (SetRetireObserver) then
+// gets the stream, whose state is final. A stream whose sink is external
+// retires only when its output has drained by the reclaim; otherwise its
+// reader owns the output and it stays bound. A periodic sink task keeps
+// ticking after the retirement, and so keeps its stream reachable.
 func (m *MultiSystem) ReclaimStream(chainIdx int, name string) error {
 	st, _, err := m.ReleaseStream(chainIdx, name)
 	if err != nil {
@@ -409,8 +423,33 @@ func (m *MultiSystem) ReclaimStream(chainIdx int, name string) error {
 		home.reserved = append(home.reserved, st.ringNodes)
 		st.reclaimable = false
 	}
+	st.In.ReleaseProducer()
+	st.In.ReleaseConsumer()
+	st.Out.ReleaseProducer()
+	if st.Out.Drained() {
+		m.retire(st)
+	} else {
+		st.retiring = true
+	}
 	return nil
 }
+
+// retire completes a reclaimed stream's retirement once its output has
+// drained: the output's consumer binding goes, and the retire observer gets
+// the stream.
+func (m *MultiSystem) retire(st *Stream) {
+	st.retiring = false
+	st.Out.ReleaseConsumer()
+	if m.retired != nil {
+		m.retired(st)
+	}
+}
+
+// SetRetireObserver installs fn, called once per stream ReclaimStream
+// retires, after the stream's last output word has been read: its counters
+// and outputs are final, and the interconnect no longer refers to it. A
+// later call replaces the observer.
+func (m *MultiSystem) SetRetireObserver(fn func(*Stream)) { m.retired = fn }
 
 // StartSource (re)starts a stream's built-in source task after StopSource:
 // a readmitted stream starts producing again, and a shed or rebalanced

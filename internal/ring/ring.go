@@ -53,9 +53,11 @@ type Message struct {
 }
 
 // Handle names one delivery binding: a destination node and its handler,
-// fixed when the binding's C-FIFO, link or gateway is wired. Bind issues
-// handles 1, 2, … per transport, and a handle is valid only on the
-// transport that issued it. The zero Handle is never issued.
+// set when the binding's C-FIFO, link or gateway is wired. A C-FIFO
+// endpoint that moves takes its binding along (Transport.Move), and one
+// that retires releases it (Transport.Release). Bind issues handles 1, 2, …
+// per transport, never the same one twice, and a handle is valid only on
+// the transport that issued it. The zero Handle is never issued.
 type Handle int
 
 // Port is one tile attachment point of an interconnect, the interface the
@@ -84,11 +86,16 @@ type binding struct {
 // check rejects the zero Handle and every handle the slab never issued.
 type bindings []binding
 
-// add appends a binding and returns its handle.
+// add appends a binding and returns its handle. The slab only grows, so a
+// released handle is never issued again: a late word for a retired binding
+// cannot reach a new one.
 func (b *bindings) add(dst int, fn func(Message)) Handle {
 	*b = append(*b, binding{dst: dst, fn: fn})
 	return Handle(len(*b))
 }
+
+// discard is the handler of every released binding.
+func discard(Message) {}
 
 // Transport is an interconnect of attachment points: implemented by the
 // transaction-level Ring and by the cycle-true Slotted ring, so the whole
@@ -98,6 +105,14 @@ type Transport interface {
 	Nodes() int
 	// DeliveredWords counts words the transport has carried.
 	DeliveredWords() uint64
+	// Move points the binding h at node: words sent to h from now on go
+	// there. A word carries its destination from the send, so one already
+	// sent still lands at the old node, and the same handler takes it.
+	Move(h Handle, node int)
+	// Release retires the binding h: the slab entry drops its handler. A
+	// word still in flight to h, or sent to it later, is carried and
+	// counted as before, and discarded on delivery.
+	Release(h Handle)
 }
 
 // Ring is one unidirectional slotted ring.
@@ -179,6 +194,12 @@ func (r *Ring) DeliveredWords() uint64 { return r.Words }
 
 // Nodes returns the node count.
 func (r *Ring) Nodes() int { return r.cfg.Nodes }
+
+// Move points the binding h at node (Transport interface).
+func (r *Ring) Move(h Handle, node int) { r.binds[h-1].dst = r.nodes[node].idx }
+
+// Release retires the binding h (Transport interface).
+func (r *Ring) Release(h Handle) { r.binds[h-1].fn = discard }
 
 // Distance returns the hop count from src to dst in this ring's rotation
 // direction.

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"slices"
 	"testing"
 
 	"accelshare/internal/sim"
@@ -216,5 +217,101 @@ func TestUncontendedWordOneEvent(t *testing.T) {
 	k2.RunAll()
 	if k2.Processed != 1 {
 		t.Errorf("an unobserved uncontended word fired %d events, want 1 (its delivery)", k2.Processed)
+	}
+}
+
+// TestReleasedBindingDiscardsLateWord: on both transports, a word still in
+// flight when its binding is released fires its delivery event and counts
+// as delivered, exactly as it would have without the release, and is
+// discarded; the handler never runs and nothing panics. A word sent to the
+// released handle later is carried and discarded alike, and no later Bind
+// returns the released handle.
+func TestReleasedBindingDiscardsLateWord(t *testing.T) {
+	for _, slotted := range []bool{false, true} {
+		// run sends one word from node 0 to a binding on node 2, releases
+		// the binding one cycle later when release is set, and runs to the
+		// end.
+		var k *sim.Kernel
+		run := func(release bool) (events, delivered uint64, calls *int, tr Transport, h Handle) {
+			k = sim.NewKernel()
+			calls = new(int)
+			if slotted {
+				tr, _ = NewSlotted(k, SlottedConfig{Nodes: 4})
+			} else {
+				tr, _ = New(k, Config{Nodes: 4, HopLatency: 3})
+			}
+			h = tr.Node(2).Bind(func(Message) { *calls++ })
+			if !tr.Node(0).TrySend(h, 7) {
+				t.Fatal("send refused")
+			}
+			k.Run(1)
+			if *calls != 0 {
+				t.Fatalf("slotted=%v: the word landed before the release", slotted)
+			}
+			if release {
+				tr.Release(h)
+			}
+			k.RunAll()
+			return k.Processed, tr.DeliveredWords(), calls, tr, h
+		}
+		wantEvents, wantDelivered, wantCalls, _, _ := run(false)
+		events, delivered, calls, tr, h := run(true)
+		if *wantCalls != 1 || wantDelivered != 1 {
+			t.Fatalf("slotted=%v: control delivered %d words to %d handler calls, want 1 and 1", slotted, wantDelivered, *wantCalls)
+		}
+		if events != wantEvents || delivered != wantDelivered || *calls != 0 {
+			t.Errorf("slotted=%v: released binding: %d events, %d delivered, %d handler calls; want %d, %d, 0",
+				slotted, events, delivered, *calls, wantEvents, wantDelivered)
+		}
+		if !tr.Node(1).TrySend(h, 8) {
+			t.Fatalf("slotted=%v: send to the released handle refused", slotted)
+		}
+		k.RunAll()
+		if tr.DeliveredWords() != 2 || *calls != 0 {
+			t.Errorf("slotted=%v: a later send to the released handle: %d words delivered, %d handler calls; want 2 and 0",
+				slotted, tr.DeliveredWords(), *calls)
+		}
+		for i := 0; i < 3; i++ {
+			if got := tr.Node(2).Bind(func(Message) {}); got == h {
+				t.Fatalf("slotted=%v: Bind issued the released handle %d again", slotted, h)
+			}
+		}
+	}
+}
+
+// TestMovedBindingKeepsWordsInFlight: on both transports, a word sent
+// before its binding moves lands at the old node and one sent after lands
+// at the new node, both in the binding's one handler, each after its own
+// route's transit.
+func TestMovedBindingKeepsWordsInFlight(t *testing.T) {
+	for _, slotted := range []bool{false, true} {
+		k := sim.NewKernel()
+		var tr Transport
+		if slotted {
+			tr, _ = NewSlotted(k, SlottedConfig{Nodes: 6})
+		} else {
+			tr, _ = New(k, Config{Nodes: 6, HopLatency: 1})
+		}
+		type landing struct {
+			w   sim.Word
+			dst int
+			at  sim.Time
+		}
+		var got []landing
+		h := tr.Node(4).Bind(func(m Message) { got = append(got, landing{m.W, m.Dst, k.Now()}) })
+		tr.Node(0).TrySend(h, 1)
+		k.Run(1)
+		tr.Move(h, 2)
+		tr.Node(0).TrySend(h, 2)
+		k.RunAll()
+		// The second word's shorter route overtakes the first: the reason
+		// a C-FIFO gates its producer across a re-point.
+		slices.SortFunc(got, func(a, b landing) int { return int(a.w) - int(b.w) })
+		if len(got) != 2 || got[0].w != 1 || got[0].dst != 4 || got[1].w != 2 || got[1].dst != 2 {
+			t.Fatalf("slotted=%v: landings %+v, want word 1 at node 4 and word 2 at node 2", slotted, got)
+		}
+		if !slotted && (got[0].at != 4 || got[1].at != 3) {
+			t.Errorf("landing times %d and %d, want 4 (four hops from cycle 0) and 3 (two hops from cycle 1)", got[0].at, got[1].at)
+		}
 	}
 }

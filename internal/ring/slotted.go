@@ -94,6 +94,12 @@ func (r *Slotted) Nodes() int { return r.cfg.Nodes }
 // DeliveredWords counts carried words (Transport interface).
 func (r *Slotted) DeliveredWords() uint64 { return r.Delivered }
 
+// Move points the binding h at node (Transport interface).
+func (r *Slotted) Move(h Handle, node int) { r.binds[h-1].dst = r.nodes[node].idx }
+
+// Release retires the binding h (Transport interface).
+func (r *Slotted) Release(h Handle) { r.binds[h-1].fn = discard }
+
 // Bind registers a delivery handler on this node and returns its handle.
 func (n *SlottedNode) Bind(fn func(Message)) Handle { return n.r.binds.add(n.idx, fn) }
 
