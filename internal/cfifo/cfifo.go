@@ -72,8 +72,19 @@ type FIFO struct {
 
 // New wires a C-FIFO onto the interconnect.
 func New(k *sim.Kernel, net *ring.Dual, cfg Config) (*FIFO, error) {
+	return NewOn(k, net, cfg, nil)
+}
+
+// NewOn is New with the consumer-side buffer built on storage, which must
+// hold exactly cfg.Capacity words; nil allocates it. Storage a retired
+// FIFO handed back (DetachStorage) serves the next one this way: in the
+// paper the buffer is consumer-tile memory that outlives any one stream.
+func NewOn(k *sim.Kernel, net *ring.Dual, cfg Config, storage []sim.Word) (*FIFO, error) {
 	if cfg.Capacity < 1 {
 		return nil, fmt.Errorf("cfifo %q: capacity must be >= 1", cfg.Name)
+	}
+	if storage != nil && len(storage) != cfg.Capacity {
+		return nil, fmt.Errorf("cfifo %q: storage of %d words for capacity %d", cfg.Name, len(storage), cfg.Capacity)
 	}
 	if cfg.AckBatch <= 0 {
 		cfg.AckBatch = 1
@@ -83,7 +94,11 @@ func New(k *sim.Kernel, net *ring.Dual, cfg Config) (*FIFO, error) {
 			cfg.Name, cfg.AckBatch, cfg.Capacity)
 	}
 	f := &FIFO{cfg: cfg, k: k, net: net}
-	f.buf = sim.NewQueue(cfg.Name+".buf", cfg.Capacity)
+	if storage == nil {
+		f.buf = sim.NewQueue(cfg.Name+".buf", cfg.Capacity)
+	} else {
+		f.buf = sim.NewQueueOn(cfg.Name+".buf", storage)
+	}
 	f.ackRetryFn = f.ackRetry
 	f.bindData(cfg.ConsumerNode)
 	f.bindAck(cfg.ProducerNode)
@@ -247,7 +262,9 @@ func unsubscribe(subs []*sim.Waker, w *sim.Waker) []*sim.Waker {
 // (ring.Transport.Release): a word still in flight to it is carried and
 // discarded, and the interconnect no longer refers to the FIFO. The
 // consumer endpoint retires once every word written has been read
-// (Drained), or the words still on the ring are lost with it.
+// (Drained), or the words still on the ring are lost with it. Once both
+// have retired, the buffer's storage can serve another FIFO
+// (DetachStorage, NewOn).
 // ---------------------------------------------------------------------------
 
 // BeginRepoint gates the producer: TryWrite reports false until a
@@ -292,6 +309,13 @@ func (f *FIFO) ReleaseConsumer() { f.net.Data.Release(f.dataH) }
 // read-counter updates arrive through: the producer's space view stops
 // growing.
 func (f *FIFO) ReleaseProducer() { f.net.Data.Release(f.ackH) }
+
+// DetachStorage hands the consumer-side buffer's storage back for another
+// FIFO (NewOn) once the channel has retired: both endpoints released, so no
+// word can arrive any more. Words still buffered are discarded, and a push
+// into the detached buffer panics rather than write into a successor's.
+// A second call returns nil.
+func (f *FIFO) DetachStorage() []sim.Word { return f.buf.Detach() }
 
 // Name returns the channel name.
 func (f *FIFO) Name() string { return f.cfg.Name }

@@ -2,6 +2,7 @@ package cfifo
 
 import (
 	"testing"
+	"unsafe"
 
 	"accelshare/internal/ring"
 	"accelshare/internal/sim"
@@ -33,6 +34,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(k, net, Config{Name: "bad", Capacity: 2, AckBatch: 5}); err == nil {
 		t.Error("ack batch > capacity accepted")
+	}
+	if _, err := NewOn(k, net, Config{Name: "bad", Capacity: 4}, make([]sim.Word, 3)); err == nil {
+		t.Error("storage of 3 words accepted for capacity 4")
 	}
 }
 
@@ -456,5 +460,65 @@ func TestReleaseEndpoints(t *testing.T) {
 	k.RunAll()
 	if got := net.Data.DeliveredWords(); got != 5 || f.Len() != 0 {
 		t.Errorf("%d words carried, %d buffered; want 5 (three data, two acks) and 0", got, f.Len())
+	}
+}
+
+// TestStorageServesNextFIFO: a retired FIFO's buffer storage serves the
+// next FIFO built on it. The successor starts empty, whatever the storage
+// held, and its words land in that storage; the retired FIFO keeps none.
+func TestStorageServesNextFIFO(t *testing.T) {
+	k := sim.NewKernel()
+	net, err := ring.NewDual(k, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := New(k, net, Config{Name: "old", Capacity: 4, ProducerNode: 0, ConsumerNode: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := sim.Word(0); w < 3; w++ {
+		mustWrite(t, k, old, 100+w)
+	}
+	k.RunAll()
+	old.TryRead()
+	old.ReleaseProducer()
+	old.ReleaseConsumer()
+	storage := old.DetachStorage()
+	if len(storage) != 4 || old.Len() != 0 || old.DetachStorage() != nil {
+		t.Fatalf("handed back %d words, %d left buffered; want 4 and 0, and nothing on a second call", len(storage), old.Len())
+	}
+	if _, ok := old.TryRead(); ok {
+		t.Fatal("the retired FIFO still reads a word")
+	}
+
+	f, err := NewOn(k, net, Config{Name: "new", Capacity: 4, ProducerNode: 1, ConsumerNode: 3}, storage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Len() != 0 || f.Space() != 4 {
+		t.Fatalf("successor starts with %d words and space %d, want 0 and 4", f.Len(), f.Space())
+	}
+	for w := sim.Word(0); w < 6; w++ {
+		mustWrite(t, k, f, w)
+		k.RunAll()
+		if got, ok := f.TryRead(); !ok || got != w {
+			t.Fatalf("read %d, %v; want %d", got, ok, w)
+		}
+		k.RunAll()
+	}
+	if storage[0] != 4 || storage[1] != 5 {
+		t.Errorf("storage holds %v, want the successor's words 4 and 5 in its first two places", storage)
+	}
+}
+
+// TestFIFOSizeClass: on 64-bit platforms a FIFO stays in the 208-byte
+// malloc size class (the next is 224). Every stream allocates two, and
+// the benchmark's allocation figures rest on that class.
+func TestFIFOSizeClass(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size classes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(FIFO{}); got > 208 {
+		t.Errorf("a FIFO is %d bytes, past its 208-byte size class", got)
 	}
 }

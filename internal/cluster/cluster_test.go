@@ -3,6 +3,7 @@ package cluster
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"accelshare/internal/conformance"
 	"accelshare/internal/fault"
@@ -466,4 +467,17 @@ func renderEvents(c *Controller) string {
 		out += FormatEvent(e) + "\n"
 	}
 	return out
+}
+
+// TestStreamInfoSizeClass: on 64-bit platforms a streamInfo stays in the
+// 176-byte malloc size class (the next is 192). A fleet allocates one per
+// submitted stream, and the benchmark's allocation figures rest on that
+// class.
+func TestStreamInfoSizeClass(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size classes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(streamInfo{}); got > 176 {
+		t.Errorf("a streamInfo is %d bytes, past its 176-byte size class", got)
+	}
 }

@@ -71,19 +71,27 @@ type departedRefs struct {
 	gw      weak.Pointer[gateway.Stream]
 }
 
+// retiredOutputs is what a stream's outputs were when the retire observer
+// saw it: once the observer returns, that storage serves the next stream.
+type retiredOutputs struct {
+	n          int
+	contiguous bool
+}
+
 // TestDepartedStreamsAreCollected: with ReclaimSlots, a departed stream's
 // *mpsoc.Stream, both its C-FIFOs and its *gateway.Stream become garbage
 // once it has retired, and StreamStatuses reports the values the stream
-// held at the end of the run, as if it had stayed reachable. s1 departs
-// from the chain it was placed on; the stream the rebalancer moves from c0
-// to c1 departs after the move re-pointed its input's consumer and its
-// output's producer.
+// held when it retired, as if it had stayed reachable. s1 departs from the
+// chain it was placed on; the stream the rebalancer moves from c0 to c1
+// departs after the move re-pointed its input's consumer and its output's
+// producer.
 func TestDepartedStreamsAreCollected(t *testing.T) {
 	// run plays the scenario of TestRebalanceMovesHotStream with slot
 	// reclamation and two departures. It returns the fleet, weak pointers
 	// into both departed streams and, with keep set, the streams
-	// themselves, held so that they stay reachable.
-	run := func(keep bool) (*Controller, map[string]departedRefs, map[string]*mpsoc.Stream) {
+	// themselves, held so that they stay reachable, and their outputs as
+	// the retire observer saw them.
+	run := func(keep bool) (*Controller, map[string]departedRefs, map[string]*mpsoc.Stream, map[string]retiredOutputs) {
 		cfg := testConfig([]ChainSpec{
 			{Name: "c0", AccelCost: 1, ReserveSlots: 4},
 			{Name: "c1", AccelCost: 1, ReserveSlots: 4},
@@ -93,6 +101,13 @@ func TestDepartedStreamsAreCollected(t *testing.T) {
 		c := mustCluster(t, cfg)
 		refs := map[string]departedRefs{}
 		kept := map[string]*mpsoc.Stream{}
+		seen := map[string]retiredOutputs{}
+		if keep {
+			c.ms.SetRetireObserver(func(st *mpsoc.Stream) {
+				seen[st.GW.Name] = retiredOutputs{len(st.Outputs), contiguous(st.Outputs)}
+				c.retired(st)
+			})
+		}
 		grab := func(name string) {
 			st := c.streams[name].st
 			refs[name] = departedRefs{weak.Make(st), weak.Make(st.In), weak.Make(st.Out), weak.Make(st.GW)}
@@ -114,10 +129,10 @@ func TestDepartedStreamsAreCollected(t *testing.T) {
 			c.Depart(moved[0].Stream)
 		})
 		c.Run(120_000)
-		return c, refs, kept
+		return c, refs, kept, seen
 	}
 
-	c, refs, _ := run(false)
+	c, refs, _, _ := run(false)
 	if len(refs) != 2 {
 		t.Fatalf("%d departed streams tracked, want 2", len(refs))
 	}
@@ -138,15 +153,20 @@ func TestDepartedStreamsAreCollected(t *testing.T) {
 		}
 	}
 
-	held, _, kept := run(true)
+	held, _, kept, seen := run(true)
 	for name, st := range kept {
+		out := seen[name]
 		want := StreamStatus{
 			Name: name, State: "departed", Priority: c.streams[name].priority,
 			Blocks: st.GW.Blocks, Samples: st.GW.SamplesOut, Overflow: st.Overflows,
-			ContiguousOutputs: contiguous(st.Outputs),
+			ContiguousOutputs: out.contiguous,
 		}
-		if want.Blocks == 0 || want.Samples == 0 || !want.ContiguousOutputs {
-			t.Errorf("%s: %d blocks, %d samples, contiguous %v: the stream never ran cleanly", name, want.Blocks, want.Samples, want.ContiguousOutputs)
+		if want.Blocks == 0 || want.Samples == 0 || out.n == 0 || !want.ContiguousOutputs {
+			t.Errorf("%s: %d blocks, %d samples, %d outputs at retirement, contiguous %v: the stream never ran cleanly",
+				name, want.Blocks, want.Samples, out.n, want.ContiguousOutputs)
+		}
+		if st.Outputs != nil {
+			t.Errorf("%s: holds %d outputs after it retired, want none: its storage serves the next stream", name, len(st.Outputs))
 		}
 		if got := statusOf(held, name); got != want {
 			t.Errorf("%s: status %+v, want the stream's own final values %+v", name, got, want)

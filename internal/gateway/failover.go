@@ -229,18 +229,9 @@ func (p *Pair) ImportStream(e StreamExport) (int, error) {
 //
 //accellint:deepcopy
 func (p *Pair) ReleaseSlot(slot int) (StreamExport, error) {
-	if p.failed {
-		return StreamExport{}, fmt.Errorf("gateway %s: ReleaseSlot on a failed pair (use ExportStreams)", p.cfg.Name)
-	}
-	if slot < 0 || slot >= len(p.streams) {
-		return StreamExport{}, fmt.Errorf("gateway %s: ReleaseSlot %d out of range [0,%d)", p.cfg.Name, slot, len(p.streams))
-	}
-	s := p.streams[slot]
-	if s.Released {
-		return StreamExport{}, fmt.Errorf("gateway %s: slot %d (%q) already released", p.cfg.Name, slot, s.Name)
-	}
-	if !s.Suspended {
-		return StreamExport{}, fmt.Errorf("gateway %s: ReleaseSlot %d (%q) requires a suspended stream", p.cfg.Name, slot, s.Name)
+	s, err := p.releasable(slot)
+	if err != nil {
+		return StreamExport{}, err
 	}
 	ex := StreamExport{
 		Stream:      s,
@@ -249,6 +240,46 @@ func (p *Pair) ReleaseSlot(slot int) (StreamExport, error) {
 		Committed:   s.pendingCommitted,
 		ReplayStart: s.pendingReplayStart,
 	}
+	p.entomb(slot, s)
+	return ex, nil
+}
+
+// RetireSlot gives up one suspended stream's slot for good, as ReleaseSlot
+// does, but builds no export: the stream is leaving the platform, so its
+// engine state and replay residue go with it instead of being copied.
+func (p *Pair) RetireSlot(slot int) error {
+	s, err := p.releasable(slot)
+	if err != nil {
+		return err
+	}
+	p.entomb(slot, s)
+	return nil
+}
+
+// releasable returns the stream at slot if ReleaseSlot or RetireSlot may
+// give it up: a live pair, a slot in range, neither released already nor
+// still arbitrating.
+func (p *Pair) releasable(slot int) (*Stream, error) {
+	if p.failed {
+		return nil, fmt.Errorf("gateway %s: slot %d released on a failed pair (use ExportStreams)", p.cfg.Name, slot)
+	}
+	if slot < 0 || slot >= len(p.streams) {
+		return nil, fmt.Errorf("gateway %s: released slot %d out of range [0,%d)", p.cfg.Name, slot, len(p.streams))
+	}
+	s := p.streams[slot]
+	if s.Released {
+		return nil, fmt.Errorf("gateway %s: slot %d (%q) already released", p.cfg.Name, slot, s.Name)
+	}
+	if !s.Suspended {
+		return nil, fmt.Errorf("gateway %s: releasing slot %d (%q) requires a suspended stream", p.cfg.Name, slot, s.Name)
+	}
+	return s, nil
+}
+
+// entomb swaps slot's stream s for a Released tombstone: the pair drops it
+// from its live-slot index and its state, and stops being woken by its
+// FIFOs.
+func (p *Pair) entomb(slot int, s *Stream) {
 	// The suspension belongs to this pair's slot table (RemoveStream parked
 	// the slot inside its staged transition); the tombstone keeps it, the
 	// departing stream must arrive at its importer ready to arbitrate.
@@ -260,7 +291,7 @@ func (p *Pair) ReleaseSlot(slot int) (StreamExport, error) {
 	}
 	if p.loadedStream == slot {
 		// The released stream's engine state was the one swapped into the
-		// tiles; the export deep-copied it, so nothing is loaded any more.
+		// tiles; an export has deep-copied it, so nothing is loaded any more.
 		p.loadedStream = -1
 	}
 	if p.active == slot {
@@ -268,7 +299,6 @@ func (p *Pair) ReleaseSlot(slot int) (StreamExport, error) {
 		// active pointing at a tombstone.
 		p.active = -1
 	}
-	return ex, nil
 }
 
 // RecordFailoverSpan appends a controller-level failover span (Stream = -1)

@@ -248,3 +248,56 @@ func TestExportStreamsUnsubscribes(t *testing.T) {
 		}
 	}
 }
+
+// savingEngine counts the state snapshots taken of it.
+type savingEngine struct {
+	accel.Engine
+	saves *int
+}
+
+func (e savingEngine) SaveState(dst []uint64) []uint64 {
+	*e.saves++
+	return e.Engine.SaveState(dst)
+}
+
+// TestRetireSlotBuildsNoExport: RetireSlot leaves the tombstone ReleaseSlot
+// leaves and unsubscribes the pair from the stream's input, but never
+// snapshots the stream's engines, not even when its state is the one
+// swapped into the tiles.
+func TestRetireSlotBuildsNoExport(t *testing.T) {
+	r := newRig(t, Config{Name: "ret", EntryCost: 1, ExitCost: 1, RecordActivity: true})
+	saves := 0
+	s, in, _ := r.addStream(t, "a", 2, 16, 32)
+	s.Engines = []accel.Engine{savingEngine{&accel.Gain{}, &saves}}
+	r.pair.Start()
+	r.fill(t, in, 2)
+	if got := servedSince(r.pair, 0); !slices.Equal(got, []int{0}) {
+		t.Fatalf("served %v, want [0]", got)
+	}
+	pauseRig(t, r)
+	if err := r.pair.ApplySlots([]SlotUpdate{{Stream: 0, Suspend: true}}, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	r.k.RunAll()
+	before := saves
+	if err := r.pair.RetireSlot(0); err != nil {
+		t.Fatal(err)
+	}
+	if saves != before {
+		t.Errorf("RetireSlot snapshotted the loaded engine %d times, want none", saves-before)
+	}
+	if tomb := r.pair.Streams()[0]; !tomb.Released || !tomb.Suspended || tomb.In != nil || tomb.Name != "a" {
+		t.Fatalf("slot 0 is not a tombstone of a: %+v", tomb)
+	}
+	if err := r.pair.RetireSlot(0); err == nil {
+		t.Error("a released slot retired twice")
+	}
+	control, err := newTestFIFO(r, "ctl.in", 16, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := eventsFor(r, func() { control.TryWrite(1) })
+	if got := eventsFor(r, func() { in.TryWrite(1) }); got != base {
+		t.Errorf("a word into the retired stream's input cost %d events, want %d (pair still subscribed)", got, base)
+	}
+}

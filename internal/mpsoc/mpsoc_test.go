@@ -3,6 +3,7 @@ package mpsoc
 import (
 	"math/big"
 	"testing"
+	"unsafe"
 
 	"accelshare/internal/accel"
 	"accelshare/internal/core"
@@ -485,4 +486,16 @@ func TestArbiterAblationPriorityStarves(t *testing.T) {
 	t.Logf("meek blocks: RR %d vs priority %d; meek pending wait: RR %d vs priority %d (γ̂=%d)",
 		rr.PerStream[1].Blocks, pr.PerStream[1].Blocks,
 		rr.PerStream[1].PendingWait, pr.PerStream[1].PendingWait, gamma)
+}
+
+// TestStreamSizeClass: on 64-bit platforms a Stream stays in the 288-byte
+// malloc size class (the next is 320). A fleet allocates one per admitted
+// stream, and the benchmark's allocation figures rest on that class.
+func TestStreamSizeClass(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size classes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Stream{}); got > 288 {
+		t.Errorf("a Stream is %d bytes, past its 288-byte size class", got)
+	}
 }

@@ -111,6 +111,20 @@ type MultiSystem struct {
 	// retired observes each stream ReclaimStream retires
 	// (SetRetireObserver).
 	retired func(*Stream)
+	// spares holds retired streams' storage for the next AttachStream,
+	// newest last. Every attach pops one, so it never holds more spares
+	// than streams were attached or retiring when it was last empty.
+	spares []spare
+}
+
+// spare is the pointer-free storage a retired stream hands to the next
+// stream attached: both C-FIFO buffers and its Outputs and block-record
+// arrays, truncated to length 0. It holds no object of the stream itself,
+// so a retired stream stays collectable.
+type spare struct {
+	in, out []sim.Word
+	outputs []sim.Word
+	records []gateway.BlockRecord
 }
 
 // BuildMulti assembles the multi-chain platform. Ring node layout per
@@ -224,7 +238,7 @@ func (m *MultiSystem) assembleChain(top MultiConfig, spec ChainSpec, next *int) 
 	for i := range spec.Streams {
 		srcN := take()
 		sinkN := take()
-		st, err := buildStream(k, net, ch, spec.Streams[i], i, srcN, sinkN)
+		st, err := buildStream(k, net, ch, spec.Streams[i], i, srcN, sinkN, spare{})
 		if err != nil {
 			return nil, err
 		}
@@ -244,8 +258,9 @@ func (m *MultiSystem) assembleChain(top MultiConfig, spec ChainSpec, next *int) 
 
 // buildStream wires one stream's C-FIFOs and gateway slot (without
 // registering it with the pair or starting its tasks): shared between
-// build-time assembly and runtime AttachStream.
-func buildStream(k *sim.Kernel, net *ring.Dual, ch *Chain, ss StreamSpec, idx, srcN, sinkN int) (*Stream, error) {
+// build-time assembly and runtime AttachStream. The stream is built on sp's
+// storage; the zero spare allocates it.
+func buildStream(k *sim.Kernel, net *ring.Dual, ch *Chain, ss StreamSpec, idx, srcN, sinkN int, sp spare) (*Stream, error) {
 	if ss.Decimation < 1 {
 		ss.Decimation = 1
 	}
@@ -253,21 +268,21 @@ func buildStream(k *sim.Kernel, net *ring.Dual, ch *Chain, ss StreamSpec, idx, s
 		return nil, fmt.Errorf("stream %q block %d not a multiple of decimation %d",
 			ss.Name, ss.Block, ss.Decimation)
 	}
-	in, err := cfifo.New(k, net, cfifo.Config{
+	in, err := cfifo.NewOn(k, net, cfifo.Config{
 		Name: ss.Name + ".in", Capacity: ss.InCapacity,
 		ProducerNode: srcN, ConsumerNode: ch.EntryNode,
 		AckBatch: ackBatch(ss.InCapacity),
-	})
+	}, sp.in)
 	if err != nil {
 		return nil, err
 	}
 	// One read-counter update per output word: the ack traffic every golden
 	// pins.
-	out, err := cfifo.New(k, net, cfifo.Config{
+	out, err := cfifo.NewOn(k, net, cfifo.Config{
 		Name: ss.Name + ".out", Capacity: ss.OutCapacity,
 		ProducerNode: ch.ExitNode, ConsumerNode: sinkN,
 		AckBatch: 1,
-	})
+	}, sp.out)
 	if err != nil {
 		return nil, err
 	}
@@ -275,16 +290,17 @@ func buildStream(k *sim.Kernel, net *ring.Dual, ch *Chain, ss StreamSpec, idx, s
 	if ch.Spec.Faults != nil && ch.Spec.Faults.EngineFaults(idx) {
 		engines = ch.Spec.Faults.WrapEngines(idx, engines)
 	}
-	st := &Stream{Spec: ss, In: in, Out: out}
+	st := &Stream{Spec: ss, In: in, Out: out, Outputs: sp.outputs}
 	st.GW = &gateway.Stream{
-		Name:      ss.Name,
-		Block:     ss.Block,
-		OutBlock:  ss.Block / ss.Decimation,
-		Reconfig:  ss.Reconfig,
-		In:        in,
-		Out:       out,
-		Engines:   engines,
-		Suspended: ss.StartSuspended,
+		Name:        ss.Name,
+		Block:       ss.Block,
+		OutBlock:    ss.Block / ss.Decimation,
+		Reconfig:    ss.Reconfig,
+		In:          in,
+		Out:         out,
+		Engines:     engines,
+		Suspended:   ss.StartSuspended,
+		Turnarounds: sp.records,
 	}
 	return st, nil
 }
@@ -306,7 +322,10 @@ func (m *MultiSystem) startStreamTasks(st *Stream) {
 // ss.StartSuspended is set, so the admission controller can activate it
 // atomically with the survivors' new block sizes in one ApplySlots
 // transaction. The stream's source and sink tasks start immediately —
-// samples buffer in the input C-FIFO until the slot is activated.
+// samples buffer in the input C-FIFO until the slot is activated. The
+// stream is built on the storage the newest retired stream left (its
+// C-FIFO buffers, outputs and block records) when its buffers have the
+// capacities ss asks for; that storage is dropped otherwise.
 func (m *MultiSystem) AttachStream(chainIdx int, ss StreamSpec) (*Stream, error) {
 	if chainIdx < 0 || chainIdx >= len(m.Chains) {
 		return nil, fmt.Errorf("mpsoc: chain %d out of range", chainIdx)
@@ -317,7 +336,7 @@ func (m *MultiSystem) AttachStream(chainIdx int, ss StreamSpec) (*Stream, error)
 	}
 	nodes := ch.reserved[0]
 	idx := len(ch.Strs)
-	st, err := buildStream(m.K, m.Net, ch, ss, idx, nodes[0], nodes[1])
+	st, err := buildStream(m.K, m.Net, ch, ss, idx, nodes[0], nodes[1], m.popSpare(ss))
 	if err != nil {
 		return nil, err
 	}
@@ -369,38 +388,55 @@ func (m *MultiSystem) AdoptStream(chainIdx int, st *Stream, e gateway.StreamExpo
 // target controller's AdmitMigrated/AdoptStream. Streams are matched by name
 // scanning backwards so the newest same-name slot wins over zombies.
 func (m *MultiSystem) ReleaseStream(chainIdx int, name string) (*Stream, gateway.StreamExport, error) {
+	ch, slot, err := m.slotOf(chainIdx, name)
+	if err != nil {
+		return nil, gateway.StreamExport{}, err
+	}
+	st := ch.Strs[slot]
+	ex, err := ch.Pair.ReleaseSlot(slot)
+	if err != nil {
+		return nil, gateway.StreamExport{}, err
+	}
+	ch.entomb(slot)
+	return st, ex, nil
+}
+
+// slotOf finds the newest unreleased slot of chain chainIdx that carries
+// the stream name.
+func (m *MultiSystem) slotOf(chainIdx int, name string) (*Chain, int, error) {
 	if chainIdx < 0 || chainIdx >= len(m.Chains) {
-		return nil, gateway.StreamExport{}, fmt.Errorf("mpsoc: chain %d out of range", chainIdx)
+		return nil, 0, fmt.Errorf("mpsoc: chain %d out of range", chainIdx)
 	}
 	ch := m.Chains[chainIdx]
 	for slot := len(ch.Strs) - 1; slot >= 0; slot-- {
-		st := ch.Strs[slot]
-		if st.GW.Name != name || st.GW.Released {
-			continue
+		if gw := ch.Strs[slot].GW; gw.Name == name && !gw.Released {
+			return ch, slot, nil
 		}
-		ex, err := ch.Pair.ReleaseSlot(slot)
-		if err != nil {
-			return nil, gateway.StreamExport{}, err
-		}
-		// ReleaseSlot left a gateway tombstone at the slot; mirror it here so
-		// ch.Strs stays index-parallel with the pair's slot table. The
-		// tombstone's spec claims an external source/sink so a stray
-		// StartSource on it can never start a task against nil FIFOs.
-		tomb := st.Spec
-		tomb.ExternalSource, tomb.ExternalSink = true, true
-		ch.Strs[slot] = &Stream{Spec: tomb, GW: ch.Pair.Streams()[slot]}
-		return st, ex, nil
 	}
-	return nil, gateway.StreamExport{}, fmt.Errorf("mpsoc: chain %q has no stream %q", ch.Spec.Name, name)
+	return nil, 0, fmt.Errorf("mpsoc: chain %q has no stream %q", ch.Spec.Name, name)
+}
+
+// entomb mirrors the gateway tombstone the pair left at slot, so ch.Strs
+// stays index-parallel with the pair's slot table. The tombstone keeps the
+// stream's name and nothing else of its spec, so that it keeps neither
+// engines nor source reachable; it claims an external source and sink so a
+// stray StartSource on it can never start a task against nil FIFOs, and
+// its zero Overflows is what chainReport reads for the slot.
+func (ch *Chain) entomb(slot int) {
+	ch.Strs[slot] = &Stream{
+		Spec: StreamSpec{Name: ch.Strs[slot].Spec.Name, ExternalSource: true, ExternalSink: true},
+		GW:   ch.Pair.Streams()[slot],
+	}
 }
 
 // ReclaimStream retires a departed stream and returns its reserved ring
 // attachment points to its home chain's pool, so a long-serving fleet can
 // admit an unbounded sequence of stream lifetimes through a bounded set of
 // ring slots. The admission controller must have removed the stream first
-// (drained, suspended, survivors re-solved) — ReclaimStream then releases
-// the slot exactly like a rebalance export (gateway tombstone, indices
-// stable) but discards the export: the stream is gone, not migrating.
+// (drained, suspended, survivors re-solved) — ReclaimStream then swaps the
+// slot for a tombstone exactly like a rebalance release (indices stable)
+// but builds no export (gateway.Pair.RetireSlot): the stream is gone, not
+// migrating.
 //
 // The stream's C-FIFOs release their ring bindings, so that nothing on the
 // platform keeps the stream reachable: the input's two and the output's
@@ -408,15 +444,21 @@ func (m *MultiSystem) ReleaseStream(chainIdx int, name string) (*Stream, gateway
 // written to it has been read. Output words still on the ring at the reclaim
 // are read and acknowledged as before; the sink task retires the stream
 // right after the last one. The retire observer (SetRetireObserver) then
-// gets the stream, whose state is final. A stream whose sink is external
+// gets the stream, whose state is final, and the stream's storage then
+// serves the next AttachStream. A stream whose sink is external
 // retires only when its output has drained by the reclaim; otherwise its
 // reader owns the output and it stays bound. A periodic sink task keeps
 // ticking after the retirement, and so keeps its stream reachable.
 func (m *MultiSystem) ReclaimStream(chainIdx int, name string) error {
-	st, _, err := m.ReleaseStream(chainIdx, name)
+	ch, slot, err := m.slotOf(chainIdx, name)
 	if err != nil {
 		return err
 	}
+	st := ch.Strs[slot]
+	if err := ch.Pair.RetireSlot(slot); err != nil {
+		return err
+	}
+	ch.entomb(slot)
 	st.StopSource()
 	if st.reclaimable {
 		home := m.Chains[st.ringHome]
@@ -435,20 +477,49 @@ func (m *MultiSystem) ReclaimStream(chainIdx int, name string) error {
 }
 
 // retire completes a reclaimed stream's retirement once its output has
-// drained: the output's consumer binding goes, and the retire observer gets
-// the stream.
+// drained: the output's consumer binding goes, the retire observer gets
+// the stream, and then its storage moves to the spare list. The stream
+// keeps none of it: its FIFOs have no buffer left and its Outputs and
+// block records are nil.
 func (m *MultiSystem) retire(st *Stream) {
 	st.retiring = false
 	st.Out.ReleaseConsumer()
 	if m.retired != nil {
 		m.retired(st)
 	}
+	sp := spare{
+		in:      st.In.DetachStorage(),
+		out:     st.Out.DetachStorage(),
+		outputs: st.Outputs[:0],
+		records: st.GW.Turnarounds[:0],
+	}
+	st.Outputs, st.GW.Turnarounds = nil, nil
+	m.spares = append(m.spares, sp)
+}
+
+// popSpare takes the newest spare off the list. It returns it if its
+// buffers have ss's capacities and the zero spare (allocate afresh)
+// otherwise, dropping the misfit.
+func (m *MultiSystem) popSpare(ss StreamSpec) spare {
+	n := len(m.spares)
+	if n == 0 {
+		return spare{}
+	}
+	sp := m.spares[n-1]
+	m.spares[n-1] = spare{}
+	m.spares = m.spares[:n-1]
+	if len(sp.in) != ss.InCapacity || len(sp.out) != ss.OutCapacity {
+		return spare{}
+	}
+	return sp
 }
 
 // SetRetireObserver installs fn, called once per stream ReclaimStream
 // retires, after the stream's last output word has been read: its counters
-// and outputs are final, and the interconnect no longer refers to it. A
-// later call replaces the observer.
+// and outputs are final, and the interconnect no longer refers to it. The
+// stream's storage (C-FIFO buffers, Outputs, block records) is reclaimed
+// once fn returns, so fn must copy what it keeps of them. A later call
+// replaces the observer.
 func (m *MultiSystem) SetRetireObserver(fn func(*Stream)) { m.retired = fn }
 
 // StartSource (re)starts a stream's built-in source task after StopSource:

@@ -120,7 +120,27 @@ func NewQueue(name string, capacity int) *Queue {
 	if capacity < 1 {
 		panic("sim: queue capacity must be >= 1")
 	}
-	return &Queue{name: name, capacity: capacity, buf: make([]Word, capacity)}
+	return NewQueueOn(name, make([]Word, capacity))
+}
+
+// NewQueueOn returns an empty queue built on buf: its capacity is len(buf)
+// (>= 1), and whatever buf held before is ignored. Storage a retired queue
+// handed back (Detach) serves the next one this way.
+func NewQueueOn(name string, buf []Word) *Queue {
+	if len(buf) < 1 {
+		panic("sim: queue capacity must be >= 1")
+	}
+	return &Queue{name: name, capacity: len(buf), buf: buf}
+}
+
+// Detach empties the queue and hands its storage back for reuse. The
+// queue keeps its capacity and counters but no storage: a later push
+// panics instead of writing into storage that now serves another queue,
+// and a pop finds the queue empty.
+func (q *Queue) Detach() []Word {
+	buf := q.buf
+	q.buf, q.head, q.n = nil, 0, 0
+	return buf
 }
 
 // Name returns the queue's diagnostic name.

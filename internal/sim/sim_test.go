@@ -245,11 +245,71 @@ func TestQueueFIFOOrderWrapAround(t *testing.T) {
 	}
 }
 
+// TestQueueZeroCapPanics: a queue of no capacity panics at construction,
+// whether it would allocate its storage or be built on storage given.
 func TestQueueZeroCapPanics(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func()
+	}{
+		{"NewQueue(0)", func() { NewQueue("bad", 0) }},
+		{"NewQueueOn(nil)", func() { NewQueueOn("bad", nil) }},
+		{"NewQueueOn(empty)", func() { NewQueueOn("bad", []Word{}) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", c.name)
+				}
+			}()
+			c.build()
+		}()
+	}
+}
+
+// TestQueueOnGivenStorage: a queue built on storage another queue handed
+// back writes into that storage, ignores what it held and takes its
+// capacity from its length; the queue that handed it back is left empty
+// and without storage, so a late push panics instead of writing into it.
+func TestQueueOnGivenStorage(t *testing.T) {
+	old := NewQueue("old", 3)
+	for _, w := range []Word{7, 8, 9} {
+		old.TryPush(w)
+	}
+	old.TryPop()
+	buf := old.Detach()
+	if len(buf) != 3 || old.Len() != 0 || old.Cap() != 3 || old.Popped != 1 || old.Pushed != 3 {
+		t.Fatalf("detached %d words; old queue len %d cap %d, pushed %d popped %d",
+			len(buf), old.Len(), old.Cap(), old.Pushed, old.Popped)
+	}
+	if _, ok := old.TryPop(); ok {
+		t.Fatal("pop from a detached queue succeeded")
+	}
+	if again := old.Detach(); again != nil {
+		t.Fatalf("second Detach handed back %d words, want none", len(again))
+	}
+
+	q := NewQueueOn("new", buf)
+	if q.Cap() != 3 || q.Len() != 0 {
+		t.Fatalf("queue on 3 words: cap %d len %d, want 3 and 0", q.Cap(), q.Len())
+	}
+	for _, w := range []Word{1, 2} {
+		q.TryPush(w)
+	}
+	if v, ok := q.TryPop(); !ok || v != 1 {
+		t.Fatalf("first pop = %d %v, want 1 (stale words must not surface)", v, ok)
+	}
+	if buf[0] != 1 || buf[1] != 2 {
+		t.Fatalf("storage holds %v, want the new queue's words 1 and 2 first", buf)
+	}
+
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic")
+			t.Fatal("push into a detached queue did not panic")
+		}
+		if buf[0] != 1 || buf[1] != 2 {
+			t.Fatalf("storage now serving another queue holds %v after the late push", buf)
 		}
 	}()
-	NewQueue("bad", 0)
+	old.TryPush(42)
 }
