@@ -20,13 +20,14 @@ package main
 // byte-identical output (a regression test enforces it).
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/big"
 	"os"
+	"path/filepath"
 
-	"accelshare/internal/accel"
 	"accelshare/internal/conformance"
 	"accelshare/internal/core"
 	"accelshare/internal/fault"
@@ -43,25 +44,14 @@ func init() {
 func runFailover(args []string) error {
 	fs := flag.NewFlagSet("failover", flag.ContinueOnError)
 	horizon := fs.Int64("horizon", 60_000, "cycles to simulate per scenario")
-	script := fs.String("script", "", "fault script file replacing the wedge-link scenario's plan")
+	script := fs.String("script", "", "fault script file replacing the plan of both wedge-link scenarios")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *horizon <= 0 {
 		return fmt.Errorf("-horizon must be positive, got %d", *horizon)
 	}
-	var plan *fault.Plan
-	if *script != "" {
-		raw, err := os.ReadFile(*script)
-		if err != nil {
-			return err
-		}
-		plan, err = fault.ParseScript(string(raw))
-		if err != nil {
-			return err
-		}
-	}
-	return failoverCampaign(os.Stdout, sim.Time(*horizon), plan)
+	return failoverCampaign(os.Stdout, sim.Time(*horizon), *script)
 }
 
 // failoverScenario is one campaign entry.
@@ -72,21 +62,19 @@ type failoverScenario struct {
 	doctor *fault.DoctorConfig
 	// manualAt, when positive, triggers an operator-initiated failover.
 	manualAt sim.Time
-	// standbyCost is the standby accelerator's per-sample cost (default 1 =
-	// identical chain); a different cost makes the failover re-solve
-	// Algorithm 1 for the migrated set.
-	standbyCost uint64
+	// standbyCost is the standby accelerator's per-sample cost (0 = the
+	// primary's); a different cost makes the failover re-solve Algorithm 1
+	// for the migrated set.
+	standbyCost sim.Time
 	// ckpt enables checkpointed recovery (interval in input samples) on
 	// both chains: the migrated residue shrinks to ≤ ckpt words and the
 	// cost bound uses the adjusted Eq. 2 term τ̂(K).
-	ckpt     int64
-	ckptCost sim.Time
+	ckpt int64
 }
 
-// failoverModel is the temporal model of the three streams on a chain: on
-// the primary (ε=15, ρA=1, δ=1), Rs=50 and η=16 give τ̂=320 and γ̂=960
-// (Eq. 2/4); μs=1/75 needs 1200 cycles per block, so the bounds hold with
-// slack.
+// failoverModel is the temporal model of gainChain's three streams on a
+// chain: on the primary, τ̂=320 and γ̂=960 (Eq. 2/4) against the 1200
+// cycles per block that μs=1/75 needs.
 func failoverModel(chain core.Chain) *core.System {
 	m := &core.System{Chain: chain, ClockHz: 1}
 	for _, name := range []string{"s0", "s1", "s2"} {
@@ -101,33 +89,36 @@ func failoverModel(chain core.Chain) *core.System {
 // stall count alone (a wedged chain pins round-robin arbitration on the
 // stalling stream, so stalls cannot spread before the retry budget runs
 // out); the stick-engine doctor demands two distinct streams and therefore
-// correctly never convicts the chain for one stream's dead engine.
-func failoverScenarios(override *fault.Plan) []failoverScenario {
+// correctly never convicts the chain for one stream's dead engine. A fault
+// script, when given, replaces the plan of both wedge-link scenarios, which
+// then carry the script's name.
+func failoverScenarios(script string) ([]failoverScenario, error) {
 	wedgeDoctor := &fault.DoctorConfig{Window: 4_000, StallLimit: 3, DistinctStreams: 1}
-	wedgePlan := &fault.Plan{Faults: []fault.Fault{
-		{Kind: fault.WedgeLink, Site: 0, At: 5_000},
-	}}
-	if override != nil {
-		wedgePlan = override
+	wedge, label := planOf(fault.Fault{Kind: fault.WedgeLink, Site: 0, At: 5_000}), "wedge-link entry@5k"
+	if script != "" {
+		raw, err := os.ReadFile(script)
+		if err != nil {
+			return nil, err
+		}
+		if wedge, err = fault.ParseScript(string(raw)); err != nil {
+			return nil, err
+		}
+		label = "script " + filepath.Base(script)
 	}
 	return []failoverScenario{
 		{
-			name:   "wedge-link entry@5k (permanent)",
-			plan:   wedgePlan,
+			name:   label + " (permanent)",
+			plan:   wedge,
 			doctor: wedgeDoctor,
 		},
 		{
-			name: "wedge-node entry@5k (permanent)",
-			plan: &fault.Plan{Faults: []fault.Fault{
-				{Kind: fault.WedgeNode, Site: 0, At: 5_000},
-			}},
+			name:   "wedge-node entry@5k (permanent)",
+			plan:   planOf(fault.Fault{Kind: fault.WedgeNode, Site: 0, At: 5_000}),
 			doctor: wedgeDoctor,
 		},
 		{
-			name: "stick-engine s0@24 (no failover)",
-			plan: &fault.Plan{Faults: []fault.Fault{
-				{Kind: fault.StickEngine, Stream: 0, Site: 0, Sample: 24},
-			}},
+			name:   "stick-engine s0@24 (no failover)",
+			plan:   planOf(fault.Fault{Kind: fault.StickEngine, Stream: 0, Site: 0, Sample: 24}),
 			doctor: &fault.DoctorConfig{Window: 4_000, StallLimit: 3, DistinctStreams: 2},
 		},
 		{
@@ -141,66 +132,28 @@ func failoverScenarios(override *fault.Plan) []failoverScenario {
 			// in-flight block's residue is the words since the last
 			// K-sample checkpoint (≤ 4), not the whole η=16, and the bound
 			// pays the adjusted τ̂(K) = 50 + (16+2·4)·15 + 3·5 = 425.
-			name:     "wedge-link entry@5k (ckpt K=4)",
-			plan:     wedgePlan,
-			doctor:   wedgeDoctor,
-			ckpt:     4,
-			ckptCost: 5,
+			name:   label + " (ckpt K=4)",
+			plan:   wedge,
+			doctor: wedgeDoctor,
+			ckpt:   4,
 		},
-	}
+	}, nil
 }
 
 // failoverPlatform assembles the two-chain platform: the primary carries the
 // three streams and the fault plan, the standby sits empty with the same
 // tile count (possibly slower engines).
 func failoverPlatform(sc failoverScenario) (*mpsoc.MultiSystem, *mpsoc.FailoverController, error) {
-	stream := func(name string) mpsoc.StreamSpec {
-		return mpsoc.StreamSpec{
-			Name: name, Block: 16, Decimation: 1, Reconfig: 50,
-			InCapacity: 128, OutCapacity: 64,
-			SourcePeriod:   75,
-			Engines:        []accel.Engine{&accel.Gain{}},
-			CollectOutputs: true,
-		}
-	}
-	standbyCost := sc.standbyCost
-	if standbyCost == 0 {
-		standbyCost = 1
-	}
-	recovery := gateway.Recovery{Enabled: true, RetryLimit: 2}
-	if sc.ckpt > 0 {
-		recovery.Checkpoint = sc.ckpt
-		recovery.CheckpointCost = sc.ckptCost
-		recovery.ValueExact = true
+	standby := gainChain("standby", nil, sc.ckpt)
+	standby.Streams, standby.Standby = nil, true
+	standby.Accels[0].Name = "acc-b"
+	if sc.standbyCost > 0 {
+		standby.Accels[0].Cost = sc.standbyCost
 	}
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
 		HopLatency:     1,
 		RecordActivity: true,
-		Chains: []mpsoc.ChainSpec{
-			{
-				Name:              "primary",
-				EntryCost:         15,
-				ExitCost:          1,
-				Mode:              gateway.ReconfigFixed,
-				Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
-				Streams:           []mpsoc.StreamSpec{stream("s0"), stream("s1"), stream("s2")},
-				DrainTimeout:      600,
-				Recovery:          recovery,
-				Faults:            sc.plan,
-				RecordTurnarounds: true,
-			},
-			{
-				Name:              "standby",
-				EntryCost:         15,
-				ExitCost:          1,
-				Mode:              gateway.ReconfigFixed,
-				Accels:            []mpsoc.AccelSpec{{Name: "acc-b", Cost: sim.Time(standbyCost), NICapacity: 2}},
-				Standby:           true,
-				DrainTimeout:      600,
-				Recovery:          recovery,
-				RecordTurnarounds: true,
-			},
-		},
+		Chains:         []mpsoc.ChainSpec{gainChain("primary", sc.plan, sc.ckpt), standby},
 	})
 	if err != nil {
 		return nil, nil, err
@@ -251,7 +204,11 @@ func conformanceCut(rec *mpsoc.Record) sim.Time {
 // golden gate diffs; floatflow holds it to exact output.
 //
 //accellint:transcript golden transcript must stay float-free
-func failoverCampaign(w io.Writer, horizon sim.Time, override *fault.Plan) error {
+func failoverCampaign(w io.Writer, horizon sim.Time, script string) error {
+	scenarios, err := failoverScenarios(script)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "Multi-chain failover campaign: 3 streams on a primary chain, empty standby")
 	fmt.Fprintln(w, "pair on the same ring (ε=15, ρA=1, δ=1, Rs=50, η=16 → τ̂=320, γ̂=960; source")
 	fmt.Fprintln(w, "period 75 cyc/sample; watchdog 600 cyc, retry limit 2, per-slot bus cost 10).")
@@ -261,7 +218,7 @@ func failoverCampaign(w io.Writer, horizon sim.Time, override *fault.Plan) error
 	fmt.Fprintln(w)
 
 	allOK := true
-	for si, sc := range failoverScenarios(override) {
+	for si, sc := range scenarios {
 		ms, fc, err := failoverPlatform(sc)
 		if err != nil {
 			return fmt.Errorf("%s: %w", sc.name, err)
@@ -323,33 +280,27 @@ func failoverCampaign(w io.Writer, horizon sim.Time, override *fault.Plan) error
 		// blocks exempt), γ̂ per block, μs long-run, for the live streams
 		// against the ACTIVE chain's parameters and block sizes.
 		model := failoverModel(active.Spec.Timing())
-		var bounds []conformance.StreamBounds
+		live := &core.System{Chain: model.Chain, ClockHz: model.ClockHz}
 		var streams []*gateway.Stream
 		for i, snap := range snaps {
 			if snap.Quarantined {
 				continue
 			}
-			model.Streams[i].Block = snap.Block
+			s := model.Streams[i]
+			s.Block = snap.Block
+			live.Streams = append(live.Streams, s)
 			streams = append(streams, active.Strs[i].GW)
-		}
-		modelLive := &core.System{Chain: model.Chain, ClockHz: model.ClockHz}
-		for i, snap := range snaps {
-			if !snap.Quarantined {
-				modelLive.Streams = append(modelLive.Streams, model.Streams[i])
-			}
 		}
 		// Checkpointed scenarios check against the adjusted τ̂(K)/γ̂(K) and
 		// additionally bound per-block replay work by K (Replayed ≤ retries·K;
 		// the migrated block itself completes before the post-transient cut).
-		bounds, err = conformance.FromModelCheckpointed(modelLive, sc.ckpt, uint64(sc.ckptCost))
+		rc := active.Spec.Recovery
+		bounds, err := conformance.FromModelCheckpointed(live, rc.Checkpoint, uint64(rc.CheckpointCost))
 		if err != nil {
 			return fmt.Errorf("%s: %w", sc.name, err)
 		}
 		opts := conformance.Options{
-			After: conformanceCut(rec), SkipRetried: true, MinBlocks: 5,
-		}
-		if sc.ckpt > 0 {
-			opts.ReplayBound = sc.ckpt
+			After: conformanceCut(rec), SkipRetried: true, MinBlocks: 5, ReplayBound: rc.Checkpoint,
 		}
 		res := conformance.FromStreams(bounds, streams, opts)
 		fmt.Fprintf(w, "conformance after t=%d: %d blocks checked, %d violations\n",
@@ -377,11 +328,11 @@ func failoverCampaign(w io.Writer, horizon sim.Time, override *fault.Plan) error
 		}
 		fmt.Fprintln(w)
 	}
-	if allOK {
-		fmt.Fprintln(w, "every failover landed within its bound with zero lost or duplicated")
-		fmt.Fprintln(w, "samples, and every surviving stream stayed inside τ̂/γ̂/μs (Eq. 2/4/5).")
-	} else {
+	if !allOK {
 		fmt.Fprintln(w, "WARNING: at least one scenario violated a bound or lost samples.")
+		return errors.New("a scenario violated a bound or lost samples")
 	}
+	fmt.Fprintln(w, "every failover landed within its bound with zero lost or duplicated")
+	fmt.Fprintln(w, "samples, and every surviving stream stayed inside τ̂/γ̂/μs (Eq. 2/4/5).")
 	return nil
 }

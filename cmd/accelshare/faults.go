@@ -11,6 +11,7 @@ package main
 // byte-identical output (a regression test enforces it).
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,38 +42,44 @@ func runFaults(args []string) error {
 	return faultCampaign(os.Stdout, sim.Time(*horizon))
 }
 
-// campaignConfig is the workload every scenario runs: three streams over
-// one accelerator, ε=15, ρA=1, δ=1, Rs=50, η=16. τ̂ = 50+18·15 = 320 per
-// stream (Eq. 2), γ̂ = 960 over three streams (Eq. 4); at one sample per
-// 75 cycles each stream needs 1200 cycles per block > γ̂, so the fault-free
-// system meets every constraint with slack. Checkpointed scenarios override
-// the recovery config (K=4, value-exact) and pay the adjusted Eq. 2 term
-// τ̂(K) = 50 + (16+2·4)·15 + 3·5 = 425 instead.
-func campaignConfig(plan *fault.Plan, rec gateway.Recovery) mpsoc.MultiConfig {
-	stream := func(name string) mpsoc.StreamSpec {
-		return mpsoc.StreamSpec{
-			Name: name, Block: 16, Decimation: 1, Reconfig: 50,
-			InCapacity: 128, OutCapacity: 64,
-			SourcePeriod: 75,
-			Engines:      []accel.Engine{&accel.Gain{}},
-		}
+// gainChain is the three-stream chain the faults and failover campaigns
+// run: s0–s2 over one gain accelerator, ε=15, ρA=1, δ=1, Rs=50, η=16, so
+// τ̂ = 50+18·15 = 320 (Eq. 2) and γ̂ = 960 (Eq. 4) against the 1200 cycles
+// per block that a 75-cycle source period needs. Recovery retries a block
+// twice under a 600-cycle watchdog; ckpt > 0 adds value-exact checkpoints
+// every ckpt input samples, and the bound becomes the adjusted Eq. 2 term
+// τ̂(K) = 50 + (16+2·4)·15 + 3·5 = 425 at K=4.
+func gainChain(name string, plan *fault.Plan, ckpt int64) mpsoc.ChainSpec {
+	rec := gateway.Recovery{Enabled: true, RetryLimit: 2}
+	if ckpt > 0 {
+		rec.Checkpoint, rec.CheckpointCost, rec.ValueExact = ckpt, 5, true
 	}
-	return mpsoc.MultiConfig{
-		HopLatency: 1,
-		Chains: []mpsoc.ChainSpec{{
-			Name:              "campaign",
-			EntryCost:         15,
-			ExitCost:          1,
-			Mode:              gateway.ReconfigFixed,
-			Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
-			Streams:           []mpsoc.StreamSpec{stream("s0"), stream("s1"), stream("s2")},
-			DrainTimeout:      600,
-			Recovery:          rec,
-			Faults:            plan,
-			RecordTurnarounds: true,
-		}},
+	var streams []mpsoc.StreamSpec
+	for _, s := range []string{"s0", "s1", "s2"} {
+		streams = append(streams, mpsoc.StreamSpec{
+			Name: s, Block: 16, Decimation: 1, Reconfig: 50,
+			InCapacity: 128, OutCapacity: 64,
+			SourcePeriod:   75,
+			Engines:        []accel.Engine{&accel.Gain{}},
+			CollectOutputs: true,
+		})
+	}
+	return mpsoc.ChainSpec{
+		Name:              name,
+		EntryCost:         15,
+		ExitCost:          1,
+		Mode:              gateway.ReconfigFixed,
+		Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+		Streams:           streams,
+		DrainTimeout:      600,
+		Recovery:          rec,
+		Faults:            plan,
+		RecordTurnarounds: true,
 	}
 }
+
+// planOf is the fault plan of one fault.
+func planOf(f fault.Fault) *fault.Plan { return &fault.Plan{Faults: []fault.Fault{f}} }
 
 type faultScenario struct {
 	name string
@@ -82,85 +89,37 @@ type faultScenario struct {
 	ckpt int64
 }
 
-// campaignRecovery is the per-scenario recovery config: checkpointed
-// scenarios snapshot every ckpt input samples with value-exact staging.
-func campaignRecovery(ckpt int64) gateway.Recovery {
-	rec := gateway.Recovery{Enabled: true, RetryLimit: 2}
-	if ckpt > 0 {
-		rec.Checkpoint = ckpt
-		rec.CheckpointCost = 5
-		rec.ValueExact = true
-	}
-	return rec
-}
-
 // campaignScenarios builds the fault grid. Onsets are in absolute engine
 // samples (engine faults), block numbers (lost idles) or cycles (wedges);
 // wedge durations exceed two watchdog windows so detection is guaranteed.
 func campaignScenarios() []faultScenario {
-	var scs []faultScenario
-	scs = append(scs, faultScenario{name: "baseline (no fault)", plan: &fault.Plan{}})
+	scs := []faultScenario{{name: "baseline (no fault)", plan: &fault.Plan{}}}
 	for stream := 0; stream < 3; stream++ {
 		scs = append(scs,
-			faultScenario{
-				name: fmt.Sprintf("drop-sample s%d@24", stream),
-				plan: &fault.Plan{Faults: []fault.Fault{
-					{Kind: fault.DropSample, Stream: stream, Site: 0, Sample: 24},
-				}},
-			},
-			faultScenario{
-				name: fmt.Sprintf("stick-engine s%d@24", stream),
-				plan: &fault.Plan{Faults: []fault.Fault{
-					{Kind: fault.StickEngine, Stream: stream, Site: 0, Sample: 24},
-				}},
-			},
-			faultScenario{
-				name: fmt.Sprintf("lose-idle s%d@blk3", stream),
-				plan: &fault.Plan{Faults: []fault.Fault{
-					{Kind: fault.LoseIdle, Stream: stream, Block: 3},
-				}},
-			},
+			faultScenario{name: fmt.Sprintf("drop-sample s%d@24", stream),
+				plan: planOf(fault.Fault{Kind: fault.DropSample, Stream: stream, Site: 0, Sample: 24})},
+			faultScenario{name: fmt.Sprintf("stick-engine s%d@24", stream),
+				plan: planOf(fault.Fault{Kind: fault.StickEngine, Stream: stream, Site: 0, Sample: 24})},
+			faultScenario{name: fmt.Sprintf("lose-idle s%d@blk3", stream),
+				plan: planOf(fault.Fault{Kind: fault.LoseIdle, Stream: stream, Block: 3})},
 		)
 	}
-	scs = append(scs,
-		faultScenario{
-			name: "corrupt-sample s1@24",
-			plan: &fault.Plan{Faults: []fault.Fault{
-				{Kind: fault.CorruptSample, Stream: 1, Site: 0, Sample: 24, Mask: 0xFF},
-			}},
-		},
-		faultScenario{
-			name: "wedge-link entry@5k/1.5k",
-			plan: &fault.Plan{Faults: []fault.Fault{
-				{Kind: fault.WedgeLink, Site: 0, At: 5_000, Duration: 1_500},
-			}},
-		},
-		faultScenario{
-			name: "wedge-node entry@5k/1.5k",
-			plan: &fault.Plan{Faults: []fault.Fault{
-				{Kind: fault.WedgeNode, Site: 0, At: 5_000, Duration: 1_500},
-			}},
-		},
+	return append(scs,
+		faultScenario{name: "corrupt-sample s1@24",
+			plan: planOf(fault.Fault{Kind: fault.CorruptSample, Stream: 1, Site: 0, Sample: 24, Mask: 0xFF})},
+		faultScenario{name: "wedge-link entry@5k/1.5k",
+			plan: planOf(fault.Fault{Kind: fault.WedgeLink, Site: 0, At: 5_000, Duration: 1_500})},
+		faultScenario{name: "wedge-node entry@5k/1.5k",
+			plan: planOf(fault.Fault{Kind: fault.WedgeNode, Site: 0, At: 5_000, Duration: 1_500})},
 		// Checkpointed scenarios: the same transient drop now resumes from
 		// the last K-sample checkpoint — the replay column shows sub-block
 		// replay work (≤ K per retry) instead of full-block replay — and a
 		// permanent stick still walks the retry ladder into quarantine.
-		faultScenario{
-			name: "ckpt-K4 drop-sample s0@29",
-			plan: &fault.Plan{Faults: []fault.Fault{
-				{Kind: fault.DropSample, Stream: 0, Site: 0, Sample: 29},
-			}},
-			ckpt: 4,
-		},
-		faultScenario{
-			name: "ckpt-K4 stick-engine s0@24",
-			plan: &fault.Plan{Faults: []fault.Fault{
-				{Kind: fault.StickEngine, Stream: 0, Site: 0, Sample: 24},
-			}},
-			ckpt: 4,
-		},
+		faultScenario{name: "ckpt-K4 drop-sample s0@29", ckpt: 4,
+			plan: planOf(fault.Fault{Kind: fault.DropSample, Stream: 0, Site: 0, Sample: 29})},
+		faultScenario{name: "ckpt-K4 stick-engine s0@24", ckpt: 4,
+			plan: planOf(fault.Fault{Kind: fault.StickEngine, Stream: 0, Site: 0, Sample: 24})},
 	)
-	return scs
 }
 
 // faultCampaign writes the byte-deterministic campaign transcript that the
@@ -182,7 +141,10 @@ func faultCampaign(w io.Writer, horizon sim.Time) error {
 
 	allHealthyPass := true
 	for _, sc := range campaignScenarios() {
-		sys, err := mpsoc.Build(campaignConfig(sc.plan, campaignRecovery(sc.ckpt)))
+		sys, err := mpsoc.Build(mpsoc.MultiConfig{
+			HopLatency: 1,
+			Chains:     []mpsoc.ChainSpec{gainChain("campaign", sc.plan, sc.ckpt)},
+		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", sc.name, err)
 		}
@@ -210,12 +172,12 @@ func faultCampaign(w io.Writer, horizon sim.Time) error {
 		}
 	}
 	fmt.Fprintln(w)
-	if allHealthyPass {
-		fmt.Fprintln(w, "all non-quarantined streams met their throughput constraints in every")
-		fmt.Fprintln(w, "scenario: transient faults cost one block retry (bounded by K when")
-		fmt.Fprintln(w, "checkpointed), permanent faults cost one stream — never the platform.")
-	} else {
+	if !allHealthyPass {
 		fmt.Fprintln(w, "WARNING: a non-quarantined stream missed its throughput constraint.")
+		return errors.New("a non-quarantined stream missed its throughput constraint")
 	}
+	fmt.Fprintln(w, "all non-quarantined streams met their throughput constraints in every")
+	fmt.Fprintln(w, "scenario: transient faults cost one block retry (bounded by K when")
+	fmt.Fprintln(w, "checkpointed), permanent faults cost one stream — never the platform.")
 	return nil
 }

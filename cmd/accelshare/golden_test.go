@@ -1,179 +1,188 @@
 package main
 
-// Golden-file harness shared by every campaign command whose output is an
-// acceptance artifact (faults, admit, failover, chaos, serve). Each campaign
-// must be byte-identical run-to-run AND byte-identical to the checked-in
-// golden.
-// After verifying a behavioural change that legitimately moves the output,
-// regenerate every golden with
-//
-//	go test ./cmd/accelshare -run Golden -update
-//
-// and review the diff before committing.
+// The campaign table: each row runs its campaign twice and requires
+// byte-identical output, compares it with the row's golden when it has
+// one, and requires the lines that show the campaign did what it claims.
+// After verifying a behavioural change that legitimately moves the
+// output, regenerate with -update (one row:
+// -run 'TestCampaigns/^serve-short$') and review the diff.
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"accelshare/internal/campaign"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata golden files with current campaign output")
 
-// checkGolden compares got against testdata/<name>, rewriting the file
-// instead when -update is set. On mismatch it reports the first divergent
-// line so the failure is actionable without a manual diff.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatalf("update %s: %v", path, err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
+const (
+	allContiguous = "every live stream contiguous (zero lost or duplicated samples): true"
+	noViolations  = "fleet conformance violations: 0"
+)
+
+type campaignRow struct {
+	name   string
+	golden string // testdata file; "" pins run-to-run determinism only
+	long   bool   // skipped under -short
+	kernel bool   // replayed by TestKernelGoldenRegression
+	run    func(w io.Writer) error
+	want   []string // fragments the output must contain
+	count  string   // a fragment the output must contain at least min times
+	min    int
+}
+
+var admitRow = campaignRow{name: "admit", golden: "admit.golden", kernel: true,
+	run: func(w io.Writer) error { return admitCampaign(w, defaultAdmitScript, 60_000, 2) },
+	want: []string{"add s5: admitted", "remove s4: admitted", "readmit s4: admitted",
+		"canary-pass s4", "rejected (infeasible)"}}
+
+var campaignRows = []campaignRow{
+	{name: "faults", golden: "faults.golden", long: true, kernel: true,
+		run: func(w io.Writer) error { return faultCampaign(w, 50_000) }},
+	{name: "faults-100k", long: true, run: func(w io.Writer) error { return faultCampaign(w, 100_000) }},
+	admitRow,
+	{name: "failover", golden: "failover.golden", kernel: true,
+		run: func(w io.Writer) error { return failoverCampaign(w, 60_000, "") },
+		want: []string{"within-bound=true", "re-solved for the standby chain",
+			"not triggered (per-stream recovery handled the fault)", "zero lost or duplicated"}},
+	{name: "chaos-short", golden: "chaos_short.golden", kernel: true,
+		run: func(w io.Writer) error { return fleetCampaign(w, campaign.Chaos(true, 1789), true, renderChaos) },
+		want: []string{"failover ", "evacuate ", "shed ", "readmit ",
+			"all ladder steps within bound: true", allContiguous, noViolations}},
+	// The full soak has no golden; its kills header is in time order.
+	{name: "chaos", long: true,
+		run: func(w io.Writer) error { return fleetCampaign(w, campaign.Chaos(false, 1789), false, renderChaos) },
+		want: []string{"] heal ", "] shed ", "] readmit ",
+			"kills: c0@40000 c2@90000 c1@120000  flash:", noViolations},
+		count: "] verdict ", min: 3},
+	{name: "serve-short", golden: "serve_short.golden",
+		run:   func(w io.Writer) error { return fleetCampaign(w, campaign.Serve(true, 24601), true, renderServe) },
+		want:  []string{"all rebalance moves within composed bound: true", allContiguous, noViolations},
+		count: "within-bound=true", min: 1},
+	// "f0": the rebalancer migrated a flash-crowd stream.
+	{name: "serve", golden: "serve.golden", long: true,
+		run: func(w io.Writer) error { return fleetCampaign(w, campaign.Serve(false, 24601), false, renderServe) },
+		want: []string{"f0", "all rebalance moves within composed bound: true",
+			allContiguous, noViolations},
+		count: "within-bound=true", min: 10},
+}
+
+func TestCampaigns(t *testing.T) {
+	for _, row := range campaignRows {
+		t.Run(row.name, func(t *testing.T) {
+			if row.long && testing.Short() {
+				t.Skipf("%s campaign is long", row.name)
+			}
+			matchGolden(t, row, runTwice(t, row))
+		})
 	}
+}
+
+// TestAdmitDeterministic and TestAdmitGolden are the admit row's two
+// halves under the names they had before the table, so -run TestAdmit
+// still selects every admission test.
+func TestAdmitDeterministic(t *testing.T) { runTwice(t, admitRow) }
+
+func TestAdmitGolden(t *testing.T) { matchGolden(t, admitRow, runOnce(t, admitRow)) }
+
+// Kernel-swap regression gate: the goldens of the rows marked kernel were
+// recorded on the binary-heap kernel the timing wheel replaced. Each runs
+// once and must match byte for byte, with NO -update escape hatch: a diff
+// is a kernel bug (ordering, cascade, or horizon semantics), never a
+// golden refresh.
+func TestKernelGoldenRegression(t *testing.T) {
+	for _, row := range campaignRows {
+		if !row.kernel {
+			continue
+		}
+		t.Run(row.name, func(t *testing.T) {
+			if row.long && testing.Short() {
+				t.Skipf("%s campaign is long", row.name)
+			}
+			if err := diffGolden(row.golden, runOnce(t, row)); err != nil {
+				t.Fatalf("kernel schedule diverged from the pre-wheel golden: %v", err)
+			}
+		})
+	}
+}
+
+func runOnce(t *testing.T, row campaignRow) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := row.run(&out); err != nil {
+		t.Fatalf("%s campaign: %v", row.name, err)
+	}
+	return out.Bytes()
+}
+
+// runTwice runs a row's campaign twice, requires byte-identical output
+// and the lines the row wants, and returns the output.
+func runTwice(t *testing.T, row campaignRow) []byte {
+	t.Helper()
+	got := runOnce(t, row)
+	if !bytes.Equal(got, runOnce(t, row)) {
+		t.Fatal("output differs between two identical runs")
+	}
+	for _, want := range row.want {
+		if !bytes.Contains(got, []byte(want)) {
+			t.Errorf("output missing %q", want)
+		}
+	}
+	if n := bytes.Count(got, []byte(row.count)); row.count != "" && n < row.min {
+		t.Errorf("%d lines with %q, want >= %d", n, row.count, row.min)
+	}
+	return got
+}
+
+// matchGolden compares got with the row's golden, if it has one, or
+// rewrites the golden under -update.
+func matchGolden(t *testing.T, row campaignRow, got []byte) {
+	t.Helper()
+	switch {
+	case row.golden == "":
+	case *update:
+		if err := os.WriteFile(filepath.Join("testdata", row.golden), got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		if err := diffGolden(row.golden, got); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFleetCampaignAppliesCheck: a fleet campaign that misses its
+// acceptance (here chaos -short held to an admission floor) fails.
+func TestFleetCampaignAppliesCheck(t *testing.T) {
+	f := campaign.Chaos(true, 1789)
+	f.MinAdmitted = 1_000
+	if err := fleetCampaign(io.Discard, f, true, renderChaos); err == nil || !bytes.Contains([]byte(err.Error()), []byte("lifetimes admitted")) {
+		t.Fatalf("chaos -short with an admission floor of 1000 returned %v", err)
+	}
+}
+
+// diffGolden compares got with testdata/<name> and names the first
+// divergent line.
+func diffGolden(name string, got []byte) error {
+	path := filepath.Join("testdata", name)
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("read %s (regenerate with -update): %v", path, err)
+		return err
 	}
 	if bytes.Equal(got, want) {
-		return
+		return nil
 	}
-	gotLines := bytes.Split(got, []byte("\n"))
-	wantLines := bytes.Split(want, []byte("\n"))
-	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
-		if !bytes.Equal(gotLines[i], wantLines[i]) {
-			t.Fatalf("output diverged from %s at line %d:\n got: %s\nwant: %s", path, i+1, gotLines[i], wantLines[i])
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			return fmt.Errorf("output diverged from %s at line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("output diverged from %s: got %d lines, want %d lines", path, len(gotLines), len(wantLines))
-}
-
-// runTwice runs a campaign twice and fails unless the two outputs are
-// byte-identical (no map iteration, no wall clock, no randomness), then
-// returns the output for the golden comparison.
-func runTwice(t *testing.T, name string, campaign func(w *bytes.Buffer) error) []byte {
-	t.Helper()
-	var a, b bytes.Buffer
-	if err := campaign(&a); err != nil {
-		t.Fatalf("%s run 1: %v", name, err)
-	}
-	if err := campaign(&b); err != nil {
-		t.Fatalf("%s run 2: %v", name, err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("%s output differs between two identical runs", name)
-	}
-	return a.Bytes()
-}
-
-func TestFaultsGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the fault campaign runs many scenarios")
-	}
-	got := runTwice(t, "faults", func(w *bytes.Buffer) error {
-		return faultCampaign(w, 50_000)
-	})
-	checkGolden(t, "faults.golden", got)
-}
-
-func TestAdmitGolden(t *testing.T) {
-	got := runTwice(t, "admit", func(w *bytes.Buffer) error {
-		return admitCampaign(w, defaultAdmitScript, 60_000, 2)
-	})
-	checkGolden(t, "admit.golden", got)
-}
-
-func TestChaosGolden(t *testing.T) {
-	got := runTwice(t, "chaos short", func(w *bytes.Buffer) error {
-		return chaosCampaign(w, true, 1789)
-	})
-	checkGolden(t, "chaos_short.golden", got)
-	for _, want := range []string{
-		"failover ", "evacuate ", "shed ", "readmit ",
-		"all ladder steps within bound: true",
-		"every live stream contiguous (zero lost or duplicated samples): true",
-		"fleet conformance violations: 0",
-	} {
-		if !bytes.Contains(got, []byte(want)) {
-			t.Errorf("chaos short output missing %q", want)
-		}
-	}
-}
-
-// TestChaosSoakDeterministic runs the full soak twice; the short profile's
-// golden already pins bytes, this pins the long horizon (three kills, a
-// heal, a flash crowd) without checking in a large golden.
-func TestChaosSoakDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full soak twice")
-	}
-	got := runTwice(t, "chaos soak", func(w *bytes.Buffer) error {
-		return chaosCampaign(w, false, 1789)
-	})
-	kills := bytes.Count(got, []byte("] verdict "))
-	if kills < 3 {
-		t.Errorf("full soak saw %d chain verdicts, want >= 3", kills)
-	}
-	for _, want := range []string{"] heal ", "] shed ", "] readmit ", "flash:"} {
-		if !bytes.Contains(got, []byte(want)) {
-			t.Errorf("full soak output missing %q", want)
-		}
-	}
-	if n := fmt.Sprintf("fleet conformance violations: 0"); !bytes.Contains(got, []byte(n)) {
-		t.Errorf("full soak reported conformance violations")
-	}
-}
-
-func TestServeGolden(t *testing.T) {
-	got := runTwice(t, "serve short", func(w *bytes.Buffer) error {
-		return serveCampaign(w, true, 24601)
-	})
-	checkGolden(t, "serve_short.golden", got)
-	if moves := bytes.Count(got, []byte("within-bound=true")); moves < 1 {
-		t.Errorf("serve short completed %d rebalance moves, want >= 1", moves)
-	}
-	for _, want := range []string{
-		"all rebalance moves within composed bound: true",
-		"every live stream contiguous (zero lost or duplicated samples): true",
-		"fleet conformance violations: 0",
-	} {
-		if !bytes.Contains(got, []byte(want)) {
-			t.Errorf("serve short output missing %q", want)
-		}
-	}
-}
-
-// TestServeSoakGolden pins the full campaign: over a thousand admitted
-// background lifetimes, four diurnal cycles, a persistent flash crowd and
-// dozens of live migrations — the transcript is aggregated, so the golden
-// stays reviewable despite the ~2M-cycle horizon.
-func TestServeSoakGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full serving campaign twice")
-	}
-	got := runTwice(t, "serve soak", func(w *bytes.Buffer) error {
-		return serveCampaign(w, false, 24601)
-	})
-	checkGolden(t, "serve.golden", got)
-	if moves := bytes.Count(got, []byte("within-bound=true")); moves < 10 {
-		t.Errorf("full campaign completed %d rebalance moves, want >= 10", moves)
-	}
-	// The flash crowd must itself have been spread by the rebalancer: at
-	// least one f-stream appears in the move table.
-	if !bytes.Contains(got, []byte("f0")) {
-		t.Errorf("no flash-crowd stream was ever migrated")
-	}
-	for _, want := range []string{
-		"all rebalance moves within composed bound: true",
-		"every live stream contiguous (zero lost or duplicated samples): true",
-		"fleet conformance violations: 0",
-	} {
-		if !bytes.Contains(got, []byte(want)) {
-			t.Errorf("full campaign output missing %q", want)
-		}
-	}
+	return fmt.Errorf("output diverged from %s: got %d lines, want %d lines", path, len(gl), len(wl))
 }

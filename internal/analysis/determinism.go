@@ -30,6 +30,7 @@ func DeterminismCovered(path string) bool {
 		"accelshare/internal/fault",
 		"accelshare/internal/cluster",
 		"accelshare/internal/solve",
+		"accelshare/internal/campaign",
 		"accelshare/cmd/accelshare",
 	} {
 		if path == p || strings.HasPrefix(path, p+"/") {

@@ -25,6 +25,7 @@ func TestDeterminismCoverage(t *testing.T) {
 		{"accelshare/internal/sim", true},
 		{"accelshare/internal/trace", true},
 		{"accelshare/internal/conformance", true},
+		{"accelshare/internal/campaign", true},
 		{"accelshare/cmd/accelshare", true},
 		{"accelshare/internal/core", false},
 		{"accelshare/internal/dataflow", false},
