@@ -17,18 +17,14 @@
 //	         deterministic priority/utilisation policy — sources stopped,
 //	         exported state retained — and readmitted when a chain heals.
 //
-// Evacuation and rebalancing place an exported stream through one loop
-// (placeMigrant): the planned target first, then the serving chains
-// coldest-first, each backoff charged to the composed bound, and one shed
-// routine when the retry budget runs out. Every control-plane operation
-// that can transiently fail (placement into a busy controller, migration,
-// readmission, a departure whose chain died mid-transition) retries under
-// one bounded deterministic backoff schedule (fault.Backoff) on the
-// simulation clock: the whole plane is a function of the platform's event
-// order, so a chaos campaign is byte-identical across runs. Every
-// admission call is an attempt record pooled on the controller: a
-// synchronous rejection recycles it at once, and a pending transition's
-// verdict recycles it and continues that attempt.
+// Every registry stream is in one lifecycle phase (lifecycle.go), changed
+// only along named transitions. Evacuation and rebalancing place an
+// exported stream through one loop (placeMigrant). Every operation that
+// can transiently fail retries under one bounded deterministic backoff
+// schedule (fault.Backoff) on the simulation clock, so a chaos campaign is
+// byte-identical across runs. Every admission call is an attempt record
+// pooled on the controller; a pending request's verdict continues the
+// stream's phase.
 package cluster
 
 import (
@@ -204,25 +200,12 @@ const (
 	chainFailed
 )
 
-func (s chainState) String() string {
-	switch s {
-	case chainServing:
-		return "serving"
-	case chainSpare:
-		return "spare"
-	case chainOffline:
-		return "offline"
-	case chainFailed:
-		return "failed"
-	}
-	return "?"
-}
+func (s chainState) String() string { return [...]string{"serving", "spare", "offline", "failed"}[s] }
 
 type chainInfo struct {
 	name  string
 	pos   int // index into Controller.chains / Config.Chains
 	idx   int // index into MultiSystem.Chains
-	spec  ChainSpec
 	state chainState
 	ctrl  *admission.Controller
 }
@@ -231,27 +214,26 @@ type streamInfo struct {
 	name     string
 	period   int64
 	priority int
-	chain    int // owning chainInfo index, -1 when unplaced/parked
-	st       *mpsoc.Stream
-	export   gateway.StreamExport
+	// chain owns the stream while it runs on one (live, departing, moving);
+	// -1 in every other phase.
+	chain  int
+	st     *mpsoc.Stream
+	export gateway.StreamExport // the exported state of a migrant or parked stream
+	m      *migrant             // a migrating stream's path
 
 	// blocks, samples, overflow and contiguous are what StreamStatuses
 	// reports for a reclaimed stream once it has retired: retired folds
 	// them in and drops st and export.
 	blocks, samples, overflow uint64
 
-	resident, shed, departed, rejected bool
-	hasExport, contiguous              bool
-
-	// inflight marks an uncommitted transition (placement, migration or
-	// removal) pending on chain pendingOn; deferDepart re-issues a departure
-	// that died with its chain once the stream lands somewhere. moving marks
-	// an in-flight rebalance move; moves counts completed rebalance moves
-	// against RebalanceConfig.MoveBudget. (The flags sit together, ahead of
-	// the two ints, which keeps a streamInfo at 176 bytes, a malloc size
-	// class; a fleet allocates one per submitted stream.)
-	inflight, departing, deferDepart, moving bool
-	pendingOn, moves                         int
+	// pendingOn is the chain the stream's pending transition waits on, -1
+	// for none; moves counts completed rebalance moves. deferDepart is a
+	// departure that arrived while the stream could not leave at once, issued
+	// when it lands or parks. (Packed, a streamInfo stays at 176 bytes, a
+	// malloc size class; a fleet allocates one per submitted stream.)
+	pendingOn, moves                  int
+	phase                             phase
+	resident, contiguous, deferDepart bool
 }
 
 // evacuation tracks one rung-2/3 drain of a failed chain. Its evacuees
@@ -271,7 +253,7 @@ type Controller struct {
 
 	chains  []*chainInfo
 	streams map[string]*streamInfo
-	order   []string // registry insertion order: deterministic iteration
+	order   []*streamInfo // registry insertion order: deterministic iteration
 
 	events []Event
 	ladder []LadderStep
@@ -377,7 +359,7 @@ func New(cfg Config) (*Controller, error) {
 	plat.SetRetireObserver(c.retired)
 
 	for pos, cs := range cfg.Chains {
-		ci := &chainInfo{name: cs.Name, pos: pos, idx: pos, spec: cs}
+		ci := &chainInfo{name: cs.Name, pos: pos, idx: pos}
 		c.chains = append(c.chains, ci)
 		if cs.Spare {
 			if cs.OnlineAt > 0 {
@@ -390,12 +372,7 @@ func New(cfg Config) (*Controller, error) {
 			continue
 		}
 		ci.state = chainServing
-		ctrl, err := admission.New(plat, admission.Config{
-			Chain:       pos,
-			Model:       models[pos],
-			PerSlotCost: cfg.PerSlotCost,
-			Solver:      cfg.Solver,
-		})
+		ctrl, err := c.newCtrl(ci, models[pos])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: chain %q: %w", cs.Name, err)
 		}
@@ -406,10 +383,10 @@ func New(cfg Config) (*Controller, error) {
 		rname := "r-" + cs.Name
 		si := &streamInfo{
 			name: rname, period: cfg.ResidentPeriod, priority: cfg.ResidentPriority,
-			resident: true, chain: pos, st: plat.Chains[pos].Strs[0],
+			resident: true, phase: live, chain: pos, pendingOn: -1, st: plat.Chains[pos].Strs[0],
 		}
 		c.streams[rname] = si
-		c.order = append(c.order, rname)
+		c.order = append(c.order, si)
 	}
 	c.scheduleRebalance()
 	return c, nil
@@ -429,6 +406,11 @@ func (c *Controller) Run(horizon sim.Time) { c.ms.Run(horizon) }
 
 func (c *Controller) event(kind EventKind, chain, stream, detail string) {
 	c.events = append(c.events, Event{At: c.k.Now(), Kind: kind, Chain: chain, Stream: stream, Detail: detail})
+}
+
+// newCtrl builds chain ci's admission controller over model.
+func (c *Controller) newCtrl(ci *chainInfo, model *core.System) (*admission.Controller, error) {
+	return admission.New(c.ms, admission.Config{Chain: ci.idx, Model: model, PerSlotCost: c.cfg.PerSlotCost, Solver: c.cfg.Solver})
 }
 
 func (c *Controller) armDoctor(ci *chainInfo) error {
@@ -493,33 +475,29 @@ func (c *Controller) Submit(req StreamRequest) {
 		c.event(EvReject, "", req.Name, "name already in use")
 		return
 	}
-	si := &streamInfo{name: req.Name, period: req.Period, priority: req.Priority, chain: -1}
+	si := &streamInfo{name: req.Name, period: req.Period, priority: req.Priority, chain: -1, pendingOn: -1}
 	c.streams[req.Name] = si
-	c.order = append(c.order, req.Name)
+	c.order = append(c.order, si)
 	c.place(si, 0)
 }
 
 func (c *Controller) place(si *streamInfo, attempt int) {
-	if si.departed || si.rejected {
-		return
-	}
 	busy := false
 	// The last chain's refusal becomes the rejection detail, formatted only
 	// if the stream is rejected.
 	var last admission.Verdict
-	refused := false
 	// One request serves every chain: a rejection attaches nothing, and the
 	// loop ends at the first chain that takes it.
 	req := admission.AddRequest{Spec: c.streamSpec(si), Rate: big.NewRat(1, si.period)}
 	for _, tc := range c.rankServing() {
-		a := c.newAttempt(placing, si, tc, attempt)
+		a := c.newAttempt(si, tc, attempt)
 		tc.ctrl.AddStream(req, a.done)
-		v, pending := c.offered(a)
+		v, pending := c.offered(a, offerAdmit)
 		if pending {
 			return
 		}
 		busy = busy || v.Reason == admission.ReasonBusy
-		last, refused = v, true
+		last = v
 	}
 	detail := "no serving chain"
 	if busy {
@@ -527,10 +505,10 @@ func (c *Controller) place(si *streamInfo, attempt int) {
 			return
 		}
 		detail = "retry budget exhausted (targets busy)"
-	} else if refused {
+	} else if last.Reason != "" {
 		detail = fmt.Sprintf("%s: %s", last.Reason, last.Detail)
 	}
-	si.rejected = true
+	si.step(reject, -1)
 	c.event(EvReject, "", si.name, detail)
 }
 
@@ -539,14 +517,15 @@ func (c *Controller) placed(si *streamInfo, tc *chainInfo, attempt int, v admiss
 	if !v.Accepted {
 		// The stream set changed during the drain (superseded): re-place
 		// from scratch under backoff.
+		si.step(retract, -1)
 		why := fmt.Sprintf("placement superseded on %s;", tc.name)
 		if _, ok := c.retry(si, attempt, why, func(next int) { c.place(si, next) }); !ok {
-			si.rejected = true
+			si.step(reject, -1)
 			c.event(EvReject, "", si.name, "retry budget exhausted (superseded)")
 		}
 		return
 	}
-	si.chain = tc.pos
+	si.step(arrive, tc.pos)
 	si.st = c.findStream(tc, si.name)
 	c.event(EvArrive, tc.name, si.name, fmt.Sprintf("eta=%d wait=%d bound=%d",
 		lastBlock(v), v.PauseWait, v.BoundCycles))
@@ -554,8 +533,7 @@ func (c *Controller) placed(si *streamInfo, tc *chainInfo, attempt int, v admiss
 }
 
 // findStream resolves the mpsoc stream named name on chain tc, scanning
-// backwards so a freshly attached stream wins over an abandoned zombie slot
-// of the same name (an arrival whose transition died with an earlier chain).
+// backwards so a freshly attached stream wins over a zombie slot.
 func (c *Controller) findStream(tc *chainInfo, name string) *mpsoc.Stream {
 	strs := c.ms.Chains[tc.idx].Strs
 	for i := len(strs) - 1; i >= 0; i-- {
@@ -584,38 +562,30 @@ func (c *Controller) Depart(name string) {
 }
 
 func (c *Controller) depart(si *streamInfo, attempt int) {
-	if si.departed || si.rejected {
+	switch si.phase {
+	case departed, rejected:
 		return
-	}
-	if si.shed {
+	case parked:
 		// A parked stream departs without a transition: nothing is running.
-		si.shed = false
-		si.departed = true
+		si.step(departNow, -1)
 		c.event(EvDepart, "", si.name, "departed while parked")
 		return
-	}
-	if si.chain < 0 || si.inflight {
-		// Mid-migration (or mid-placement): wait for the stream to land.
-		si.deferDepart = true
+	case live:
+		ci := c.chains[si.chain]
+		if ci.state != chainServing || ci.ctrl == nil {
+			break
+		}
+		a := c.newAttempt(si, ci, attempt)
+		ci.ctrl.RemoveStream(si.name, a.done)
+		if v, pending := c.offered(a, offerRemoval); !pending {
+			c.departRefused(si, ci, attempt, v)
+			si.step(refusedRemoval, -1)
+		}
 		return
 	}
-	ci := c.chains[si.chain]
-	if ci.state != chainServing || ci.ctrl == nil {
-		si.deferDepart = true
-		return
-	}
-	a := c.newAttempt(departing, si, ci, attempt)
-	ci.ctrl.RemoveStream(si.name, a.done)
-	v, pending := c.offered(a)
-	if !pending {
-		c.departRefused(si, ci, attempt, v)
-		// A departure the chain refused at once is marked in flight all the
-		// same, so its scheduled retry finds it in flight and only defers it:
-		// the stream stays live until a migration lands it again. The chaos
-		// transcripts and the chaos benchmark digest record this behaviour.
-		si.inflight, si.pendingOn = true, ci.pos
-	}
-	si.departing = true
+	// Between chains, on a dead chain or with a transition pending: wait
+	// for the stream to land or park.
+	si.deferDepart = true
 }
 
 // departRefused retries a refused departure under backoff while the chain
@@ -631,8 +601,7 @@ func (c *Controller) departRefused(si *streamInfo, ci *chainInfo, attempt int, v
 
 // departed completes a departure whose removal committed on ci.
 func (c *Controller) departed(si *streamInfo, ci *chainInfo, v admission.Verdict) {
-	si.departed = true
-	si.chain = -1
+	si.step(remove, -1)
 	c.event(EvDepart, ci.name, si.name, fmt.Sprintf("wait=%d bound=%d", v.PauseWait, v.BoundCycles))
 	if c.cfg.ReclaimSlots {
 		// Retire the parked slot for good: forget it on the admission
@@ -719,16 +688,15 @@ func (c *Controller) onFailoverDone(ci, sp *chainInfo, rec mpsoc.Record) {
 		c.event(EvFailover, sp.name, "", fmt.Sprintf("doctor re-arm failed: %v", err))
 	}
 	moved := 0
-	for _, name := range c.order {
-		si := c.streams[name]
-		if si.chain == ci.pos && !si.departed {
-			si.chain = sp.pos
+	for _, si := range c.order {
+		if si.chain == ci.pos {
+			si.step(rehome, sp.pos)
 			moved++
 		}
 	}
 	for _, name := range rec.Names {
 		si := c.streams[name]
-		if si == nil || si.departed || si.shed || si.chain != sp.pos {
+		if si == nil || si.chain != sp.pos {
 			continue
 		}
 		c.ladder = append(c.ladder, LadderStep{
@@ -739,57 +707,54 @@ func (c *Controller) onFailoverDone(ci, sp *chainInfo, rec mpsoc.Record) {
 	}
 	c.event(EvFailover, sp.name, "", fmt.Sprintf("%d streams from %s measured=%d bound=%d replay=%d",
 		moved, ci.name, rec.MeasuredCycles, rec.BoundCycles, rec.ReplayWords))
-	for _, name := range c.order {
-		si := c.streams[name]
-		if si.deferDepart && si.chain == sp.pos && !si.inflight {
-			si.deferDepart = false
-			c.depart(si, 0)
+	for _, si := range c.order {
+		if si.chain == sp.pos {
+			c.departIfDeferred(si)
 		}
 	}
 }
 
-// reissuePending re-routes operations that died with a failed chain: an
-// uncommitted arrival is re-placed on the survivors (its half-attached
-// zombie slot, if the attach committed before the freeze, gets its source
-// stopped and is abandoned — it is not in any admission model); an
-// uncommitted departure is re-issued once the stream lands again.
+// reissuePending re-routes the transitions that died with a failed chain.
+// An arrival is re-placed (a half-attached zombie slot gets its source
+// stopped; it is in no model). A departure is re-issued once the stream
+// lands again, and a rebalance removal's victim is carried off the chain
+// like any resident. A migrant or readmission whose target died parks with
+// its export; an evacuation then moves on to its next evacuee.
 func (c *Controller) reissuePending(ci *chainInfo) {
-	for _, name := range c.order {
-		si := c.streams[name]
-		if si.departed || !si.inflight || si.pendingOn != ci.pos {
+	for _, si := range c.order {
+		if si.pendingOn != ci.pos {
 			continue
 		}
-		si.inflight = false
-		if si.moving {
-			// A rebalance move died with this chain. Abandon the rest of the
-			// plan (its models are stale) and recover the victim: before the
-			// release the stream is still in the frozen chain's slot table,
-			// so the failover/evacuation carries it like any resident; after
-			// the release we hold its export, so it parks and the readmission
-			// machinery gets it back.
-			si.moving = false
-			c.moveQueue = nil
-			c.moving = false
-			if si.hasExport {
-				si.shed = true
-				c.event(EvLost, ci.name, si.name, "rebalance target died mid-admit; parked")
-				c.scheduleReadmit(si, 0)
-			} else {
-				c.event(EvLost, ci.name, si.name, "rebalance removal died with the chain")
+		switch si.phase {
+		case placing:
+			if st := c.findStream(ci, si.name); st != nil {
+				st.StopSource()
 			}
-			continue
-		}
-		if si.departing {
-			si.departing = false
+			si.step(retract, -1)
+			c.event(EvLost, ci.name, si.name, "arrival died with the chain; re-placing")
+			c.place(si, 0)
+		case departing:
+			si.step(endDepart, si.chain)
 			si.deferDepart = true
-			continue
+		case moving:
+			c.moveQueue, c.moving = nil, false // the rest of the plan is stale too
+			si.step(endMove, si.chain)
+			c.event(EvLost, ci.name, si.name, "rebalance removal died with the chain")
+		case migrating:
+			m := si.m
+			si.step(park, -1)
+			si.st.StopSource()
+			c.event(EvLost, ci.name, si.name, m.path()+" target died mid-admit; parked")
+			c.scheduleReadmit(si, 0)
+			if m.op != nil {
+				c.moveQueue, c.moving = nil, false
+			} else {
+				c.nextMigrant(m)
+			}
+		case readmitting:
+			c.event(EvLost, ci.name, si.name, "readmission died with the chain; parked")
+			c.unparked(si, 0)
 		}
-		if st := c.findStream(ci, si.name); st != nil {
-			st.StopSource()
-		}
-		si.chain = -1
-		c.event(EvLost, ci.name, si.name, "arrival died with the chain; re-placing")
-		c.place(si, 0)
 	}
 }
 
@@ -831,12 +796,14 @@ func (c *Controller) evacExport(ev *evacuation) {
 	msch.Strs = nil
 	for i, e := range exports {
 		si := c.streams[e.Stream.Name]
-		if si == nil || si.departed || si.shed || si.chain != ev.from.pos {
+		if si == nil || si.chain != ev.from.pos || si.st != moved[i] {
 			// Departed slots (suspended), zombies and foreign names are
 			// dropped with the chain.
 			continue
 		}
-		ev.queue = append(ev.queue, &migrant{si: si, st: moved[i], e: e, ev: ev})
+		si.step(evacuee, -1)
+		si.export, si.m = e, &migrant{si: si, ev: ev, leg: &ev.composed}
+		ev.queue = append(ev.queue, si.m)
 	}
 	sort.SliceStable(ev.queue, func(a, b int) bool {
 		if ev.queue[a].si.priority != ev.queue[b].si.priority {
@@ -844,9 +811,6 @@ func (c *Controller) evacExport(ev *evacuation) {
 		}
 		return ev.queue[a].si.name < ev.queue[b].si.name
 	})
-	for _, m := range ev.queue {
-		m.si.chain = -1
-	}
 	c.evacNext(ev)
 }
 
@@ -869,12 +833,12 @@ func (c *Controller) scheduleReadmit(si *streamInfo, attempt int) {
 }
 
 func (c *Controller) tryReadmit(si *streamInfo, attempt int) {
-	if !si.shed || si.departed || si.inflight {
+	if si.phase != parked {
 		return
 	}
-	req := c.migrateRequest(si, si.st, si.export)
+	req := c.migrateRequest(si)
 	for _, tc := range c.rankServing() {
-		if _, pending := c.offerMigrant(c.newAttempt(readmitting, si, tc, attempt), req); pending {
+		if _, pending := c.offerMigrant(c.newAttempt(si, tc, attempt), req, offerReadmit); pending {
 			return
 		}
 	}
@@ -884,12 +848,10 @@ func (c *Controller) tryReadmit(si *streamInfo, attempt int) {
 // readmitted completes a parked stream's pending readmission on tc.
 func (c *Controller) readmitted(si *streamInfo, tc *chainInfo, attempt int, v admission.Verdict) {
 	if !v.Accepted {
-		c.scheduleReadmit(si, attempt+1)
+		c.unparked(si, attempt+1)
 		return
 	}
-	si.shed = false
-	si.hasExport = false
-	si.chain = tc.pos
+	si.step(readmit, tc.pos)
 	c.ms.StartSource(si.st)
 	c.ladder = append(c.ladder, LadderStep{
 		At: c.k.Now(), Stream: si.name, Rung: "readmit",
@@ -902,6 +864,17 @@ func (c *Controller) readmitted(si *streamInfo, tc *chainInfo, attempt int, v ad
 	c.departIfDeferred(si)
 }
 
+// unparked returns a stream whose readmission ended without landing to
+// parked: a departure deferred meanwhile is issued, otherwise the stream
+// probes again from retry attempt n.
+func (c *Controller) unparked(si *streamInfo, n int) {
+	si.step(unpark, -1)
+	if !si.deferDepart {
+		c.scheduleReadmit(si, n)
+	}
+	c.departIfDeferred(si)
+}
+
 // onHeal brings a deferred spare online. With shed streams waiting, the
 // chain is promoted straight to serving (an empty-model admission
 // controller) and the parked streams are re-kicked with a fresh retry
@@ -910,25 +883,18 @@ func (c *Controller) onHeal(ci *chainInfo) {
 	if ci.state != chainOffline {
 		return
 	}
-	shedWaiting := 0
-	for _, name := range c.order {
-		si := c.streams[name]
-		if si.shed && !si.departed {
-			shedWaiting++
+	var shed []*streamInfo
+	for _, si := range c.order {
+		if si.shed() {
+			shed = append(shed, si)
 		}
 	}
-	if shedWaiting == 0 {
+	if len(shed) == 0 {
 		ci.state = chainSpare
 		c.event(EvHeal, ci.name, "", "online as spare")
 		return
 	}
-	model := &core.System{Chain: c.ms.Chains[ci.idx].Spec.Timing(), ClockHz: 1}
-	ctrl, err := admission.New(c.ms, admission.Config{
-		Chain:       ci.idx,
-		Model:       model,
-		PerSlotCost: c.cfg.PerSlotCost,
-		Solver:      c.cfg.Solver,
-	})
+	ctrl, err := c.newCtrl(ci, &core.System{Chain: c.ms.Chains[ci.idx].Spec.Timing(), ClockHz: 1})
 	if err != nil {
 		ci.state = chainSpare
 		c.event(EvHeal, ci.name, "", fmt.Sprintf("online as spare (promotion failed: %v)", err))
@@ -939,17 +905,11 @@ func (c *Controller) onHeal(ci *chainInfo) {
 	if err := c.armDoctor(ci); err != nil {
 		c.event(EvHeal, ci.name, "", fmt.Sprintf("doctor arm failed: %v", err))
 	}
-	c.event(EvHeal, ci.name, "", fmt.Sprintf("online serving; re-kicking %d parked streams", shedWaiting))
+	c.event(EvHeal, ci.name, "", fmt.Sprintf("online serving; re-kicking %d parked streams", len(shed)))
 	// Staggered deterministic kicks: the first probe wins the pause, the
 	// rest find the controller busy and re-enter the backoff loop.
-	delay := sim.Time(1)
-	for _, name := range c.order {
-		si := c.streams[name]
-		if !si.shed || si.departed {
-			continue
-		}
-		c.k.Schedule(delay, func() { c.tryReadmit(si, 0) })
-		delay++
+	for i, si := range shed {
+		c.k.Schedule(sim.Time(i+1), func() { c.tryReadmit(si, 0) })
 	}
 }
 
@@ -963,17 +923,22 @@ type ChainStatus struct {
 // ChainStatuses lists every chain in configuration order.
 func (c *Controller) ChainStatuses() []ChainStatus {
 	out := make([]ChainStatus, len(c.chains))
+	owned := c.owned()
 	for i, ci := range c.chains {
-		n := 0
-		for _, name := range c.order {
-			si := c.streams[name]
-			if !si.departed && !si.shed && si.chain == ci.pos {
-				n++
-			}
-		}
-		out[i] = ChainStatus{Name: ci.name, State: ci.state.String(), Streams: n}
+		out[i] = ChainStatus{Name: ci.name, State: ci.state.String(), Streams: owned[i]}
 	}
 	return out
+}
+
+// owned counts the registry streams each chain owns, by chain position.
+func (c *Controller) owned() []int {
+	n := make([]int, len(c.chains))
+	for _, si := range c.order {
+		if si.chain >= 0 {
+			n[si.chain]++
+		}
+	}
+	return n
 }
 
 // StreamStatus summarises one registry stream for reports.
@@ -994,21 +959,10 @@ type StreamStatus struct {
 // StreamStatuses lists every stream ever submitted, in submission order.
 func (c *Controller) StreamStatuses() []StreamStatus {
 	var out []StreamStatus
-	for _, name := range c.order {
-		si := c.streams[name]
-		ss := StreamStatus{Name: name, Priority: si.priority}
-		switch {
-		case si.rejected:
-			ss.State = "rejected"
-		case si.departed:
-			ss.State = "departed"
-		case si.shed:
-			ss.State = "parked"
-		case si.chain >= 0:
-			ss.State = "live"
+	for _, si := range c.order {
+		ss := StreamStatus{Name: si.name, State: reported[si.phase], Priority: si.priority}
+		if si.chain >= 0 {
 			ss.Chain = c.chains[si.chain].name
-		default:
-			ss.State = "placing"
 		}
 		if si.st != nil {
 			ss.Blocks, ss.Samples, ss.Overflow, ss.ContiguousOutputs = streamCounters(si.st)
@@ -1044,14 +998,21 @@ type ChainConformance struct {
 // Conformance runs the Eq. 2/4/5 harness over every serving chain's live
 // streams with the given options (After should cut past the last
 // disturbance). A migrated stream's trace spans chains; the cut scopes the
-// check to the blocks served under the current owner's model.
+// check to the blocks served under the current owner's model. It first
+// checks that each serving chain's model holds exactly the registry's
+// streams on that chain: the streams Eq. 5 is proved for are the ones the
+// fleet runs there.
 func (c *Controller) Conformance(opt conformance.Options) ([]ChainConformance, error) {
+	owned := c.owned()
 	var out []ChainConformance
 	for _, ci := range c.chains {
 		if ci.state != chainServing || ci.ctrl == nil {
 			continue
 		}
 		model := ci.ctrl.Model()
+		if n := len(model.Streams); n != owned[ci.pos] {
+			return nil, fmt.Errorf("cluster: chain %q: model holds %d streams, registry %d", ci.name, n, owned[ci.pos])
+		}
 		if len(model.Streams) == 0 {
 			continue
 		}
@@ -1062,8 +1023,8 @@ func (c *Controller) Conformance(opt conformance.Options) ([]ChainConformance, e
 		streams := make([]*gateway.Stream, len(model.Streams))
 		for i := range model.Streams {
 			si := c.streams[model.Streams[i].Name]
-			if si == nil || si.st == nil {
-				return nil, fmt.Errorf("cluster: chain %q: model stream %q not in registry", ci.name, model.Streams[i].Name)
+			if si == nil || si.st == nil || si.chain != ci.pos {
+				return nil, fmt.Errorf("cluster: chain %q: model stream %q is not on it in the registry", ci.name, model.Streams[i].Name)
 			}
 			streams[i] = si.st.GW
 		}

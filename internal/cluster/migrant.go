@@ -1,12 +1,10 @@
 package cluster
 
 // One migrant placement loop. Evacuation (rung 2) and rebalancing both move
-// an exported stream onto another chain: the target's AdmitMigrated
-// re-solves with the replay-residue floor and imports inside its paused
-// transition, every busy round backs off on the simulation clock with the
-// delay charged to the composed bound, and a stream no target admits sheds
-// (rung 3). The admission attempts below are shared with arrivals,
-// departures and readmission, which keep their own retry policies.
+// an exported stream onto another chain through the target's AdmitMigrated;
+// every busy round backs off with the delay charged to the composed bound,
+// and a stream no target admits sheds (rung 3). The admission attempts
+// below serve arrivals, departures and readmission too.
 
 import (
 	"fmt"
@@ -14,7 +12,6 @@ import (
 
 	"accelshare/internal/admission"
 	"accelshare/internal/gateway"
-	"accelshare/internal/mpsoc"
 	"accelshare/internal/sim"
 )
 
@@ -28,22 +25,15 @@ type composed struct {
 	bound uint64
 }
 
-// migrant is one exported stream on its way to a new chain: an evacuee of
-// a failed chain (ev set; an evacuation's evacuees share its bound) or a
-// rebalance victim (op set).
+// migrant is the path of one exported stream on its way to a new chain:
+// an evacuee of a failed chain (ev set; an evacuation's evacuees share its
+// bound) or a rebalance victim (op set); leg is its composed bound. The
+// stream holds its export.
 type migrant struct {
-	si *streamInfo
-	st *mpsoc.Stream
-	e  gateway.StreamExport
-	ev *evacuation
-	op *moveOp
-}
-
-func (m *migrant) leg() *composed {
-	if m.op != nil {
-		return &m.op.composed
-	}
-	return &m.ev.composed
+	si  *streamInfo
+	ev  *evacuation
+	op  *moveOp
+	leg *composed
 }
 
 // label names m's placement in retry logs.
@@ -54,31 +44,25 @@ func (m *migrant) label() string {
 	return "migration"
 }
 
-// attemptKind names what an attempt's verdict continues.
-type attemptKind uint8
+// path names m's path in lifecycle logs.
+func (m *migrant) path() string {
+	if m.op != nil {
+		return "rebalance"
+	}
+	return "evacuation"
+}
 
-const (
-	placing     attemptKind = iota // an arrival's placement: placed
-	departing                      // a departure: departed or departRefused
-	migrating                      // a migrant's admission: migrated or a backoff
-	readmitting                    // a parked stream's readmission: readmitted
-)
-
-// attempt is one admission request for a stream on one chain: a
-// placement, departure, migration or readmission. Attempts are pooled on
-// the controller (an intrusive free list), as the kernel pools its events
-// and the ring its flights, and each record's verdict and import callbacks
-// are bound once, when it is made. A synchronous refusal recycles the
-// record at once. Otherwise the staged transition is pending, and its
-// verdict recycles the record and continues the attempt it belongs to,
-// even when it lands late from a chain that died.
+// attempt is one admission request for a stream on one chain. Attempts are
+// pooled on the controller (an intrusive free list), as the kernel pools
+// its events, and each record's verdict and import callbacks are bound
+// once, when it is made. A synchronous refusal recycles the record at
+// once; a pending request's verdict recycles it and continues whatever
+// the stream's phase says.
 type attempt struct {
-	c    *Controller
-	kind attemptKind
-	si   *streamInfo
-	tc   *chainInfo
-	n    int      // the retry attempt
-	m    *migrant // set for migrating
+	c  *Controller
+	si *streamInfo
+	tc *chainInfo
+	n  int // the retry attempt
 	// done is a.verdict and adopt is a.adoptStream.
 	done  func(admission.Verdict)
 	adopt func() (int, error)
@@ -92,7 +76,7 @@ type attempt struct {
 // high-water mark of attempts in flight.
 //
 //accellint:noalloc guard=TestRefusedAttemptZeroAlloc
-func (c *Controller) newAttempt(kind attemptKind, si *streamInfo, tc *chainInfo, n int) *attempt {
+func (c *Controller) newAttempt(si *streamInfo, tc *chainInfo, n int) *attempt {
 	a := c.attempts
 	if a != nil {
 		c.attempts = a.next
@@ -104,7 +88,7 @@ func (c *Controller) newAttempt(kind attemptKind, si *streamInfo, tc *chainInfo,
 		//accellint:alloc method value bound once per pooled record
 		a.adopt = a.adoptStream
 	}
-	a.kind, a.si, a.tc, a.n = kind, si, tc, n
+	a.si, a.tc, a.n = si, tc, n
 	return a
 }
 
@@ -119,47 +103,54 @@ func (c *Controller) recycle(a *attempt) {
 // offered resolves attempt a once its chain has been handed the request,
 // with a.done as the verdict callback. A synchronous refusal comes back as
 // (verdict, false) and a is recycled. Otherwise the staged transition is
-// pending: a.si is in flight on a.tc until the verdict reaches a.
+// pending: a.si takes transition t and waits on a.tc until the verdict
+// reaches a.
 //
 //accellint:noalloc guard=TestRefusedAttemptZeroAlloc
-func (c *Controller) offered(a *attempt) (admission.Verdict, bool) {
+func (c *Controller) offered(a *attempt, t transition) (admission.Verdict, bool) {
 	if a.refused {
 		c.recycle(a)
 		return c.refusal, false
 	}
 	a.pending = true
-	a.si.inflight, a.si.pendingOn = true, a.tc.pos
+	a.si.step(t, a.tc.pos)
 	return admission.Verdict{}, true
 }
 
 // verdict is every attempt's verdict callback. Before the request is
 // pending a verdict is a synchronous refusal, which offered hands back;
-// after, it recycles the record and continues the attempt.
+// after, it recycles the record and continues the stream's phase.
 func (a *attempt) verdict(v admission.Verdict) {
 	c := a.c
 	if !a.pending {
 		c.refusal, a.refused = v, true
 		return
 	}
-	kind, si, tc, n, m := a.kind, a.si, a.tc, a.n, a.m
+	si, tc, n := a.si, a.tc, a.n
 	c.recycle(a)
-	si.inflight = false
-	switch kind {
+	if si.pendingOn != tc.pos {
+		// Stale: tc died while the request was pending, and its death
+		// re-routed the stream (reissuePending). The verdict is dropped.
+		return
+	}
+	switch si.phase {
 	case placing:
 		c.placed(si, tc, n, v)
 	case departing:
-		si.departing = false
 		if v.Accepted {
 			c.departed(si, tc, v)
-		} else {
-			c.departRefused(si, tc, n, v)
+			return
 		}
+		si.step(endDepart, si.chain)
+		c.departRefused(si, tc, n, v)
 	case migrating:
+		m := si.m
 		if v.Accepted {
 			c.migrated(m, tc, v)
 			return
 		}
 		// Superseded mid-drain: the export is still ours.
+		si.step(retract, -1)
 		c.backOffMigrant(m, n, fmt.Sprintf("%s superseded on %s;", m.label(), tc.name))
 	case readmitting:
 		c.readmitted(si, tc, n, v)
@@ -167,37 +158,34 @@ func (a *attempt) verdict(v admission.Verdict) {
 }
 
 // adoptStream imports the attempt's exported stream onto its chain, the
-// Import step of a migration (the migrant's export) or a readmission (the
-// parked stream's).
+// Import step of a migration or a readmission.
 func (a *attempt) adoptStream() (int, error) {
-	if a.m != nil {
-		return a.c.ms.AdoptStream(a.tc.idx, a.m.st, a.m.e)
-	}
 	return a.c.ms.AdoptStream(a.tc.idx, a.si.st, a.si.export)
 }
 
 // migrateRequest is the migration admission request for si's exported
-// stream st; each attempt supplies its Import step (see offerMigrant).
-func (c *Controller) migrateRequest(si *streamInfo, st *mpsoc.Stream, e gateway.StreamExport) admission.MigrateRequest {
+// stream; each attempt supplies its Import step (see offerMigrant).
+func (c *Controller) migrateRequest(si *streamInfo) admission.MigrateRequest {
 	return admission.MigrateRequest{
 		Name:        si.name,
 		Rate:        big.NewRat(1, si.period),
 		Reconfig:    uint64(c.cfg.Reconfig),
 		Decimation:  1,
-		MinBlock:    minBlockOf(e, 1),
-		InCapacity:  st.In.Capacity(),
-		OutCapacity: st.Out.Capacity(),
+		MinBlock:    minBlockOf(si.export, 1),
+		InCapacity:  si.st.In.Capacity(),
+		OutCapacity: si.st.Out.Capacity(),
 	}
 }
 
-// offerMigrant offers a migrating or readmitting attempt's stream to its
-// chain through the target's migration admission (see offered).
+// offerMigrant offers a migrating or parked stream to attempt a's chain
+// through the target's migration admission; t is the transition a pending
+// request takes (see offered).
 //
 //accellint:noalloc guard=TestRefusedAttemptZeroAlloc
-func (c *Controller) offerMigrant(a *attempt, req admission.MigrateRequest) (admission.Verdict, bool) {
+func (c *Controller) offerMigrant(a *attempt, req admission.MigrateRequest, t transition) (admission.Verdict, bool) {
 	req.Import = a.adopt
 	a.tc.ctrl.AdmitMigrated(req, a.done)
-	return c.offered(a)
+	return c.offered(a, t)
 }
 
 func minBlockOf(e gateway.StreamExport, decimation int64) int64 {
@@ -238,14 +226,6 @@ func (c *Controller) settle(maxTau uint64) sim.Time {
 // charged to the composed bound. When no target was busy, or the retry
 // budget is spent, the stream sheds.
 func (c *Controller) placeMigrant(m *migrant, attempt int) {
-	if m.si.departed {
-		if m.op != nil {
-			c.finishMoveAborted(m.op, "departed in transit")
-		} else {
-			c.nextMigrant(m)
-		}
-		return
-	}
 	var targets []*chainInfo
 	if m.op != nil && m.op.to.state == chainServing && m.op.to.ctrl != nil {
 		targets = append(targets, m.op.to)
@@ -256,11 +236,9 @@ func (c *Controller) placeMigrant(m *migrant, attempt int) {
 		}
 	}
 	busy := false
-	req := c.migrateRequest(m.si, m.st, m.e)
+	req := c.migrateRequest(m.si)
 	for _, tc := range targets {
-		a := c.newAttempt(migrating, m.si, tc, attempt)
-		a.m = m
-		v, pending := c.offerMigrant(a, req)
+		v, pending := c.offerMigrant(c.newAttempt(m.si, tc, attempt), req, offerAdmit)
 		if pending {
 			return
 		}
@@ -282,17 +260,16 @@ func (c *Controller) backOffMigrant(m *migrant, attempt int, why string) {
 		c.shedMigrant(m)
 		return
 	}
-	m.leg().bound += uint64(d)
+	m.leg.bound += uint64(d)
 }
 
 // migrated lands m on chain tc: the composed bound gains the target's
 // transition envelope, and the ladder records the step against it.
 func (c *Controller) migrated(m *migrant, tc *chainInfo, v admission.Verdict) {
-	si, leg := m.si, m.leg()
-	si.chain = tc.pos
+	si, leg := m.si, m.leg
+	si.step(land, tc.pos)
 	if m.op != nil {
 		// RemoveStream stopped the victim's source on the old chain.
-		si.moving, si.shed, si.hasExport = false, false, false
 		si.moves++
 		c.ms.StartSource(si.st)
 	}
@@ -307,10 +284,10 @@ func (c *Controller) migrated(m *migrant, tc *chainInfo, v admission.Verdict) {
 	c.ladder = append(c.ladder, LadderStep{
 		At: c.k.Now(), Stream: si.name, Rung: rung,
 		From: leg.from.name, To: tc.name,
-		Measured: measured, Bound: leg.bound, Replay: len(m.e.Replay),
+		Measured: measured, Bound: leg.bound, Replay: len(si.export.Replay),
 	})
 	c.event(kind, tc.name, si.name, fmt.Sprintf("%seta=%d measured=%d bound=%d replay=%d",
-		from, lastBlock(v), measured, leg.bound, len(m.e.Replay)))
+		from, lastBlock(v), measured, leg.bound, len(si.export.Replay)))
 	c.departIfDeferred(si)
 	c.nextMigrant(m)
 }
@@ -321,22 +298,19 @@ func (c *Controller) migrated(m *migrant, tc *chainInfo, v admission.Verdict) {
 // budget. A departure deferred while the stream was in transit is honoured
 // instead: the stream departs.
 func (c *Controller) shedMigrant(m *migrant) {
-	si, leg := m.si, m.leg()
-	path, why := "evacuation", "no capacity on any serving chain"
-	if m.op != nil {
-		path, why = "rebalance", "rebalance found no target"
-		si.moving, si.inflight = false, false
-	}
+	si, leg := m.si, m.leg
 	if si.deferDepart {
 		si.deferDepart = false
-		si.departed = true
-		c.event(EvDepart, "", si.name, "departed during "+path)
+		si.step(leave, -1)
+		c.event(EvDepart, "", si.name, "departed during "+m.path())
 		c.nextMigrant(m)
 		return
 	}
-	si.shed = true
-	si.chain = -1
-	si.st, si.export, si.hasExport = m.st, m.e, true
+	why := "no capacity on any serving chain"
+	if m.op != nil {
+		why = "rebalance found no target"
+	}
+	si.step(park, -1)
 	si.st.StopSource()
 	if m.ev != nil {
 		m.ev.shed++
@@ -345,7 +319,7 @@ func (c *Controller) shedMigrant(m *migrant) {
 	c.ladder = append(c.ladder, LadderStep{
 		At: c.k.Now(), Stream: si.name, Rung: "shed",
 		From: leg.from.name, To: "",
-		Measured: measured, Bound: leg.bound, Replay: len(m.e.Replay),
+		Measured: measured, Bound: leg.bound, Replay: len(si.export.Replay),
 	})
 	c.event(EvShed, "", si.name, fmt.Sprintf("%s; parked (measured=%d bound=%d)", why, measured, leg.bound))
 	c.scheduleReadmit(si, 0)

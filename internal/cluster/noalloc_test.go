@@ -8,7 +8,6 @@ import (
 
 	"accelshare/internal/admission"
 	"accelshare/internal/core"
-	"accelshare/internal/gateway"
 	"accelshare/internal/sim"
 )
 
@@ -55,7 +54,7 @@ func TestRefusedAttemptZeroAlloc(t *testing.T) {
 	c.Run(5_000)
 	c.Submit(StreamRequest{Name: "s0", Period: 300})
 	s0 := c.streams["s0"]
-	if !s0.inflight {
+	if s0.phase != placing || s0.pendingOn < 0 {
 		t.Fatal("s0's placement is not pending")
 	}
 	tc := c.chains[s0.pendingOn]
@@ -63,19 +62,20 @@ func TestRefusedAttemptZeroAlloc(t *testing.T) {
 		t.Fatalf("%s is not busy with s0's transition", tc.name)
 	}
 
-	si := &streamInfo{name: "s1", period: 300, chain: -1}
+	si := &streamInfo{name: "s1", period: 300, chain: -1, pendingOn: -1, st: c.ms.Chains[tc.idx].Strs[0]}
 	add := admission.AddRequest{Spec: c.streamSpec(si), Rate: big.NewRat(1, si.period)}
-	mig := c.migrateRequest(si, c.ms.Chains[tc.idx].Strs[0], gateway.StreamExport{})
+	mig := c.migrateRequest(si)
 	alone := testing.AllocsPerRun(200, func() { tc.ctrl.AddStream(add, func(admission.Verdict) {}) })
 	placed := testing.AllocsPerRun(200, func() {
-		a := c.newAttempt(placing, si, tc, 0)
+		a := c.newAttempt(si, tc, 0)
 		tc.ctrl.AddStream(add, a.done)
-		if v, pending := c.offered(a); pending || v.Reason != admission.ReasonBusy {
+		if v, pending := c.offered(a, offerAdmit); pending || v.Reason != admission.ReasonBusy {
 			t.Fatalf("busy chain: pending %v, verdict %+v", pending, v)
 		}
 	})
+	si.phase = parked
 	migrated := testing.AllocsPerRun(200, func() {
-		if v, pending := c.offerMigrant(c.newAttempt(readmitting, si, tc, 0), mig); pending || v.Reason != admission.ReasonBusy {
+		if v, pending := c.offerMigrant(c.newAttempt(si, tc, 0), mig, offerReadmit); pending || v.Reason != admission.ReasonBusy {
 			t.Fatalf("busy chain: pending %v, verdict %+v", pending, v)
 		}
 	})
@@ -83,8 +83,8 @@ func TestRefusedAttemptZeroAlloc(t *testing.T) {
 		t.Fatalf("allocs per refused attempt: placement %v, migration %v, admission alone %v; want 1 each",
 			placed, migrated, alone)
 	}
-	if si.inflight {
-		t.Fatal("a refused attempt left its stream in flight")
+	if si.phase != parked || si.pendingOn != -1 {
+		t.Fatalf("a refused attempt left its stream %s, waiting on %d", si.phase, si.pendingOn)
 	}
 
 	c.Run(40_000)
@@ -93,7 +93,7 @@ func TestRefusedAttemptZeroAlloc(t *testing.T) {
 	}
 	n := 0
 	for a := c.attempts; a != nil; a = a.next {
-		if a.si != nil || a.tc != nil || a.m != nil || a.pending || a.refused {
+		if a.si != nil || a.tc != nil || a.pending || a.refused {
 			t.Fatalf("pooled attempt %+v not cleared", *a)
 		}
 		n++

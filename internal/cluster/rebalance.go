@@ -1,38 +1,30 @@
 package cluster
 
-// Fleet rebalancing: a deterministic periodic controller loop that keeps the
-// serving chains' utilisation spread bounded by migrating streams hot — the
-// PR 3/4 export/import machinery as a LOAD-BALANCING primitive, not only a
-// fault-recovery one (UltraShare's scheduler/allocator split: the rebalancer
-// decides who runs where now, each chain's admission controller proves
-// feasibility).
+// Fleet rebalancing (DESIGN §13): a deterministic periodic loop keeps the
+// serving chains' utilisation spread bounded by migrating streams hot, the
+// export/import machinery used as a load-balancing primitive. The
+// rebalancer decides who runs where; each chain's admission controller
+// proves feasibility (UltraShare's scheduler/allocator split).
 //
-// Every tick the loop snapshots per-chain telemetry into a FleetStats
-// (each serving chain's exact utilisation, the core.Load its admission
-// controller caches per model generation; buffer-memory occupancy via
-// cfifo.BufferStats; pending/parked queue depth from the registry) and
-// compares the utilisation spread (max − min over serving chains) against
-// a high-water mark. Above it, solve.PlanRebalance ranks the chains on the
-// same cached loads, picks victims smallest-residue-first (replay stays
-// ≤ K and the cheapest moves land first) and plans moves down toward a
-// low-water mark of half the high-water mark — the hysteresis gap, plus a
-// per-stream move budget, is what prevents two near-balanced chains from
-// trading the same stream forever. Both marks are loads, converted once.
+// Every tick snapshots the fleet telemetry (FleetStats) and compares the
+// utilisation spread with a high-water mark. Above it, solve.PlanRebalance
+// ranks the chains on their cached loads, picks victims
+// smallest-residue-first and plans moves down toward a low-water mark of
+// half the high-water mark. That hysteresis gap and a per-stream move
+// budget keep two near-balanced chains from trading a stream forever.
 //
 // One move is a composed, individually bounded sequence on the live fleet:
 //
-//	remove   — the source controller's RemoveStream drains the chain to a
-//	           block boundary, suspends the victim's slot and re-solves the
-//	           survivors (bound: its transition envelope);
+//	remove   — the source's RemoveStream drains the chain, suspends the
+//	           victim's slot and re-solves the survivors (bound: its
+//	           transition envelope);
 //	release  — ForgetParked + mpsoc.ReleaseStream export the suspended slot
-//	           from the LIVE pair (tombstoned, indices stable) and gate the
-//	           producer (cfifo.BeginRepoint);
-//	settle   — wait out the worst-case ring transit, clamped to the source
-//	           model's max τ̂s(K) (bound: the settle itself);
-//	admit    — the target's AdmitMigrated re-solves with the replay-residue
-//	           floor and imports inside its paused transition (bound: its
-//	           envelope, plus every charged backoff while targets are busy),
-//	           through the migrant placement loop evacuation uses too.
+//	           from the live pair and gate the producer;
+//	settle   — wait out the ring transit, clamped to the source model's
+//	           max τ̂s(K) (bound: the settle itself);
+//	admit    — the migrant placement loop evacuation uses too: the target's
+//	           AdmitMigrated re-solves with the replay-residue floor
+//	           (bound: its envelope, plus every charged backoff).
 //
 // The measured trigger→resume cost of every move is recorded against that
 // composed bound as a LadderStep with rung "rebalance".
@@ -162,21 +154,18 @@ func (c *Controller) Stats() FleetStats {
 		}
 	}
 	// One registry pass buckets every stream by the chain its pending
-	// transition targets and by the chain that owns it (chain and pendingOn
-	// are positions in c.chains; -1 is no chain).
-	for _, name := range c.order {
-		si := c.streams[name]
-		if si.inflight && si.pendingOn >= 0 {
+	// transition waits on and by the chain that owns it (-1: none).
+	for _, si := range c.order {
+		if si.pendingOn >= 0 {
 			fs.Chains[si.pendingOn].Pending++
 		}
 		switch {
-		case si.departed || si.rejected:
-		case si.shed:
+		case si.shed():
 			fs.Parked++
-		case si.chain < 0:
+		case si.phase == placing || si.phase == migrating:
 			fs.Placing++
 		}
-		if si.departed || si.shed || si.chain < 0 {
+		if si.chain < 0 {
 			continue
 		}
 		ct := &fs.Chains[si.chain]
@@ -263,8 +252,7 @@ func (c *Controller) rebalanceTick() {
 		model := models[local]
 		for i := range model.Streams {
 			si := c.streams[model.Streams[i].Name]
-			if si == nil || si.resident || si.departed || si.shed ||
-				si.inflight || si.moving || si.deferDepart || si.chain != ci.pos {
+			if si == nil || si.resident || si.phase != live || si.deferDepart || si.chain != ci.pos {
 				continue
 			}
 			if si.moves >= rc.moveBudget() {
@@ -311,8 +299,7 @@ func (c *Controller) nextMove() {
 // (stale plan) and the caller should try the next one.
 func (c *Controller) startMove(op *moveOp) bool {
 	si := op.si
-	if si == nil || si.departed || si.shed || si.inflight || si.moving ||
-		si.deferDepart || si.chain != op.from.pos ||
+	if si == nil || si.phase != live || si.deferDepart || si.chain != op.from.pos ||
 		op.from.state != chainServing || op.from.ctrl == nil ||
 		op.to.state != chainServing || op.to.ctrl == nil {
 		return false
@@ -322,9 +309,7 @@ func (c *Controller) startMove(op *moveOp) bool {
 	// removal commits: the departing victim's own block attempt is part of
 	// what the settle must cover.
 	settle := c.settle(op.from.ctrl.MaxTau())
-	si.moving = true
-	si.inflight = true
-	si.pendingOn = op.from.pos
+	si.step(beginMove, -1)
 	c.moving = true
 	op.from.ctrl.RemoveStream(si.name, func(v admission.Verdict) {
 		if !v.Accepted {
@@ -354,29 +339,20 @@ func (c *Controller) releaseAndSettle(op *moveOp, settle sim.Time) {
 		return
 	}
 	st.In.BeginRepoint()
-	si.chain = -1
-	si.pendingOn = -1 // in transit: no chain owns the pending transition
-	si.st = st
-	si.export = ex
-	si.hasExport = true
+	si.step(release, -1) // in transit: no chain owns the pending transition
+	si.st, si.export, si.m = st, ex, &migrant{si: si, op: op, leg: &op.composed}
 	op.bound += uint64(settle)
-	m := &migrant{si: si, st: st, e: ex, op: op}
+	m := si.m
 	c.k.Schedule(settle, func() { c.placeMigrant(m, 0) })
 }
 
 // abortMove abandons op and the rest of this tick's plan, whose models are
-// stale; the next tick re-plans from fresh telemetry.
+// stale; the next tick re-plans from fresh telemetry. The victim stays
+// live where it was, and a departure deferred during the removal is
+// issued.
 func (c *Controller) abortMove(op *moveOp, detail string) {
-	op.si.moving = false
-	op.si.inflight = false
+	op.si.step(endMove, op.si.chain)
 	c.event(EvRebalance, op.from.name, op.si.name, "move aborted: "+detail)
-	c.moveQueue = nil
-	c.moving = false
-}
-
-func (c *Controller) finishMoveAborted(op *moveOp, why string) {
-	op.si.moving = false
-	op.si.inflight = false
-	c.event(EvRebalance, "", op.si.name, "move ended: "+why)
-	c.nextMove()
+	c.moveQueue, c.moving = nil, false
+	c.departIfDeferred(op.si)
 }

@@ -138,8 +138,8 @@ func TestDepartedStreamsAreCollected(t *testing.T) {
 	}
 	runtime.GC()
 	for name, r := range refs {
-		if si := c.streams[name]; !si.departed || si.st != nil {
-			t.Errorf("%s: departed %v, registry still holds its stream %v", name, si.departed, si.st != nil)
+		if si := c.streams[name]; si.phase != departed || si.st != nil {
+			t.Errorf("%s: %s, registry still holds its stream %v", name, si.phase, si.st != nil)
 		}
 		for what, live := range map[string]bool{
 			"*mpsoc.Stream":      r.st.Value() != nil,

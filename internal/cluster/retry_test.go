@@ -54,8 +54,8 @@ func runUntilEvent(t *testing.T, c *Controller, until sim.Time, text string) {
 // inTransit reports whether a rebalance victim has left its source chain
 // (released, settling or being offered to targets).
 func inTransit(c *Controller) bool {
-	for _, name := range c.order {
-		if si := c.streams[name]; si.moving && si.hasExport {
+	for _, si := range c.order {
+		if si.phase == migrating && si.m.op != nil {
 			return true
 		}
 	}
