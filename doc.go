@@ -9,13 +9,16 @@
 //	dataflow  SDF/CSDF graphs, repetition vectors, self-timed execution
 //	          (HSDF expansion and max cycle ratio as test oracles)
 //	buffer    exact minimum buffer-capacity computation
-//	ilp       exact rational simplex + branch and bound (test oracle)
+//	ilp       exact rational simplex + branch and bound (test oracle,
+//	          test-only)
 //	core      the paper's models: Fig. 5 CSDF, Fig. 7 SDF, Eqs. 2-5,
 //	          Algorithm 1 block sizes, refinement checking
 //	sim       deterministic discrete-event kernel (cycle clock)
 //	ring      dual-ring interconnect with credit ring
 //	cfifo     C-FIFO software FIFOs over posted writes
 //	accel     accelerator tiles, engines, credit links, config bus
+//	          (accel/enginetest, test-only: the engine snapshot-contract
+//	          check and the CIC decimator engine)
 //	gateway   entry-/exit-gateway pair (RR arbitration, space check,
 //	          watchdog retry, checkpointed resume, value-exact staging)
 //	mpsoc     full-platform assembly, measurement, multi-chain failover
@@ -37,6 +40,11 @@
 // (internal/admission) and whole-chain failover to a standby gateway pair
 // (internal/mpsoc) — each rung's cost bounded by the same temporal model
 // and checked by internal/conformance.
+//
+// Production code is what runs: reach_test.go builds every binary and fails
+// on any non-test function that none of them links, and on any non-test
+// file that imports a test-only package (ilp, accel/enginetest,
+// analysis/analysistest).
 //
 // The benchmarks in this directory regenerate every table and figure of the
 // paper's evaluation; `go run ./cmd/accelshare all` prints them. See

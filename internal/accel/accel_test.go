@@ -8,6 +8,9 @@ import (
 	"accelshare/internal/sim"
 )
 
+// Idle reports whether the tile holds no in-flight work.
+func (t *Tile) Idle() bool { return !t.busy && len(t.pending) == 0 && t.in.Len() == 0 }
+
 func TestPassthroughEngine(t *testing.T) {
 	var p Passthrough
 	out := p.Process(42, nil)
@@ -133,8 +136,8 @@ func buildLinkPair(t *testing.T) (*sim.Kernel, *Link, *sim.Queue) {
 
 func TestLinkCreditFlowControl(t *testing.T) {
 	k, l, q := buildLinkPair(t)
-	if l.Credits() != 2 {
-		t.Fatalf("initial credits = %d", l.Credits())
+	if l.credits != 2 {
+		t.Fatalf("initial credits = %d", l.credits)
 	}
 	if !l.TrySend(10) || !l.TrySend(11) {
 		t.Fatal("sends with credits failed")
@@ -149,8 +152,8 @@ func TestLinkCreditFlowControl(t *testing.T) {
 	// Popping returns a credit to the sender.
 	q.TryPop()
 	k.RunAll()
-	if l.Credits() != 1 {
-		t.Fatalf("credits after pop = %d", l.Credits())
+	if l.credits != 1 {
+		t.Fatalf("credits after pop = %d", l.credits)
 	}
 	if !l.TrySend(12) {
 		t.Fatal("send after credit return failed")
@@ -280,52 +283,16 @@ func TestTileBackpressureFromDownstream(t *testing.T) {
 
 func TestConfigBusSerialisation(t *testing.T) {
 	k := sim.NewKernel()
-	bus := NewConfigBus(k, 10, 2)
+	bus := NewConfigBus(k)
 	var done []sim.Time
-	bus.Transfer(5, func() { done = append(done, k.Now()) }) // 10+10 = 20
-	bus.Transfer(0, func() { done = append(done, k.Now()) }) // +10 => 30
-	bus.TransferCycles(7, func() { done = append(done, k.Now()) })
+	bus.TransferCycles(20, func() { done = append(done, k.Now()) })             // 0+20 = 20
+	bus.TransferCyclesArg(10, func(uint64) { done = append(done, k.Now()) }, 0) // queued: 20+10 = 30
+	bus.TransferCycles(7, func() { done = append(done, k.Now()) })              // 30+7 = 37
 	k.RunAll()
 	if len(done) != 3 || done[0] != 20 || done[1] != 30 || done[2] != 37 {
 		t.Fatalf("completion times = %v", done)
 	}
 	if bus.Ops != 3 || bus.Cycles != 37 {
 		t.Errorf("ops=%d cycles=%d", bus.Ops, bus.Cycles)
-	}
-}
-
-func TestCICEngineDecimatesOnTile(t *testing.T) {
-	e, err := NewCIC(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := 0
-	for n := 0; n < 32; n++ {
-		out := e.Process(sim.PackIQ(1000, -500), nil)
-		outs += len(out)
-	}
-	if outs != 8 {
-		t.Fatalf("outputs = %d, want 8", outs)
-	}
-	if e.StateWords() != 9 {
-		t.Errorf("state words = %d", e.StateWords())
-	}
-	st := e.SaveState(nil)
-	e2, _ := NewCIC(2, 4)
-	if err := e2.LoadState(st); err != nil {
-		t.Fatal(err)
-	}
-	a := e.Process(sim.PackIQ(123, 456), nil)
-	b := e2.Process(sim.PackIQ(123, 456), nil)
-	if len(a) != len(b) {
-		t.Fatal("restored engine diverges")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("restored engine output differs")
-		}
-	}
-	if _, err := NewCIC(0, 4); err == nil {
-		t.Error("invalid CIC accepted")
 	}
 }

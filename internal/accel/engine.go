@@ -191,38 +191,3 @@ func (f *FIR) LoadState(s []uint64) error { return f.F.LoadState(s) }
 
 // StateWords delegates to the filter.
 func (f *FIR) StateWords() int { return f.F.StateWords() }
-
-// CIC is the cascaded integrator-comb decimator engine — the multiplier-
-// free down-converter that typically sits first in an SDR chain. It shows
-// the accelerator framework hosting a second decimating engine type next
-// to the FIR.
-type CIC struct {
-	C *dsp.CIC
-}
-
-// NewCIC builds an N-stage decimate-by-R CIC engine.
-func NewCIC(stages, decimate int) (*CIC, error) {
-	c, err := dsp.NewCIC(stages, decimate)
-	if err != nil {
-		return nil, err
-	}
-	return &CIC{C: c}, nil
-}
-
-// Process filters one sample, emitting on decimation instants.
-func (c *CIC) Process(w sim.Word, out []sim.Word) []sim.Word {
-	i, q := sim.UnpackIQ(w)
-	if oi, oq, ok := c.C.Push(i, q); ok {
-		out = append(out, sim.PackIQ(oi, oq))
-	}
-	return out
-}
-
-// SaveState delegates to the filter.
-func (c *CIC) SaveState(dst []uint64) []uint64 { return c.C.SaveState(dst) }
-
-// LoadState delegates to the filter.
-func (c *CIC) LoadState(s []uint64) error { return c.C.LoadState(s) }
-
-// StateWords delegates to the filter.
-func (c *CIC) StateWords() int { return c.C.StateWords() }

@@ -1,18 +1,21 @@
-package dsp
+package enginetest
 
 import (
 	"fmt"
+	"math"
 	"slices"
+
+	"accelshare/internal/sim"
 )
 
-// CIC is a cascaded integrator-comb decimator — the standard hardware
-// down-converter front-end in SDR systems (multiplier-free, exactly the
-// kind of "coarsely programmable stream accelerator" the paper's
-// architecture hosts). N integrator stages run at the input rate, the
-// decimator keeps every R-th sample, and N comb stages (differential delay
-// M = 1) run at the output rate.
+// CIC is a cascaded integrator-comb decimator engine — the standard,
+// multiplier-free down-converter front-end of SDR systems and a second
+// decimating engine type next to accel.FIR for the tests of decimating
+// chains. N integrator stages run at the input rate, the decimator keeps
+// every R-th sample, and N comb stages (differential delay M = 1) run at
+// the output rate.
 //
-// DC gain is (R·M)^N; Process right-shifts the output by GainShift to
+// DC gain is (R·M)^N; Push right-shifts the output by GainShift to
 // renormalise. For equal-length moving averages, a 1-stage CIC is exactly
 // a boxcar sum of R samples, which the tests exploit as an oracle.
 type CIC struct {
@@ -33,10 +36,10 @@ type CIC struct {
 // floor of that).
 func NewCIC(stages, decimate int) (*CIC, error) {
 	if stages < 1 || stages > 8 {
-		return nil, fmt.Errorf("dsp: CIC stages must be in 1..8, got %d", stages)
+		return nil, fmt.Errorf("enginetest: CIC stages must be in 1..8, got %d", stages)
 	}
 	if decimate < 1 {
-		return nil, fmt.Errorf("dsp: CIC decimation must be >= 1, got %d", decimate)
+		return nil, fmt.Errorf("enginetest: CIC decimation must be >= 1, got %d", decimate)
 	}
 	// Renormalisation: the DC gain is decimate^stages; shift by
 	// stages·⌈log2(decimate)⌉ (exact for power-of-two factors).
@@ -81,6 +84,19 @@ func (c *CIC) Push(i, q int32) (oi, oq int32, ok bool) {
 	return clamp32(ai >> c.GainShift), clamp32(aq >> c.GainShift), true
 }
 
+func clamp32(v int64) int32 {
+	return int32(max(math.MinInt32, min(math.MaxInt32, v)))
+}
+
+// Process filters one sample, emitting on decimation instants.
+func (c *CIC) Process(w sim.Word, out []sim.Word) []sim.Word {
+	i, q := sim.UnpackIQ(w)
+	if oi, oq, ok := c.Push(i, q); ok {
+		out = append(out, sim.PackIQ(oi, oq))
+	}
+	return out
+}
+
 // Reset clears all state.
 func (c *CIC) Reset() {
 	for s := 0; s < c.Stages; s++ {
@@ -105,7 +121,7 @@ func (c *CIC) SaveState(dst []uint64) []uint64 {
 // LoadState restores a SaveState snapshot.
 func (c *CIC) LoadState(w []uint64) error {
 	if len(w) != c.StateWords() {
-		return fmt.Errorf("dsp: CIC state size %d, want %d", len(w), c.StateWords())
+		return fmt.Errorf("enginetest: CIC state size %d, want %d", len(w), c.StateWords())
 	}
 	idx := 0
 	for s := 0; s < c.Stages; s++ {
@@ -117,7 +133,7 @@ func (c *CIC) LoadState(w []uint64) error {
 	}
 	c.phase = int(w[idx])
 	if c.phase < 0 || c.phase >= c.Decimate {
-		return fmt.Errorf("dsp: corrupt CIC phase")
+		return fmt.Errorf("enginetest: corrupt CIC phase")
 	}
 	return nil
 }

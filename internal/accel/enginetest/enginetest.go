@@ -2,7 +2,9 @@
 // that buffer reuse in the gateway relies on: SaveState appends the
 // snapshot to the slice it is given, fills a slice with room without
 // allocating, and LoadState copies its input, so the caller may refill the
-// same per-slot buffer at the next swap.
+// same per-slot buffer at the next swap. It also holds the CIC decimator
+// engine that the accel, admission, gateway and dsp tests run. Only tests
+// may import it.
 package enginetest
 
 import (

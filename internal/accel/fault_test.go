@@ -162,17 +162,17 @@ func TestLinkResetRestoresCredits(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		up.TrySend(sim.Word(i))
 	}
-	if up.Credits() == up.Queue().Cap() {
+	if up.credits == up.dst.Cap() {
 		t.Fatal("credits not spent")
 	}
 	k.RunAll()
 	// Simulate a flush: clear the chain state, then reset the link.
 	tile.Abort()
-	up.Queue().Clear()
+	up.dst.Clear()
 	sink.Clear()
 	up.Reset()
-	if up.Credits() != up.Queue().Cap() {
-		t.Fatalf("credits = %d after Reset, want %d", up.Credits(), up.Queue().Cap())
+	if up.credits != up.dst.Cap() {
+		t.Fatalf("credits = %d after Reset, want %d", up.credits, up.dst.Cap())
 	}
 	// Traffic flows normally after the reset and credits return fully.
 	for i := 0; i < 4; i++ {
@@ -184,7 +184,7 @@ func TestLinkResetRestoresCredits(t *testing.T) {
 	if sink.Len() != 4 {
 		t.Fatalf("sink holds %d words after reset traffic", sink.Len())
 	}
-	if up.Credits() != up.Queue().Cap() {
-		t.Fatalf("credits = %d after post-reset traffic drained", up.Credits())
+	if up.credits != up.dst.Cap() {
+		t.Fatalf("credits = %d after post-reset traffic drained", up.credits)
 	}
 }

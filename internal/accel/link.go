@@ -106,9 +106,6 @@ func (l *Link) retryCredits() {
 	l.pumpCredits()
 }
 
-// Credits returns the sender's available credits.
-func (l *Link) Credits() int { return l.credits }
-
 // SubscribeCredits wakes w whenever credits return.
 func (l *Link) SubscribeCredits(w *sim.Waker) { l.creditSubs = append(l.creditSubs, w) }
 
@@ -163,6 +160,3 @@ func (l *Link) TrySend(w sim.Word) bool {
 func (l *Link) SubscribeRingSpace(w *sim.Waker) {
 	l.net.Data.Node(l.srcNode).SubscribeSpace(w)
 }
-
-// Queue exposes the downstream NI queue (the receiver pops from it).
-func (l *Link) Queue() *sim.Queue { return l.dst }

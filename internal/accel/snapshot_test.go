@@ -6,6 +6,7 @@ import (
 	"accelshare/internal/accel"
 	"accelshare/internal/accel/enginetest"
 	"accelshare/internal/dsp"
+	"accelshare/internal/sim"
 )
 
 // TestEngineSnapshotContract holds every built-in engine to the snapshot
@@ -19,7 +20,7 @@ func TestEngineSnapshotContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cic, err := accel.NewCIC(3, 4)
+	cic, err := enginetest.NewCIC(3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,5 +36,41 @@ func TestEngineSnapshotContract(t *testing.T) {
 		{"CIC", cic},
 	} {
 		t.Run(tc.name, func(t *testing.T) { enginetest.CheckSnapshot(t, tc.e) })
+	}
+}
+
+func TestCICEngineDecimatesOnTile(t *testing.T) {
+	e, err := enginetest.NewCIC(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := 0
+	for n := 0; n < 32; n++ {
+		out := e.Process(sim.PackIQ(1000, -500), nil)
+		outs += len(out)
+	}
+	if outs != 8 {
+		t.Fatalf("outputs = %d, want 8", outs)
+	}
+	if e.StateWords() != 9 {
+		t.Errorf("state words = %d", e.StateWords())
+	}
+	st := e.SaveState(nil)
+	e2, _ := enginetest.NewCIC(2, 4)
+	if err := e2.LoadState(st); err != nil {
+		t.Fatal(err)
+	}
+	a := e.Process(sim.PackIQ(123, 456), nil)
+	b := e2.Process(sim.PackIQ(123, 456), nil)
+	if len(a) != len(b) {
+		t.Fatal("restored engine diverges")
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatal("restored engine output differs")
+		}
+	}
+	if _, err := enginetest.NewCIC(0, 4); err == nil {
+		t.Error("invalid CIC accepted")
 	}
 }

@@ -82,9 +82,6 @@ func (t *Tile) SetEngine(e Engine) error {
 	return nil
 }
 
-// Engine returns the active engine.
-func (t *Tile) Engine() Engine { return t.engine }
-
 // Downstream returns the outgoing link (nil before SetDownstream).
 func (t *Tile) Downstream() *Link { return t.out }
 
@@ -104,9 +101,6 @@ func (t *Tile) Abort() {
 	t.pending = t.pending[:0]
 	t.in.Clear()
 }
-
-// Idle reports whether the tile holds no in-flight work.
-func (t *Tile) Idle() bool { return !t.busy && len(t.pending) == 0 && t.in.Len() == 0 }
 
 // run is the tile's step function.
 //
@@ -153,30 +147,20 @@ func (t *Tile) serviceDone(epoch uint64) {
 
 // ConfigBus is the dedicated bus the entry gateway uses to save and restore
 // accelerator state (paper Fig. 3b / §IV-C). Operations are serialised;
-// each moves a number of state words at PerWord cycles plus a fixed Base
-// cost.
+// the caller gives each one's cost in cycles (the gateway charges a fixed
+// Rs, or base + words·perWord in its per-word mode).
 type ConfigBus struct {
 	k        *sim.Kernel
 	nextFree sim.Time
-	// Base is the fixed per-operation cost in cycles.
-	Base sim.Time
-	// PerWord is the cycles per state word moved.
-	PerWord sim.Time
 
 	// Cycles accumulates total bus occupancy; Ops counts transfers.
 	Cycles uint64
 	Ops    uint64
 }
 
-// NewConfigBus builds a bus with the given costs.
-func NewConfigBus(k *sim.Kernel, base, perWord sim.Time) *ConfigBus {
-	return &ConfigBus{k: k, Base: base, PerWord: perWord}
-}
-
-// Transfer schedules a state movement of the given word count and invokes
-// done when it completes. Transfers queue behind each other (single bus).
-func (b *ConfigBus) Transfer(words int, done func()) {
-	b.TransferCycles(b.Base+sim.Time(words)*b.PerWord, done)
+// NewConfigBus builds an idle bus.
+func NewConfigBus(k *sim.Kernel) *ConfigBus {
+	return &ConfigBus{k: k}
 }
 
 // TransferCycles occupies the bus for an explicit duration — used by the

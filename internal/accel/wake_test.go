@@ -94,9 +94,9 @@ func TestRefusedWordResumesOnCredit(t *testing.T) {
 	up.TrySend(10)
 	up.TrySend(11)
 	k.Run(100)
-	if sink.Len() != 1 || tile.Idle() || tile.Downstream().Credits() != 0 {
+	if sink.Len() != 1 || tile.Idle() || tile.Downstream().credits != 0 {
 		t.Fatalf("sink holds %d words, tile idle %v, %d credits: want 1 delivered and 1 refused for lack of credits",
-			sink.Len(), tile.Idle(), tile.Downstream().Credits())
+			sink.Len(), tile.Idle(), tile.Downstream().credits)
 	}
 	if _, ok := sink.TryPop(); !ok {
 		t.Fatal("sink empty")

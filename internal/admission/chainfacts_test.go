@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"accelshare/internal/accel"
+	"accelshare/internal/accel/enginetest"
 	"accelshare/internal/core"
 	"accelshare/internal/gateway"
 	"accelshare/internal/mpsoc"
@@ -43,7 +44,7 @@ func buildChain(t *testing.T, model *core.System, specs []mpsoc.StreamSpec, rec 
 
 func cicEngines(t *testing.T) []accel.Engine {
 	t.Helper()
-	e, err := accel.NewCIC(1, 2)
+	e, err := enginetest.NewCIC(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ type Diagnostic struct {
 	Analyzer string // filled by the driver
 }
 
-// Options configures one Run of the suite.
+// Options configures one RunOpts pass of the suite.
 type Options struct {
 	// CheckDirectives reports //accellint: comments that no analyzer
 	// consumed — a suppression whose finding no longer fires, a marker on
@@ -81,14 +81,9 @@ type Options struct {
 	CheckDirectives bool
 }
 
-// Run applies every analyzer to every package and returns the diagnostics
-// sorted by position (filename, then offset) so output is deterministic —
-// the suite holds itself to the invariant it enforces.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunOpts(fset, pkgs, analyzers, Options{})
-}
-
-// RunOpts is Run with explicit Options.
+// RunOpts applies every analyzer to every package and returns the
+// diagnostics sorted by position (filename, then offset) so output is
+// deterministic — the suite holds itself to the invariant it enforces.
 func RunOpts(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, opts Options) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	used := map[token.Pos]bool{}

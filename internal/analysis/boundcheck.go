@@ -24,7 +24,6 @@ import (
 var boundMethods = map[string]bool{
 	"TauHat":             true,
 	"TauHatCheckpointed": true,
-	"ResumeBound":        true,
 	"EpsilonHat":         true,
 	"GammaHat":           true,
 	"GuaranteedRate":     true,

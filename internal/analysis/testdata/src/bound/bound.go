@@ -49,7 +49,7 @@ func wraps(s *core.System, measured int64) (bool, error) {
 }
 
 func sameType(s *core.System, measured uint64) (bool, error) {
-	tau, err := s.ResumeBound(0, 4)
+	tau, err := s.EpsilonHat(0)
 	if err != nil {
 		return false, err
 	}

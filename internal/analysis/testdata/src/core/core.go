@@ -32,9 +32,6 @@ func (s *System) TauHatCheckpointed(i int, k int64, saveCost uint64) (uint64, er
 	return tau + saveCost, nil
 }
 
-// ResumeBound is the replay-bound stub.
-func (s *System) ResumeBound(i int, k int64) (uint64, error) { return s.TauHat(i) }
-
 // EpsilonHat is the Eq. 3 stub.
 func (s *System) EpsilonHat(i int) (uint64, error) { return s.TauHat(i) }
 

@@ -54,12 +54,13 @@ type RebalanceConfig struct {
 	HighWater *big.Rat
 	// MaxMovesPerTick caps one tick's plan (0 = 1).
 	MaxMovesPerTick int
-	// MoveBudget caps how many times one stream may be rebalanced over its
-	// lifetime (0 = 2). It stops oscillation that the hysteresis band alone
-	// cannot: a stream whose rate dominates the spread could otherwise
-	// bounce between two chains on alternating ticks.
-	MoveBudget int
 }
+
+// moveBudget caps how many times one stream may be rebalanced over its
+// lifetime. It stops oscillation that the hysteresis band alone cannot: a
+// stream whose rate dominates the spread could otherwise bounce between two
+// chains on alternating ticks.
+const moveBudget = 2
 
 func (rc *RebalanceConfig) validate() error {
 	if rc.Every <= 0 {
@@ -90,13 +91,6 @@ func (rc *RebalanceConfig) maxMoves() int {
 	return rc.MaxMovesPerTick
 }
 
-func (rc *RebalanceConfig) moveBudget() int {
-	if rc.MoveBudget <= 0 {
-		return 2
-	}
-	return rc.MoveBudget
-}
-
 // ChainTelemetry is one chain's slice of a FleetStats snapshot.
 type ChainTelemetry struct {
 	Name  string
@@ -106,14 +100,9 @@ type ChainTelemetry struct {
 	// Util is the admission model's exact utilisation Σ μs·ρ (zero for
 	// chains that are not serving).
 	Util core.Load
-	// BufferWords is the words currently buffered across the owned streams'
-	// input and output C-FIFOs (pushed − popped); BufferPeak sums their
-	// high-water occupancies — the buffer-memory half of the load picture.
-	BufferWords uint64
-	BufferPeak  int
-	// Pending counts uncommitted transitions (arrivals, migrations,
-	// removals) targeting this chain.
-	Pending int
+	// BufferPeak sums the high-water occupancies of the owned streams'
+	// input and output C-FIFOs — the buffer-memory half of the load picture.
+	BufferPeak int
 }
 
 // FleetStats is one tick's typed telemetry snapshot over the whole fleet.
@@ -153,12 +142,9 @@ func (c *Controller) Stats() FleetStats {
 			serving = true
 		}
 	}
-	// One registry pass buckets every stream by the chain its pending
-	// transition waits on and by the chain that owns it (-1: none).
+	// One registry pass buckets every stream by the chain that owns it
+	// (-1: none).
 	for _, si := range c.order {
-		if si.pendingOn >= 0 {
-			fs.Chains[si.pendingOn].Pending++
-		}
 		switch {
 		case si.shed():
 			fs.Parked++
@@ -174,8 +160,7 @@ func (c *Controller) Stats() FleetStats {
 			continue
 		}
 		for _, f := range [2]*cfifo.FIFO{si.st.In, si.st.Out} {
-			pushed, popped, peak := f.BufferStats()
-			ct.BufferWords += pushed - popped
+			_, _, peak := f.BufferStats()
 			ct.BufferPeak += peak
 		}
 	}
@@ -255,7 +240,7 @@ func (c *Controller) rebalanceTick() {
 			if si == nil || si.resident || si.phase != live || si.deferDepart || si.chain != ci.pos {
 				continue
 			}
-			if si.moves >= rc.moveBudget() {
+			if si.moves >= moveBudget {
 				continue
 			}
 			residue := 0

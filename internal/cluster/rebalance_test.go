@@ -134,45 +134,57 @@ func TestRebalanceIdleBelowHighWater(t *testing.T) {
 }
 
 // TestRebalanceMoveBudget: a stream that has spent its per-lifetime move
-// budget is no longer a candidate, so a second imbalance that only it could
-// fix goes unserved — the budget is what stops a dominant stream from
-// bouncing between chains for the rest of the campaign.
+// budget (two moves) is no longer a candidate, so a third imbalance that
+// only it could fix goes unserved — the budget is what stops a dominant
+// stream from bouncing between chains for the rest of the campaign.
+//
+// c0 (ρA = 1) serves at c0 = 15 and c1 (ρA = 30) at c0 = 30: residents add
+// 1/5 and 2/5, a period-75 stream 1/5 and 2/5, and the period-150 stream a
+// 1/10 and 1/5. A move strictly shrinks the spread only when a leaves its
+// chain, so a moves each time the fleet tips, and nothing else does.
 func TestRebalanceMoveBudget(t *testing.T) {
 	cfg := testConfig([]ChainSpec{
-		{Name: "c0", AccelCost: 1, ReserveSlots: 4},
-		{Name: "c1", AccelCost: 1, ReserveSlots: 4},
+		{Name: "c0", AccelCost: 1, ReserveSlots: 8},
+		{Name: "c1", AccelCost: 30, ReserveSlots: 8},
 	})
-	cfg.Rebalance = rebalanceConfig(40_000, 120_000)
-	cfg.Rebalance.MoveBudget = 1
+	cfg.Rebalance = rebalanceConfig(40_000, 160_000)
 	c := mustCluster(t, cfg)
-	submitAt(c, 1_000, StreamRequest{Name: "s0", Period: 75})
-	submitAt(c, 5_000, StreamRequest{Name: "s1", Period: 75})
-	submitAt(c, 9_000, StreamRequest{Name: "s2", Period: 75})
-	// First imbalance: c0 at 3/5 vs c1 at 1/5 after s1 departs; one move
-	// balances the fleet exactly (2/5 each).
-	departAt(c, 25_000, "s1")
-	// Second imbalance at 70k: depart whichever non-resident is still on c0
-	// (the victim of the first move is residue-dependent), leaving c0 at 1/5
-	// vs c1 at 2/5. The only candidate on the hot chain is the stream that
-	// already moved — budget-exhausted, so the spread must persist.
-	c.System().K.ScheduleAt(70_000, func() {
-		for _, ss := range c.StreamStatuses() {
-			if ss.Chain == "c0" && ss.State == "live" && ss.Name != "r-c0" {
-				c.Depart(ss.Name)
-			}
-		}
-	})
+	// w1 and w2 fill c0 to 3/5, so a lands on c1 (3/5 each).
+	submitAt(c, 1_000, StreamRequest{Name: "w1", Period: 75})
+	submitAt(c, 3_000, StreamRequest{Name: "w2", Period: 75})
+	submitAt(c, 5_000, StreamRequest{Name: "a", Period: 150})
+	// First move: c0 drops to 1/5 against c1's 3/5; a moves to c0
+	// (3/10 vs 2/5).
+	departAt(c, 20_000, "w1")
+	departAt(c, 22_000, "w2")
+	// Second move: W1 and W2 land on c0 and f on c1 (7/10 vs 4/5); f's
+	// departure leaves c0 at 7/10 against 2/5, and a moves back to c1
+	// (3/5 each). Moving W1 or W2 would leave the spread at 3/10.
+	submitAt(c, 60_000, StreamRequest{Name: "W1", Period: 75})
+	submitAt(c, 62_000, StreamRequest{Name: "f", Period: 75})
+	submitAt(c, 64_000, StreamRequest{Name: "W2", Period: 75})
+	departAt(c, 80_000, "f")
+	// Third imbalance: c0 back at 1/5 against c1's 3/5, and only a could
+	// shrink it — budget-exhausted, so the spread must persist.
+	departAt(c, 100_000, "W1")
+	departAt(c, 102_000, "W2")
 	c.Run(200_000)
 
-	if n := len(ladderOf(c, "rebalance")); n != 1 {
-		t.Fatalf("rebalance steps = %d, want 1 (budget caps the second move):\n%s", n, renderEvents(c))
+	steps := ladderOf(c, "rebalance")
+	if len(steps) != 2 {
+		t.Fatalf("rebalance steps = %d, want 2 (the budget caps the third move):\n%s", len(steps), renderEvents(c))
+	}
+	for _, s := range steps {
+		if s.Stream != "a" {
+			t.Errorf("rebalance moved %s, want only a:\n%s", s.Stream, renderEvents(c))
+		}
 	}
 	fleet := c.FleetLog()
 	if len(fleet) == 0 {
 		t.Fatal("no fleet snapshots")
 	}
-	if got := fleet[len(fleet)-1].Spread.Rat(); got.Cmp(big.NewRat(1, 5)) != 0 {
-		t.Errorf("final spread = %s, want the persistent 1/5 imbalance", got.RatString())
+	if got := fleet[len(fleet)-1].Spread.Rat(); got.Cmp(big.NewRat(2, 5)) != 0 {
+		t.Errorf("final spread = %s, want the persistent 2/5 imbalance", got.RatString())
 	}
 	checkConformance(t, c, 140_000)
 }

@@ -12,7 +12,8 @@
 // retried blocks may exceed τ̂s (Options.SkipRetried — a retry legitimately
 // pays the flush + replay on top of the clean-run bound, or, sharper,
 // Options.RetrySlack widens τ̂s by a per-retry allowance derived from
-// detection latency plus core.ResumeBound instead of exempting the block).
+// detection latency plus the resume bound Rs + (K+2)·c0 instead of
+// exempting the block).
 //
 // For checkpointed recovery the harness also checks the replay-cost claim
 // itself: FromModelCheckpointed derives bounds from the adjusted Eq. 2 term
@@ -25,7 +26,6 @@ package conformance
 import (
 	"fmt"
 	"math/big"
-	"strings"
 
 	"accelshare/internal/core"
 	"accelshare/internal/gateway"
@@ -46,19 +46,14 @@ type StreamBounds struct {
 	Block int64
 }
 
-// FromModel derives every stream's bounds from the temporal model. Block
-// sizes must be solved (TauHat errors otherwise).
-func FromModel(s *core.System) ([]StreamBounds, error) {
-	return FromModelCheckpointed(s, 0, 0)
-}
-
 // FromModelCheckpointed derives every stream's bounds under a checkpoint
 // interval of k input samples and a per-checkpoint snapshot cost: TauHat
 // becomes the adjusted Eq. 2 term τ̂s(k) (core.TauHatCheckpointed) and
 // GammaHat the matching Eq. 4 sum — checkpoint quiesces stretch every
 // stream's block, so the round-robin interference term grows with them.
-// k ≤ 0 is the plain FromModel. k must already be rounded to each stream's
-// decimation (the gateway rounds up, so pass the rounded value).
+// k ≤ 0 gives the plain Eq. 2/4 bounds. Block sizes must be solved
+// (TauHat errors otherwise), and k must already be rounded to each
+// stream's decimation (the gateway rounds up, so pass the rounded value).
 func FromModelCheckpointed(s *core.System, k int64, saveCost uint64) ([]StreamBounds, error) {
 	taus := make([]uint64, len(s.Streams))
 	var sum uint64
@@ -101,24 +96,23 @@ type Options struct {
 	// MinBlocks fails a stream with fewer than this many in-scope blocks —
 	// an empty trace trivially "conforms", which is never what a test means.
 	MinBlocks int
-	// SkipGamma / SkipThroughput disable individual checks, e.g. while a
-	// stream's γ̂ is transiently stale across an admission transition.
-	SkipGamma      bool
-	SkipThroughput bool
+	// SkipGamma disables the γ̂s check, e.g. while a stream's γ̂ is
+	// transiently stale across an admission transition.
+	SkipGamma bool
 	// ReplayBound, when positive, checks every block's measured replay work:
 	// the input words re-issued beyond the first pass (BlockRecord.Replayed)
 	// must not exceed Retries × ReplayBound. With checkpointing every K
 	// samples the bound is K — a retry resumes from the last checkpoint,
 	// never further back — where full-block replay would cost up to ηs per
 	// retry. This is the measured side of the adjusted Eq. 2 argument:
-	// replay work ≤ K, so one resume costs at most core.ResumeBound.
+	// replay work ≤ K, so one resume costs at most Rs + (K+2)·c0.
 	ReplayBound int64
 	// RetrySlack, when positive, replaces SkipRetried's blanket exemption
 	// for the τ̂s check: a retried block's service latency is checked against
 	// TauHat + Retries × RetrySlack instead of being skipped. Callers derive
 	// the slack from the adjusted Eq. 2 term: one detect-flush-resume cycle
 	// costs at most the watchdog window (detection) + the flush settle +
-	// core.ResumeBound (reload and ≤ K + 2 samples of replay).
+	// the resume bound Rs + (K+2)·c0 (reload and ≤ K + 2 samples of replay).
 	RetrySlack uint64
 }
 
@@ -142,20 +136,6 @@ type Result struct {
 	Violations []Violation
 	// Checked counts in-scope block records across all streams.
 	Checked int
-}
-
-// Err renders the violations as one error (nil when conformant).
-func (r Result) Err() error {
-	if len(r.Violations) == 0 {
-		return nil
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d bound violations:", len(r.Violations))
-	for _, v := range r.Violations {
-		b.WriteString("\n  ")
-		b.WriteString(v.String())
-	}
-	return fmt.Errorf("%s", b.String())
 }
 
 // Check verifies records[i] (stream i's completed-block trace, as recorded
@@ -230,7 +210,7 @@ func Check(bounds []StreamBounds, records [][]gateway.BlockRecord, opt Options) 
 				}
 			}
 		}
-		if !opt.SkipThroughput && sb.Rate != nil && len(recs) >= 2 {
+		if sb.Rate != nil && len(recs) >= 2 {
 			span := uint64(recs[len(recs)-1].Done - recs[0].Done)
 			if span > sb.GammaHat {
 				delivered := new(big.Rat).SetInt64(int64(len(recs)-1) * sb.Block)

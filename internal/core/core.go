@@ -172,28 +172,6 @@ func (s *System) TauHatCheckpointed(i int, k int64, saveCost uint64) (uint64, er
 	return st.Reconfig + uint64(st.Block+2*n)*s.Chain.C0() + uint64(n-1)*saveCost, nil
 }
 
-// ResumeBound bounds the work one mid-block resume may redo under
-// checkpointing every K input samples: the abort-and-reconfigure reload
-// (Rs over the configuration bus), at most K replayed samples (the resume
-// point is the last checkpoint, never further back), and the sub-block's
-// pipeline flush:
-//
-//	resume ≤ Rs + (K + 2)·c0
-//
-// This is the term the conservative Eq. 2 envelope must absorb per retry —
-// O(K) where full-block replay was O(ηs). K ≤ 0 or K ≥ ηs means no
-// checkpointing: the whole block replays (K = ηs).
-func (s *System) ResumeBound(i int, k int64) (uint64, error) {
-	st := &s.Streams[i]
-	if st.Block <= 0 {
-		return 0, fmt.Errorf("%w: %s", ErrBlockUnknown, st.Name)
-	}
-	if k <= 0 || k > st.Block {
-		k = st.Block
-	}
-	return st.Reconfig + uint64(k+2)*s.Chain.C0(), nil
-}
-
 // EpsilonHat returns ε̂s (Eq. 3): the worst-case time stream i waits for the
 // round-robin arbiter while every other stream's block is processed once.
 func (s *System) EpsilonHat(i int) (uint64, error) {

@@ -144,51 +144,6 @@ func TestTauHatCheckpointed(t *testing.T) {
 	}
 }
 
-func TestResumeBound(t *testing.T) {
-	s := palSystem()
-	s.Streams[0].Block = 100
-	// One resume reloads Rs and replays ≤ K samples plus the quiesce:
-	// 4100 + (25+2)·15 = 4505.
-	b, err := s.ResumeBound(0, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b != 4505 {
-		t.Errorf("ResumeBound(25) = %d, want 4505", b)
-	}
-	// Without checkpointing the resume replays the whole block.
-	b, err = s.ResumeBound(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(4100 + (100+2)*15); b != want {
-		t.Errorf("ResumeBound(0) = %d, want %d (full-block replay)", b, want)
-	}
-	s.Streams[1].Block = 0
-	if _, err := s.ResumeBound(1, 25); err == nil {
-		t.Error("ResumeBound with unset block should error")
-	}
-}
-
-// TestResumeBoundClampsPastBlock: a checkpoint interval past the block is
-// no checkpointing at all, so K = ηs + 1 replays the whole block, as K = ηs
-// does.
-func TestResumeBoundClampsPastBlock(t *testing.T) {
-	s := palSystem()
-	s.Streams[0].Block = 100
-	at, err := s.ResumeBound(0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	past, err := s.ResumeBound(0, 101)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(4100 + (100+2)*15); at != want || past != want {
-		t.Errorf("ResumeBound(ηs) = %d, ResumeBound(ηs+1) = %d, want %d (full-block replay)", at, past, want)
-	}
-}
-
 // TestWorstCaseSampleLatencyPAL pins L̂ = ⌈(η−1)/μ⌉ + γ̂s on the §VI-A
 // model at its granularity-8 blocks (9848, 9848, 1232, 1232; γ̂ = 348,920):
 // stage 1 (μ = 2,822,400/10⁸) waits ⌈9847/μ⌉ = 348,888 cycles, stage 2

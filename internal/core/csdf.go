@@ -40,8 +40,6 @@ type CSDFModel struct {
 	// OutEdge is the data edge vG1 → vC; its token production times are the
 	// stream's output arrivals (used by the refinement checker).
 	OutEdge dataflow.EdgeID
-	// IdleEdge is the pipeline-idle notification edge vG1 → vG0.
-	IdleEdge dataflow.EdgeID
 }
 
 // BuildCSDF constructs the Fig. 5 CSDF model for stream i.
@@ -126,7 +124,7 @@ func (s *System) BuildCSDF(i int, p ModelParams) (*CSDFModel, error) {
 	g.AddEdge("in.space", m.VG0, m.VP, lastOnly, dataflow.Const(1), p.InputCapacity)
 
 	// Pipeline-idle notification: vG1 (last phase) → vG0 (first phase).
-	m.IdleEdge = g.AddEdge("idle", m.VG1, m.VG0, lastOne, firstOne, 1)
+	g.AddEdge("idle", m.VG1, m.VG0, lastOne, firstOne, 1)
 
 	// Output space check: vC → vG0, initialised to α3.
 	g.AddEdge("out.space", m.VC, m.VG0, dataflow.Const(1), firstOnly, p.OutputCapacity)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/big"
+	"slices"
 	"testing"
 
 	"accelshare/internal/dataflow"
@@ -47,8 +48,8 @@ func TestBuildCSDFStructure(t *testing.T) {
 		t.Errorf("accelerator duration = %v", g.Actors[m.VAccel[0]].Duration)
 	}
 	// The space-check edge must run from vC to vG0.
-	id, ok := g.EdgeByName("out.space")
-	if !ok {
+	id := slices.IndexFunc(g.Edges, func(e dataflow.Edge) bool { return e.Name == "out.space" })
+	if id < 0 {
 		t.Fatal("out.space edge missing")
 	}
 	e := g.Edges[id]
@@ -201,8 +202,8 @@ func TestOutputArrivalsErrorsOnDeadlock(t *testing.T) {
 	g := dataflow.NewGraph("dl")
 	a := g.AddActor("a", 1)
 	b := g.AddActor("b", 1)
-	e := g.AddSDFEdge("ab", a, b, 1, 1, 0)
-	g.AddSDFEdge("ba", b, a, 1, 1, 0)
+	e := g.AddEdge("ab", a, b, dataflow.Const(1), dataflow.Const(1), 0)
+	g.AddEdge("ba", b, a, dataflow.Const(1), dataflow.Const(1), 0)
 	if _, err := OutputArrivals(g, e, b, 3); err == nil {
 		t.Error("deadlocked graph should fail to produce arrivals")
 	}

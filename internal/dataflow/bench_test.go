@@ -42,8 +42,8 @@ func BenchmarkRepetitions(b *testing.B) {
 	a := g.AddActor("a", 1)
 	c := g.AddActor("b", 1)
 	d := g.AddActor("c", 1)
-	g.AddSDFEdge("ab", a, c, 6, 4, 0)
-	g.AddSDFEdge("bc", c, d, 10, 15, 0)
+	g.AddEdge("ab", a, c, Const(6), Const(4), 0)
+	g.AddEdge("bc", c, d, Const(10), Const(15), 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := g.Repetitions(); err != nil {
@@ -72,13 +72,13 @@ func BenchmarkMaxCycleRatio(b *testing.B) {
 	for i := 0; i < 10; i++ {
 		a := g.AddActor("n", uint64(1+i))
 		if last >= 0 {
-			g.AddSDFEdge("e", last, a, 1, 1, int64(i%2))
+			g.AddEdge("e", last, a, Const(1), Const(1), int64(i%2))
 		} else {
 			first = a
 		}
 		last = a
 	}
-	g.AddSDFEdge("back", last, first, 1, 1, 3)
+	g.AddEdge("back", last, first, Const(1), Const(1), 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := g.MaxCycleRatio(); err != nil {

@@ -49,16 +49,6 @@ func (q Quanta) At(p int) int64 {
 	return q[p%len(q)]
 }
 
-// Repeat returns a Quanta of n copies of v. It is a convenience for uniform
-// CSDF phase lists such as the paper's "ηs × 1" notation.
-func Repeat(v int64, n int) Quanta {
-	q := make(Quanta, n)
-	for i := range q {
-		q[i] = v
-	}
-	return q
-}
-
 // Const is shorthand for a single-phase (SDF) rate.
 func Const(v int64) Quanta { return Quanta{v} }
 
@@ -135,11 +125,6 @@ func (g *Graph) AddEdge(name string, src, dst ActorID, prod, cons Quanta, initia
 	return id
 }
 
-// AddSDFEdge is AddEdge with single-phase rates.
-func (g *Graph) AddSDFEdge(name string, src, dst ActorID, prod, cons int64, initial int64) EdgeID {
-	return g.AddEdge(name, src, dst, Const(prod), Const(cons), initial)
-}
-
 // AddBuffer models a bounded FIFO of the given capacity between src and dst:
 // a forward edge with initial tokens of 0 and a back edge initialised to the
 // capacity. It returns the forward and back edge ids.
@@ -147,32 +132,6 @@ func (g *Graph) AddBuffer(name string, src, dst ActorID, prod, cons Quanta, capa
 	fwd = g.AddEdge(name, src, dst, prod, cons, 0)
 	back = g.AddEdge(name+".space", dst, src, cons, prod, capacity)
 	return fwd, back
-}
-
-// InEdges returns the ids of edges whose destination is a.
-func (g *Graph) InEdges(a ActorID) []EdgeID { return g.in[a] }
-
-// OutEdges returns the ids of edges whose source is a.
-func (g *Graph) OutEdges(a ActorID) []EdgeID { return g.out[a] }
-
-// ActorByName returns the id of the first actor with the given name.
-func (g *Graph) ActorByName(name string) (ActorID, bool) {
-	for i := range g.Actors {
-		if g.Actors[i].Name == name {
-			return ActorID(i), true
-		}
-	}
-	return -1, false
-}
-
-// EdgeByName returns the id of the first edge with the given name.
-func (g *Graph) EdgeByName(name string) (EdgeID, bool) {
-	for i := range g.Edges {
-		if g.Edges[i].Name == name {
-			return EdgeID(i), true
-		}
-	}
-	return -1, false
 }
 
 // Errors returned by Validate.
@@ -255,36 +214,6 @@ func (g *Graph) Clone() *Graph {
 	}
 	c.rebuildAdjacency()
 	return c
-}
-
-// IsSDF reports whether every actor has exactly one phase and every quanta
-// list is constant, i.e. the graph is plain SDF.
-func (g *Graph) IsSDF() bool {
-	for i := range g.Actors {
-		if g.Actors[i].Phases() != 1 {
-			return false
-		}
-	}
-	for i := range g.Edges {
-		if len(g.Edges[i].Prod) != 1 || len(g.Edges[i].Cons) != 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders a compact human-readable description of the graph.
-func (g *Graph) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %s\n", g.Name)
-	for i, a := range g.Actors {
-		fmt.Fprintf(&b, "  actor %d %s dur=%v\n", i, a.Name, a.Duration)
-	}
-	for i, e := range g.Edges {
-		fmt.Fprintf(&b, "  edge %d %s: %s -%s/%s-> %s init=%d\n",
-			i, e.Name, g.Actors[e.Src].Name, e.Prod, e.Cons, g.Actors[e.Dst].Name, e.Initial)
-	}
-	return b.String()
 }
 
 // DOT renders the graph in Graphviz dot syntax for inspection.

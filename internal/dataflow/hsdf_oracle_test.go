@@ -17,6 +17,22 @@ type HSDFExpansion struct {
 	Reps   *RepetitionVector
 }
 
+// IsSDF reports whether every actor has exactly one phase and every quanta
+// list is constant, i.e. the graph is plain SDF.
+func (g *Graph) IsSDF() bool {
+	for i := range g.Actors {
+		if g.Actors[i].Phases() != 1 {
+			return false
+		}
+	}
+	for i := range g.Edges {
+		if len(g.Edges[i].Prod) != 1 || len(g.Edges[i].Cons) != 1 {
+			return false
+		}
+	}
+	return true
+}
+
 // ExpandHSDF converts a consistent SDF graph (single-phase actors, constant
 // rates) into its homogeneous expansion. The paper (§III) notes that this is
 // only possible when rates are fixed — a parametric block size prevents it —
@@ -64,8 +80,8 @@ func (g *Graph) ExpandHSDF() (*HSDFExpansion, error) {
 			if next == k || next == 0 {
 				init = 1
 			}
-			h.AddSDFEdge(fmt.Sprintf("%s.self%d", g.Actors[a].Name, k),
-				exp.Copy[a][k], exp.Copy[a][next], 1, 1, init)
+			h.AddEdge(fmt.Sprintf("%s.self%d", g.Actors[a].Name, k),
+				exp.Copy[a][k], exp.Copy[a][next], Const(1), Const(1), init)
 		}
 	}
 	type key struct{ from, to ActorID }
@@ -96,7 +112,7 @@ func (g *Graph) ExpandHSDF() (*HSDFExpansion, error) {
 		}
 	}
 	for kk, toks := range best {
-		h.AddSDFEdge(fmt.Sprintf("dep.%d.%d", kk.from, kk.to), kk.from, kk.to, 1, 1, toks)
+		h.AddEdge(fmt.Sprintf("dep.%d.%d", kk.from, kk.to), kk.from, kk.to, Const(1), Const(1), toks)
 	}
 	if err := h.Validate(); err != nil {
 		return nil, err

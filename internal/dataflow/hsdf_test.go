@@ -61,7 +61,7 @@ func hsdfEquivalentThroughput(t *testing.T, g *Graph, a ActorID) {
 		t.Fatalf("mcr: %v", err)
 	}
 	if simTh.Cmp(mcrTh) != 0 {
-		t.Fatalf("actor %s: simulation %v vs MCR %v\n%s", g.Actors[a].Name, simTh, mcrTh, g.String())
+		t.Fatalf("actor %s: simulation %v vs MCR %v\n%s", g.Actors[a].Name, simTh, mcrTh, g.DOT())
 	}
 }
 
@@ -130,7 +130,7 @@ func TestMaxCycleRatioAcyclic(t *testing.T) {
 	g := NewGraph("dag")
 	a := g.AddActor("a", 5)
 	b := g.AddActor("b", 3)
-	g.AddSDFEdge("ab", a, b, 1, 1, 0)
+	g.AddEdge("ab", a, b, Const(1), Const(1), 0)
 	r, err := g.MaxCycleRatio()
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +145,8 @@ func TestMaxCycleRatioSimpleRing(t *testing.T) {
 	g := NewGraph("ring")
 	a := g.AddActor("a", 2)
 	b := g.AddActor("b", 3)
-	g.AddSDFEdge("ab", a, b, 1, 1, 1)
-	g.AddSDFEdge("ba", b, a, 1, 1, 0)
+	g.AddEdge("ab", a, b, Const(1), Const(1), 1)
+	g.AddEdge("ba", b, a, Const(1), Const(1), 0)
 	r, err := g.MaxCycleRatio()
 	if err != nil {
 		t.Fatal(err)
@@ -162,9 +162,9 @@ func TestMaxCycleRatioPicksWorstCycle(t *testing.T) {
 	a := g.AddActor("a", 5)
 	b := g.AddActor("b", 3)
 	c := g.AddActor("c", 4)
-	g.AddSDFEdge("aa", a, a, 1, 1, 1) // ratio 5
-	g.AddSDFEdge("bc", b, c, 1, 1, 1)
-	g.AddSDFEdge("cb", c, b, 1, 1, 1) // ratio (3+4)/2 = 3.5
+	g.AddEdge("aa", a, a, Const(1), Const(1), 1) // ratio 5
+	g.AddEdge("bc", b, c, Const(1), Const(1), 1)
+	g.AddEdge("cb", c, b, Const(1), Const(1), 1) // ratio (3+4)/2 = 3.5
 	r, err := g.MaxCycleRatio()
 	if err != nil {
 		t.Fatal(err)
@@ -179,8 +179,8 @@ func TestMaxCycleRatioFractional(t *testing.T) {
 	g := NewGraph("frac")
 	b := g.AddActor("b", 3)
 	c := g.AddActor("c", 4)
-	g.AddSDFEdge("bc", b, c, 1, 1, 2)
-	g.AddSDFEdge("cb", c, b, 1, 1, 0)
+	g.AddEdge("bc", b, c, Const(1), Const(1), 2)
+	g.AddEdge("cb", c, b, Const(1), Const(1), 0)
 	r, err := g.MaxCycleRatio()
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +194,8 @@ func TestMaxCycleRatioZeroTokenCycle(t *testing.T) {
 	g := NewGraph("zero")
 	a := g.AddActor("a", 1)
 	b := g.AddActor("b", 1)
-	g.AddSDFEdge("ab", a, b, 1, 1, 0)
-	g.AddSDFEdge("ba", b, a, 1, 1, 0)
+	g.AddEdge("ab", a, b, Const(1), Const(1), 0)
+	g.AddEdge("ba", b, a, Const(1), Const(1), 0)
 	if _, err := g.MaxCycleRatio(); err != ErrZeroTokenCycle {
 		t.Fatalf("err = %v, want ErrZeroTokenCycle", err)
 	}
@@ -206,8 +206,8 @@ func TestMaxCycleRatioZeroWeightCycle(t *testing.T) {
 	g := NewGraph("zw")
 	a := g.AddActor("a", 0)
 	b := g.AddActor("b", 0)
-	g.AddSDFEdge("ab", a, b, 1, 1, 1)
-	g.AddSDFEdge("ba", b, a, 1, 1, 1)
+	g.AddEdge("ab", a, b, Const(1), Const(1), 1)
+	g.AddEdge("ba", b, a, Const(1), Const(1), 1)
 	r, err := g.MaxCycleRatio()
 	if err != nil {
 		t.Fatal(err)
@@ -223,9 +223,9 @@ func TestMaxCycleRatioLargeDenominator(t *testing.T) {
 	a := g.AddActor("a", 13)
 	b := g.AddActor("b", 17)
 	c := g.AddActor("c", 1)
-	g.AddSDFEdge("ab", a, b, 1, 1, 3)
-	g.AddSDFEdge("bc", b, c, 1, 1, 2)
-	g.AddSDFEdge("ca", c, a, 1, 1, 2)
+	g.AddEdge("ab", a, b, Const(1), Const(1), 3)
+	g.AddEdge("bc", b, c, Const(1), Const(1), 2)
+	g.AddEdge("ca", c, a, Const(1), Const(1), 2)
 	r, err := g.MaxCycleRatio()
 	if err != nil {
 		t.Fatal(err)

@@ -17,11 +17,11 @@ func TestRepetitionScaleInvariance(t *testing.T) {
 		g1 := NewGraph("a")
 		a1 := g1.AddActor("a", 1)
 		b1 := g1.AddActor("b", 1)
-		g1.AddSDFEdge("e", a1, b1, p, c, 0)
+		g1.AddEdge("e", a1, b1, Const(p), Const(c), 0)
 		g2 := NewGraph("b")
 		a2 := g2.AddActor("a", 1)
 		b2 := g2.AddActor("b", 1)
-		g2.AddSDFEdge("e", a2, b2, k*p, k*c, 0)
+		g2.AddEdge("e", a2, b2, Const(k*p), Const(k*c), 0)
 		r1, err1 := g1.Repetitions()
 		r2, err2 := g2.Repetitions()
 		if err1 != nil || err2 != nil {

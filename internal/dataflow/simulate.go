@@ -18,7 +18,6 @@ type Firing struct {
 
 // TokenEvent records tokens being produced onto a watched edge.
 type TokenEvent struct {
-	Edge  EdgeID
 	Time  uint64
 	Count int64
 }
@@ -242,7 +241,7 @@ func (s *simulator) complete(c completion) {
 			s.maxTokens[eid] = s.tokens[eid]
 		}
 		if s.watch[eid] {
-			s.res.TokenEvents = append(s.res.TokenEvents, TokenEvent{Edge: eid, Time: s.now, Count: n})
+			s.res.TokenEvents = append(s.res.TokenEvents, TokenEvent{Time: s.now, Count: n})
 		}
 	}
 	s.phase[a] = (c.phase + 1) % s.g.Actors[a].Phases()

@@ -1,19 +1,23 @@
-package dsp
+// The CIC decimator is a test engine (accel/enginetest); its filter tests
+// stay with the other DSP filter tests.
+package dsp_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"accelshare/internal/accel/enginetest"
 )
 
 func TestCICValidation(t *testing.T) {
-	if _, err := NewCIC(0, 4); err == nil {
+	if _, err := enginetest.NewCIC(0, 4); err == nil {
 		t.Error("0 stages accepted")
 	}
-	if _, err := NewCIC(9, 4); err == nil {
+	if _, err := enginetest.NewCIC(9, 4); err == nil {
 		t.Error("9 stages accepted")
 	}
-	if _, err := NewCIC(2, 0); err == nil {
+	if _, err := enginetest.NewCIC(2, 0); err == nil {
 		t.Error("0 decimation accepted")
 	}
 }
@@ -22,7 +26,7 @@ func TestCICSingleStageIsBoxcar(t *testing.T) {
 	// A 1-stage decimate-by-R CIC output equals the sum of the last R
 	// inputs (shifted by the gain renormalisation).
 	const R = 4
-	c, err := NewCIC(1, R)
+	c, err := enginetest.NewCIC(1, R)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +50,7 @@ func TestCICSingleStageIsBoxcar(t *testing.T) {
 }
 
 func TestCICOutputRate(t *testing.T) {
-	c, _ := NewCIC(3, 8)
+	c, _ := enginetest.NewCIC(3, 8)
 	outs := 0
 	for n := 0; n < 64; n++ {
 		if _, _, ok := c.Push(1000, -1000); ok {
@@ -61,7 +65,7 @@ func TestCICOutputRate(t *testing.T) {
 func TestCICDCGainNormalised(t *testing.T) {
 	// Constant input: after settling, the output approaches the input
 	// value (for power-of-two R the renormalisation is exact).
-	c, _ := NewCIC(3, 8)
+	c, _ := enginetest.NewCIC(3, 8)
 	var last int32
 	for n := 0; n < 400; n++ {
 		if oi, _, ok := c.Push(5000, 0); ok {
@@ -81,7 +85,7 @@ func TestCICLowPassBehaviour(t *testing.T) {
 	const fs = 80000.0
 	const R = 8
 	measure := func(freq float64) float64 {
-		c, _ := NewCIC(3, R)
+		c, _ := enginetest.NewCIC(3, R)
 		var peak float64
 		n := 4000
 		for i := 0; i < n; i++ {
@@ -102,8 +106,8 @@ func TestCICLowPassBehaviour(t *testing.T) {
 }
 
 func TestCICStateRoundTrip(t *testing.T) {
-	a, _ := NewCIC(2, 4)
-	b, _ := NewCIC(2, 4)
+	a, _ := enginetest.NewCIC(2, 4)
+	b, _ := enginetest.NewCIC(2, 4)
 	rng := rand.New(rand.NewSource(6))
 	for n := 0; n < 37; n++ {
 		a.Push(int32(rng.Intn(4000)-2000), int32(rng.Intn(4000)-2000))
@@ -131,7 +135,7 @@ func TestCICStateRoundTrip(t *testing.T) {
 }
 
 func TestCICReset(t *testing.T) {
-	c, _ := NewCIC(2, 2)
+	c, _ := enginetest.NewCIC(2, 2)
 	c.Push(1000, 1000)
 	c.Reset()
 	oi, oq, ok := c.Push(0, 0)

@@ -137,15 +137,3 @@ func (n *NCO) Next() Phase {
 	n.Phase += n.Step
 	return p
 }
-
-// PhaseToRadians converts a fixed-point phase to radians in (-π, π].
-func PhaseToRadians(p Phase) float64 {
-	return float64(int32(p)) / 4294967296.0 * 2 * math.Pi
-}
-
-// RadiansToPhase converts radians to fixed-point phase.
-func RadiansToPhase(r float64) Phase {
-	t := r / (2 * math.Pi)
-	t -= math.Floor(t)
-	return Phase(uint64(math.Round(t*4294967296.0)) & 0xFFFFFFFF)
-}

@@ -6,6 +6,29 @@ import (
 	"testing"
 )
 
+// PhaseToRadians converts a fixed-point phase to radians in (-π, π].
+func PhaseToRadians(p Phase) float64 {
+	return float64(int32(p)) / 4294967296.0 * 2 * math.Pi
+}
+
+// RadiansToPhase converts radians to fixed-point phase.
+func RadiansToPhase(r float64) Phase {
+	t := r / (2 * math.Pi)
+	t -= math.Floor(t)
+	return Phase(uint64(math.Round(t*4294967296.0)) & 0xFFFFFFFF)
+}
+
+// Response evaluates the filter's float frequency response magnitude at a
+// normalised frequency (fraction of sample rate) — a test oracle.
+func Response(h []float64, freq float64) float64 {
+	var re, im float64
+	for n, c := range h {
+		re += c * math.Cos(2*math.Pi*freq*float64(n))
+		im -= c * math.Sin(2*math.Pi*freq*float64(n))
+	}
+	return math.Hypot(re, im)
+}
+
 func TestRotateMatchesTrig(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const amp = 1 << 20

@@ -149,14 +149,3 @@ func (f *FIR) LoadState(w []uint64) error {
 	}
 	return nil
 }
-
-// Response evaluates the filter's float frequency response magnitude at a
-// normalised frequency (fraction of sample rate) — a test oracle.
-func Response(h []float64, freq float64) float64 {
-	var re, im float64
-	for n, c := range h {
-		re += c * math.Cos(2*math.Pi*freq*float64(n))
-		im -= c * math.Sin(2*math.Pi*freq*float64(n))
-	}
-	return math.Hypot(re, im)
-}

@@ -73,15 +73,3 @@ func (b Backoff) Delay(attempt int) (sim.Time, bool) {
 	}
 	return d, true
 }
-
-// Retry schedules fn after attempt's backoff delay on k. It returns false —
-// scheduling nothing — once the budget is exhausted: the caller must then
-// degrade (shed, park, report) instead of trying again.
-func (b Backoff) Retry(k *sim.Kernel, attempt int, fn func()) bool {
-	d, ok := b.Delay(attempt)
-	if !ok {
-		return false
-	}
-	k.Schedule(d, fn)
-	return true
-}

@@ -82,13 +82,22 @@ func TestBackoffRetryScheduling(t *testing.T) {
 	b := Backoff{Base: 200, Factor: 2, Cap: 3_200, Limit: 3}
 	var fired []sim.Time
 	attempt := 0
+	// retry schedules again after attempt's delay, as the cluster's
+	// retries do, and reports whether the budget allowed it.
 	var again func()
+	retry := func() bool {
+		d, ok := b.Delay(attempt)
+		if ok {
+			k.Schedule(d, again)
+		}
+		return ok
+	}
 	again = func() {
 		fired = append(fired, k.Now())
 		attempt++
-		b.Retry(k, attempt, again)
+		retry()
 	}
-	if !b.Retry(k, attempt, again) {
+	if !retry() {
 		t.Fatal("first retry refused")
 	}
 	k.Run(100_000)
@@ -103,7 +112,7 @@ func TestBackoffRetryScheduling(t *testing.T) {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
 	}
-	if b.Retry(k, attempt, again) {
+	if retry() {
 		t.Error("retry past the budget accepted")
 	}
 }

@@ -109,6 +109,3 @@ func (d *Doctor) NoteStall(stream int) {
 		Streams: distinct,
 	})
 }
-
-// Decided reports whether the verdict already fired.
-func (d *Doctor) Decided() bool { return d.decided }

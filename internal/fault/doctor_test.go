@@ -50,7 +50,7 @@ func TestDoctorConvictsAcrossStreams(t *testing.T) {
 	if len(v.Streams) != 2 || v.Streams[0] != 0 || v.Streams[1] != 1 {
 		t.Errorf("verdict streams %v, want [0 1] in first-stall order", v.Streams)
 	}
-	if !d.Decided() {
+	if !d.decided {
 		t.Error("doctor not latched")
 	}
 }

@@ -144,9 +144,8 @@ type Engine struct {
 	stuck  bool
 	faults []*engineFault
 
-	// Dropped/Corrupted count injected fault activations for diagnostics.
-	Dropped   uint64
-	Corrupted uint64
+	// Dropped counts dropped samples for diagnostics.
+	Dropped uint64
 }
 
 // Process applies due faults, then delegates to the inner engine.
@@ -175,7 +174,6 @@ func (e *Engine) Process(w sim.Word, out []sim.Word) []sim.Word {
 		case CorruptSample:
 			if af.left > 0 {
 				af.left--
-				e.Corrupted++
 				w ^= af.f.mask()
 			}
 		}

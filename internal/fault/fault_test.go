@@ -166,7 +166,7 @@ func TestArmWedgesLink(t *testing.T) {
 
 func TestArmWedgesNode(t *testing.T) {
 	k := sim.NewKernel()
-	r, err := ring.New(k, ring.Config{Name: "r", Nodes: 3, HopLatency: 1})
+	r, err := ring.New(k, ring.Config{Nodes: 3, HopLatency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestArmWedgesValidation(t *testing.T) {
 	if err := (&Plan{Faults: []Fault{{Kind: WedgeNode, Site: 0}}}).ArmWedges(k, nil, nil); err == nil {
 		t.Error("wedge-node without a ring accepted")
 	}
-	r, _ := ring.New(k, ring.Config{Name: "r", Nodes: 2, HopLatency: 1})
+	r, _ := ring.New(k, ring.Config{Nodes: 2, HopLatency: 1})
 	if err := (&Plan{Faults: []Fault{{Kind: WedgeNode, Site: 9}}}).ArmWedges(k, nil, r); err == nil {
 		t.Error("out-of-range node site accepted")
 	}

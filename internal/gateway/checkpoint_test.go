@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"accelshare/internal/accel"
+	"accelshare/internal/accel/enginetest"
 	"accelshare/internal/cfifo"
 	"accelshare/internal/sim"
 )
@@ -323,7 +324,7 @@ func TestCheckpointRoundsToDecimation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cic, err := accel.NewCIC(1, 4)
+	cic, err := enginetest.NewCIC(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,8 @@
 // the chain's decimation) the entry gateway quiesces the pipeline, pays
 // Recovery.CheckpointCost on the configuration bus to snapshot the engine
 // state, and advances the restart point — so a retry or a migrated
-// in-flight block replays at most K words (core.ResumeBound) and the
-// per-block bound becomes the adjusted Eq. 2 term
+// in-flight block replays at most K words (one resume costs at most
+// Rs + (K+2)·c0) and the per-block bound becomes the adjusted Eq. 2 term
 //
 //	τ̂s(K) = Rs + (ηs + 2·⌈ηs/K⌉)·c0 + (⌈ηs/K⌉−1)·Csave
 //
@@ -160,13 +160,13 @@ type Recovery struct {
 	// records the exit-side commit watermark. A retry — and a
 	// failover-migrated in-flight block — then resumes from the last
 	// checkpoint instead of block start, bounding replay work to O(K)
-	// (core.ResumeBound) where full-block replay is O(ηs). The quiesce and
-	// snapshot stretch the clean-run service latency to τ̂s(K)
-	// (core.TauHatCheckpointed). K is rounded up per stream to a multiple of
-	// its decimation so every boundary maps to an exact output position.
-	// 0 disables checkpointing (historical whole-block replay); the interval
-	// is only honoured when Enabled is set (the snapshot rides the recovery
-	// machinery).
+	// (one resume costs at most Rs + (K+2)·c0) where full-block replay is
+	// O(ηs). The quiesce and snapshot stretch the clean-run service latency
+	// to τ̂s(K) (core.TauHatCheckpointed). K is rounded up per stream to a
+	// multiple of its decimation so every boundary maps to an exact output
+	// position. 0 disables checkpointing (historical whole-block replay); the
+	// interval is only honoured when Enabled is set (the snapshot rides the
+	// recovery machinery).
 	Checkpoint int64
 	// CheckpointCost is the configuration-bus cost of one checkpoint
 	// snapshot, charged like a reconfiguration (and, like Rs, counting as
@@ -453,7 +453,6 @@ type Pair struct {
 	// Utilisation accounting (cycles).
 	ReconfigCycles  uint64
 	StreamingCycles uint64
-	lastStreamStart sim.Time
 	startTime       sim.Time
 	started         bool
 
@@ -477,14 +476,11 @@ type Pair struct {
 
 	// Stalls counts watchdog firings (chain faults detected); Retries and
 	// Quarantines count recovery actions; IdleDropped counts pipeline-idle
-	// notifications swallowed by the DropIdle fault hook; LateIdles counts
-	// idle notifications that arrived after their block had already been
-	// aborted (a flush racing a slow notification).
+	// notifications swallowed by the DropIdle fault hook.
 	Stalls      uint64
 	Retries     uint64
 	Quarantines uint64
 	IdleDropped uint64
-	LateIdles   uint64
 
 	// Checkpoints counts committed mid-block checkpoints; CheckpointCycles
 	// accounts their configuration-bus snapshot time (kept apart from
@@ -508,7 +504,7 @@ func NewPair(k *sim.Kernel, net *ring.Dual, cfg Config, tiles []*accel.Tile, ent
 	}
 	p := &Pair{
 		cfg: cfg, k: k, net: net, tiles: tiles,
-		bus: accel.NewConfigBus(k, cfg.BusBase, cfg.BusPerWord), link: entryLink, exitNI: exitNI,
+		bus: accel.NewConfigBus(k), link: entryLink, exitNI: exitNI,
 		active: -1, abortedStream: -1, loadedStream: -1,
 	}
 	p.step = sim.NewWaker(k, p.entryRun)
@@ -792,7 +788,6 @@ func (p *Pair) reconfigDone(next uint64) {
 	p.ckptNext = p.nextCkptBoundary(s)
 	p.state = stStreaming
 	p.sent = 0
-	p.lastStreamStart = p.k.Now()
 	s.queued = true // ensure turnaround accounting has a reference
 	p.pump()
 }
@@ -1114,7 +1109,6 @@ func (p *Pair) retryDone(epoch uint64) {
 	p.fetched = 0
 	p.exitDelivered = p.blockBase / (s.Block / s.OutBlock)
 	p.exitDiscard = p.exitCount - p.exitDelivered
-	p.lastStreamStart = p.k.Now()
 	p.armWatchdog()
 	p.pump()
 }
@@ -1397,7 +1391,6 @@ func (p *Pair) onPipelineIdle(streamIdx int) {
 		if p.cfg.Recovery.Enabled || p.cfg.DropIdle != nil {
 			// With faults in play a notification can legitimately race a
 			// flush and arrive after its block was aborted: tolerate it.
-			p.LateIdles++
 			return
 		}
 		panic(fmt.Sprintf("gateway %s: spurious idle notification (state=%d idx=%d active=%d)",
@@ -1448,9 +1441,6 @@ func (p *Pair) PendingWait(s int) sim.Time {
 func (p *Pair) Busy() (total, reconfig, streaming uint64) {
 	return uint64(p.k.Now() - p.startTime), p.ReconfigCycles, p.StreamingCycles
 }
-
-// Tiles returns the managed accelerator tiles.
-func (p *Pair) Tiles() []*accel.Tile { return p.tiles }
 
 // ---------------------------------------------------------------------------
 // Online admission control: pause/resume, slot reprogramming, live attach.
@@ -1607,7 +1597,6 @@ type StreamSnapshot struct {
 	Blocks, SamplesIn, SamplesOut uint64
 	Stalls, Retries               uint64
 	Quarantined                   bool
-	QuarantinedAt                 sim.Time
 	Suspended                     bool
 	Probation                     bool
 	MaxTurnaround                 sim.Time
@@ -1629,7 +1618,6 @@ func (p *Pair) Snapshot() []StreamSnapshot {
 			Stalls:        s.StallCount,
 			Retries:       s.RetryCount,
 			Quarantined:   s.Quarantined,
-			QuarantinedAt: s.QuarantinedAt,
 			Suspended:     s.Suspended,
 			Probation:     s.Probation,
 			MaxTurnaround: s.MaxTurnaround,

@@ -374,8 +374,8 @@ func TestStreamsAccessor(t *testing.T) {
 	if len(r.pair.Streams()) != 1 || r.pair.Streams()[0].Name != "x" {
 		t.Fatalf("Streams() = %+v", r.pair.Streams())
 	}
-	if len(r.pair.Tiles()) != 1 {
-		t.Fatalf("Tiles() = %d", len(r.pair.Tiles()))
+	if len(r.pair.tiles) != 1 {
+		t.Fatalf("tiles = %d", len(r.pair.tiles))
 	}
 }
 

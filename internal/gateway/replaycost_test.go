@@ -50,7 +50,8 @@ func replayCell(t *testing.T, eta, k int64, faulty bool) (replayed int64, latenc
 // TestReplayCostSweep measures retry work as a function of the checkpoint
 // interval: without checkpointing a late transient replays the whole block
 // (η words); with interval K it replays at most K, independent of η — the
-// empirical content of the adjusted Eq. 2 term and of core.ResumeBound.
+// empirical content of the adjusted Eq. 2 term and of the resume bound
+// Rs + (K+2)·c0.
 func TestReplayCostSweep(t *testing.T) {
 	etas := []int64{16, 64, 256}
 	ks := []int64{0, 4, 8, 16}

@@ -120,8 +120,8 @@ func failoverConformance(t *testing.T, model *core.System, ch *Chain, standbyCos
 	res := conformance.FromStreams(bounds, streams, conformance.Options{
 		After: after, SkipRetried: true, MinBlocks: minBlocks, ReplayBound: k,
 	})
-	if err := res.Err(); err != nil {
-		t.Error(err)
+	if len(res.Violations) != 0 {
+		t.Errorf("bound violations: %v", res.Violations)
 	}
 	if res.Checked == 0 {
 		t.Error("conformance checked zero blocks")

@@ -104,7 +104,7 @@ func TestQuarantineRestoresBounds(t *testing.T) {
 			Name: name, Rate: big.NewRat(1, 75), Reconfig: 50, Block: 16,
 		})
 	}
-	bounds, err := conformance.FromModel(survivors)
+	bounds, err := conformance.FromModelCheckpointed(survivors, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestQuarantineRestoresBounds(t *testing.T) {
 	res := conformance.FromStreams(bounds,
 		[]*gateway.Stream{sys.Strs[1].GW, sys.Strs[2].GW},
 		conformance.Options{After: quarantinedAt + 20_000, MinBlocks: 50})
-	if err := res.Err(); err != nil {
-		t.Error(err)
+	if len(res.Violations) != 0 {
+		t.Errorf("bound violations: %v", res.Violations)
 	}
 }
 
@@ -206,13 +206,9 @@ func TestCheckpointedTransientConformsToAdjustedBounds(t *testing.T) {
 	if bounds[0].TauHat != 425 || bounds[0].GammaHat != 1275 {
 		t.Fatalf("adjusted bounds τ̂=%d γ̂=%d, want 425/1275", bounds[0].TauHat, bounds[0].GammaHat)
 	}
-	resume, err := model.ResumeBound(0, K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resume != 140 {
-		t.Fatalf("resume bound = %d, want 140 = 50 + (4+2)·15", resume)
-	}
+	// One resume reloads Rs and replays at most K samples plus the
+	// quiesce: Rs + (K+2)·c0 = 50 + (4+2)·15 = 140.
+	resume := model.Streams[0].Reconfig + uint64(K+2)*model.Chain.C0()
 	res := conformance.FromStreams(bounds,
 		[]*gateway.Stream{sys.Strs[0].GW, sys.Strs[1].GW, sys.Strs[2].GW},
 		conformance.Options{
@@ -225,8 +221,8 @@ func TestCheckpointedTransientConformsToAdjustedBounds(t *testing.T) {
 			// checks from a settle margin after the retry instead.
 			SkipGamma: true,
 		})
-	if err := res.Err(); err != nil {
-		t.Error(err)
+	if len(res.Violations) != 0 {
+		t.Errorf("bound violations: %v", res.Violations)
 	}
 	if res.Checked < 300 {
 		t.Errorf("conformance checked %d blocks, want the full three-stream trace", res.Checked)

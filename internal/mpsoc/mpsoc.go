@@ -102,8 +102,6 @@ type Stream struct {
 	// Overflows counts source samples that found the input FIFO full — a
 	// real-time violation if it ever exceeds zero.
 	Overflows uint64
-	// FirstOutputAt / LastOutputAt bracket the sink's observations.
-	FirstOutputAt, LastOutputAt sim.Time
 	// InTimes records source-sample entry instants (RecordInputTimes).
 	InTimes []sim.Time
 
@@ -233,10 +231,6 @@ func (m *MultiSystem) startSinkTask(st *Stream) {
 			if !ok {
 				break
 			}
-			if st.collected == 0 {
-				st.FirstOutputAt = k.Now()
-			}
-			st.LastOutputAt = k.Now()
 			st.collected++
 			if st.Spec.CollectOutputs {
 				st.Outputs = append(st.Outputs, w)
@@ -283,15 +277,12 @@ type StreamReport struct {
 	// PendingWait is how long an eligible block has been waiting unserved
 	// at the end of the run (starvation indicator).
 	PendingWait sim.Time
-	// OutputRate is samples per cycle over the observation window.
-	OutputRate float64
 	// Stalls/Retries count watchdog firings and block replays attributed
-	// to this stream; Quarantined (at QuarantinedAt) means the stream was
-	// removed from arbitration after exhausting its retry budget.
-	Stalls        uint64
-	Retries       uint64
-	Quarantined   bool
-	QuarantinedAt sim.Time
+	// to this stream; Quarantined means the stream was removed from
+	// arbitration after exhausting its retry budget.
+	Stalls      uint64
+	Retries     uint64
+	Quarantined bool
 }
 
 // Report collects the chain's measurements after Run.

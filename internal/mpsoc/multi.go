@@ -542,15 +542,6 @@ func (m *MultiSystem) Run(horizon sim.Time) {
 	m.K.Run(horizon)
 }
 
-// Report collects per-chain measurements.
-func (m *MultiSystem) Report() []Report {
-	var out []Report
-	for _, ch := range m.Chains {
-		out = append(out, chainReport(m.K, ch))
-	}
-	return out
-}
-
 func chainReport(k *sim.Kernel, ch *Chain) Report {
 	total, rec, str := ch.Pair.Busy()
 	r := Report{Cycles: total, ReconfigCycles: rec, StreamingCycles: str}
@@ -571,10 +562,6 @@ func chainReport(k *sim.Kernel, ch *Chain) Report {
 			Stalls:        snap.Stalls,
 			Retries:       snap.Retries,
 			Quarantined:   snap.Quarantined,
-			QuarantinedAt: snap.QuarantinedAt,
-		}
-		if total > 0 {
-			sr.OutputRate = float64(snap.SamplesOut) / float64(total)
 		}
 		r.PerStream = append(r.PerStream, sr)
 	}

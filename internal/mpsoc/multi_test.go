@@ -157,10 +157,10 @@ func TestTwoChainsOnOneRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms.Run(2_000_000)
-	reps := ms.Report()
-	if len(reps) != 2 {
-		t.Fatalf("reports = %d", len(reps))
+	if len(ms.Chains) != 2 {
+		t.Fatalf("chains = %d", len(ms.Chains))
 	}
+	reps := []Report{chainReport(ms.K, ms.Chains[0]), chainReport(ms.K, ms.Chains[1])}
 	if reps[0].PerStream[0].SamplesOut != 128 || reps[0].PerStream[1].SamplesOut != 128 {
 		t.Errorf("chain 0 outputs: %+v", reps[0].PerStream)
 	}
@@ -194,14 +194,14 @@ func TestChainsAreTemporallyIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	msSolo.Run(2_000_000)
-	soloRep := msSolo.Report()[0]
+	soloRep := chainReport(msSolo.K, msSolo.Chains[0])
 
 	msBoth, err := BuildMulti(twoChainConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	msBoth.Run(2_000_000)
-	bothRep := msBoth.Report()[1]
+	bothRep := chainReport(msBoth.K, msBoth.Chains[1])
 
 	if soloRep.PerStream[0].SamplesOut != bothRep.PerStream[0].SamplesOut {
 		t.Errorf("sample counts differ: solo %d vs both %d",

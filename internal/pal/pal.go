@@ -170,7 +170,6 @@ func (f *Frontend) synthesise(n uint64) sim.Word {
 
 // Decoder is the assembled application.
 type Decoder struct {
-	P      Params
 	Sys    *mpsoc.System
 	L, R   []int32 // reconstructed audio
 	stereo struct {
@@ -204,7 +203,7 @@ func Build(p Params) (*Decoder, error) {
 	q1 := dsp.QuantizeQ15(lpf)
 	q2 := q1
 
-	d := &Decoder{P: p}
+	d := &Decoder{}
 	// One front end feeds both stage-1 streams, which read it in step: Build
 	// gives them one period, start cycle and length.
 	fe := NewFrontend(p)

@@ -18,11 +18,11 @@ import (
 // a Free reading inside a held word's window (both put the step back).
 func TestRingZeroAllocSteadyState(t *testing.T) {
 	k := sim.NewKernel()
-	r, err := New(k, Config{Name: "d", Nodes: 4, InjectionDepth: 8})
+	r, err := New(k, Config{Nodes: 4, InjectionDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := New(k, Config{Name: "t", Nodes: 4, InjectionDepth: 1})
+	tight, err := New(k, Config{Nodes: 4, InjectionDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

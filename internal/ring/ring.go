@@ -31,7 +31,6 @@ const (
 
 // Config parameterises a ring.
 type Config struct {
-	Name string
 	// Nodes is the number of tile attachment points.
 	Nodes int
 	// HopLatency is the cycles one word needs to advance one node.
@@ -71,8 +70,6 @@ type Port interface {
 	Bind(fn func(Message)) Handle
 	// SubscribeSpace wakes w when injection space frees.
 	SubscribeSpace(w *sim.Waker)
-	// Free reports available injection-buffer slots.
-	Free() int
 }
 
 // binding is one slab entry: the node a handle's words go to and the
@@ -102,7 +99,6 @@ func discard(Message) {}
 // platform can run on either.
 type Transport interface {
 	Node(i int) Port
-	Nodes() int
 	// DeliveredWords counts words the transport has carried.
 	DeliveredWords() uint64
 	// Move points the binding h at node: words sent to h from now on go
@@ -226,19 +222,6 @@ func (n *Node) Bind(fn func(Message)) Handle { return n.r.binds.add(n.idx, fn) }
 
 // SubscribeSpace wakes w whenever injection space frees up.
 func (n *Node) SubscribeSpace(w *sim.Waker) { n.space = append(n.space, w) }
-
-// Free returns the available injection-buffer slots. A reading that counts
-// a held word puts its step back, as a refused send does: the caller may
-// wait for space on it, and the step's wake must reach it.
-//
-//accellint:noalloc guard=TestRingZeroAllocSteadyState
-func (n *Node) Free() int {
-	held := n.held()
-	if held == 1 {
-		n.restep()
-	}
-	return n.r.cfg.InjectionDepth - n.injLen - held
-}
 
 // WedgeNode freezes node i's injection side for d cycles (d == 0 =
 // permanently): sends are refused and already-buffered messages stop
@@ -481,11 +464,11 @@ type Dual struct {
 
 // NewDual builds the two rings with shared geometry.
 func NewDual(k *sim.Kernel, nodes int, hopLatency sim.Time) (*Dual, error) {
-	d, err := New(k, Config{Name: "data", Nodes: nodes, HopLatency: hopLatency, Direction: Clockwise})
+	d, err := New(k, Config{Nodes: nodes, HopLatency: hopLatency, Direction: Clockwise})
 	if err != nil {
 		return nil, err
 	}
-	c, err := New(k, Config{Name: "credit", Nodes: nodes, HopLatency: hopLatency, Direction: CounterClockwise})
+	c, err := New(k, Config{Nodes: nodes, HopLatency: hopLatency, Direction: CounterClockwise})
 	if err != nil {
 		return nil, err
 	}
@@ -495,11 +478,11 @@ func NewDual(k *sim.Kernel, nodes int, hopLatency sim.Time) (*Dual, error) {
 // NewDualSlotted builds the interconnect on the cycle-true slotted
 // mechanism instead of the transaction-level abstraction.
 func NewDualSlotted(k *sim.Kernel, nodes int) (*Dual, error) {
-	d, err := NewSlotted(k, SlottedConfig{Name: "data", Nodes: nodes, Direction: Clockwise})
+	d, err := NewSlotted(k, SlottedConfig{Nodes: nodes, Direction: Clockwise})
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewSlotted(k, SlottedConfig{Name: "credit", Nodes: nodes, Direction: CounterClockwise})
+	c, err := NewSlotted(k, SlottedConfig{Nodes: nodes, Direction: CounterClockwise})
 	if err != nil {
 		return nil, err
 	}

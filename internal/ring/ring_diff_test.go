@@ -128,9 +128,9 @@ func (s *ringSender) try() {
 	p := s.d.r.Node(s.node)
 	for len(s.backlog) > 0 {
 		if s.polite {
-			free := p.Free()
-			s.d.record('f', s.node, free)
-			if free == 0 {
+			slots := free(p)
+			s.d.record('f', s.node, slots)
+			if slots == 0 {
 				s.waiting = true
 				return
 			}
@@ -165,7 +165,7 @@ func (d *ringHarness) step() {
 		}
 		s.try()
 	case opFree:
-		d.record('f', op.node, d.r.Node(op.node).Free())
+		d.record('f', op.node, free(d.r.Node(op.node)))
 	case opWedge:
 		d.r.WedgeNode(op.node, op.wedge)
 	}
@@ -191,7 +191,6 @@ func decodeRingScript(data []byte) (ringScript, bool) {
 	}
 	g := data[0]
 	cfg := Config{
-		Name:           "diff",
 		Nodes:          2 + int(g%4),
 		InjectionDepth: 1 + int(g>>2%4),
 		SlotPeriod:     1 + sim.Time(g>>4%3),

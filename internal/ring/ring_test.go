@@ -186,7 +186,7 @@ func TestUncontendedWordOneEvent(t *testing.T) {
 		// Scheduled before the send below, so it fires ahead of the step's
 		// place: the word still holds the only slot.
 		k.Schedule(0, func() {
-			if n.Free() != 0 || n.TrySend(h, 2) {
+			if free(n) != 0 || n.TrySend(h, 2) {
 				t.Error("same-cycle sender ahead of the step saw a free slot")
 			}
 		})
@@ -195,8 +195,8 @@ func TestUncontendedWordOneEvent(t *testing.T) {
 		}
 		// Scheduled after the send: fires after the step's place.
 		k.Schedule(0, func() {
-			if n.Free() != 1 {
-				t.Errorf("Free = %d after the step's place, want 1", n.Free())
+			if free(n) != 1 {
+				t.Errorf("Free = %d after the step's place, want 1", free(n))
 			}
 		})
 	})

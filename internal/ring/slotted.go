@@ -23,7 +23,6 @@ import (
 
 // SlottedConfig parameterises a slotted ring.
 type SlottedConfig struct {
-	Name  string
 	Nodes int
 	// InjectionDepth is the per-node outbound buffer.
 	InjectionDepth int
@@ -88,9 +87,6 @@ func NewSlotted(k *sim.Kernel, cfg SlottedConfig) (*Slotted, error) {
 // Node returns attachment point i.
 func (r *Slotted) Node(i int) Port { return r.nodes[i] }
 
-// Nodes returns the node count.
-func (r *Slotted) Nodes() int { return r.cfg.Nodes }
-
 // DeliveredWords counts carried words (Transport interface).
 func (r *Slotted) DeliveredWords() uint64 { return r.Delivered }
 
@@ -105,9 +101,6 @@ func (n *SlottedNode) Bind(fn func(Message)) Handle { return n.r.binds.add(n.idx
 
 // SubscribeSpace wakes w when injection space frees.
 func (n *SlottedNode) SubscribeSpace(w *sim.Waker) { n.space = append(n.space, w) }
-
-// Free reports available injection-buffer slots.
-func (n *SlottedNode) Free() int { return n.r.cfg.InjectionDepth - len(n.inj) }
 
 // TrySend queues a word for the binding h; false when the buffer is full.
 func (n *SlottedNode) TrySend(h Handle, w sim.Word) bool {

@@ -182,15 +182,15 @@ func TestTransportInterfaceSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	transports = append(transports, r, s)
+	if r.Nodes() != 4 {
+		t.Errorf("Nodes() = %d", r.Nodes())
+	}
 	for _, tr := range transports {
-		if tr.Nodes() != 4 {
-			t.Errorf("Nodes() = %d", tr.Nodes())
-		}
 		if tr.DeliveredWords() != 0 {
 			t.Errorf("fresh transport carried %d words", tr.DeliveredWords())
 		}
 		n := tr.Node(0)
-		if n.Free() <= 0 {
+		if free(n) <= 0 {
 			t.Error("fresh node has no injection space")
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 func TestWedgeNodeRefusesAndDefersInjection(t *testing.T) {
 	k := sim.NewKernel()
-	r, err := New(k, Config{Name: "w", Nodes: 4, HopLatency: 1, SlotPeriod: 5, InjectionDepth: 4})
+	r, err := New(k, Config{Nodes: 4, HopLatency: 1, SlotPeriod: 5, InjectionDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestWedgeNodeRefusesAndDefersInjection(t *testing.T) {
 
 func TestWedgeNodePermanent(t *testing.T) {
 	k := sim.NewKernel()
-	r, err := New(k, Config{Name: "wp", Nodes: 2, HopLatency: 1})
+	r, err := New(k, Config{Nodes: 2, HopLatency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestWedgeNodePermanent(t *testing.T) {
 
 func TestWedgeNodeWakesSpaceSubscribers(t *testing.T) {
 	k := sim.NewKernel()
-	r, err := New(k, Config{Name: "ws", Nodes: 2, HopLatency: 1})
+	r, err := New(k, Config{Nodes: 2, HopLatency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

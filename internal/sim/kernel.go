@@ -169,9 +169,6 @@ func (k *Kernel) insert(t Time, fn func(), argFn func(uint64), arg uint64) {
 	}
 }
 
-// Pending reports whether any events remain.
-func (k *Kernel) Pending() bool { return k.live > 0 }
-
 // Step executes the next event; it reports false when the queue is empty.
 //
 //accellint:noalloc guard=TestKernelZeroAllocSteadyState

@@ -9,6 +9,10 @@ import "testing"
 // across closure and argument events, delay-0 self-reschedules, wheel
 // boundary delays and horizon clamps.
 
+// Pending reports whether any events remain; the harness compares it with
+// the reference kernel's after every step.
+func (k *Kernel) Pending() bool { return k.live > 0 }
+
 // schedKernel is the scheduling surface shared by Kernel and heapKernel.
 type schedKernel interface {
 	Now() Time

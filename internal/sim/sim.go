@@ -152,9 +152,6 @@ func (q *Queue) Len() int { return q.n }
 // Cap returns the capacity.
 func (q *Queue) Cap() int { return q.capacity }
 
-// Free returns the remaining space.
-func (q *Queue) Free() int { return q.capacity - q.n }
-
 // SubscribeData registers a waker invoked whenever a word is pushed.
 func (q *Queue) SubscribeData(w *Waker) { q.onData = append(q.onData, w) }
 
@@ -213,12 +210,4 @@ func (q *Queue) TryPop() (Word, bool) {
 func (q *Queue) Clear() {
 	q.head = 0
 	q.n = 0
-}
-
-// Peek returns the oldest word without removing it.
-func (q *Queue) Peek() (Word, bool) {
-	if q.n == 0 {
-		return 0, false
-	}
-	return q.buf[q.head], true
 }

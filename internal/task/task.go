@@ -73,11 +73,6 @@ func (s *Scheduler) AddTask(name string, budget sim.Time) (*Task, error) {
 	return t, nil
 }
 
-// Utilization returns the allocated fraction of the period (B/P summed).
-func (s *Scheduler) Utilization() float64 {
-	return float64(s.used) / float64(s.Period)
-}
-
 // serviceEnd returns the earliest absolute time at which `cost` cycles of
 // service accumulate for task t starting no earlier than `from`.
 func (t *Task) serviceEnd(from sim.Time, cost sim.Time) sim.Time {
@@ -120,16 +115,6 @@ func (t *Task) Post(cost sim.Time, fn func()) {
 			fn()
 		}
 	})
-}
-
-// Backlog returns the service-time backlog: how far in the future the task
-// frees up (0 when idle).
-func (t *Task) Backlog() sim.Time {
-	now := t.s.k.Now()
-	if t.freeAt <= now {
-		return 0
-	}
-	return t.freeAt - now
 }
 
 // WorstCaseLatency is the analytical response bound for a single item of

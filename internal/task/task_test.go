@@ -28,8 +28,8 @@ func TestSchedulerValidation(t *testing.T) {
 	if _, err := s.AddTask("b", 40); err != nil {
 		t.Fatal(err)
 	}
-	if u := s.Utilization(); u != 1.0 {
-		t.Errorf("utilisation = %v", u)
+	if s.used != s.Period {
+		t.Errorf("allocated %d of the period %d, want all of it", s.used, s.Period)
 	}
 }
 
@@ -180,19 +180,21 @@ func TestResponseWithinBound(t *testing.T) {
 	}
 }
 
+// TestBacklog: the task's backlog is how far its free-up time lies ahead;
+// Post queues the next item behind it.
 func TestBacklog(t *testing.T) {
 	k := sim.NewKernel()
 	s, _ := NewScheduler(k, 10)
 	a, _ := s.AddTask("a", 10) // full budget: service == wall time
-	if a.Backlog() != 0 {
+	if a.freeAt > k.Now() {
 		t.Error("fresh task has backlog")
 	}
 	a.Post(40, nil)
-	if a.Backlog() != 40 {
-		t.Errorf("backlog = %d, want 40", a.Backlog())
+	if a.freeAt-k.Now() != 40 {
+		t.Errorf("backlog = %d, want 40", a.freeAt-k.Now())
 	}
 	k.RunAll()
-	if a.Backlog() != 0 {
+	if a.freeAt > k.Now() {
 		t.Error("backlog after completion")
 	}
 }

@@ -20,7 +20,6 @@ import (
 
 // Config parameterises a TDM crossbar.
 type Config struct {
-	Name string
 	// Nodes is the port count.
 	Nodes int
 	// WheelSlots is the TDM wheel length in cycles.
@@ -61,7 +60,6 @@ type Node struct {
 	idx   int
 	inj   []outMsg
 	ports map[int]func(Message)
-	space []*sim.Waker
 }
 
 type outMsg struct {
@@ -125,9 +123,6 @@ func (n *Node) Bind(port int, fn func(Message)) {
 	n.ports[port] = fn
 }
 
-// SubscribeSpace wakes w when injection space frees.
-func (n *Node) SubscribeSpace(w *sim.Waker) { n.space = append(n.space, w) }
-
 // TrySend queues a word for the (n → dst) connection; it departs in the
 // connection's next reserved slot. False when the injection buffer is full.
 func (n *Node) TrySend(dst, port int, w sim.Word) bool {
@@ -172,9 +167,6 @@ func (x *Crossbar) pump() {
 						}
 						h(mm)
 					})
-					for _, w := range n.space {
-						w.Wake()
-					}
 					sent = true
 					break
 				}

@@ -128,7 +128,7 @@ func TestSVGExport(t *testing.T) {
 func TestSVGEscapesNames(t *testing.T) {
 	g := dataflow.NewGraph("esc")
 	a := g.AddActor("a<b>&c", 1)
-	g.AddSDFEdge("self", a, a, 1, 1, 1)
+	g.AddEdge("self", a, a, dataflow.Const(1), dataflow.Const(1), 1)
 	res, err := g.Simulate(dataflow.SimOptions{RecordTrace: true, MaxTime: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -17,14 +17,6 @@ type Audio struct {
 	Samples []int16
 }
 
-// Frames returns the frame count.
-func (a *Audio) Frames() int {
-	if a.Channels == 0 {
-		return 0
-	}
-	return len(a.Samples) / a.Channels
-}
-
 // WriteStereo encodes two int32 channels (clipped to 16 bits) at the given
 // rate.
 func WriteStereo(w io.Writer, l, r []int32, rate int) error {

@@ -17,7 +17,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Rate != 44100 || a.Channels != 2 || a.Frames() != 7 {
+	if a.Rate != 44100 || a.Channels != 2 || len(a.Samples) != 2*7 {
 		t.Fatalf("meta = %+v", a)
 	}
 	want := []int16{0, 100, -100, 32767, -32768, 32767, -32768}
@@ -40,8 +40,8 @@ func TestWriteStereoTruncatesToShorter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Frames() != 4 {
-		t.Errorf("frames = %d, want 4", a.Frames())
+	if a.Channels != 2 || len(a.Samples) != 2*4 {
+		t.Errorf("%d channels, %d samples, want 4 stereo frames", a.Channels, len(a.Samples))
 	}
 }
 
@@ -81,8 +81,8 @@ func TestReadSkipsUnknownChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Frames() != 2 {
-		t.Errorf("frames = %d", a.Frames())
+	if a.Channels != 2 || len(a.Samples) != 2*2 {
+		t.Errorf("%d channels, %d samples, want 2 stereo frames", a.Channels, len(a.Samples))
 	}
 }
 
@@ -112,7 +112,7 @@ func TestMonoRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Channels != 1 || got.Frames() != 4 {
+	if got.Channels != 1 || len(got.Samples) != 4 {
 		t.Fatalf("got %+v", got)
 	}
 	for i := range a.Samples {
