@@ -177,17 +177,6 @@ func failoverPlatform(sc failoverScenario) (*mpsoc.MultiSystem, *mpsoc.FailoverC
 	return ms, fc, nil
 }
 
-// contiguous verifies the identity-engine output sequence 0,1,2,...: any
-// lost or duplicated sample across the migration breaks it.
-func contiguous(outputs []sim.Word) bool {
-	for k, w := range outputs {
-		if w != sim.Word(k) {
-			return false
-		}
-	}
-	return true
-}
-
 // conformanceCut picks the post-transient window start: after the failover's
 // backlog has drained (the migration freezes service for ~γ̂, so the first
 // rounds on the standby work through queued blocks, to which the single-
@@ -261,7 +250,7 @@ func failoverCampaign(w io.Writer, horizon sim.Time, script string) error {
 		for i, snap := range snaps {
 			st := active.Strs[i]
 			contig := "OK"
-			if !contiguous(st.Outputs) {
+			if !st.Contiguous() {
 				contig = "BROKEN"
 				allOK = false
 			}

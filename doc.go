@@ -44,7 +44,8 @@
 // Production code is what runs: reach_test.go builds every binary and fails
 // on any non-test function that none of them links, and on any non-test
 // file that imports a test-only package (ilp, accel/enginetest,
-// analysis/analysistest).
+// analysis/analysistest). Its field census fails on an exported field that
+// production reads but only tests set, and on one that nothing reads.
 //
 // The benchmarks in this directory regenerate every table and figure of the
 // paper's evaluation; `go run ./cmd/accelshare all` prints them. See

@@ -103,8 +103,8 @@ func main() {
 		{
 			Name: "radioA", Block: res.Blocks[0], Decimation: 8, Reconfig: 4100,
 			InCapacity: int(3 * res.Blocks[0]), OutCapacity: int(res.Blocks[0]),
-			Engines:         []accel.Engine{accel.NewMixer(-300_000, rateA), firA},
-			SourcePeriodNum: uint64(clock), SourcePeriodDen: uint64(rateA),
+			Engines:      []accel.Engine{accel.NewMixer(-300_000, rateA), firA},
+			SourcePeriod: sim.Time(clock), SourcePeriodDen: uint64(rateA),
 			Source:         mkSource(modA, toneA, rateA),
 			TotalInputs:    uint64(seconds * rateA),
 			CollectOutputs: true,
@@ -112,8 +112,8 @@ func main() {
 		{
 			Name: "radioB", Block: res.Blocks[1], Decimation: 8, Reconfig: 4100,
 			InCapacity: int(3 * res.Blocks[1]), OutCapacity: int(res.Blocks[1]),
-			Engines:         []accel.Engine{accel.NewMixer(80_000, rateB), firB},
-			SourcePeriodNum: uint64(clock), SourcePeriodDen: uint64(rateB),
+			Engines:      []accel.Engine{accel.NewMixer(80_000, rateB), firB},
+			SourcePeriod: sim.Time(clock), SourcePeriodDen: uint64(rateB),
 			Source:         mkSource(modB, toneB, rateB),
 			TotalInputs:    uint64(seconds * rateB),
 			CollectOutputs: true,

@@ -21,6 +21,7 @@ import (
 	"accelshare/internal/core"
 	"accelshare/internal/gateway"
 	"accelshare/internal/mpsoc"
+	"accelshare/internal/sim"
 )
 
 func main() {
@@ -93,7 +94,7 @@ func main() {
 	for i, st := range sys.Streams {
 		// Drive each source at exactly its required rate: the period in
 		// cycles is ClockHz / rate, kept exact as a rational.
-		num := uint64(sys.ClockHz)
+		period := sim.Time(sys.ClockHz)
 		den := uint64(st.Rate.Num().Int64())
 		chain.Streams = append(chain.Streams, mpsoc.StreamSpec{
 			Name:            st.Name,
@@ -103,7 +104,7 @@ func main() {
 			InCapacity:      int(3 * res.Blocks[i]),
 			OutCapacity:     int(3 * res.Blocks[i]),
 			Engines:         []accel.Engine{&accel.Gain{}},
-			SourcePeriodNum: num,
+			SourcePeriod:    period,
 			SourcePeriodDen: den,
 			TotalInputs:     uint64(res.Blocks[i]) * 40,
 		})

@@ -29,15 +29,15 @@ func TestPassthroughEngine(t *testing.T) {
 }
 
 func TestGainEngineStateRoundTrip(t *testing.T) {
-	g := &Gain{Shift: 2}
+	g := &Gain{}
 	out := g.Process(sim.PackIQ(3, -4), nil)
 	i, q := sim.UnpackIQ(out[0])
-	if i != 12 || q != -16 {
-		t.Errorf("gain out = (%d,%d)", i, q)
+	if len(out) != 1 || i != 3 || q != -4 {
+		t.Errorf("gain out = %v, want the input (3,-4)", out)
 	}
 	g.Process(0, nil)
 	st := g.SaveState(nil)
-	g2 := &Gain{Shift: 2}
+	g2 := &Gain{}
 	if err := g2.LoadState(st); err != nil {
 		t.Fatal(err)
 	}

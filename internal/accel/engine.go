@@ -56,18 +56,18 @@ func (Passthrough) LoadState(s []uint64) error {
 // StateWords is zero.
 func (Passthrough) StateWords() int { return 0 }
 
-// Gain multiplies both components by a constant shift — a trivial stateful
-// engine for arbitration tests.
+// Gain is the unity-gain engine: it forwards every sample unchanged and
+// counts it, so it carries one word of per-stream state through each
+// context switch. The campaigns and examples run it where a chain needs a
+// stateful engine but no signal processing.
 type Gain struct {
-	Shift uint8
 	Count uint64
 }
 
-// Process scales the sample.
+// Process forwards the sample and counts it.
 func (g *Gain) Process(w sim.Word, out []sim.Word) []sim.Word {
-	i, q := sim.UnpackIQ(w)
 	g.Count++
-	return append(out, sim.PackIQ(i<<g.Shift, q<<g.Shift))
+	return append(out, w)
 }
 
 // SaveState stores the sample counter.

@@ -3,8 +3,9 @@
 // snapshot to the slice it is given, fills a slice with room without
 // allocating, and LoadState copies its input, so the caller may refill the
 // same per-slot buffer at the next swap. It also holds the CIC decimator
-// engine that the accel, admission, gateway and dsp tests run. Only tests
-// may import it.
+// engine that the accel, admission, gateway and dsp tests run, and the
+// Shift engine of the platform tests that must see an engine change the
+// values it carries. Only tests may import it.
 package enginetest
 
 import (

@@ -29,7 +29,8 @@ func TestEngineSnapshotContract(t *testing.T) {
 		e    accel.Engine
 	}{
 		{"Passthrough", accel.Passthrough{}},
-		{"Gain", &accel.Gain{Shift: 1}},
+		{"Gain", &accel.Gain{}},
+		{"Shift", &enginetest.Shift{By: 1}},
 		{"Mixer", accel.NewMixer(12345, 1<<20)},
 		{"Discriminator", accel.NewDiscriminator()},
 		{"FIR", fir},

@@ -37,11 +37,11 @@ import (
 
 // An Analyzer describes one invariant checker. It mirrors the x/tools
 // go/analysis Analyzer surface that this suite needs: a name (printed with
-// each diagnostic and used by suppression directives), a doc string, and a
-// Run function over one type-checked package.
+// each diagnostic and used by suppression directives) and a Run function
+// over one type-checked package. Its constructor's doc comment states the
+// invariant.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass) error
 }
 

@@ -30,12 +30,13 @@ var boundMethods = map[string]bool{
 	"VerifyThroughput":   true,
 }
 
-// NewBoundCheck builds the bound-discipline analyzer. In every package it
-// reports bound-method calls whose error result is dropped (expression
-// statement, go/defer, or assignment to the blank identifier). Outside the
-// defining core package — whose own internals are the exact-rational
-// implementation of the bounds — it additionally reports, in expressions
-// involving a bound-derived value:
+// NewBoundCheck builds the bound-discipline analyzer: bound-function errors
+// must be checked, and bound comparisons must not wrap signs or truncate.
+// In every package it reports bound-method calls whose error result is
+// dropped (expression statement, go/defer, or assignment to the blank
+// identifier). Outside the defining core package — whose own internals are
+// the exact-rational implementation of the bounds — it additionally
+// reports, in expressions involving a bound-derived value:
 //
 //   - integer division (/) applied to a bound-derived operand: cycle
 //     arithmetic must round via core's rational ceil helpers, not truncate
@@ -50,7 +51,6 @@ var boundMethods = map[string]bool{
 func NewBoundCheck() *Analyzer {
 	a := &Analyzer{
 		Name: "boundcheck",
-		Doc:  "bound-function errors must be checked; bound comparisons must not wrap signs or truncate",
 	}
 	a.Run = func(pass *Pass) error {
 		inCore := isCorePkg(pass.Pkg.Path())

@@ -34,11 +34,11 @@ const (
 )
 
 // NewDeepCopy builds the export-aliasing analyzer over directive-marked
-// functions.
+// functions: //accellint:deepcopy functions must not export receiver-owned
+// or retain caller-owned slices/maps.
 func NewDeepCopy() *Analyzer {
 	a := &Analyzer{
 		Name: "deepcopy",
-		Doc:  "//accellint:deepcopy functions must not export receiver-owned or retain caller-owned slices/maps",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, file := range pass.Files {

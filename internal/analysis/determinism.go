@@ -40,9 +40,10 @@ func DeterminismCovered(path string) bool {
 	return false
 }
 
-// NewDeterminism builds the determinism analyzer with a coverage predicate
-// over package import paths (nil means DeterminismCovered). Within covered
-// packages it reports:
+// NewDeterminism builds the determinism analyzer, which forbids wall-clock
+// reads, global math/rand and order-observing map iteration in
+// output-feeding packages. Coverage is a predicate over package import
+// paths (nil means DeterminismCovered). Within covered packages it reports:
 //
 //   - calls to time.Now / time.Since / time.Until — wall-clock reads; the
 //     simulator's sim.Time cycle clock is the only clock
@@ -64,7 +65,6 @@ func NewDeterminism(cover func(pkgPath string) bool) *Analyzer {
 	}
 	a := &Analyzer{
 		Name: "determinism",
-		Doc:  "forbid wall-clock, global math/rand and order-observing map iteration in output-feeding packages",
 	}
 	a.Run = func(pass *Pass) error {
 		if !cover(pass.Pkg.Path()) {

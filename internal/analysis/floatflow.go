@@ -38,11 +38,12 @@ func isBoundField(name string) bool {
 	return boundFieldNames[name] || strings.HasSuffix(name, "Bound")
 }
 
-// NewFloatFlow builds the float-taint analyzer.
+// NewFloatFlow builds the float-taint analyzer: float-derived values must
+// not reach bound comparisons, bound fields or campaign transcripts without
+// solve.Verify.
 func NewFloatFlow() *Analyzer {
 	a := &Analyzer{
 		Name: "floatflow",
-		Doc:  "float-derived values must not reach bound comparisons, bound fields or campaign transcripts without solve.Verify",
 	}
 	a.Run = func(pass *Pass) error {
 		if isCorePkg(pass.Pkg.Path()) {

@@ -30,11 +30,12 @@ import (
 	"strings"
 )
 
-// NewNoAlloc builds the zero-allocation hot-path analyzer.
+// NewNoAlloc builds the zero-allocation hot-path analyzer:
+// //accellint:noalloc functions must not contain allocating constructs, and
+// cold-start sites carry //accellint:alloc.
 func NewNoAlloc() *Analyzer {
 	a := &Analyzer{
 		Name: "noalloc",
-		Doc:  "//accellint:noalloc functions must not contain allocating constructs; cold-start sites carry //accellint:alloc",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, file := range pass.Files {

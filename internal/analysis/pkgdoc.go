@@ -9,12 +9,12 @@ package analysis
 
 import "go/ast"
 
-// NewPkgDoc builds the package-doc analyzer. It reports once per package,
+// NewPkgDoc builds the package-doc analyzer: every package must have a
+// package doc comment on a non-test file. It reports once per package,
 // at the package clause of the first (lexically sorted) file.
 func NewPkgDoc() *Analyzer {
 	a := &Analyzer{
 		Name: "pkgdoc",
-		Doc:  "every package must have a package doc comment on a non-test file",
 	}
 	a.Run = func(pass *Pass) error {
 		var first *ast.File

@@ -44,11 +44,12 @@ var ratMutators = map[string]bool{
 	"Neg": true, "Abs": true, "Inv": true,
 }
 
-// NewRatAlias builds the big.Rat aliasing analyzer.
+// NewRatAlias builds the big.Rat aliasing analyzer: *big.Rat values must
+// not be shared into containers or receiver state while also mutated in
+// place.
 func NewRatAlias() *Analyzer {
 	a := &Analyzer{
 		Name: "ratalias",
-		Doc:  "*big.Rat values must not be shared into containers or receiver state while also mutated in place",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, file := range pass.Files {

@@ -976,16 +976,7 @@ func (c *Controller) StreamStatuses() []StreamStatus {
 
 // streamCounters reads the counters a StreamStatus reports from st.
 func streamCounters(st *mpsoc.Stream) (blocks, samples, overflow uint64, contiguousOutputs bool) {
-	return st.GW.Blocks, st.GW.SamplesOut, st.Overflows, contiguous(st.Outputs)
-}
-
-func contiguous(words []sim.Word) bool {
-	for i, w := range words {
-		if w != sim.Word(i) {
-			return false
-		}
-	}
-	return true
+	return st.GW.Blocks, st.GW.SamplesOut, st.Overflows, st.Contiguous()
 }
 
 // ChainConformance is the fleet-wide Eq. 2/4/5 check for one chain.

@@ -104,7 +104,7 @@ func TestDepartedStreamsAreCollected(t *testing.T) {
 		seen := map[string]retiredOutputs{}
 		if keep {
 			c.ms.SetRetireObserver(func(st *mpsoc.Stream) {
-				seen[st.GW.Name] = retiredOutputs{len(st.Outputs), contiguous(st.Outputs)}
+				seen[st.GW.Name] = retiredOutputs{len(st.Outputs), st.Contiguous()}
 				c.retired(st)
 			})
 		}

@@ -10,10 +10,9 @@
 // caller scopes the trace (Options.After cuts convergence transients, e.g.
 // everything before a quarantine or failover settled) and decides whether
 // retried blocks may exceed τ̂s (Options.SkipRetried — a retry legitimately
-// pays the flush + replay on top of the clean-run bound, or, sharper,
-// Options.RetrySlack widens τ̂s by a per-retry allowance derived from
-// detection latency plus the resume bound Rs + (K+2)·c0 instead of
-// exempting the block).
+// pays the flush + replay on top of the clean-run bound; the caller bounds
+// such a block itself, from detection latency plus the resume bound
+// Rs + (K+2)·c0).
 //
 // For checkpointed recovery the harness also checks the replay-cost claim
 // itself: FromModelCheckpointed derives bounds from the adjusted Eq. 2 term
@@ -96,9 +95,6 @@ type Options struct {
 	// MinBlocks fails a stream with fewer than this many in-scope blocks —
 	// an empty trace trivially "conforms", which is never what a test means.
 	MinBlocks int
-	// SkipGamma disables the γ̂s check, e.g. while a stream's γ̂ is
-	// transiently stale across an admission transition.
-	SkipGamma bool
 	// ReplayBound, when positive, checks every block's measured replay work:
 	// the input words re-issued beyond the first pass (BlockRecord.Replayed)
 	// must not exceed Retries × ReplayBound. With checkpointing every K
@@ -107,13 +103,6 @@ type Options struct {
 	// retry. This is the measured side of the adjusted Eq. 2 argument:
 	// replay work ≤ K, so one resume costs at most Rs + (K+2)·c0.
 	ReplayBound int64
-	// RetrySlack, when positive, replaces SkipRetried's blanket exemption
-	// for the τ̂s check: a retried block's service latency is checked against
-	// TauHat + Retries × RetrySlack instead of being skipped. Callers derive
-	// the slack from the adjusted Eq. 2 term: one detect-flush-resume cycle
-	// costs at most the watchdog window (detection) + the flush settle +
-	// the resume bound Rs + (K+2)·c0 (reload and ≤ K + 2 samples of replay).
-	RetrySlack uint64
 }
 
 // Violation is one bound breach.
@@ -177,20 +166,11 @@ func Check(bounds []StreamBounds, records [][]gateway.BlockRecord, opt Options) 
 		}
 		res.Checked += len(recs)
 		for bi, r := range recs {
-			tauLimit, checkTau := sb.TauHat, true
-			if r.Retries > 0 {
-				switch {
-				case opt.RetrySlack > 0:
-					tauLimit += uint64(r.Retries) * opt.RetrySlack
-				case opt.SkipRetried:
-					checkTau = false
-				}
-			}
-			if checkTau {
-				if lat := uint64(r.Done - r.Started); lat > tauLimit {
+			if r.Retries == 0 || !opt.SkipRetried {
+				if lat := uint64(r.Done - r.Started); lat > sb.TauHat {
 					res.Violations = append(res.Violations, Violation{
 						Stream: sb.Name, Kind: "tau", Block: bi,
-						Detail: fmt.Sprintf("service latency %d > tau-hat %d (retries %d)", lat, tauLimit, r.Retries),
+						Detail: fmt.Sprintf("service latency %d > tau-hat %d (retries %d)", lat, sb.TauHat, r.Retries),
 					})
 				}
 			}
@@ -201,13 +181,11 @@ func Check(bounds []StreamBounds, records [][]gateway.BlockRecord, opt Options) 
 						r.Replayed, r.Retries, opt.ReplayBound),
 				})
 			}
-			if !opt.SkipGamma {
-				if turn := uint64(r.Done - r.Queued); turn > sb.GammaHat {
-					res.Violations = append(res.Violations, Violation{
-						Stream: sb.Name, Kind: "gamma", Block: bi,
-						Detail: fmt.Sprintf("turnaround %d > gamma-hat %d", turn, sb.GammaHat),
-					})
-				}
+			if turn := uint64(r.Done - r.Queued); turn > sb.GammaHat {
+				res.Violations = append(res.Violations, Violation{
+					Stream: sb.Name, Kind: "gamma", Block: bi,
+					Detail: fmt.Sprintf("turnaround %d > gamma-hat %d", turn, sb.GammaHat),
+				})
 			}
 		}
 		if sb.Rate != nil && len(recs) >= 2 {

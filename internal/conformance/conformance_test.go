@@ -60,25 +60,6 @@ func TestSkipRetriedExemptsTauOnly(t *testing.T) {
 	}
 }
 
-func TestRetrySlackBoundsRetriedBlocks(t *testing.T) {
-	records := [][]gateway.BlockRecord{{
-		rec(0, 10, 100, 0),    // clean: lat 90 ≤ 100
-		rec(100, 110, 300, 1), // retried: lat 190 ≤ 100 + 1·100
-		rec(300, 310, 550, 1), // retried: lat 240 > 100 + 1·100 → tau
-	}}
-	res := Check(oneBound(), records, Options{RetrySlack: 100})
-	got := kinds(res)
-	if len(got) != 1 || got[0] != "tau" {
-		t.Fatalf("violations = %v, want [tau] (slack covers one retry, not an over-budget one)", got)
-	}
-	// RetrySlack takes precedence over SkipRetried: the bound is enforced,
-	// just widened.
-	res = Check(oneBound(), records, Options{RetrySlack: 100, SkipRetried: true})
-	if got := kinds(res); len(got) != 1 || got[0] != "tau" {
-		t.Fatalf("violations = %v, want [tau] (RetrySlack overrides the blanket exemption)", got)
-	}
-}
-
 func TestReplayBoundChecksRetryWork(t *testing.T) {
 	mk := func(replayed int64, retries int) gateway.BlockRecord {
 		r := rec(0, 10, 100, retries)
@@ -230,55 +211,41 @@ func TestOptionEdgeCases(t *testing.T) {
 }
 
 func TestThroughputFloor(t *testing.T) {
-	// μ = 1/10 with η = 16: a block every ≤ 160 cycles sustains the rate.
-	fast := [][]gateway.BlockRecord{{
-		rec(0, 0, 0, 0), rec(0, 160, 160, 0), rec(0, 320, 320, 0), rec(0, 480, 480, 0),
-	}}
-	res := Check(oneBound(), fast, Options{SkipGamma: true, SkipRetried: true})
+	// Each block is queued, started and done at once, so only the
+	// throughput check can fire. μ = 1/10 with η = 16: a block every ≤ 160
+	// cycles sustains the rate.
+	at := func(done int64) gateway.BlockRecord { return rec(done, done, done, 0) }
+	fast := [][]gateway.BlockRecord{{at(0), at(160), at(320), at(480)}}
+	res := Check(oneBound(), fast, Options{})
 	if len(res.Violations) != 0 {
 		t.Fatalf("sustained rate flagged: %v", res.Violations)
 	}
 	// One block per 1000 cycles delivers 16/1000 < 1/10.
-	slow := [][]gateway.BlockRecord{{
-		rec(0, 0, 0, 0), rec(0, 1000, 1000, 0), rec(0, 2000, 2000, 0),
-	}}
-	res = Check(oneBound(), slow, Options{SkipGamma: true, SkipRetried: true})
+	slow := [][]gateway.BlockRecord{{at(0), at(1000), at(2000)}}
+	res = Check(oneBound(), slow, Options{})
 	got := kinds(res)
 	if len(got) != 1 || got[0] != "throughput" {
 		t.Fatalf("violations = %v, want [throughput]", got)
 	}
 	// The boundary slack: completions γ̂-jittered around the nominal period
 	// must NOT be flagged (a finite window can't resolve finer than γ̂).
-	jitter := [][]gateway.BlockRecord{{
-		rec(0, 0, 0, 0), rec(0, 160, 160, 0), rec(0, 320+299, 320+299, 0),
-	}}
-	res = Check(oneBound(), jitter, Options{SkipGamma: true, SkipRetried: true})
+	jitter := [][]gateway.BlockRecord{{at(0), at(160), at(320 + 299)}}
+	res = Check(oneBound(), jitter, Options{})
 	if len(res.Violations) != 0 {
 		t.Fatalf("γ̂-jittered completions flagged: %v", res.Violations)
 	}
 }
 
 // TestTauBoundary: a service latency of exactly τ̂ passes and one cycle
-// more is a tau violation; with retry slack the limit is τ̂ + retries ×
-// slack, exactly.
+// more is a tau violation.
 func TestTauBoundary(t *testing.T) {
 	for _, c := range []struct {
-		name    string
-		lat     int64
-		retries int
-		opt     Options
-		want    []string
-	}{
-		{"at tau-hat", 100, 0, Options{}, nil},
-		{"one past tau-hat", 101, 0, Options{}, []string{"tau"}},
-		{"at the retry-slack limit", 150, 1, Options{RetrySlack: 50}, nil},
-		{"one past the retry-slack limit", 151, 1, Options{RetrySlack: 50}, []string{"tau"}},
-		{"at two retries' limit", 200, 2, Options{RetrySlack: 50}, nil},
-		{"one past two retries' limit", 201, 2, Options{RetrySlack: 50}, []string{"tau"}},
-	} {
-		res := Check(oneBound(), [][]gateway.BlockRecord{{rec(0, 10, 10+c.lat, c.retries)}}, c.opt)
+		lat  int64
+		want []string
+	}{{100, nil}, {101, []string{"tau"}}} {
+		res := Check(oneBound(), [][]gateway.BlockRecord{{rec(0, 10, 10+c.lat, 0)}}, Options{})
 		if got := kinds(res); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s (latency %d): violations %v, want %v", c.name, c.lat, got, c.want)
+			t.Errorf("latency %d: violations %v, want %v", c.lat, got, c.want)
 		}
 	}
 }

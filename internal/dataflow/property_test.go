@@ -48,7 +48,7 @@ func TestBufferTokenConservation(t *testing.T) {
 		a := g.AddActor("a", uint64(1+rng.Intn(3)))
 		b := g.AddActor("b", uint64(1+rng.Intn(3)))
 		fwd, back := g.AddBuffer("ab", a, b, Const(p), Const(c), capacity)
-		res, err := g.Simulate(SimOptions{MaxTime: 500})
+		res, err := g.Simulate(SimOptions{StopAfterFirings: map[ActorID]int64{b: 200}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,11 +121,12 @@ func TestDeterminism(t *testing.T) {
 		g.AddBuffer("bc", b, c, Const(1), Const(2), 5)
 		return g
 	}
-	r1, err := build().Simulate(SimOptions{RecordTrace: true, MaxTime: 2000})
+	stop := map[ActorID]int64{2: 300} // c, the third actor
+	r1, err := build().Simulate(SimOptions{RecordTrace: true, StopAfterFirings: stop})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := build().Simulate(SimOptions{RecordTrace: true, MaxTime: 2000})
+	r2, err := build().Simulate(SimOptions{RecordTrace: true, StopAfterFirings: stop})
 	if err != nil {
 		t.Fatal(err)
 	}

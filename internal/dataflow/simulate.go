@@ -27,9 +27,6 @@ type SimOptions struct {
 	// MaxEvents bounds the number of firings processed; 0 means a default
 	// safety cap. Exceeding the cap returns ErrSimBudget.
 	MaxEvents uint64
-	// MaxTime stops the simulation once the clock passes this value (0 = no
-	// limit). Stopping on MaxTime is not an error.
-	MaxTime uint64
 	// RecordTrace captures every firing in SimResult.Trace.
 	RecordTrace bool
 	// WatchEdges lists edges whose token productions are recorded in
@@ -364,12 +361,7 @@ func (s *simulator) run() error {
 			s.res.Deadlocked = true
 			return nil
 		}
-		next := s.events[0].time
-		if s.opts.MaxTime > 0 && next > s.opts.MaxTime {
-			s.now = s.opts.MaxTime
-			return nil
-		}
-		s.now = next
+		s.now = s.events[0].time
 		for len(s.events) > 0 && s.events[0].time == s.now {
 			c := heap.Pop(&s.events).(completion)
 			s.complete(c)

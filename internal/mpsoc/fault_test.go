@@ -2,6 +2,7 @@ package mpsoc
 
 import (
 	"math/big"
+	"slices"
 	"testing"
 
 	"accelshare/internal/accel"
@@ -123,8 +124,10 @@ func TestQuarantineRestoresBounds(t *testing.T) {
 // acceptance check: a fault-plan transient (a dropped sample in a late
 // sub-block) on a checkpointing chain resumes from the last checkpoint, so
 // the measured retry work is at most K words — and the whole trace,
-// retried block included, conforms to the adjusted Eq. 2 bounds via the
-// conformance harness's ReplayBound/RetrySlack checks. The fault plan is
+// retried block included, conforms to the adjusted Eq. 2 bounds: the
+// conformance harness's ReplayBound check on every block, τ̂ and γ̂ on every
+// block outside the recovery, and a per-retry allowance on the retried
+// block itself. The fault plan is
 // checkpoint-aware for free: fault sample indices are engine-lifetime
 // positions excluded from SaveState, so a checkpoint snapshot can never
 // re-arm a transient that already fired — the resume replays PAST it.
@@ -180,13 +183,10 @@ func TestCheckpointedTransientConformsToAdjustedBounds(t *testing.T) {
 	}
 
 	// Full-trace conformance against the adjusted Eq. 2 bounds:
-	// τ̂(K=4) = 50 + (16 + 2·4)·15 + 3·5 = 425, γ̂ = 3·425 = 1275. The
-	// retried block gets one retry's slack — worst-case detection (up to
-	// TWO DrainTimeout windows: progress can stop right after a watchdog
-	// check, and the stall needs one full progress-free window after the
-	// next) + flush settle (600) + the resume bound Rs + (K+2)·c0 = 140 —
-	// instead of a blanket exemption, and every block's replay work is
-	// capped at K per retry.
+	// τ̂(K=4) = 50 + (16 + 2·4)·15 + 3·5 = 425, γ̂ = 3·425 = 1275. Every
+	// block's replay work is capped at K per retry. The retried block pays
+	// its recovery on top of τ̂, so Check exempts it from τ̂ and the test
+	// bounds it below.
 	model := &core.System{
 		Chain: core.Chain{
 			Name: "faulty", AccelCosts: []uint64{1},
@@ -209,20 +209,28 @@ func TestCheckpointedTransientConformsToAdjustedBounds(t *testing.T) {
 	// One resume reloads Rs and replays at most K samples plus the
 	// quiesce: Rs + (K+2)·c0 = 50 + (4+2)·15 = 140.
 	resume := model.Streams[0].Reconfig + uint64(K+2)*model.Chain.C0()
-	res := conformance.FromStreams(bounds,
-		[]*gateway.Stream{sys.Strs[0].GW, sys.Strs[1].GW, sys.Strs[2].GW},
-		conformance.Options{
-			MinBlocks:   100,
-			ReplayBound: K,
-			RetrySlack:  2*600 + 600 + resume,
-			// The retried block's γ̂ carries the same recovery backlog its
-			// τ̂ does; successor blocks queued behind it are covered by the
-			// FilterQueued-style transition argument, so scope γ̂/throughput
-			// checks from a settle margin after the retry instead.
-			SkipGamma: true,
-		})
-	if len(res.Violations) != 0 {
-		t.Errorf("bound violations: %v", res.Violations)
+	streams := []*gateway.Stream{sys.Strs[0].GW, sys.Strs[1].GW, sys.Strs[2].GW}
+	res := conformance.FromStreams(bounds, streams,
+		conformance.Options{MinBlocks: 100, ReplayBound: K, SkipRetried: true})
+	// A block queued no later than the retried block's completion waited
+	// behind the recovery, so only its turnaround may exceed γ̂. Every other
+	// block meets γ̂, and no other bound may break.
+	for _, v := range res.Violations {
+		si := slices.IndexFunc(streams, func(s *gateway.Stream) bool { return s.Name == v.Stream })
+		if v.Kind == "gamma" && si >= 0 && streams[si].Turnarounds[v.Block].Queued <= retried.Done {
+			t.Logf("within the recovery: %v", v)
+			continue
+		}
+		t.Errorf("bound violation: %v", v)
+	}
+	// The retried block gets one allowance per retry: worst-case detection
+	// (up to TWO DrainTimeout windows: progress can stop right after a
+	// watchdog check, and the stall needs one full progress-free window
+	// after the next) + flush settle (600) + the resume bound
+	// Rs + (K+2)·c0 = 140.
+	limit := bounds[0].TauHat + uint64(retried.Retries)*(2*600+600+resume)
+	if lat := uint64(retried.Done - retried.Started); lat > limit {
+		t.Errorf("retried block's service latency %d > τ̂(K) + %d retries' allowance = %d", lat, retried.Retries, limit)
 	}
 	if res.Checked < 300 {
 		t.Errorf("conformance checked %d blocks, want the full three-stream trace", res.Checked)

@@ -59,24 +59,21 @@ type StreamSpec struct {
 	InCapacity, OutCapacity int
 	// Engines holds one engine per accelerator tile, in chain order.
 	Engines []accel.Engine
-	// SourcePeriod is the cycles between samples offered by the source task
-	// (0 = offer as fast as the FIFO accepts). Source generates sample n.
-	SourcePeriod sim.Time
-	// SourcePeriodNum/Den, when Den != 0, give a rational sample period in
-	// cycles (Num/Den); the source task Bresenham-accumulates so the
-	// long-run rate is exact even when the platform clock is not an integer
-	// multiple of the sample rate. Overrides SourcePeriod.
-	SourcePeriodNum, SourcePeriodDen uint64
-	Source                           func(n uint64) sim.Word
+	// The source task offers one sample every SourcePeriod/SourcePeriodDen
+	// cycles (a SourcePeriodDen of 0 means 1; a SourcePeriod of 0 offers
+	// as fast as the FIFO accepts). It Bresenham-accumulates the rational
+	// period, so the long-run rate is exact even when the platform clock is
+	// not an integer multiple of the sample rate.
+	SourcePeriod    sim.Time
+	SourcePeriodDen uint64
+	// Source generates sample n (nil generates the word n).
+	Source func(n uint64) sim.Word
 	// TotalInputs stops the source after that many samples (0 = endless).
 	TotalInputs uint64
 	// SinkPeriod is the cycles between sink reads (0 = drain eagerly).
 	SinkPeriod sim.Time
 	// CollectOutputs stores every output word for functional checks.
 	CollectOutputs bool
-	// RecordInputTimes stores the instant each source sample entered the
-	// input C-FIFO (for per-sample latency measurements).
-	RecordInputTimes bool
 	// ExternalSource suppresses the built-in source task: the application
 	// writes the input C-FIFO itself (e.g. a forwarder chaining two stages).
 	ExternalSource bool
@@ -102,8 +99,6 @@ type Stream struct {
 	// Overflows counts source samples that found the input FIFO full — a
 	// real-time violation if it ever exceeds zero.
 	Overflows uint64
-	// InTimes records source-sample entry instants (RecordInputTimes).
-	InTimes []sim.Time
 
 	// held is the word generated for index produced that the input FIFO
 	// refused (holding): the next tick offers it again, so the source
@@ -111,7 +106,7 @@ type Stream struct {
 	// task's tick loop: each StopSource/restart bumps it, so a pending
 	// tick of a superseded loop exits instead of racing a freshly started
 	// one. (sourceGen's width and the order of the fields from here on
-	// keep a Stream at 288 bytes, a malloc size class; a fleet allocates
+	// keep a Stream at 240 bytes, a malloc size class; a fleet allocates
 	// one per admitted stream.)
 	held      sim.Word
 	sourceGen uint32
@@ -130,6 +125,19 @@ type Stream struct {
 	retiring    bool
 	ringHome    int
 	ringNodes   [2]int
+}
+
+// Contiguous reports whether the collected Outputs are the default
+// source's words 0, 1, 2, … in order. Through identity engines, a sample
+// lost or duplicated anywhere on the way (a migration, a retry, a full
+// FIFO) breaks the sequence.
+func (st *Stream) Contiguous() bool {
+	for i, w := range st.Outputs {
+		if w != sim.Word(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // StopSource makes the stream's built-in source task exit at its next tick,
@@ -173,9 +181,9 @@ func startSourceTask(k *sim.Kernel, st *Stream) {
 	if gen == nil {
 		gen = func(n uint64) sim.Word { return sim.Word(n) }
 	}
-	num, den := st.Spec.SourcePeriodNum, st.Spec.SourcePeriodDen
+	num, den := uint64(st.Spec.SourcePeriod), st.Spec.SourcePeriodDen
 	if den == 0 {
-		num, den = uint64(st.Spec.SourcePeriod), 1
+		den = 1
 	}
 	periodic := num > 0
 	var acc uint64 // Bresenham remainder accumulator (units of 1/den cycles)
@@ -201,9 +209,6 @@ func startSourceTask(k *sim.Kernel, st *Stream) {
 			st.held, st.holding = gen(st.produced), true
 		}
 		if st.In.TryWrite(st.held) {
-			if st.Spec.RecordInputTimes {
-				st.InTimes = append(st.InTimes, k.Now())
-			}
 			st.holding = false
 			st.produced++
 		} else if st.In.Space() <= 0 && periodic {

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"accelshare/internal/accel"
+	"accelshare/internal/accel/enginetest"
 	"accelshare/internal/core"
 	"accelshare/internal/gateway"
 	"accelshare/internal/sim"
@@ -110,7 +111,7 @@ func TestSourceGeneratesEachIndexOnce(t *testing.T) {
 }
 
 func TestTwoStreamsSharingChainKeepSeparateState(t *testing.T) {
-	// Two streams over one Gain accelerator with per-stream counters: the
+	// Two streams over one Shift accelerator with per-stream counters: the
 	// context switches must preserve each stream's count exactly.
 	mk := func(name string) StreamSpec {
 		return StreamSpec{
@@ -120,7 +121,7 @@ func TestTwoStreamsSharingChainKeepSeparateState(t *testing.T) {
 			Reconfig:       50,
 			InCapacity:     16,
 			OutCapacity:    16,
-			Engines:        []accel.Engine{&accel.Gain{Shift: 1}},
+			Engines:        []accel.Engine{&enginetest.Shift{By: 1}},
 			TotalInputs:    32,
 			CollectOutputs: true,
 		}
@@ -153,7 +154,7 @@ func TestTwoStreamsSharingChainKeepSeparateState(t *testing.T) {
 			}
 		}
 		// Per-stream engine counted exactly its own samples.
-		g := sys.Strs[i].Spec.Engines[0].(*accel.Gain)
+		g := sys.Strs[i].Spec.Engines[0].(*enginetest.Shift)
 		if g.Count != 32 {
 			t.Errorf("stream %d engine count = %d, want 32", i, g.Count)
 		}

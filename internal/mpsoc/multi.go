@@ -75,11 +75,7 @@ type MultiConfig struct {
 	HopLatency        sim.Time
 	RecordOutputTimes bool
 	RecordActivity    bool
-	// UseSlottedRing backs the interconnect with the cycle-true slotted
-	// mechanism instead of the transaction-level abstraction (slower to
-	// simulate, validates the abstraction at system level).
-	UseSlottedRing bool
-	Chains         []ChainSpec
+	Chains            []ChainSpec
 }
 
 // Chain is the runtime state of one assembled chain.
@@ -127,10 +123,21 @@ type spare struct {
 	records []gateway.BlockRecord
 }
 
-// BuildMulti assembles the multi-chain platform. Ring node layout per
-// chain: entry gateway, accelerator tiles, exit gateway; then one source
-// and one sink tile per stream, all chains concatenated.
+// BuildMulti assembles the multi-chain platform on the transaction-level
+// dual ring (ring.NewDual) with cfg.HopLatency cycles per hop.
 func BuildMulti(cfg MultiConfig) (*MultiSystem, error) {
+	return BuildOn(cfg, func(k *sim.Kernel, nodes int) (*ring.Dual, error) {
+		return ring.NewDual(k, nodes, cfg.HopLatency)
+	})
+}
+
+// BuildOn assembles the multi-chain platform on the interconnect that
+// newNet builds for the platform's kernel and ring-node count: the seam
+// through which the ring tests run a platform on the cycle-true slotted
+// ring. Ring node layout per chain: entry gateway, accelerator tiles, exit
+// gateway; then one source and one sink tile per stream, all chains
+// concatenated.
+func BuildOn(cfg MultiConfig, newNet func(k *sim.Kernel, nodes int) (*ring.Dual, error)) (*MultiSystem, error) {
 	if len(cfg.Chains) == 0 {
 		return nil, fmt.Errorf("mpsoc: no chains")
 	}
@@ -149,13 +156,7 @@ func BuildMulti(cfg MultiConfig) (*MultiSystem, error) {
 		total += 2 + len(ch.Accels) + 2*(len(ch.Streams)+ch.ReserveSlots)
 	}
 	k := sim.NewKernel()
-	var net *ring.Dual
-	var err error
-	if cfg.UseSlottedRing {
-		net, err = ring.NewDualSlotted(k, total)
-	} else {
-		net, err = ring.NewDual(k, total, cfg.HopLatency)
-	}
+	net, err := newNet(k, total)
 	if err != nil {
 		return nil, err
 	}

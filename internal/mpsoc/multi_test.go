@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"accelshare/internal/accel"
+	"accelshare/internal/accel/enginetest"
 	"accelshare/internal/core"
 	"accelshare/internal/gateway"
 	"accelshare/internal/sim"
@@ -15,7 +16,7 @@ func twoChainConfig() MultiConfig {
 		return StreamSpec{
 			Name: name, Block: block, Decimation: 1, Reconfig: 50,
 			InCapacity: int(4 * block), OutCapacity: int(4 * block),
-			Engines:        []accel.Engine{&accel.Gain{Shift: 1}},
+			Engines:        []accel.Engine{&enginetest.Shift{By: 1}},
 			TotalInputs:    total,
 			CollectOutputs: true,
 		}
@@ -37,7 +38,7 @@ func twoChainConfig() MultiConfig {
 				Streams: []StreamSpec{func() StreamSpec {
 					s := mkStream("b0", 16, 256)
 					// Two-tile chain: gain on the first, passthrough after.
-					s.Engines = []accel.Engine{&accel.Gain{Shift: 1}, accel.Passthrough{}}
+					s.Engines = []accel.Engine{&enginetest.Shift{By: 1}, accel.Passthrough{}}
 					return s
 				}()},
 			},

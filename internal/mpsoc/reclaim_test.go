@@ -94,7 +94,7 @@ func TestReclaimReadsLateOutputs(t *testing.T) {
 	var got []final
 	ms.SetRetireObserver(func(st *Stream) {
 		retiredAt = ms.K.Now()
-		got = append(got, final{st.collected, uint64(len(st.Outputs)), st.Out.AckMessages, contiguousWords(st.Outputs)})
+		got = append(got, final{st.collected, uint64(len(st.Outputs)), st.Out.AckMessages, st.Contiguous()})
 	})
 	ms.K.ScheduleAt(3_000, func() {
 		err := pair.RequestPause(func() {
@@ -141,13 +141,4 @@ func TestReclaimReadsLateOutputs(t *testing.T) {
 	if live := refs.reachable(); len(live) > 0 {
 		t.Errorf("still reachable after the retirement: %v", live)
 	}
-}
-
-func contiguousWords(words []sim.Word) bool {
-	for i, w := range words {
-		if w != sim.Word(i) {
-			return false
-		}
-	}
-	return true
 }

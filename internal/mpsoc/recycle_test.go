@@ -82,8 +82,8 @@ func sameArray[E any](a, b []E) bool { return unsafe.SliceData(a) == unsafe.Slic
 // block record per block, each queued at or after at.
 func checkRanClean(t *testing.T, st *Stream, at sim.Time) {
 	t.Helper()
-	if len(st.Outputs) != 40 || !contiguousWords(st.Outputs) {
-		t.Errorf("%s collected %d outputs (contiguous %v), want 0..39", st.Spec.Name, len(st.Outputs), contiguousWords(st.Outputs))
+	if len(st.Outputs) != 40 || !st.Contiguous() {
+		t.Errorf("%s collected %d outputs (contiguous %v), want 0..39", st.Spec.Name, len(st.Outputs), st.Contiguous())
 	}
 	if st.GW.Blocks != 5 || len(st.GW.Turnarounds) != 5 {
 		t.Errorf("%s: %d blocks, %d block records; want 5 and 5", st.Spec.Name, st.GW.Blocks, len(st.GW.Turnarounds))
@@ -190,8 +190,8 @@ func TestLateRetirementHoldsItsStorage(t *testing.T) {
 	var s1 *Stream
 	ms.SetRetireObserver(func(st *Stream) {
 		retiredAt = ms.K.Now()
-		if st.collected != st.GW.SamplesOut || !contiguousWords(st.Outputs) {
-			t.Errorf("s1 retired having read %d of %d words (contiguous %v)", st.collected, st.GW.SamplesOut, contiguousWords(st.Outputs))
+		if st.collected != st.GW.SamplesOut || !st.Contiguous() {
+			t.Errorf("s1 retired having read %d of %d words (contiguous %v)", st.collected, st.GW.SamplesOut, st.Contiguous())
 		}
 	})
 	var x, y *Stream
@@ -243,9 +243,9 @@ func TestRetiredStreamHandsOverItsStorage(t *testing.T) {
 	var s1 *Stream
 	ms.SetRetireObserver(func(st *Stream) {
 		s1 = st
-		if len(st.Outputs) != 72 || !contiguousWords(st.Outputs) || len(st.GW.Turnarounds) != 9 || st.GW.Blocks != 9 {
+		if len(st.Outputs) != 72 || !st.Contiguous() || len(st.GW.Turnarounds) != 9 || st.GW.Blocks != 9 {
 			t.Errorf("the observer sees %d outputs (contiguous %v) and %d records of %d blocks; want 72 contiguous and 9 of 9",
-				len(st.Outputs), contiguousWords(st.Outputs), len(st.GW.Turnarounds), st.GW.Blocks)
+				len(st.Outputs), st.Contiguous(), len(st.GW.Turnarounds), st.GW.Blocks)
 		}
 	})
 	whilePaused(t, ms, 3_000, 1, func() { reclaim(t, ms, "s1") })

@@ -75,85 +75,11 @@ func TestPerTokenRefinement(t *testing.T) {
 	}
 }
 
-// TestSlottedRingSystemEquivalence runs the same two-stream workload on
-// both interconnect implementations: functional outputs must be identical
-// and the cycle-true ring's timing must stay within the model bound.
-func TestSlottedRingSystemEquivalence(t *testing.T) {
-	build := func(slotted bool) *System {
-		cfg := MultiConfig{
-			HopLatency:     1,
-			UseSlottedRing: slotted,
-			Chains: []ChainSpec{{
-				Name:      "slotcmp",
-				EntryCost: 15,
-				ExitCost:  1,
-				Mode:      gateway.ReconfigFixed,
-				Accels:    []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
-				Streams: []StreamSpec{
-					{
-						Name: "x", Block: 16, Decimation: 1, Reconfig: 100,
-						InCapacity: 64, OutCapacity: 64,
-						Engines:        []accel.Engine{&accel.Gain{Shift: 1}},
-						TotalInputs:    256,
-						CollectOutputs: true,
-					},
-					{
-						Name: "y", Block: 8, Decimation: 1, Reconfig: 100,
-						InCapacity: 32, OutCapacity: 32,
-						Engines:        []accel.Engine{&accel.Gain{Shift: 2}},
-						TotalInputs:    128,
-						CollectOutputs: true,
-					},
-				},
-			}},
-		}
-		sys, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Run(3_000_000)
-		return sys
-	}
-	abs := build(false)
-	slt := build(true)
-	for i := 0; i < 2; i++ {
-		if len(abs.Strs[i].Outputs) != len(slt.Strs[i].Outputs) {
-			t.Fatalf("stream %d: outputs %d vs %d", i, len(abs.Strs[i].Outputs), len(slt.Strs[i].Outputs))
-		}
-		for n := range abs.Strs[i].Outputs {
-			if abs.Strs[i].Outputs[n] != slt.Strs[i].Outputs[n] {
-				t.Fatalf("stream %d output %d differs between interconnects", i, n)
-			}
-		}
-	}
-	// Timing: the cycle-true ring adds slot-wait jitter, but both must stay
-	// within the analysis bound.
-	model := &core.System{
-		Chain:   core.Chain{Name: "slotcmp", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1, NICapacity: 2},
-		ClockHz: 100_000_000,
-		Streams: []core.Stream{
-			{Name: "x", Rate: big.NewRat(1, 1), Reconfig: 100, Block: 16},
-			{Name: "y", Rate: big.NewRat(1, 1), Reconfig: 100, Block: 8},
-		},
-	}
-	for i := 0; i < 2; i++ {
-		gamma, err := model.GammaHat(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sys := range []*System{abs, slt} {
-			rep := sys.Report()
-			if rep.PerStream[i].MaxTurnaround > gamma {
-				t.Errorf("stream %d turnaround %d exceeds γ̂ %d (slotted=%v)",
-					i, rep.PerStream[i].MaxTurnaround, gamma, sys == slt)
-			}
-		}
-	}
-}
-
 // TestPerSampleLatencyBound validates core.WorstCaseSampleLatency on the
 // simulated platform: every sample's measured input→output latency stays
-// below the analytic bound L̂ = ⌈(η-1)/μ⌉ + γ̂.
+// below the analytic bound L̂ = ⌈(η-1)/μ⌉ + γ̂. The test is the stream's
+// source: it offers one sample every period cycles and stamps each when
+// the input C-FIFO accepts it.
 func TestPerSampleLatencyBound(t *testing.T) {
 	const (
 		eta    = 16
@@ -174,10 +100,8 @@ func TestPerSampleLatencyBound(t *testing.T) {
 			Streams: []StreamSpec{{
 				Name: "s", Block: eta, Decimation: 1, Reconfig: rs,
 				InCapacity: 4 * eta, OutCapacity: 4 * eta,
-				Engines:          []accel.Engine{accel.Passthrough{}},
-				SourcePeriod:     period,
-				TotalInputs:      total,
-				RecordInputTimes: true,
+				Engines:        []accel.Engine{accel.Passthrough{}},
+				ExternalSource: true,
 			}},
 		}},
 	}
@@ -185,10 +109,21 @@ func TestPerSampleLatencyBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Run(5_000_000)
 	st := sys.Strs[0]
-	if len(st.InTimes) != total || len(st.GW.OutTimes) != total {
-		t.Fatalf("in=%d out=%d of %d", len(st.InTimes), len(st.GW.OutTimes), total)
+	var inTimes []sim.Time
+	var tick func()
+	tick = func() {
+		if n := len(inTimes); st.In.TryWrite(sim.Word(n)) {
+			inTimes = append(inTimes, sys.K.Now())
+		}
+		if len(inTimes) < total {
+			sys.K.Schedule(period, tick)
+		}
+	}
+	sys.K.Schedule(0, tick)
+	sys.Run(5_000_000)
+	if len(inTimes) != total || len(st.GW.OutTimes) != total {
+		t.Fatalf("in=%d out=%d of %d", len(inTimes), len(st.GW.OutTimes), total)
 	}
 
 	model := &core.System{
@@ -202,7 +137,7 @@ func TestPerSampleLatencyBound(t *testing.T) {
 	}
 	var worst sim.Time
 	for k := 0; k < total; k++ {
-		lat := st.GW.OutTimes[k] - st.InTimes[k]
+		lat := st.GW.OutTimes[k] - inTimes[k]
 		if lat > worst {
 			worst = lat
 		}

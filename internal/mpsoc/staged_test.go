@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"accelshare/internal/accel"
+	"accelshare/internal/accel/enginetest"
 	"accelshare/internal/gateway"
 	"accelshare/internal/sim"
 )
@@ -25,7 +26,7 @@ func TestStagedExitPinned(t *testing.T) {
 			Reconfig:       40,
 			InCapacity:     32,
 			OutCapacity:    32,
-			Engines:        []accel.Engine{&accel.Gain{Shift: 1}, &accel.Gain{Shift: 2}},
+			Engines:        []accel.Engine{&enginetest.Shift{By: 1}, &enginetest.Shift{By: 2}},
 			TotalInputs:    96,
 			CollectOutputs: true,
 		}

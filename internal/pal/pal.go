@@ -221,7 +221,7 @@ func Build(p Params) (*Decoder, error) {
 		totalIn = uint64(p.Seconds * fsIn)
 	}
 
-	num := uint64(p.ClockHz)
+	period := sim.Time(p.ClockHz)
 	denIn := uint64(fsIn)
 
 	mkStage1 := func(idx int, name string, carrier float64, block int64) mpsoc.StreamSpec {
@@ -233,7 +233,7 @@ func Build(p Params) (*Decoder, error) {
 			InCapacity:      inCaps[idx],
 			OutCapacity:     outCaps[idx],
 			Engines:         []accel.Engine{accel.NewMixer(-carrier, fsIn), mustFIR(q1, p.Decimation)},
-			SourcePeriodNum: num,
+			SourcePeriod:    period,
 			SourcePeriodDen: denIn,
 			Source:          fe.Sample,
 			TotalInputs:     totalIn,

@@ -95,8 +95,8 @@ func (b *bindings) add(dst int, fn func(Message)) Handle {
 func discard(Message) {}
 
 // Transport is an interconnect of attachment points: implemented by the
-// transaction-level Ring and by the cycle-true Slotted ring, so the whole
-// platform can run on either.
+// transaction-level Ring, and in this package's tests by the cycle-true
+// Slotted ring, so the whole platform can run on either.
 type Transport interface {
 	Node(i int) Port
 	// DeliveredWords counts words the transport has carried.
@@ -455,8 +455,8 @@ func (fl *flight) deliver() {
 }
 
 // Dual couples a clockwise data ring with a counter-clockwise credit ring,
-// the architecture's interconnect. The members are Transport so either the
-// transaction-level or the cycle-true slotted implementation can back them.
+// the architecture's interconnect. The members are Transport so that the
+// ring tests can back them with the cycle-true slotted model.
 type Dual struct {
 	Data   Transport
 	Credit Transport
@@ -469,20 +469,6 @@ func NewDual(k *sim.Kernel, nodes int, hopLatency sim.Time) (*Dual, error) {
 		return nil, err
 	}
 	c, err := New(k, Config{Nodes: nodes, HopLatency: hopLatency, Direction: CounterClockwise})
-	if err != nil {
-		return nil, err
-	}
-	return &Dual{Data: d, Credit: c}, nil
-}
-
-// NewDualSlotted builds the interconnect on the cycle-true slotted
-// mechanism instead of the transaction-level abstraction.
-func NewDualSlotted(k *sim.Kernel, nodes int) (*Dual, error) {
-	d, err := NewSlotted(k, SlottedConfig{Nodes: nodes, Direction: Clockwise})
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewSlotted(k, SlottedConfig{Nodes: nodes, Direction: CounterClockwise})
 	if err != nil {
 		return nil, err
 	}

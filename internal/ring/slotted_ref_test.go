@@ -10,10 +10,11 @@ package ring
 // traffic is in flight.
 //
 // The transaction-level Ring in this package abstracts exactly this
-// behaviour (fixed hop latency, per-node injection rate); Slotted exists to
-// validate that abstraction and for experiments that need cycle-true link
-// contention. TestSlottedMatchesAbstraction checks the delivery-order and
-// latency-bound relationships between the two.
+// behaviour (fixed hop latency, per-node injection rate); Slotted is test
+// code that validates that abstraction. TestSlottedMatchesAbstraction
+// checks the delivery-order and latency-bound relationships between the
+// two, and TestSlottedRingSystemEquivalence runs a whole platform on it
+// through mpsoc.BuildOn.
 
 import (
 	"fmt"
@@ -199,4 +200,19 @@ func (r *Slotted) step() {
 			}
 		}
 	}
+}
+
+// NewDualSlotted builds the interconnect on the cycle-true slotted
+// mechanism instead of the transaction-level abstraction: the transport
+// constructor TestSlottedRingSystemEquivalence hands mpsoc.BuildOn.
+func NewDualSlotted(k *sim.Kernel, nodes int) (*Dual, error) {
+	d, err := NewSlotted(k, SlottedConfig{Nodes: nodes, Direction: Clockwise})
+	if err != nil {
+		return nil, err
+	}
+	c, err := NewSlotted(k, SlottedConfig{Nodes: nodes, Direction: CounterClockwise})
+	if err != nil {
+		return nil, err
+	}
+	return &Dual{Data: d, Credit: c}, nil
 }

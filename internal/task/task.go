@@ -35,7 +35,6 @@ type Scheduler struct {
 
 // Task is one budget-scheduled task.
 type Task struct {
-	Name string
 	// Budget is B, the service cycles per period.
 	Budget sim.Time
 	// Offset is the window start within the period (assigned by AddTask).
@@ -67,7 +66,7 @@ func (s *Scheduler) AddTask(name string, budget sim.Time) (*Task, error) {
 	if s.used+budget > s.Period {
 		return nil, fmt.Errorf("task: budgets exceed period (%d + %d > %d)", s.used, budget, s.Period)
 	}
-	t := &Task{Name: name, Budget: budget, Offset: s.used, s: s}
+	t := &Task{Budget: budget, Offset: s.used, s: s}
 	s.used += budget
 	s.tasks = append(s.tasks, t)
 	return t, nil

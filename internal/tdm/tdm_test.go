@@ -40,7 +40,11 @@ func TestSlotScheduledDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var times []sim.Time
-	x.Node(1).Bind(0, func(m Message) { times = append(times, k.Now()) })
+	var words []sim.Word
+	x.Node(1).Bind(0, func(m Message) {
+		times = append(times, k.Now())
+		words = append(words, m.W)
+	})
 	x.Node(0).TrySend(1, 0, 42)
 	x.Node(0).TrySend(1, 0, 43)
 	k.Run(20)
@@ -48,6 +52,9 @@ func TestSlotScheduledDelivery(t *testing.T) {
 	// second waits a full wheel: departs 6, arrives 8.
 	if len(times) != 2 || times[0] != 4 || times[1] != 8 {
 		t.Fatalf("delivery times = %v, want [4 8]", times)
+	}
+	if words[0] != 42 || words[1] != 43 {
+		t.Errorf("delivered words %v, want the words sent, [42 43]", words)
 	}
 }
 
@@ -120,11 +127,18 @@ func TestGuaranteedThroughputUnderContention(t *testing.T) {
 	x, _ := New(k, Config{Nodes: 3, WheelSlots: 2, TraversalLatency: 1, InjectionDepth: 64})
 	x.Reserve(0, 0, 2)
 	x.Reserve(1, 1, 2)
+	// Source s sends the words 100·s + i, so each delivery names the word
+	// its connection should carry next.
 	var got [2]int
-	x.Node(2).Bind(0, func(m Message) { got[m.Src]++ })
+	x.Node(2).Bind(0, func(m Message) {
+		if want := sim.Word(100*m.Src + got[m.Src]); m.W != want {
+			t.Errorf("node %d's word %d arrived as %d, want %d", m.Src, got[m.Src], m.W, want)
+		}
+		got[m.Src]++
+	})
 	for i := 0; i < 32; i++ {
-		x.Node(0).TrySend(2, 0, 0)
-		x.Node(1).TrySend(2, 0, 0)
+		x.Node(0).TrySend(2, 0, sim.Word(i))
+		x.Node(1).TrySend(2, 0, sim.Word(100+i))
 	}
 	k.Run(70)
 	if got[0] < 30 || got[1] < 30 {

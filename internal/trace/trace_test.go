@@ -129,7 +129,7 @@ func TestSVGEscapesNames(t *testing.T) {
 	g := dataflow.NewGraph("esc")
 	a := g.AddActor("a<b>&c", 1)
 	g.AddEdge("self", a, a, dataflow.Const(1), dataflow.Const(1), 1)
-	res, err := g.Simulate(dataflow.SimOptions{RecordTrace: true, MaxTime: 5})
+	res, err := g.Simulate(dataflow.SimOptions{RecordTrace: true, StopAfterFirings: map[dataflow.ActorID]int64{a: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}

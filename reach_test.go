@@ -4,17 +4,22 @@ import (
 	"bufio"
 	"bytes"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"os/exec"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"accelshare/internal/analysis"
 )
 
 // testOnly lists the packages that only tests may import: the ILP oracle
@@ -289,5 +294,501 @@ func TestProductionCodeRunsSymbolNames(t *testing.T) {
 				t.Errorf("%s: linked = %v, want %v (symbols %v)", key, linked[key], tc.linked, linked)
 			}
 		})
+	}
+}
+
+// fieldAllowed names the exported fields that TestProductionFieldsAreUsed
+// flags but that stay, each with the rule it breaks and who needs it. An
+// entry the census no longer flags under its rule fails the test.
+var fieldAllowed = map[string]fieldException{
+	"accelshare/internal/mpsoc.MultiConfig.RecordOutputTimes": {1, "TestPerTokenRefinement, TestPerSampleLatencyBound and TestStagedExitPinned need per-word exit times, and no production path records them"},
+	"accelshare/internal/solve.Exact.ILPStreamCap":            {2, "perfbench sets it (perfbench/workloads.go); the benchmark change that stops setting it deletes it"},
+}
+
+type fieldException struct {
+	rule int
+	who  string
+}
+
+// TestProductionFieldsAreUsed is the field census. It type-checks the
+// module and perfbench and fails on every exported field of a non-test
+// struct that
+//
+//  1. non-test code reads but never sets: an option only tests set, or
+//  2. nothing reads, tests included: dead state.
+//
+// A field is set by a composite-literal key or positional element, an
+// assignment or inc/dec target, &x.F, and a pointer-method call on an
+// addressable field; the last two read it as well. Every other selector
+// reads it. A whole-struct == reads every field, and so does a struct
+// handed to fmt or encoding/json (which may also set them); a struct-tagged
+// field counts as read. Test files are parsed, not type-checked: a
+// selector in one reads every field of that name, so a test can hide a
+// rule-2 finding but never make one. Embedded fields are not counted.
+func TestProductionFieldsAreUsed(t *testing.T) {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AddModule registers perfbench too: it walks into the nested module.
+	l := analysis.NewLoader()
+	if err := l.AddModule(root, "accelshare"); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(l.Paths(), "accelshare/perfbench") {
+		t.Fatal("the loader did not register perfbench")
+	}
+	pkgs, err := l.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings := fieldCensus(l.Fset, pkgs, parseTestFiles(t, l.Fset, root))
+	for i := range findings {
+		if rel, err := filepath.Rel(root, findings[i].pos.Filename); err == nil {
+			findings[i].pos.Filename = rel
+		}
+	}
+	for _, msg := range fieldErrors(findings, fieldAllowed) {
+		t.Error(msg)
+	}
+}
+
+// fieldErrors returns one message per finding that allowed does not name
+// under its rule, and one per entry of allowed that no finding matches.
+func fieldErrors(findings []fieldFinding, allowed map[string]fieldException) []string {
+	var msgs []string
+	flagged := map[string]int{}
+	for _, f := range findings {
+		flagged[f.key] = f.rule
+		if ex, ok := allowed[f.key]; ok && ex.rule == f.rule {
+			continue
+		}
+		switch f.rule {
+		case 1:
+			msgs = append(msgs, f.pos.String()+": "+f.key+" is read but only tests set it; give it a production setter, delete it, or move its job into the test")
+		case 2:
+			msgs = append(msgs, f.pos.String()+": "+f.key+" is read by nothing, tests included; delete it")
+		}
+	}
+	keys := make([]string, 0, len(allowed))
+	for key := range allowed {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if rule := allowed[key].rule; flagged[key] != rule {
+			msgs = append(msgs, "fieldAllowed names "+key+" under rule "+strconv.Itoa(rule)+", which the census no longer flags; drop it")
+		}
+	}
+	return msgs
+}
+
+// fieldUse is what the census learns of one exported field.
+type fieldUse struct {
+	key, name     string
+	pos           token.Pos
+	read, written bool // by non-test code
+	testRead      bool // by a test-only package
+}
+
+// fieldFinding is one field that breaks rule 1 or rule 2.
+type fieldFinding struct {
+	key  string
+	pos  token.Position
+	rule int
+}
+
+// fieldCensus counts the reads and writes of every exported field that a
+// struct of a non-test package declares, over the type-checked pkgs and
+// the parsed test files, and returns the fields that break a rule, sorted
+// by key.
+func fieldCensus(fset *token.FileSet, pkgs []*analysis.Package, testFiles []*ast.File) []fieldFinding {
+	fields := map[*types.Var]*fieldUse{}
+	for _, p := range pkgs {
+		if testOnly[p.Path] {
+			continue
+		}
+		for _, f := range p.Files {
+			named := map[*ast.StructType]string{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						named[st] = n.Name.Name
+					}
+				case *ast.StructType:
+					owner, ok := named[n]
+					if !ok {
+						owner = "struct{}"
+					}
+					for _, fl := range n.Fields.List {
+						for _, id := range fl.Names {
+							if v, ok := p.Info.Defs[id].(*types.Var); ok && id.IsExported() {
+								fields[v] = &fieldUse{key: p.Path + "." + owner + "." + id.Name, name: id.Name, pos: id.Pos(), read: fl.Tag != nil}
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, p := range pkgs {
+		test := testOnly[p.Path]
+		mark := func(v *types.Var, read, write bool) {
+			switch u := fields[v.Origin()]; {
+			case u == nil:
+			case test:
+				u.testRead = u.testRead || read
+			default:
+				u.read = u.read || read
+				u.written = u.written || write
+			}
+		}
+		for _, f := range p.Files {
+			censusFile(p.Info, f, mark)
+		}
+	}
+	testReads := map[string]bool{}
+	for _, f := range testFiles {
+		targets := map[*ast.SelectorExpr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						targets[s] = true
+					}
+				}
+			case *ast.IncDecStmt:
+				if s, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+					targets[s] = true
+				}
+			case *ast.SelectorExpr:
+				if !targets[n] {
+					testReads[n.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	var out []fieldFinding
+	for _, u := range fields {
+		switch {
+		case u.read && !u.written:
+			out = append(out, fieldFinding{u.key, fset.Position(u.pos), 1})
+		case !u.read && !u.testRead && !testReads[u.name]:
+			out = append(out, fieldFinding{u.key, fset.Position(u.pos), 2})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
+}
+
+// censusFile hands mark every field read and write of one type-checked
+// file.
+func censusFile(info *types.Info, f *ast.File, mark func(v *types.Var, read, write bool)) {
+	writeOnly := map[*ast.SelectorExpr]bool{}
+	// target marks what an assignment, inc/dec or address reaches through
+	// e as set: the selected field and, while the path runs through values
+	// rather than pointers, the struct fields and arrays holding it.
+	target := func(e ast.Expr, read bool) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				s := info.Selections[x]
+				if s == nil || s.Kind() != types.FieldVal {
+					return
+				}
+				mark(s.Obj().(*types.Var), read, true)
+				writeOnly[x] = !read
+				if s.Indirect() {
+					return
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				if _, ok := info.TypeOf(x.X).Underlying().(*types.Array); !ok {
+					return
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	readAll := func(t types.Type, ptrs, write bool) {
+		reachFields(t, ptrs, map[types.Type]bool{}, func(v *types.Var) { mark(v, true, write) })
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, e := range n.Lhs {
+					target(e, false)
+				}
+			}
+		case *ast.IncDecStmt:
+			target(n.X, false)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				target(n.X, true)
+			}
+		case *ast.SelectorExpr:
+			// A pointer method of an addressable value takes its address.
+			if s := info.Selections[n]; s != nil && s.Kind() == types.MethodVal {
+				_, ptrRecv := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				_, ptrX := info.TypeOf(n.X).Underlying().(*types.Pointer)
+				if ptrRecv && !ptrX {
+					target(n.X, true)
+				}
+			}
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						mark(v, false, true)
+					}
+				} else {
+					mark(st.Field(i), false, true)
+				}
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				readAll(info.TypeOf(n.X), false, false)
+			}
+		case *ast.CallExpr:
+			switch calleePkg(info, n.Fun) {
+			case "fmt":
+				// fmt prints through the outermost pointer only.
+				for _, a := range n.Args {
+					t := info.TypeOf(a)
+					if p, ok := t.Underlying().(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					readAll(t, false, false)
+				}
+			case "encoding/json":
+				for _, a := range n.Args {
+					readAll(info.TypeOf(a), true, true)
+				}
+			}
+		}
+		return true
+	})
+	ast.Inspect(f, func(n ast.Node) bool {
+		if x, ok := n.(*ast.SelectorExpr); ok && !writeOnly[x] {
+			if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+				mark(s.Obj().(*types.Var), true, false)
+			}
+		}
+		return true
+	})
+}
+
+// reachFields calls visit on every field of every struct reachable from t
+// by value: through arrays, slices, maps and struct fields, and through
+// pointers too when ptrs is set.
+func reachFields(t types.Type, ptrs bool, seen map[types.Type]bool, visit func(*types.Var)) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		if ptrs {
+			reachFields(u.Elem(), ptrs, seen, visit)
+		}
+	case *types.Slice:
+		reachFields(u.Elem(), ptrs, seen, visit)
+	case *types.Array:
+		reachFields(u.Elem(), ptrs, seen, visit)
+	case *types.Map:
+		reachFields(u.Key(), ptrs, seen, visit)
+		reachFields(u.Elem(), ptrs, seen, visit)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			visit(u.Field(i))
+			reachFields(u.Field(i).Type(), ptrs, seen, visit)
+		}
+	}
+}
+
+// calleePkg returns the import path of the package declaring the function
+// or method fun calls, or "" for anything else.
+func calleePkg(info *types.Info, fun ast.Expr) string {
+	var id *ast.Ident
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.SelectorExpr:
+		id = f.Sel
+	case *ast.Ident:
+		id = f
+	default:
+		return ""
+	}
+	if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil {
+		return fn.Pkg().Path()
+	}
+	return ""
+}
+
+// parseTestFiles parses every _test.go file of the module and perfbench,
+// testdata excluded.
+func parseTestFiles(t *testing.T, fset *token.FileSet, root string) []*ast.File {
+	t.Helper()
+	var files []*ast.File
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestFieldCensusRules runs the field census over fixture packages: a
+// production file p.go and, where a case has one, a test file p_test.go.
+func TestFieldCensusRules(t *testing.T) {
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
+	for _, tc := range []struct {
+		name, src, test string
+		want            []string
+	}{
+		{"an option read but never set", `
+type Config struct{ Verbose bool; N int }
+func Run(c Config) int { if c.Verbose { return c.N }; return 0 }
+func Default() int { return Run(Config{N: 1}) }`,
+			`func TestRun() { Run(Config{Verbose: true}) }`,
+			[]string{"p.Config.Verbose rule 1"}},
+		{"a field set but never read", `
+type Stats struct{ Hits, Misses int }
+func Count(s *Stats) int { s.Hits = 1; s.Misses = 2; return s.Hits }`,
+			"", []string{"p.Stats.Misses rule 2"}},
+		{"a test read hides only rule 2", `
+type R struct{ A, B int }
+func New() R { return R{A: 1, B: 2} }`,
+			`func TestNew() { _ = New().A }`,
+			[]string{"p.R.B rule 2"}},
+		{"a positional literal", `
+type P struct{ X, Y int }
+func New() P { return P{1, 2} }
+func Sum(p P) int { return p.X + p.Y }`,
+			"", nil},
+		{"&x.F", `
+type C struct{ N int }
+func Set(c *C) { p := &c.N; *p = 3 }
+func Get(c C) int { return c.N }`,
+			"", nil},
+		{"x.F++", `
+type K struct{ Seen, Dropped int }
+func Tick(k *K) int { k.Seen++; k.Dropped--; return k.Seen }`,
+			"", []string{"p.K.Dropped rule 2"}},
+		{"a pointer-method call on a field", `
+type ctr struct{ n int }
+func (c *ctr) inc() { c.n++ }
+func (c ctr) get() int { return c.n }
+type T struct{ Ctr ctr }
+func Use(t *T) int { t.Ctr.inc(); return t.Ctr.get() }
+type U struct{ Ref *ctr }
+func Bump(u U) { u.Ref.inc() }`,
+			"", []string{"p.U.Ref rule 1"}},
+		{"a whole-struct ==", `
+type Key struct{ A, B int }
+func Same(k Key) bool { return k == Key{1, 2} }`,
+			"", nil},
+		{"a json-tagged field", `
+type Out struct {
+	N int ` + "`json:\"n\"`" + `
+	M int
+}
+func Emit() Out { return Out{N: 1, M: 2} }`,
+			"", []string{"p.Out.M rule 2"}},
+		{"a struct handed to fmt or encoding/json", `
+import ("encoding/json"; "fmt")
+type Row struct{ Name string; Next *Row }
+func Print() string { return fmt.Sprint(Row{Name: "a", Next: nil}) }
+type In struct{ A int }
+func Parse(b []byte) (int, error) { var in In; err := json.Unmarshal(b, &in); return in.A, err }`,
+			"", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := parser.ParseFile(fset, "p.go", "package p\n"+tc.src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info := &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}
+			if _, err := (&types.Config{Importer: imp}).Check("p", fset, []*ast.File{f}, info); err != nil {
+				t.Fatal(err)
+			}
+			var tests []*ast.File
+			if tc.test != "" {
+				tf, err := parser.ParseFile(fset, "p_test.go", "package p\n"+tc.test, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tests = append(tests, tf)
+			}
+			var got []string
+			for _, fd := range fieldCensus(fset, []*analysis.Package{{Path: "p", Files: []*ast.File{f}, Info: info}}, tests) {
+				got = append(got, fd.key+" rule "+strconv.Itoa(fd.rule))
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("findings %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestFieldAllowlist pins how the census findings meet the allowlist: an
+// entry hides its finding under its own rule only, and an entry that hides
+// nothing is stale.
+func TestFieldAllowlist(t *testing.T) {
+	findings := []fieldFinding{
+		{key: "p.A.X", rule: 1},
+		{key: "p.B.Y", rule: 2},
+	}
+	for _, tc := range []struct {
+		name    string
+		allowed map[string]fieldException
+		want    int
+	}{
+		{"no entries", nil, 2},
+		{"both allowed", map[string]fieldException{"p.A.X": {1, "t"}, "p.B.Y": {2, "t"}}, 0},
+		{"an entry under the other rule", map[string]fieldException{"p.A.X": {2, "t"}, "p.B.Y": {2, "t"}}, 2},
+		{"a stale entry", map[string]fieldException{"p.A.X": {1, "t"}, "p.B.Y": {2, "t"}, "p.C.Z": {1, "t"}}, 1},
+	} {
+		if got := fieldErrors(findings, tc.allowed); len(got) != tc.want {
+			t.Errorf("%s: %d errors %q, want %d", tc.name, len(got), got, tc.want)
+		}
 	}
 }
