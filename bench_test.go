@@ -30,7 +30,6 @@ func palModel() *core.System {
 			AccelCosts: []uint64{1, 1},
 			EntryCost:  15,
 			ExitCost:   1,
-			NICapacity: 2,
 		},
 		Streams: []core.Stream{
 			mk("ch1.stage1", 44100*64), mk("ch2.stage1", 44100*64),
@@ -216,7 +215,7 @@ func BenchmarkSavings(b *testing.B) {
 // detailed CSDF model and the single-actor SDF abstraction.
 func BenchmarkAbstractionPessimism(b *testing.B) {
 	s := &core.System{
-		Chain:   core.Chain{Name: "a2", AccelCosts: []uint64{3}, EntryCost: 2, ExitCost: 1, NICapacity: 2},
+		Chain:   core.Chain{Name: "a2", AccelCosts: []uint64{3}, EntryCost: 2, ExitCost: 1},
 		ClockHz: 100_000_000,
 		Streams: []core.Stream{
 			{Name: "s", Rate: big.NewRat(1000, 1), Reconfig: 50, Block: 8},
@@ -250,7 +249,7 @@ func BenchmarkStateSwitchModes(b *testing.B) {
 				Mode:       mode,
 				BusBase:    200,
 				BusPerWord: 500,
-				Accels:     []mpsoc.AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
+				Accels:     []mpsoc.AccelSpec{{Name: "fir", Cost: 1}},
 				Streams: []mpsoc.StreamSpec{
 					{Name: "x", Block: 64, Decimation: 1, Reconfig: 4100,
 						InCapacity: 256, OutCapacity: 256,
@@ -298,7 +297,7 @@ func BenchmarkSpaceCheckAblation(b *testing.B) {
 				ExitCost:          1,
 				Mode:              gateway.ReconfigFixed,
 				DisableSpaceCheck: true,
-				Accels:            []mpsoc.AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+				Accels:            []mpsoc.AccelSpec{{Name: "a", Cost: 1}},
 				Streams: []mpsoc.StreamSpec{
 					{Name: "clogged", Block: 16, Decimation: 1, Reconfig: 50,
 						InCapacity: 64, OutCapacity: 20,

@@ -29,7 +29,7 @@ func runArbiterAblation(args []string) error {
 		return mpsoc.ChainSpec{
 			Name: "arb", EntryCost: 15, ExitCost: 1,
 			Mode: gateway.ReconfigFixed, Arbiter: arb,
-			Accels: []mpsoc.AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+			Accels: []mpsoc.AccelSpec{{Name: "a", Cost: 1}},
 			Streams: []mpsoc.StreamSpec{
 				{Name: "greedy", Block: 16, Decimation: 1, Reconfig: 50,
 					InCapacity: 64, OutCapacity: 64,

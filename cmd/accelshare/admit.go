@@ -69,7 +69,7 @@ func admitPlatform(reserve int) (*mpsoc.MultiSystem, *admission.Controller, erro
 		EntryCost:         15,
 		ExitCost:          1,
 		Mode:              gateway.ReconfigFixed,
-		Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+		Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1}},
 		DrainTimeout:      200,
 		Recovery:          gateway.Recovery{Enabled: true, RetryLimit: 2},
 		RecordTurnarounds: true,

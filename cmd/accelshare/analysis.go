@@ -39,7 +39,7 @@ func runFig6(args []string) error {
 		return fmt.Errorf("-eta must be positive, got %d", *eta)
 	}
 	s := &core.System{
-		Chain:   core.Chain{Name: "demo", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1, NICapacity: 2},
+		Chain:   core.Chain{Name: "demo", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1},
 		ClockHz: 100_000_000,
 		Streams: []core.Stream{{Name: "s", Rate: big.NewRat(1, 1), Reconfig: 4100, Block: *eta}},
 	}
@@ -225,7 +225,7 @@ func runRefinement(args []string) error {
 		return fmt.Errorf("-tokens must be positive, got %d", *tokens)
 	}
 	s := &core.System{
-		Chain:   core.Chain{Name: "demo", AccelCosts: []uint64{3}, EntryCost: 2, ExitCost: 1, NICapacity: 2},
+		Chain:   core.Chain{Name: "demo", AccelCosts: []uint64{3}, EntryCost: 2, ExitCost: 1},
 		ClockHz: 100_000_000,
 		Streams: []core.Stream{
 			{Name: "s", Rate: big.NewRat(1000, 1), Reconfig: 50, Block: *eta},

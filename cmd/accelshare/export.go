@@ -33,7 +33,7 @@ func runDot(args []string) error {
 		costs[i] = 1
 	}
 	s := &core.System{
-		Chain:   core.Chain{Name: "export", AccelCosts: costs, EntryCost: 15, ExitCost: 1, NICapacity: 2},
+		Chain:   core.Chain{Name: "export", AccelCosts: costs, EntryCost: 15, ExitCost: 1},
 		ClockHz: 100_000_000,
 		Streams: []core.Stream{
 			{Name: "s", Rate: big.NewRat(1000, 1), Reconfig: 4100, Block: *eta},

@@ -69,7 +69,7 @@ func gainChain(name string, plan *fault.Plan, ckpt int64) mpsoc.ChainSpec {
 		EntryCost:         15,
 		ExitCost:          1,
 		Mode:              gateway.ReconfigFixed,
-		Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+		Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1}},
 		Streams:           streams,
 		DrainTimeout:      600,
 		Recovery:          rec,

@@ -29,7 +29,7 @@ func runMemOpt(args []string) error {
 		return fmt.Errorf("-burst must be positive, got %d", *burst)
 	}
 	s := &core.System{
-		Chain:   core.Chain{Name: "memopt", AccelCosts: []uint64{2}, EntryCost: 3, ExitCost: 1, NICapacity: 2},
+		Chain:   core.Chain{Name: "memopt", AccelCosts: []uint64{2}, EntryCost: 3, ExitCost: 1},
 		ClockHz: 1_000_000,
 		Streams: []core.Stream{
 			{Name: "s0", Rate: big.NewRat(34_000, 1), Reconfig: 40, ProducerBurst: *burst},

@@ -166,7 +166,7 @@ func runUtilizationSW(perWord uint64) error {
 			Mode:       gateway.ReconfigPerWord,
 			BusBase:    200,
 			BusPerWord: sim.Time(perWord),
-			Accels:     []mpsoc.AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
+			Accels:     []mpsoc.AccelSpec{{Name: "fir", Cost: 1}},
 			Streams: []mpsoc.StreamSpec{
 				{
 					Name: "s0", Block: 64, Decimation: 1, Reconfig: 0,
@@ -208,7 +208,7 @@ func runSpaceCheckAblation(args []string) error {
 			ExitCost:          1,
 			Mode:              gateway.ReconfigFixed,
 			DisableSpaceCheck: disable,
-			Accels:            []mpsoc.AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+			Accels:            []mpsoc.AccelSpec{{Name: "a", Cost: 1}},
 			Streams: []mpsoc.StreamSpec{
 				{
 					Name: "clogged", Block: 16, Decimation: 1, Reconfig: 50,

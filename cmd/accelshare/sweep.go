@@ -28,7 +28,6 @@ func sweepChain(name string, rates []int64, clockHz int64) *core.System {
 			AccelCosts: []uint64{1, 1},
 			EntryCost:  15,
 			ExitCost:   1,
-			NICapacity: 2,
 		},
 		ClockHz: clockHz,
 	}

@@ -38,7 +38,7 @@ func main() {
 		EntryCost:         15,
 		ExitCost:          1,
 		Mode:              gateway.ReconfigFixed,
-		Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+		Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1}},
 		DrainTimeout:      200,
 		Recovery:          gateway.Recovery{Enabled: true, RetryLimit: 2},
 		RecordTurnarounds: true,

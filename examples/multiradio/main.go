@@ -43,8 +43,8 @@ func main() {
 		ExitCost:  1,
 		Mode:      gateway.ReconfigFixed,
 		Accels: []mpsoc.AccelSpec{
-			{Name: "cordic", Cost: 1, NICapacity: 2},
-			{Name: "fir+d", Cost: 1, NICapacity: 2},
+			{Name: "cordic", Cost: 1},
+			{Name: "fir+d", Cost: 1},
 		},
 	}
 	model := &core.System{

@@ -34,7 +34,7 @@ func main() {
 		EntryCost: 2,
 		ExitCost:  1,
 		Mode:      gateway.ReconfigFixed,
-		Accels:    []mpsoc.AccelSpec{{Name: "sharpen", Cost: 4, NICapacity: 2}},
+		Accels:    []mpsoc.AccelSpec{{Name: "sharpen", Cost: 4}},
 	}
 	sys := &core.System{
 		Chain:   chain.Timing(),

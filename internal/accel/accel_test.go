@@ -188,7 +188,7 @@ func TestLinkNeverOverflowsQueue(t *testing.T) {
 func TestTileProcessesAtCost(t *testing.T) {
 	k := sim.NewKernel()
 	net, _ := ring.NewDual(k, 3, 1)
-	tile := NewTile("acc", k, 5, 2)
+	tile := NewTile("acc", k, 5)
 	inLink := NewLink("in", k, net, 0, 1, tile.In())
 	outQ := sim.NewQueue("out", 4)
 	outLink := NewLink("out", k, net, 1, 2, outQ)
@@ -240,7 +240,7 @@ func TestTileProcessesAtCost(t *testing.T) {
 func TestTileStallsWithoutEngine(t *testing.T) {
 	k := sim.NewKernel()
 	net, _ := ring.NewDual(k, 3, 1)
-	tile := NewTile("acc", k, 1, 2)
+	tile := NewTile("acc", k, 1)
 	inLink := NewLink("in", k, net, 0, 1, tile.In())
 	outQ := sim.NewQueue("out", 4)
 	tile.SetDownstream(NewLink("out", k, net, 1, 2, outQ))
@@ -262,7 +262,7 @@ func TestTileBackpressureFromDownstream(t *testing.T) {
 	// in-flight output and hold the rest.
 	k := sim.NewKernel()
 	net, _ := ring.NewDual(k, 3, 1)
-	tile := NewTile("acc", k, 1, 4)
+	tile := NewTile("acc", k, 1)
 	inLink := NewLink("in", k, net, 0, 1, tile.In())
 	outQ := sim.NewQueue("out", 1)
 	tile.SetDownstream(NewLink("out", k, net, 1, 2, outQ))

@@ -16,7 +16,7 @@ func wireTile(t *testing.T, cost sim.Time) (*sim.Kernel, *Tile, *Link, *sim.Queu
 	if err != nil {
 		t.Fatal(err)
 	}
-	tile := NewTile("acc", k, cost, 4)
+	tile := NewTile("acc", k, cost)
 	up := NewLink("up", k, net, 0, 1, tile.In())
 	sink := sim.NewQueue("sink", 16)
 	down := NewLink("down", k, net, 1, 2, sink)
@@ -30,22 +30,24 @@ func TestTileAbortDiscardsInFlightWork(t *testing.T) {
 	if err := tile.SetEngine(g); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	// Fill the two-word NI: the first word enters service (cost 10) and the
+	// second waits in the queue behind it.
+	for i := 0; i < 2; i++ {
 		if !up.TrySend(sim.Word(i)) {
 			t.Fatalf("send %d refused", i)
 		}
 	}
-	// Let the first sample enter processing (cost 10), then abort mid-sample.
+	// Abort mid-sample, with the second word queued.
 	k.Run(k.Now() + 7)
-	if tile.Idle() {
-		t.Fatal("tile should be mid-sample")
+	if tile.Idle() || tile.In().Len() != 1 {
+		t.Fatalf("tile should be mid-sample with one word queued (idle %v, queued %d)", tile.Idle(), tile.In().Len())
 	}
 	tile.Abort()
-	if !tile.Idle() {
-		t.Fatal("tile not idle after Abort")
+	if !tile.Idle() || tile.In().Len() != 0 {
+		t.Fatal("tile not idle and empty after Abort")
 	}
-	if tile.Aborted == 0 {
-		t.Error("aborted words not counted")
+	if tile.Aborted != 2 {
+		t.Errorf("aborted %d words, want the one in service and the one queued", tile.Aborted)
 	}
 	k.RunAll()
 	// The aborted sample's completion event must be a no-op: the engine never
@@ -154,30 +156,40 @@ func TestLinkWedgeWakesSubscribersOnLift(t *testing.T) {
 }
 
 func TestLinkResetRestoresCredits(t *testing.T) {
-	k, tile, up, sink := wireTile(t, 1)
+	k, tile, up, sink := wireTile(t, 10)
 	if err := tile.SetEngine(Passthrough{}); err != nil {
 		t.Fatal(err)
 	}
-	// Fill the chain so credits are spent: NI capacity 4 downstream of up.
-	for i := 0; i < 4; i++ {
-		up.TrySend(sim.Word(i))
+	// Spend both credits of the two-word NI downstream of up.
+	for i := 0; i < 2; i++ {
+		if !up.TrySend(sim.Word(i)) {
+			t.Fatalf("send %d refused", i)
+		}
 	}
-	if up.credits == up.dst.Cap() {
-		t.Fatal("credits not spent")
+	if up.credits != 0 {
+		t.Fatalf("credits = %d after filling the NI", up.credits)
 	}
-	k.RunAll()
-	// Simulate a flush: clear the chain state, then reset the link.
+	// Simulate a flush mid-sample: the queued word is cleared without a
+	// pop, so its credit never returns.
+	k.Run(k.Now() + 7)
 	tile.Abort()
 	up.dst.Clear()
 	sink.Clear()
+	k.RunAll()
+	if up.credits == up.dst.Cap() {
+		t.Fatal("the flush lost no credit")
+	}
 	up.Reset()
 	if up.credits != up.dst.Cap() {
 		t.Fatalf("credits = %d after Reset, want %d", up.credits, up.dst.Cap())
 	}
-	// Traffic flows normally after the reset and credits return fully.
+	// Traffic flows normally after the reset, twice the NI's depth of it,
+	// and credits return fully.
 	for i := 0; i < 4; i++ {
-		if !up.TrySend(sim.Word(i)) {
-			t.Fatalf("post-reset send %d refused", i)
+		for !up.TrySend(sim.Word(i)) {
+			if !k.Step() {
+				t.Fatalf("post-reset send %d refused with nothing left to run", i)
+			}
 		}
 	}
 	k.RunAll()

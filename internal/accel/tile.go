@@ -3,6 +3,7 @@ package accel
 import (
 	"fmt"
 
+	"accelshare/internal/core"
 	"accelshare/internal/sim"
 )
 
@@ -38,12 +39,12 @@ type Tile struct {
 	Aborted    uint64
 }
 
-// NewTile builds an accelerator around an NI input queue of the given
-// capacity. Wire the input with a Link targeting Tile.In(), then call
+// NewTile builds an accelerator around an NI input queue of core.NIDepth
+// words. Wire the input with a Link targeting Tile.In(), then call
 // SetDownstream.
-func NewTile(name string, k *sim.Kernel, cost sim.Time, niCapacity int) *Tile {
+func NewTile(name string, k *sim.Kernel, cost sim.Time) *Tile {
 	t := &Tile{Name: name, Cost: cost, k: k}
-	t.in = sim.NewQueue(name+".ni", niCapacity)
+	t.in = sim.NewQueue(name+".ni", core.NIDepth)
 	t.step = sim.NewWaker(k, t.run)
 	t.serviceDoneFn = t.serviceDone
 	t.in.SubscribeData(t.step)

@@ -23,7 +23,7 @@ func idleWakeCosts(t *testing.T, attach bool) (credit, space uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tile := NewTile("acc", k, 1, 4)
+	tile := NewTile("acc", k, 1)
 	sink := sim.NewQueue("sink", 4)
 	down := NewLink("down", k, net, 1, 2, sink)
 	other := NewLink("other", k, net, 1, 2, sim.NewQueue("other", 4))
@@ -83,7 +83,7 @@ func TestRefusedWordResumesOnCredit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tile := NewTile("acc", k, 3, 4)
+	tile := NewTile("acc", k, 3)
 	up := NewLink("up", k, net, 0, 1, tile.In())
 	sink := sim.NewQueue("sink", 1)
 	tile.SetDownstream(NewLink("down", k, net, 1, 2, sink))

@@ -41,7 +41,6 @@ func demoModel(names []string, rates []*big.Rat) *core.System {
 			AccelCosts: []uint64{1},
 			EntryCost:  entryCost,
 			ExitCost:   1,
-			NICapacity: 2,
 		},
 		ClockHz: 1,
 	}
@@ -89,7 +88,7 @@ func buildBed(t *testing.T, faults *fault.Plan, reserve, inCap int) *bed {
 			EntryCost:         entryCost,
 			ExitCost:          1,
 			Mode:              gateway.ReconfigFixed,
-			Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+			Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1}},
 			Streams:           specs,
 			DrainTimeout:      200,
 			Recovery:          recoveryCfg(),

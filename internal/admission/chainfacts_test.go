@@ -24,7 +24,7 @@ func buildChain(t *testing.T, model *core.System, specs []mpsoc.StreamSpec, rec 
 		Chains: []mpsoc.ChainSpec{{
 			Name: "demo", EntryCost: entryCost, ExitCost: 1,
 			Mode:    gateway.ReconfigFixed,
-			Accels:  []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+			Accels:  []mpsoc.AccelSpec{{Name: "acc", Cost: 1}},
 			Streams: specs, DrainTimeout: 200,
 			Recovery:          rec,
 			RecordTurnarounds: true,

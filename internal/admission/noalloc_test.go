@@ -38,7 +38,7 @@ func warmBed(t *testing.T, n int) *bed {
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
 		Chains: []mpsoc.ChainSpec{{
 			Name: "demo", EntryCost: entryCost, ExitCost: 1, Mode: gateway.ReconfigFixed,
-			Accels:  []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+			Accels:  []mpsoc.AccelSpec{{Name: "acc", Cost: 1}},
 			Streams: specs, DrainTimeout: 200, Recovery: recoveryCfg(), ReserveSlots: 1,
 		}},
 	})

@@ -44,7 +44,7 @@ func buildFailoverBed(t *testing.T) (*bed, *mpsoc.FailoverController) {
 			{
 				Name: "demo", EntryCost: entryCost, ExitCost: 1,
 				Mode:    gateway.ReconfigFixed,
-				Accels:  []mpsoc.AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+				Accels:  []mpsoc.AccelSpec{{Name: "acc", Cost: 1}},
 				Streams: specs, DrainTimeout: 200,
 				Recovery:          recoveryCfg(),
 				RecordTurnarounds: true,
@@ -53,7 +53,7 @@ func buildFailoverBed(t *testing.T) (*bed, *mpsoc.FailoverController) {
 			{
 				Name: "demo-b", EntryCost: entryCost, ExitCost: 1,
 				Mode:    gateway.ReconfigFixed,
-				Accels:  []mpsoc.AccelSpec{{Name: "acc-b", Cost: 1, NICapacity: 2}},
+				Accels:  []mpsoc.AccelSpec{{Name: "acc-b", Cost: 1}},
 				Standby: true, DrainTimeout: 200,
 				Recovery:          recoveryCfg(),
 				RecordTurnarounds: true,

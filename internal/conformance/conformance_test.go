@@ -291,7 +291,7 @@ func TestFromModel(t *testing.T) {
 	sys := &core.System{
 		Chain: core.Chain{
 			Name: "m", AccelCosts: []uint64{1},
-			EntryCost: 15, ExitCost: 1, NICapacity: 2,
+			EntryCost: 15, ExitCost: 1,
 		},
 		ClockHz: 1,
 	}

@@ -49,7 +49,7 @@ func BenchmarkSharedFIFOSimulation(b *testing.B) {
 
 func BenchmarkOptimalBlockSizesForMemory(b *testing.B) {
 	s := &System{
-		Chain:   Chain{Name: "m", AccelCosts: []uint64{2}, EntryCost: 3, ExitCost: 1, NICapacity: 2},
+		Chain:   Chain{Name: "m", AccelCosts: []uint64{2}, EntryCost: 3, ExitCost: 1},
 		ClockHz: 1_000_000,
 		Streams: []Stream{
 			{Name: "s0", Rate: big.NewRat(34_000, 1), Reconfig: 40, ProducerBurst: 5},

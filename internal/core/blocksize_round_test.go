@@ -59,7 +59,6 @@ func TestRoundedGranularityNonMonotone(t *testing.T) {
 				AccelCosts: []uint64{1},
 				EntryCost:  15,
 				ExitCost:   1,
-				NICapacity: 2,
 			},
 			ClockHz: 1,
 			Streams: []Stream{
@@ -107,7 +106,6 @@ func TestRoundedTwoGranularitiesMultiStream(t *testing.T) {
 				AccelCosts: []uint64{1},
 				EntryCost:  15,
 				ExitCost:   1,
-				NICapacity: 2,
 			},
 			ClockHz: 1,
 			Streams: []Stream{

@@ -37,10 +37,13 @@ type Chain struct {
 	// ExitCost is δ: the exit-gateway cost of converting one sample from
 	// hardware to software flow control.
 	ExitCost uint64
-	// NICapacity is the capacity of the network-interface FIFOs between the
-	// gateways and accelerators (the paper's α1, α2 = 2 tokens).
-	NICapacity int64
 }
+
+// NIDepth is the depth in words of every network-interface FIFO on a
+// chain: the paper's α1 = α2 = 2 on each hop from the entry gateway
+// through the accelerators to the exit gateway. The CSDF model's hop
+// credits and every NI queue the platform builds read it.
+const NIDepth = 2
 
 // C0 is the paper's c0 = max(ε, ρA, δ): the per-sample cost of the slowest
 // stage in the gateway/accelerator pipeline (Eq. 2's max term).
@@ -61,9 +64,6 @@ func (c *Chain) C0() uint64 {
 func (c *Chain) Validate() error {
 	if len(c.AccelCosts) == 0 {
 		return fmt.Errorf("core: chain %q has no accelerators", c.Name)
-	}
-	if c.NICapacity < 1 {
-		return fmt.Errorf("core: chain %q needs NICapacity >= 1 (paper uses 2)", c.Name)
 	}
 	return nil
 }

@@ -24,7 +24,6 @@ func palSystem() *System {
 			AccelCosts: []uint64{1, 1},
 			EntryCost:  15,
 			ExitCost:   1,
-			NICapacity: 2,
 		},
 		Streams: []Stream{
 			mk("ch1.stage1", 44100*64),
@@ -38,7 +37,7 @@ func palSystem() *System {
 
 func twoStreamSystem() *System {
 	return &System{
-		Chain: Chain{Name: "acc", AccelCosts: []uint64{4}, EntryCost: 2, ExitCost: 1, NICapacity: 2},
+		Chain: Chain{Name: "acc", AccelCosts: []uint64{4}, EntryCost: 2, ExitCost: 1},
 		Streams: []Stream{
 			{Name: "s0", Rate: big.NewRat(1_000_000, 1), Reconfig: 100},
 			{Name: "s1", Rate: big.NewRat(500_000, 1), Reconfig: 100},
@@ -48,11 +47,11 @@ func twoStreamSystem() *System {
 }
 
 func TestChainC0(t *testing.T) {
-	c := Chain{AccelCosts: []uint64{1, 7, 3}, EntryCost: 5, ExitCost: 2, NICapacity: 2}
+	c := Chain{AccelCosts: []uint64{1, 7, 3}, EntryCost: 5, ExitCost: 2}
 	if c.C0() != 7 {
 		t.Errorf("C0 = %d, want 7", c.C0())
 	}
-	c2 := Chain{AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1, NICapacity: 2}
+	c2 := Chain{AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1}
 	if c2.C0() != 15 {
 		t.Errorf("C0 = %d, want 15", c2.C0())
 	}
@@ -82,11 +81,6 @@ func TestValidateErrors(t *testing.T) {
 	bad.Streams[0].Rate = big.NewRat(-1, 1)
 	if err := bad.Validate(); err == nil {
 		t.Error("negative rate accepted")
-	}
-	bad = s.Clone()
-	bad.Chain.NICapacity = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero NI capacity accepted")
 	}
 }
 
@@ -325,7 +319,6 @@ func TestBlockSizeILPMatchesFixedPoint(t *testing.T) {
 				AccelCosts: []uint64{uint64(1 + rng.Intn(4))},
 				EntryCost:  uint64(1 + rng.Intn(16)),
 				ExitCost:   uint64(1 + rng.Intn(3)),
-				NICapacity: 2,
 			},
 			ClockHz: 100_000_000,
 		}
@@ -358,7 +351,7 @@ func TestBlockSizeILPMatchesFixedPoint(t *testing.T) {
 func TestComputeBlockSizesInfeasible(t *testing.T) {
 	// Demand exceeding the gateway: 2 streams × 4 MS/s × 15 cycles = 120%.
 	s := &System{
-		Chain:   Chain{Name: "c", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1, NICapacity: 2},
+		Chain:   Chain{Name: "c", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1},
 		ClockHz: 100_000_000,
 		Streams: []Stream{
 			{Name: "a", Rate: big.NewRat(4_000_000, 1), Reconfig: 100},
@@ -431,7 +424,6 @@ func TestUtilizationMatchesPerStreamSum(t *testing.T) {
 					AccelCosts: []uint64{uint64(1 + rng.Intn(8)), uint64(1 + rng.Intn(8))},
 					EntryCost:  uint64(2 + rng.Intn(15)),
 					ExitCost:   uint64(1 + rng.Intn(3)),
-					NICapacity: 2,
 				},
 				ClockHz: clock,
 			}
@@ -511,7 +503,6 @@ func TestScheduleBlockBoundProperty(t *testing.T) {
 				AccelCosts: costs,
 				EntryCost:  uint64(1 + rng.Intn(20)),
 				ExitCost:   uint64(1 + rng.Intn(4)),
-				NICapacity: 2,
 			},
 			ClockHz: 100_000_000,
 			Streams: []Stream{{

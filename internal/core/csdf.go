@@ -54,7 +54,7 @@ type CSDFModel struct {
 //     accelerator under credit flow control. The last phase releases the ηs
 //     input-buffer spaces back to vP.
 //   - Each accelerator consumes and produces one sample per firing (ρA);
-//     NI FIFOs of capacity α1 = α2 = NICapacity sit on every hop.
+//     NI FIFOs of capacity α1 = α2 = NIDepth sit on every hop.
 //   - vG1 has ηs phases of duration δ; each moves one sample into the α3
 //     output FIFO; the last phase also emits the pipeline-idle token.
 //   - vC consumes one sample per firing (ρC) and releases one space token —
@@ -131,18 +131,18 @@ func (s *System) BuildCSDF(i int, p ModelParams) (*CSDFModel, error) {
 
 	// Gateway → first accelerator under credit flow control (α1).
 	g.AddEdge("hop0.data", m.VG0, m.VAccel[0], dataflow.Const(1), dataflow.Const(1), 0)
-	g.AddEdge("hop0.credit", m.VAccel[0], m.VG0, dataflow.Const(1), dataflow.Const(1), s.Chain.NICapacity)
+	g.AddEdge("hop0.credit", m.VAccel[0], m.VG0, dataflow.Const(1), dataflow.Const(1), NIDepth)
 
 	// Accelerator chain hops.
 	for a := 0; a+1 < len(m.VAccel); a++ {
 		g.AddEdge(fmt.Sprintf("hop%d.data", a+1), m.VAccel[a], m.VAccel[a+1], dataflow.Const(1), dataflow.Const(1), 0)
-		g.AddEdge(fmt.Sprintf("hop%d.credit", a+1), m.VAccel[a+1], m.VAccel[a], dataflow.Const(1), dataflow.Const(1), s.Chain.NICapacity)
+		g.AddEdge(fmt.Sprintf("hop%d.credit", a+1), m.VAccel[a+1], m.VAccel[a], dataflow.Const(1), dataflow.Const(1), NIDepth)
 	}
 
 	// Last accelerator → exit gateway (α2).
 	last := m.VAccel[len(m.VAccel)-1]
 	g.AddEdge("hopN.data", last, m.VG1, dataflow.Const(1), dataflow.Const(1), 0)
-	g.AddEdge("hopN.credit", m.VG1, last, dataflow.Const(1), dataflow.Const(1), s.Chain.NICapacity)
+	g.AddEdge("hopN.credit", m.VG1, last, dataflow.Const(1), dataflow.Const(1), NIDepth)
 
 	// Exit gateway → consumer (α3 data side; space returns via out.space).
 	m.OutEdge = g.AddEdge("out.data", m.VG1, m.VC, dataflow.Const(1), dataflow.Const(1), 0)

@@ -184,7 +184,7 @@ func wideSystem(rng *rand.Rand, n int, widthRaw uint8) (*System, []int64) {
 	s := &System{
 		// An accelerator cost can pass 2^63, where Utilization reads c0 as
 		// an int64.
-		Chain: Chain{Name: "wide", AccelCosts: []uint64{pick() << uint(rng.Intn(2))}, EntryCost: small(), ExitCost: small(), NICapacity: 2},
+		Chain: Chain{Name: "wide", AccelCosts: []uint64{pick() << uint(rng.Intn(2))}, EntryCost: small(), ExitCost: small()},
 		// ClockHz up to 2^62: a rate denominator times it overflows 64 bits.
 		ClockHz: 1 + int64(pick()>>1),
 	}
@@ -369,7 +369,7 @@ func TestLoadArithmeticPaths(t *testing.T) {
 // clock beyond 64 bits sends every step there, and reconfiguration costs
 // summing to near 2^64 overflow c1 + c0·Σ(ηi+2) while the rates still fit.
 func TestFixedWidthFallback(t *testing.T) {
-	chain := Chain{Name: "c", AccelCosts: []uint64{1}, EntryCost: 1, ExitCost: 1, NICapacity: 2}
+	chain := Chain{Name: "c", AccelCosts: []uint64{1}, EntryCost: 1, ExitCost: 1}
 	wideRates := &System{Chain: chain, ClockHz: 1 << 30, Streams: []Stream{
 		{Name: "a", Rate: big.NewRat(3, 1<<40), Reconfig: 50},
 		{Name: "b", Rate: big.NewRat(5, 1<<40), Reconfig: 50},

@@ -7,7 +7,7 @@ import (
 
 func memSystem() *System {
 	return &System{
-		Chain:   Chain{Name: "m", AccelCosts: []uint64{2}, EntryCost: 3, ExitCost: 1, NICapacity: 2},
+		Chain:   Chain{Name: "m", AccelCosts: []uint64{2}, EntryCost: 3, ExitCost: 1},
 		ClockHz: 1_000_000,
 		Streams: []Stream{
 			{Name: "s0", Rate: big.NewRat(50_000, 1), Reconfig: 40},
@@ -96,7 +96,7 @@ func TestBurstyProducerMakesMemoryNonMonotone(t *testing.T) {
 	// short of the burst size, right before a gcd dip (α_in(4) = 8 but
 	// α_in(5) = 5 for a 5-sample burst).
 	s := &System{
-		Chain:   Chain{Name: "b", AccelCosts: []uint64{2}, EntryCost: 3, ExitCost: 1, NICapacity: 2},
+		Chain:   Chain{Name: "b", AccelCosts: []uint64{2}, EntryCost: 3, ExitCost: 1},
 		ClockHz: 1_000_000,
 		Streams: []Stream{
 			{Name: "s0", Rate: big.NewRat(34_000, 1), Reconfig: 40, ProducerBurst: 5},

@@ -10,7 +10,7 @@ import (
 
 func smallSystem(blocks ...int64) *System {
 	s := &System{
-		Chain:   Chain{Name: "acc", AccelCosts: []uint64{3}, EntryCost: 2, ExitCost: 1, NICapacity: 2},
+		Chain:   Chain{Name: "acc", AccelCosts: []uint64{3}, EntryCost: 2, ExitCost: 1},
 		ClockHz: 100_000_000,
 	}
 	for i, b := range blocks {

@@ -26,19 +26,19 @@ func ilpOracle(s *System, gran []int64, maxNodes int) ([]int64, error) {
 // time; the check lives here now.
 func TestCallerModelsMatchILPOracle(t *testing.T) {
 	admitDemo := &System{
-		Chain:   Chain{Name: "demo", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1, NICapacity: 2},
+		Chain:   Chain{Name: "demo", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1},
 		ClockHz: 1,
 	}
 	for _, name := range []string{"s1", "s2", "s3", "s4"} {
 		admitDemo.Streams = append(admitDemo.Streams, Stream{Name: name, Rate: big.NewRat(1, 75), Reconfig: 50})
 	}
 	resident := &System{
-		Chain:   Chain{Name: "c0", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1, NICapacity: 2},
+		Chain:   Chain{Name: "c0", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1},
 		ClockHz: 1,
 		Streams: []Stream{{Name: "r-c0", Rate: big.NewRat(1, 300), Reconfig: 50}},
 	}
 	quickstart := &System{
-		Chain:   Chain{Name: "sharpen", AccelCosts: []uint64{4}, EntryCost: 2, ExitCost: 1, NICapacity: 2},
+		Chain:   Chain{Name: "sharpen", AccelCosts: []uint64{4}, EntryCost: 2, ExitCost: 1},
 		ClockHz: 100_000_000,
 		Streams: []Stream{
 			{Name: "camera", Rate: big.NewRat(2_000_000, 1), Reconfig: 800},
@@ -105,7 +105,7 @@ func TestLeastFixedPointBudgetIsNotInfeasibility(t *testing.T) {
 // least block, about 5.2·10¹⁹ samples, does not fit in an int64.
 func nearSaturation() *System {
 	return &System{
-		Chain:   Chain{Name: "sat", AccelCosts: []uint64{1}, EntryCost: 1, ExitCost: 1, NICapacity: 2},
+		Chain:   Chain{Name: "sat", AccelCosts: []uint64{1}, EntryCost: 1, ExitCost: 1},
 		ClockHz: 1_000_000_000_000_000_000,
 		Streams: []Stream{{Name: "s", Rate: big.NewRat(999_999_999_999_999_999, 1), Reconfig: 50}},
 	}

@@ -5,6 +5,7 @@ import (
 
 	"accelshare/internal/accel"
 	"accelshare/internal/cfifo"
+	"accelshare/internal/core"
 	"accelshare/internal/ring"
 	"accelshare/internal/sim"
 )
@@ -19,9 +20,9 @@ func benchRig(b *testing.B, k *sim.Kernel) *benchParts {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tile := accel.NewTile("acc", k, 1, 2)
+	tile := accel.NewTile("acc", k, 1)
 	entryLink := accel.NewLink("e->a", k, net, 0, 1, tile.In())
-	exitNI := sim.NewQueue("exit.ni", 2)
+	exitNI := sim.NewQueue("exit.ni", core.NIDepth)
 	tile.SetDownstream(accel.NewLink("a->x", k, net, 1, 2, exitNI))
 	pair, err := NewPair(k, net, Config{
 		Name: "bench", EntryNode: 0, ExitNode: 2,

@@ -11,6 +11,7 @@ import (
 
 	"accelshare/internal/accel"
 	"accelshare/internal/cfifo"
+	"accelshare/internal/core"
 	"accelshare/internal/ring"
 	"accelshare/internal/sim"
 )
@@ -31,9 +32,9 @@ func newFailoverRig(t *testing.T, cfgA, cfgB Config) *frig {
 		t.Fatal(err)
 	}
 	build := func(cfg Config, entryN, accN, exitN int) *Pair {
-		tile := accel.NewTile(cfg.Name+".acc", k, 1, 2)
+		tile := accel.NewTile(cfg.Name+".acc", k, 1)
 		entry := accel.NewLink(cfg.Name+".e->a", k, net, entryN, accN, tile.In())
-		exitNI := sim.NewQueue(cfg.Name+".exit.ni", 2)
+		exitNI := sim.NewQueue(cfg.Name+".exit.ni", core.NIDepth)
 		tile.SetDownstream(accel.NewLink(cfg.Name+".a->x", k, net, accN, exitN, exitNI))
 		cfg.EntryNode, cfg.ExitNode = entryN, exitN
 		pair, err := NewPair(k, net, cfg, []*accel.Tile{tile}, entry, exitNI)

@@ -474,11 +474,9 @@ type Pair struct {
 	Activities []Activity
 	phaseStart sim.Time
 
-	// Stalls counts watchdog firings (chain faults detected); Retries and
-	// Quarantines count recovery actions; IdleDropped counts pipeline-idle
-	// notifications swallowed by the DropIdle fault hook.
-	Stalls      uint64
-	Retries     uint64
+	// Quarantines counts recovery actions; IdleDropped counts pipeline-idle
+	// notifications swallowed by the DropIdle fault hook. Watchdog firings
+	// and block replays are counted per stream (StallCount, RetryCount).
 	Quarantines uint64
 	IdleDropped uint64
 
@@ -989,7 +987,6 @@ func (p *Pair) watchdogCheck(epoch uint64) {
 // when recovery is enabled — start the flush.
 func (p *Pair) stallDetected() {
 	stream := p.active
-	p.Stalls++
 	p.streams[stream].StallCount++
 	if p.stallObs != nil {
 		p.stallObs(stream)
@@ -1055,7 +1052,6 @@ func (p *Pair) completeFlush() {
 		return
 	}
 	p.blockRetries++
-	p.Retries++
 	s.RetryCount++
 	p.retryBlock()
 }

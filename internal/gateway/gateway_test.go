@@ -7,6 +7,7 @@ import (
 	"accelshare/internal/accel"
 	"accelshare/internal/accel/enginetest"
 	"accelshare/internal/cfifo"
+	"accelshare/internal/core"
 	"accelshare/internal/ring"
 	"accelshare/internal/sim"
 )
@@ -28,9 +29,9 @@ func newRig(t *testing.T, cfg Config) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tile := accel.NewTile("acc", k, 1, 2)
+	tile := accel.NewTile("acc", k, 1)
 	entryLink := accel.NewLink("e->a", k, net, 0, 1, tile.In())
-	exitNI := sim.NewQueue("exit.ni", 2)
+	exitNI := sim.NewQueue("exit.ni", core.NIDepth)
 	tile.SetDownstream(accel.NewLink("a->x", k, net, 1, 2, exitNI))
 	cfg.EntryNode, cfg.ExitNode = 0, 2
 	pair, err := NewPair(k, net, cfg, []*accel.Tile{tile}, entryLink, exitNI)
@@ -435,8 +436,8 @@ func TestDrainWatchdogDetectsSampleLoss(t *testing.T) {
 	r.fill(t, in, 4)
 	r.pair.Start()
 	r.k.Run(10_000)
-	if r.pair.Stalls != 1 {
-		t.Fatalf("stalls = %d, want 1", r.pair.Stalls)
+	if s.StallCount != 1 {
+		t.Fatalf("stalls = %d, want 1", s.StallCount)
 	}
 	if len(stalled) != 1 || stalled[0] != 0 {
 		t.Fatalf("stall observer calls = %v", stalled)
@@ -469,7 +470,7 @@ func TestDrainWatchdogQuietOnHealthyChain(t *testing.T) {
 	if s.Blocks != 4 {
 		t.Fatalf("blocks = %d", s.Blocks)
 	}
-	if stalls != 0 || r.pair.Stalls != 0 {
+	if stalls != 0 || s.StallCount != 0 {
 		t.Fatalf("false stall alarms: %d", stalls)
 	}
 }
@@ -481,7 +482,7 @@ func TestDrainWatchdogDisabledByDefault(t *testing.T) {
 	r.fill(t, in, 4)
 	r.pair.Start()
 	r.k.Run(10_000)
-	if r.pair.Stalls != 0 {
+	if s.StallCount != 0 {
 		t.Fatalf("watchdog fired while disabled")
 	}
 }

@@ -73,8 +73,10 @@ func TestDataPathZeroAllocRecovery(t *testing.T) {
 	if r.pair.Checkpoints-ckpts < 300 {
 		t.Fatalf("only %d checkpoints in the measured windows", r.pair.Checkpoints-ckpts)
 	}
-	if r.pair.Stalls != 0 {
-		t.Fatalf("%d watchdog stalls on a healthy chain", r.pair.Stalls)
+	for i, s := range r.pair.Snapshot() {
+		if s.Stalls != 0 {
+			t.Fatalf("stream %d: %d watchdog stalls on a healthy chain", i, s.Stalls)
+		}
 	}
 	for i, l := range lanes {
 		if l.errs != 0 || l.got == 0 {

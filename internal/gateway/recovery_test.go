@@ -45,8 +45,8 @@ func TestWatchdogCoversStreamingPhase(t *testing.T) {
 	r.k.Schedule(20, func() { r.entry.WedgeFor(0) })
 	r.pair.Start()
 	r.k.Run(10_000)
-	if r.pair.Stalls != 1 {
-		t.Fatalf("stalls = %d, want 1", r.pair.Stalls)
+	if s.StallCount != 1 {
+		t.Fatalf("stalls = %d, want 1", s.StallCount)
 	}
 	if len(stalled) != 1 || stalled[0] != 0 {
 		t.Fatalf("stall observer calls = %v", stalled)
@@ -78,8 +78,8 @@ func TestWatchdogReconfigExceedsWindow(t *testing.T) {
 	if s.Blocks != 1 {
 		t.Fatalf("blocks = %d", s.Blocks)
 	}
-	if r.pair.Stalls != 0 {
-		t.Fatalf("stalls = %d", r.pair.Stalls)
+	if s.StallCount != 0 {
+		t.Fatalf("stalls = %d", s.StallCount)
 	}
 }
 
@@ -101,8 +101,8 @@ func TestWatchdogDisarmedAcrossBlocks(t *testing.T) {
 	if s.Blocks != 8 {
 		t.Fatalf("blocks = %d, want 8", s.Blocks)
 	}
-	if r.pair.Stalls != 0 {
-		t.Fatalf("stalls = %d, want 0", r.pair.Stalls)
+	if s.StallCount != 0 {
+		t.Fatalf("stalls = %d, want 0", s.StallCount)
 	}
 }
 
@@ -128,8 +128,8 @@ func TestWatchdogBlamesCloggedStream(t *testing.T) {
 	r.fill(t, inOK, 8)
 	r.pair.Start()
 	r.k.Run(10_000)
-	if r.pair.Stalls != 1 {
-		t.Fatalf("stalls = %d, want 1", r.pair.Stalls)
+	if n := sClog.StallCount + sOK.StallCount; n != 1 {
+		t.Fatalf("stalls = %d, want 1", n)
 	}
 	if len(stalled) != 1 || stalled[0] != 0 {
 		t.Fatalf("stall observer blamed %v, want the clogged stream (0)", stalled)

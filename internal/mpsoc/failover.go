@@ -328,7 +328,7 @@ func (fc *FailoverController) migrate(reason string, triggeredAt, settle sim.Tim
 // outgoing block sizes stay feasible on a standby of the same timing.
 func sameTiming(a, b core.Chain) bool {
 	return slices.Equal(a.AccelCosts, b.AccelCosts) && a.EntryCost == b.EntryCost &&
-		a.ExitCost == b.ExitCost && a.NICapacity == b.NICapacity
+		a.ExitCost == b.ExitCost
 }
 
 // resolve re-runs Algorithm 1 against the standby's chain, warm-started from

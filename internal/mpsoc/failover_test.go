@@ -31,7 +31,7 @@ func failoverPlatformRec(t *testing.T, plan *fault.Plan, nStreams int, periods [
 	model := &core.System{
 		Chain: core.Chain{
 			Name: "primary", AccelCosts: []uint64{1},
-			EntryCost: 15, ExitCost: 1, NICapacity: 2,
+			EntryCost: 15, ExitCost: 1,
 		},
 		ClockHz: 1,
 	}
@@ -54,14 +54,14 @@ func failoverPlatformRec(t *testing.T, plan *fault.Plan, nStreams int, periods [
 		Chains: []ChainSpec{
 			{
 				Name: "primary", EntryCost: 15, ExitCost: 1, Mode: gateway.ReconfigFixed,
-				Accels:  []AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+				Accels:  []AccelSpec{{Name: "acc", Cost: 1}},
 				Streams: specs, DrainTimeout: 600,
 				Recovery: rec,
 				Faults:   plan, RecordTurnarounds: true,
 			},
 			{
 				Name: "standby", EntryCost: 15, ExitCost: 1, Mode: gateway.ReconfigFixed,
-				Accels:  []AccelSpec{{Name: "acc-b", Cost: standbyCost, NICapacity: 2}},
+				Accels:  []AccelSpec{{Name: "acc-b", Cost: standbyCost}},
 				Standby: true, DrainTimeout: 600,
 				Recovery:          rec,
 				RecordTurnarounds: true,

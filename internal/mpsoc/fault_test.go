@@ -34,7 +34,7 @@ func faultPlatform(plan *fault.Plan, rec gateway.Recovery) MultiConfig {
 			EntryCost: 15,
 			ExitCost:  1,
 			Mode:      gateway.ReconfigFixed,
-			Accels:    []AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+			Accels:    []AccelSpec{{Name: "acc", Cost: 1}},
 			Streams: []StreamSpec{
 				stream("s0"), stream("s1"), stream("s2"),
 			},
@@ -96,7 +96,7 @@ func TestQuarantineRestoresBounds(t *testing.T) {
 	survivors := &core.System{
 		Chain: core.Chain{
 			Name: "faulty", AccelCosts: []uint64{1},
-			EntryCost: 15, ExitCost: 1, NICapacity: 2,
+			EntryCost: 15, ExitCost: 1,
 		},
 		ClockHz: 1,
 	}
@@ -190,7 +190,7 @@ func TestCheckpointedTransientConformsToAdjustedBounds(t *testing.T) {
 	model := &core.System{
 		Chain: core.Chain{
 			Name: "faulty", AccelCosts: []uint64{1},
-			EntryCost: 15, ExitCost: 1, NICapacity: 2,
+			EntryCost: 15, ExitCost: 1,
 		},
 		ClockHz: 1,
 	}

@@ -33,16 +33,6 @@ type AccelSpec struct {
 	Name string
 	// Cost is ρA in cycles per sample.
 	Cost sim.Time
-	// NICapacity is the NI FIFO depth (the paper's α1/α2 = 2; 0 means 2).
-	NICapacity int
-}
-
-// niDepth is the tile's NI FIFO depth as built.
-func (as AccelSpec) niDepth() int {
-	if as.NICapacity == 0 {
-		return 2
-	}
-	return as.NICapacity
 }
 
 // StreamSpec describes one stream multiplexed over the chain.

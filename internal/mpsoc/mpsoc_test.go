@@ -21,7 +21,7 @@ func onePassthroughConfig(block int64, total uint64) MultiConfig {
 			EntryCost: 15,
 			ExitCost:  1,
 			Mode:      gateway.ReconfigFixed,
-			Accels:    []AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+			Accels:    []AccelSpec{{Name: "acc", Cost: 1}},
 			Streams: []StreamSpec{{
 				Name:           "s0",
 				Block:          block,
@@ -133,7 +133,7 @@ func TestTwoStreamsSharingChainKeepSeparateState(t *testing.T) {
 			EntryCost: 3,
 			ExitCost:  1,
 			Mode:      gateway.ReconfigFixed,
-			Accels:    []AccelSpec{{Name: "gain", Cost: 1, NICapacity: 2}},
+			Accels:    []AccelSpec{{Name: "gain", Cost: 1}},
 			Streams:   []StreamSpec{mk("a"), mk("b")},
 		}},
 	}
@@ -182,7 +182,7 @@ func TestDecimatingChainOutBlockAccounting(t *testing.T) {
 			EntryCost: 2,
 			ExitCost:  1,
 			Mode:      gateway.ReconfigFixed,
-			Accels:    []AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
+			Accels:    []AccelSpec{{Name: "fir", Cost: 1}},
 			Streams: []StreamSpec{{
 				Name:           "s",
 				Block:          16,
@@ -244,8 +244,8 @@ func TestHardwareRefinesModel(t *testing.T) {
 			ExitCost:  1,
 			Mode:      gateway.ReconfigFixed,
 			Accels: []AccelSpec{
-				{Name: "a0", Cost: 1, NICapacity: 2},
-				{Name: "a1", Cost: 1, NICapacity: 2},
+				{Name: "a0", Cost: 1},
+				{Name: "a1", Cost: 1},
 			},
 			Streams: []StreamSpec{
 				{
@@ -275,7 +275,6 @@ func TestHardwareRefinesModel(t *testing.T) {
 			AccelCosts: []uint64{1, 1},
 			EntryCost:  15,
 			ExitCost:   1,
-			NICapacity: 2,
 		},
 		ClockHz: 100_000_000, // irrelevant for cycle-domain comparison
 		Streams: []core.Stream{
@@ -317,7 +316,7 @@ func TestSpaceCheckAblation(t *testing.T) {
 				EntryCost:         15,
 				ExitCost:          1,
 				Mode:              gateway.ReconfigFixed,
-				Accels:            []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+				Accels:            []AccelSpec{{Name: "a", Cost: 1}},
 				DisableSpaceCheck: disable,
 				Streams: []StreamSpec{
 					{
@@ -347,7 +346,7 @@ func TestSpaceCheckAblation(t *testing.T) {
 	}
 
 	model := &core.System{
-		Chain:   core.Chain{Name: "ablate", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1, NICapacity: 2},
+		Chain:   core.Chain{Name: "ablate", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1},
 		ClockHz: 100_000_000,
 		Streams: []core.Stream{
 			{Name: "clogged", Rate: big.NewRat(1, 1), Reconfig: 50, Block: 16},
@@ -387,7 +386,7 @@ func TestReconfigPerWordMode(t *testing.T) {
 			Mode:       gateway.ReconfigPerWord,
 			BusBase:    50,
 			BusPerWord: 20,
-			Accels:     []AccelSpec{{Name: "fir", Cost: 1, NICapacity: 2}},
+			Accels:     []AccelSpec{{Name: "fir", Cost: 1}},
 			Streams: []StreamSpec{
 				{
 					Name: "x", Block: 8, Decimation: 1, Reconfig: 0,
@@ -431,7 +430,7 @@ func TestArbiterAblationPriorityStarves(t *testing.T) {
 				ExitCost:  1,
 				Mode:      gateway.ReconfigFixed,
 				Arbiter:   arb,
-				Accels:    []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+				Accels:    []AccelSpec{{Name: "a", Cost: 1}},
 				Streams: []StreamSpec{
 					{
 						// Saturating high-priority stream: always has a block.
@@ -455,7 +454,7 @@ func TestArbiterAblationPriorityStarves(t *testing.T) {
 		return sys.Report()
 	}
 	model := &core.System{
-		Chain:   core.Chain{Name: "arb", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1, NICapacity: 2},
+		Chain:   core.Chain{Name: "arb", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1},
 		ClockHz: 100_000_000,
 		Streams: []core.Stream{
 			{Name: "greedy", Rate: big.NewRat(1, 1), Reconfig: 50, Block: 16},

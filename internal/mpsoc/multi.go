@@ -50,10 +50,10 @@ type ChainSpec struct {
 }
 
 // Timing is the chain's temporal model (Eq. 2): the gateway costs ε and
-// δ, each accelerator's ρA in chain order, and the NI FIFO depth of the
-// shallowest tile (the model has one α for every hop). It reads the spec
-// alone, so a model can be made before the platform is built, and it
-// describes the built chain exactly.
+// δ and each accelerator's ρA in chain order; every NI FIFO, in the model
+// and as built, is core.NIDepth deep. It reads the spec alone, so a model
+// can be made before the platform is built, and it describes the built
+// chain exactly.
 func (cs ChainSpec) Timing() core.Chain {
 	c := core.Chain{
 		Name:       cs.Name,
@@ -63,9 +63,6 @@ func (cs ChainSpec) Timing() core.Chain {
 	}
 	for i, as := range cs.Accels {
 		c.AccelCosts[i] = uint64(as.Cost)
-		if ni := int64(as.niDepth()); i == 0 || ni < c.NICapacity {
-			c.NICapacity = ni
-		}
 	}
 	return c
 }
@@ -186,7 +183,7 @@ func (m *MultiSystem) assembleChain(top MultiConfig, spec ChainSpec, next *int) 
 
 	ch := &Chain{Spec: spec, EntryNode: entryN, ExitNode: exitN}
 	for _, as := range spec.Accels {
-		ch.Tiles = append(ch.Tiles, accel.NewTile(as.Name, k, as.Cost, as.niDepth()))
+		ch.Tiles = append(ch.Tiles, accel.NewTile(as.Name, k, as.Cost))
 	}
 	entryLink := accel.NewLink("entry->"+spec.Accels[0].Name, k, net,
 		entryN, accelN[0], ch.Tiles[0].In())
@@ -197,7 +194,7 @@ func (m *MultiSystem) assembleChain(top MultiConfig, spec ChainSpec, next *int) 
 		ch.Tiles[i].SetDownstream(l)
 		ch.Links = append(ch.Links, l)
 	}
-	exitNI := sim.NewQueue(spec.Name+".exit.ni", 2)
+	exitNI := sim.NewQueue(spec.Name+".exit.ni", core.NIDepth)
 	lastLink := accel.NewLink(spec.Accels[len(spec.Accels)-1].Name+"->exit", k, net,
 		accelN[len(accelN)-1], exitN, exitNI)
 	ch.Tiles[len(ch.Tiles)-1].SetDownstream(lastLink)

@@ -26,14 +26,14 @@ func twoChainConfig() MultiConfig {
 		Chains: []ChainSpec{
 			{
 				Name: "g0g1", EntryCost: 3, ExitCost: 1, Mode: gateway.ReconfigFixed,
-				Accels:  []AccelSpec{{Name: "acc0", Cost: 1, NICapacity: 2}},
+				Accels:  []AccelSpec{{Name: "acc0", Cost: 1}},
 				Streams: []StreamSpec{mkStream("a0", 8, 128), mkStream("a1", 8, 128)},
 			},
 			{
 				Name: "g2g3", EntryCost: 5, ExitCost: 1, Mode: gateway.ReconfigFixed,
 				Accels: []AccelSpec{
-					{Name: "acc1", Cost: 2, NICapacity: 2},
-					{Name: "acc2", Cost: 1, NICapacity: 2},
+					{Name: "acc1", Cost: 2},
+					{Name: "acc2", Cost: 1},
 				},
 				Streams: []StreamSpec{func() StreamSpec {
 					s := mkStream("b0", 16, 256)
@@ -88,8 +88,9 @@ func TestBuildTakesOneChain(t *testing.T) {
 
 // TestChainSpecTimingMatchesBuiltChain: the temporal model read from a
 // spec before the build is the chain the build assembles: ε and δ from
-// the gateway pair, ρA from each tile in chain order, and α the NI depth
-// of the shallowest tile, an unset depth counting as the tile's default.
+// the gateway pair and ρA from each tile in chain order. Every link of the
+// built chain, the last accelerator's into the exit gateway included,
+// grants the core.NIDepth credits of the model's hop credit edges.
 func TestChainSpecTimingMatchesBuiltChain(t *testing.T) {
 	engines := func(n int) []accel.Engine {
 		e := make([]accel.Engine, n)
@@ -103,19 +104,13 @@ func TestChainSpecTimingMatchesBuiltChain(t *testing.T) {
 		accels []AccelSpec
 		want   core.Chain
 	}{
-		{"explicit-depth", []AccelSpec{{Name: "a", Cost: 3, NICapacity: 4}},
-			core.Chain{AccelCosts: []uint64{3}, NICapacity: 4}},
-		{"default-depth", []AccelSpec{{Name: "a", Cost: 2}},
-			core.Chain{AccelCosts: []uint64{2}, NICapacity: 2}},
+		{"one-accel", []AccelSpec{{Name: "a", Cost: 2}},
+			core.Chain{AccelCosts: []uint64{2}}},
 		{"several-accels", []AccelSpec{
-			{Name: "a", Cost: 1, NICapacity: 5},
-			{Name: "b", Cost: 4, NICapacity: 3},
-			{Name: "c", Cost: 2, NICapacity: 6},
-		}, core.Chain{AccelCosts: []uint64{1, 4, 2}, NICapacity: 3}},
-		{"default-is-shallowest", []AccelSpec{
-			{Name: "a", Cost: 1, NICapacity: 4},
-			{Name: "b", Cost: 1},
-		}, core.Chain{AccelCosts: []uint64{1, 1}, NICapacity: 2}},
+			{Name: "a", Cost: 1},
+			{Name: "b", Cost: 4},
+			{Name: "c", Cost: 2},
+		}, core.Chain{AccelCosts: []uint64{1, 4, 2}}},
 	} {
 		for _, standby := range []bool{false, true} {
 			spec := ChainSpec{
@@ -138,13 +133,24 @@ func TestChainSpecTimingMatchesBuiltChain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			built := core.Chain{Name: tc.name, EntryCost: 7, ExitCost: 2, NICapacity: int64(sys.Tiles[0].In().Cap())}
+			built := core.Chain{Name: tc.name, EntryCost: 7, ExitCost: 2}
 			for _, tile := range sys.Tiles {
 				built.AccelCosts = append(built.AccelCosts, uint64(tile.Cost))
-				built.NICapacity = min(built.NICapacity, int64(tile.In().Cap()))
 			}
 			if !reflect.DeepEqual(got, built) {
 				t.Errorf("%s (standby %v): Timing() = %+v, built chain %+v", tc.name, standby, got, built)
+			}
+			if len(sys.Links) != len(tc.accels)+1 {
+				t.Fatalf("%s (standby %v): %d links for %d hops", tc.name, standby, len(sys.Links), len(tc.accels)+1)
+			}
+			for i, l := range sys.Links {
+				credits := 0
+				for l.TrySend(0) {
+					credits++
+				}
+				if credits != core.NIDepth {
+					t.Errorf("%s (standby %v): link %d grants %d credits, the model's hop holds %d", tc.name, standby, i, credits, core.NIDepth)
+				}
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func lateOutputConfig() MultiConfig {
 		HopLatency: 10,
 		Chains: []ChainSpec{{
 			Name: "t", EntryCost: 15, ExitCost: 1, Mode: gateway.ReconfigFixed,
-			Accels: []AccelSpec{{Name: "acc", Cost: 1, NICapacity: 2}},
+			Accels: []AccelSpec{{Name: "acc", Cost: 1}},
 			// s0 runs one block; every later block is s1's.
 			Streams: []StreamSpec{stream("s0", 8), stream("s1", 0)},
 		}},

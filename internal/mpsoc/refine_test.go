@@ -32,8 +32,8 @@ func TestPerTokenRefinement(t *testing.T) {
 			ExitCost:  1,
 			Mode:      gateway.ReconfigFixed,
 			Accels: []AccelSpec{
-				{Name: "a0", Cost: 1, NICapacity: 2},
-				{Name: "a1", Cost: 1, NICapacity: 2},
+				{Name: "a0", Cost: 1},
+				{Name: "a1", Cost: 1},
 			},
 			Streams: []StreamSpec{{
 				Name: "s", Block: eta, Decimation: 1, Reconfig: rs,
@@ -96,7 +96,7 @@ func TestPerSampleLatencyBound(t *testing.T) {
 			EntryCost: eps,
 			ExitCost:  1,
 			Mode:      gateway.ReconfigFixed,
-			Accels:    []AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+			Accels:    []AccelSpec{{Name: "a", Cost: 1}},
 			Streams: []StreamSpec{{
 				Name: "s", Block: eta, Decimation: 1, Reconfig: rs,
 				InCapacity: 4 * eta, OutCapacity: 4 * eta,
@@ -127,7 +127,7 @@ func TestPerSampleLatencyBound(t *testing.T) {
 	}
 
 	model := &core.System{
-		Chain:   core.Chain{Name: "lat", AccelCosts: []uint64{1}, EntryCost: eps, ExitCost: 1, NICapacity: 2},
+		Chain:   core.Chain{Name: "lat", AccelCosts: []uint64{1}, EntryCost: eps, ExitCost: 1},
 		ClockHz: 64, // one sample per cycle of "1 Hz" per 64 clock: rate = 1 sample / 64 cycles
 		Streams: []core.Stream{{Name: "s", Rate: big.NewRat(1, 1), Reconfig: rs, Block: eta}},
 	}

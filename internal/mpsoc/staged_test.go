@@ -42,8 +42,8 @@ func TestStagedExitPinned(t *testing.T) {
 			RecordTurnarounds: true,
 			Recovery:          gateway.Recovery{ValueExact: true},
 			Accels: []AccelSpec{
-				{Name: "g0", Cost: 2, NICapacity: 2},
-				{Name: "g1", Cost: 3, NICapacity: 2},
+				{Name: "g0", Cost: 2},
+				{Name: "g1", Cost: 3},
 			},
 			Streams: []StreamSpec{mk("a"), mk("b")},
 		}},

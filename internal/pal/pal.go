@@ -314,8 +314,8 @@ func chainSpec(p Params) mpsoc.ChainSpec {
 		ExitCost:  p.ExitCost,
 		Mode:      gateway.ReconfigFixed,
 		Accels: []mpsoc.AccelSpec{
-			{Name: "cordic", Cost: 1, NICapacity: 2},
-			{Name: "fir+d", Cost: 1, NICapacity: 2},
+			{Name: "cordic", Cost: 1},
+			{Name: "fir+d", Cost: 1},
 		},
 	}
 }

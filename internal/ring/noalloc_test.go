@@ -7,8 +7,7 @@ import (
 )
 
 // TestRingZeroAllocSteadyState backs the //accellint:noalloc annotations on
-// TrySend, Free, held, restep, pump, pumpStep, emit, latency, newFlight and
-// deliver:
+// TrySend, Free, held, restep, pump, pumpStep, emit, newFlight and deliver:
 // after the cold start (lazy injection ring, pump method value, flight-pool
 // growth to the in-flight high-water mark), moving words across the ring
 // allocates nothing — the same pooled-record discipline as the sim kernel's

@@ -5,8 +5,8 @@
 // carries flow-control credits for hardware-FIFO communication.
 //
 // The model is transaction-level but cycle-accounted: each node may inject
-// at most one word per slot period, and a word addressed to a tile d hops
-// away is delivered exactly d·hopLatency cycles after injection. Posted
+// at most one word per cycle (one slot), and a word addressed to a tile d
+// hops away is delivered exactly d·hopLatency cycles after injection. Posted
 // writes complete for the producer upon acceptance by the interconnect;
 // delivery is lossless and the destination always accepts (the "guaranteed
 // acceptance" property the paper relies on to avoid hardware flow control
@@ -35,9 +35,6 @@ type Config struct {
 	Nodes int
 	// HopLatency is the cycles one word needs to advance one node.
 	HopLatency sim.Time
-	// SlotPeriod is the minimum spacing in cycles between two injections at
-	// the same node (1 = full rate, matching one 32/64-bit word per cycle).
-	SlotPeriod sim.Time
 	// InjectionDepth is the per-node injection buffer in words.
 	InjectionDepth int
 	Direction      Direction
@@ -99,7 +96,9 @@ func discard(Message) {}
 // Slotted ring, so the whole platform can run on either.
 type Transport interface {
 	Node(i int) Port
-	// DeliveredWords counts words the transport has carried.
+	// DeliveredWords counts words the transport has delivered. A word is
+	// counted when it reaches its destination node, not when it leaves its
+	// source, so a word still in flight, or one a wedge took back, is not.
 	DeliveredWords() uint64
 	// Move points the binding h at node: words sent to h from now on go
 	// there. A word carries its destination from the send, so one already
@@ -117,8 +116,8 @@ type Ring struct {
 	k     *sim.Kernel
 	nodes []*Node
 
-	// Words counts delivered messages; HopCycles accumulates distance for
-	// utilisation accounting.
+	// Words counts delivered messages; HopCycles accumulates their ring
+	// latency for utilisation accounting. Both count on delivery.
 	Words     uint64
 	HopCycles uint64
 
@@ -169,9 +168,6 @@ func New(k *sim.Kernel, cfg Config) (*Ring, error) {
 	if cfg.HopLatency == 0 {
 		cfg.HopLatency = 1
 	}
-	if cfg.SlotPeriod == 0 {
-		cfg.SlotPeriod = 1
-	}
 	if cfg.InjectionDepth == 0 {
 		cfg.InjectionDepth = 4
 	}
@@ -185,7 +181,7 @@ func New(k *sim.Kernel, cfg Config) (*Ring, error) {
 // Node returns attachment point i.
 func (r *Ring) Node(i int) Port { return r.nodes[i] }
 
-// DeliveredWords counts carried words (Transport interface).
+// DeliveredWords counts delivered words (Transport interface).
 func (r *Ring) DeliveredWords() uint64 { return r.Words }
 
 // Nodes returns the node count.
@@ -338,8 +334,6 @@ func (n *Node) takeBack() {
 	n.inj[n.injHead] = fl.m
 	n.injLen++
 	n.nextSlot = n.prevSlot
-	n.r.Words--
-	n.r.HopCycles -= uint64(n.r.latency(fl.m))
 }
 
 // pump drains the injection buffer at the slot rate.
@@ -384,27 +378,19 @@ func (n *Node) pumpStep() {
 	n.pump()
 }
 
-// emit puts m on the ring now: it takes the node's slot, and a pooled
-// flight record carries it to its destination after the hop latency.
+// emit puts m on the ring now: it takes the node's slot for one cycle,
+// and a pooled flight record carries it to its destination after the hop
+// latency.
 //
 //accellint:noalloc guard=TestRingZeroAllocSteadyState
 func (n *Node) emit(m Message) *flight {
 	k := n.r.k
-	n.nextSlot = k.Now() + n.r.cfg.SlotPeriod
-	lat := n.r.latency(m)
-	n.r.Words++
-	n.r.HopCycles += uint64(lat)
+	n.nextSlot = k.Now() + 1
 	fl := n.r.newFlight()
 	fl.m = m
-	k.Schedule(lat, fl.fn)
+	fl.lat = sim.Time(n.r.Distance(m.Src, m.Dst)) * n.r.cfg.HopLatency
+	k.Schedule(fl.lat, fl.fn)
 	return fl
-}
-
-// latency is the cycles m spends on the ring.
-//
-//accellint:noalloc guard=TestRingZeroAllocSteadyState
-func (r *Ring) latency(m Message) sim.Time {
-	return sim.Time(r.Distance(m.Src, m.Dst)) * r.cfg.HopLatency
 }
 
 // flight is one in-flight message record. Records are pooled on the ring
@@ -412,9 +398,10 @@ func (r *Ring) latency(m Message) sim.Time {
 // at pool-entry time — so the per-message delivery path allocates nothing
 // in steady state, matching the pooled event records of the sim kernel.
 type flight struct {
-	r  *Ring
-	m  Message
-	fn func()
+	r   *Ring
+	m   Message
+	lat sim.Time // the cycles m spends on the ring
+	fn  func()
 	// cancelled marks a word a wedge took back: its delivery event only
 	// returns the record to the pool.
 	cancelled bool
@@ -438,19 +425,21 @@ func (r *Ring) newFlight() *flight {
 	return fl
 }
 
-// deliver hands the message to its binding's handler and returns the
-// record to the pool. Recycling happens before the handler runs so a
-// handler that immediately sends again can reuse this record.
+// deliver counts the message, hands it to its binding's handler and
+// returns the record to the pool. Recycling happens before the handler
+// runs so a handler that immediately sends again can reuse this record.
 //
 //accellint:noalloc guard=TestRingZeroAllocSteadyState
 func (fl *flight) deliver() {
-	r, m, cancelled := fl.r, fl.m, fl.cancelled
+	r, m, lat, cancelled := fl.r, fl.m, fl.lat, fl.cancelled
 	fl.cancelled = false
 	fl.next = r.freeFlight
 	r.freeFlight = fl
 	if cancelled {
 		return
 	}
+	r.Words++
+	r.HopCycles += uint64(lat)
 	r.binds[m.H-1].fn(m)
 }
 

@@ -183,8 +183,7 @@ func (d *ringHarness) chain() {
 var ringDelays = [8]sim.Time{0, 0, 0, 1, 1, 2, 3, 5}
 
 // decodeRingScript turns bytes into a script: one geometry byte (2–5
-// nodes, injection depth 1–4, slot period 1–3, hop latency 1–2), then
-// three bytes per op.
+// nodes, injection depth 1–4, hop latency 1–2), then three bytes per op.
 func decodeRingScript(data []byte) (ringScript, bool) {
 	if len(data) < 4 {
 		return ringScript{}, false
@@ -193,7 +192,6 @@ func decodeRingScript(data []byte) (ringScript, bool) {
 	cfg := Config{
 		Nodes:          2 + int(g%4),
 		InjectionDepth: 1 + int(g>>2%4),
-		SlotPeriod:     1 + sim.Time(g>>4%3),
 		HopLatency:     1 + sim.Time(g>>6%2),
 	}
 	sc := ringScript{cfg: cfg}
@@ -280,7 +278,7 @@ func FuzzRingMatchesReference(f *testing.F) {
 	f.Add([]byte{0x05, 0x80, 0x01, 0x20, 0x80, 0x01, 0x00, 0x06, 0x00, 0x00})                   // depth 2: a second word buffered behind a held one
 	f.Add([]byte{0x16, 0x80, 0x01, 0x00, 0x87, 0x00, 0x05, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00}) // a wedge inside the window
 	f.Add([]byte{0x2b, 0x84, 0x21, 0x70, 0x07, 0x02, 0xff, 0x00, 0x12, 0x31, 0x18, 0x21, 0x00}) // a permanent wedge
-	f.Add([]byte{0x7f, 0x04, 0x13, 0x7e, 0x84, 0x31, 0x3c, 0x8d, 0x02, 0x00, 0x16, 0x20, 0x11}) // long slot, deep buffer, bursts
+	f.Add([]byte{0x7f, 0x04, 0x13, 0x7e, 0x84, 0x31, 0x3c, 0x8d, 0x02, 0x00, 0x16, 0x20, 0x11}) // deep buffer, bursts
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1201 {
 			data = data[:1201]

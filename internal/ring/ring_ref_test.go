@@ -40,9 +40,6 @@ func newRefRing(k *sim.Kernel, cfg Config) *refRing {
 	if cfg.HopLatency == 0 {
 		cfg.HopLatency = 1
 	}
-	if cfg.SlotPeriod == 0 {
-		cfg.SlotPeriod = 1
-	}
 	if cfg.InjectionDepth == 0 {
 		cfg.InjectionDepth = 4
 	}
@@ -136,11 +133,13 @@ func (n *refNode) pumpStep() {
 	k := n.r.k
 	m := n.inj[0]
 	n.inj = n.inj[1:]
-	n.nextSlot = k.Now() + n.r.cfg.SlotPeriod
+	n.nextSlot = k.Now() + 1
 	lat := sim.Time(n.r.distance(m.Src, m.Dst)) * n.r.cfg.HopLatency
-	n.r.Words++
-	n.r.HopCycles += uint64(lat)
-	k.Schedule(lat, func() { n.r.binds[m.H].fn(m) })
+	k.Schedule(lat, func() {
+		n.r.Words++
+		n.r.HopCycles += uint64(lat)
+		n.r.binds[m.H].fn(m)
+	})
 	for _, w := range n.space {
 		w.Wake()
 	}

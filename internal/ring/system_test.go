@@ -24,7 +24,7 @@ func TestSlottedRingSystemEquivalence(t *testing.T) {
 				EntryCost: 15,
 				ExitCost:  1,
 				Mode:      gateway.ReconfigFixed,
-				Accels:    []mpsoc.AccelSpec{{Name: "a", Cost: 1, NICapacity: 2}},
+				Accels:    []mpsoc.AccelSpec{{Name: "a", Cost: 1}},
 				Streams: []mpsoc.StreamSpec{
 					{
 						Name: "x", Block: 16, Decimation: 1, Reconfig: 100,
@@ -72,7 +72,7 @@ func TestSlottedRingSystemEquivalence(t *testing.T) {
 	// Timing: the cycle-true ring adds slot-wait jitter, but both must stay
 	// within the analysis bound.
 	model := &core.System{
-		Chain:   core.Chain{Name: "slotcmp", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1, NICapacity: 2},
+		Chain:   core.Chain{Name: "slotcmp", AccelCosts: []uint64{1}, EntryCost: 15, ExitCost: 1},
 		ClockHz: 100_000_000,
 		Streams: []core.Stream{
 			{Name: "x", Rate: big.NewRat(1, 1), Reconfig: 100, Block: 16},

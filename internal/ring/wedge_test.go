@@ -8,15 +8,15 @@ import (
 
 func TestWedgeNodeRefusesAndDefersInjection(t *testing.T) {
 	k := sim.NewKernel()
-	r, err := New(k, Config{Nodes: 4, HopLatency: 1, SlotPeriod: 5, InjectionDepth: 4})
+	r, err := New(k, Config{Nodes: 4, HopLatency: 1, InjectionDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var arrivals []sim.Time
 	h := r.Node(2).Bind(func(m Message) { arrivals = append(arrivals, k.Now()) })
 
-	// Two messages: the first departs immediately, the second waits one slot
-	// period in the injection buffer.
+	// Two messages: the first departs immediately, the second waits one
+	// cycle in the injection buffer.
 	if !r.Node(0).TrySend(h, 1) || !r.Node(0).TrySend(h, 2) {
 		t.Fatal("sends refused")
 	}

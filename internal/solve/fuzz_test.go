@@ -44,7 +44,6 @@ func FuzzSolveDifferential(f *testing.F) {
 				AccelCosts: []uint64{uint64(1 + rng.Intn(8))},
 				EntryCost:  uint64(1 + rng.Intn(4)),
 				ExitCost:   uint64(1 + rng.Intn(4)),
-				NICapacity: 2,
 			},
 			ClockHz: 1_000_000,
 		}

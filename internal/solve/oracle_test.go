@@ -37,7 +37,6 @@ func saturatedInstance(rng *rand.Rand, n int, rho *big.Rat, granular bool) (*cor
 			AccelCosts: []uint64{uint64(1 + rng.Intn(8))},
 			EntryCost:  uint64(1 + rng.Intn(16)),
 			ExitCost:   uint64(1 + rng.Intn(4)),
-			NICapacity: 2,
 		},
 		ClockHz: 1_000_000,
 	}

@@ -19,7 +19,6 @@ func rebalanceFleet(n int) []*core.System {
 				AccelCosts: []uint64{4},
 				EntryCost:  1,
 				ExitCost:   2,
-				NICapacity: 2,
 			},
 			ClockHz: 1_000_000,
 		}

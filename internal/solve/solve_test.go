@@ -21,7 +21,6 @@ func testSystem(n int, loadNum, loadDen int64) *core.System {
 			AccelCosts: []uint64{4},
 			EntryCost:  1,
 			ExitCost:   2,
-			NICapacity: 2,
 		},
 		ClockHz: 1_000_000,
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -319,12 +320,15 @@ type fieldException struct {
 //
 // A field is set by a composite-literal key or positional element, an
 // assignment or inc/dec target, &x.F, and a pointer-method call on an
-// addressable field; the last two read it as well. Every other selector
-// reads it. A whole-struct == reads every field, and so does a struct
-// handed to fmt or encoding/json (which may also set them); a struct-tagged
-// field counts as read. Test files are parsed, not type-checked: a
-// selector in one reads every field of that name, so a test can hide a
-// rule-2 finding but never make one. Embedded fields are not counted.
+// addressable field; the last two read it as well. A zero-value default in
+// the field's own package, x.F = k in the body of if x.F == 0 (or <= 0,
+// == nil, == ""), fills in what the caller left unset and so sets nothing.
+// Every other selector reads the field. A whole-struct == reads every
+// field, and so does a struct handed to fmt or encoding/json (which may
+// also set them); a struct-tagged field counts as read. Test files are
+// parsed, not type-checked: a selector in one reads every field of that
+// name, so a test can hide a rule-2 finding but never make one. Embedded
+// fields are not counted.
 func TestProductionFieldsAreUsed(t *testing.T) {
 	root, err := filepath.Abs(".")
 	if err != nil {
@@ -446,7 +450,7 @@ func fieldCensus(fset *token.FileSet, pkgs []*analysis.Package, testFiles []*ast
 			}
 		}
 		for _, f := range p.Files {
-			censusFile(p.Info, f, mark)
+			censusFile(p.Path, p.Info, f, mark)
 		}
 	}
 	testReads := map[string]bool{}
@@ -486,9 +490,11 @@ func fieldCensus(fset *token.FileSet, pkgs []*analysis.Package, testFiles []*ast
 }
 
 // censusFile hands mark every field read and write of one type-checked
-// file.
-func censusFile(info *types.Info, f *ast.File, mark func(v *types.Var, read, write bool)) {
+// file of the package path.
+func censusFile(path string, info *types.Info, f *ast.File, mark func(v *types.Var, read, write bool)) {
 	writeOnly := map[*ast.SelectorExpr]bool{}
+	// defaults holds the targets of the file's zero-value defaults.
+	defaults := map[ast.Expr]bool{}
 	// target marks what an assignment, inc/dec or address reaches through
 	// e as set: the selected field and, while the path runs through values
 	// rather than pointers, the struct fields and arrays holding it.
@@ -521,10 +527,21 @@ func censusFile(info *types.Info, f *ast.File, mark func(v *types.Var, read, wri
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			if x := zeroTest(info, n.Cond); x != nil && info.Selections[x].Obj().Pkg().Path() == path {
+				for _, st := range n.Body.List {
+					if a, ok := st.(*ast.AssignStmt); ok && a.Tok == token.ASSIGN && len(a.Lhs) == 1 &&
+						types.ExprString(a.Lhs[0]) == types.ExprString(x) {
+						defaults[a.Lhs[0]] = true
+					}
+				}
+			}
 		case *ast.AssignStmt:
 			if n.Tok != token.DEFINE {
 				for _, e := range n.Lhs {
-					target(e, false)
+					if !defaults[e] {
+						target(e, false)
+					}
 				}
 			}
 		case *ast.IncDecStmt:
@@ -591,6 +608,35 @@ func censusFile(info *types.Info, f *ast.File, mark func(v *types.Var, read, wri
 		}
 		return true
 	})
+}
+
+// zeroTest returns x.F when cond compares a field F with its zero value
+// (x.F == 0, <= 0, == nil or == ""), and nil otherwise.
+func zeroTest(info *types.Info, cond ast.Expr) *ast.SelectorExpr {
+	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok || (b.Op != token.EQL && b.Op != token.LEQ) {
+		return nil
+	}
+	x, ok := ast.Unparen(b.X).(*ast.SelectorExpr)
+	if !ok || info.Selections[x] == nil || info.Selections[x].Kind() != types.FieldVal {
+		return nil
+	}
+	tv := info.Types[b.Y]
+	switch v := tv.Value; {
+	case tv.IsNil():
+		return x
+	case v == nil:
+		return nil
+	case v.Kind() == constant.String:
+		if constant.StringVal(v) == "" {
+			return x
+		}
+	case v.Kind() == constant.Int || v.Kind() == constant.Float:
+		if constant.Sign(v) == 0 {
+			return x
+		}
+	}
+	return nil
 }
 
 // reachFields calls visit on every field of every struct reachable from t
@@ -717,6 +763,18 @@ func Use(t *T) int { t.Ctr.inc(); return t.Ctr.get() }
 type U struct{ Ref *ctr }
 func Bump(u U) { u.Ref.inc() }`,
 			"", []string{"p.U.Ref rule 1"}},
+		{"a zero-value default sets nothing", `
+type Config struct{ Depth, Rate int; Name string; Next *Config }
+func New(c Config) int {
+	if c.Depth == 0 { c.Depth = 4 }
+	if c.Rate <= 0 { c.Rate = 1 }
+	if c.Name == "" { c.Name = "p" }
+	if c.Next == nil { c.Next = &c }
+	return c.Depth + c.Rate + len(c.Name) + c.Next.Depth
+}
+func Default() int { return New(Config{Depth: 2}) }`,
+			`func TestNew() { New(Config{Rate: 3, Name: "t", Next: &Config{}}) }`,
+			[]string{"p.Config.Name rule 1", "p.Config.Next rule 1", "p.Config.Rate rule 1"}},
 		{"a whole-struct ==", `
 type Key struct{ A, B int }
 func Same(k Key) bool { return k == Key{1, 2} }`,
