@@ -13,12 +13,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/big"
 	"os"
 
 	"accelshare/internal/accel"
 	"accelshare/internal/admission"
-	"accelshare/internal/core"
 	"accelshare/internal/gateway"
 	"accelshare/internal/mpsoc"
 	"accelshare/internal/sim"
@@ -32,10 +30,10 @@ func init() {
 // platform: a feasible add, a remove that shrinks the survivors' blocks, a
 // canary-probed readmission, and an add that Algorithm 1 must reject.
 const defaultAdmitScript = `# online admission campaign (times in cycles)
-3000  add s5 rate=1/300 reconfig=50 incap=64 outcap=64 period=300
+3000  add s5 rate=1/300 reconfig=50 incap=64 outcap=64
 20000 remove s4
 30000 readmit s4
-40000 add s6 rate=1/75 reconfig=50 incap=64 outcap=64 period=75
+40000 add s6 rate=1/75 reconfig=50 incap=64 outcap=64
 `
 
 func runAdmit(args []string) error {
@@ -61,8 +59,8 @@ func runAdmit(args []string) error {
 }
 
 // admitPlatform builds the canned four-stream platform (ε=15, ρA=1, δ=1,
-// Rs=50, μs=1/75 each → Algorithm 1 gives η=22, τ̂=410, γ̂=1640) plus its
-// admission controller.
+// Rs=50, one sample per 75 cycles each → Algorithm 1 gives η=22, τ̂=410,
+// γ̂=1640) plus its admission controller.
 func admitPlatform(reserve int) (*mpsoc.MultiSystem, *admission.Controller, error) {
 	chain := mpsoc.ChainSpec{
 		Name:              "demo",
@@ -75,19 +73,9 @@ func admitPlatform(reserve int) (*mpsoc.MultiSystem, *admission.Controller, erro
 		RecordTurnarounds: true,
 		ReserveSlots:      reserve,
 	}
-	model := &core.System{Chain: chain.Timing(), ClockHz: 1}
 	for _, name := range []string{"s1", "s2", "s3", "s4"} {
-		model.Streams = append(model.Streams, core.Stream{
-			Name: name, Rate: big.NewRat(1, 75), Reconfig: 50,
-		})
-	}
-	if _, err := model.ComputeBlockSizes(); err != nil {
-		return nil, nil, err
-	}
-	for i := range model.Streams {
 		chain.Streams = append(chain.Streams, mpsoc.StreamSpec{
-			Name:         model.Streams[i].Name,
-			Block:        model.Streams[i].Block,
+			Name:         name,
 			Decimation:   1,
 			Reconfig:     50,
 			InCapacity:   128,
@@ -96,15 +84,16 @@ func admitPlatform(reserve int) (*mpsoc.MultiSystem, *admission.Controller, erro
 			Engines:      []accel.Engine{&accel.Gain{}},
 		})
 	}
+	if err := chain.SizeBlocks(); err != nil {
+		return nil, nil, err
+	}
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{Chains: []mpsoc.ChainSpec{chain}})
 	if err != nil {
 		return nil, nil, err
 	}
 	ctrl, err := admission.New(ms, admission.Config{
-		Chain:       0,
-		Model:       model,
-		PerSlotCost: 10,
-		Engines:     func(string) []accel.Engine { return []accel.Engine{&accel.Gain{}} },
+		Chain:   0,
+		Engines: func(string) []accel.Engine { return []accel.Engine{&accel.Gain{}} },
 	})
 	if err != nil {
 		return nil, nil, err

@@ -24,12 +24,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/big"
 	"os"
 	"path/filepath"
 
 	"accelshare/internal/conformance"
-	"accelshare/internal/core"
 	"accelshare/internal/fault"
 	"accelshare/internal/gateway"
 	"accelshare/internal/mpsoc"
@@ -70,19 +68,6 @@ type failoverScenario struct {
 	// both chains: the migrated residue shrinks to ≤ ckpt words and the
 	// cost bound uses the adjusted Eq. 2 term τ̂(K).
 	ckpt int64
-}
-
-// failoverModel is the temporal model of gainChain's three streams on a
-// chain: on the primary, τ̂=320 and γ̂=960 (Eq. 2/4) against the 1200
-// cycles per block that μs=1/75 needs.
-func failoverModel(chain core.Chain) *core.System {
-	m := &core.System{Chain: chain, ClockHz: 1}
-	for _, name := range []string{"s0", "s1", "s2"} {
-		m.Streams = append(m.Streams, core.Stream{
-			Name: name, Rate: big.NewRat(1, 75), Reconfig: 50, Block: 16,
-		})
-	}
-	return m
 }
 
 // failoverScenarios builds the campaign grid. The wedge doctors convict on
@@ -158,11 +143,7 @@ func failoverPlatform(sc failoverScenario) (*mpsoc.MultiSystem, *mpsoc.FailoverC
 	if err != nil {
 		return nil, nil, err
 	}
-	fc, err := mpsoc.NewFailover(ms, mpsoc.FailoverConfig{
-		Primary: 0, Standby: 1,
-		Model:       failoverModel(ms.Chains[0].Spec.Timing()),
-		PerSlotCost: 10,
-	})
+	fc, err := mpsoc.NewFailover(ms, mpsoc.FailoverConfig{Primary: 0, Standby: 1})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -268,17 +249,10 @@ func failoverCampaign(w io.Writer, horizon sim.Time, script string) error {
 		// Conformance over the post-transient trace: τ̂ per block (retried
 		// blocks exempt), γ̂ per block, μs long-run, for the live streams
 		// against the ACTIVE chain's parameters and block sizes.
-		model := failoverModel(active.Spec.Timing())
-		live := &core.System{Chain: model.Chain, ClockHz: model.ClockHz}
-		var streams []*gateway.Stream
-		for i, snap := range snaps {
-			if snap.Quarantined {
-				continue
-			}
-			s := model.Streams[i]
-			s.Block = snap.Block
-			live.Streams = append(live.Streams, s)
-			streams = append(streams, active.Strs[i].GW)
+		live, slots := active.LiveModel()
+		streams := make([]*gateway.Stream, len(slots))
+		for i, slot := range slots {
+			streams[i] = active.Strs[slot].GW
 		}
 		// Checkpointed scenarios check against the adjusted τ̂(K)/γ̂(K) and
 		// additionally bound per-block replay work by K (Replayed ≤ retries·K;

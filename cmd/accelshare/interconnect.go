@@ -94,7 +94,7 @@ func runRingVsCrossbar(args []string) error {
 	runXbar := func() (*trafficResult, error) {
 		k := sim.NewKernel()
 		// Wheel sized to give every flow one slot per N cycles.
-		x, err := tdm.New(k, tdm.Config{Nodes: *nodes, WheelSlots: len(flows), TraversalLatency: 2, InjectionDepth: 8})
+		x, err := tdm.New(k, tdm.Config{Nodes: *nodes, WheelSlots: len(flows)})
 		if err != nil {
 			return nil, err
 		}

@@ -12,27 +12,50 @@
 //  3. readmits it through a canary block (probational first block: one
 //     clean completion restores full membership);
 //  4. rejects an infeasible request with a machine-readable reason.
+//
+// Every stream is described once, by its mpsoc.StreamSpec: its source
+// period is its rate μs, and the controller reads μs, Rs and ηs from the
+// platform.
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
-	"math/big"
+	"os"
 
 	"accelshare/internal/accel"
 	"accelshare/internal/admission"
-	"accelshare/internal/core"
 	"accelshare/internal/gateway"
 	"accelshare/internal/mpsoc"
+	"accelshare/internal/sim"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// gainStream is a stream through the gain accelerator with Rs = 50 whose
+// source makes one sample every period cycles.
+func gainStream(name string, period sim.Time, fifo int) mpsoc.StreamSpec {
+	return mpsoc.StreamSpec{
+		Name: name, Decimation: 1, Reconfig: 50,
+		InCapacity: fifo, OutCapacity: fifo, SourcePeriod: period,
+		Engines: []accel.Engine{&accel.Gain{}},
+	}
+}
+
+// run drives the campaign and writes its report to w.
+func run(w io.Writer) error {
 	// The running configuration: one accelerator (ρA = 1), entry DMA ε = 15,
 	// exit δ = 1, Rs = 50, four streams at one sample per 75 cycles each.
 	// Algorithm 1 gives η = 22 per stream (τ̂ = 410, γ̂ = 1640).
 	// ReserveSlots pre-allocates gateway stream slots (and their ring
 	// attachment points) at build time, so a stream admitted later needs no
-	// rewiring.
+	// rewiring. Reprogramming a stream slot costs mpsoc.SlotCost = 10 bus
+	// cycles.
 	chain := mpsoc.ChainSpec{
 		Name:              "chain",
 		EntryCost:         15,
@@ -44,40 +67,22 @@ func main() {
 		RecordTurnarounds: true,
 		ReserveSlots:      2,
 	}
-	model := &core.System{Chain: chain.Timing(), ClockHz: 1}
 	for _, name := range []string{"s1", "s2", "s3", "s4"} {
-		model.Streams = append(model.Streams, core.Stream{
-			Name: name, Rate: big.NewRat(1, 75), Reconfig: 50,
-		})
+		chain.Streams = append(chain.Streams, gainStream(name, 75, 128))
 	}
-	if _, err := model.ComputeBlockSizes(); err != nil {
-		log.Fatal(err)
-	}
-	engines := func(string) []accel.Engine { return []accel.Engine{&accel.Gain{}} }
-	for i := range model.Streams {
-		chain.Streams = append(chain.Streams, mpsoc.StreamSpec{
-			Name:         model.Streams[i].Name,
-			Block:        model.Streams[i].Block,
-			Decimation:   1,
-			Reconfig:     50,
-			InCapacity:   128,
-			OutCapacity:  128,
-			SourcePeriod: 75,
-			Engines:      engines(""),
-		})
+	if err := chain.SizeBlocks(); err != nil {
+		return err
 	}
 	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{Chains: []mpsoc.ChainSpec{chain}})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ctrl, err := admission.New(ms, admission.Config{
-		Chain:       0,
-		Model:       model,
-		PerSlotCost: 10,
-		Engines:     engines,
+		Chain:   0,
+		Engines: func(string) []accel.Engine { return []accel.Engine{&accel.Gain{}} },
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ms.Chains[0].Pair.Start()
 	k := ms.K
@@ -85,14 +90,14 @@ func main() {
 	report := func(what string) func(admission.Verdict) {
 		return func(v admission.Verdict) {
 			if !v.Accepted {
-				fmt.Printf("t=%-6d %s: rejected (%s) %s\n", k.Now(), what, v.Reason, v.Detail)
+				fmt.Fprintf(w, "t=%-6d %s: rejected (%s) %s\n", k.Now(), what, v.Reason, v.Detail)
 				return
 			}
-			fmt.Printf("t=%-6d %s: admitted, blocks:", k.Now(), what)
+			fmt.Fprintf(w, "t=%-6d %s: admitted, blocks:", k.Now(), what)
 			for _, a := range v.Blocks {
-				fmt.Printf(" %s=%d", a.Name, a.Block)
+				fmt.Fprintf(w, " %s=%d", a.Name, a.Block)
 			}
-			fmt.Printf("\n         transition: pause %d + bus %d cycles (bound %d)\n",
+			fmt.Fprintf(w, "\n         transition: pause %d + bus %d cycles (bound %d)\n",
 				v.PauseWait, v.BusCycles, v.BoundCycles)
 		}
 	}
@@ -101,14 +106,7 @@ func main() {
 	// lower rate (one sample per 300 cycles). The survivors' blocks grow
 	// from 22 to 36; the new stream gets η = 9.
 	k.Run(3000)
-	ctrl.AddStream(admission.AddRequest{
-		Spec: mpsoc.StreamSpec{
-			Name: "s5", Decimation: 1, Reconfig: 50,
-			InCapacity: 64, OutCapacity: 64, SourcePeriod: 300,
-			Engines: engines("s5"),
-		},
-		Rate: big.NewRat(1, 300),
-	}, report("add s5"))
+	ctrl.AddStream(admission.AddRequest{Spec: gainStream("s5", 300, 64)}, report("add s5"))
 	k.Run(20_000)
 
 	// Remove s4: the re-solve shrinks everyone's blocks — less buffering,
@@ -122,26 +120,21 @@ func main() {
 	ctrl.Readmit("s4", report("readmit s4"))
 	k.Run(40_000)
 
-	// A fifth 1/75-rate stream would push utilisation past 1: Algorithm 1
-	// has no solution, and the controller says exactly why.
-	ctrl.AddStream(admission.AddRequest{
-		Spec: mpsoc.StreamSpec{
-			Name: "s6", Decimation: 1, Reconfig: 50,
-			InCapacity: 64, OutCapacity: 64, SourcePeriod: 75,
-			Engines: engines("s6"),
-		},
-		Rate: big.NewRat(1, 75),
-	}, report("add s6"))
+	// A fifth stream at one sample per 75 cycles would push utilisation
+	// past 1: Algorithm 1 has no solution, and the controller says exactly
+	// why.
+	ctrl.AddStream(admission.AddRequest{Spec: gainStream("s6", 75, 64)}, report("add s6"))
 	k.Run(60_000)
 
-	fmt.Println("\nevent log (deterministic; replayable via `accelshare admit`):")
-	fmt.Print(admission.FormatEvents(ctrl.Events()))
+	fmt.Fprintln(w, "\nevent log (deterministic; replayable via `accelshare admit`):")
+	io.WriteString(w, admission.FormatEvents(ctrl.Events()))
 
-	fmt.Println("\nfinal platform state:")
+	fmt.Fprintln(w, "\nfinal platform state:")
 	ch := ms.Chains[0]
 	for i, snap := range ch.Pair.Snapshot() {
-		fmt.Printf("  %-4s η=%-3d %4d blocks, %6d in / %6d out, %d overflows\n",
+		fmt.Fprintf(w, "  %-4s η=%-3d %4d blocks, %6d in / %6d out, %d overflows\n",
 			snap.Name, snap.Block, snap.Blocks, snap.SamplesIn, snap.SamplesOut,
 			ch.Strs[i].Overflows)
 	}
+	return nil
 }

@@ -20,7 +20,7 @@
 // One routine (Controller.run) applies every transition: AddStream,
 // AdmitMigrated, Readmit, RemoveStream and the rollback after a failed
 // canary differ only in their plan — the platform step run inside the
-// drained pause (attach a reserved slot, import an export, unquarantine,
+// drained pause (attach a reserved slot, adopt a migrant, unquarantine,
 // suspend) and what they commit. A quarantine that lands during the drain moves the
 // model under the plan; the routine then aborts untouched as superseded.
 // The three requests that add one stream to the live set share one
@@ -35,7 +35,9 @@
 // the guard uses the adjusted Eq. 2 term τ̂s(K) = Rs + (ηs + 2·⌈ηs/K⌉)·c0 +
 // (⌈ηs/K⌉−1)·Csave (core.TauHatCheckpointed), with K and Csave read from
 // the controlled chain. Each stream's block granularity is its decimation
-// (mpsoc.StreamSpec.Decimation), read from the chain too.
+// (mpsoc.StreamSpec.Decimation), read from the chain too, and so is every
+// stream's rate μs, its Rs and its running ηs (mpsoc.Chain.LiveModel): a
+// request carries a stream spec or a stream, never a restated model.
 //
 // Readmission of a quarantined stream is probational: the stream re-enters
 // arbitration with a canary block; one clean completion clears probation,
@@ -160,24 +162,19 @@ type Event struct {
 
 // AddRequest asks to admit a new stream.
 type AddRequest struct {
-	// Spec describes the platform-level stream; Spec.Block is ignored (the
-	// controller computes ηs) and Spec.StartSuspended is forced (the new
-	// slot activates atomically with the survivors' new sizes).
+	// Spec describes the platform-level stream: its source period is its
+	// rate μs (mpsoc.StreamSpec.Rate). Spec.Block is ignored (the controller
+	// computes ηs) and Spec.StartSuspended is forced (the new slot activates
+	// atomically with the survivors' new sizes).
 	Spec mpsoc.StreamSpec
-	// Rate is the throughput constraint μs in samples per second.
-	Rate *big.Rat
 }
 
 // Config parameterises a Controller.
 type Config struct {
-	// Chain selects the controlled chain of the MultiSystem.
+	// Chain selects the controlled chain of the MultiSystem; its live
+	// streams are the admitted set, and each slot a transition reprograms
+	// costs mpsoc.SlotCost bus cycles.
 	Chain int
-	// Model is the temporal model of the streams currently admitted, in
-	// gateway-slot order; its Block fields must match the running
-	// configuration. The controller owns the model from here on.
-	Model *core.System
-	// PerSlotCost is the configuration-bus cost per reprogrammed slot.
-	PerSlotCost sim.Time
 	// Solver is the Algorithm 1 decision procedure (nil = the production
 	// stack solve.Default(0, 0): the warm-start layer over the exact least
 	// fixed point).
@@ -205,7 +202,7 @@ type Controller struct {
 	decim  []int64
 
 	// parked holds removed and quarantined streams eligible for Readmit.
-	parked map[string]*parkedStream
+	parked map[string]parkedStream
 
 	// pendingCanary is the in-flight readmission probe, if any.
 	pendingCanary *canaryProbe
@@ -246,11 +243,10 @@ type decision struct {
 	scratch core.Scratch
 }
 
+// parkedStream is a removed or quarantined stream: its rate, Rs and
+// decimation are the spec of the stream at its gateway slot.
 type parkedStream struct {
 	slot        int
-	rate        *big.Rat
-	reconfig    uint64
-	decimation  int64
 	quarantined bool
 }
 
@@ -262,25 +258,20 @@ type canaryProbe struct {
 	prev []BlockAssignment
 }
 
-// New attaches a controller to one chain of a running platform. The model
-// must list the chain's current streams in slot order with their running
-// block sizes; each stream's decimation comes from the chain.
+// New attaches a controller to one chain of a running platform. The
+// chain's live streams, in slot order, are the admitted set, and the
+// controller's model is read from the platform (mpsoc.Chain.LiveModel):
+// each stream's rate from its source period, its Rs, its running block and
+// its decimation.
 func New(ms *mpsoc.MultiSystem, cfg Config) (*Controller, error) {
 	if cfg.Chain < 0 || cfg.Chain >= len(ms.Chains) {
 		return nil, fmt.Errorf("admission: chain %d out of range", cfg.Chain)
 	}
-	if cfg.Model == nil {
-		return nil, fmt.Errorf("admission: nil model")
-	}
 	ch := ms.Chains[cfg.Chain]
-	if len(cfg.Model.Streams) != len(ch.Strs) {
-		return nil, fmt.Errorf("admission: model has %d streams, chain has %d",
-			len(cfg.Model.Streams), len(ch.Strs))
-	}
-	for i := range cfg.Model.Streams {
-		if cfg.Model.Streams[i].Block != ch.Strs[i].GW.Block {
-			return nil, fmt.Errorf("admission: model stream %q block %d != running %d",
-				cfg.Model.Streams[i].Name, cfg.Model.Streams[i].Block, ch.Strs[i].GW.Block)
+	model, slots := ch.LiveModel()
+	for i := range model.Streams {
+		if model.Streams[i].Rate == nil {
+			return nil, fmt.Errorf("admission: stream %q has no source period, so no rate", model.Streams[i].Name)
 		}
 	}
 	solver := cfg.Solver
@@ -289,13 +280,13 @@ func New(ms *mpsoc.MultiSystem, cfg Config) (*Controller, error) {
 	}
 	c := &Controller{
 		ms: ms, ci: cfg.Chain, cfg: cfg, solver: solver,
-		model:  cfg.Model,
-		load:   cfg.Model.Load(),
-		parked: map[string]*parkedStream{},
+		model:  model,
+		gwSlot: slots,
+		load:   model.Load(),
+		parked: map[string]parkedStream{},
 	}
-	for i, st := range ch.Strs {
-		c.gwSlot = append(c.gwSlot, i)
-		c.decim = append(c.decim, st.Spec.Decimation)
+	for _, slot := range slots {
+		c.decim = append(c.decim, ch.Strs[slot].Spec.Decimation)
 	}
 	ch.Pair.SetQuarantineObserver(c.onQuarantine)
 	ch.Pair.SetCanaryHook(c.onCanary)
@@ -330,8 +321,8 @@ func (c *Controller) Load() core.Load {
 // entry would wedge a later failover's Retarget (every parked name must
 // exist on the standby). Returns false when no such parked stream exists.
 func (c *Controller) ForgetParked(name string) (int, bool) {
-	p := c.parked[name]
-	if p == nil {
+	p, ok := c.parked[name]
+	if !ok {
 		return 0, false
 	}
 	delete(c.parked, name)
@@ -382,14 +373,8 @@ func (c *Controller) modelIndex(name string) int {
 }
 
 // park records a stream that left the live set, recoverable via Readmit.
-func (c *Controller) park(s core.Stream, slot int, decimation int64, quarantined bool) {
-	c.parked[s.Name] = &parkedStream{
-		slot:        slot,
-		rate:        new(big.Rat).Set(s.Rate),
-		reconfig:    s.Reconfig,
-		decimation:  decimation,
-		quarantined: quarantined,
-	}
+func (c *Controller) park(name string, slot int, quarantined bool) {
+	c.parked[name] = parkedStream{slot: slot, quarantined: quarantined}
 }
 
 // assignment renders the model-ordered blocks as a verdict assignment.
@@ -483,26 +468,14 @@ func checkBuffers(model *core.System, decim []int64, caps [][2]int) (string, err
 // Checkpoint = K), since a block in flight also pays its interior quiesces.
 // A pause waits for at most one such block, and the fleet clamps a
 // migration's settle to it.
-func (c *Controller) MaxTau() uint64 {
-	rec := c.chain().Spec.Recovery
-	if !rec.Enabled {
-		rec.Checkpoint = 0
-	}
-	var maxTau uint64
-	for i := range c.model.Streams {
-		if t, err := c.model.TauHatCheckpointed(i, rec.Checkpoint, uint64(rec.CheckpointCost)); err == nil && t > maxTau {
-			maxTau = t
-		}
-	}
-	return maxTau
-}
+func (c *Controller) MaxTau() uint64 { return c.chain().MaxTau(c.model) }
 
 // transitionBound is the drain-plus-bus envelope for one transition over
 // the OUTGOING configuration: the pause can wait for one in-flight block
 // of the slowest stream (MaxTau), then the bus transaction reprograms
 // `slots` slots.
 func (c *Controller) transitionBound(slots int) uint64 {
-	return c.MaxTau() + uint64(c.cfg.PerSlotCost)*uint64(slots)
+	return c.MaxTau() + uint64(mpsoc.SlotCost)*uint64(slots)
 }
 
 // rejectReason maps a solver error to a verdict reason.
@@ -537,7 +510,7 @@ func (t *transition) header() *transition { return t }
 type plan interface {
 	header() *transition
 	// step runs inside the drained pause: the platform step (attach a
-	// reserved slot, import an export, unquarantine or suspend) and the
+	// reserved slot, adopt a migrant, unquarantine or suspend) and the
 	// slot updates of the new configuration.
 	step(c *Controller) ([]gateway.SlotUpdate, error)
 	// commit moves the controller to the new configuration once the pair
@@ -569,8 +542,8 @@ func (c *Controller) run(p plan) {
 			c.abort(t, pair, ReasonBadRequest, err.Error())
 			return
 		}
-		t.v.BusCycles = uint64(c.cfg.PerSlotCost) * uint64(len(updates))
-		err = pair.ApplySlots(updates, c.cfg.PerSlotCost, func() {
+		t.v.BusCycles = uint64(mpsoc.SlotCost) * uint64(len(updates))
+		err = pair.ApplySlots(updates, mpsoc.SlotCost, func() {
 			pair.Resume()
 			p.commit(c)
 			c.gen++
@@ -609,11 +582,12 @@ func (c *Controller) fail(t *transition, reason Reason, detail string) {
 	c.reject(kind, t.name, reason, detail, t.done)
 }
 
-// newcomer is the stream a growth adds to the live set.
+// newcomer is the stream a growth adds to the live set. Its spec gives its
+// rate, Rs, decimation and (in, out) C-FIFO capacities; minBlock floors its
+// ηs.
 type newcomer struct {
-	core.Stream          // Name, Rate and Reconfig
-	decimation, minBlock int64
-	caps                 [2]int // (in, out) C-FIFO capacities
+	spec     *mpsoc.StreamSpec
+	minBlock int64
 }
 
 // growth is a plan that adds one stream to the live set. Its candidate is
@@ -621,11 +595,10 @@ type newcomer struct {
 // once the decision is accepted.
 type growth struct {
 	transition
-	n      newcomer
 	d      *decision
 	blocks []int64
 	// attach runs the platform step inside the drained pause (attach a
-	// reserved slot, import an export, unquarantine) and returns the
+	// reserved slot, adopt a migrant, unquarantine) and returns the
 	// newcomer's slot update.
 	attach func(block int64) (gateway.SlotUpdate, error)
 	// silence, when set, stops an attached newcomer whose slot
@@ -659,7 +632,7 @@ func (g *growth) undo(c *Controller) string {
 		return ""
 	}
 	g.silence(c, g.slot)
-	c.park(g.n.Stream, g.slot, g.n.decimation, false)
+	c.park(g.name, g.slot, false)
 	return "; stream parked, recover via readmit"
 }
 
@@ -675,21 +648,21 @@ func (g *growth) undo(c *Controller) string {
 // allocations do not grow with the live set.
 func (c *Controller) grow(kind EventKind, n newcomer, done func(Verdict)) *growth {
 	d := c.decide()
-	d.rate.Set(n.Rate)
-	d.model.Streams = append(d.model.Streams, core.Stream{Name: n.Name, Rate: &d.rate, Reconfig: n.Reconfig})
-	d.decim = append(d.decim, n.decimation)
+	name, decimation := n.spec.Name, max(n.spec.Decimation, 1)
+	d.model.Streams = append(d.model.Streams, n.spec.Model(&d.rate, 0))
+	d.decim = append(d.decim, decimation)
 	res, err := c.solve(d)
 	if err != nil {
 		reason, detail := rejectReason(err)
-		c.reject(kind, n.Name, reason, detail, done)
+		c.reject(kind, name, reason, detail, done)
 		return nil
 	}
 	blocks, last := res.Blocks, len(res.Blocks)-1
 	floored := blocks[last] < n.minBlock
 	if floored {
 		b := n.minBlock
-		if rem := b % n.decimation; rem != 0 {
-			b += n.decimation - rem
+		if rem := b % decimation; rem != 0 {
+			b += decimation - rem
 		}
 		blocks = append([]int64(nil), blocks...)
 		blocks[last] = b
@@ -698,29 +671,29 @@ func (c *Controller) grow(kind EventKind, n newcomer, done func(Verdict)) *growt
 		d.model.Streams[i].Block = b
 	}
 	if floored && !solve.Verify(&d.model, d.decim, blocks).Feasible {
-		c.reject(kind, n.Name, ReasonInfeasible,
+		c.reject(kind, name, ReasonInfeasible,
 			fmt.Sprintf("replay residue floors eta at %d, infeasible alongside the survivors", blocks[last]), done)
 		return nil
 	}
-	d.caps = append(c.liveCaps(d.caps), n.caps)
+	d.caps = append(c.liveCaps(d.caps), [2]int{n.spec.InCapacity, n.spec.OutCapacity})
 	if detail, err := checkBuffers(&d.model, d.decim, d.caps); err != nil {
-		c.reject(kind, n.Name, ReasonBadRequest, err.Error(), done)
+		c.reject(kind, name, ReasonBadRequest, err.Error(), done)
 		return nil
 	} else if detail != "" {
-		c.reject(kind, n.Name, ReasonBufferBound, detail, done)
+		c.reject(kind, name, ReasonBufferBound, detail, done)
 		return nil
 	}
 	// The live model keeps a rate of its own.
-	d.model.Streams[last].Rate = new(big.Rat).Set(n.Rate)
+	d.model.Streams[last].Rate = new(big.Rat).Set(&d.rate)
 	return &growth{
-		transition: transition{kind: kind, name: n.Name, done: done, v: Verdict{
+		transition: transition{kind: kind, name: name, done: done, v: Verdict{
 			Accepted:    true,
 			Reason:      ReasonAdmitted,
 			Blocks:      assignment(&d.model, blocks),
 			BoundCycles: c.transitionBound(len(d.model.Streams)),
 			SolveRounds: res.Rounds,
 		}},
-		n: n, d: d, blocks: blocks,
+		d: d, blocks: blocks,
 	}
 }
 
@@ -731,32 +704,18 @@ func (c *Controller) grow(kind EventKind, n newcomer, done func(Verdict)) *growt
 // done fires immediately on rejection.
 func (c *Controller) AddStream(req AddRequest, done func(Verdict)) {
 	name := req.Spec.Name
-	if !c.gate(EvAdd, name, done) {
-		return
-	}
-	if req.Rate == nil || req.Rate.Sign() <= 0 {
-		c.reject(EvAdd, name, ReasonBadRequest, "missing or non-positive rate", done)
-		return
-	}
-	if c.modelIndex(name) >= 0 || c.parked[name] != nil {
-		c.reject(EvAdd, name, ReasonBadRequest, "stream name already in use", done)
+	if !c.gate(EvAdd, name, done) || !c.admissible(EvAdd, &req.Spec, done) {
 		return
 	}
 	if c.chain().ReservedSlots() == 0 {
 		c.reject(EvAdd, name, ReasonNoSlot, "all reserved ring slots consumed", done)
 		return
 	}
-	decimation := max(req.Spec.Decimation, 1)
-	g := c.grow(EvAdd, newcomer{
-		Stream:     core.Stream{Name: name, Rate: req.Rate, Reconfig: uint64(req.Spec.Reconfig)},
-		decimation: decimation,
-		caps:       [2]int{req.Spec.InCapacity, req.Spec.OutCapacity},
-	}, done)
+	g := c.grow(EvAdd, newcomer{spec: &req.Spec}, done)
 	if g == nil {
 		return
 	}
 	spec := req.Spec
-	spec.Decimation = decimation
 	spec.StartSuspended = true
 	g.attach = func(block int64) (gateway.SlotUpdate, error) {
 		spec.Block = block
@@ -770,6 +729,21 @@ func (c *Controller) AddStream(req AddRequest, done func(Verdict)) {
 	// stays suspended (StartSuspended is forced) and the source stops.
 	g.silence = func(c *Controller, slot int) { c.chain().Strs[slot].StopSource() }
 	c.run(g)
+}
+
+// admissible rejects a newcomer whose source has no period, so no rate, or
+// whose name is already live or parked.
+func (c *Controller) admissible(kind EventKind, spec *mpsoc.StreamSpec, done func(Verdict)) bool {
+	_, parked := c.parked[spec.Name]
+	switch {
+	case spec.SourcePeriod == 0:
+		c.reject(kind, spec.Name, ReasonBadRequest, "no source period, so no rate", done)
+	case parked || c.modelIndex(spec.Name) >= 0:
+		c.reject(kind, spec.Name, ReasonBadRequest, "stream name already in use", done)
+	default:
+		return true
+	}
+	return false
 }
 
 // liveCaps sets caps to the (in, out) FIFO capacities of the live streams
@@ -837,21 +811,18 @@ func (c *Controller) RemoveStream(name string, done func(Verdict)) {
 			BoundCycles: c.transitionBound(len(c.model.Streams)),
 			SolveRounds: res.Rounds,
 		}},
-		s: c.model.Streams[idx], slot: c.gwSlot[idx], decimation: c.decim[idx],
-		d: d, blocks: res.Blocks,
+		slot: c.gwSlot[idx], d: d, blocks: res.Blocks,
 	})
 }
 
-// removal is a plan that retires live stream s from its gateway slot; the
-// survivors keep their slots and move to blocks. Its candidate is the
-// controller's decision scratch.
+// removal is a plan that retires the named live stream from its gateway
+// slot; the survivors keep their slots and move to blocks. Its candidate is
+// the controller's decision scratch.
 type removal struct {
 	transition
-	s          core.Stream
-	slot       int
-	decimation int64
-	d          *decision
-	blocks     []int64
+	slot   int
+	d      *decision
+	blocks []int64
 }
 
 func (r *removal) step(*Controller) ([]gateway.SlotUpdate, error) {
@@ -860,7 +831,7 @@ func (r *removal) step(*Controller) ([]gateway.SlotUpdate, error) {
 
 func (r *removal) commit(c *Controller) {
 	c.chain().Strs[r.slot].StopSource()
-	c.park(r.s, r.slot, r.decimation, false)
+	c.park(r.name, r.slot, false)
 	c.adopt(r.d)
 }
 
@@ -872,7 +843,7 @@ func (*removal) undo(*Controller) string { return "" }
 // assignment stays feasible without a transition — and the generation bump
 // invalidates any transition plan still draining.
 func (c *Controller) quarantine(i int) {
-	c.park(c.model.Streams[i], c.gwSlot[i], c.decim[i], true)
+	c.park(c.model.Streams[i].Name, c.gwSlot[i], true)
 	c.model.Streams = slices.Delete(c.model.Streams, i, i+1)
 	c.decim = slices.Delete(c.decim, i, i+1)
 	c.gwSlot = slices.Delete(c.gwSlot, i, i+1)
@@ -905,8 +876,8 @@ func (c *Controller) Readmit(name string, done func(Verdict)) {
 	if !c.gate(EvReadmit, name, done) {
 		return
 	}
-	p := c.parked[name]
-	if p == nil {
+	p, ok := c.parked[name]
+	if !ok {
 		if c.modelIndex(name) >= 0 {
 			c.reject(EvReadmit, name, ReasonNotQuarantined, "stream is live", done)
 		} else {
@@ -914,18 +885,14 @@ func (c *Controller) Readmit(name string, done func(Verdict)) {
 		}
 		return
 	}
-	st := c.chain().Strs[p.slot]
-	g := c.grow(EvReadmit, newcomer{
-		Stream:     core.Stream{Name: name, Rate: p.rate, Reconfig: p.reconfig},
-		decimation: p.decimation,
-		caps:       [2]int{st.In.Capacity(), st.Out.Capacity()},
-	}, done)
+	spec := &c.chain().Strs[p.slot].Spec
+	g := c.grow(EvReadmit, newcomer{spec: spec}, done)
 	if g == nil {
 		return
 	}
 	// The slot returns at the re-solved ηs, not the one it left with.
 	g.attach = func(block int64) (gateway.SlotUpdate, error) {
-		return gateway.SlotUpdate{Stream: p.slot, SetBlock: block, SetOutBlock: block / p.decimation,
+		return gateway.SlotUpdate{Stream: p.slot, SetBlock: block, SetOutBlock: block / spec.Decimation,
 			Activate: !p.quarantined, Unquarantine: p.quarantined, Probation: true}, nil
 	}
 	prev := assignment(c.model, blocksOf(c.model))
@@ -1076,7 +1043,9 @@ func (c *Controller) Retarget(chain int) error {
 		c.model.Streams[i].Block = snaps[newSlots[i]].Block
 	}
 	for _, name := range parkedNames {
-		c.parked[name].slot = slotByName[name]
+		p := c.parked[name]
+		p.slot = slotByName[name]
+		c.parked[name] = p
 	}
 	c.model.Chain = ch.Spec.Timing()
 	c.gwSlot = newSlots

@@ -7,7 +7,6 @@ import (
 
 	"accelshare/internal/accel"
 	"accelshare/internal/conformance"
-	"accelshare/internal/core"
 	"accelshare/internal/fault"
 	"accelshare/internal/gateway"
 	"accelshare/internal/ilp"
@@ -34,98 +33,74 @@ const (
 	period    = 75
 )
 
-func demoModel(names []string, rates []*big.Rat) *core.System {
-	sys := &core.System{
-		Chain: core.Chain{
-			Name:       "demo",
-			AccelCosts: []uint64{1},
-			EntryCost:  entryCost,
-			ExitCost:   1,
-		},
-		ClockHz: 1,
+// demoStream is a stream through one gain engine with Rs = rsCycles whose
+// source makes one sample every period cycles: μs = 1/period.
+func demoStream(name string, period sim.Time, inCap, outCap int) mpsoc.StreamSpec {
+	return mpsoc.StreamSpec{
+		Name: name, Decimation: 1, Reconfig: rsCycles,
+		InCapacity: inCap, OutCapacity: outCap, SourcePeriod: period,
+		Engines: []accel.Engine{&accel.Gain{}},
 	}
-	for i := range names {
-		sys.Streams = append(sys.Streams, core.Stream{
-			Name: names[i], Rate: new(big.Rat).Set(rates[i]), Reconfig: rsCycles,
-		})
+}
+
+// demoStreams is the running set: s1..s4 at one sample per period cycles,
+// every C-FIFO fifo words deep.
+func demoStreams(fifo int) []mpsoc.StreamSpec {
+	var specs []mpsoc.StreamSpec
+	for _, name := range []string{"s1", "s2", "s3", "s4"} {
+		specs = append(specs, demoStream(name, period, fifo, fifo))
 	}
-	return sys
+	return specs
+}
+
+// demoChain is the demo chain (ε=15, ρA=1, δ=1) under recovery rec
+// carrying specs, each at the block Algorithm 1 gives over the chain's own
+// model at the spec's decimation.
+func demoChain(t *testing.T, specs []mpsoc.StreamSpec, rec gateway.Recovery) mpsoc.ChainSpec {
+	t.Helper()
+	chain := mpsoc.ChainSpec{
+		Name: "demo", EntryCost: entryCost, ExitCost: 1,
+		Mode:    gateway.ReconfigFixed,
+		Accels:  []mpsoc.AccelSpec{{Name: "acc", Cost: 1}},
+		Streams: specs, DrainTimeout: 200,
+		Recovery:          rec,
+		RecordTurnarounds: true,
+	}
+	if err := chain.SizeBlocks(); err != nil {
+		t.Fatal(err)
+	}
+	return chain
 }
 
 type bed struct {
-	ms    *mpsoc.MultiSystem
-	ctrl  *Controller
-	model *core.System
+	ms   *mpsoc.MultiSystem
+	ctrl *Controller
 }
 
-// buildBed assembles the running 4-stream platform plus its controller.
-func buildBed(t *testing.T, faults *fault.Plan, reserve, inCap int) *bed {
+// buildBed assembles the running 4-stream platform plus its controller;
+// the chains extra follow the demo chain on the ring.
+func buildBed(t *testing.T, faults *fault.Plan, reserve, inCap int, extra ...mpsoc.ChainSpec) *bed {
 	t.Helper()
-	rate := big.NewRat(1, period)
-	model := demoModel(
-		[]string{"s1", "s2", "s3", "s4"},
-		[]*big.Rat{rate, rate, rate, rate},
-	)
-	if _, err := model.ComputeBlockSizes(); err != nil {
-		t.Fatal(err)
-	}
-	var specs []mpsoc.StreamSpec
-	for i := range model.Streams {
-		specs = append(specs, mpsoc.StreamSpec{
-			Name:         model.Streams[i].Name,
-			Block:        model.Streams[i].Block,
-			Decimation:   1,
-			Reconfig:     rsCycles,
-			InCapacity:   inCap,
-			OutCapacity:  inCap,
-			SourcePeriod: period,
-			Engines:      []accel.Engine{&accel.Gain{}},
-		})
-	}
-	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
-		Chains: []mpsoc.ChainSpec{{
-			Name:              "demo",
-			EntryCost:         entryCost,
-			ExitCost:          1,
-			Mode:              gateway.ReconfigFixed,
-			Accels:            []mpsoc.AccelSpec{{Name: "acc", Cost: 1}},
-			Streams:           specs,
-			DrainTimeout:      200,
-			Recovery:          recoveryCfg(),
-			Faults:            faults,
-			RecordTurnarounds: true,
-			ReserveSlots:      reserve,
-		}},
-	})
+	chain := demoChain(t, demoStreams(inCap), recoveryCfg())
+	chain.Faults, chain.ReserveSlots = faults, reserve
+	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{Chains: append([]mpsoc.ChainSpec{chain}, extra...)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctrl, err := New(ms, Config{
-		Chain:       0,
-		Model:       model,
-		PerSlotCost: 10,
-		Engines:     func(string) []accel.Engine { return []accel.Engine{&accel.Gain{}} },
+		Chain:   0,
+		Engines: func(string) []accel.Engine { return []accel.Engine{&accel.Gain{}} },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ms.Chains[0].Pair.Start()
-	return &bed{ms: ms, ctrl: ctrl, model: model}
+	return &bed{ms: ms, ctrl: ctrl}
 }
 
-func addReq(name string, num, den int64, inCap, outCap int, srcPeriod sim.Time) AddRequest {
-	return AddRequest{
-		Spec: mpsoc.StreamSpec{
-			Name:         name,
-			Decimation:   1,
-			Reconfig:     rsCycles,
-			InCapacity:   inCap,
-			OutCapacity:  outCap,
-			SourcePeriod: srcPeriod,
-			Engines:      []accel.Engine{&accel.Gain{}},
-		},
-		Rate: big.NewRat(num, den),
-	}
+// addReq asks for a gain stream at one sample per period cycles.
+func addReq(name string, period sim.Time, inCap, outCap int) AddRequest {
+	return AddRequest{Spec: demoStream(name, period, inCap, outCap)}
 }
 
 func (b *bed) hasEvent(kind EventKind, stream string) bool {
@@ -181,7 +156,7 @@ func TestAddStreamLifecycle(t *testing.T) {
 
 	// --- Admit s5 mid-run. ---
 	var v5 *Verdict
-	b.ctrl.AddStream(addReq("s5", 1, 300, 64, 64, 300), func(v Verdict) { v5 = &v })
+	b.ctrl.AddStream(addReq("s5", 300, 64, 64), func(v Verdict) { v5 = &v })
 	if !k.RunUntil(60_000, func() bool { return v5 != nil }) {
 		t.Fatal("s5 verdict never arrived")
 	}
@@ -253,7 +228,7 @@ func TestAddStreamLifecycle(t *testing.T) {
 
 	// --- The infeasible 6th stream is rejected with a reasoned verdict. ---
 	var v6 *Verdict
-	b.ctrl.AddStream(addReq("s6", 1, period, 64, 64, period), func(v Verdict) { v6 = &v })
+	b.ctrl.AddStream(addReq("s6", period, 64, 64), func(v Verdict) { v6 = &v })
 	if v6 == nil {
 		t.Fatal("infeasible verdict must be immediate")
 	}
@@ -416,7 +391,7 @@ func TestRequestsGatedWhileCanaryPending(t *testing.T) {
 	}
 	// The probe is pending: adds and removes are rejected busy, immediately.
 	var va *Verdict
-	b.ctrl.AddStream(addReq("s5", 1, 300, 64, 64, 300), func(v Verdict) { va = &v })
+	b.ctrl.AddStream(addReq("s5", 300, 64, 64), func(v Verdict) { va = &v })
 	if va == nil || va.Accepted || va.Reason != ReasonBusy {
 		t.Fatalf("add during canary: %+v", va)
 	}
@@ -430,7 +405,7 @@ func TestRequestsGatedWhileCanaryPending(t *testing.T) {
 		t.Fatalf("canary never passed; events:\n%s", FormatEvents(b.ctrl.Events()))
 	}
 	var v2 *Verdict
-	b.ctrl.AddStream(addReq("s5", 1, 300, 64, 64, 300), func(v Verdict) { v2 = &v })
+	b.ctrl.AddStream(addReq("s5", 300, 64, 64), func(v Verdict) { v2 = &v })
 	if !k.RunUntil(k.Now()+60_000, func() bool { return v2 != nil }) {
 		t.Fatal("post-canary add verdict never arrived")
 	}
@@ -466,26 +441,22 @@ func TestRejectionReasons(t *testing.T) {
 	if v.Accepted || v.Reason != ReasonNotQuarantined {
 		t.Errorf("readmit live: %+v", v)
 	}
-	v = verdict(func(d func(Verdict)) { b.ctrl.AddStream(addReq("s1", 1, 300, 64, 64, 300), d) })
+	v = verdict(func(d func(Verdict)) { b.ctrl.AddStream(addReq("s1", 300, 64, 64), d) })
 	if v.Accepted || v.Reason != ReasonBadRequest {
 		t.Errorf("duplicate name: %+v", v)
 	}
-	v = verdict(func(d func(Verdict)) {
-		r := addReq("sx", 1, 300, 64, 64, 300)
-		r.Rate = nil
-		b.ctrl.AddStream(r, d)
-	})
+	v = verdict(func(d func(Verdict)) { b.ctrl.AddStream(addReq("sx", 0, 64, 64), d) })
 	if v.Accepted || v.Reason != ReasonBadRequest {
-		t.Errorf("missing rate: %+v", v)
+		t.Errorf("no source period, so no rate: %+v", v)
 	}
 	// u = 0.8 + 0.2 = 1.0: infeasible before any slot is consumed.
-	v = verdict(func(d func(Verdict)) { b.ctrl.AddStream(addReq("sx", 1, period, 64, 64, period), d) })
+	v = verdict(func(d func(Verdict)) { b.ctrl.AddStream(addReq("sx", period, 64, 64), d) })
 	if v.Accepted || v.Reason != ReasonInfeasible {
 		t.Errorf("infeasible add: %+v", v)
 	}
 	// Feasible in time, but the survivors' input FIFOs (48) are smaller
 	// than the bound the grown blocks need (72): reject, don't break s1.
-	v = verdict(func(d func(Verdict)) { b.ctrl.AddStream(addReq("s5", 1, 300, 64, 64, 300), d) })
+	v = verdict(func(d func(Verdict)) { b.ctrl.AddStream(addReq("s5", 300, 64, 64), d) })
 	if v.Accepted || v.Reason != ReasonBufferBound {
 		t.Errorf("buffer bound: %+v", v)
 	}
@@ -506,7 +477,7 @@ func TestNoReservedSlot(t *testing.T) {
 	b := buildBed(t, nil, 0, 128)
 	b.ms.K.Run(1000)
 	var got *Verdict
-	b.ctrl.AddStream(addReq("s5", 1, 300, 64, 64, 300), func(v Verdict) { got = &v })
+	b.ctrl.AddStream(addReq("s5", 300, 64, 64), func(v Verdict) { got = &v })
 	if got == nil || got.Accepted || got.Reason != ReasonNoSlot {
 		t.Fatalf("verdict %+v, want no-reserved-slot rejection", got)
 	}
@@ -517,7 +488,7 @@ func TestNoReservedSlot(t *testing.T) {
 func TestScriptRoundTrip(t *testing.T) {
 	script := `
 # demo campaign
-3000 add s5 rate=1/300 reconfig=50 incap=64 outcap=64 period=300
+3000 add s5 rate=1/300 reconfig=50 incap=64 outcap=64
 9000 remove s4
 15000 readmit s4
 `
@@ -528,7 +499,7 @@ func TestScriptRoundTrip(t *testing.T) {
 	if len(ops) != 3 || ops[0].Kind != OpAdd || ops[1].Kind != OpRemove || ops[2].Kind != OpReadmit {
 		t.Fatalf("ops = %+v", ops)
 	}
-	if ops[0].Rate.Cmp(big.NewRat(1, 300)) != 0 || ops[0].InCap != 64 || ops[0].SourcePeriod != 300 {
+	if ops[0].Rate.Cmp(big.NewRat(1, 300)) != 0 || ops[0].InCap != 64 {
 		t.Fatalf("add op = %+v", ops[0])
 	}
 
@@ -538,6 +509,10 @@ func TestScriptRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.ms.K.Run(60_000)
+		// The scripted rate is the attached stream's source period.
+		if ss := b.ms.Chains[0].Strs[4].Spec; ss.Name != "s5" || ss.SourcePeriod != 300 || ss.SourcePeriodDen != 1 {
+			t.Errorf("%s attached with source period %d/%d, want s5 at 300/1", ss.Name, ss.SourcePeriod, ss.SourcePeriodDen)
+		}
 		return FormatEvents(b.ctrl.Events())
 	}
 	first, second := run(), run()
@@ -559,6 +534,8 @@ func TestParseScriptErrors(t *testing.T) {
 		"10 add s",
 		"10 add s rate=0",
 		"10 add s rate=1/2 bogus=3",
+		"10 add s rate=1/2 period=2",
+		"10 add s rate=1/9223372036854775808",
 		"10 remove s extra",
 		"20 add s rate=1/2\n10 remove s",
 	} {

@@ -15,7 +15,7 @@ func FuzzParseScript(f *testing.F) {
 		"",
 		"# comment only\n",
 		"3000 add s5 rate=1/300\n",
-		"3000 add s5 rate=1/300 reconfig=50 decim=2 incap=64 outcap=32 period=300 inputs=128\n",
+		"3000 add s5 rate=1/300 reconfig=50 decim=2 incap=64 outcap=32 inputs=128\n",
 		"9000 remove s2\n",
 		"15000 readmit s2\n",
 		"1 add a rate=5\n2 remove a\n3 readmit a\n",
@@ -28,6 +28,8 @@ func FuzzParseScript(f *testing.F) {
 		"5 add s5 rate=-1/300\n",
 		"5 add s5 rate=1/300 decim=0\n",
 		"5 add s5 rate=1/300 bogus=7\n",
+		"5 add s5 rate=1/300 period=300\n", // the rate is the source period
+		"5 add s5 rate=1/9223372036854775808\n",
 		"5 frobnicate s5\n",
 		"5 remove\n",
 		"9 remove a\n3 remove b\n", // decreasing times
@@ -56,6 +58,9 @@ func FuzzParseScript(f *testing.F) {
 			}
 			if op.Kind == OpAdd && (op.Rate == nil || op.Rate.Sign() <= 0) {
 				t.Fatalf("add without a positive rate survived parsing: %+v", op)
+			}
+			if op.Kind == OpAdd && (!op.Rate.Num().IsInt64() || !op.Rate.Denom().IsInt64()) {
+				t.Fatalf("add whose rate is no source period survived parsing: %+v", op)
 			}
 		}
 	})

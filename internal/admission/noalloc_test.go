@@ -2,12 +2,8 @@ package admission
 
 import (
 	"fmt"
-	"math/big"
 	"testing"
 
-	"accelshare/internal/accel"
-	"accelshare/internal/core"
-	"accelshare/internal/gateway"
 	"accelshare/internal/mpsoc"
 	"accelshare/internal/sim"
 )
@@ -17,39 +13,12 @@ import (
 // controller.
 func warmBed(t *testing.T, n int) *bed {
 	t.Helper()
-	rate := big.NewRat(1, int64(period*n))
-	names := make([]string, n)
-	rates := make([]*big.Rat, n)
-	for i := range names {
-		names[i], rates[i] = fmt.Sprintf("w%d", i), rate
+	specs := make([]mpsoc.StreamSpec, n)
+	for i := range specs {
+		specs[i] = demoStream(fmt.Sprintf("w%d", i), sim.Time(period*n), 64, 64)
 	}
-	model := demoModel(names, rates)
-	if _, err := model.ComputeBlockSizes(); err != nil {
-		t.Fatal(err)
-	}
-	var specs []mpsoc.StreamSpec
-	for i := range model.Streams {
-		specs = append(specs, mpsoc.StreamSpec{
-			Name: model.Streams[i].Name, Block: model.Streams[i].Block, Decimation: 1,
-			Reconfig: rsCycles, InCapacity: 64, OutCapacity: 64, SourcePeriod: sim.Time(period * n),
-			Engines: []accel.Engine{&accel.Gain{}},
-		})
-	}
-	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
-		Chains: []mpsoc.ChainSpec{{
-			Name: "demo", EntryCost: entryCost, ExitCost: 1, Mode: gateway.ReconfigFixed,
-			Accels:  []mpsoc.AccelSpec{{Name: "acc", Cost: 1}},
-			Streams: specs, DrainTimeout: 200, Recovery: recoveryCfg(), ReserveSlots: 1,
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := New(ms, Config{Chain: 0, Model: model, PerSlotCost: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &bed{ms: ms, ctrl: ctrl, model: model}
+	ms, ctrl := buildChain(t, demoChain(t, specs, recoveryCfg()))
+	return &bed{ms: ms, ctrl: ctrl}
 }
 
 // TestCheckBuffersZeroAlloc backs the //accellint:noalloc annotation on
@@ -75,10 +44,8 @@ func TestCheckBuffersZeroAlloc(t *testing.T) {
 // allocation is per live stream.
 func TestGrowZeroAllocPerLiveStream(t *testing.T) {
 	newcomerAt := func(n int) newcomer {
-		return newcomer{
-			Stream:     core.Stream{Name: "new", Rate: big.NewRat(1, int64(period*n)), Reconfig: rsCycles},
-			decimation: 1, caps: [2]int{64, 64},
-		}
+		spec := demoStream("new", sim.Time(period*n), 64, 64)
+		return newcomer{spec: &spec}
 	}
 	allocs := map[int]float64{}
 	for _, n := range []int{4, 32} {

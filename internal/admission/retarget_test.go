@@ -6,10 +6,8 @@ package admission
 // transition, and keep admitting/removing streams there.
 
 import (
-	"math/big"
 	"testing"
 
-	"accelshare/internal/accel"
 	"accelshare/internal/gateway"
 	"accelshare/internal/mpsoc"
 )
@@ -18,72 +16,21 @@ import (
 // controller wired between the two.
 func buildFailoverBed(t *testing.T) (*bed, *mpsoc.FailoverController) {
 	t.Helper()
-	rate := big.NewRat(1, period)
-	model := demoModel(
-		[]string{"s1", "s2", "s3", "s4"},
-		[]*big.Rat{rate, rate, rate, rate},
-	)
-	if _, err := model.ComputeBlockSizes(); err != nil {
-		t.Fatal(err)
-	}
-	var specs []mpsoc.StreamSpec
-	for i := range model.Streams {
-		specs = append(specs, mpsoc.StreamSpec{
-			Name:         model.Streams[i].Name,
-			Block:        model.Streams[i].Block,
-			Decimation:   1,
-			Reconfig:     rsCycles,
-			InCapacity:   128,
-			OutCapacity:  128,
-			SourcePeriod: period,
-			Engines:      []accel.Engine{&accel.Gain{}},
-		})
-	}
-	ms, err := mpsoc.BuildMulti(mpsoc.MultiConfig{
-		Chains: []mpsoc.ChainSpec{
-			{
-				Name: "demo", EntryCost: entryCost, ExitCost: 1,
-				Mode:    gateway.ReconfigFixed,
-				Accels:  []mpsoc.AccelSpec{{Name: "acc", Cost: 1}},
-				Streams: specs, DrainTimeout: 200,
-				Recovery:          recoveryCfg(),
-				RecordTurnarounds: true,
-				ReserveSlots:      2,
-			},
-			{
-				Name: "demo-b", EntryCost: entryCost, ExitCost: 1,
-				Mode:    gateway.ReconfigFixed,
-				Accels:  []mpsoc.AccelSpec{{Name: "acc-b", Cost: 1}},
-				Standby: true, DrainTimeout: 200,
-				Recovery:          recoveryCfg(),
-				RecordTurnarounds: true,
-				ReserveSlots:      2,
-			},
-		},
+	b := buildBed(t, nil, 2, 128, mpsoc.ChainSpec{
+		Name: "demo-b", EntryCost: entryCost, ExitCost: 1,
+		Mode:    gateway.ReconfigFixed,
+		Accels:  []mpsoc.AccelSpec{{Name: "acc-b", Cost: 1}},
+		Standby: true, DrainTimeout: 200,
+		Recovery:          recoveryCfg(),
+		RecordTurnarounds: true,
+		ReserveSlots:      2,
 	})
+	fc, err := mpsoc.NewFailover(b.ms, mpsoc.FailoverConfig{Primary: 0, Standby: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := New(ms, Config{
-		Chain:       0,
-		Model:       model,
-		PerSlotCost: 10,
-		Engines:     func(string) []accel.Engine { return []accel.Engine{&accel.Gain{}} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc, err := mpsoc.NewFailover(ms, mpsoc.FailoverConfig{
-		Primary: 0, Standby: 1,
-		Model:       model.Clone(),
-		PerSlotCost: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms.Chains[0].Pair.Start()
-	ms.Chains[1].Pair.Start()
-	return &bed{ms: ms, ctrl: ctrl, model: model}, fc
+	b.ms.Chains[1].Pair.Start()
+	return b, fc
 }
 
 func TestRetargetValidation(t *testing.T) {
@@ -132,7 +79,7 @@ func TestRetargetAfterFailover(t *testing.T) {
 	if removed == nil || !removed.Accepted {
 		t.Fatalf("remove s4 on the standby: %+v", removed)
 	}
-	b.ctrl.AddStream(addReq("s9", 1, 300, 128, 128, 300), func(v Verdict) { added = &v })
+	b.ctrl.AddStream(addReq("s9", 300, 128, 128), func(v Verdict) { added = &v })
 	k.Run(90_000)
 	if added == nil || !added.Accepted {
 		t.Fatalf("add s9 on the standby: %+v", added)
@@ -161,7 +108,7 @@ func TestRetargetReleasesStaleTransition(t *testing.T) {
 	// Start an add whose staged transition will be killed by the freeze.
 	var verdict *Verdict
 	k.ScheduleAt(3_000, func() {
-		b.ctrl.AddStream(addReq("s5", 1, 300, 128, 128, 300), func(v Verdict) { verdict = &v })
+		b.ctrl.AddStream(addReq("s5", 300, 128, 128), func(v Verdict) { verdict = &v })
 	})
 	// Freeze the primary immediately after: the pause is pending, the bus
 	// transfer may be in flight — all of it dies with the pair.
@@ -181,7 +128,7 @@ func TestRetargetReleasesStaleTransition(t *testing.T) {
 
 	// The controller must accept new work on the standby.
 	var added *Verdict
-	b.ctrl.AddStream(addReq("s6", 1, 300, 128, 128, 300), func(v Verdict) { added = &v })
+	b.ctrl.AddStream(addReq("s6", 300, 128, 128), func(v Verdict) { added = &v })
 	k.Run(50_000)
 	if added == nil || !added.Accepted {
 		t.Fatalf("add s6 after retarget: %+v", added)

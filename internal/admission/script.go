@@ -26,24 +26,25 @@ type Op struct {
 	At   sim.Time
 	Kind OpKind
 	Name string
-	// AddStream parameters (OpAdd only).
+	// AddStream parameters (OpAdd only). Rate is μs in samples per cycle:
+	// the stream's source makes one sample every 1/Rate cycles.
 	Rate          *big.Rat
 	Reconfig      sim.Time
 	Decimation    int64
 	InCap, OutCap int
-	SourcePeriod  sim.Time
 	TotalInputs   uint64
 }
 
 // ParseScript reads an admission campaign script: one request per line,
 //
 //	<at> add <name> rate=<num>/<den> [reconfig=R] [decim=D] [incap=N]
-//	         [outcap=N] [period=P] [inputs=N]
+//	         [outcap=N] [inputs=N]
 //	<at> remove <name>
 //	<at> readmit <name>
 //
 // with '#' comments and blank lines ignored. Times are simulation cycles;
-// rate is μs in samples per second (a plain integer is also accepted).
+// rate is μs in samples per cycle (a plain integer is also accepted), and
+// it is the stream's source period too: one sample every den/num cycles.
 func ParseScript(text string) ([]Op, error) {
 	var ops []Op
 	sc := bufio.NewScanner(strings.NewReader(text))
@@ -80,7 +81,7 @@ func ParseScript(text string) ([]Op, error) {
 				switch key {
 				case "rate":
 					r, ok := new(big.Rat).SetString(val)
-					if !ok || r.Sign() <= 0 {
+					if !ok || r.Sign() <= 0 || !r.Num().IsInt64() || !r.Denom().IsInt64() {
 						return nil, fmt.Errorf("script line %d: bad rate %q", lineNo, val)
 					}
 					op.Rate = r
@@ -108,12 +109,6 @@ func ParseScript(text string) ([]Op, error) {
 						return nil, fmt.Errorf("script line %d: bad outcap %q", lineNo, val)
 					}
 					op.OutCap = n
-				case "period":
-					n, err := strconv.ParseUint(val, 10, 63)
-					if err != nil {
-						return nil, fmt.Errorf("script line %d: bad period %q", lineNo, val)
-					}
-					op.SourcePeriod = sim.Time(n)
 				case "inputs":
 					n, err := strconv.ParseUint(val, 10, 64)
 					if err != nil {
@@ -187,16 +182,16 @@ func (c *Controller) Play(ops []Op) error {
 			fire = func() {
 				c.AddStream(AddRequest{
 					Spec: mpsoc.StreamSpec{
-						Name:         op.Name,
-						Decimation:   op.Decimation,
-						Reconfig:     op.Reconfig,
-						InCapacity:   op.InCap,
-						OutCapacity:  op.OutCap,
-						Engines:      c.cfg.Engines(op.Name),
-						SourcePeriod: op.SourcePeriod,
-						TotalInputs:  op.TotalInputs,
+						Name:            op.Name,
+						Decimation:      op.Decimation,
+						Reconfig:        op.Reconfig,
+						InCapacity:      op.InCap,
+						OutCapacity:     op.OutCap,
+						Engines:         c.cfg.Engines(op.Name),
+						SourcePeriod:    sim.Time(op.Rate.Denom().Uint64()),
+						SourcePeriodDen: op.Rate.Num().Uint64(),
+						TotalInputs:     op.TotalInputs,
 					},
-					Rate: op.Rate,
 				}, nil)
 			}
 		case OpRemove:

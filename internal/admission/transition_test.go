@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"accelshare/internal/accel"
 	"accelshare/internal/fault"
 	"accelshare/internal/mpsoc"
 )
@@ -42,7 +41,8 @@ func (b *bed) state() ctrlState {
 		})
 	}
 	for name, p := range c.parked {
-		s.Parked[name] = parkedString(p.slot, p.rate.RatString(), p.reconfig, p.decimation, p.quarantined)
+		spec := &c.chain().Strs[p.slot].Spec
+		s.Parked[name] = parkedString(p.slot, spec.Rate(new(big.Rat)).RatString(), uint64(spec.Reconfig), spec.Decimation, p.quarantined)
 	}
 	return s
 }
@@ -91,23 +91,38 @@ func namesOf(v *Verdict) []string {
 	return out
 }
 
-// importReq is an AdmitMigrated request whose import attaches a fresh
-// stream to a reserved ring slot: the slot plumbing of an adoption without a
-// second chain to export from. imported counts Import calls.
-func (b *bed) importReq(name string, imported *int) MigrateRequest {
-	return MigrateRequest{
-		Name: name, Rate: big.NewRat(1, 300), Reconfig: rsCycles, Decimation: 1,
-		InCapacity: 64, OutCapacity: 64,
-		Import: func() (int, error) {
-			*imported++
-			_, err := b.ms.AttachStream(0, mpsoc.StreamSpec{
-				Name: name, Block: 1, Decimation: 1, Reconfig: rsCycles,
-				InCapacity: 64, OutCapacity: 64, SourcePeriod: 300,
-				Engines: []accel.Engine{&accel.Gain{}},
-			})
-			return len(b.ms.Chains[0].Strs) - 1, err
-		},
+// donorChain is a second chain like the demo chain, carrying specs: its
+// streams are the migrants evacuate exports.
+func donorChain(t *testing.T, specs ...mpsoc.StreamSpec) mpsoc.ChainSpec {
+	t.Helper()
+	chain := demoChain(t, specs, recoveryCfg())
+	chain.Name, chain.Accels = "donor", []mpsoc.AccelSpec{{Name: "acc-d", Cost: 1}}
+	return chain
+}
+
+// evacuate freezes chain ci, gates its streams' producers, waits out its
+// drain timeout and exports every stream: one AdmitMigrated request per
+// stream, as the fleet's evacuation makes them.
+func (b *bed) evacuate(t *testing.T, ci int) []MigrateRequest {
+	t.Helper()
+	ch := b.ms.Chains[ci]
+	if err := ch.Pair.FreezeForFailover(); err != nil {
+		t.Fatal(err)
 	}
+	for _, st := range ch.Strs {
+		st.In.BeginRepoint()
+	}
+	b.ms.K.Run(b.ms.K.Now() + ch.Spec.DrainTimeout)
+	exports, err := ch.Pair.ExportStreams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]MigrateRequest, len(exports))
+	for i, e := range exports {
+		reqs[i] = MigrateRequest{Stream: ch.Strs[i], Export: e}
+	}
+	ch.Strs = nil
+	return reqs
 }
 
 // TestQuarantineDuringDrainAborts: a fault quarantine can land while a
@@ -119,10 +134,12 @@ func (b *bed) importReq(name string, imported *int) MigrateRequest {
 // slots exactly as the quarantine left them, busy gate released, pair
 // resumed. A re-issued request decides against the new model.
 func TestQuarantineDuringDrainAborts(t *testing.T) {
-	var imported int
+	var migrant MigrateRequest
 	cases := []struct {
 		name    string
 		reserve int
+		// donor, when set, is a second chain whose stream migrates.
+		donor []mpsoc.StreamSpec
 		// setup runs before the faulty block's first stall.
 		setup   func(t *testing.T, b *bed)
 		request func(b *bed, done func(Verdict))
@@ -131,12 +148,13 @@ func TestQuarantineDuringDrainAborts(t *testing.T) {
 	}{
 		{
 			name: "add", reserve: 1,
-			request: func(b *bed, done func(Verdict)) { b.ctrl.AddStream(addReq("s5", 1, 300, 64, 64, 300), done) },
+			request: func(b *bed, done func(Verdict)) { b.ctrl.AddStream(addReq("s5", 300, 64, 64), done) },
 			want:    []string{"s1", "s3", "s4", "s5"},
 		},
 		{
-			name: "migrate", reserve: 1,
-			request: func(b *bed, done func(Verdict)) { b.ctrl.AdmitMigrated(b.importReq("s5", &imported), done) },
+			name: "migrate", reserve: 1, donor: []mpsoc.StreamSpec{demoStream("s5", 300, 64, 64)},
+			setup:   func(t *testing.T, b *bed) { migrant = b.evacuate(t, 1)[0] },
+			request: func(b *bed, done func(Verdict)) { b.ctrl.AdmitMigrated(migrant, done) },
 			want:    []string{"s1", "s3", "s4", "s5"},
 		},
 		{
@@ -159,9 +177,13 @@ func TestQuarantineDuringDrainAborts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			var extra []mpsoc.ChainSpec
+			if tc.donor != nil {
+				extra = append(extra, donorChain(t, tc.donor...))
+			}
 			b := buildBed(t, &fault.Plan{Faults: []fault.Fault{
 				{Kind: fault.LoseIdle, Stream: 1, Block: 8, Count: 3},
-			}}, tc.reserve, 128)
+			}}, tc.reserve, 128, extra...)
 			k := b.ms.K
 			k.Run(3000)
 			if tc.setup != nil {
@@ -178,7 +200,7 @@ func TestQuarantineDuringDrainAborts(t *testing.T) {
 				t.Fatal("quarantine already landed; the request must fire mid-recovery")
 			}
 			want := b.state().quarantined(t, "s2")
-			imported = 0
+			slots := len(b.ms.Chains[0].Strs)
 			var v *Verdict
 			tc.request(b, func(vv Verdict) { v = &vv })
 			if !k.RunUntil(k.Now()+60_000, func() bool { return v != nil }) {
@@ -190,8 +212,8 @@ func TestQuarantineDuringDrainAborts(t *testing.T) {
 			if v.Accepted || v.Reason != ReasonSuperseded || v.Detail != "stream set changed during drain" {
 				t.Fatalf("verdict %+v, want superseded rejection", v)
 			}
-			if imported != 0 {
-				t.Error("aborted migration ran its import")
+			if len(b.ms.Chains[0].Strs) != slots {
+				t.Error("the aborted transition attached or adopted a stream")
 			}
 			b.checkUntouched(t, want)
 

@@ -29,7 +29,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/big"
 	"slices"
 	"sort"
 	"strings"
@@ -75,7 +74,10 @@ type Config struct {
 	Reconfig     sim.Time
 	DrainTimeout sim.Time
 	Recovery     gateway.Recovery
-	PerSlotCost  sim.Time
+	// PerSlotCost must be mpsoc.SlotCost, the configuration-bus cost per
+	// reprogrammed slot that every chain's controllers charge; New refuses
+	// any other value.
+	PerSlotCost sim.Time
 	// Doctor parameterises the per-chain wedged-chain diagnosis.
 	Doctor fault.DoctorConfig
 	// Retry is the bounded deterministic backoff schedule shared by every
@@ -289,6 +291,9 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.ResidentPeriod <= 0 {
 		return nil, fmt.Errorf("cluster: resident period must be positive")
 	}
+	if cfg.PerSlotCost != mpsoc.SlotCost {
+		return nil, fmt.Errorf("cluster: per-slot bus cost %d, the platform's is %d", cfg.PerSlotCost, mpsoc.SlotCost)
+	}
 	if err := cfg.Retry.Validate(); err != nil {
 		return nil, err
 	}
@@ -308,8 +313,7 @@ func New(cfg Config) (*Controller, error) {
 	c := &Controller{cfg: cfg, streams: map[string]*streamInfo{}}
 	var mc mpsoc.MultiConfig
 	mc.HopLatency = cfg.HopLatency
-	models := make([]*core.System, len(cfg.Chains))
-	for pos, cs := range cfg.Chains {
+	for _, cs := range cfg.Chains {
 		ms := mpsoc.ChainSpec{
 			Name:              cs.Name,
 			EntryCost:         cfg.EntryCost,
@@ -324,29 +328,10 @@ func New(cfg Config) (*Controller, error) {
 		if cs.Spare {
 			ms.Standby = true
 		} else {
-			rname := "r-" + cs.Name
-			model := &core.System{Chain: ms.Timing(), ClockHz: 1, Streams: []core.Stream{{
-				Name:     rname,
-				Rate:     big.NewRat(1, cfg.ResidentPeriod),
-				Reconfig: uint64(cfg.Reconfig),
-			}}}
-			res, err := model.ComputeBlockSizes()
-			if err != nil {
+			ms.Streams = []mpsoc.StreamSpec{c.streamSpec("r-"+cs.Name, cfg.ResidentPeriod)}
+			if err := ms.SizeBlocks(); err != nil {
 				return nil, fmt.Errorf("cluster: resident of %q: %w", cs.Name, err)
 			}
-			model.Streams[0].Block = res.Blocks[0]
-			models[pos] = model
-			ms.Streams = []mpsoc.StreamSpec{{
-				Name:           rname,
-				Block:          res.Blocks[0],
-				Decimation:     1,
-				Reconfig:       cfg.Reconfig,
-				InCapacity:     cfg.InCapacity,
-				OutCapacity:    cfg.OutCapacity,
-				Engines:        []accel.Engine{&accel.Gain{}},
-				SourcePeriod:   sim.Time(cfg.ResidentPeriod),
-				CollectOutputs: cfg.CollectOutputs,
-			}}
 		}
 		mc.Chains = append(mc.Chains, ms)
 	}
@@ -372,7 +357,7 @@ func New(cfg Config) (*Controller, error) {
 			continue
 		}
 		ci.state = chainServing
-		ctrl, err := c.newCtrl(ci, models[pos])
+		ctrl, err := c.newCtrl(ci)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: chain %q: %w", cs.Name, err)
 		}
@@ -408,9 +393,10 @@ func (c *Controller) event(kind EventKind, chain, stream, detail string) {
 	c.events = append(c.events, Event{At: c.k.Now(), Kind: kind, Chain: chain, Stream: stream, Detail: detail})
 }
 
-// newCtrl builds chain ci's admission controller over model.
-func (c *Controller) newCtrl(ci *chainInfo, model *core.System) (*admission.Controller, error) {
-	return admission.New(c.ms, admission.Config{Chain: ci.idx, Model: model, PerSlotCost: c.cfg.PerSlotCost, Solver: c.cfg.Solver})
+// newCtrl builds chain ci's admission controller over the chain's live
+// streams.
+func (c *Controller) newCtrl(ci *chainInfo) (*admission.Controller, error) {
+	return admission.New(c.ms, admission.Config{Chain: ci.idx, Solver: c.cfg.Solver})
 }
 
 func (c *Controller) armDoctor(ci *chainInfo) error {
@@ -450,15 +436,17 @@ func byLoad(a, b *chainInfo) int {
 	return strings.Compare(a.name, b.name)
 }
 
-func (c *Controller) streamSpec(si *streamInfo) mpsoc.StreamSpec {
+// streamSpec is the spec of a fleet stream making one sample every period
+// cycles: its rate μs = 1/period.
+func (c *Controller) streamSpec(name string, period int64) mpsoc.StreamSpec {
 	return mpsoc.StreamSpec{
-		Name:           si.name,
+		Name:           name,
 		Decimation:     1,
 		Reconfig:       c.cfg.Reconfig,
 		InCapacity:     c.cfg.InCapacity,
 		OutCapacity:    c.cfg.OutCapacity,
 		Engines:        []accel.Engine{&accel.Gain{}},
-		SourcePeriod:   sim.Time(si.period),
+		SourcePeriod:   sim.Time(period),
 		CollectOutputs: c.cfg.CollectOutputs,
 	}
 }
@@ -488,7 +476,7 @@ func (c *Controller) place(si *streamInfo, attempt int) {
 	var last admission.Verdict
 	// One request serves every chain: a rejection attaches nothing, and the
 	// loop ends at the first chain that takes it.
-	req := admission.AddRequest{Spec: c.streamSpec(si), Rate: big.NewRat(1, si.period)}
+	req := admission.AddRequest{Spec: c.streamSpec(si.name, si.period)}
 	for _, tc := range c.rankServing() {
 		a := c.newAttempt(si, tc, attempt)
 		tc.ctrl.AddStream(req, a.done)
@@ -653,11 +641,9 @@ func (c *Controller) pickSpare() *chainInfo {
 // failover is rung 1: migrate the whole chain to a standby pair.
 func (c *Controller) failover(ci, sp *chainInfo, reason string) {
 	fc, err := mpsoc.NewFailover(c.ms, mpsoc.FailoverConfig{
-		Primary:     ci.idx,
-		Standby:     sp.idx,
-		Model:       ci.ctrl.Model(),
-		PerSlotCost: c.cfg.PerSlotCost,
-		OnComplete:  func(rec mpsoc.Record) { c.onFailoverDone(ci, sp, rec) },
+		Primary:    ci.idx,
+		Standby:    sp.idx,
+		OnComplete: func(rec mpsoc.Record) { c.onFailoverDone(ci, sp, rec) },
 	})
 	if err == nil {
 		err = fc.Trigger(reason)
@@ -836,9 +822,8 @@ func (c *Controller) tryReadmit(si *streamInfo, attempt int) {
 	if si.phase != parked {
 		return
 	}
-	req := c.migrateRequest(si)
 	for _, tc := range c.rankServing() {
-		if _, pending := c.offerMigrant(c.newAttempt(si, tc, attempt), req, offerReadmit); pending {
+		if _, pending := c.offerMigrant(c.newAttempt(si, tc, attempt), offerReadmit); pending {
 			return
 		}
 	}
@@ -894,7 +879,7 @@ func (c *Controller) onHeal(ci *chainInfo) {
 		c.event(EvHeal, ci.name, "", "online as spare")
 		return
 	}
-	ctrl, err := c.newCtrl(ci, &core.System{Chain: c.ms.Chains[ci.idx].Spec.Timing(), ClockHz: 1})
+	ctrl, err := c.newCtrl(ci)
 	if err != nil {
 		ci.state = chainSpare
 		c.event(EvHeal, ci.name, "", fmt.Sprintf("online as spare (promotion failed: %v)", err))

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -196,48 +197,61 @@ func TestFailoverRung(t *testing.T) {
 // than the wedged chain's, so the outgoing blocks violate Eq. 6 there. The
 // failover must re-solve Algorithm 1 against the spare's own timing and the
 // retargeted admission model must carry the spare's chain: no stream drops
-// a sample, outputs stay contiguous, and the spare conforms.
+// a sample, outputs stay contiguous, and the spare conforms. It must do so
+// too when a departed stream's suspended slot moves along: the re-solve is
+// over the live streams, and the departed slot keeps its block.
 func TestFailoverOntoSlowerSpare(t *testing.T) {
-	wedge := &fault.Plan{Faults: []fault.Fault{{Kind: fault.WedgeLink, Site: 0, At: 20_000}}}
-	c := mustCluster(t, testConfig([]ChainSpec{
-		{Name: "c0", AccelCost: 1, ReserveSlots: 4, Faults: wedge},
-		{Name: "sp", AccelCost: 30, ReserveSlots: 4, Spare: true},
-	}))
-	submitAt(c, 1_000, StreamRequest{Name: "s0", Period: 150})
-	submitAt(c, 5_000, StreamRequest{Name: "s1", Period: 300})
-	c.Run(120_000)
+	for _, departed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("departed=%v", departed), func(t *testing.T) {
+			wedge := &fault.Plan{Faults: []fault.Fault{{Kind: fault.WedgeLink, Site: 0, At: 20_000}}}
+			c := mustCluster(t, testConfig([]ChainSpec{
+				{Name: "c0", AccelCost: 1, ReserveSlots: 4, Faults: wedge},
+				{Name: "sp", AccelCost: 30, ReserveSlots: 4, Spare: true},
+			}))
+			submitAt(c, 1_000, StreamRequest{Name: "s0", Period: 150})
+			submitAt(c, 5_000, StreamRequest{Name: "s1", Period: 300})
+			if departed {
+				submitAt(c, 8_000, StreamRequest{Name: "s2", Period: 300})
+				departAt(c, 12_000, "s2")
+			}
+			c.Run(120_000)
 
-	if n := len(ladderOf(c, "failover")); n != 3 { // resident + s0 + s1
-		t.Fatalf("failover steps = %d, want 3:\n%s", n, renderEvents(c))
+			if n := len(ladderOf(c, "failover")); n != 3 { // resident + s0 + s1
+				t.Fatalf("failover steps = %d, want 3:\n%s", n, renderEvents(c))
+			}
+			if departed && statusOf(c, "s2").State != "departed" {
+				t.Fatalf("s2 is %s, want departed:\n%s", statusOf(c, "s2").State, renderEvents(c))
+			}
+			sp := c.chains[1]
+			if sp.state != chainServing || sp.ctrl == nil {
+				t.Fatalf("spare state %s after the failover:\n%s", sp.state, renderEvents(c))
+			}
+			model := sp.ctrl.Model()
+			if got := model.Chain.AccelCosts; len(got) != 1 || got[0] != 30 {
+				t.Fatalf("spare's admission model has accelerator costs %v, want [30]", got)
+			}
+			blocks := make([]int64, len(model.Streams))
+			for i := range model.Streams {
+				blocks[i] = model.Streams[i].Block
+			}
+			if v := solve.Verify(model, nil, blocks); !v.Feasible {
+				t.Errorf("blocks %v infeasible on the spare: %s", blocks, v.Detail)
+			}
+			for _, name := range []string{"r-c0", "s0", "s1"} {
+				ss := statusOf(c, name)
+				if ss.State != "live" || ss.Chain != "sp" {
+					t.Errorf("%s: state=%s chain=%s, want live on sp", name, ss.State, ss.Chain)
+				}
+				if ss.Overflow != 0 {
+					t.Errorf("%s: %d samples dropped", name, ss.Overflow)
+				}
+				if !ss.ContiguousOutputs {
+					t.Errorf("%s: outputs not contiguous across the migration", name)
+				}
+			}
+			checkConformance(t, c, 80_000)
+		})
 	}
-	sp := c.chains[1]
-	if sp.state != chainServing || sp.ctrl == nil {
-		t.Fatalf("spare state %s after the failover:\n%s", sp.state, renderEvents(c))
-	}
-	model := sp.ctrl.Model()
-	if got := model.Chain.AccelCosts; len(got) != 1 || got[0] != 30 {
-		t.Fatalf("spare's admission model has accelerator costs %v, want [30]", got)
-	}
-	blocks := make([]int64, len(model.Streams))
-	for i := range model.Streams {
-		blocks[i] = model.Streams[i].Block
-	}
-	if v := solve.Verify(model, nil, blocks); !v.Feasible {
-		t.Errorf("blocks %v infeasible on the spare: %s", blocks, v.Detail)
-	}
-	for _, name := range []string{"r-c0", "s0", "s1"} {
-		ss := statusOf(c, name)
-		if ss.State != "live" || ss.Chain != "sp" {
-			t.Errorf("%s: state=%s chain=%s, want live on sp", name, ss.State, ss.Chain)
-		}
-		if ss.Overflow != 0 {
-			t.Errorf("%s: %d samples dropped", name, ss.Overflow)
-		}
-		if !ss.ContiguousOutputs {
-			t.Errorf("%s: outputs not contiguous across the migration", name)
-		}
-	}
-	checkConformance(t, c, 80_000)
 }
 
 // TestEvacuateRung: no spare — the wedged chain's streams are exported and
@@ -355,6 +369,8 @@ func TestNewValidation(t *testing.T) {
 		{"recovery disabled", func(c *Config) { c.Recovery = gateway.Recovery{} }},
 		{"bad resident period", func(c *Config) { c.ResidentPeriod = 0 }},
 		{"bad backoff", func(c *Config) { c.Retry = fault.Backoff{} }},
+		{"no per-slot cost", func(c *Config) { c.PerSlotCost = 0 }},
+		{"per-slot cost not the platform's", func(c *Config) { c.PerSlotCost = mpsoc.SlotCost + 1 }},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -8,10 +8,8 @@ package cluster
 
 import (
 	"fmt"
-	"math/big"
 
 	"accelshare/internal/admission"
-	"accelshare/internal/gateway"
 	"accelshare/internal/sim"
 )
 
@@ -63,9 +61,8 @@ type attempt struct {
 	si *streamInfo
 	tc *chainInfo
 	n  int // the retry attempt
-	// done is a.verdict and adopt is a.adoptStream.
-	done  func(admission.Verdict)
-	adopt func() (int, error)
+	// done is a.verdict.
+	done func(admission.Verdict)
 	// refused marks a synchronous refusal (in Controller.refusal); pending
 	// marks a request the chain took.
 	refused, pending bool
@@ -85,8 +82,6 @@ func (c *Controller) newAttempt(si *streamInfo, tc *chainInfo, n int) *attempt {
 		a = &attempt{c: c}
 		//accellint:alloc method value bound once per pooled record
 		a.done = a.verdict
-		//accellint:alloc method value bound once per pooled record
-		a.adopt = a.adoptStream
 	}
 	a.si, a.tc, a.n = si, tc, n
 	return a
@@ -96,7 +91,7 @@ func (c *Controller) newAttempt(si *streamInfo, tc *chainInfo, n int) *attempt {
 //
 //accellint:noalloc guard=TestRefusedAttemptZeroAlloc
 func (c *Controller) recycle(a *attempt) {
-	*a = attempt{c: c, done: a.done, adopt: a.adopt, next: c.attempts}
+	*a = attempt{c: c, done: a.done, next: c.attempts}
 	c.attempts = a
 }
 
@@ -157,43 +152,14 @@ func (a *attempt) verdict(v admission.Verdict) {
 	}
 }
 
-// adoptStream imports the attempt's exported stream onto its chain, the
-// Import step of a migration or a readmission.
-func (a *attempt) adoptStream() (int, error) {
-	return a.c.ms.AdoptStream(a.tc.idx, a.si.st, a.si.export)
-}
-
-// migrateRequest is the migration admission request for si's exported
-// stream; each attempt supplies its Import step (see offerMigrant).
-func (c *Controller) migrateRequest(si *streamInfo) admission.MigrateRequest {
-	return admission.MigrateRequest{
-		Name:        si.name,
-		Rate:        big.NewRat(1, si.period),
-		Reconfig:    uint64(c.cfg.Reconfig),
-		Decimation:  1,
-		MinBlock:    minBlockOf(si.export, 1),
-		InCapacity:  si.st.In.Capacity(),
-		OutCapacity: si.st.Out.Capacity(),
-	}
-}
-
-// offerMigrant offers a migrating or parked stream to attempt a's chain
-// through the target's migration admission; t is the transition a pending
-// request takes (see offered).
+// offerMigrant offers a migrating or parked stream, with its export, to
+// attempt a's chain through the target's migration admission; t is the
+// transition a pending request takes (see offered).
 //
 //accellint:noalloc guard=TestRefusedAttemptZeroAlloc
-func (c *Controller) offerMigrant(a *attempt, req admission.MigrateRequest, t transition) (admission.Verdict, bool) {
-	req.Import = a.adopt
-	a.tc.ctrl.AdmitMigrated(req, a.done)
+func (c *Controller) offerMigrant(a *attempt, t transition) (admission.Verdict, bool) {
+	a.tc.ctrl.AdmitMigrated(admission.MigrateRequest{Stream: a.si.st, Export: a.si.export}, a.done)
 	return c.offered(a, t)
-}
-
-func minBlockOf(e gateway.StreamExport, decimation int64) int64 {
-	mb := e.ReplayStart + int64(len(e.Replay))
-	if cb := e.Committed * decimation; cb > mb {
-		mb = cb
-	}
-	return mb
 }
 
 // retry schedules again(attempt+1) after attempt's backoff delay and logs
@@ -236,9 +202,8 @@ func (c *Controller) placeMigrant(m *migrant, attempt int) {
 		}
 	}
 	busy := false
-	req := c.migrateRequest(m.si)
 	for _, tc := range targets {
-		v, pending := c.offerMigrant(c.newAttempt(m.si, tc, attempt), req, offerAdmit)
+		v, pending := c.offerMigrant(c.newAttempt(m.si, tc, attempt), offerAdmit)
 		if pending {
 			return
 		}

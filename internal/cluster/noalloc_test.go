@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/big"
 	"sort"
 	"testing"
 
@@ -63,8 +62,7 @@ func TestRefusedAttemptZeroAlloc(t *testing.T) {
 	}
 
 	si := &streamInfo{name: "s1", period: 300, chain: -1, pendingOn: -1, st: c.ms.Chains[tc.idx].Strs[0]}
-	add := admission.AddRequest{Spec: c.streamSpec(si), Rate: big.NewRat(1, si.period)}
-	mig := c.migrateRequest(si)
+	add := admission.AddRequest{Spec: c.streamSpec(si.name, si.period)}
 	alone := testing.AllocsPerRun(200, func() { tc.ctrl.AddStream(add, func(admission.Verdict) {}) })
 	placed := testing.AllocsPerRun(200, func() {
 		a := c.newAttempt(si, tc, 0)
@@ -75,7 +73,7 @@ func TestRefusedAttemptZeroAlloc(t *testing.T) {
 	})
 	si.phase = parked
 	migrated := testing.AllocsPerRun(200, func() {
-		if v, pending := c.offerMigrant(c.newAttempt(si, tc, 0), mig, offerReadmit); pending || v.Reason != admission.ReasonBusy {
+		if v, pending := c.offerMigrant(c.newAttempt(si, tc, 0), offerReadmit); pending || v.Reason != admission.ReasonBusy {
 			t.Fatalf("busy chain: pending %v, verdict %+v", pending, v)
 		}
 	})

@@ -192,9 +192,10 @@ func (e *Engine) StateWords() int { return e.Inner.StateWords() }
 
 // WrapEngines wraps a stream's engine chain with the plan's engine-level
 // faults for that stream. Engines without a targeting fault are returned
-// unwrapped, so a fault-free stream is bit-identical to a plan-free run.
+// unwrapped, so a fault-free stream is bit-identical to a plan-free run, and
+// a stream no fault targets gets its own slice back.
 func (p *Plan) WrapEngines(stream int, engines []accel.Engine) []accel.Engine {
-	wrapped := make([]accel.Engine, len(engines))
+	var wrapped []accel.Engine
 	for site, inner := range engines {
 		var afs []*engineFault
 		for _, f := range p.Faults {
@@ -206,10 +207,15 @@ func (p *Plan) WrapEngines(stream int, engines []accel.Engine) []accel.Engine {
 			}
 		}
 		if len(afs) == 0 {
-			wrapped[site] = inner
 			continue
 		}
+		if wrapped == nil {
+			wrapped = append([]accel.Engine(nil), engines...)
+		}
 		wrapped[site] = &Engine{Inner: inner, faults: afs}
+	}
+	if wrapped == nil {
+		return engines
 	}
 	return wrapped
 }
@@ -268,19 +274,4 @@ func (p *Plan) ArmWedges(k *sim.Kernel, links []*accel.Link, r *ring.Ring) error
 		}
 	}
 	return nil
-}
-
-// EngineFaults reports whether the plan has engine-level faults for the
-// given stream (used by platform builders to decide whether wrapping is
-// needed).
-func (p *Plan) EngineFaults(stream int) bool {
-	for _, f := range p.Faults {
-		switch f.Kind {
-		case DropSample, CorruptSample, StickEngine:
-			if f.Stream == stream {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -71,22 +71,26 @@ func TestWrapEnginesStickEngine(t *testing.T) {
 
 func TestWrapEnginesTargetsOnlyMatchingStreamAndSite(t *testing.T) {
 	p := &Plan{Faults: []Fault{{Kind: DropSample, Stream: 1, Site: 1, Sample: 0}}}
-	// Stream 0 untouched: engines returned unwrapped.
-	for site, e := range p.WrapEngines(0, []accel.Engine{accel.Passthrough{}, accel.Passthrough{}}) {
+	// Stream 0 untouched: its own slice comes back, engines unwrapped.
+	in := []accel.Engine{accel.Passthrough{}, accel.Passthrough{}}
+	if out := p.WrapEngines(0, in); len(out) != len(in) || &out[0] != &in[0] {
+		t.Error("stream 0 got a new engine slice without a targeting fault")
+	}
+	for site, e := range in {
 		if _, wrapped := e.(*Engine); wrapped {
 			t.Errorf("stream 0 site %d wrapped without a targeting fault", site)
 		}
 	}
-	// Stream 1: only site 1 wrapped.
-	engines := p.WrapEngines(1, []accel.Engine{accel.Passthrough{}, accel.Passthrough{}})
+	// Stream 1: only site 1 wrapped, in a slice of its own.
+	engines := p.WrapEngines(1, in)
+	if &engines[0] == &in[0] {
+		t.Fatal("stream 1's wrappers written into the caller's slice")
+	}
 	if _, wrapped := engines[0].(*Engine); wrapped {
 		t.Error("site 0 wrapped")
 	}
 	if _, wrapped := engines[1].(*Engine); !wrapped {
 		t.Error("site 1 not wrapped")
-	}
-	if !p.EngineFaults(1) || p.EngineFaults(0) {
-		t.Error("EngineFaults stream targeting wrong")
 	}
 }
 

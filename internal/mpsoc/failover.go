@@ -43,18 +43,6 @@ type FailoverConfig struct {
 	// have been built with ChainSpec.Standby (zero streams) and the same
 	// accelerator count as the primary.
 	Primary, Standby int
-	// Model is the primary's temporal model (Eq. 2/4); its per-stream block
-	// sizes are refreshed from the live gateway at trigger time, then it
-	// yields the failover bound and the rates of the survivor re-solve. The
-	// bound reads the checkpoint interval K and its snapshot cost from the
-	// primary's Recovery: with K set it uses the adjusted Eq. 2 term τ̂s(K)
-	// (core.TauHatCheckpointed), since checkpoint quiesces stretch each
-	// clean block while the migrated block's replay residue shrinks from
-	// O(ηs) to O(K).
-	Model *core.System
-	// PerSlotCost is the configuration-bus cost per reprogrammed slot, the
-	// same constant the admission controller charges.
-	PerSlotCost sim.Time
 	// OnComplete observes the finished failover.
 	OnComplete func(Record)
 }
@@ -70,7 +58,7 @@ type Record struct {
 	// standby replays.
 	ReplayWords int
 	// SettleCycles + BusCycles = MeasuredCycles, checked against BoundCycles
-	// = max τ̂s(outgoing) + PerSlotCost per slot.
+	// = max τ̂s(outgoing) + SlotCost per slot.
 	SettleCycles   uint64
 	BusCycles      uint64
 	MeasuredCycles uint64
@@ -82,6 +70,14 @@ type Record struct {
 }
 
 // FailoverController owns the primary→standby migration for one chain pair.
+// It reads every stream's μs, Rs and ηs from the platform
+// (Chain.LiveModel): the failover bound from the primary's live streams,
+// and the survivor re-solve from the standby's once they have moved. The
+// bound reads the checkpoint interval K and its snapshot cost from the
+// primary's Recovery: with K set it uses the adjusted Eq. 2 term τ̂s(K)
+// (core.TauHatCheckpointed), since checkpoint quiesces stretch each clean
+// block while the migrated block's replay residue shrinks from O(ηs) to
+// O(K).
 type FailoverController struct {
 	ms  *MultiSystem
 	cfg FailoverConfig
@@ -112,12 +108,6 @@ func NewFailover(ms *MultiSystem, cfg FailoverConfig) (*FailoverController, erro
 	}
 	if !pri.Spec.Recovery.Enabled {
 		return nil, fmt.Errorf("failover: primary chain %q needs recovery enabled (replay snapshots)", pri.Spec.Name)
-	}
-	if cfg.Model == nil {
-		return nil, fmt.Errorf("failover: need the primary's temporal model for the cost bound")
-	}
-	if cfg.PerSlotCost <= 0 {
-		return nil, fmt.Errorf("failover: per-slot bus cost must be positive")
 	}
 	return &FailoverController{ms: ms, cfg: cfg, pri: pri, stb: stb}, nil
 }
@@ -153,10 +143,11 @@ func (fc *FailoverController) Trigger(reason string) error {
 	fc.triggered = true
 	now := fc.ms.K.Now()
 
-	// Refresh the model's block sizes from the live gateway before freezing:
-	// admission-control transitions may have re-sized slots since build.
-	snaps := fc.pri.Pair.Snapshot()
-	maxTau := fc.refreshModel(snaps)
+	// The outgoing configuration is the one the live slots run before the
+	// freeze: admission-control transitions may have re-sized them since
+	// build.
+	outgoing, _ := fc.pri.LiveModel()
+	maxTau := fc.pri.MaxTau(outgoing)
 
 	// The settle is the primary's flush settle, its DrainTimeout. One block
 	// attempt bounds how long anything stays in flight; a longer settle
@@ -181,34 +172,6 @@ func (fc *FailoverController) Trigger(reason string) error {
 	}
 	fc.ms.K.Schedule(settle, func() { fc.migrate(reason, now, settle, maxTau) })
 	return nil
-}
-
-// refreshModel re-syncs the temporal model's per-stream ηs with the live
-// slot table (matched by name) and returns the outgoing configuration's
-// max τ̂s(K) over the non-quarantined streams, K being the primary's
-// checkpoint interval (NewFailover requires its recovery enabled).
-func (fc *FailoverController) refreshModel(snaps []gateway.StreamSnapshot) uint64 {
-	byName := make(map[string]gateway.StreamSnapshot, len(snaps))
-	for _, sn := range snaps {
-		byName[sn.Name] = sn
-	}
-	rec := fc.pri.Spec.Recovery
-	var maxTau uint64
-	for i := range fc.cfg.Model.Streams {
-		ms := &fc.cfg.Model.Streams[i]
-		sn, ok := byName[ms.Name]
-		if !ok {
-			continue
-		}
-		ms.Block = sn.Block
-		if sn.Quarantined || sn.Suspended {
-			continue
-		}
-		if tau, err := fc.cfg.Model.TauHatCheckpointed(i, rec.Checkpoint, uint64(rec.CheckpointCost)); err == nil && tau > maxTau {
-			maxTau = tau
-		}
-	}
-	return maxTau
 }
 
 // migrate runs after the settle delay: every in-flight word has landed, so
@@ -238,11 +201,7 @@ func (fc *FailoverController) migrate(reason string, triggeredAt, settle sim.Tim
 	fc.pri.Strs = nil
 	decims := make([]int64, len(moved))
 	for i, st := range moved {
-		d := st.Spec.Decimation
-		if d < 1 {
-			d = 1
-		}
-		decims[i] = d
+		decims[i] = st.Spec.Decimation
 		st.In.RepointConsumer(fc.stb.EntryNode)
 		st.Out.RepointProducer(fc.stb.ExitNode)
 	}
@@ -268,8 +227,8 @@ func (fc *FailoverController) migrate(reason string, triggeredAt, settle sim.Tim
 			rec.Names = append(rec.Names, e.Stream.Name)
 			blocks[i] = e.Stream.Block
 		}
-		if standby := fc.stb.Spec.Timing(); !sameTiming(fc.pri.Spec.Timing(), standby) {
-			solved, rerr := fc.resolve(standby, exports, decims)
+		if !sameTiming(fc.pri.Spec.Timing(), fc.stb.Spec.Timing()) {
+			solved, rerr := fc.resolve(decims)
 			if rerr == nil {
 				// A slot whose aborted block must replay cannot shrink below
 				// its resume point plus residue: the standby resumes the new
@@ -303,9 +262,9 @@ func (fc *FailoverController) migrate(reason string, triggeredAt, settle sim.Tim
 				Stream: slots[i], SetBlock: blocks[i], SetOutBlock: blocks[i] / decims[i],
 			}
 		}
-		rec.BusCycles = uint64(fc.cfg.PerSlotCost) * uint64(len(updates))
+		rec.BusCycles = uint64(SlotCost) * uint64(len(updates))
 		rec.BoundCycles = maxTau + rec.BusCycles
-		if err := fc.stb.Pair.ApplySlots(updates, fc.cfg.PerSlotCost, func() {
+		if err := fc.stb.Pair.ApplySlots(updates, SlotCost, func() {
 			fc.stb.Pair.Resume()
 			rec.ResumedAt = fc.ms.K.Now()
 			rec.MeasuredCycles = uint64(rec.ResumedAt - rec.TriggeredAt)
@@ -331,32 +290,29 @@ func sameTiming(a, b core.Chain) bool {
 		a.ExitCost == b.ExitCost
 }
 
-// resolve re-runs Algorithm 1 against the standby's chain, warm-started from
-// the outgoing block sizes. Granularity is each stream's decimation so the
-// exit-gateway OutBlock stays exact.
-func (fc *FailoverController) resolve(standby core.Chain, exports []gateway.StreamExport, decims []int64) ([]int64, error) {
-	model := fc.cfg.Model.Clone()
-	model.Chain = standby
-	// The model must cover exactly the migrated slots, in slot order.
-	byName := make(map[string]int, len(model.Streams))
-	for i := range model.Streams {
-		byName[model.Streams[i].Name] = i
+// resolve re-runs Algorithm 1 for the migrated streams against the
+// standby's live model, warm-started from the outgoing block sizes, and
+// returns the blocks by standby slot, which is the migrated streams' order
+// (NewFailover wants a standby without streams): a slot that is not live
+// (quarantined or suspended) keeps its outgoing ηs. Granularity is each
+// stream's decimation (decims), so the exit-gateway OutBlock stays exact.
+func (fc *FailoverController) resolve(decims []int64) ([]int64, error) {
+	model, live := fc.stb.LiveModel()
+	start := make([]int64, len(live))
+	gran := make([]int64, len(live))
+	for i, slot := range live {
+		start[i], gran[i] = model.Streams[i].Block, decims[slot]
 	}
-	start := make([]int64, len(exports))
-	streams := make([]core.Stream, len(exports))
-	for i, e := range exports {
-		mi, ok := byName[e.Stream.Name]
-		if !ok {
-			return nil, fmt.Errorf("model has no stream %q", e.Stream.Name)
-		}
-		streams[i] = model.Streams[mi]
-		streams[i].Block = e.Stream.Block
-		start[i] = e.Stream.Block
-	}
-	model.Streams = streams
-	res, err := model.LeastFixedPoint(start, decims, core.DefaultRounds)
+	res, err := model.LeastFixedPoint(start, gran, core.DefaultRounds)
 	if err != nil {
 		return nil, err
 	}
-	return res.Blocks, nil
+	blocks := make([]int64, len(fc.stb.Strs))
+	for slot, st := range fc.stb.Strs {
+		blocks[slot] = st.GW.Block
+	}
+	for i, slot := range live {
+		blocks[slot] = res.Blocks[i]
+	}
+	return blocks, nil
 }

@@ -2,13 +2,11 @@ package mpsoc
 
 import (
 	"fmt"
-	"math/big"
 	"math/rand"
 	"testing"
 
 	"accelshare/internal/accel"
 	"accelshare/internal/conformance"
-	"accelshare/internal/core"
 	"accelshare/internal/fault"
 	"accelshare/internal/gateway"
 	"accelshare/internal/sim"
@@ -18,34 +16,23 @@ import (
 // chain (ε=15, ρA=1, δ=1, Rs=50, η=16 → τ̂=320) as primary plus an empty
 // standby pair, sources feeding every stream and sinks collecting outputs so
 // tests can verify sample-exact continuity across a migration.
-func failoverPlatform(t *testing.T, plan *fault.Plan, nStreams int, periods []int64, standbyCost sim.Time) (*MultiSystem, *core.System) {
+func failoverPlatform(t *testing.T, plan *fault.Plan, nStreams int, periods []int64, standbyCost sim.Time) *MultiSystem {
 	return failoverPlatformRec(t, plan, nStreams, periods, standbyCost,
 		gateway.Recovery{Enabled: true, RetryLimit: 2})
 }
 
 // failoverPlatformRec is failoverPlatform with an explicit recovery config
 // (both chains), for the checkpointed variants.
-func failoverPlatformRec(t *testing.T, plan *fault.Plan, nStreams int, periods []int64, standbyCost sim.Time, rec gateway.Recovery) (*MultiSystem, *core.System) {
+func failoverPlatformRec(t *testing.T, plan *fault.Plan, nStreams int, periods []int64, standbyCost sim.Time, rec gateway.Recovery) *MultiSystem {
 	t.Helper()
 	var specs []StreamSpec
-	model := &core.System{
-		Chain: core.Chain{
-			Name: "primary", AccelCosts: []uint64{1},
-			EntryCost: 15, ExitCost: 1,
-		},
-		ClockHz: 1,
-	}
 	for i := 0; i < nStreams; i++ {
-		name := fmt.Sprintf("s%d", i)
 		specs = append(specs, StreamSpec{
-			Name: name, Block: 16, Decimation: 1, Reconfig: 50,
+			Name: fmt.Sprintf("s%d", i), Block: 16, Decimation: 1, Reconfig: 50,
 			InCapacity: 128, OutCapacity: 64,
 			SourcePeriod:   sim.Time(periods[i]),
 			Engines:        []accel.Engine{&accel.Gain{}},
 			CollectOutputs: true,
-		})
-		model.Streams = append(model.Streams, core.Stream{
-			Name: name, Rate: big.NewRat(1, periods[i]), Reconfig: 50, Block: 16,
 		})
 	}
 	ms, err := BuildMulti(MultiConfig{
@@ -71,7 +58,7 @@ func failoverPlatformRec(t *testing.T, plan *fault.Plan, nStreams int, periods [
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ms, model
+	return ms
 }
 
 // checkContiguous verifies the identity-engine output sequence 0,1,2,... —
@@ -88,30 +75,16 @@ func checkContiguous(t *testing.T, ch *Chain) {
 }
 
 // failoverConformance checks the post-migration trace of every live stream
-// against the ACTIVE chain's bounds (standby cost, post-failover blocks).
-// When the chains checkpoint, k/ckCost select the adjusted Eq. 2 bounds and
-// the replay check enforces retry work ≤ k per retry.
-func failoverConformance(t *testing.T, model *core.System, ch *Chain, standbyCost uint64, after sim.Time, minBlocks int, k int64, ckCost uint64) {
+// against the ACTIVE chain's bounds: its live model, which holds the
+// standby's costs and the post-failover blocks. When the chains checkpoint,
+// k/ckCost select the adjusted Eq. 2 bounds and the replay check enforces
+// retry work ≤ k per retry.
+func failoverConformance(t *testing.T, ch *Chain, after sim.Time, minBlocks int, k int64, ckCost uint64) {
 	t.Helper()
-	snaps := ch.Pair.Snapshot()
-	live := &core.System{
-		Chain:   model.Chain,
-		ClockHz: model.ClockHz,
-	}
-	live.Chain.AccelCosts = []uint64{standbyCost}
-	var streams []*gateway.Stream
-	for i, sn := range snaps {
-		if sn.Quarantined || sn.Suspended {
-			continue
-		}
-		for _, msr := range model.Streams {
-			if msr.Name == sn.Name {
-				msr.Block = sn.Block
-				live.Streams = append(live.Streams, msr)
-				break
-			}
-		}
-		streams = append(streams, ch.Strs[i].GW)
+	live, slots := ch.LiveModel()
+	streams := make([]*gateway.Stream, len(slots))
+	for i, slot := range slots {
+		streams[i] = ch.Strs[slot].GW
 	}
 	bounds, err := conformance.FromModelCheckpointed(live, k, ckCost)
 	if err != nil {
@@ -138,10 +111,8 @@ func TestChainFailover(t *testing.T) {
 	plan := &fault.Plan{Faults: []fault.Fault{
 		{Kind: fault.WedgeLink, Site: 0, At: 5_000},
 	}}
-	ms, model := failoverPlatform(t, plan, 3, []int64{75, 75, 75}, 1)
-	fc, err := NewFailover(ms, FailoverConfig{
-		Primary: 0, Standby: 1, Model: model, PerSlotCost: 10,
-	})
+	ms := failoverPlatform(t, plan, 3, []int64{75, 75, 75}, 1)
+	fc, err := NewFailover(ms, FailoverConfig{Primary: 0, Standby: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +156,7 @@ func TestChainFailover(t *testing.T) {
 	checkContiguous(t, ms.Chains[1])
 	// One backlog-drain margin past the resume (the freeze+settle queue the
 	// sources kept filling), then the single-token bounds must hold again.
-	failoverConformance(t, model, ms.Chains[1], 1, rec.ResumedAt+8_000, 20, 0, 0)
+	failoverConformance(t, ms.Chains[1], rec.ResumedAt+8_000, 20, 0, 0)
 }
 
 // TestChainFailoverCheckpointed: the same wedge-convict-migrate sequence on
@@ -202,11 +173,9 @@ func TestChainFailoverCheckpointed(t *testing.T) {
 		Enabled: true, RetryLimit: 2,
 		Checkpoint: K, CheckpointCost: 5, ValueExact: true,
 	}
-	ms, model := failoverPlatformRec(t, plan, 3, []int64{75, 75, 75}, 1, rec)
+	ms := failoverPlatformRec(t, plan, 3, []int64{75, 75, 75}, 1, rec)
 	// The bound reads K and the snapshot cost from the primary's Recovery.
-	fc, err := NewFailover(ms, FailoverConfig{
-		Primary: 0, Standby: 1, Model: model, PerSlotCost: 10,
-	})
+	fc, err := NewFailover(ms, FailoverConfig{Primary: 0, Standby: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,14 +208,14 @@ func TestChainFailoverCheckpointed(t *testing.T) {
 		}
 	}
 	checkContiguous(t, ms.Chains[1])
-	failoverConformance(t, model, ms.Chains[1], 1, frec.ResumedAt+8_000, 20, K, 5)
+	failoverConformance(t, ms.Chains[1], frec.ResumedAt+8_000, 20, K, 5)
 }
 
 // TestFailoverTraceSpan: both pairs record the controller-level span and the
 // trace package renders it as its own row.
 func TestFailoverTraceSpan(t *testing.T) {
-	ms, model := failoverPlatform(t, &fault.Plan{}, 2, []int64{80, 80}, 1)
-	fc, err := NewFailover(ms, FailoverConfig{Primary: 0, Standby: 1, Model: model, PerSlotCost: 10})
+	ms := failoverPlatform(t, &fault.Plan{}, 2, []int64{80, 80}, 1)
+	fc, err := NewFailover(ms, FailoverConfig{Primary: 0, Standby: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,10 +274,8 @@ func TestFailoverSweep(t *testing.T) {
 			default:
 				manualAt = faultAt // healthy chain, operator-initiated
 			}
-			ms, model := failoverPlatform(t, &plan, nStreams, periods, 1)
-			fc, err := NewFailover(ms, FailoverConfig{
-				Primary: 0, Standby: 1, Model: model, PerSlotCost: 10,
-			})
+			ms := failoverPlatform(t, &plan, nStreams, periods, 1)
+			fc, err := NewFailover(ms, FailoverConfig{Primary: 0, Standby: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,7 +304,7 @@ func TestFailoverSweep(t *testing.T) {
 				}
 			}
 			checkContiguous(t, ms.Chains[1])
-			failoverConformance(t, model, ms.Chains[1], 1, rec.ResumedAt+8_000, 10, 0, 0)
+			failoverConformance(t, ms.Chains[1], rec.ResumedAt+8_000, 10, 0, 0)
 		})
 	}
 }

@@ -21,9 +21,11 @@ package mpsoc
 
 import (
 	"fmt"
+	"math/big"
 
 	"accelshare/internal/accel"
 	"accelshare/internal/cfifo"
+	"accelshare/internal/core"
 	"accelshare/internal/gateway"
 	"accelshare/internal/sim"
 )
@@ -73,6 +75,33 @@ type StreamSpec struct {
 	// arbitration) so an admission controller can activate it atomically
 	// with the survivors' new block sizes in one ApplySlots transaction.
 	StartSuspended bool
+}
+
+// Rate sets r to the stream's rate μs in samples per cycle and returns it:
+// the source makes one sample every SourcePeriod/SourcePeriodDen cycles, so
+// μs = SourcePeriodDen/SourcePeriod (a SourcePeriodDen of 0 means 1). A
+// source with no period has no rate: Rate returns nil. r's storage is
+// reused, so a warm r costs no allocation.
+func (ss *StreamSpec) Rate(r *big.Rat) *big.Rat {
+	num, den := max(ss.SourcePeriodDen, 1), uint64(ss.SourcePeriod)
+	if den == 0 {
+		return nil
+	}
+	g := num
+	for b := den; b != 0; {
+		g, b = b, g%b
+	}
+	// Reduced here and set in place: big.Rat's own normalisation allocates.
+	// Denom is a reference to r's denominator once SetUint64 has set r.
+	r.SetUint64(num / g)
+	r.Denom().SetUint64(den / g)
+	return r
+}
+
+// Model is the stream's entry in its chain's temporal model (Eq. 2–6) at
+// ClockHz 1: μs its Rate, set into rate, Rs its Reconfig and ηs = block.
+func (ss *StreamSpec) Model(rate *big.Rat, block int64) core.Stream {
+	return core.Stream{Name: ss.Name, Rate: ss.Rate(rate), Reconfig: uint64(ss.Reconfig), Block: block}
 }
 
 // Stream is the runtime state of one stream.

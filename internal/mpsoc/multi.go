@@ -7,6 +7,7 @@ package mpsoc
 
 import (
 	"fmt"
+	"math/big"
 
 	"accelshare/internal/accel"
 	"accelshare/internal/cfifo"
@@ -16,6 +17,11 @@ import (
 	"accelshare/internal/ring"
 	"accelshare/internal/sim"
 )
+
+// SlotCost is the configuration-bus cost, in cycles, of reprogramming one
+// gateway stream slot in a mode transition: what the admission and
+// failover controllers charge, and bound, per slot.
+const SlotCost sim.Time = 10
 
 // ChainSpec groups one gateway pair with its accelerators and streams.
 type ChainSpec struct {
@@ -65,6 +71,70 @@ func (cs ChainSpec) Timing() core.Chain {
 		c.AccelCosts[i] = uint64(as.Cost)
 	}
 	return c
+}
+
+// Model is the temporal model of the chain as specified, before the build:
+// its Timing at ClockHz 1 and one entry per stream spec (StreamSpec.Model)
+// at the spec's Block.
+func (cs ChainSpec) Model() *core.System {
+	m := &core.System{Chain: cs.Timing(), ClockHz: 1}
+	for i := range cs.Streams {
+		m.Streams = append(m.Streams, cs.Streams[i].Model(new(big.Rat), cs.Streams[i].Block))
+	}
+	return m
+}
+
+// SizeBlocks sets every stream spec's Block to Algorithm 1's least feasible
+// ηs over the chain's Model, the blocks the chain is then built with. Each
+// is a multiple of its stream's decimation, so the exit gateway's OutBlock
+// stays exact.
+func (cs *ChainSpec) SizeBlocks() error {
+	gran := make([]int64, len(cs.Streams))
+	for i := range cs.Streams {
+		gran[i] = cs.Streams[i].Decimation
+	}
+	res, err := cs.Model().ComputeBlockSizesRounded(gran)
+	if err != nil {
+		return err
+	}
+	for i, b := range res.Blocks {
+		cs.Streams[i].Block = b
+	}
+	return nil
+}
+
+// LiveModel is the temporal model of the built chain's live streams, read
+// from the platform: the chain's Timing at ClockHz 1 and, for every gateway
+// slot that is neither quarantined nor suspended (a released slot's
+// tombstone is suspended), in slot order, the entry StreamSpec.Model gives
+// at the block the slot runs. slots lists those gateway slots.
+func (ch *Chain) LiveModel() (model *core.System, slots []int) {
+	model = &core.System{Chain: ch.Spec.Timing(), ClockHz: 1}
+	for slot, st := range ch.Strs {
+		if gw := st.GW; !gw.Quarantined && !gw.Suspended {
+			model.Streams = append(model.Streams, st.Spec.Model(new(big.Rat), gw.Block))
+			slots = append(slots, slot)
+		}
+	}
+	return model, slots
+}
+
+// MaxTau is the largest τ̂s of model's streams on the chain: the
+// checkpoint-adjusted τ̂s(K) when the chain checkpoints (its recovery
+// enabled with Checkpoint = K), since a block in flight also pays its
+// interior quiesces. A stream whose block is unknown adds nothing.
+func (ch *Chain) MaxTau(model *core.System) uint64 {
+	rec := ch.Spec.Recovery
+	if !rec.Enabled {
+		rec.Checkpoint = 0
+	}
+	var maxTau uint64
+	for i := range model.Streams {
+		if t, err := model.TauHatCheckpointed(i, rec.Checkpoint, uint64(rec.CheckpointCost)); err == nil && t > maxTau {
+			maxTau = t
+		}
+	}
+	return maxTau
 }
 
 // MultiConfig assembles a platform with several shared chains on one ring.
@@ -285,7 +355,7 @@ func buildStream(k *sim.Kernel, net *ring.Dual, ch *Chain, ss StreamSpec, idx, s
 		return nil, err
 	}
 	engines := ss.Engines
-	if ch.Spec.Faults != nil && ch.Spec.Faults.EngineFaults(idx) {
+	if ch.Spec.Faults != nil {
 		engines = ch.Spec.Faults.WrapEngines(idx, engines)
 	}
 	st := &Stream{Spec: ss, In: in, Out: out, Outputs: sp.outputs}

@@ -8,7 +8,7 @@ import (
 
 func BenchmarkCrossbarWordThroughput(b *testing.B) {
 	k := sim.NewKernel()
-	x, err := New(k, Config{Nodes: 4, WheelSlots: 4, TraversalLatency: 1, InjectionDepth: 16})
+	x, err := New(k, Config{Nodes: 4, WheelSlots: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,11 +24,16 @@ type Config struct {
 	Nodes int
 	// WheelSlots is the TDM wheel length in cycles.
 	WheelSlots int
-	// TraversalLatency is the constant crossbar traversal time in cycles.
-	TraversalLatency sim.Time
-	// InjectionDepth is the per-node injection buffer in words.
-	InjectionDepth int
 }
+
+// A word traverses the crossbar in traversalLatency cycles, and each node
+// buffers up to injectionDepth words awaiting their slot: the ring-vs-
+// crossbar experiment's crossbar, which runs next to a ring of the same
+// injection depth.
+const (
+	traversalLatency sim.Time = 2
+	injectionDepth            = 8
+)
 
 // Message is one delivered word.
 type Message struct {
@@ -76,12 +81,6 @@ func New(k *sim.Kernel, cfg Config) (*Crossbar, error) {
 	if cfg.WheelSlots < 1 {
 		return nil, fmt.Errorf("tdm: wheel needs at least one slot")
 	}
-	if cfg.TraversalLatency == 0 {
-		cfg.TraversalLatency = 2
-	}
-	if cfg.InjectionDepth == 0 {
-		cfg.InjectionDepth = 4
-	}
 	x := &Crossbar{cfg: cfg, k: k}
 	x.slotSrc = make([]int, cfg.WheelSlots)
 	x.slotDst = make([]int, cfg.WheelSlots)
@@ -126,7 +125,7 @@ func (n *Node) Bind(port int, fn func(Message)) {
 // TrySend queues a word for the (n → dst) connection; it departs in the
 // connection's next reserved slot. False when the injection buffer is full.
 func (n *Node) TrySend(dst, port int, w sim.Word) bool {
-	if len(n.inj) >= n.x.cfg.InjectionDepth {
+	if len(n.inj) >= injectionDepth {
 		return false
 	}
 	n.inj = append(n.inj, outMsg{dst: dst, port: port, w: w})
@@ -160,7 +159,7 @@ func (x *Crossbar) pump() {
 					x.Words++
 					dst := x.nodes[m.dst]
 					mm := Message{Src: src, Dst: m.dst, Port: m.port, W: m.w}
-					x.k.Schedule(x.cfg.TraversalLatency, func() {
+					x.k.Schedule(traversalLatency, func() {
 						h, ok := dst.ports[mm.Port]
 						if !ok {
 							panic(fmt.Sprintf("tdm: node %d has no port %d", mm.Dst, mm.Port))

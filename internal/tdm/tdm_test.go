@@ -34,7 +34,7 @@ func TestValidation(t *testing.T) {
 
 func TestSlotScheduledDelivery(t *testing.T) {
 	k := sim.NewKernel()
-	x, _ := New(k, Config{Nodes: 3, WheelSlots: 4, TraversalLatency: 2})
+	x, _ := New(k, Config{Nodes: 3, WheelSlots: 4})
 	// Connection 0->1 owns slot 2 only.
 	if err := x.Reserve(2, 0, 1); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestSlotScheduledDelivery(t *testing.T) {
 
 func TestUnusedSlotsAreWasted(t *testing.T) {
 	k := sim.NewKernel()
-	x, _ := New(k, Config{Nodes: 2, WheelSlots: 2, TraversalLatency: 1})
+	x, _ := New(k, Config{Nodes: 2, WheelSlots: 2})
 	x.Reserve(0, 0, 1)
 	x.Reserve(1, 1, 0) // reverse connection, never used
 	x.Node(1).Bind(0, func(Message) {})
@@ -80,17 +80,17 @@ func TestUnusedSlotsAreWasted(t *testing.T) {
 
 func TestInjectionBackpressure(t *testing.T) {
 	k := sim.NewKernel()
-	x, _ := New(k, Config{Nodes: 2, WheelSlots: 8, InjectionDepth: 2})
+	x, _ := New(k, Config{Nodes: 2, WheelSlots: 8})
 	x.Reserve(0, 0, 1)
 	x.Node(1).Bind(0, func(Message) {})
 	accepted := 0
-	for i := 0; i < 5; i++ {
+	for i := 0; i < injectionDepth+3; i++ {
 		if x.Node(0).TrySend(1, 0, 0) {
 			accepted++
 		}
 	}
-	if accepted != 2 {
-		t.Fatalf("accepted %d with depth 2", accepted)
+	if accepted != injectionDepth {
+		t.Fatalf("accepted %d with depth %d", accepted, injectionDepth)
 	}
 	// Senders poll: once the reserved slots drain the buffer, a send is
 	// accepted again.
@@ -102,7 +102,7 @@ func TestInjectionBackpressure(t *testing.T) {
 
 func TestWheelParksWhenIdle(t *testing.T) {
 	k := sim.NewKernel()
-	x, _ := New(k, Config{Nodes: 2, WheelSlots: 4, TraversalLatency: 1})
+	x, _ := New(k, Config{Nodes: 2, WheelSlots: 4})
 	x.Reserve(0, 0, 1)
 	got := 0
 	x.Node(1).Bind(0, func(Message) { got++ })
@@ -124,7 +124,7 @@ func TestGuaranteedThroughputUnderContention(t *testing.T) {
 	// Two connections each own half the wheel: both sustain one word per
 	// two cycles regardless of the other's load.
 	k := sim.NewKernel()
-	x, _ := New(k, Config{Nodes: 3, WheelSlots: 2, TraversalLatency: 1, InjectionDepth: 64})
+	x, _ := New(k, Config{Nodes: 3, WheelSlots: 2})
 	x.Reserve(0, 0, 2)
 	x.Reserve(1, 1, 2)
 	// Source s sends the words 100·s + i, so each delivery names the word
@@ -136,10 +136,19 @@ func TestGuaranteedThroughputUnderContention(t *testing.T) {
 		}
 		got[m.Src]++
 	})
-	for i := 0; i < 32; i++ {
-		x.Node(0).TrySend(2, 0, sim.Word(i))
-		x.Node(1).TrySend(2, 0, sim.Word(100+i))
+	// Each source offers its next word every cycle, twice the rate its slot
+	// drains, so both injection buffers stay full.
+	var sent [2]int
+	var feed func()
+	feed = func() {
+		for s := range sent {
+			if sent[s] < 32 && x.Node(s).TrySend(2, 0, sim.Word(100*s+sent[s])) {
+				sent[s]++
+			}
+		}
+		k.Schedule(1, feed)
 	}
+	k.Schedule(0, feed)
 	k.Run(70)
 	if got[0] < 30 || got[1] < 30 {
 		t.Fatalf("deliveries = %v, want ~32 each within 70 cycles", got)
