@@ -60,8 +60,8 @@ func runAdmit(args []string) error {
 
 // admitPlatform builds the canned four-stream platform (ε=15, ρA=1, δ=1,
 // Rs=50, one sample per 75 cycles each → Algorithm 1 gives η=22, τ̂=410,
-// γ̂=1640) plus its admission controller.
-func admitPlatform(reserve int) (*mpsoc.MultiSystem, *admission.Controller, error) {
+// γ̂=1640) plus its admission controller, which appends its events to log.
+func admitPlatform(reserve int, log *[]admission.Event) (*mpsoc.MultiSystem, *admission.Controller, error) {
 	chain := mpsoc.ChainSpec{
 		Name:              "demo",
 		EntryCost:         15,
@@ -94,6 +94,7 @@ func admitPlatform(reserve int) (*mpsoc.MultiSystem, *admission.Controller, erro
 	ctrl, err := admission.New(ms, admission.Config{
 		Chain:   0,
 		Engines: func(string) []accel.Engine { return []accel.Engine{&accel.Gain{}} },
+		Log:     log,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -110,7 +111,8 @@ func admitCampaign(w io.Writer, script string, horizon sim.Time, reserve int) er
 	if err != nil {
 		return err
 	}
-	ms, ctrl, err := admitPlatform(reserve)
+	var log []admission.Event
+	ms, ctrl, err := admitPlatform(reserve, &log)
 	if err != nil {
 		return err
 	}
@@ -127,7 +129,7 @@ func admitCampaign(w io.Writer, script string, horizon sim.Time, reserve int) er
 	}
 	ms.Chains[0].Pair.Start()
 	ms.K.Run(horizon)
-	io.WriteString(w, admission.FormatEvents(ctrl.Events()))
+	io.WriteString(w, admission.FormatEvents(log))
 	fmt.Fprintln(w)
 
 	fmt.Fprintf(w, "%-6s %6s %8s %10s %11s %8s %10s %s\n",

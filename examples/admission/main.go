@@ -77,9 +77,11 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	var log []admission.Event
 	ctrl, err := admission.New(ms, admission.Config{
 		Chain:   0,
 		Engines: func(string) []accel.Engine { return []accel.Engine{&accel.Gain{}} },
+		Log:     &log,
 	})
 	if err != nil {
 		return err
@@ -127,7 +129,7 @@ func run(w io.Writer) error {
 	k.Run(60_000)
 
 	fmt.Fprintln(w, "\nevent log (deterministic; replayable via `accelshare admit`):")
-	io.WriteString(w, admission.FormatEvents(ctrl.Events()))
+	io.WriteString(w, admission.FormatEvents(log))
 
 	fmt.Fprintln(w, "\nfinal platform state:")
 	ch := ms.Chains[0]

@@ -285,9 +285,10 @@ func TestConfigBusSerialisation(t *testing.T) {
 	k := sim.NewKernel()
 	bus := NewConfigBus(k)
 	var done []sim.Time
-	bus.TransferCycles(20, func() { done = append(done, k.Now()) })             // 0+20 = 20
-	bus.TransferCyclesArg(10, func(uint64) { done = append(done, k.Now()) }, 0) // queued: 20+10 = 30
-	bus.TransferCycles(7, func() { done = append(done, k.Now()) })              // 30+7 = 37
+	record := func(uint64) { done = append(done, k.Now()) }
+	bus.TransferCyclesArg(20, record, 0) // 0+20 = 20
+	bus.TransferCyclesArg(10, record, 0) // queued: 20+10 = 30
+	bus.TransferCyclesArg(7, record, 0)  // 30+7 = 37
 	k.RunAll()
 	if len(done) != 3 || done[0] != 20 || done[1] != 30 || done[2] != 37 {
 		t.Fatalf("completion times = %v", done)

@@ -164,15 +164,10 @@ func NewConfigBus(k *sim.Kernel) *ConfigBus {
 	return &ConfigBus{k: k}
 }
 
-// TransferCycles occupies the bus for an explicit duration — used by the
-// fixed-Rs reconfiguration model.
-func (b *ConfigBus) TransferCycles(cost sim.Time, done func()) {
-	b.k.ScheduleAt(b.occupy(cost), done)
-}
-
-// TransferCyclesArg is TransferCycles for a handler bound once: done runs
-// with arg when the transfer completes, so a per-block transfer allocates
-// no closure.
+// TransferCyclesArg occupies the bus for an explicit duration, behind the
+// transfers already booked — the fixed-Rs reconfiguration model. done runs
+// with arg when the transfer completes: the caller binds its handler once,
+// so a transfer allocates no closure.
 //
 //accellint:noalloc guard=TestDataPathZeroAllocPAL
 func (b *ConfigBus) TransferCyclesArg(cost sim.Time, done func(uint64), arg uint64) {

@@ -44,9 +44,17 @@
 // one stall re-quarantines immediately (no retry budget) and the
 // controller rolls the survivors back to their previous configuration.
 //
-// Every decision lands in an append-only event log with deterministic
-// rendering, so a scripted campaign (cmd/accelshare admit) is
-// byte-identical across runs.
+// The busy gate admits one transition at a time, so the transition in
+// flight lives in the controller: its plan is one of three records held
+// there and zeroed when the transition ends, and the pause and bus
+// callbacks are bound once. A decision or a refusal allocates nothing once
+// the decision scratch has grown; a commit allocates the verdict's Blocks,
+// which may outlive the callback, and a growth's the newcomer's rate.
+//
+// Every decision can land in an append-only event log with deterministic
+// rendering (Config.Log), so a scripted campaign (cmd/accelshare admit) is
+// byte-identical across runs. The caller owns the log; a controller with
+// none keeps no record of its decisions.
 package admission
 
 import (
@@ -186,6 +194,11 @@ type Config struct {
 	// from a script (Play); direct AddStream callers supply engines in the
 	// request spec instead.
 	Engines func(name string) []accel.Engine
+	// Log, when set, receives every event in order: each request's
+	// verdict, quarantines, canary outcomes and retargets. The controller
+	// copies a verdict to the heap only for the log. A fleet-managed
+	// controller leaves it nil and keeps no log.
+	Log *[]Event
 }
 
 // Controller is the admission control plane for one chain.
@@ -221,26 +234,35 @@ type Controller struct {
 	// next is the scratch every decision is built in (see decision).
 	next decision
 
-	busy   bool
-	events []Event
+	// plan is the transition in flight, from its pause request to its
+	// end, and so the busy gate: it points at one of grw, rem and rb, and
+	// end zeroes them. onDrained and onApplied are run's pause and bus
+	// callbacks, method values bound once in New.
+	plan                 plan
+	grw                  growth
+	rem                  removal
+	rb                   rollback
+	onDrained, onApplied func()
 }
 
 // decision is the scratch grow and RemoveStream decide in: the candidate
 // configuration of the live set — its model, granularities and gateway
-// slots, with the solved blocks stored in the model — and the solver's
-// problem, warm start and working storage. A commit copies the candidate
-// into the live configuration, so every buffer serves the next decision
-// too. The busy gate keeps a decision from rebuilding it while an accepted
-// transition drains; a transition stranded on a failed pair never commits.
+// slots, with the solved blocks stored in the model — the solver's
+// problem, warm start and working storage, and the slot updates a
+// transition hands the pair. A commit copies the candidate into the live
+// configuration, so every buffer serves the next decision too. The busy
+// gate keeps a decision from rebuilding it while an accepted transition
+// drains; a transition stranded on a failed pair never commits.
 type decision struct {
 	model   core.System
 	decim   []int64
 	slots   []int
 	caps    [][2]int
-	rate    big.Rat // the newcomer's rate while a growth is decided
+	rate    big.Rat // the newcomer's rate until its growth commits
 	prev    []solve.Assignment
 	prob    solve.Problem
 	scratch core.Scratch
+	updates []gateway.SlotUpdate
 }
 
 // parkedStream is a removed or quarantined stream: its rate, Rs and
@@ -285,6 +307,7 @@ func New(ms *mpsoc.MultiSystem, cfg Config) (*Controller, error) {
 		load:   model.Load(),
 		parked: map[string]parkedStream{},
 	}
+	c.onDrained, c.onApplied = c.drained, c.applied
 	for _, slot := range slots {
 		c.decim = append(c.decim, ch.Strs[slot].Spec.Decimation)
 	}
@@ -293,16 +316,13 @@ func New(ms *mpsoc.MultiSystem, cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Events returns the decision log (append-only; do not mutate).
-func (c *Controller) Events() []Event { return c.events }
-
 // Model returns the controller's live temporal model (read-only).
 func (c *Controller) Model() *core.System { return c.model }
 
 // Busy reports whether a staged transition or canary probe is in flight:
 // the rebalancer skips a tick rather than queue moves behind a drain whose
 // outcome may invalidate the plan.
-func (c *Controller) Busy() bool { return c.busy || c.pendingCanary != nil }
+func (c *Controller) Busy() bool { return c.plan != nil || c.pendingCanary != nil }
 
 // Load returns the live model's exact utilisation Σ μs·ρ, computed once per
 // model generation.
@@ -333,10 +353,24 @@ func (c *Controller) chain() *mpsoc.Chain { return c.ms.Chains[c.ci] }
 
 func (c *Controller) now() sim.Time { return c.ms.K.Now() }
 
+// record appends an event to Config.Log, when one is set, with its own
+// copy of v (nil for a platform notification).
 func (c *Controller) record(kind EventKind, stream string, v *Verdict) {
-	c.events = append(c.events, Event{At: c.now(), Kind: kind, Stream: stream, Verdict: v})
+	if c.cfg.Log == nil {
+		return
+	}
+	e := Event{At: c.now(), Kind: kind, Stream: stream}
+	if v != nil {
+		e.Verdict = new(Verdict)
+		*e.Verdict = *v
+	}
+	*c.cfg.Log = append(*c.cfg.Log, e)
 }
 
+// reject refuses a request: the verdict is built here and handed to done
+// by value, so a refusal allocates nothing unless a log keeps it.
+//
+//accellint:noalloc guard=TestRemovalZeroAlloc
 func (c *Controller) reject(kind EventKind, stream string, reason Reason, detail string, done func(Verdict)) {
 	v := Verdict{Accepted: false, Reason: reason, Detail: detail}
 	c.record(kind, stream, &v)
@@ -350,7 +384,7 @@ func (c *Controller) reject(kind EventKind, stream string, reason Reason, detail
 // back to the assignment it captured at readmission time.
 func (c *Controller) gate(kind EventKind, name string, done func(Verdict)) bool {
 	switch {
-	case c.busy:
+	case c.plan != nil:
 		c.reject(kind, name, ReasonBusy, "another transition is in flight", done)
 	case c.pendingCanary != nil && kind == EvReadmit:
 		c.reject(kind, name, ReasonBusy, "a canary probe is already in flight", done)
@@ -377,11 +411,12 @@ func (c *Controller) park(name string, slot int, quarantined bool) {
 	c.parked[name] = parkedStream{slot: slot, quarantined: quarantined}
 }
 
-// assignment renders the model-ordered blocks as a verdict assignment.
-func assignment(model *core.System, blocks []int64) []BlockAssignment {
-	out := make([]BlockAssignment, len(blocks))
-	for i := range blocks {
-		out[i] = BlockAssignment{Name: model.Streams[i].Name, Block: blocks[i]}
+// assignment renders the model's streams and blocks as a verdict
+// assignment.
+func assignment(model *core.System) []BlockAssignment {
+	out := make([]BlockAssignment, len(model.Streams))
+	for i := range model.Streams {
+		out[i] = BlockAssignment{Name: model.Streams[i].Name, Block: model.Streams[i].Block}
 	}
 	return out
 }
@@ -399,7 +434,9 @@ func (c *Controller) solve(d *decision) (*solve.Result, error) {
 	for i := range c.model.Streams {
 		d.prev = append(d.prev, solve.Assignment{Name: c.model.Streams[i].Name, Block: c.model.Streams[i].Block})
 	}
-	d.prob = solve.Problem{Model: &d.model, Granularity: d.decim, Prev: d.prev, Scratch: &d.scratch}
+	// Set field by field: the Problem keeps the solver's warm start and
+	// Result for the next solve.
+	d.prob.Model, d.prob.Granularity, d.prob.Prev, d.prob.Scratch = &d.model, d.decim, d.prev, &d.scratch
 	return c.solver.Solve(&d.prob)
 }
 
@@ -490,23 +527,30 @@ func rejectReason(err error) (Reason, string) {
 	}
 }
 
-// transition is the request-independent half of a decided staged mode
-// transition (DESIGN §7): what the log records and who hears the verdict.
+// transition is the request-independent half of the decided staged mode
+// transition in flight (DESIGN §7): what the log records, who hears the
+// verdict, and what run snapshots when it requests the pause.
 type transition struct {
 	// kind is the event a commit records, and a rejection too unless
 	// failKind is set.
 	kind, failKind EventKind
 	name           string
-	// v is the accepted verdict; run measures PauseWait and BusCycles.
+	// v is the accepted verdict; run measures PauseWait and BusCycles, and
+	// the commit renders Blocks.
 	v    Verdict
 	done func(Verdict)
+	// gen and requested are the model generation and the time of the
+	// pause request.
+	gen       uint64
+	requested sim.Time
 }
 
 func (t *transition) header() *transition { return t }
 
 // A plan is one decided transition: its header, and the request-specific
 // steps run calls. The three plans are growth (AddStream, AdmitMigrated,
-// Readmit), removal (RemoveStream) and rollback (a failed canary).
+// Readmit), removal (RemoveStream) and rollback (a failed canary); each is
+// a record the controller holds (grw, rem, rb).
 type plan interface {
 	header() *transition
 	// step runs inside the drained pause: the platform step (attach a
@@ -527,59 +571,89 @@ type plan interface {
 // request to the commit. A quarantine landing during the drain moves the
 // model under the plan, so a newer generation aborts the transition
 // untouched as superseded.
+//
+//accellint:noalloc guard=TestRemovalZeroAlloc
 func (c *Controller) run(p plan) {
 	t := p.header()
-	c.busy = true
-	gen, requested, pair := c.gen, c.now(), c.chain().Pair
-	err := pair.RequestPause(func() {
-		if c.gen != gen {
-			c.abort(t, pair, ReasonSuperseded, "stream set changed during drain")
-			return
-		}
-		t.v.PauseWait = c.now() - requested
-		updates, err := p.step(c)
-		if err != nil {
-			c.abort(t, pair, ReasonBadRequest, err.Error())
-			return
-		}
-		t.v.BusCycles = uint64(mpsoc.SlotCost) * uint64(len(updates))
-		err = pair.ApplySlots(updates, mpsoc.SlotCost, func() {
-			pair.Resume()
-			p.commit(c)
-			c.gen++
-			c.busy = false
-			// The log keeps its own verdict, not the plan, which holds the
-			// candidate model.
-			v := t.v
-			c.record(t.kind, t.name, &v)
-			if t.done != nil {
-				t.done(v)
-			}
-		})
-		if err != nil {
-			c.abort(t, pair, ReasonBadRequest, err.Error()+p.undo(c))
-		}
-	})
-	if err != nil {
-		c.busy = false
-		c.fail(t, ReasonBusy, err.Error())
+	c.plan = p
+	t.gen, t.requested = c.gen, c.now()
+	if err := c.chain().Pair.RequestPause(c.onDrained); err != nil {
+		c.fail(ReasonBusy, err.Error())
 	}
 }
 
-// abort resumes a pair paused for t, releases the busy gate and rejects t.
-func (c *Controller) abort(t *transition, pair *gateway.Pair, reason Reason, detail string) {
-	pair.Resume()
-	c.busy = false
-	c.fail(t, reason, detail)
+// drained is run's pause callback: the pair is at a block boundary.
+//
+//accellint:noalloc guard=TestRemovalZeroAlloc
+func (c *Controller) drained() {
+	p := c.plan
+	t := p.header()
+	if c.gen != t.gen {
+		c.abort(ReasonSuperseded, "stream set changed during drain")
+		return
+	}
+	t.v.PauseWait = c.now() - t.requested
+	updates, err := p.step(c)
+	if err != nil {
+		c.abort(ReasonBadRequest, err.Error())
+		return
+	}
+	t.v.BusCycles = uint64(mpsoc.SlotCost) * uint64(len(updates))
+	if err := c.chain().Pair.ApplySlots(updates, mpsoc.SlotCost, c.onApplied); err != nil {
+		//accellint:alloc a refusal names the failed step
+		c.abort(ReasonBadRequest, err.Error()+p.undo(c))
+	}
 }
 
-// fail rejects t, logged as its failKind when set.
-func (c *Controller) fail(t *transition, reason Reason, detail string) {
-	kind := t.kind
+// applied is run's bus callback: the pair runs the new configuration. The
+// verdict, its done and its log entry are copied out of the record before
+// done runs, since done may start the next transition in the same record.
+//
+//accellint:noalloc guard=TestRemovalZeroAlloc
+func (c *Controller) applied() {
+	p := c.plan
+	t := p.header()
+	c.chain().Pair.Resume()
+	p.commit(c)
+	c.gen++
+	v, kind, name, done := t.v, t.kind, t.name, t.done
+	// The verdict owns its assignment: it can outlive the callback.
+	v.Blocks = assignment(c.model)
+	c.end()
+	c.record(kind, name, &v)
+	if done != nil {
+		done(v)
+	}
+}
+
+// abort resumes the pair paused for the transition in flight and rejects
+// the transition.
+func (c *Controller) abort(reason Reason, detail string) {
+	c.chain().Pair.Resume()
+	c.fail(reason, detail)
+}
+
+// fail ends the transition in flight, which releases the busy gate, and
+// rejects it, logged as its failKind when set.
+func (c *Controller) fail(reason Reason, detail string) {
+	t := c.plan.header()
+	kind, name, done := t.kind, t.name, t.done
 	if t.failKind != "" {
 		kind = t.failKind
 	}
-	c.reject(kind, t.name, reason, detail, t.done)
+	c.end()
+	c.reject(kind, name, reason, detail, done)
+}
+
+// end releases the busy gate and zeroes the records of the transition that
+// ended (commit, abort or Retarget), so that none pins a departed stream's
+// spec, engines or source, a migrant's stream and export, or a done
+// callback.
+//
+//accellint:noalloc guard=TestRemovalZeroAlloc
+func (c *Controller) end() {
+	c.plan = nil
+	c.grw, c.rem, c.rb = growth{}, removal{}, rollback{}
 }
 
 // newcomer is the stream a growth adds to the live set. Its spec gives its
@@ -591,65 +665,115 @@ type newcomer struct {
 }
 
 // growth is a plan that adds one stream to the live set. Its candidate is
-// the controller's decision scratch. The request sets the platform hooks
-// once the decision is accepted.
+// the controller's decision scratch. How the newcomer joins is its kind:
+// EvAdd attaches spec to a reserved slot, EvMigrate adopts stream with its
+// export, EvReadmit returns the parked stream to its slot.
 type growth struct {
 	transition
 	d      *decision
 	blocks []int64
-	// attach runs the platform step inside the drained pause (attach a
-	// reserved slot, adopt a migrant, unquarantine) and returns the
-	// newcomer's slot update.
-	attach func(block int64) (gateway.SlotUpdate, error)
-	// silence, when set, stops an attached newcomer whose slot
-	// reprogramming was refused; the growth then parks it.
-	silence func(c *Controller, slot int)
-	// landed, when set, runs after the commit.
-	landed func()
-	slot   int // the newcomer's gateway slot, once attached
+	spec   mpsoc.StreamSpec
+	stream *mpsoc.Stream
+	export gateway.StreamExport
+	parked parkedStream
+	// prev is a readmitted stream's survivors' assignment, for the rollback
+	// after a failed canary.
+	prev []BlockAssignment
+	slot int // the newcomer's gateway slot, once attached
 }
 
 func (g *growth) step(c *Controller) ([]gateway.SlotUpdate, error) {
 	last := len(g.blocks) - 1
-	up, err := g.attach(g.blocks[last])
+	up, err := g.attach(c, g.blocks[last])
 	if err != nil {
 		return nil, err
 	}
 	g.slot = up.Stream
-	return append(slotUpdates(c.gwSlot, c.decim, g.blocks[:last]), up), nil
+	return g.d.slotUpdates(c.gwSlot, c.decim, g.blocks[:last], up), nil
+}
+
+// attach runs the newcomer's platform step inside the drained pause and
+// returns its slot update.
+func (g *growth) attach(c *Controller, block int64) (gateway.SlotUpdate, error) {
+	switch g.kind {
+	case EvAdd:
+		// StartSuspended is forced: the slot activates with the survivors'
+		// new sizes.
+		g.spec.Block, g.spec.StartSuspended = block, true
+		if _, err := c.ms.AttachStream(c.ci, g.spec); err != nil {
+			return gateway.SlotUpdate{}, err
+		}
+		return gateway.SlotUpdate{Stream: len(c.chain().Strs) - 1, Activate: true}, nil
+	case EvMigrate:
+		slot, err := c.ms.AdoptStream(c.ci, g.stream, g.export)
+		return gateway.SlotUpdate{Stream: slot, SetBlock: block, SetOutBlock: block / g.stream.Spec.Decimation}, err
+	default:
+		// The slot returns at the re-solved ηs, not the one it left with.
+		p := g.parked
+		return gateway.SlotUpdate{Stream: p.slot, SetBlock: block, SetOutBlock: block / c.chain().Strs[p.slot].Spec.Decimation,
+			Activate: !p.quarantined, Unquarantine: p.quarantined, Probation: true}, nil
+	}
 }
 
 func (g *growth) commit(c *Controller) {
 	g.d.slots = append(g.d.slots, g.slot)
+	// The live model keeps a rate of its own.
+	last := len(g.d.model.Streams) - 1
+	g.d.model.Streams[last].Rate = new(big.Rat).Set(&g.d.rate)
 	c.adopt(g.d)
-	if g.landed != nil {
-		g.landed()
+	if g.kind != EvReadmit {
+		return
 	}
+	p := g.parked
+	if !p.quarantined {
+		// A removed stream's source was stopped; restart it.
+		c.ms.StartSource(c.chain().Strs[p.slot])
+	}
+	delete(c.parked, g.name)
+	c.pendingCanary = &canaryProbe{name: g.name, slot: p.slot, prev: g.prev}
 }
 
+// undo stops a newcomer attached or adopted before its slot reprogramming
+// was refused, and parks it.
 func (g *growth) undo(c *Controller) string {
-	if g.silence == nil {
+	switch g.kind {
+	case EvAdd:
+		// AttachStream already consumed the reserved ring slot and started
+		// the source; don't leak a producing orphan behind the rejection.
+		// The slot stays suspended (StartSuspended is forced) and the
+		// source stops.
+		c.chain().Strs[g.slot].StopSource()
+	case EvMigrate:
+		// The stream is already imported (validation makes this path
+		// unreachable, but never leave an unaccounted live slot behind):
+		// suspend it best-effort.
+		_ = c.chain().Pair.ApplySlots([]gateway.SlotUpdate{{Stream: g.slot, Suspend: true}}, mpsoc.SlotCost, nil)
+	default:
 		return ""
 	}
-	g.silence(c, g.slot)
 	c.park(g.name, g.slot, false)
 	return "; stream parked, recover via readmit"
 }
 
 // grow decides a request that adds one stream to the live set (AddStream,
-// AdmitMigrated, Readmit) and returns its plan, or nil after recording the
-// rejection. Algorithm 1 runs over the live set plus n: adding a stream
-// grows the operator pointwise, so the committed assignment is a sound warm
-// start. A replay-residue floor above the solved ηs bumps n's block to the
-// next decimation multiple and re-verifies the whole assignment exactly
-// against Eq. 6 (solve.Verify): growth above the least fixed point is not
-// automatically feasible. Every stream's C-FIFOs must then hold the new
-// buffer bounds. The decision is built in the controller's scratch, so its
-// allocations do not grow with the live set.
+// AdmitMigrated, Readmit) and returns its plan, the controller's growth
+// record, or nil after recording the rejection. Algorithm 1 runs over the
+// live set plus n: adding a stream grows the operator pointwise, so the
+// committed assignment is a sound warm start. A replay-residue floor above
+// the solved ηs bumps n's block to the next decimation multiple and
+// re-verifies the whole assignment exactly against Eq. 6 (solve.Verify):
+// growth above the least fixed point is not automatically feasible. Every
+// stream's C-FIFOs must then hold the new buffer bounds. The decision is
+// built in the controller's scratch, so it allocates nothing once the
+// scratch has grown to the largest live set.
+//
+//accellint:noalloc guard=TestGrowZeroAllocPerLiveStream
 func (c *Controller) grow(kind EventKind, n newcomer, done func(Verdict)) *growth {
 	d := c.decide()
 	name, decimation := n.spec.Name, max(n.spec.Decimation, 1)
+	//accellint:alloc the scratch grows to the largest live set once
 	d.model.Streams = append(d.model.Streams, n.spec.Model(&d.rate, 0))
+	//accellint:alloc the scratch grows to the largest live set once
 	d.decim = append(d.decim, decimation)
 	res, err := c.solve(d)
 	if err != nil {
@@ -664,6 +788,7 @@ func (c *Controller) grow(kind EventKind, n newcomer, done func(Verdict)) *growt
 		if rem := b % decimation; rem != 0 {
 			b += decimation - rem
 		}
+		//accellint:alloc a migrant's floored assignment is its own copy
 		blocks = append([]int64(nil), blocks...)
 		blocks[last] = b
 	}
@@ -671,10 +796,12 @@ func (c *Controller) grow(kind EventKind, n newcomer, done func(Verdict)) *growt
 		d.model.Streams[i].Block = b
 	}
 	if floored && !solve.Verify(&d.model, d.decim, blocks).Feasible {
-		c.reject(kind, name, ReasonInfeasible,
-			fmt.Sprintf("replay residue floors eta at %d, infeasible alongside the survivors", blocks[last]), done)
+		//accellint:alloc a rejection names the floor
+		detail := fmt.Sprintf("replay residue floors eta at %d, infeasible alongside the survivors", blocks[last])
+		c.reject(kind, name, ReasonInfeasible, detail, done)
 		return nil
 	}
+	//accellint:alloc the scratch grows to the largest live set once
 	d.caps = append(c.liveCaps(d.caps), [2]int{n.spec.InCapacity, n.spec.OutCapacity})
 	if detail, err := checkBuffers(&d.model, d.decim, d.caps); err != nil {
 		c.reject(kind, name, ReasonBadRequest, err.Error(), done)
@@ -683,18 +810,16 @@ func (c *Controller) grow(kind EventKind, n newcomer, done func(Verdict)) *growt
 		c.reject(kind, name, ReasonBufferBound, detail, done)
 		return nil
 	}
-	// The live model keeps a rate of its own.
-	d.model.Streams[last].Rate = new(big.Rat).Set(&d.rate)
-	return &growth{
+	c.grw = growth{
 		transition: transition{kind: kind, name: name, done: done, v: Verdict{
 			Accepted:    true,
 			Reason:      ReasonAdmitted,
-			Blocks:      assignment(&d.model, blocks),
 			BoundCycles: c.transitionBound(len(d.model.Streams)),
 			SolveRounds: res.Rounds,
 		}},
 		d: d, blocks: blocks,
 	}
+	return &c.grw
 }
 
 // AddStream requests admission of a new stream. The decision is made
@@ -715,19 +840,7 @@ func (c *Controller) AddStream(req AddRequest, done func(Verdict)) {
 	if g == nil {
 		return
 	}
-	spec := req.Spec
-	spec.StartSuspended = true
-	g.attach = func(block int64) (gateway.SlotUpdate, error) {
-		spec.Block = block
-		if _, err := c.ms.AttachStream(c.ci, spec); err != nil {
-			return gateway.SlotUpdate{}, err
-		}
-		return gateway.SlotUpdate{Stream: len(c.chain().Strs) - 1, Activate: true}, nil
-	}
-	// AttachStream already consumed the reserved ring slot and started the
-	// source; don't leak a producing orphan behind the rejection. The slot
-	// stays suspended (StartSuspended is forced) and the source stops.
-	g.silence = func(c *Controller, slot int) { c.chain().Strs[slot].StopSource() }
+	g.spec = req.Spec
 	c.run(g)
 }
 
@@ -757,15 +870,21 @@ func (c *Controller) liveCaps(caps [][2]int) [][2]int {
 	return caps
 }
 
-// slotUpdates builds the SetBlock/SetOutBlock updates that move the streams
-// at gateway slots `slots` (granularities decim) to blocks, with room for
-// one more update.
-func slotUpdates(slots []int, decim, blocks []int64) []gateway.SlotUpdate {
-	ups := make([]gateway.SlotUpdate, len(blocks), len(blocks)+1)
+// slotUpdates builds, in the scratch, the SetBlock/SetOutBlock updates that
+// move the streams at gateway slots `slots` (granularities decim) to
+// blocks, followed by extra. The pair copies them, so the scratch serves
+// the next transition.
+//
+//accellint:noalloc guard=TestRemovalZeroAlloc
+func (d *decision) slotUpdates(slots []int, decim, blocks []int64, extra ...gateway.SlotUpdate) []gateway.SlotUpdate {
+	d.updates = d.updates[:0]
 	for i, b := range blocks {
-		ups[i] = gateway.SlotUpdate{Stream: slots[i], SetBlock: b, SetOutBlock: b / decim[i]}
+		//accellint:alloc the scratch grows to the largest live set once
+		d.updates = append(d.updates, gateway.SlotUpdate{Stream: slots[i], SetBlock: b, SetOutBlock: b / decim[i]})
 	}
-	return ups
+	//accellint:alloc the scratch grows to the largest live set once
+	d.updates = append(d.updates, extra...)
+	return d.updates
 }
 
 // RemoveStream retires a live stream: its slot is suspended, its source
@@ -773,6 +892,8 @@ func slotUpdates(slots []int, decim, blocks []int64) []gateway.SlotUpdate {
 // shrinks the least fixed point, so the previous assignment is no longer
 // minimal — and no longer a sound warm start). The stream is parked and
 // can come back via Readmit.
+//
+//accellint:noalloc guard=TestRemovalZeroAlloc
 func (c *Controller) RemoveStream(name string, done func(Verdict)) {
 	if !c.gate(EvRemove, name, done) {
 		return
@@ -803,21 +924,21 @@ func (c *Controller) RemoveStream(name string, done func(Verdict)) {
 	for i, b := range res.Blocks {
 		d.model.Streams[i].Block = b
 	}
-	c.run(&removal{
+	c.rem = removal{
 		transition: transition{kind: EvRemove, name: name, done: done, v: Verdict{
 			Accepted:    true,
 			Reason:      ReasonAdmitted,
-			Blocks:      assignment(&d.model, res.Blocks),
 			BoundCycles: c.transitionBound(len(c.model.Streams)),
 			SolveRounds: res.Rounds,
 		}},
 		slot: c.gwSlot[idx], d: d, blocks: res.Blocks,
-	})
+	}
+	c.run(&c.rem)
 }
 
 // removal is a plan that retires the named live stream from its gateway
 // slot; the survivors keep their slots and move to blocks. Its candidate is
-// the controller's decision scratch.
+// the controller's decision scratch, and blocks live in its solver scratch.
 type removal struct {
 	transition
 	slot   int
@@ -826,7 +947,7 @@ type removal struct {
 }
 
 func (r *removal) step(*Controller) ([]gateway.SlotUpdate, error) {
-	return append(slotUpdates(r.d.slots, r.d.decim, r.blocks), gateway.SlotUpdate{Stream: r.slot, Suspend: true}), nil
+	return r.d.slotUpdates(r.d.slots, r.d.decim, r.blocks, gateway.SlotUpdate{Stream: r.slot, Suspend: true}), nil
 }
 
 func (r *removal) commit(c *Controller) {
@@ -885,34 +1006,12 @@ func (c *Controller) Readmit(name string, done func(Verdict)) {
 		}
 		return
 	}
-	spec := &c.chain().Strs[p.slot].Spec
-	g := c.grow(EvReadmit, newcomer{spec: spec}, done)
+	g := c.grow(EvReadmit, newcomer{spec: &c.chain().Strs[p.slot].Spec}, done)
 	if g == nil {
 		return
 	}
-	// The slot returns at the re-solved ηs, not the one it left with.
-	g.attach = func(block int64) (gateway.SlotUpdate, error) {
-		return gateway.SlotUpdate{Stream: p.slot, SetBlock: block, SetOutBlock: block / spec.Decimation,
-			Activate: !p.quarantined, Unquarantine: p.quarantined, Probation: true}, nil
-	}
-	prev := assignment(c.model, blocksOf(c.model))
-	g.landed = func() {
-		if !p.quarantined {
-			// A removed stream's source was stopped; restart it.
-			c.ms.StartSource(c.chain().Strs[p.slot])
-		}
-		delete(c.parked, name)
-		c.pendingCanary = &canaryProbe{name: name, slot: p.slot, prev: prev}
-	}
+	g.parked, g.prev = p, assignment(c.model)
 	c.run(g)
-}
-
-func blocksOf(model *core.System) []int64 {
-	out := make([]int64, len(model.Streams))
-	for i := range model.Streams {
-		out[i] = model.Streams[i].Block
-	}
-	return out
 }
 
 // onCanary resolves a pending readmission probe: a clean canary confirms
@@ -960,15 +1059,15 @@ func (c *Controller) onCanary(slot int, ok bool) {
 			}
 		}
 	}
-	c.run(&rollback{
+	c.rb = rollback{
 		transition: transition{kind: EvRollback, failKind: EvRollbackFail, name: p.name, v: Verdict{
 			Accepted:    true,
 			Reason:      ReasonAdmitted,
-			Blocks:      assignment(c.model, blocks),
 			BoundCycles: c.transitionBound(len(blocks)),
 		}},
 		blocks: blocks,
-	})
+	}
+	c.run(&c.rb)
 }
 
 // rollback is a plan that moves the live streams back to blocks.
@@ -978,7 +1077,7 @@ type rollback struct {
 }
 
 func (r *rollback) step(c *Controller) ([]gateway.SlotUpdate, error) {
-	return slotUpdates(c.gwSlot, c.decim, r.blocks), nil
+	return c.next.slotUpdates(c.gwSlot, c.decim, r.blocks), nil
 }
 
 func (r *rollback) commit(c *Controller) {
@@ -995,9 +1094,10 @@ func (*rollback) undo(*Controller) string { return "" }
 // depend on that), the model's block sizes refresh from the live table (the
 // failover re-solves them for a standby of different timing), and the
 // model's chain parameters become the new chain's (mpsoc.ChainSpec.Timing). A
-// transition that was pending on the dead pair is aborted: its pause
-// callback died with the pair, so the busy gate is released and the
-// generation bump turns any still-scheduled completion into a no-op.
+// transition that was pending on the dead pair is dropped: a failed pair
+// drops its pending pause callback and never completes a slot transaction,
+// so the busy gate is released, the in-flight record is zeroed and the
+// transition's done never fires.
 func (c *Controller) Retarget(chain int) error {
 	if chain < 0 || chain >= len(c.ms.Chains) {
 		return fmt.Errorf("admission: retarget chain %d out of range", chain)
@@ -1009,7 +1109,7 @@ func (c *Controller) Retarget(chain int) error {
 	if ch.Pair.Failed() {
 		return fmt.Errorf("admission: retarget target chain %q has itself failed", ch.Spec.Name)
 	}
-	if c.busy && !c.chain().Pair.Failed() {
+	if c.plan != nil && !c.chain().Pair.Failed() {
 		return fmt.Errorf("admission: transition in flight on a live pair")
 	}
 	snaps := ch.Pair.Snapshot()
@@ -1051,7 +1151,7 @@ func (c *Controller) Retarget(chain int) error {
 	c.gwSlot = newSlots
 	c.ci = chain
 	c.pendingCanary = nil // a probe cannot survive its pair
-	c.busy = false
+	c.end()
 	c.gen++
 	ch.Pair.SetQuarantineObserver(c.onQuarantine)
 	ch.Pair.SetCanaryHook(c.onCanary)

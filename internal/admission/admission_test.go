@@ -75,6 +75,8 @@ func demoChain(t *testing.T, specs []mpsoc.StreamSpec, rec gateway.Recovery) mps
 type bed struct {
 	ms   *mpsoc.MultiSystem
 	ctrl *Controller
+	// log is the controller's event log (Config.Log), when buildBed set it.
+	log []Event
 }
 
 // buildBed assembles the running 4-stream platform plus its controller;
@@ -87,15 +89,17 @@ func buildBed(t *testing.T, faults *fault.Plan, reserve, inCap int, extra ...mps
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := New(ms, Config{
+	b := &bed{ms: ms}
+	b.ctrl, err = New(ms, Config{
 		Chain:   0,
 		Engines: func(string) []accel.Engine { return []accel.Engine{&accel.Gain{}} },
+		Log:     &b.log,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ms.Chains[0].Pair.Start()
-	return &bed{ms: ms, ctrl: ctrl}
+	return b
 }
 
 // addReq asks for a gain stream at one sample per period cycles.
@@ -104,7 +108,7 @@ func addReq(name string, period sim.Time, inCap, outCap int) AddRequest {
 }
 
 func (b *bed) hasEvent(kind EventKind, stream string) bool {
-	for _, e := range b.ctrl.Events() {
+	for _, e := range b.log {
 		if e.Kind == kind && e.Stream == stream {
 			return true
 		}
@@ -214,7 +218,7 @@ func TestAddStreamLifecycle(t *testing.T) {
 		t.Fatalf("readmit rejected: %s %s", vr.Reason, vr.Detail)
 	}
 	if !k.RunUntil(k.Now()+60_000, func() bool { return b.hasEvent(EvCanaryPass, "s2") }) {
-		t.Fatalf("canary never passed; events:\n%s", FormatEvents(b.ctrl.Events()))
+		t.Fatalf("canary never passed; events:\n%s", FormatEvents(b.log))
 	}
 	if got := len(b.ctrl.Model().Streams); got != 5 {
 		t.Fatalf("model has %d streams after readmission, want 5", got)
@@ -250,7 +254,7 @@ func TestAddStreamLifecycle(t *testing.T) {
 	}
 
 	// The event log tells the whole story in order.
-	log := FormatEvents(b.ctrl.Events())
+	log := FormatEvents(b.log)
 	for _, want := range []string{"add s5: admitted", "quarantine s2", "readmit s2: admitted", "canary-pass s2", "add s6: rejected (infeasible)"} {
 		if !strings.Contains(log, want) {
 			t.Errorf("event log missing %q:\n%s", want, log)
@@ -308,7 +312,7 @@ func TestRemoveStreamShrinksAndReadmits(t *testing.T) {
 		t.Fatalf("readmit rejected: %s %s", vb.Reason, vb.Detail)
 	}
 	if !k.RunUntil(k.Now()+30_000, func() bool { return b.hasEvent(EvCanaryPass, "s4") }) {
-		t.Fatalf("canary never passed; events:\n%s", FormatEvents(b.ctrl.Events()))
+		t.Fatalf("canary never passed; events:\n%s", FormatEvents(b.log))
 	}
 	// Back to the 4-stream assignment.
 	if got := len(b.ctrl.Model().Streams); got != 4 {
@@ -340,7 +344,7 @@ func TestCanaryFailRollsBack(t *testing.T) {
 		t.Fatalf("readmit rejected: %s %s", vr.Reason, vr.Detail)
 	}
 	if !k.RunUntil(k.Now()+120_000, func() bool { return b.hasEvent(EvRollback, "s2") }) {
-		t.Fatalf("no rollback; events:\n%s", FormatEvents(b.ctrl.Events()))
+		t.Fatalf("no rollback; events:\n%s", FormatEvents(b.log))
 	}
 	if !b.hasEvent(EvCanaryFail, "s2") {
 		t.Error("canary failure not recorded")
@@ -402,7 +406,7 @@ func TestRequestsGatedWhileCanaryPending(t *testing.T) {
 	}
 	// Once the canary resolves, requests flow again.
 	if !k.RunUntil(k.Now()+60_000, func() bool { return b.hasEvent(EvCanaryPass, "s4") }) {
-		t.Fatalf("canary never passed; events:\n%s", FormatEvents(b.ctrl.Events()))
+		t.Fatalf("canary never passed; events:\n%s", FormatEvents(b.log))
 	}
 	var v2 *Verdict
 	b.ctrl.AddStream(addReq("s5", 300, 64, 64), func(v Verdict) { v2 = &v })
@@ -513,7 +517,7 @@ func TestScriptRoundTrip(t *testing.T) {
 		if ss := b.ms.Chains[0].Strs[4].Spec; ss.Name != "s5" || ss.SourcePeriod != 300 || ss.SourcePeriodDen != 1 {
 			t.Errorf("%s attached with source period %d/%d, want s5 at 300/1", ss.Name, ss.SourcePeriod, ss.SourcePeriodDen)
 		}
-		return FormatEvents(b.ctrl.Events())
+		return FormatEvents(b.log)
 	}
 	first, second := run(), run()
 	if first != second {

@@ -54,15 +54,6 @@ func (c *Controller) AdmitMigrated(req MigrateRequest, done func(Verdict)) {
 	if g == nil {
 		return
 	}
-	g.attach = func(block int64) (gateway.SlotUpdate, error) {
-		slot, err := c.ms.AdoptStream(c.ci, st, req.Export)
-		return gateway.SlotUpdate{Stream: slot, SetBlock: block, SetOutBlock: block / st.Spec.Decimation}, err
-	}
-	// The stream is already imported (validation makes this path
-	// unreachable, but never leave an unaccounted live slot behind):
-	// suspend it best-effort.
-	g.silence = func(c *Controller, slot int) {
-		_ = c.chain().Pair.ApplySlots([]gateway.SlotUpdate{{Stream: slot, Suspend: true}}, mpsoc.SlotCost, nil)
-	}
+	g.stream, g.export = st, req.Export
 	c.run(g)
 }

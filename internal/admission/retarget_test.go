@@ -98,39 +98,78 @@ func TestRetargetAfterFailover(t *testing.T) {
 	b.checkBounds(t, 95_000)
 }
 
-// TestRetargetReleasesStaleTransition: a transition left mid-flight on the
-// failed primary (its pause callback died with the freeze) must not wedge
-// the controller forever — Retarget clears the stale busy gate.
+// TestRetargetReleasesStaleTransition: a transition stranded on the failed
+// primary must neither wedge the controller nor complete later. The freeze
+// catches the add at one of two points: with its pause still pending, or
+// with its slot transaction on the configuration bus. At both, Retarget
+// drops it: the stranded add's done never fires, the in-flight record is
+// cleared, and the next transition on the standby commits exactly once.
+// The controller's pause and bus callbacks are bound once, so a stale
+// completion would act on the next transition's record.
 func TestRetargetReleasesStaleTransition(t *testing.T) {
-	b, fc := buildFailoverBed(t)
-	k := b.ms.K
+	for _, tc := range []struct {
+		name string
+		// freeze reports whether the stranded add has reached its freeze
+		// point; the pair is paused there once the bus transfer is in
+		// flight.
+		freeze func(b *bed) bool
+		paused bool
+	}{
+		{"pause-pending", func(*bed) bool { return true }, false},
+		{"bus-in-flight", func(b *bed) bool { return b.ms.Chains[0].Pair.Paused() }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, fc := buildFailoverBed(t)
+			k := b.ms.K
+			k.Run(3_000)
+			stranded := 0
+			b.ctrl.AddStream(addReq("s5", 300, 128, 128), func(Verdict) { stranded++ })
+			if !k.RunUntil(k.Now()+5_000, func() bool { return tc.freeze(b) }) {
+				t.Fatal("the add never reached its freeze point")
+			}
+			pair := b.ms.Chains[0].Pair
+			if !b.ctrl.Busy() || stranded != 0 {
+				t.Fatalf("before the freeze: busy %v, %d verdicts; want a transition in flight", b.ctrl.Busy(), stranded)
+			}
+			if pair.Paused() != tc.paused {
+				t.Fatalf("pair paused %v at the freeze, want %v", pair.Paused(), tc.paused)
+			}
+			if err := fc.Trigger("operator"); err != nil {
+				t.Fatalf("trigger: %v", err)
+			}
+			k.Run(20_000)
+			if fc.Record() == nil {
+				t.Fatal("failover never completed")
+			}
+			if err := b.ctrl.Retarget(1); err != nil {
+				t.Fatalf("retarget after a stale transition: %v", err)
+			}
+			b.checkRecordCleared(t)
 
-	// Start an add whose staged transition will be killed by the freeze.
-	var verdict *Verdict
-	k.ScheduleAt(3_000, func() {
-		b.ctrl.AddStream(addReq("s5", 300, 128, 128), func(v Verdict) { verdict = &v })
-	})
-	// Freeze the primary immediately after: the pause is pending, the bus
-	// transfer may be in flight — all of it dies with the pair.
-	k.ScheduleAt(3_010, func() {
-		if err := fc.Trigger("operator"); err != nil {
-			t.Errorf("trigger: %v", err)
-		}
-	})
-	k.Run(20_000)
-	if fc.Record() == nil {
-		t.Fatal("failover never completed")
-	}
-	if err := b.ctrl.Retarget(1); err != nil {
-		t.Fatalf("retarget after a stale transition: %v", err)
-	}
-	_ = verdict // the interrupted add may or may not have completed; either is fine
-
-	// The controller must accept new work on the standby.
-	var added *Verdict
-	b.ctrl.AddStream(addReq("s6", 300, 128, 128), func(v Verdict) { added = &v })
-	k.Run(50_000)
-	if added == nil || !added.Accepted {
-		t.Fatalf("add s6 after retarget: %+v", added)
+			// The controller must accept new work on the standby, and the
+			// stranded add must stay silent through it.
+			var added []Verdict
+			b.ctrl.AddStream(addReq("s6", 300, 128, 128), func(v Verdict) { added = append(added, v) })
+			k.Run(80_000)
+			if len(added) != 1 || !added[0].Accepted {
+				t.Fatalf("add s6 after retarget: %d verdicts %+v, want one acceptance", len(added), added)
+			}
+			if stranded != 0 {
+				t.Fatalf("the stranded add's done fired %d times after Retarget", stranded)
+			}
+			adds := 0
+			for _, e := range b.log {
+				if e.Kind == EvAdd {
+					adds++
+					if e.Stream != "s6" || !e.Verdict.Accepted {
+						t.Errorf("logged %s", FormatEvent(e))
+					}
+				}
+			}
+			if adds != 1 {
+				t.Fatalf("%d add events logged, want s6's commit alone:\n%s", adds, FormatEvents(b.log))
+			}
+			b.checkRecordCleared(t)
+		})
 	}
 }

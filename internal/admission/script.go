@@ -168,8 +168,9 @@ func FormatEvents(events []Event) string {
 
 // Play schedules the script's requests on the controller's kernel. Scripted
 // adds build their engines with Config.Engines (Play errors without one).
-// Each verdict is appended to the controller's event log as usual; the
-// caller runs the kernel to the desired horizon afterwards.
+// The requests have no done callbacks: each verdict reaches the caller
+// through Config.Log, which a scripted campaign therefore sets. The caller
+// runs the kernel to the desired horizon afterwards.
 func (c *Controller) Play(ops []Op) error {
 	for i := range ops {
 		op := ops[i]

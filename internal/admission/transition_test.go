@@ -81,6 +81,57 @@ func (b *bed) checkUntouched(t *testing.T, want ctrlState) {
 	if b.ms.Chains[0].Pair.Paused() {
 		t.Error("pair left paused after the abort")
 	}
+	b.checkRecordCleared(t)
+}
+
+// checkRecordCleared asserts that no transition is in flight and that the
+// controller's transition records are zero: none holds a newcomer's spec
+// with its engines and source, a migrant's stream and export, blocks or a
+// done callback.
+func (b *bed) checkRecordCleared(t *testing.T) {
+	t.Helper()
+	c := b.ctrl
+	if c.plan != nil {
+		t.Error("a transition is still in flight")
+	}
+	for _, rec := range []struct {
+		name string
+		v    any
+	}{{"growth", c.grw}, {"removal", c.rem}, {"rollback", c.rb}} {
+		if !reflect.ValueOf(rec.v).IsZero() {
+			t.Errorf("%s record not cleared: %+v", rec.name, rec.v)
+		}
+	}
+}
+
+// TestTransitionRecordCleared: the in-flight transition lives in records
+// the controller holds, and a transition's end zeroes them, so that they
+// pin no departed stream's spec, engines or source, no migrant's stream or
+// replay words, and no done callback. Here the end is the commit of each
+// plan that adds or removes a stream; TestQuarantineDuringDrainAborts
+// checks the records after each abort as superseded (checkUntouched), and
+// TestRetargetReleasesStaleTransition after a Retarget.
+func TestTransitionRecordCleared(t *testing.T) {
+	b := buildBed(t, nil, 1, 128, donorChain(t, demoStream("m1", 300, 64, 64)))
+	k := b.ms.K
+	k.Run(3000)
+	migrant := b.evacuate(t, 1)[0]
+	for _, step := range []struct {
+		what    string
+		request func(done func(Verdict))
+	}{
+		{"add s5", func(done func(Verdict)) { b.ctrl.AddStream(addReq("s5", 600, 128, 128), done) }},
+		{"migrate m1", func(done func(Verdict)) { b.ctrl.AdmitMigrated(migrant, done) }},
+		{"remove s4", func(done func(Verdict)) { b.ctrl.RemoveStream("s4", done) }},
+		{"readmit s4", func(done func(Verdict)) { b.ctrl.Readmit("s4", done) }},
+	} {
+		var v *Verdict
+		step.request(func(vv Verdict) { v = &vv })
+		if !k.RunUntil(k.Now()+60_000, func() bool { return v != nil }) || !v.Accepted {
+			t.Fatalf("%s: %+v", step.what, v)
+		}
+		b.checkRecordCleared(t)
+	}
 }
 
 func namesOf(v *Verdict) []string {
@@ -266,7 +317,7 @@ func TestQuarantineDuringDrainAborts(t *testing.T) {
 			if ok {
 				return
 			}
-			if !b.ctrl.busy {
+			if b.ctrl.plan == nil {
 				t.Fatal("the failed canary requested no rollback")
 			}
 			want = b.state().quarantined(t, "s3")
@@ -278,12 +329,12 @@ func TestQuarantineDuringDrainAborts(t *testing.T) {
 			t.Fatalf("readmit s2: %+v", vr)
 		}
 		if !k.RunUntil(k.Now()+120_000, func() bool { return b.hasEvent(EvRollbackFail, "s2") }) {
-			t.Fatalf("no rollback-failed; events:\n%s", FormatEvents(b.ctrl.Events()))
+			t.Fatalf("no rollback-failed; events:\n%s", FormatEvents(b.log))
 		}
 		if b.hasEvent(EvRollback, "s2") {
 			t.Error("stale rollback applied")
 		}
-		last := b.ctrl.Events()[len(b.ctrl.Events())-1]
+		last := b.log[len(b.log)-1]
 		if last.Kind != EvRollbackFail || last.Verdict == nil || last.Verdict.Reason != ReasonSuperseded ||
 			last.Verdict.Detail != "stream set changed during drain" {
 			t.Fatalf("last event %+v, want rollback-failed superseded", last)

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"strings"
 	"testing"
 
 	"accelshare/internal/accel"
@@ -343,5 +344,45 @@ func TestSnapshotMirrorsCounters(t *testing.T) {
 		got.Quarantined != s.Quarantined || got.Suspended != s.Suspended ||
 		got.Probation != s.Probation || got.MaxTurnaround != s.MaxTurnaround {
 		t.Fatalf("snapshot %+v disagrees with stream fields", got)
+	}
+}
+
+// TestApplySlotsOneAtATime: one slot transaction is on the configuration
+// bus at a time. A second ApplySlots before the first completes is refused
+// and schedules nothing; the first completes with its own updates, and the
+// bus takes the next transaction once it has.
+func TestApplySlotsOneAtATime(t *testing.T) {
+	r := newRig(t, Config{Name: "one", EntryCost: 1, ExitCost: 1})
+	s, _, _ := r.addStream(t, "s", 4, 16, 16)
+	r.pair.Start()
+	pauseRig(t, r)
+	ups := []SlotUpdate{{Stream: 0, SetBlock: 8, SetOutBlock: 8}}
+	first := 0
+	if err := r.pair.ApplySlots(ups, 10, func() { first++ }); err != nil {
+		t.Fatal(err)
+	}
+	// The pair copied the updates: the caller's slice is free at once.
+	ups[0] = SlotUpdate{Stream: 0, SetBlock: 2, SetOutBlock: 2}
+	second := 0
+	err := r.pair.ApplySlots([]SlotUpdate{{Stream: 0, Suspend: true}}, 10, func() { second++ })
+	if err == nil || !strings.Contains(err.Error(), "already on the configuration bus") {
+		t.Fatalf("overlapping transaction: err %v, want a refusal", err)
+	}
+	r.k.RunAll()
+	if first != 1 || second != 0 {
+		t.Fatalf("completions: first %d, second %d; want 1 and 0", first, second)
+	}
+	if s.Block != 8 || s.OutBlock != 8 || s.Suspended {
+		t.Fatalf("slot after the first transaction: block=%d out=%d suspended=%v, want 8/8 live", s.Block, s.OutBlock, s.Suspended)
+	}
+	if r.pair.SlotCycles != 10 {
+		t.Errorf("SlotCycles = %d, want 10: the refused transaction charged the bus", r.pair.SlotCycles)
+	}
+	if err := r.pair.ApplySlots(ups, 10, func() { second++ }); err != nil {
+		t.Fatalf("transaction after the first completed: %v", err)
+	}
+	r.k.RunAll()
+	if second != 1 || s.Block != 2 {
+		t.Fatalf("second transaction: %d completions, block %d; want 1 and 2", second, s.Block)
 	}
 }

@@ -446,7 +446,7 @@ type Pair struct {
 	// serve one word at a time, so the in-flight word lives on the pair.
 	on struct {
 		dmaDone, exitDone, stageStep, reconfigDone, retryDone,
-		checkpointDone, watchdog, flushDone, pushIdle func(uint64)
+		checkpointDone, watchdog, flushDone, pushIdle, slotsApplied func(uint64)
 		exitWake func()
 	}
 
@@ -464,6 +464,14 @@ type Pair struct {
 	pauseCb      func()
 	onCanary     func(stream int, ok bool)
 	onQuarantine func(stream int)
+	// slots is the ApplySlots transaction on the configuration bus: its
+	// updates, copied into storage the pair keeps, and its completion.
+	// One transaction is on the bus at a time.
+	slots struct {
+		updates []SlotUpdate
+		done    func()
+		busy    bool
+	}
 
 	// SlotCycles accounts configuration-bus cycles spent reprogramming
 	// stream slots during admission-control mode transitions (kept apart
@@ -516,6 +524,7 @@ func NewPair(k *sim.Kernel, net *ring.Dual, cfg Config, tiles []*accel.Tile, ent
 	p.on.watchdog = p.watchdogCheck
 	p.on.flushDone = p.flushDone
 	p.on.pushIdle = p.pushIdle
+	p.on.slotsApplied = p.slotsApplied
 	p.on.exitWake = p.exitStep.Wake
 	// The entry DMA needs a credit or ring space only while it holds a
 	// refused word; every other entry step is triggered elsewhere.
@@ -1496,13 +1505,23 @@ type SlotUpdate struct {
 // bus transaction of perSlotCost cycles per touched slot — the cost is
 // accounted in SlotCycles and done runs when the transfer completes. The
 // updates are validated up front so a half-applied transition is
-// impossible.
+// impossible, and copied, so the caller may reuse its slice at once. One
+// transaction is on the bus at a time: a second call before the first
+// completes is refused.
+//
+//accellint:noalloc guard=TestApplySlotsZeroAlloc
 func (p *Pair) ApplySlots(updates []SlotUpdate, perSlotCost sim.Time, done func()) error {
 	if !p.paused {
+		//accellint:alloc a refusal names the pair
 		return fmt.Errorf("gateway %s: ApplySlots requires a paused pair", p.cfg.Name)
+	}
+	if p.slots.busy {
+		//accellint:alloc a refusal names the pair
+		return fmt.Errorf("gateway %s: a slot transaction is already on the configuration bus", p.cfg.Name)
 	}
 	for _, u := range updates {
 		if u.Stream < 0 || u.Stream >= len(p.streams) {
+			//accellint:alloc a refusal names the pair and the slot
 			return fmt.Errorf("gateway %s: slot %d out of range", p.cfg.Name, u.Stream)
 		}
 		s := p.streams[u.Stream]
@@ -1514,49 +1533,63 @@ func (p *Pair) ApplySlots(updates []SlotUpdate, perSlotCost sim.Time, done func(
 			out = u.SetOutBlock
 		}
 		if blk <= 0 || out <= 0 {
+			//accellint:alloc a refusal names the pair, the slot and its sizes
 			return fmt.Errorf("gateway %s: slot %q would get block %d/out %d", p.cfg.Name, s.Name, blk, out)
 		}
 		if s.In.Capacity() < int(blk) {
+			//accellint:alloc a refusal names the pair, the slot and its sizes
 			return fmt.Errorf("gateway %s: slot %q input FIFO %d < block %d", p.cfg.Name, s.Name, s.In.Capacity(), blk)
 		}
 		if s.Out.Capacity() < int(out) {
+			//accellint:alloc a refusal names the pair, the slot and its sizes
 			return fmt.Errorf("gateway %s: slot %q output FIFO %d < out-block %d", p.cfg.Name, s.Name, s.Out.Capacity(), out)
 		}
 	}
 	cost := perSlotCost * sim.Time(len(updates))
 	p.SlotCycles += uint64(cost)
-	p.bus.TransferCycles(cost, func() {
-		if p.failed {
-			return // the pair froze for failover while the bus was busy
-		}
-		for _, u := range updates {
-			s := p.streams[u.Stream]
-			if u.SetBlock > 0 {
-				s.Block = u.SetBlock
-			}
-			if u.SetOutBlock > 0 {
-				s.OutBlock = u.SetOutBlock
-			}
-			if u.Suspend {
-				s.Suspended = true
-				s.queued = false
-			}
-			if u.Activate {
-				s.Suspended = false
-			}
-			if u.Unquarantine {
-				s.Quarantined = false
-			}
-			if u.Probation {
-				s.Probation = true
-			}
-		}
-		p.recheck = true
-		if done != nil {
-			done()
-		}
-	})
+	//accellint:alloc grows to the largest transaction once
+	p.slots.updates = append(p.slots.updates[:0], updates...)
+	p.slots.done, p.slots.busy = done, true
+	p.bus.TransferCyclesArg(cost, p.on.slotsApplied, 0)
 	return nil
+}
+
+// slotsApplied completes the ApplySlots transaction on the bus: it programs
+// the copied updates and runs the transaction's done.
+//
+//accellint:noalloc guard=TestApplySlotsZeroAlloc
+func (p *Pair) slotsApplied(uint64) {
+	done := p.slots.done
+	p.slots.done, p.slots.busy = nil, false
+	if p.failed {
+		return // the pair froze for failover while the bus was busy
+	}
+	for _, u := range p.slots.updates {
+		s := p.streams[u.Stream]
+		if u.SetBlock > 0 {
+			s.Block = u.SetBlock
+		}
+		if u.SetOutBlock > 0 {
+			s.OutBlock = u.SetOutBlock
+		}
+		if u.Suspend {
+			s.Suspended = true
+			s.queued = false
+		}
+		if u.Activate {
+			s.Suspended = false
+		}
+		if u.Unquarantine {
+			s.Quarantined = false
+		}
+		if u.Probation {
+			s.Probation = true
+		}
+	}
+	p.recheck = true
+	if done != nil {
+		done()
+	}
 }
 
 // AddStreamLive registers a stream slot on a running, paused pair. The

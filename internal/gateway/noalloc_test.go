@@ -84,3 +84,43 @@ func TestDataPathZeroAllocRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestApplySlotsZeroAlloc backs the //accellint:noalloc annotations on
+// ApplySlots and its completion: once the pair's update storage has grown
+// to the largest transaction, a paused pair's slot transaction — validate,
+// copy, bus transfer, reprogram, done — allocates nothing.
+func TestApplySlotsZeroAlloc(t *testing.T) {
+	r := newRig(t, Config{Name: "slots", EntryCost: 1, ExitCost: 1})
+	var streams []*Stream
+	for _, name := range []string{"a", "b", "c"} {
+		s, _, _ := r.addStream(t, name, 4, 16, 16)
+		streams = append(streams, s)
+	}
+	r.pair.Start()
+	pauseRig(t, r)
+	ups := make([]SlotUpdate, len(streams))
+	done := 0
+	onDone := func() { done++ }
+	block := int64(4)
+	apply := func() {
+		block = block%8 + 1
+		for i := range ups {
+			ups[i] = SlotUpdate{Stream: i, SetBlock: block, SetOutBlock: block}
+		}
+		if err := r.pair.ApplySlots(ups, 10, onDone); err != nil {
+			t.Fatal(err)
+		}
+		r.k.RunAll()
+	}
+	if a := testing.AllocsPerRun(100, apply); a != 0 {
+		t.Fatalf("ApplySlots: %v allocs per transaction, want 0", a)
+	}
+	if done != 101 {
+		t.Fatalf("%d completions, want 101", done)
+	}
+	for _, s := range streams {
+		if s.Block != block || s.OutBlock != block {
+			t.Fatalf("slot %s runs %d/%d, want %d", s.Name, s.Block, s.OutBlock, block)
+		}
+	}
+}

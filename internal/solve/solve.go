@@ -18,8 +18,10 @@
 //     exact utilisation spread, with no solver run.
 //
 // Default is the production stack, Incremental over Exact. Solvers are
-// stateless: they never mutate the Problem, and callers commit
-// Result.Blocks themselves.
+// stateless, and callers commit Result.Blocks themselves. A solve works in
+// its Problem: with Problem.Scratch set it allocates nothing once the
+// storage has grown, and its Result lives in the Problem until the
+// Problem's next solve.
 package solve
 
 import (
@@ -57,8 +59,15 @@ type Problem struct {
 	// solve (core.System.LeastFixedPointIn), so a caller that decides again
 	// and again reuses it instead of allocating per solve. It serves one
 	// solve at a time, and Result.Blocks then lives in it until its next
-	// solve. The results are the same either way.
+	// solve. The Result is then the one the Problem holds, valid until
+	// the Problem's next solve too. The results are the same either way;
+	// with Scratch nil a solve returns fresh storage.
 	Scratch *core.Scratch
+
+	// start is the warm start Incremental derives; res is the Result Exact
+	// returns when Scratch is set.
+	start []int64
+	res   Result
 }
 
 // Path identifies which decision procedure produced a Result.
@@ -91,7 +100,8 @@ type Result struct {
 }
 
 // Solver is one Algorithm 1 decision procedure. Implementations are
-// stateless and never mutate the Problem.
+// stateless; they leave a Problem's inputs as they found them and may keep
+// their result in it (see Problem.Scratch).
 type Solver interface {
 	Name() string
 	Solve(p *Problem) (*Result, error)

@@ -293,3 +293,46 @@ func TestSolverDoesNotMutateModel(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmSolveZeroAlloc backs the //accellint:noalloc annotations on
+// Incremental.Solve and Exact.Solve: with Problem.Scratch set, a
+// warm-started solve of the production stack allocates nothing once its
+// storage has grown. Its Result is the one the Problem holds, Start is nil
+// again afterwards, and the blocks are a cold solve's. Without Scratch,
+// every solve returns fresh storage.
+func TestWarmSolveZeroAlloc(t *testing.T) {
+	sys := testSystem(24, 1, 8)
+	cold := mustSolve(t, &Exact{}, &Problem{Model: sys})
+	survivors := &core.System{Chain: sys.Chain, ClockHz: sys.ClockHz, Streams: sys.Streams[:23]}
+	committed := mustSolve(t, &Exact{}, &Problem{Model: survivors})
+	prev := make([]Assignment, 23)
+	for i, b := range committed.Blocks {
+		prev[i] = Assignment{Name: sys.Streams[i].Name, Block: b}
+	}
+
+	s := Default(0, 0)
+	p := &Problem{Model: sys, Prev: prev, Scratch: new(core.Scratch)}
+	res := mustSolve(t, s, p)
+	if res != &p.res || p.Start != nil {
+		t.Fatalf("result held by the problem %v, start after the solve %v", res == &p.res, p.Start)
+	}
+	if !reflect.DeepEqual(res.Blocks, cold.Blocks) {
+		t.Fatalf("warm blocks %v, cold %v", res.Blocks, cold.Blocks)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := s.Solve(p); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("warm solve with scratch: %v allocs, want 0", a)
+	}
+
+	fresh := &Problem{Model: sys, Prev: prev}
+	one, two := mustSolve(t, s, fresh), mustSolve(t, s, fresh)
+	if one == two || &one.Blocks[0] == &two.Blocks[0] || fresh.Start != nil {
+		t.Fatal("a solve without scratch shares storage with the previous one")
+	}
+	if !reflect.DeepEqual(one.Blocks, cold.Blocks) {
+		t.Fatalf("warm blocks without scratch %v, cold %v", one.Blocks, cold.Blocks)
+	}
+}

@@ -1,6 +1,10 @@
 package solve
 
-import "accelshare/internal/core"
+import (
+	"slices"
+
+	"accelshare/internal/core"
+)
 
 // Incremental is the warm-start layer promoted out of internal/admission:
 // it derives a sound Start vector from the previously committed assignment
@@ -22,7 +26,11 @@ type Incremental struct {
 func (w *Incremental) Name() string { return "incremental(" + w.Inner.Name() + ")" }
 
 // Solve derives Start from Prev when sound, then delegates. An explicit
-// Problem.Start from the caller wins over derivation.
+// Problem.Start from the caller wins over derivation. The derived start is
+// written into a buffer p carries and rides in p itself while Inner
+// solves; Start is nil again afterwards.
+//
+//accellint:noalloc guard=TestWarmSolveZeroAlloc
 func (w *Incremental) Solve(p *Problem) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -30,16 +38,18 @@ func (w *Incremental) Solve(p *Problem) (*Result, error) {
 	if p.Start != nil || len(p.Prev) == 0 || !leading(p.Model.Streams, p.Prev) {
 		return w.Inner.Solve(p)
 	}
-	start := make([]int64, len(p.Model.Streams))
+	// The buffer grows with the model, amortised.
+	start := slices.Grow(p.start[:0], len(p.Model.Streams))[:len(p.Model.Streams)]
 	for i := range start {
 		start[i] = 1
 	}
 	for i, a := range p.Prev {
 		start[i] = a.Block
 	}
-	warmed := *p
-	warmed.Start = start
-	return w.Inner.Solve(&warmed)
+	p.start, p.Start = start, start
+	res, err := w.Inner.Solve(p)
+	p.Start = nil
+	return res, err
 }
 
 // leading reports whether prev names streams[:len(prev)] in order.
